@@ -13,7 +13,8 @@ import math
 import random
 import time
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,11 +41,16 @@ class CriterionResult:
     passed: bool
     seconds: float
     detail: str
+    warnings: dict = field(default_factory=dict)  # category name -> count
 
     def line(self):
         tag = "PASS" if self.passed else "FAIL"
-        return "AC%02d %s %6.2fs  %s: %s" % (
+        out = "AC%02d %s %6.2fs  %s: %s" % (
             self.index, tag, self.seconds, self.title, self.detail)
+        if self.warnings:
+            out += "; warnings: " + ", ".join(
+                "%s x%d" % kv for kv in sorted(self.warnings.items()))
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -367,16 +373,22 @@ def crit_11():
         drift = flow["sigma_drift"] / (400 * 0.01)
 
         prop = ml.propagation_check()
-        return d_dirs, p_dirs, drift, prop
-    (d_dirs, p_dirs, drift, prop), dt = _timed(body)
+        wfs = (wf_d, wf_p, prop["wf"])
+        near = sum(len(wf.near_threshold(0.05)) for wf in wfs)
+        n_rays = sum(len(wf.rays) for wf in wfs)
+        return d_dirs, p_dirs, drift, prop, near, n_rays
+    (d_dirs, p_dirs, drift, prop, near, n_rays), dt = _timed(body)
+    frac = prop["fraction_on_cone"]
     ok = (d_dirs == [-1.0, 1.0] and p_dirs == [-1.0]
-          and drift < 1e-8 and prop["fraction_on_cone"] >= 0.9)
+          and drift < 1e-8 and frac >= 0.9)
     return CriterionResult(
         11, "microlocal estimates and propagation", ok, dt,
         "WF(delta) dirs %s, WF((x+i0)^-1) dirs %s (default threshold); "
+        "%d of %d rays within 0.05 of their threshold; "
         "sigma drift %.1e per unit time (tol 1e-8); %.1f%% of singular mass "
-        "within 15 deg of the lattice cone (need 90%%)"
-        % (d_dirs, p_dirs, drift, 100 * prop["fraction_on_cone"]))
+        "within 15 deg of the lattice cone (need 90%%, margin %+.1f points)"
+        % (d_dirs, p_dirs, near, n_rays, drift, 100 * frac,
+           100 * (frac - 0.9)))
 
 
 def crit_12():
@@ -441,9 +453,11 @@ def run_all(indices=None):
     for i, fn in enumerate(ALL, start=1):
         if indices is not None and i not in indices:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            results.append(fn())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = fn()
+        r.warnings = dict(Counter(w.category.__name__ for w in caught))
+        results.append(r)
     return results
 
 

@@ -11,14 +11,13 @@ bicharacteristics.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
 
-from .dist1d import SymbolicDistribution1D, TestFunction1D, _window
+from .dist1d import SymbolicDistribution1D, _window
 from .lattice import Lattice1p1, PropagatorSet
 
 
@@ -51,11 +50,14 @@ class WFEstimate:
 
     def singular_at(self, center, tol: float = 1e-9):
         c = np.asarray(center, dtype=float)
-        out = []
-        for r in self.singular():
-            if np.linalg.norm(np.asarray(r.center) - c) <= tol:
-                out.append(r)
-        return out
+        return [r for r in self.singular()
+                if np.linalg.norm(np.asarray(r.center) - c) <= tol]
+
+    def near_threshold(self, band: float):
+        """Rays whose decay exponent lies within band of the threshold: the
+        decisions that a small change of data or threshold could flip."""
+        margin = self.meta["exponent_margin"]
+        return [r for r, m in zip(self.rays, margin) if abs(m) <= band]
 
     def is_regular(self) -> bool:
         return not self.singular()
@@ -65,23 +67,29 @@ class WFEstimate:
                 f"{len(self.singular())} singular)")
 
 
-def _fit_decay(rs, amps, amp_floor: float, rel_floor: float):
-    """Least-squares slope of -log|A| vs log r, with noise floors.
-
-    Amplitudes that never rise above amp_floor, or whose top-of-ladder value
-    has fallen below rel_floor of the peak, count as regular (infinite
+def _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor, meta):
+    """Rays (c, d), c in cs, d in dirs, from one row of ladder amplitudes
+    each: one least-squares slope of -log|A| vs log r per row, with noise
+    floors.  Rows that never rise above amp_floor, or whose top-of-ladder
+    value has fallen below rel_floor of the peak, count as regular (infinite
     exponent): the fit would only measure the quadrature/window floor.
-    """
-    amax = max(amps)
-    if amax < amp_floor:
-        return math.inf, amax
-    if amps[-1] <= rel_floor * amax:
-        return math.inf, amax
-    floor = max(amp_floor, amax * 1e-14)
-    ys = [math.log(max(a, floor)) for a in amps]
-    xs = [math.log(r) for r in rs]
-    slope = np.polyfit(xs, ys, 1)[0]
-    return -float(slope), amax
+    meta gains per-ray arrays exponent_margin (exponent - threshold) and
+    floor_ratio (last/peak amplitude over rel_floor; nan if all zero)."""
+    amps = np.asarray(amps, dtype=float).reshape(-1, len(rs))
+    peak, last = amps.max(axis=1), amps[:, -1]
+    fit = (peak >= amp_floor) & (last > rel_floor * peak)
+    floor = np.maximum(amp_floor, peak[fit] * 1e-14)
+    ys = np.log(np.maximum(amps[fit], floor[:, None]))
+    xs = np.log(rs) - np.mean(np.log(rs))
+    expo = np.full(len(amps), math.inf)
+    expo[fit] = -(ys @ xs) / (xs @ xs)
+    ratio = np.divide(last, rel_floor * peak, out=np.full_like(peak, np.nan),
+                      where=peak > 0)
+    pairs = ((c, d) for c in cs for d in dirs)
+    rays = [WFRay(c, d, e, a, e < threshold)
+            for (c, d), e, a in zip(pairs, expo.tolist(), peak.tolist())]
+    meta.update(exponent_margin=expo - threshold, floor_ratio=ratio)
+    return WFEstimate(rays, threshold, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +123,18 @@ class _WindowedWave:
         return self.window_at_origin() * (1j * self.k) ** m
 
 
+def _quad_complex(f, lo, hi, **kw) -> complex:
+    """Integral of a complex-valued f over [lo, hi], one quad per part."""
+    kw.update(limit=1000, epsabs=1e-12, epsrel=1e-10)
+    re = integrate.quad(lambda x: f(x).real, lo, hi, **kw)[0]
+    return re + 1j * integrate.quad(lambda x: f(x).imag, lo, hi, **kw)[0]
+
+
 def _pair_wave_1d(t, wave: _WindowedWave) -> complex:
     """<t, W e^{ikx}> for the model kinds that appear in the demos."""
     lo, hi = wave.x0 - wave.R, wave.x0 + wave.R
     if callable(t) and not isinstance(t, SymbolicDistribution1D):
-        re = integrate.quad(lambda x: (t(x) * wave.value(x)).real, lo, hi,
-                            limit=1000, epsabs=1e-12, epsrel=1e-10)[0]
-        im = integrate.quad(lambda x: (t(x) * wave.value(x)).imag, lo, hi,
-                            limit=1000, epsabs=1e-12, epsrel=1e-10)[0]
-        return re + 1j * im
+        return _quad_complex(lambda x: t(x) * wave.value(x), lo, hi)
     out = 0j
     for coeff, kind in t.terms:
         tag = kind[0]
@@ -138,15 +149,8 @@ def _pair_wave_1d(t, wave: _WindowedWave) -> complex:
         elif tag == "power_i0" and kind[2] == -1:
             sign = kind[1]
             if lo < 0.0 < hi:
-                pv_re = integrate.quad(
-                    lambda x: wave.value(x).real, lo, hi,
-                    weight="cauchy", wvar=0.0, limit=1000,
-                    epsabs=1e-12, epsrel=1e-10)[0]
-                pv_im = integrate.quad(
-                    lambda x: wave.value(x).imag, lo, hi,
-                    weight="cauchy", wvar=0.0, limit=1000,
-                    epsabs=1e-12, epsrel=1e-10)[0]
-                pv = pv_re + 1j * pv_im
+                pv = _quad_complex(wave.value, lo, hi,
+                                   weight="cauchy", wvar=0.0)
                 out += coeff * (pv - sign * 1j * math.pi
                                 * wave.window_at_origin())
             else:
@@ -168,18 +172,11 @@ def wf_estimate_1d(t, centers=(0.0,), k_base: float = 4.0,
     """
     r0, R = window
     rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
-    rays = []
-    for x0 in centers:
-        for s in (1.0, -1.0):
-            amps = []
-            for r in rs:
-                a = _pair_wave_1d(t, _WindowedWave(float(x0), s * r, r0, R))
-                amps.append(abs(a))
-            expo, amax = _fit_decay(rs, amps, amp_floor, rel_floor)
-            rays.append(WFRay((float(x0),), (s,), expo, amax,
-                              expo < threshold))
-    return WFEstimate(rays, threshold,
-                      meta={"k_base": k_base, "ladder": rs, "window": window})
+    cs, dirs = [(float(x0),) for x0 in centers], ((1.0,), (-1.0,))
+    amps = [abs(_pair_wave_1d(t, _WindowedWave(c[0], s * r, r0, R)))
+            for c in cs for (s,) in dirs for r in rs]
+    return _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor,
+                     {"k_base": k_base, "ladder": rs, "window": window})
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +195,8 @@ class SampledField2D:
         self.ts = np.arange(nt) * self.a_t
         self.xs = np.arange(nx) * self.a_x
 
-    def coords(self, it: int, ix: int):
-        return (self.ts[it], self.xs[ix])
+
+_CHUNK = 32  # centres per batched pairing; bounds the working set
 
 
 def wf_estimate_2d(field: SampledField2D, centers, n_rays: int = 16,
@@ -212,7 +209,15 @@ def wf_estimate_2d(field: SampledField2D, centers, n_rays: int = 16,
     The window is a radial Gaussian (truncated at cut_sigmas), whose spectral
     decay is fast enough to resolve power-law fronts over a short dyadic
     ladder; frequencies stay below the grid Nyquist limit.
-    """
+
+    Shared stencil: |sum v e^{i r d.p}| ignores a global phase, so a centre
+    pairs against e^{i r d.(p - anchor)}, anchor its nearest grid point; on
+    the box of offsets around it that is E_t[q, di] E_x[q, dj], q = (direction,
+    frequency), two tables built once per call.  Window and mask use the
+    float offsets ts[i] - t0, xs[j] - x0 on the box, as on the full grid, so
+    points exactly at the cut fall the same way.  Boxes of _CHUNK centres
+    pair in one product with E_t and one contraction with E_x.  Centres with
+    no grid point in reach are listed in meta["skipped_centers"]."""
     kmax = k_base * 2 ** n_octaves
     nyq = math.pi / max(field.a_t, field.a_x)
     if kmax > nyq:
@@ -222,29 +227,37 @@ def wf_estimate_2d(field: SampledField2D, centers, n_rays: int = 16,
     rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
     dirs = [(math.cos(2 * math.pi * j / n_rays),
              math.sin(2 * math.pi * j / n_rays)) for j in range(n_rays)]
-    T, X = np.meshgrid(field.ts, field.xs, indexing="ij")
-    vals = field.values
-    cell = field.a_t * field.a_x
-    rays = []
-    for (t0, x0) in centers:
-        dT, dX = T - t0, X - x0
-        dist2 = dT * dT + dX * dX
-        mask = dist2 < R * R
-        if not mask.any():
-            continue
-        w = np.exp(-dist2[mask] / (2.0 * sigma * sigma))
-        v = vals[mask] * w * cell
-        tt, xx = T[mask], X[mask]
-        for d in dirs:
-            amps = []
-            for r in rs:
-                phase = np.exp(1j * r * (d[0] * tt + d[1] * xx))
-                amps.append(abs(np.sum(v * phase)))
-            expo, amax = _fit_decay(rs, amps, amp_floor, rel_floor)
-            rays.append(WFRay((t0, x0), d, expo, amax, expo < threshold))
-    return WFEstimate(rays, threshold,
-                      meta={"ladder": rs, "n_rays": n_rays,
-                            "sigma": sigma, "cut": R})
+    k = np.array([[r * d[0], r * d[1]] for d in dirs for r in rs])
+    ht, hx = (math.ceil(R / a) + 1 for a in (field.a_t, field.a_x))
+    E_t = np.exp(1j * np.outer(k[:, 0], np.arange(-ht, ht + 1) * field.a_t))
+    E_x = np.exp(1j * np.outer(k[:, 1], np.arange(-hx, hx + 1) * field.a_x))
+    (nt, nx), cell = field.values.shape, field.a_t * field.a_x
+    centers = list(centers)
+    cs, amps, skipped = [], [np.zeros((0, len(k)))], []
+    for start in range(0, len(centers), _CHUNK):
+        box = np.zeros((_CHUNK, 2 * ht + 1, 2 * hx + 1),
+                       np.result_type(field.values, float))
+        n = 0
+        for t0, x0 in centers[start:start + _CHUNK]:
+            it, ix = round(t0 / field.a_t), round(x0 / field.a_x)
+            i0, i1 = max(it - ht, 0), min(it + ht + 1, nt)
+            j0, j1 = max(ix - hx, 0), min(ix + hx + 1, nx)
+            dT, dX = field.ts[i0:i1, None] - t0, field.xs[j0:j1] - x0
+            dist2 = dT * dT + dX * dX
+            mask = dist2 < R * R
+            if not mask.any():
+                skipped.append((t0, x0))
+                continue
+            w = np.exp(-dist2[mask] / (2.0 * sigma * sigma))
+            box[n, i0 - it + ht:i1 - it + ht, j0 - ix + hx:j1 - ix + hx][
+                mask] = field.values[i0:i1, j0:j1][mask] * w * cell
+            cs.append((t0, x0))
+            n += 1
+        amps.append(np.abs(np.einsum("cqj,qj->cq", E_t @ box[:n], E_x)))
+    return _estimate(cs, dirs, rs, np.concatenate(amps), threshold,
+                     amp_floor, rel_floor,
+                     {"ladder": rs, "n_rays": n_rays, "sigma": sigma,
+                      "cut": R, "skipped_centers": skipped})
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +269,9 @@ def whitney_sum_witnesses(wf1: WFEstimate, wf2: WFEstimate,
                           dir_tol: float = 1e-6):
     """Pairs of singular rays at a common point whose directions cancel,
     i.e. hits of the fibrewise sum on the zero section."""
-    out = []
-    for r1 in wf1.singular():
-        c1 = np.asarray(r1.center)
-        d1 = np.asarray(r1.direction)
-        for r2 in wf2.singular():
-            if np.linalg.norm(c1 - np.asarray(r2.center)) > pos_tol:
-                continue
-            if np.linalg.norm(d1 + np.asarray(r2.direction)) < dir_tol:
-                out.append((r1, r2))
-    return out
+    return [(r1, r2) for r1 in wf1.singular() for r2 in wf2.singular()
+            if np.linalg.norm(np.subtract(r1.center, r2.center)) <= pos_tol
+            and np.linalg.norm(np.add(r1.direction, r2.direction)) < dir_tol]
 
 
 def product_compatible(wf1: WFEstimate, wf2: WFEstimate, **kw):
@@ -288,11 +294,8 @@ def microcausal_check(covectors, tol: float = 0.0) -> bool:
     """True when the tuple avoids both the all-future and the all-past
     configuration (the admissibility cone condition for vertex covectors)."""
     ks = list(covectors)
-    if not ks:
-        return False
-    all_fut = all(in_future_cone(k, tol) for k in ks)
-    all_past = all(in_past_cone(k, tol) for k in ks)
-    return not all_fut and not all_past
+    return (bool(ks) and not all(in_future_cone(k, tol) for k in ks)
+            and not all(in_past_cone(k, tol) for k in ks))
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +395,8 @@ def propagation_check(mass: float = 1.0, n_t: int = 512, n_x: int = 256,
 
     wf = wf_estimate_2d(field, centers, threshold=threshold)
 
-    cone_rays = [np.array([1.0, 1.0]) / math.sqrt(2),
-                 np.array([1.0, -1.0]) / math.sqrt(2),
-                 np.array([-1.0, 1.0]) / math.sqrt(2),
-                 np.array([-1.0, -1.0]) / math.sqrt(2)]
+    cone_rays = [np.array([a, b]) / math.sqrt(2)
+                 for a in (1.0, -1.0) for b in (1.0, -1.0)]
     cos_tol = math.cos(math.radians(cone_tol_deg))
 
     mass_on, mass_total = 0.0, 0.0
@@ -408,9 +409,8 @@ def propagation_check(mass: float = 1.0, n_t: int = 512, n_x: int = 256,
         if nrm < 1e-12:
             continue
         u = p / nrm
-        on = any(float(u @ ray) >= cos_tol for ray in cone_rays)
         mass_total += m
-        if on:
+        if any(float(u @ ray) >= cos_tol for ray in cone_rays):
             mass_on += m
     frac = mass_on / mass_total if mass_total else 0.0
     return {

@@ -6,12 +6,11 @@ and in `paqft suite` output); the assertion also enforces the runtime budget.
 import warnings
 
 from paqft import acceptance
+from paqft import egrenorm as eg
 
 
 def check(fn, budget):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        r = fn()
+    r, = acceptance.run_all({acceptance.ALL.index(fn) + 1})
     print(r.line())
     assert r.passed, r.line()
     assert r.seconds < budget, "runtime %.2fs over the %ds budget" \
@@ -69,3 +68,18 @@ def test_ac12_gns_representations():
 
 def test_ac13_retarded_support_and_inverse():
     check(acceptance.crit_13, 5)
+
+
+def test_warnings_inside_a_criterion_are_recorded(monkeypatch):
+    def noisy():
+        warnings.warn("no convergence", RuntimeWarning)
+        warnings.warn("no convergence", RuntimeWarning)
+        warnings.warn("unique extension", eg.NegativeDivergenceWarning)
+        return acceptance.CriterionResult(1, "noisy", True, 0.0, "ok")
+
+    monkeypatch.setattr(acceptance, "ALL", (noisy,))
+    r, = acceptance.run_all()
+    assert r.warnings == {"RuntimeWarning": 2,
+                          "NegativeDivergenceWarning": 1}
+    assert r.line().endswith(
+        "warnings: NegativeDivergenceWarning x1, RuntimeWarning x2")

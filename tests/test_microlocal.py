@@ -178,3 +178,99 @@ def test_commutator_front_rides_the_light_cone():
     rep = ml.propagation_check(n_t=256, n_x=128, annulus=(3.0, 5.5))
     assert rep["fraction_on_cone"] >= 0.7
     assert rep["n_singular_centers"] > 0
+
+
+# --------------------------------------------------------------------------
+# 2d estimator against a naive reference
+
+def reference_wf2d(field, centers, n_rays=16, k_base=1.25, n_octaves=3,
+                   sigma=0.5, R=2.5, amp_floor=1e-7, rel_floor=1e-4):
+    """Per-centre full-grid pairing, one exponential per (direction,
+    frequency), and one polyfit per ray: {(centre, j): (peak, exponent)}."""
+    rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
+    T, X = np.meshgrid(field.ts, field.xs, indexing="ij")
+    out = {}
+    for (t0, x0) in centers:
+        dist2 = (T - t0) ** 2 + (X - x0) ** 2
+        mask = dist2 < R * R
+        v = field.values[mask] * np.exp(-dist2[mask] / (2 * sigma ** 2)) \
+            * field.a_t * field.a_x
+        for j in range(n_rays if mask.any() else 0):
+            a = 2 * math.pi * j / n_rays
+            amps = [abs(np.sum(v * np.exp(1j * r * (math.cos(a) * T[mask]
+                                                    + math.sin(a) * X[mask]))))
+                    for r in rs]
+            peak, expo = max(amps), math.inf
+            if peak >= amp_floor and amps[-1] > rel_floor * peak:
+                ys = np.log(np.maximum(amps, max(amp_floor, peak * 1e-14)))
+                expo = -np.polyfit(np.log(rs), ys, 1)[0]
+            out[(t0, x0), j] = (peak, expo)
+    return out
+
+
+def assert_matches_reference(wf, ref):
+    assert len(wf.rays) == len(ref)
+    peak = max(max(p for p, _ in ref.values()), 1e-300)
+    for i, r in enumerate(wf.rays):
+        want_amp, want_expo = ref[r.center, i % 16]
+        assert abs(r.amplitude - want_amp) <= 1e-12 * peak
+        assert r.singular == (want_expo < wf.threshold)
+        assert r.exponent == pytest.approx(want_expo, abs=1e-8)
+
+
+def test_2d_estimate_matches_full_grid_reference():
+    n, h = 96, 0.1
+    T, X = np.meshgrid(np.arange(n) * h, np.arange(n) * h, indexing="ij")
+    c = n // 2 * h
+    points = np.zeros((n, n))
+    points[n // 2, n // 2] = 1.0
+    points[3, 70] = -0.5  # next to the t = 0 edge
+    bump = np.exp(-((T - c) ** 2 + (X - c) ** 2) / (2 * 2.0 ** 2))
+    centers = [(c, c), (2.0, 3.0),                 # grid-aligned
+               (c + 0.031, c - 0.027), (0.55, 6.98),  # off-grid
+               (0.3, 7.0), (9.4, 0.2), (0.0, 0.0),  # cut by the grid edge
+               (-1.0, 4.8), (4.8, 11.2),            # centre off the grid
+               (-3.0, 4.8), (20.0, 20.0)]           # no grid point in reach
+    for values in (points, bump, points + bump):
+        field = ml.SampledField2D(values, h, h)
+        wf = ml.wf_estimate_2d(field, centers)
+        assert_matches_reference(wf, reference_wf2d(field, centers))
+        assert wf.meta["skipped_centers"] == [(-3.0, 4.8), (20.0, 20.0)]
+        assert {r.center for r in wf.rays} == set(centers[:-2])
+
+
+def test_propagation_flags_match_reference():
+    from fractions import Fraction
+    from paqft.lattice import Lattice1p1, PropagatorSet
+    rep = ml.propagation_check(n_t=256, n_x=128, annulus=(3.0, 5.5))
+    lat = Lattice1p1(256, 128, Fraction(1, 20), Fraction(1, 10), 1.0)
+    field = ml.SampledField2D(PropagatorSet(lat).causal_column(128, 64),
+                              0.05, 0.1)
+    centers = list(dict.fromkeys(r.center for r in rep["wf"].rays))
+    assert len(centers) == rep["n_centers"]
+    assert_matches_reference(rep["wf"], reference_wf2d(field, centers))
+
+
+def test_margins_are_aligned_with_rays():
+    field, n, h = grid_field()
+    field.values[n // 2, n // 2] = 1.0
+    wf = ml.wf_estimate_2d(field, [(4.8, 4.8), (2.4, 2.4)])
+    margin, ratio = wf.meta["exponent_margin"], wf.meta["floor_ratio"]
+    assert len(margin) == len(ratio) == len(wf.rays) == 32
+    for r, m, q in zip(wf.rays, margin, ratio):
+        assert m == r.exponent - wf.threshold
+        # the point source rays are singular and far above the floor; the
+        # empty window far away has no peak at all
+        assert (q > 1.0) if r.center == (4.8, 4.8) else np.isnan(q)
+    assert wf.near_threshold(1e6) == [r for r in wf.rays
+                                      if math.isfinite(r.exponent)]
+    assert all(abs(r.exponent - wf.threshold) <= 0.5
+               for r in wf.near_threshold(0.5))
+
+
+def test_1d_margins():
+    wf = ml.wf_estimate_1d(SymbolicDistribution1D.delta(1))
+    # exponent -1 against threshold 4: five units inside the singular side
+    assert np.allclose(wf.meta["exponent_margin"], -5.0)
+    assert wf.near_threshold(4.9) == []
+    assert len(wf.near_threshold(5.1)) == 2
