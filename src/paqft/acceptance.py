@@ -65,7 +65,8 @@ def _ctx_small():
     return lat, ExactPropagators(lat)
 
 
-def _sparse_smear(rng, lat, n_sites):
+def sparse_smear(rng, lat, n_sites):
+    """n_sites random sites with small random rational weights."""
     out = {}
     while len(out) < n_sites:
         s = rng.randrange(lat.n_sites)
@@ -85,7 +86,7 @@ def _random_poly(rng, lat, max_degree, n_terms, sites=None):
     return PolyFunctional(lat, terms)
 
 
-def _pairing(xp, f, g):
+def pairing(xp, f, g):
     """<f, Delta g> = sum vol^2 f_i Delta(i,j) g_j, exact."""
     w2 = xp.lat.volume_weight ** 2
     acc = Fraction(0)
@@ -111,11 +112,11 @@ def crit_01():
         rng = random.Random(101)
         bad = 0
         for _ in range(20):
-            f = _sparse_smear(rng, lat, rng.randint(4, 6))
-            g = _sparse_smear(rng, lat, rng.randint(4, 6))
+            f = sparse_smear(rng, lat, rng.randint(4, 6))
+            g = sparse_smear(rng, lat, rng.randint(4, 6))
             comm = prod.commutator(smeared_field(lat, f),
                                    smeared_field(lat, g))
-            val = _pairing(xp, f, g)
+            val = pairing(xp, f, g)
             want = PolyFunctional(
                 lat, {(): FormalSeries({(1, 0): ExactComplex(0, val)})})
             if comm != want:
@@ -375,19 +376,21 @@ def crit_11():
         prop = ml.propagation_check()
         wfs = (wf_d, wf_p, prop["wf"])
         near = sum(len(wf.near_threshold(0.05)) for wf in wfs)
+        floor = sum(len(wf.near_floor(2.0)) for wf in wfs)
         n_rays = sum(len(wf.rays) for wf in wfs)
-        return d_dirs, p_dirs, drift, prop, near, n_rays
-    (d_dirs, p_dirs, drift, prop, near, n_rays), dt = _timed(body)
+        return d_dirs, p_dirs, drift, prop, near, floor, n_rays
+    (d_dirs, p_dirs, drift, prop, near, floor, n_rays), dt = _timed(body)
     frac = prop["fraction_on_cone"]
     ok = (d_dirs == [-1.0, 1.0] and p_dirs == [-1.0]
           and drift < 1e-8 and frac >= 0.9)
     return CriterionResult(
         11, "microlocal estimates and propagation", ok, dt,
         "WF(delta) dirs %s, WF((x+i0)^-1) dirs %s (default threshold); "
-        "%d of %d rays within 0.05 of their threshold; "
+        "%d of %d rays within 0.05 of their threshold, %d within 2x of "
+        "the rel_floor test; "
         "sigma drift %.1e per unit time (tol 1e-8); %.1f%% of singular mass "
         "within 15 deg of the lattice cone (need 90%%, margin %+.1f points)"
-        % (d_dirs, p_dirs, near, n_rays, drift, 100 * frac,
+        % (d_dirs, p_dirs, near, n_rays, floor, drift, 100 * frac,
            100 * (frac - 0.9)))
 
 

@@ -34,6 +34,7 @@ from . import microlocal as ml
 from . import algebra as al
 from . import formats
 from . import acceptance
+from .acceptance import pairing, sparse_smear
 
 CONFIG_ERRORS = (formats.FormatError, LatticeError, ValueError,
                  KeyError, OSError)
@@ -50,13 +51,23 @@ def _fail(code, msg):
     sys.exit(code)
 
 
-def _load_cfg(path):
+LATTICE_KEYS = ("n_t", "n_x", "a_t", "a_x", "mass")
+
+
+def _load_cfg(path, keys):
+    """The config file of a command that reads `keys`; any other key is a
+    config error (exit 2) rather than a silently ignored typo."""
     if path is None:
         return {}
     try:
-        return formats.load_config(path)
+        cfg = formats.load_config(path)
     except CONFIG_ERRORS as e:
         _fail(2, "bad config %s: %s" % (path, e))
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        _fail(2, "bad config %s: unknown key %s (this command reads: %s)"
+              % (path, ", ".join(unknown), ", ".join(keys) or "none"))
+    return cfg
 
 
 def _artifact(out, name, label):
@@ -86,14 +97,6 @@ def _lattice_from(cfg):
                       float(cfg.get("mass", 1.0)))
 
 
-def _sparse(rng, lat, n_sites):
-    out = {}
-    while len(out) < n_sites:
-        s = rng.randrange(lat.n_sites)
-        out[s] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
-    return out
-
-
 def _guarded(fn):
     """Map library exceptions to the documented exit codes."""
     try:
@@ -118,7 +121,7 @@ def main():
 @common_opts
 def gns(config_path, out, seed, label):
     """GNS construction for built-in or file-given states."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, ("algebra_file",))
 
     def body():
         cases = []
@@ -166,7 +169,7 @@ def gns(config_path, out, seed, label):
 @common_opts
 def weyl(config_path, out, seed, label):
     """Exponentiated commutation relations on a discrete line."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, ("n", "dx", "hbar"))
 
     def body():
         return al.weyl_rep_check(n=int(cfg.get("n", 64)),
@@ -196,7 +199,7 @@ def weyl(config_path, out, seed, label):
 @common_opts
 def propagators(config_path, out, seed, label):
     """Propagator offset tables for a lattice, with a binary cache."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, LATTICE_KEYS)
 
     def body():
         lat = _lattice_from(cfg)
@@ -244,20 +247,17 @@ def propagators(config_path, out, seed, label):
 @common_opts
 def commutator(config_path, out, seed, label):
     """Field commutator against the covariant pairing, term by term."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, LATTICE_KEYS + ("n_sites",))
 
     def body():
         lat = _lattice_from(cfg)
         xp = ExactPropagators(lat)
         rng = random.Random(seed)
-        f = _sparse(rng, lat, int(cfg.get("n_sites", 4)))
-        g = _sparse(rng, lat, int(cfg.get("n_sites", 4)))
+        f = sparse_smear(rng, lat, int(cfg.get("n_sites", 4)))
+        g = sparse_smear(rng, lat, int(cfg.get("n_sites", 4)))
         comm = qz.QuantProduct(xp, "star_H", DEGREE_CAP).commutator(
             smeared_field(lat, f), smeared_field(lat, g))
-        w2 = lat.volume_weight ** 2
-        val = sum((fi * xp.causal_entry(i, j) * gj
-                   for i, fi in f.items() for j, gj in g.items()),
-                  Fraction(0)) * w2
+        val = pairing(xp, f, g)
         want = PolyFunctional(
             lat, {(): FormalSeries({(1, 0): ExactComplex(0, val)})})
         return comm, val, comm == want
@@ -278,14 +278,14 @@ def commutator(config_path, out, seed, label):
 @common_opts
 def wick(config_path, out, seed, label):
     """Three-term expansion of a product of two quadratic densities."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, LATTICE_KEYS + ("n_sites",))
 
     def body():
         lat = _lattice_from(cfg)
         xp = ExactPropagators(lat)
         rng = random.Random(seed)
-        f1 = _sparse(rng, lat, int(cfg.get("n_sites", 2)))
-        f2 = _sparse(rng, lat, int(cfg.get("n_sites", 2)))
+        f1 = sparse_smear(rng, lat, int(cfg.get("n_sites", 2)))
+        f2 = sparse_smear(rng, lat, int(cfg.get("n_sites", 2)))
         return qz.wick_theorem_demo(xp, f1, f2)
 
     r = _guarded(body)
@@ -306,14 +306,14 @@ def wick(config_path, out, seed, label):
 @common_opts
 def tadpole(config_path, out, seed, label):
     """Self-contraction cancellation in the dressed pointwise product."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, LATTICE_KEYS)
 
     def body():
         lat = _lattice_from(cfg)
         xp = ExactPropagators(lat)
         rng = random.Random(seed)
-        F = local_power(lat, _sparse(rng, lat, 2), 2)
-        G = local_power(lat, _sparse(rng, lat, 2), 2)
+        F = local_power(lat, sparse_smear(rng, lat, 2), 2)
+        G = local_power(lat, sparse_smear(rng, lat, 2), 2)
         return gr.tadpole_demo(xp, F, G)
 
     r = _guarded(body)
@@ -335,13 +335,13 @@ def tadpole(config_path, out, seed, label):
 @common_opts
 def smatrix(config_path, out, seed, label):
     """Formal S-matrix of a quartic vertex, term by term."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, LATTICE_KEYS)
 
     def body():
         lat = _lattice_from(cfg)
         xp = ExactPropagators(lat)
         rng = random.Random(seed)
-        V = interaction_vertex(lat, _sparse(rng, lat, 1), 4)
+        V = interaction_vertex(lat, sparse_smear(rng, lat, 1), 4)
         S = qz.s_matrix(xp, V, degree_cap=DEGREE_CAP)
         unit_ok = S.coefficient(()).coefficient(0, 0) == ExactComplex(1)
         return S, unit_ok
@@ -361,15 +361,15 @@ def smatrix(config_path, out, seed, label):
 @common_opts
 def bogoliubov(config_path, out, seed, label):
     """Interacting observable R(F) and the round-trip check."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, LATTICE_KEYS)
 
     def body():
         lat = _lattice_from(cfg)
         xp = ExactPropagators(lat)
         rng = random.Random(seed)
-        S_I = interaction_vertex(lat, _sparse(rng, lat, 1), 4)
+        S_I = interaction_vertex(lat, sparse_smear(rng, lat, 1), 4)
         bog = qz.BogoliubovMap(xp, S_I)  # intermediate degrees exceed the cap
-        F = smeared_field(lat, _sparse(rng, lat, 2))
+        F = smeared_field(lat, sparse_smear(rng, lat, 2))
         RF = bog.R(F)
         ok = bog.Rinv(RF) == F
         return RF, ok
@@ -391,7 +391,7 @@ def bogoliubov(config_path, out, seed, label):
 @common_opts
 def graphs(config_path, out, seed, label):
     """List multigraphs with symmetry factors and divergence degrees."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, ("n", "lines", "d"))
 
     def body():
         n = int(cfg.get("n", 2))
@@ -438,7 +438,7 @@ def extend(expression, config_path, out, seed, label):
 
     EXPRESSION uses the term grammar, e.g. "(x+i0)^-2 + 3/2*delta".
     """
-    cfg = _load_cfg(config_path)
+    _load_cfg(config_path, ())  # reads no keys; rejects any
 
     def body():
         try:
@@ -483,7 +483,7 @@ def ms(family_atom, config_path, out, seed, label):
     FAMILY_ATOM is a single term such as "x_+^-1" or "(x+i0)^-2"; the family
     shifts its exponent by the regularization parameter.
     """
-    cfg = _load_cfg(config_path)
+    _load_cfg(config_path, ())  # reads no keys; rejects any
 
     def body():
         try:
@@ -533,7 +533,7 @@ def ms(family_atom, config_path, out, seed, label):
 @common_opts
 def wf(expression, config_path, out, seed, label):
     """Wavefront set estimate of a 1D distribution expression."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, ("centers",))
 
     def body():
         try:
@@ -565,7 +565,8 @@ def wf(expression, config_path, out, seed, label):
 @common_opts
 def flow(config_path, out, seed, label):
     """Integrate a null bicharacteristic and report the symbol drift."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, ("x0", "k0", "dt", "n_steps", "metric",
+                                  "drift_tol"))
 
     def body():
         x0 = tuple(float(v) for v in cfg.get("x0", [0.0, 0.0]))
@@ -604,7 +605,7 @@ def flow(config_path, out, seed, label):
 @common_opts
 def suite(config_path, out, seed, label):
     """Run the full acceptance battery and exit nonzero on any failure."""
-    cfg = _load_cfg(config_path)
+    cfg = _load_cfg(config_path, ("only",))
     only = cfg.get("only")
     if only is not None and not isinstance(only, list):
         only = [only]

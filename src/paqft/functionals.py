@@ -200,10 +200,6 @@ class PolyFunctional:
         """delta F / delta phi(site): partial derivative over the volume weight."""
         return self.partial(site) * (Fraction(1) / self.lat.volume_weight)
 
-    def gradient(self, phi) -> dict[int, FormalSeries]:
-        """Evaluated functional derivative on the support, as site -> series."""
-        return {s: self.func_derivative(s).evaluate(phi) for s in self.support()}
-
     def __repr__(self):
         return (f"PolyFunctional({len(self.terms)} terms, "
                 f"deg {self.max_degree}, trunc=({self.trunc_h},{self.trunc_l}))")

@@ -14,9 +14,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact import ExactComplex
-from .functionals import PolyFunctional
+from .functionals import PolyFunctional, pointwise_product
 from .lattice import ExactPropagators
+from .quantization import QuantProduct, contract
 from .series import FormalSeries
 
 
@@ -153,77 +153,15 @@ def graph_expand_Tn(factors, xp: ExactPropagators,
     one cross-bank contraction, and weights with hbar^L / prod l_ij!.
     """
     factors = list(factors)
-    n = len(factors)
-    if n == 0:
+    if not factors:
         raise GraphError("need at least one factor")
-    kernel = xp.kernel(kind)
     trunc_h = min(f.trunc_h for f in factors)
-    trunc_l = min(f.trunc_l for f in factors)
-    lat = factors[0].lat
-
-    out: dict[tuple, FormalSeries] = {}
-    for g in enumerate_graphs(n, trunc_h):
-        L = g.total_lines
-        weight = Fraction(1)
-        for m in g.lines.values():
-            weight /= math.factorial(m)
-
-        # multi-bank polynomial: tuple of n monomial keys -> series
-        banks: dict[tuple, FormalSeries] = {}
-        for combo in itertools.product(*[f.terms.items() for f in factors]):
-            keys = tuple(k for k, _ in combo)
-            if degree_cap is not None and sum(len(k) for k in keys) > degree_cap:
-                from .functionals import MaxDegreeExceeded
-                raise MaxDegreeExceeded(
-                    f"degree {sum(len(k) for k in keys)} exceeds cap {degree_cap}")
-            c = combo[0][1]
-            for _, ci in combo[1:]:
-                c = c * ci
-            banks[keys] = banks[keys] + c if keys in banks else c
-
-        alive = True
-        for (i, j), m in sorted(g.lines.items()):
-            for _ in range(m):
-                banks = _contract_banks(banks, kernel, i - 1, j - 1)
-                if not banks:
-                    alive = False
-                    break
-            if not alive:
-                break
-        if not alive:
-            continue
-
-        for keys, c in banks.items():
-            key = tuple(sorted(itertools.chain.from_iterable(keys)))
-            add = c.scale(weight).shift(dh=L)
-            if add:
-                out[key] = out[key] + add if key in out else add
-    return PolyFunctional(lat, out, trunc_h, trunc_l)
-
-
-def _contract_banks(banks: dict, kernel, bi: int, bj: int) -> dict:
-    """One contraction between banks bi and bj of a multi-bank polynomial."""
-    nxt: dict[tuple, FormalSeries] = {}
-    for keys, c in banks.items():
-        ki, kj = keys[bi], keys[bj]
-        for y in set(ki):
-            m0 = ki.count(y)
-            kir = list(ki)
-            kir.remove(y)
-            for z in set(kj):
-                kv = kernel(y, z)
-                if not kv:
-                    continue
-                m1 = kj.count(z)
-                kjr = list(kj)
-                kjr.remove(z)
-                new = list(keys)
-                new[bi] = tuple(kir)
-                new[bj] = tuple(kjr)
-                new = tuple(new)
-                add = c.scale(kv * (m0 * m1))
-                nxt[new] = nxt[new] + add if new in nxt else add
-    return nxt
+    schedules = []
+    for g in enumerate_graphs(len(factors), trunc_h):
+        lines = tuple((i - 1, j - 1) for (i, j), m in sorted(g.lines.items())
+                      for _ in range(m))
+        schedules.append((lines, Fraction(1, symmetry_factor(g))))
+    return contract(factors, xp.kernel(kind), schedules, degree_cap)
 
 
 def tadpole_demo(xp: ExactPropagators, F: PolyFunctional, G: PolyFunctional,
@@ -235,24 +173,17 @@ def tadpole_demo(xp: ExactPropagators, F: PolyFunctional, G: PolyFunctional,
     single-loop self-line terms at first order in hbar, leaving only the
     cross contractions between F and G.
     """
-    from .functionals import pointwise_product
-
     kernel = xp.kernel(kind)
-    lat = F.lat
-    th, tl = min(F.trunc_h, G.trunc_h), min(F.trunc_l, G.trunc_l)
-    hbar = FormalSeries.hbar(th, tl)
+
+    def dress(X, weight):
+        """(1 + weight * D) X."""
+        return contract([X], kernel, [((), 1), (((0, 0),), weight)])
+
     half = Fraction(1, 2)
-
-    def D(X):
-        return gamma_apply_graph(X, kernel) * hbar
-
-    Fm = F - D(F) * half
-    Gm = G - D(G) * half
-    inner = pointwise_product(Fm, Gm)
-    dressed = inner + D(inner) * half
-
-    plain = kernel_product_graphless(F, G, kernel, th, tl)
-    cross_only = plain  # all lines in a binary product are cross lines
+    inner = pointwise_product(dress(F, -half), dress(G, -half))
+    dressed = dress(inner, half)
+    # all lines in a binary product are cross lines
+    cross_only = QuantProduct(xp, kind).product(F, G)
 
     got = _h_slice(dressed, 1)
     want = _h_slice(cross_only, 1)
@@ -262,16 +193,6 @@ def tadpole_demo(xp: ExactPropagators, F: PolyFunctional, G: PolyFunctional,
         "dressed_h1": got,
         "self_terms_cancel": got == want,
     }
-
-
-def gamma_apply_graph(F: PolyFunctional, kernel) -> PolyFunctional:
-    from .quantization import gamma_apply
-    return gamma_apply(F, kernel)
-
-
-def kernel_product_graphless(F, G, kernel, th, tl):
-    from .quantization import kernel_product
-    return kernel_product(F, G, kernel, th, tl)
 
 
 def _h_slice(F: PolyFunctional, n: int) -> PolyFunctional:

@@ -228,33 +228,6 @@ class PropagatorSet:
             self._cache["adv"] = self.retarded().T.copy()
         return self._cache["adv"]
 
-    def causal(self) -> np.ndarray:
-        if "causal" not in self._cache:
-            self._cache["causal"] = self.retarded() - self.advanced()
-        return self._cache["causal"]
-
-    def dirac(self) -> np.ndarray:
-        if "dirac" not in self._cache:
-            self._cache["dirac"] = 0.5 * (self.retarded() + self.advanced())
-        return self._cache["dirac"]
-
-    def wightman(self) -> np.ndarray:
-        if "wight" not in self._cache:
-            wt = self.wightman_table()
-            dt, dx = self._offsets()
-            self._cache["wight"] = wt[dt + self.lat.n_t - 1, dx]
-        return self._cache["wight"]
-
-    def hadamard(self) -> np.ndarray:
-        if "had" not in self._cache:
-            self._cache["had"] = self.wightman().real.copy()
-        return self._cache["had"]
-
-    def feynman(self) -> np.ndarray:
-        if "feyn" not in self._cache:
-            self._cache["feyn"] = self.hadamard() + 1j * self.dirac()
-        return self._cache["feyn"]
-
     # -- column views (large lattices) ---------------------------------------
 
     def causal_column(self, t0: int, x0: int) -> np.ndarray:
@@ -335,8 +308,6 @@ class ExactPropagators:
 
     def kernel(self, kind: str):
         """Contraction kernel per product kind, as (i, j) -> ExactComplex."""
-        if kind == "pointwise":
-            return lambda i, j: ExactComplex(0)
         if kind == "star":
             return lambda i, j: ExactComplex(0, self.causal_entry(i, j) / 2)
         if kind == "star_H":

@@ -59,6 +59,14 @@ class WFEstimate:
         margin = self.meta["exponent_margin"]
         return [r for r, m in zip(self.rays, margin) if abs(m) <= band]
 
+    def near_floor(self, factor: float):
+        """Rays whose top-of-ladder amplitude is within `factor` of the
+        relative noise floor (floor_ratio in [1/factor, factor]): the floor
+        test, not the exponent, decides them."""
+        ratio = self.meta["floor_ratio"]
+        return [r for r, q in zip(self.rays, ratio)
+                if 1 / factor <= q <= factor]
+
     def is_regular(self) -> bool:
         return not self.singular()
 

@@ -1,14 +1,26 @@
 """Deformation quantization of lattice functionals.
 
-All four products share one engine,
+Every product here is one exponential-contraction formula,
 
     F x_K G = sum_n (hbar^n / n!) <F^(n), K^(x n) G^(n)>,
 
 differing only in the contraction kernel K: (i/2)Delta for the star product,
 the positive-frequency kernel for the Wick-ordered star product, i*DiracD and
-Feynman for the two time-ordered products.  Coefficients stay exact, so the
-algebraic identities (commutation relations, equivalences, factorisation) are
-checked with equality.
+Feynman for the two time-ordered products.  The Wick transform alpha_H and the
+time-ordering operator are the same formula with both ends of each line in
+one functional (e^{(hbar/2) Gamma_K}), and the graph expansion of graphs.py
+is the same formula with n functionals and lines between any two of them.
+
+All of them are thin callers of `contract`, the single contraction engine.
+It works on Gaussian-integer numerators over shared denominators: each input
+functional's coefficients are lifted once to int pairs over the lcm of its
+denominators, the kernel is tabulated once per call as int pairs over the lcm
+of its entries' denominators, every contraction order accumulates in ints,
+and the schedule weights (1/n!, 1/prod l_ij!) fold into one final
+denominator.  Fractions are normalised once per output coefficient, so the
+results, ExactComplex coefficients in FormalSeries in PolyFunctionals, are
+exactly those of rational arithmetic, and identities (commutation relations,
+equivalences, factorisation) are checked with equality.
 """
 
 from __future__ import annotations
@@ -18,13 +30,13 @@ import math
 import random
 from fractions import Fraction
 
-from .exact import EC_ONE, ExactComplex
+from .exact import ExactComplex
 from .functionals import (MaxDegreeExceeded, PolyFunctional,
                           pointwise_product, local_power)
 from .lattice import ExactPropagators
 from .series import FormalSeries
 
-PRODUCT_KINDS = ("pointwise", "star", "star_H", "timeordered_D", "timeordered_F")
+PRODUCT_KINDS = ("star", "star_H", "timeordered_D", "timeordered_F")
 
 
 class QuantizationError(Exception):
@@ -44,83 +56,171 @@ def _remove_one(key: tuple, site: int) -> tuple:
     return key[:i] + key[i + 1:]
 
 
-def kernel_product(F: PolyFunctional, G: PolyFunctional, kernel,
-                   trunc_h: int, trunc_l: int,
-                   degree_cap: int | None = None) -> PolyFunctional:
-    """Exponential-contraction product of two functionals with line kernel
-    hbar*K; kernel is (site, site) -> ExactComplex."""
-    # two-bank polynomial: (keyF, keyG) -> series
-    bi: dict[tuple, FormalSeries] = {}
-    for k1, c1 in F.terms.items():
-        for k2, c2 in G.terms.items():
-            if degree_cap is not None and len(k1) + len(k2) > degree_cap:
-                raise MaxDegreeExceeded(
-                    f"degree {len(k1) + len(k2)} exceeds cap {degree_cap}")
-            key = (k1, k2)
-            c = c1 * c2
-            bi[key] = bi[key] + c if key in bi else c
-
-    out: dict[tuple, FormalSeries] = {}
-    n = 0
-    while bi:
-        # merge current contraction order with weight hbar^n / n!
-        fac = Fraction(1, math.factorial(n))
-        for (k0, k1), c in bi.items():
-            key = tuple(sorted(k0 + k1))
-            add = c.scale(fac).shift(dh=n)
-            if add:
-                out[key] = out[key] + add if key in out else add
-        n += 1
-        if n > trunc_h:
-            break
-        nxt: dict[tuple, FormalSeries] = {}
-        for (k0, k1), c in bi.items():
-            for y in set(k0):
-                m0 = k0.count(y)
-                k0r = _remove_one(k0, y)
-                for z in set(k1):
-                    kv = kernel(y, z)
-                    if not kv:
-                        continue
-                    m1 = k1.count(z)
-                    key = (k0r, _remove_one(k1, z))
-                    add = c.scale(kv * (m0 * m1))
-                    nxt[key] = nxt[key] + add if key in nxt else add
-        bi = nxt
-    return PolyFunctional(F.lat, out, min(F.trunc_h, G.trunc_h),
-                          min(F.trunc_l, G.trunc_l))
+def _common_denominator(values) -> int:
+    d = 1
+    for c in values:
+        d = math.lcm(d, c.re.denominator, c.im.denominator)
+    return d
 
 
-def gamma_apply(F: PolyFunctional, kernel) -> PolyFunctional:
-    """Gamma_K F = sum_{y,z} K(y,z) d^2 F / dphi[y] dphi[z] (single bank)."""
-    out: dict[tuple, FormalSeries] = {}
-    for key, c in F.terms.items():
-        for y in set(key):
-            m0 = key.count(y)
-            k1 = _remove_one(key, y)
-            for z in set(k1):
-                kv = kernel(y, z)
-                if not kv:
+def _numerators(c: ExactComplex, d: int) -> tuple[int, int]:
+    """(re, im) of c * d as ints; d must be a multiple of both denominators."""
+    return (c.re.numerator * (d // c.re.denominator),
+            c.im.numerator * (d // c.im.denominator))
+
+
+def _mul_add(acc: dict, s: dict, t: dict, th: int, tl: int) -> dict:
+    """acc += s * t for series of int pairs {(h, l): (re, im)}, truncated at
+    (th, tl); returns acc."""
+    for (h1, l1), (a, b) in s.items():
+        for (h2, l2), (c, d) in t.items():
+            hl = (h1 + h2, l1 + l2)
+            if hl[0] > th or hl[1] > tl:
+                continue
+            re, im = a * c - b * d, a * d + b * c
+            if hl in acc:
+                r0, i0 = acc[hl]
+                acc[hl] = (r0 + re, i0 + im)
+            else:
+                acc[hl] = (re, im)
+    return acc
+
+
+def _contract_line(states: dict, i: int, j: int, table: dict) -> dict:
+    """Apply one line between banks i and j (i == j: within bank i).
+
+    states maps a tuple of bank monomials to its int-pair weight; every way
+    of picking one field y of bank i and one other field z of bank j
+    contributes weight * K(y, z) with the multiplicities of y and z."""
+    nxt: dict[tuple, tuple[int, int]] = {}
+    for keys, (wr, wi) in states.items():
+        ki = keys[i]
+        for y in set(ki):
+            row = table.get(y)
+            if row is None:
+                continue
+            m0 = ki.count(y)
+            kir = _remove_one(ki, y)
+            kj = kir if i == j else keys[j]
+            for z in set(kj):
+                kv = row.get(z)
+                if kv is None:
                     continue
-                m1 = k1.count(z)
-                k2 = _remove_one(k1, z)
-                add = c.scale(kv * (m0 * m1))
-                out[k2] = out[k2] + add if k2 in out else add
-    return PolyFunctional(F.lat, out, F.trunc_h, F.trunc_l)
+                m = m0 * kj.count(z)
+                new = list(keys)
+                new[i] = kir
+                new[j] = _remove_one(kj, z)
+                new = tuple(new)
+                kr, ki_ = kv
+                re, im = m * (wr * kr - wi * ki_), m * (wr * ki_ + wi * kr)
+                if new in nxt:
+                    r0, i0 = nxt[new]
+                    nxt[new] = (r0 + re, i0 + im)
+                else:
+                    nxt[new] = (re, im)
+    return nxt
+
+
+def _after(memo: dict, lines: tuple, table: dict) -> dict:
+    """States after `lines`; memo holds those after each prefix computed so
+    far, so schedules that share a prefix share its contractions."""
+    if lines not in memo:
+        memo[lines] = _contract_line(_after(memo, lines[:-1], table),
+                                     *lines[-1], table)
+    return memo[lines]
+
+
+def contract(factors, kernel, schedules, degree_cap: int | None = None
+             ) -> PolyFunctional:
+    """The contraction engine behind every product, Gamma_K and graph sum.
+
+    factors are the functionals F_0..F_{k-1}, one bank each.  schedules is a
+    list of (lines, weight): lines is a tuple of bank pairs (i, j), applied
+    in order, each contracting one field of bank i with one field of bank j
+    (a different field of the same bank when i == j) through
+    kernel(y, z) -> ExactComplex.  The result is
+
+        sum over schedules of weight * hbar^len(lines) * (lines applied to
+        F_0 ... F_{k-1}), the remaining fields of all banks multiplied,
+
+    truncated at the smallest truncation orders of the factors.  A product
+    of input monomials of total degree above degree_cap raises
+    MaxDegreeExceeded.
+    """
+    factors = list(factors)
+    th = min(f.trunc_h for f in factors)
+    tl = min(f.trunc_l for f in factors)
+
+    den = 1
+    banks = []
+    for f in factors:
+        d = _common_denominator(c for s in f.terms.values()
+                                for c in s.coeff.values())
+        banks.append([(key, {hl: _numerators(c, d)
+                             for hl, c in s.coeff.items()})
+                      for key, s in f.terms.items()])
+        den *= d
+
+    lifted = {}
+    for i, j in {line for lines, _ in schedules for line in lines}:
+        for y in factors[i].support():
+            for z in factors[j].support():
+                if (y, z) not in lifted:
+                    lifted[y, z] = kernel(y, z)
+    dk = _common_denominator(lifted.values())
+    table: dict[int, dict] = {}
+    for (y, z), kv in lifted.items():
+        if kv:
+            table.setdefault(y, {})[z] = _numerators(kv, dk)
+
+    n_max = max((len(lines) for lines, _ in schedules), default=0)
+    q = math.lcm(*(Fraction(w).denominator for _, w in schedules))
+    plan = [(lines, len(lines), Fraction(w).numerator
+             * (q // Fraction(w).denominator) * dk ** (n_max - len(lines)))
+            for lines, w in schedules]
+    den *= dk ** n_max * q
+
+    out: dict[tuple, dict] = {}
+    for combo in itertools.product(*banks):
+        keys = tuple(k for k, _ in combo)
+        if degree_cap is not None and sum(map(len, keys)) > degree_cap:
+            raise MaxDegreeExceeded(
+                f"degree {sum(map(len, keys))} exceeds cap {degree_cap}")
+        series = combo[0][1]
+        for _, s in combo[1:]:
+            series = _mul_add({}, series, s, th, tl)
+        if not series:
+            continue
+        room = th - min(h for h, _ in series)
+        memo = {(): {keys: (1, 0)}}
+        for lines, n, scale in plan:
+            if n > room or not scale:
+                continue
+            for rest, (wr, wi) in _after(memo, lines, table).items():
+                key = tuple(sorted(itertools.chain.from_iterable(rest)))
+                _mul_add(out.setdefault(key, {}), series,
+                         {(n, 0): (wr * scale, wi * scale)}, th, tl)
+
+    terms = {}
+    for key, acc in out.items():
+        coeff = {hl: ExactComplex(Fraction(re, den), Fraction(im, den))
+                 for hl, (re, im) in acc.items() if re or im}
+        if coeff:
+            terms[key] = FormalSeries(coeff, th, tl)
+    return PolyFunctional(factors[0].lat, terms, th, tl)
+
+
+def _exponential(line: tuple[int, int], n_max: int, c=1) -> list:
+    """(line^n, c^n / n!) for n <= n_max: the schedules of
+    e^{c * hbar * line}."""
+    return [((line,) * n, Fraction(c) ** n / math.factorial(n))
+            for n in range(n_max + 1)]
 
 
 def exp_gamma(F: PolyFunctional, kernel, prefactor: Fraction) -> PolyFunctional:
-    """e^{prefactor * hbar * Gamma_K} F, truncated in hbar."""
-    out = F
-    term = F
-    for n in range(1, F.trunc_h + 1):
-        term = gamma_apply(term, kernel)
-        if term.is_zero():
-            break
-        fac = prefactor ** n / math.factorial(n)
-        out = out + term * FormalSeries(
-            {(n, 0): ExactComplex(fac)}, F.trunc_h, F.trunc_l)
-    return out
+    """e^{prefactor * hbar * Gamma_K} F, truncated in hbar, where
+    Gamma_K F = sum_{y,z} K(y,z) d^2 F / dphi[y] dphi[z]."""
+    return contract([F], kernel, _exponential((0, 0), F.trunc_h, prefactor))
 
 
 class QuantProduct:
@@ -136,9 +236,9 @@ class QuantProduct:
         self.degree_cap = degree_cap
 
     def product(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
-        return kernel_product(F, G, self.kernel,
-                              min(F.trunc_h, G.trunc_h),
-                              min(F.trunc_l, G.trunc_l), self.degree_cap)
+        n_max = min(F.trunc_h, G.trunc_h)
+        return contract([F, G], self.kernel,
+                        _exponential((0, 1), n_max), self.degree_cap)
 
     def multi(self, factors) -> PolyFunctional:
         """Iterated product; for the commutative time-ordered kinds this equals
@@ -152,13 +252,15 @@ class QuantProduct:
         return out
 
     def commutator(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
-        return self.product(F, G) - self.product(G, F)
-
-    def power(self, F: PolyFunctional, n: int) -> PolyFunctional:
-        out = PolyFunctional.unit(F.lat, F.trunc_h, F.trunc_l)
-        for _ in range(n):
-            out = self.product(out, F)
-        return out
+        """F x G - G x F in one contraction pass: the uncontracted terms
+        cancel, so only lines F -> G (weight 1/n!) and G -> F (-1/n!) run."""
+        n_max = min(F.trunc_h, G.trunc_h)
+        return contract(
+            [F, G], self.kernel,
+            _exponential((0, 1), n_max)[1:]
+            + [(lines, -w) for lines, w
+               in _exponential((1, 0), n_max)[1:]],
+            self.degree_cap)
 
 
 def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int = 1) -> PolyFunctional:
@@ -255,20 +357,9 @@ class BogoliubovMap:
         self.S_I = S_I
         self.tp = QuantProduct(xp, time_kind, degree_cap)
         self.sp = QuantProduct(xp, star_kind, degree_cap)
-        self._eT = self.exp_T(S_I)
-        self._eT_neg = self.exp_T(S_I * (-1))
+        self._eT = exp_T(self.tp, S_I)
+        self._eT_neg = exp_T(self.tp, S_I * (-1))
         self._eT_star_inv = self.star_inverse(self._eT)
-
-    def exp_T(self, V: PolyFunctional) -> PolyFunctional:
-        """Time-ordered exponential sum_n V^{x_T n} / n!."""
-        out = PolyFunctional.unit(V.lat, V.trunc_h, V.trunc_l)
-        term = out
-        for n in range(1, V.trunc_l + 1):
-            term = self.tp.product(term, V) * Fraction(1, n)
-            if term.is_zero():
-                break
-            out = out + term
-        return out
 
     def star_inverse(self, A: PolyFunctional) -> PolyFunctional:
         """Geometric series in the coupling grading; A must be 1 + O(coupling)."""
@@ -328,17 +419,27 @@ def causal_factorization_check(xp: ExactPropagators, V1: PolyFunctional,
     return lhs - rhs
 
 
+def exp_T(tp: QuantProduct, V: PolyFunctional) -> PolyFunctional:
+    """Time-ordered exponential sum_n V^{x_T n} / n! for the time-ordered
+    product tp, to the coupling truncation of V."""
+    out = PolyFunctional.unit(V.lat, V.trunc_h, V.trunc_l)
+    term = out
+    for n in range(1, V.trunc_l + 1):
+        term = tp.product(term, V) * Fraction(1, n)
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
 def s_matrix(xp: ExactPropagators, V: PolyFunctional,
              kind: str = "timeordered_F",
              degree_cap: int | None = None) -> PolyFunctional:
     """Formal S-matrix sum_n T_n(V,..,V)/n! to the coupling truncation."""
-    bog = BogoliubovMap.__new__(BogoliubovMap)
-    bog.xp = xp
-    bog.tp = QuantProduct(xp, kind, degree_cap)
     for c in V.terms.values():
         if any(l == 0 for (_, l) in c.coeff):
             raise NoLambdaGrading("S-matrix argument must carry the coupling")
-    return bog.exp_T(V)
+    return exp_T(QuantProduct(xp, kind, degree_cap), V)
 
 
 def multilocal_injectivity_check(basis, degree: int, n_probes: int | None = None,

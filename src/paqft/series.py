@@ -188,11 +188,6 @@ class FormalSeries:
         return FormalSeries({k: c.conjugate() for k, c in self.coeff.items()},
                             self.trunc_h, self.trunc_l)
 
-    def h_part(self, h: int) -> "FormalSeries":
-        """Sub-series with hbar-order exactly h (hbar power kept)."""
-        return FormalSeries({k: c for k, c in self.coeff.items() if k[0] == h},
-                            self.trunc_h, self.trunc_l)
-
     def is_zero(self) -> bool:
         return not self.coeff
 

@@ -1,4 +1,5 @@
 """End-to-end command line checks through click's test runner."""
+import hashlib
 import re
 
 import pytest
@@ -109,6 +110,30 @@ def test_bogoliubov_roundtrip(tmp_path):
     assert "Rinv(R(F)) = F exactly: True" in res.output
 
 
+# sha256 of the exact artifacts at the default lattice with --seed 5, as
+# written by the all-Fraction contraction code that the integer engine
+# replaced: any change to an exact coefficient changes these bytes
+PINNED = {
+    "commutator":
+        "978e1ff2c7583ad01ef713faedfbf80ac04fee6c9f05f0e2094579ed2870f978",
+    "wick":
+        "74cd1e0310ffc9c29e8647e728a25dee908d68f8731e95b36a00522801923b70",
+    "tadpole":
+        "eb71f73a5e8310117469cc3f67e2d89a105a8a84cfa778f2c71b319497c284cc",
+    "smatrix":
+        "ad3caaaf1f6a3aef7e57273c9d1584d9451ccc96aba10592fdaaea347de7d2f4",
+    "bogoliubov":
+        "e33eeb644fe92fc1c6f5a6c8e42e1ee3d9dfd48999e979ca94ef20625476c132",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_exact_artifacts_are_pinned(tmp_path, command):
+    run([command, "--out", str(tmp_path), "--seed", "5", "--label", "pin"])
+    data = (tmp_path / ("%s_pin.csv" % command)).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED[command]
+
+
 def test_graphs_listing(tmp_path):
     cfg = tmp_path / "g.cfg"
     cfg.write_text("n = 2\nlines = 3\nd = 4\n")
@@ -188,6 +213,19 @@ def test_default_label_is_a_timestamp(tmp_path):
 def test_missing_config_is_a_config_error(tmp_path):
     res = run(["weyl", "--config", str(tmp_path / "nope.cfg")], expect=2)
     assert "bad config" in res.output
+
+
+@pytest.mark.parametrize("command, text", [
+    ("graphs", "n = 2\nlinez = 9\n"),
+    ("commutator", "n_t = 8\nn_x = 4\nmas = 2\n"),
+])
+def test_unknown_config_key_is_a_config_error(tmp_path, command, text):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    res = run([command, "--config", str(cfg), "--out", str(tmp_path)],
+              expect=2)
+    assert "unknown key" in res.output
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unstable_lattice_is_a_config_error(tmp_path):

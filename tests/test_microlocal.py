@@ -266,6 +266,9 @@ def test_margins_are_aligned_with_rays():
                                       if math.isfinite(r.exponent)]
     assert all(abs(r.exponent - wf.threshold) <= 0.5
                for r in wf.near_threshold(0.5))
+    # rays without a peak (nan ratio) are never near the floor
+    assert wf.near_floor(1e300) == [r for r in wf.rays
+                                    if r.center == (4.8, 4.8)]
 
 
 def test_1d_margins():

@@ -15,6 +15,7 @@ from paqft.functionals import (PolyFunctional, smeared_field, local_power,
 from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 wick_theorem_demo, BogoliubovMap,
                                 s_matrix, causal_factorization_check,
+                                time_order_op,
                                 causally_later, multilocal_injectivity_check,
                                 NoLambdaGrading, RankDeficient)
 from paqft.functionals import MaxDegreeExceeded
@@ -97,6 +98,21 @@ def test_alpha_H_is_invertible(xp_small, rand_functional):
     for _ in range(4):
         F = rand_functional()
         assert alpha_H(xp_small, alpha_H(xp_small, F, -1), +1) == F
+
+
+@pytest.mark.parametrize("kind", ["timeordered_D", "timeordered_F"])
+def test_time_ordered_product_conjugates_pointwise(xp_small, rand_functional,
+                                                   kind):
+    """F x_T G = T(T^-1 F . T^-1 G) with T = e^{(hbar/2) Gamma_K}; holds
+    because both time-ordered kernels are symmetric."""
+    tp = QuantProduct(xp_small, kind)
+    T = lambda F, sign: time_order_op(xp_small, F, sign, kind)
+    for _ in range(4):
+        F = rand_functional(max_degree=4)
+        G = rand_functional(max_degree=4)
+        want = tp.product(F, G)
+        assert want != pointwise_product(F, G)
+        assert T(pointwise_product(T(F, -1), T(G, -1)), +1) == want
 
 
 def test_wick_expansion_three_terms(xp_small):
