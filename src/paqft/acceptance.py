@@ -303,10 +303,12 @@ def crit_09():
 
         e1 = eg.extend(t, eg.make_w_projection(1, 0.4, 0.8))
         e2 = eg.extend(t, eg.make_w_projection(1, 0.25, 0.6))
-        worst_d1 = 0.0
+        worst_d1 = worst_err = 0.0
         for c2, c3 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4)):
             f = dist1d.TestFunction1D.from_poly((0.0, 0.0, c2, c3), 0.5, 1.0)
-            worst_d1 = max(worst_d1, abs(e1.pair(f) - e2.pair(f)))
+            (v1, err1), (v2, err2) = e1.pair_with_error(f), e2.pair_with_error(f)
+            worst_d1 = max(worst_d1, abs(v1 - v2) + err1 + err2)
+            worst_err = max(worst_err, err1, err2)
         coeffs, resid = eg.extension_ambiguity(e1, e2, max_order=1)
 
         fam = lambda z: dist1d.SymbolicDistribution1D.halfline(z - 1.0, +1)
@@ -316,16 +318,17 @@ def crit_09():
             ms = eg.minimal_subtraction(fam, f, pole_cap=2)
             oracle = _ms_halfline_oracle(f)
             worst_ms = max(worst_ms, abs(ms - oracle))
-        return sd, div, worst_d1, resid, worst_ms
-    (sd, div, w1, resid, wms), dt = _timed(body)
+        return sd, div, worst_d1, worst_err, resid, worst_ms
+    (sd, div, w1, werr, resid, wms), dt = _timed(body)
     ok = (abs(sd - 2.0) < 0.05 and div == 1 and w1 < 1e-9
           and resid < 1e-8 and wms < 1e-8)
     return CriterionResult(
         9, "Epstein-Glaser extension of (x+i0)^-2", ok, dt,
         "sd = %.4f (want 2 +- 0.05), div = %d; W-extensions agree to %.1e on "
-        "D_1 probes (tol 1e-9); ambiguity = (delta, delta') fit, residual "
-        "%.1e (tol 1e-8); MS of x_+^(z-1) vs oracle %.1e (tol 1e-8)"
-        % (sd, div, w1, resid, wms))
+        "D_1 probes, difference plus both error estimates (tol 1e-9; worst "
+        "quadrature error estimate %.1e); ambiguity = (delta, delta') fit, "
+        "residual %.1e (tol 1e-8); MS of x_+^(z-1) vs oracle %.1e (tol 1e-8)"
+        % (sd, div, w1, werr, resid, wms))
 
 
 def _ms_halfline_oracle(f):

@@ -448,12 +448,11 @@ def extend(expression, config_path, out, seed, label):
         sd, how = _sd_report(t)
         div = eg.divergence_degree(t)
         order = max(0, int(math.floor(div)))
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", eg.NegativeDivergenceWarning)
-            e1 = eg.extend(t, eg.make_w_projection(order, 0.4, 0.8))
-            e2 = eg.extend(t, eg.make_w_projection(order, 0.25, 0.6))
-            coeffs, resid = eg.extension_ambiguity(e1, e2, max_order=order)
+        # below div 0 the extension is unique and takes no projection
+        e1, e2 = (eg.extend(t, eg.make_w_projection(order, r0, R)
+                            if div >= 0 else None)
+                  for r0, R in ((0.4, 0.8), (0.25, 0.6)))
+        coeffs, resid = eg.extension_ambiguity(e1, e2, max_order=order)
         rows = [("scaling_degree", sd), ("sd_method", how),
                 ("divergence_degree", div), ("extension_order", order),
                 ("ambiguity_residual", resid)]
@@ -555,6 +554,9 @@ def wf(expression, config_path, out, seed, label):
     sing = est.singular()
     click.echo("%d rays probed, %d singular (threshold %.2f)"
                % (len(est.rays), len(sing), est.threshold))
+    click.echo("%d rays within 0.05 of the threshold, %d within 2x of the "
+               "rel_floor test" % (len(est.near_threshold(0.05)),
+                                   len(est.near_floor(2.0))))
     for r in sing:
         click.echo("  x = %+.3f  k_hat = %+d  exponent %.2f"
                    % (r.center[0], int(r.direction[0]), r.exponent))

@@ -7,6 +7,15 @@ the origin are available in closed form and the singular part of every
 pairing integral can be done exactly; adaptive quadrature only ever sees the
 smooth annulus.
 
+Every numerical integral here and in the wave front estimator goes through
+one routine, quad_complex: adaptive 21/10-point Gauss-Kronrod on the panels
+between breakpoints (window radii, jumps, the origin), vectorised over all
+nodes of a bisection round and complex-valued throughout.  It returns the
+value with QUADPACK's qk21 error estimate, which pair_with_error sums over
+terms (exact terms contribute 0); when the tolerance cannot be met within
+the interval limit or above the roundoff floor it warns with
+QuadratureWarning instead of failing silently.
+
 Pairings with the homogeneous kinds below use the standard finite-part /
 analytic-continuation formulas.  For kinds of positive divergence degree the
 value returned is therefore already one particular extension; it coincides
@@ -18,10 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 
 class DistError(Exception):
@@ -203,21 +212,107 @@ class TestFunction1D:
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
-
-_QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
+# quadrature
 
 
-def _quad_complex(func, a: float, b: float, points=None) -> complex:
+class QuadratureWarning(UserWarning):
+    """Adaptive quadrature stopped short of its tolerance: the interval limit
+    was reached, or every interval still over its share of the tolerance sits
+    at its roundoff floor.  The returned error estimate says by how much."""
+
+
+# 21-point Kronrod rule on [-1, 1] with its embedded 10-point Gauss rule
+# (QUADPACK qk21): abscissae from the end inwards, the odd-indexed ones are
+# the Gauss points.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077600525478066, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+_GK_X = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_GK_WK = np.array(_WGK[:-1] + _WGK[::-1])
+_GK_WG = np.zeros(21)
+_GK_WG[1:10:2] = _WG
+_GK_WG[11:20:2] = _WG[::-1]
+_EPS = np.finfo(float).eps
+
+
+def _gk21(func, lo, hi):
+    """Kronrod values, QUADPACK error estimates and roundoff floors of func
+    on the intervals [lo_i, hi_i], all nodes in one call of func."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = c[:, None] + h[:, None] * _GK_X
+    fx = np.asarray(func(x.ravel()), dtype=complex).reshape(x.shape)
+    resk = fx @ _GK_WK
+    err = h * np.abs(resk - fx @ _GK_WG)
+    resabs = h * (np.abs(fx) @ _GK_WK)
+    resasc = h * (np.abs(fx - 0.5 * resk[:, None]) @ _GK_WK)
+    scaled = (resasc > 0) & (err > 0)
+    err[scaled] = resasc[scaled] * np.minimum(
+        1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5)
+    floor = 50.0 * _EPS * resabs
+    return h * resk, np.maximum(err, floor), floor
+
+
+def quad_complex(func, a: float, b: float, points=(), epsabs: float = 1e-13,
+                 epsrel: float = 1e-12, limit: int = 400):
+    """(integral of func over [a, b], error estimate) for a complex-valued
+    func that maps an array of points to an array of values.
+
+    Adaptive 21/10-point Gauss-Kronrod on the panels between the breakpoints
+    in (a, b).  Each round bisects every interval whose error estimate
+    exceeds its length share of max(epsabs, epsrel |I|), and evaluates all
+    new nodes in one call.  Stops when the summed estimate is within that
+    tolerance; at `limit` intervals, or when only intervals at their
+    roundoff floor are left to split, it returns what it has and warns with
+    QuadratureWarning.
+    """
     if b <= a:
-        return 0j
-    pts = None
-    if points:
-        pts = sorted(p for p in points if a < p < b)
-        pts = pts or None
-    re = integrate.quad(lambda x: func(x).real, a, b, points=pts, **_QUAD_OPTS)[0]
-    im = integrate.quad(lambda x: func(x).imag, a, b, points=pts, **_QUAD_OPTS)[0]
-    return re + 1j * im
+        return 0j, 0.0
+    edges = np.array(sorted({a, b, *(p for p in points if a < p < b)}),
+                     dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    val, err, floor = _gk21(func, lo, hi)
+    while True:
+        total, etotal = val.sum(), err.sum()
+        tol = max(epsabs, epsrel * abs(total))
+        if etotal <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        split = np.flatnonzero((err > tol * (hi - lo) / (b - a))
+                               & (err > floor) & (lo < mid) & (mid < hi))
+        room = limit - len(lo)
+        if not len(split) or room <= 0:
+            warnings.warn(
+                "quadrature on [%g, %g] stopped at %d intervals with error "
+                "estimate %.2e > tolerance %.2e (%s)"
+                % (a, b, len(lo), etotal, tol,
+                   "interval limit" if len(split) else "roundoff floor"),
+                QuadratureWarning, stacklevel=2)
+            break
+        if len(split) > room:
+            split = split[np.argsort(err[split])[::-1][:room]]
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        new_lo = np.concatenate([lo[split], mid[split]])
+        new_hi = np.concatenate([mid[split], hi[split]])
+        new = _gk21(func, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val, err, floor = (np.concatenate([old[keep], fresh])
+                           for old, fresh in zip((val, err, floor), new))
+    return complex(total), float(etotal)
 
 
 def _breakpoints(f: TestFunction1D):
@@ -320,10 +415,16 @@ class SymbolicDistribution1D:
         return float(out)
 
     def pair(self, f: TestFunction1D) -> complex:
-        out = 0j
+        return self.pair_with_error(f)[0]
+
+    def pair_with_error(self, f: TestFunction1D):
+        """(<t, f>, quadrature error estimate); exact terms contribute 0."""
+        out, err = 0j, 0.0
         for coeff, kind in self.terms:
-            out += coeff * _pair_term(kind, f)
-        return out
+            v, e = _pair_term(kind, f)
+            out += coeff * v
+            err += abs(coeff) * e
+        return out, err
 
     def pair_scaled(self, lam: float, f: TestFunction1D) -> complex:
         """<t(lam x), f(x)> = (1/lam) <t, f(x/lam)>."""
@@ -335,21 +436,22 @@ class SymbolicDistribution1D:
         return f"SymbolicDistribution1D({list(self.terms)})"
 
 
-def _pair_term(kind, f: TestFunction1D) -> complex:
+def _pair_term(kind, f: TestFunction1D):
+    """(<term, f>, error estimate)."""
     tag = kind[0]
     if tag == "delta":
         k = kind[1]
-        return (-1) ** k * f.derivative_at_0(k)
+        return (-1) ** k * f.derivative_at_0(k), 0.0
     if tag == "monomial":
         m = kind[1]
         R = f.support_radius
-        return _quad_complex(lambda x: x ** m * f(x), -R, R,
-                             points=_breakpoints(f) | {0.0})
+        return quad_complex(lambda x: x ** m * f(x), -R, R,
+                            points=_breakpoints(f) | {0.0})
     if tag == "heaviside":
         m = kind[1]
         R = f.support_radius
-        return _quad_complex(lambda x: x ** m * f(x), 0.0, R,
-                             points=_breakpoints(f))
+        return quad_complex(lambda x: x ** m * f(x), 0.0, R,
+                            points=_breakpoints(f))
     if tag == "power_i0":
         _, sign, a = kind
         return _pair_power_i0(sign, complex(a), f)
@@ -364,24 +466,25 @@ def _is_int(z: complex, tol: float = 1e-12) -> bool:
     return abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
 
 
-def _pair_power_i0(sign: int, a: complex, f: TestFunction1D) -> complex:
+def _pair_power_i0(sign: int, a: complex, f: TestFunction1D):
     if _is_int(a):
         n = int(round(a.real))
         if n >= 0:
             return _pair_term(("monomial", n), f)
         n = -n
         # (x + s i0)^-n = Fp x^-n - s i pi (-1)^(n-1) delta^(n-1) / (n-1)!
-        fp = _finite_part(n, f)
+        fp, err = _finite_part(n, f)
         d = f.derivative_at_0(n - 1) / math.factorial(n - 1)
-        return fp - sign * 1j * math.pi * d
+        return fp - sign * 1j * math.pi * d, err
     # branch cut split: (x + s i0)^a = x_+^a + e^{s i pi a} x_-^a
-    plus = _pair_halfline_plus(a, 0, f)
-    minus = _pair_halfline_plus(a, 0, f.mirror())
-    return plus + cmath.exp(sign * 1j * math.pi * a) * minus
+    plus, e_plus = _pair_halfline_plus(a, 0, f)
+    minus, e_minus = _pair_halfline_plus(a, 0, f.mirror())
+    phase = cmath.exp(sign * 1j * math.pi * a)
+    return plus + phase * minus, e_plus + abs(phase) * e_minus
 
 
-def _finite_part(n: int, f: TestFunction1D) -> complex:
-    """Fp int x^-n f(x) dx, the parity-symmetric finite part.
+def _finite_part(n: int, f: TestFunction1D):
+    """(Fp int x^-n f(x) dx, error estimate), the parity-symmetric finite part.
 
     Splits at the plateau radius: inside, f is exactly its core polynomial and
     the integral is done termwise; outside, the Taylor-subtracted integrand is
@@ -396,12 +499,13 @@ def _finite_part(n: int, f: TestFunction1D) -> complex:
         m = j - n
         if m % 2 == 0:
             out += core[j] * 2.0 * delta ** (m + 1) / (m + 1)
+    err, pts = 0.0, _breakpoints(f)
     # outer subtracted part on delta <= |x| <= 1
     if delta < 1.0:
         sub = lambda x: f.taylor_remainder(x, n) / x ** n
-        pts = _breakpoints(f)
-        out += _quad_complex(sub, delta, 1.0, points=pts)
-        out += _quad_complex(sub, -1.0, -delta, points=pts)
+        for lo, hi in ((delta, 1.0), (-1.0, -delta)):
+            v, e = quad_complex(sub, lo, hi, points=pts)
+            out, err = out + v, err + e
     # boundary terms at 1 from the dropped Taylor polynomial
     for j in range(min(n, len(core))):
         if (n - j) % 2 == 0:
@@ -410,24 +514,24 @@ def _finite_part(n: int, f: TestFunction1D) -> complex:
     R = f.support_radius
     if R > 1.0:
         far = lambda x: f(x) / x ** n
-        pts = _breakpoints(f)
-        out += _quad_complex(far, 1.0, R, points=pts)
-        out += _quad_complex(far, -R, -1.0, points=pts)
-    return out
+        for lo, hi in ((1.0, R), (-R, -1.0)):
+            v, e = quad_complex(far, lo, hi, points=pts)
+            out, err = out + v, err + e
+    return out, err
 
 
 def principal_value(f: TestFunction1D) -> complex:
     """PV int f(x)/x dx."""
-    return _finite_part(1, f)
+    return _finite_part(1, f)[0]
 
 
-def _pair_halfline_plus(a: complex, p: int, f: TestFunction1D) -> complex:
-    """<x_+^a log^p x, f> by analytic continuation: subtract the Taylor
-    polynomial to order N-1 on (0, 1), N minimal with Re(a) + N > -1, and add
-    back the boundary moments.  At negative integer a = -n the j = n-1
-    moment is a genuine pole; the pairing exists only on test functions
-    whose order-(n-1) jet vanishes (as after a w-scheme projection), and
-    then the pole term is simply absent."""
+def _pair_halfline_plus(a: complex, p: int, f: TestFunction1D):
+    """(<x_+^a log^p x, f>, error estimate) by analytic continuation:
+    subtract the Taylor polynomial to order N-1 on (0, 1), N minimal with
+    Re(a) + N > -1, and add back the boundary moments.  At negative integer
+    a = -n the j = n-1 moment is a genuine pole; the pairing exists only on
+    test functions whose order-(n-1) jet vanishes (as after a w-scheme
+    projection), and then the pole term is simply absent."""
     core = f.core_poly
     skip_j = None
     if _is_int(a) and round(a.real) <= -1:
@@ -447,11 +551,13 @@ def _pair_halfline_plus(a: complex, p: int, f: TestFunction1D) -> complex:
     for j in range(N, len(core)):
         out += core[j] * _power_log_integral(a + j, p, delta)
     # numeric part on (delta, 1) with explicit subtraction
+    weight = lambda x: (np.asarray(x, complex) ** a
+                        * (np.log(x) ** p if p else 1.0))
+    err = 0.0
     if delta < 1.0:
-        out += _quad_complex(lambda x: complex(x) ** a
-                             * (math.log(x) ** p if p else 1.0)
-                             * f.taylor_remainder(x, N),
-                             delta, 1.0, points=_breakpoints(f))
+        v, err = quad_complex(lambda x: weight(x) * f.taylor_remainder(x, N),
+                              delta, 1.0, points=_breakpoints(f))
+        out += v
     # boundary moments int_0^1 x^(a+j) log^p
     for j in range(min(N, len(core))):
         if j == skip_j:
@@ -461,10 +567,10 @@ def _pair_halfline_plus(a: complex, p: int, f: TestFunction1D) -> complex:
     # far part (1, R)
     R = f.support_radius
     if R > 1.0:
-        out += _quad_complex(lambda x: complex(x) ** a
-                             * (math.log(x) ** p if p else 1.0) * f(x),
-                             1.0, R, points=_breakpoints(f))
-    return out
+        v, e = quad_complex(lambda x: weight(x) * f(x), 1.0, R,
+                            points=_breakpoints(f))
+        out, err = out + v, err + e
+    return out, err
 
 
 def pointwise_power_product(t1: SymbolicDistribution1D,

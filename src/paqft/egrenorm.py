@@ -96,9 +96,13 @@ class ExtendedDistribution:
         self.div = div
 
     def pair(self, f: TestFunction1D) -> complex:
+        return self.pair_with_error(f)[0]
+
+    def pair_with_error(self, f: TestFunction1D):
+        """(<t, f>, quadrature error estimate) of the extension."""
         if self.w_alphas is None:
-            return self.base.pair(f)
-        return self.base.pair(w_project(f, self.w_alphas))
+            return self.base.pair_with_error(f)
+        return self.base.pair_with_error(w_project(f, self.w_alphas))
 
 
 def extend(t: SymbolicDistribution1D, w_alphas=None,

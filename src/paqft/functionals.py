@@ -122,8 +122,13 @@ class PolyFunctional:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (other * (-1) if isinstance(other, PolyFunctional)
-                       else -_lift_value(other))
+        if not isinstance(other, PolyFunctional):
+            return self + (-_lift_value(other))
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] - c if k in out else -c
+        return PolyFunctional(self.lat, out, min(self.trunc_h, other.trunc_h),
+                              min(self.trunc_l, other.trunc_l))
 
     def __neg__(self):
         return self * (-1)

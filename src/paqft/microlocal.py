@@ -15,9 +15,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
-from .dist1d import SymbolicDistribution1D, _window
+from .dist1d import SymbolicDistribution1D, _window, quad_complex
 from .lattice import Lattice1p1, PropagatorSet
 
 
@@ -131,18 +130,17 @@ class _WindowedWave:
         return self.window_at_origin() * (1j * self.k) ** m
 
 
-def _quad_complex(f, lo, hi, **kw) -> complex:
-    """Integral of a complex-valued f over [lo, hi], one quad per part."""
-    kw.update(limit=1000, epsabs=1e-12, epsrel=1e-10)
-    re = integrate.quad(lambda x: f(x).real, lo, hi, **kw)[0]
-    return re + 1j * integrate.quad(lambda x: f(x).imag, lo, hi, **kw)[0]
+def _quad(f, lo, hi, points=()) -> complex:
+    return quad_complex(f, lo, hi, points, epsabs=1e-12, epsrel=1e-10,
+                        limit=1000)[0]
 
 
 def _pair_wave_1d(t, wave: _WindowedWave) -> complex:
-    """<t, W e^{ikx}> for the model kinds that appear in the demos."""
+    """<t, W e^{ikx}> for the model kinds that appear in the demos; a
+    callable t maps an array of points to an array of values."""
     lo, hi = wave.x0 - wave.R, wave.x0 + wave.R
     if callable(t) and not isinstance(t, SymbolicDistribution1D):
-        return _quad_complex(lambda x: t(x) * wave.value(x), lo, hi)
+        return _quad(lambda x: t(x) * wave.value(x), lo, hi)
     out = 0j
     for coeff, kind in t.terms:
         tag = kind[0]
@@ -151,16 +149,16 @@ def _pair_wave_1d(t, wave: _WindowedWave) -> complex:
         elif tag == "monomial":
             out += coeff * _pair_wave_1d(lambda x: x ** kind[1], wave)
         elif tag == "heaviside":
-            out += coeff * _pair_wave_1d(
-                lambda x: np.where(np.asarray(x) >= 0, 1.0, 0.0)
-                * np.asarray(x, dtype=float) ** kind[1], wave)
+            out += coeff * _quad(lambda x: np.where(x >= 0, x ** kind[1], 0.0)
+                                 * wave.value(x), lo, hi, points=(0.0,))
         elif tag == "power_i0" and kind[2] == -1:
             sign = kind[1]
             if lo < 0.0 < hi:
-                pv = _quad_complex(wave.value, lo, hi,
-                                   weight="cauchy", wvar=0.0)
-                out += coeff * (pv - sign * 1j * math.pi
-                                * wave.window_at_origin())
+                # PV int g/x = int (g - g(0))/x + g(0) log(hi / -lo)
+                g0 = wave.window_at_origin()
+                pv = _quad(lambda x: (wave.value(x) - g0) / x, lo, hi,
+                           points=(0.0,)) + g0 * math.log(hi / -lo)
+                out += coeff * (pv - sign * 1j * math.pi * g0)
             else:
                 out += coeff * _pair_wave_1d(lambda x: 1.0 / x, wave)
         else:
@@ -169,15 +167,33 @@ def _pair_wave_1d(t, wave: _WindowedWave) -> complex:
     return out
 
 
+def _array_valued(t):
+    """t checked to map an array of points to an array of the same shape."""
+    def checked(x):
+        y = np.asarray(t(x))
+        if y.shape != x.shape:
+            raise TypeError(
+                "wf_estimate_1d needs a callable that maps an array of "
+                f"points to an array of values; got shape {y.shape} for "
+                f"input shape {x.shape}")
+        return y
+    return checked
+
+
 def wf_estimate_1d(t, centers=(0.0,), k_base: float = 4.0,
                    n_octaves: int = 7, window=(0.25, 0.5),
                    threshold: float = 4.0, amp_floor: float = 1e-9,
                    rel_floor: float = 1e-6) -> WFEstimate:
     """Wave front estimate of a distribution on the line.
 
-    t is a SymbolicDistribution1D or a smooth callable.  Directions are the
-    two signs; the frequency ladder is k_base * 2^j.
+    t is a SymbolicDistribution1D or a smooth callable.  A callable is
+    evaluated on numpy arrays of points (all quadrature nodes of a round at
+    once) and must return an array of values of the same shape, e.g.
+    lambda x: np.exp(-x ** 2); anything else raises TypeError.  Directions
+    are the two signs; the frequency ladder is k_base * 2^j.
     """
+    if callable(t) and not isinstance(t, SymbolicDistribution1D):
+        t = _array_valued(t)
     r0, R = window
     rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
     cs, dirs = [(float(x0),) for x0 in centers], ((1.0,), (-1.0,))

@@ -1,6 +1,7 @@
 """End-to-end command line checks through click's test runner."""
 import hashlib
 import re
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -159,6 +160,25 @@ def test_extend_falls_back_to_symbolic_degree(tmp_path):
     assert "(symbolic)" in res.output
 
 
+def test_extend_below_zero_divergence_passes_no_projection(tmp_path,
+                                                           monkeypatch):
+    from paqft import egrenorm as eg
+    given = []
+
+    def recording_extend(t, w_alphas=None, order=None):
+        given.append(w_alphas)
+        return real_extend(t, w_alphas, order)
+    real_extend = eg.extend
+    monkeypatch.setattr(eg, "extend", recording_extend)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run(["extend", "x_+^-0.5", "--out", str(tmp_path),
+                   "--label", "t"])
+    assert [str(w.message) for w in caught] == []
+    assert given == [None, None]
+    assert "div = -0.500000, extension order 0" in res.output
+
+
 def test_ms_family(tmp_path):
     res = run(["ms", "x_+^-1", "--out", str(tmp_path), "--label", "t"])
     assert "max pole order 1" in res.output
@@ -173,6 +193,21 @@ def test_wf_delta(tmp_path):
     lines = csv_lines(tmp_path / "wf_t.csv")
     assert lines[0] == "x,k_hat,exponent,amplitude,singular"
     assert len(lines) == 3
+
+
+def test_wf_reports_margins(tmp_path):
+    from paqft import formats, microlocal as ml
+    expr = "(x+i0)^-1 + 1/2*heaviside"
+    res = run(["wf", expr, "--out", str(tmp_path), "--label", "t"])
+    wf = ml.wf_estimate_1d(formats.parse_distribution(expr))
+    assert ("%d rays within 0.05 of the threshold, %d within 2x of the "
+            "rel_floor test" % (len(wf.near_threshold(0.05)),
+                                len(wf.near_floor(2.0)))) in res.output
+    res = run(["wf", "delta^1", "--out", str(tmp_path), "--label", "t"])
+    assert ("0 rays within 0.05 of the threshold, 0 within 2x of the "
+            "rel_floor test") in res.output
+    assert csv_lines(tmp_path / "wf_t.csv")[0] == \
+        "x,k_hat,exponent,amplitude,singular"
 
 
 def test_wf_centers_from_config(tmp_path):

@@ -8,6 +8,7 @@ never call into the pairing rules they are checking.
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from scipy import integrate
 
 from paqft.dist1d import (TestFunction1D, SymbolicDistribution1D, DistError,
                           DivergentPairing, NotHomogeneousClass,
-                          principal_value, pointwise_power_product)
+                          QuadratureWarning, principal_value,
+                          pointwise_power_product, quad_complex)
+from paqft import microlocal as ml
 
 RNG = random.Random(404)
 
@@ -308,3 +311,121 @@ def test_constructor_guards():
         SymbolicDistribution1D.power_i0(-1.0, sign=2)
     with pytest.raises(ValueError):
         SymbolicDistribution1D.halfline(-1.0, side=0)
+
+
+# --------------------------------------------------------------------------
+# the adaptive Gauss-Kronrod quadrature behind every pairing
+
+LADDER = [4.0 * 2 ** j for j in range(8)]
+
+
+def _quad_checked(func, a, b, points=(), **kw):
+    """quad_complex with QuadratureWarning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        return quad_complex(func, a, b, points, **kw)
+
+
+@pytest.mark.parametrize("k", LADDER)
+def test_oscillatory_window_matches_scipy(k):
+    f = TestFunction1D.plateau(0.25, 0.5)
+    wave = lambda x: np.exp(1j * k * np.asarray(x))
+    got, err = _quad_checked(lambda x: wave(x) * f(x), -0.5, 0.5,
+                             epsabs=1e-12, epsrel=1e-10, limit=1000)
+    want = oracle_quad(wave, f, -0.5, 0.5)
+    assert abs(got - want) < 1e-11
+    assert err <= max(1e-12, 1e-10 * abs(got))
+
+
+def test_polynomial_window_matches_scipy():
+    f = TestFunction1D.from_poly((0.5, -1.0, 2.0, 0.25j, -0.75), 0.3, 1.4)
+    got, err = _quad_checked(f, -1.4, 1.4, points=(-0.3, 0.3))
+    want = oracle_quad(lambda x: 1.0, f, -1.4, 1.4, {-0.3, 0.3})
+    assert abs(got - want) < 1e-12
+    assert err <= max(1e-13, 1e-12 * abs(got))
+
+
+def test_jump_on_a_breakpoint_is_exact_to_tolerance():
+    step = lambda x: np.where(x >= 0.0, np.exp(x), 0.0)
+    got, err = _quad_checked(step, -1.0, 1.0, points=(0.0,))
+    assert abs(got - (math.e - 1.0)) <= err <= 1e-12 * (math.e - 1.0)
+
+
+@pytest.mark.parametrize("func, a, b, exact", [
+    (lambda x: np.exp(1j * x), 0.0, math.pi, 2j),
+    (lambda x: np.exp(50j * x), 0.0, 1.0, (cmath.exp(50j) - 1) / 50j),
+    (lambda x: 1.0 / (1.0 + x * x), -5.0, 5.0, 2.0 * math.atan(5.0)),
+    (lambda x: np.log(x) * (1.0 + 2j * x), 1.0, 2.0,
+     2.0 * math.log(2.0) - 1.0 + 2j * (2.0 * math.log(2.0) - 0.75)),
+    (lambda x: x ** 31 - 1j * x ** 6, -1.0, 2.0,
+     (2.0 ** 32 - 1.0) / 32 - 1j * (2.0 ** 7 + 1.0) / 7),
+])
+def test_error_estimate_bounds_the_true_error(func, a, b, exact):
+    epsabs, epsrel = 1e-13, 1e-12
+    got, err = _quad_checked(func, a, b, epsabs=epsabs, epsrel=epsrel)
+    assert abs(got - exact) <= err <= max(epsabs, epsrel * abs(got))
+
+
+def test_degree_19_takes_one_panel():
+    # both embedded rules are exact to degree 19, so the first estimate is
+    # the roundoff floor and no interval is split
+    calls = []
+
+    def poly(x):
+        calls.append(len(x))
+        return x ** 18 + x ** 19
+    got, err = _quad_checked(poly, -1.0, 1.0)
+    assert calls == [21]
+    assert got == pytest.approx(2.0 / 19, rel=1e-14)
+
+
+def test_limit_too_small_warns():
+    with pytest.warns(QuadratureWarning, match="interval limit"):
+        got, err = quad_complex(lambda x: np.exp(200j * x), 0.0, 1.0,
+                                limit=4)
+    assert err > 1e-13
+
+
+def test_roundoff_floor_warns():
+    with pytest.warns(QuadratureWarning, match="roundoff floor"):
+        got, err = quad_complex(np.cos, 0.0, 1.0, epsabs=0.0, epsrel=1e-18)
+    assert got == pytest.approx(math.sin(1.0), rel=1e-14)
+
+
+def test_empty_interval():
+    assert quad_complex(np.cos, 1.0, 1.0) == (0j, 0.0)
+
+
+@pytest.mark.parametrize("k", LADDER)
+def test_pv_subtraction_matches_cauchy_weight(k):
+    wave = ml._WindowedWave(0.0, k, 0.25, 0.5)
+    got = ml._pair_wave_1d(SymbolicDistribution1D.power_i0(-1.0, +1), wave)
+
+    def pv(part):
+        return integrate.quad(lambda x: part(wave.value(x)), -0.5, 0.5,
+                              weight="cauchy", wvar=0.0, limit=1000,
+                              epsabs=1e-12, epsrel=1e-10)[0]
+    want = pv(np.real) + 1j * pv(np.imag) - 1j * math.pi
+    assert abs(got - want) < 1e-9
+
+
+def test_wf_estimate_needs_an_array_callable():
+    with pytest.raises(TypeError):
+        ml.wf_estimate_1d(lambda x: math.exp(-x * x))
+    with pytest.raises(TypeError, match="array"):
+        ml.wf_estimate_1d(lambda x: 1.0)
+
+
+def test_pair_with_error():
+    f = TestFunction1D.from_poly((1.0, 0.3, -0.2), 0.4, 1.3)
+    assert SymbolicDistribution1D.delta(2).pair_with_error(f) == (
+        SymbolicDistribution1D.delta(2).pair(f), 0.0)
+    t = (SymbolicDistribution1D.power_i0(-1.0, +1, coeff=2.0)
+         + SymbolicDistribution1D.delta(0)
+         + SymbolicDistribution1D.halfline(-0.5, -1, 1))
+    value, err = t.pair_with_error(f)
+    assert value == t.pair(f)
+    assert 0.0 < err < 1e-11
+    want = (2.0 * (oracle_pv(f) - 1j * math.pi * f(0.0)) + f(0.0)
+            + oracle_halfline(-0.5, 1, f.mirror()))
+    assert abs(value - want) < 1e-8

@@ -178,9 +178,10 @@ def test_minimal_subtraction_against_oracle():
 
 
 def test_feynman_square_demo_report():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rep = eg.feynman_square_demo()
+    assert [str(w.message) for w in caught] == []
     assert rep["scaling_degree_symbolic"] == 2.0
     assert rep["scaling_degree_regression"] == pytest.approx(2.0, abs=0.05)
     assert rep["divergence_degree"] == 1.0

@@ -175,3 +175,23 @@ def test_peierls_jacobi_identically_zero(xp_small, rand_functional):
          + peierls_bracket(G, peierls_bracket(H, F, xp_small), xp_small)
          + peierls_bracket(H, peierls_bracket(F, G, xp_small), xp_small))
     assert J.is_zero()
+
+
+def test_subtraction_is_adding_the_negative(lat_small):
+    rng = random.Random(33)
+    h, lam = FormalSeries.hbar(), FormalSeries.coupling()
+    series = (FormalSeries.const(Fraction(2, 3)) + h.scale(ExactComplex(
+        Fraction(-1, 5), Fraction(3, 7))) + h * lam.scale(Fraction(5, 9)))
+    for _ in range(20):
+        F = make_functional(rng, lat_small, max_degree=3, n_terms=4)
+        G = make_functional(rng, lat_small, max_degree=3, n_terms=4) * series
+        shared = PolyFunctional(lat_small, dict(list(F.terms.items())[:2]))
+        G = G + shared * series  # overlapping keys, some cancelling parts
+        assert F - G == F + (-1) * G
+        assert G - F == G + (-1) * F
+        assert (F - F).is_zero() and (G - G).is_zero()
+        assert F - (F + G) == (-1) * G
+        low = PolyFunctional(lat_small, G.terms, trunc_h=1, trunc_l=2)
+        assert F - low == F + (-1) * low
+        assert (F - low).trunc_h == 1
+        assert F - Fraction(3, 4) == F + Fraction(-3, 4)
