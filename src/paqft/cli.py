@@ -7,14 +7,16 @@ timestamp; pass --label to get stable filenames.  Artifact content never
 depends on the clock: the same config and seed give byte-identical files.
 
 Exit codes: 0 ok, 2 config error, 3 numerical check failure, 4 internal
-invariant violation.
+invariant violation or unexpected exception.
 """
 
+import csv
 import datetime
 import math
 import os
 import random
 import sys
+import traceback
 from fractions import Fraction
 
 import click
@@ -98,7 +100,8 @@ def _lattice_from(cfg):
 
 
 def _guarded(fn):
-    """Map library exceptions to the documented exit codes."""
+    """Map library exceptions to the documented exit codes; any other
+    exception is an internal error (exit 4)."""
     try:
         return fn()
     except CHECK_ERRORS as e:
@@ -107,6 +110,9 @@ def _guarded(fn):
         _fail(4, "%s: %s" % (type(e).__name__, e))
     except CONFIG_ERRORS as e:
         _fail(2, "%s: %s" % (type(e).__name__, e))
+    except Exception as e:  # _fail's SystemExit is no Exception
+        traceback.print_exc()
+        _fail(4, "%s: %s" % (type(e).__name__, e))
 
 
 @click.group()
@@ -209,6 +215,13 @@ def propagators(config_path, out, seed, label):
         cache = os.path.join(out, key.replace("/", "-") + ".npz")
         if os.path.exists(cache):
             blob = np.load(cache)
+            want = {"ret": (lat.n_t, lat.n_x),
+                    "wig": (2 * lat.n_t - 1, lat.n_x)}
+            got = {k: blob[k].shape for k in want
+                   if k in getattr(blob, "files", ())}
+            if got != want:
+                _fail(2, "propagator cache %s does not fit this lattice: "
+                      "arrays %s, expected %s" % (cache, got, want))
             ret, wig = blob["ret"], blob["wig"]
             click.echo("cache hit: %s" % cache)
         else:
@@ -230,9 +243,8 @@ def propagators(config_path, out, seed, label):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# n_t=%d n_x=%d a_t=%s a_x=%s m=%s\n"
                  % (lat.n_t, lat.n_x, lat.a_t, lat.a_x, lat.mass))
-    import csv as _csv
     with open(path, "a", encoding="utf-8", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(("kind", "dt", "dx", "value"))
         for row in rows:
             w.writerow([formats.fmt_value(v) for v in row])
@@ -441,10 +453,7 @@ def extend(expression, config_path, out, seed, label):
     _load_cfg(config_path, ())  # reads no keys; rejects any
 
     def body():
-        try:
-            t = formats.parse_distribution(expression)
-        except formats.FormatError as e:
-            _fail(2, str(e))
+        t = formats.parse_distribution(expression)
         sd, how = _sd_report(t)
         div = eg.divergence_degree(t)
         order = max(0, int(math.floor(div)))
@@ -485,10 +494,7 @@ def ms(family_atom, config_path, out, seed, label):
     _load_cfg(config_path, ())  # reads no keys; rejects any
 
     def body():
-        try:
-            base = formats.parse_distribution(family_atom)
-        except formats.FormatError as e:
-            _fail(2, str(e))
+        base = formats.parse_distribution(family_atom)
         if len(base.terms) != 1:
             _fail(2, "family seed must be a single term")
         coeff, kind = base.terms[0]
@@ -535,10 +541,7 @@ def wf(expression, config_path, out, seed, label):
     cfg = _load_cfg(config_path, ("centers",))
 
     def body():
-        try:
-            t = formats.parse_distribution(expression)
-        except formats.FormatError as e:
-            _fail(2, str(e))
+        t = formats.parse_distribution(expression)
         centers = cfg.get("centers", [0.0])
         if not isinstance(centers, list):
             centers = [centers]

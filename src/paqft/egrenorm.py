@@ -16,7 +16,8 @@ import warnings
 
 import numpy as np
 
-from .dist1d import (DistError, SymbolicDistribution1D, TestFunction1D)
+from .dist1d import (DistError, SymbolicDistribution1D, TestFunction1D,
+                     pointwise_power_product)
 
 
 class ExtensionError(DistError):
@@ -218,8 +219,6 @@ def feynman_square_demo() -> dict:
     Returns the scaling/divergence data, the W-scheme and minimal-subtraction
     values on a probe, and the fitted local ambiguity between the schemes.
     """
-    from .dist1d import pointwise_power_product
-
     prop = SymbolicDistribution1D.power_i0(-1.0)
     square = pointwise_power_product(prop, prop)
     sd_sym = square.scaling_degree()

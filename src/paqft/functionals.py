@@ -10,6 +10,7 @@ sums against the kernels with all measure factors cancelled exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -242,7 +243,6 @@ def interaction_vertex(lat: Lattice1p1, f, power: int = 4,
                        trunc_l: int = DEFAULT_TRUNC_L) -> PolyFunctional:
     """lambda/power! * integral of f phi^power: the quartic vertex carries one
     formal power of the coupling."""
-    import math
     base = local_power(lat, f, power, trunc_h, trunc_l)
     coeff = FormalSeries.coupling(trunc_h, trunc_l).scale(
         Fraction(1, math.factorial(power)))

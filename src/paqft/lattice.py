@@ -18,7 +18,6 @@ layer (ExactPropagators) turns into identities over the rationals.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -151,7 +150,7 @@ class PropagatorSet:
         self.lat = lat
         self._ret_table = None
         self._wightman_table = None
-        self._cache = {}
+        self._retarded = None
 
     # -- translation-invariant tables ---------------------------------------
 
@@ -214,19 +213,14 @@ class PropagatorSet:
         return dt, dx
 
     def retarded(self) -> np.ndarray:
-        if "ret" not in self._cache:
+        if self._retarded is None:
             g = self.ret_table()
             dt, dx = self._offsets()
             out = np.zeros(dt.shape)
             mask = dt > 0
             out[mask] = g[dt[mask], dx[mask]]
-            self._cache["ret"] = out
-        return self._cache["ret"]
-
-    def advanced(self) -> np.ndarray:
-        if "adv" not in self._cache:
-            self._cache["adv"] = self.retarded().T.copy()
-        return self._cache["adv"]
+            self._retarded = out
+        return self._retarded
 
     # -- column views (large lattices) ---------------------------------------
 
@@ -245,17 +239,31 @@ class PropagatorSet:
         return out
 
 
-def _mirror_key(n: int, dx: int, n_x: int) -> tuple[int, int]:
-    return (-n, (-dx) % n_x)
+# Each kernel kind as a formula in three exact entries at one offset: the
+# retarded entry r, the advanced entry a (r at the mirrored offset) and the
+# Hadamard entry h, passed as a thunk so that only the kinds built on h need
+# the positive-frequency table (a massless lattice has none).
+_KINDS = {
+    "causal": lambda r, a, h: ExactComplex(r - a),
+    "hadamard": lambda r, a, h: ExactComplex(h()),
+    "star": lambda r, a, h: ExactComplex(0, (r - a) / 2),
+    "star_H": lambda r, a, h: ExactComplex(h(), (r - a) / 2),
+    "timeordered_D": lambda r, a, h: ExactComplex(0, (r + a) / 2),
+    "timeordered_F": lambda r, a, h: ExactComplex(h(), (r + a) / 2),
+}
 
 
 class ExactPropagators:
-    """Lazy exact rational lifts of the float propagator tables.
+    """Exact rational lifts of the float propagator tables, one table per
+    kernel kind.
 
-    Structural identities are imposed at lift time (antisymmetric causal
-    kernel, symmetric Hadamard kernel, Wightman = H + (i/2)Delta,
-    Feynman = H + i*DiracD) so every algebraic relation between the kernels
-    holds exactly over the rationals, entry by entry.
+    Every kernel depends only on the site offset (n, dx), so each kind keeps
+    one table keyed by offset, and each entry is lifted once per lattice, on
+    first use, from the retarded and positive-frequency float tables.
+    Structural identities hold by construction (antisymmetric causal kernel,
+    symmetric Hadamard kernel, Wightman = H + (i/2)Delta, Feynman =
+    H + i*DiracD), so every algebraic relation between the kernels holds
+    exactly over the rationals, entry by entry.
     """
 
     def __init__(self, ps):
@@ -263,57 +271,37 @@ class ExactPropagators:
             ps = PropagatorSet(ps)
         self.ps = ps
         self.lat = ps.lat
-        self._ret = {}
-        self._had = {}
+        self._tables = {kind: {} for kind in _KINDS}
 
-    def _rel(self, i: int, j: int) -> tuple[int, int]:
-        ti, xi = self.lat.coords(i)
-        tj, xj = self.lat.coords(j)
-        return ti - tj, (xi - xj) % self.lat.n_x
+    def _lift(self, n: int, dx: int):
+        """(r, a, h) at offset (n, dx); h is a thunk.  H is read at the
+        smaller of the offset and its mirror, so it is exactly symmetric."""
+        n_t, n_x = self.lat.n_t, self.lat.n_x
+        mirror = (-n, -dx % n_x)
+        ret = self.ps.ret_table()
+        r = Fraction(float(ret[n, dx])) if n > 0 else Fraction(0)
+        a = Fraction(float(ret[mirror])) if n < 0 else Fraction(0)
 
-    def ret_entry(self, i: int, j: int) -> Fraction:
-        n, dx = self._rel(i, j)
-        if n <= 0:
-            return Fraction(0)
-        key = (n, dx)
-        if key not in self._ret:
-            self._ret[key] = Fraction(float(self.ps.ret_table()[n, dx]))
-        return self._ret[key]
-
-    def adv_entry(self, i: int, j: int) -> Fraction:
-        return self.ret_entry(j, i)
-
-    def causal_entry(self, i: int, j: int) -> Fraction:
-        return self.ret_entry(i, j) - self.ret_entry(j, i)
-
-    def dirac_entry(self, i: int, j: int) -> Fraction:
-        return (self.ret_entry(i, j) + self.ret_entry(j, i)) / 2
-
-    def hadamard_entry(self, i: int, j: int) -> Fraction:
-        n, dx = self._rel(i, j)
-        key = min((n, dx), _mirror_key(n, dx, self.lat.n_x))
-        if key not in self._had:
-            table = self.ps.wightman_table()
-            self._had[key] = Fraction(
-                float(table[key[0] + self.lat.n_t - 1, key[1]].real))
-        return self._had[key]
-
-    def wightman_entry(self, i: int, j: int) -> ExactComplex:
-        return ExactComplex(self.hadamard_entry(i, j),
-                            self.causal_entry(i, j) / 2)
-
-    def feynman_entry(self, i: int, j: int) -> ExactComplex:
-        return ExactComplex(self.hadamard_entry(i, j),
-                            self.dirac_entry(i, j))
+        def h():
+            m, mdx = min((n, dx), mirror)
+            return Fraction(float(
+                self.ps.wightman_table()[m + n_t - 1, mdx].real))
+        return r, a, h
 
     def kernel(self, kind: str):
-        """Contraction kernel per product kind, as (i, j) -> ExactComplex."""
-        if kind == "star":
-            return lambda i, j: ExactComplex(0, self.causal_entry(i, j) / 2)
-        if kind == "star_H":
-            return self.wightman_entry
-        if kind == "timeordered_D":
-            return lambda i, j: ExactComplex(0, self.dirac_entry(i, j))
-        if kind == "timeordered_F":
-            return self.feynman_entry
-        raise ValueError(f"unknown product kind {kind!r}")
+        """Kernel `kind` (a key of _KINDS) as (i, j) -> ExactComplex; sites
+        at the same offset share one entry object."""
+        if kind not in _KINDS:
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        formula, table, n_x = _KINDS[kind], self._tables[kind], self.lat.n_x
+
+        def entry(i: int, j: int) -> ExactComplex:
+            key = (i // n_x - j // n_x, (i - j) % n_x)
+            e = table.get(key)
+            if e is None:
+                e = table[key] = formula(*self._lift(*key))
+            return e
+        return entry
+
+    def causal_entry(self, i: int, j: int) -> Fraction:
+        return self.kernel("causal")(i, j).re

@@ -267,8 +267,7 @@ def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int = 1) -> PolyFunct
     """Wick-transform e^{sign (hbar/2) Gamma_H}; sign=-1 normal-orders."""
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    kern = lambda i, j: ExactComplex(xp.hadamard_entry(i, j))
-    return exp_gamma(F, kern, Fraction(sign, 2))
+    return exp_gamma(F, xp.kernel("hadamard"), Fraction(sign, 2))
 
 
 def time_order_op(xp: ExactPropagators, F: PolyFunctional, sign: int = 1,
@@ -307,11 +306,12 @@ def wick_theorem_demo(xp: ExactPropagators, f1, f2,
     items2 = f2.items() if isinstance(f2, dict) else enumerate(f2)
     items2 = [(s, v) for s, v in items2 if v]
 
+    wightman = xp.kernel("star_H")
     one_terms: dict[tuple, FormalSeries] = {}
     two_terms: dict[tuple, FormalSeries] = {}
     for s1, v1 in items1:
         for s2, v2 in items2:
-            wp = xp.wightman_entry(s1, s2)
+            wp = wightman(s1, s2)
             base = ExactComplex.lift(v1) * ExactComplex.lift(v2) * w2
             key = tuple(sorted((s1, s2)))
             c1 = FormalSeries({(1, 0): base * wp * 4}, trunc_h, trunc_l)

@@ -3,6 +3,7 @@ import hashlib
 import re
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -326,6 +327,28 @@ def test_internal_invariant_maps_to_exit_4(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.al, "weyl_rep_check", boom)
     res = run(["weyl", "--out", str(tmp_path)], expect=4)
     assert "synthetic invariant break" in res.output
+
+
+def test_unexpected_exception_maps_to_exit_4(tmp_path, monkeypatch):
+    def boom(**kw):
+        raise RuntimeError("synthetic library bug")
+
+    monkeypatch.setattr(cli.al, "weyl_rep_check", boom)
+    res = run(["weyl", "--out", str(tmp_path)], expect=4)
+    assert "RuntimeError: synthetic library bug" in res.output
+
+
+@pytest.mark.parametrize("arrays", [
+    {"ret": np.zeros((4, 4)), "wig": np.zeros((15, 4))},
+    {"ret": np.zeros((8, 4))},
+])
+def test_propagators_rejects_a_misshapen_cache(tmp_path, arrays):
+    name = "prop_8_4_1-2_1_1.0.npz"
+    np.savez(tmp_path / name, **arrays)
+    res = run(["propagators", "--config", small_cfg(tmp_path), "--out",
+               str(tmp_path), "--label", "t"], expect=2)
+    assert name in res.output
+    assert not (tmp_path / "propagators_t.csv").exists()
 
 
 def test_failed_criterion_maps_to_exit_3(tmp_path, monkeypatch):

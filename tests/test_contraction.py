@@ -140,7 +140,7 @@ def test_product_matches_reference(xp_small, f, g, th, tl, kind):
 @settings(max_examples=30, deadline=None)
 @given(terms(SITES), TRUNC_H, TRUNC_L, st.sampled_from([1, -1]))
 def test_alpha_H_matches_reference(xp_small, f, th, tl, sign):
-    had = lambda y, z: (xp_small.hadamard_entry(y, z), Fraction(0))
+    had = pair_kernel(xp_small.kernel("hadamard"))
     want = {}
     for n in range(th + 1):
         naive([f], had, [(0, 0)] * n,

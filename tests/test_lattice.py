@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from paqft.exact import ExactComplex
-from paqft.lattice import (Lattice1p1, PropagatorSet, ExactPropagators,
-                           kg_operator, el_operator, kg_apply,
-                           UnstableStep, ZeroModeSingular)
+from paqft.lattice import (Lattice1p1, PropagatorSet, kg_operator,
+                           el_operator, kg_apply, UnstableStep,
+                           ZeroModeSingular)
 
 
 def _pairs(lat):
@@ -39,11 +39,6 @@ def test_retarded_supported_on_future_cone(lat_small):
             assert R[i, j] == 0.0
 
 
-def test_advanced_is_retarded_transposed(lat_small):
-    ps = PropagatorSet(lat_small)
-    assert np.array_equal(ps.advanced(), ps.retarded().T)
-
-
 def test_commutator_function_antisymmetric_exact(xp_small):
     lat = xp_small.lat
     for i, j in _pairs(lat):
@@ -51,32 +46,34 @@ def test_commutator_function_antisymmetric_exact(xp_small):
 
 
 def test_hadamard_symmetric_exact(xp_small):
-    lat = xp_small.lat
-    for i, j in _pairs(lat):
-        assert xp_small.hadamard_entry(i, j) == xp_small.hadamard_entry(j, i)
+    H = xp_small.kernel("hadamard")
+    for i, j in _pairs(xp_small.lat):
+        assert H(i, j) == H(j, i)
+        assert H(i, j).im == 0
 
 
 def test_wightman_decomposition_exact(xp_small):
     """W = H + (i/2) Delta and F = H + i D, coefficient by coefficient."""
-    lat = xp_small.lat
     half_i = ExactComplex(0, Fraction(1, 2))
-    for i, j in _pairs(lat):
-        H = ExactComplex(xp_small.hadamard_entry(i, j))
-        W = xp_small.wightman_entry(i, j)
-        D = ExactComplex(xp_small.dirac_entry(i, j))
-        C = ExactComplex(xp_small.causal_entry(i, j))
-        assert W == H + half_i * C
-        assert xp_small.feynman_entry(i, j) == H + ExactComplex(0, 1) * D
+    H, C, W, S, iD, F = (xp_small.kernel(kind) for kind in (
+        "hadamard", "causal", "star_H", "star", "timeordered_D",
+        "timeordered_F"))
+    for i, j in _pairs(xp_small.lat):
+        assert S(i, j) == half_i * C(i, j)
+        assert W(i, j) == H(i, j) + S(i, j)
+        assert F(i, j) == H(i, j) + iD(i, j)
 
 
 def test_feynman_minus_wightman_supported_on_past_cone(xp_small):
     """F - W = i Delta_A vanishes unless i is in the past cone of j; this
     is what makes causal factorization exact on the lattice."""
     lat = xp_small.lat
+    R = xp_small.ps.retarded()
+    F = xp_small.kernel("timeordered_F")
+    W = xp_small.kernel("star_H")
     for i, j in _pairs(lat):
-        diff = xp_small.feynman_entry(i, j) - xp_small.wightman_entry(i, j)
-        adv = ExactComplex(0, xp_small.adv_entry(i, j))
-        assert diff == adv
+        diff = F(i, j) - W(i, j)
+        assert diff == ExactComplex(0, Fraction(float(R[j, i])))
         if not lat.in_past_cone(i, j):
             assert diff == ExactComplex(0)
 
@@ -108,18 +105,65 @@ def test_exact_lift_matches_float_tables(xp_small):
     lat = xp_small.lat
     ps = PropagatorSet(lat)
     R = ps.retarded()
+    wt = ps.wightman_table()
+    H = xp_small.kernel("hadamard")
     for i, j in _pairs(lat):
-        assert float(xp_small.ret_entry(i, j)) == R[i, j]
+        assert float(xp_small.causal_entry(i, j)) == R[i, j] - R[j, i]
+        (ti, xi), (tj, xj) = lat.coords(i), lat.coords(j)
+        # H is read at the offset or at its mirror, whichever is smaller
+        assert float(H(i, j).re) in (
+            wt[ti - tj + lat.n_t - 1, (xi - xj) % lat.n_x].real,
+            wt[tj - ti + lat.n_t - 1, (xj - xi) % lat.n_x].real)
+
+
+def reference_kernels(ps, i, j):
+    """Every kernel kind at (i, j), lifted straight from the float tables
+    for this one site pair."""
+    lat = ps.lat
+    (ti, xi), (tj, xj) = lat.coords(i), lat.coords(j)
+
+    def ret(n, dx):
+        return Fraction(float(ps.ret_table()[n, dx % lat.n_x])) if n > 0 else 0
+
+    r, a = ret(ti - tj, xi - xj), ret(tj - ti, xj - xi)
+    n, dx = min((ti - tj, (xi - xj) % lat.n_x), (tj - ti, (xj - xi) % lat.n_x))
+    h = Fraction(float(ps.wightman_table()[n + lat.n_t - 1, dx].real))
+    return {"causal": ExactComplex(r - a), "hadamard": ExactComplex(h),
+            "star": ExactComplex(0, Fraction(r - a) / 2),
+            "star_H": ExactComplex(h, Fraction(r - a) / 2),
+            "timeordered_D": ExactComplex(0, Fraction(r + a) / 2),
+            "timeordered_F": ExactComplex(h, Fraction(r + a) / 2)}
+
+
+def test_kernels_match_reference_lift(xp_small):
+    kinds = ("causal", "hadamard", "star", "star_H", "timeordered_D",
+             "timeordered_F")
+    kernels = {kind: xp_small.kernel(kind) for kind in kinds}
+    ps = PropagatorSet(xp_small.lat)
+    for i, j in _pairs(xp_small.lat):
+        want = reference_kernels(ps, i, j)
+        for kind in kinds:
+            assert kernels[kind](i, j) == want[kind], (kind, i, j)
+
+
+def test_entries_are_shared_per_offset(xp_small):
+    lat = xp_small.lat
+    for kind in ("hadamard", "star_H"):
+        e1 = xp_small.kernel(kind)(lat.site(3, 1), lat.site(1, 3))
+        e2 = xp_small.kernel(kind)(lat.site(6, 0), lat.site(4, 2))
+        assert e1 is e2
 
 
 def test_kernel_dispatch(xp_small):
     k_star = xp_small.kernel("star")
     k_h = xp_small.kernel("star_H")
     k_f = xp_small.kernel("timeordered_F")
-    assert k_star(3, 7) == ExactComplex(0, Fraction(1, 2)
-                                        * xp_small.causal_entry(3, 7))
-    assert k_h(3, 7) == xp_small.wightman_entry(3, 7)
-    assert k_f(3, 7) == xp_small.feynman_entry(3, 7)
+    had = xp_small.kernel("hadamard")(3, 7).re
+    causal = xp_small.causal_entry(3, 7)
+    assert k_star(3, 7) == ExactComplex(0, causal / 2)
+    assert k_h(3, 7) == ExactComplex(had, causal / 2)
+    assert k_f(3, 7) == ExactComplex(
+        had, xp_small.kernel("timeordered_D")(3, 7).im)
     with pytest.raises(ValueError):
         xp_small.kernel("nonsense")
 
