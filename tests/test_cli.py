@@ -112,9 +112,13 @@ def test_bogoliubov_roundtrip(tmp_path):
     assert "Rinv(R(F)) = F exactly: True" in res.output
 
 
-# sha256 of the exact artifacts at the default lattice with --seed 5, as
-# written by the all-Fraction contraction code that the integer engine
-# replaced: any change to an exact coefficient changes these bytes
+# sha256 of every artifact at --seed 5.  The exact ones (commutator to
+# bogoliubov, default lattice) were taken from the all-Fraction contraction
+# code that the integer engine replaced: any change to an exact coefficient
+# changes these bytes.  The others were taken before the CLI and the
+# acceptance battery were made to share one function per check; each was
+# byte-identical across repeated runs.  `suite` is hashed without its
+# `seconds` column, which is a wall-clock time.
 PINNED = {
     "commutator":
         "978e1ff2c7583ad01ef713faedfbf80ac04fee6c9f05f0e2094579ed2870f978",
@@ -126,13 +130,51 @@ PINNED = {
         "ad3caaaf1f6a3aef7e57273c9d1584d9451ccc96aba10592fdaaea347de7d2f4",
     "bogoliubov":
         "e33eeb644fe92fc1c6f5a6c8e42e1ee3d9dfd48999e979ca94ef20625476c132",
+    "gns":
+        "6092a52a3ecee58f57dc88e74adf5098de275594bfbb10ef0801f4d600fd7208",
+    "weyl":
+        "2c1acc20ebc7928a5e808c9ad3523290c17f7f9eee9ad9bedc81254c67d6029c",
+    "flow":
+        "be1f9404440ef48bcd864a485b6c2dcc7f81b304e4732e8c66b1e678d80ce38d",
+    "propagators":
+        "2f5f9aa6da4cee2a65d8758864361a558f90ecf09d2deb9441d82254012d3275",
+    "graphs":
+        "069b10b7b2220d1e335947db3971ea5165f0e6e7a32b8d604f70de1dc3ca28d8",
+    "extend":
+        "ef1420b175c53cf8554621588d61956c1d93c92f921f662f8852104ee38c9b47",
+    "ms":
+        "652a31ef66f1fe80d3752cd6ce5cae00eebdb46d1fea87475c5ee900114ed165",
+    "wf":
+        "e8e399a7d047a2e49174b8c983ba0419cfd70ebfb277240e2a78702aa118b057",
+    "suite":
+        "4f6a7a48e11ef24e96615ad68b5d79a8342864a36c25b4c599bc6782c8ce69f7",
+}
+
+# (argument, config file text) of the pinned runs that are not at defaults
+PIN_INPUTS = {
+    "propagators": (None, "n_t = 8\nn_x = 4\na_t = 1/2\na_x = 1\n"),
+    "graphs": (None, "n = 2\nlines = 3\nd = 4\n"),
+    "extend": ("(x+i0)^-2", None),
+    "ms": ("x_+^-1", None),
+    "wf": ("(x+i0)^-1 + 1/2*heaviside", None),
+    "suite": (None, "only = 5, 10\n"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(PINNED))
 def test_exact_artifacts_are_pinned(tmp_path, command):
-    run([command, "--out", str(tmp_path), "--seed", "5", "--label", "pin"])
+    arg, text = PIN_INPUTS.get(command, (None, None))
+    args = [command] + ([arg] if arg else [])
+    if text:
+        cfg = tmp_path / "pin.cfg"
+        cfg.write_text(text)
+        args += ["--config", str(cfg)]
+    run(args + ["--out", str(tmp_path), "--seed", "5", "--label", "pin"])
     data = (tmp_path / ("%s_pin.csv" % command)).read_bytes()
+    if command == "suite":
+        rows = [line.split(b",") for line in data.splitlines(keepends=True)]
+        drop = rows[0].index(b"seconds")
+        data = b"".join(b",".join(r[:drop] + r[drop + 1:]) for r in rows)
     assert hashlib.sha256(data).hexdigest() == PINNED[command]
 
 
