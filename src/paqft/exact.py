@@ -105,9 +105,6 @@ class ExactComplex:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 

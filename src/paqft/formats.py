@@ -367,9 +367,12 @@ def fmt_value(v):
     return str(v)
 
 
-def write_csv(path, header, rows):
-    """Write rows of scalars as CSV with '\\n' line endings."""
+def write_csv(path, header, rows, comment=None):
+    """Write rows of scalars as CSV with '\\n' line endings, after the line
+    `comment` if one is given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment is not None:
+            fh.write(comment + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:

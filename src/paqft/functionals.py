@@ -91,9 +91,6 @@ class PolyFunctional:
     def max_degree(self) -> int:
         return max((len(k) for k in self.terms), default=0)
 
-    def is_local(self) -> bool:
-        return all(len(set(k)) <= 1 for k in self.terms)
-
     def support(self) -> set[int]:
         out: set[int] = set()
         for k in self.terms:

@@ -2,72 +2,49 @@
 
 Each test prints the criterion's pass/fail line (visible with -v on failure,
 and in `paqft suite` output); the assertion also enforces the runtime budget.
+The tests are generated from BUDGETS, one per criterion of acceptance.ALL,
+and named test_acNN_<topic>.
 """
 import warnings
 
 from paqft import acceptance
 from paqft import egrenorm as eg
 
-
-def check(fn, budget):
-    r, = acceptance.run_all({acceptance.ALL.index(fn) + 1})
-    print(r.line())
-    assert r.passed, r.line()
-    assert r.seconds < budget, "runtime %.2fs over the %ds budget" \
-        % (r.seconds, budget)
-    return r
-
-
-def test_ac01_canonical_commutator():
-    check(acceptance.crit_01, 5)
-
-
-def test_ac02_wick_three_term_expansion():
-    check(acceptance.crit_02, 1)
-
-
-def test_ac03_classical_limit_and_jacobi():
-    check(acceptance.crit_03, 5)
+# criterion number -> (test name topic, wall-clock budget in seconds)
+BUDGETS = {
+    1: ("canonical_commutator", 5),
+    2: ("wick_three_term_expansion", 1),
+    3: ("classical_limit_and_jacobi", 5),
+    4: ("normal_ordering_equivalence", 10),
+    5: ("tadpole_cancellation", 1),
+    6: ("graph_expansion_oracle", 30),
+    7: ("causal_factorization", 10),
+    8: ("bogoliubov_consistency", 30),
+    9: ("extension_and_minimal_subtraction", 20),
+    10: ("divergence_power_counting", 1),
+    11: ("microlocal_estimates", 60),
+    12: ("gns_representations", 5),
+    13: ("retarded_support_and_inverse", 5),
+}
 
 
-def test_ac04_normal_ordering_equivalence():
-    check(acceptance.crit_04, 10)
+def _criterion_test(index, budget):
+    def test():
+        r, = acceptance.run_all({index})
+        print(r.line())
+        assert r.passed, r.line()
+        assert r.seconds < budget, "runtime %.2fs over the %ds budget" \
+            % (r.seconds, budget)
+    return test
 
 
-def test_ac05_tadpole_cancellation():
-    check(acceptance.crit_05, 1)
+for _index, (_topic, _budget) in BUDGETS.items():
+    globals()["test_ac%02d_%s" % (_index, _topic)] = \
+        _criterion_test(_index, _budget)
 
 
-def test_ac06_graph_expansion_oracle():
-    check(acceptance.crit_06, 30)
-
-
-def test_ac07_causal_factorization():
-    check(acceptance.crit_07, 10)
-
-
-def test_ac08_bogoliubov_consistency():
-    check(acceptance.crit_08, 30)
-
-
-def test_ac09_extension_and_minimal_subtraction():
-    check(acceptance.crit_09, 20)
-
-
-def test_ac10_divergence_power_counting():
-    check(acceptance.crit_10, 1)
-
-
-def test_ac11_microlocal_estimates():
-    check(acceptance.crit_11, 60)
-
-
-def test_ac12_gns_representations():
-    check(acceptance.crit_12, 5)
-
-
-def test_ac13_retarded_support_and_inverse():
-    check(acceptance.crit_13, 5)
+def test_every_criterion_has_a_budget():
+    assert sorted(BUDGETS) == list(range(1, len(acceptance.ALL) + 1))
 
 
 def test_warnings_inside_a_criterion_are_recorded(monkeypatch):
@@ -75,10 +52,12 @@ def test_warnings_inside_a_criterion_are_recorded(monkeypatch):
         warnings.warn("no convergence", RuntimeWarning)
         warnings.warn("no convergence", RuntimeWarning)
         warnings.warn("unique extension", eg.NegativeDivergenceWarning)
-        return acceptance.CriterionResult(1, "noisy", True, 0.0, "ok")
+        return True, "ok"
 
-    monkeypatch.setattr(acceptance, "ALL", (noisy,))
+    noisy.title = "noisy"
+    monkeypatch.setattr(acceptance, "ALL", [noisy])
     r, = acceptance.run_all()
+    assert (r.index, r.title, r.passed, r.detail) == (1, "noisy", True, "ok")
     assert r.warnings == {"RuntimeWarning": 2,
                           "NegativeDivergenceWarning": 1}
     assert r.line().endswith(

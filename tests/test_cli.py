@@ -2,6 +2,7 @@
 import hashlib
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +305,32 @@ def test_unknown_config_key_is_a_config_error(tmp_path, command, text):
               expect=2)
     assert "unknown key" in res.output
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("graphs", "n = two\n"),
+    ("suite", "only = 14\n"),
+    ("suite", "only = 0\n"),
+    ("suite", "only = five\n"),
+])
+def test_bad_config_value_is_a_config_error(tmp_path, command, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    res = run([command, "--config", str(cfg), "--out", str(tmp_path)],
+              expect=2)
+    key = text.split(" =")[0]
+    assert "bad config %s: key %s = " % (cfg, key) in res.output
+    if key == "only":
+        assert "criteria are numbered 1-13" in res.output
+    assert "AC" not in res.output  # rejected before any work
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.findall(r"^\| `(\w+)` \|", readme, flags=re.M)
+    assert sorted(listed) == sorted(cli.main.commands)
+    assert len(listed) == len(set(listed))
 
 
 def test_unstable_lattice_is_a_config_error(tmp_path):
