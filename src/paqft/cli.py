@@ -73,7 +73,7 @@ def _load_cfg(path, keys):
     for key, (convert, default) in keys.items():
         try:
             out[key] = convert(cfg[key]) if key in cfg else default
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, ArithmeticError) as e:
             _fail(2, "bad config %s: key %s = %r: %s"
                   % (path, key, cfg[key], e))
     return out
@@ -141,8 +141,26 @@ def command(keys, header, argument=None, comment=None, needs_out=False):
     return register
 
 
+def _int(v):
+    if type(v) is not int:  # int() truncates 2.5 and reads yes (True) as 1
+        raise ValueError("want an integer")
+    return v
+
+
+def _real(convert):
+    """`convert` (float or Fraction) for a numeric key, rejecting a bool."""
+    def checked(v):
+        if isinstance(v, bool):
+            raise ValueError("want a number, not a boolean")
+        return convert(v)
+    return checked
+
+
+_float, _fraction = _real(float), _real(Fraction)
+
+
 def _floats(v):
-    return tuple(float(x) for x in (v if isinstance(v, list) else [v]))
+    return tuple(_float(x) for x in (v if isinstance(v, list) else [v]))
 
 
 def _pair(v):
@@ -152,15 +170,15 @@ def _pair(v):
 
 
 def _criteria(v):
-    idx = set(v if isinstance(v, list) else [v])
-    if not idx <= set(range(1, len(acceptance.ALL) + 1)):
+    idx = v if isinstance(v, list) else [v]
+    if not all(type(i) is int and 1 <= i <= len(acceptance.ALL) for i in idx):
         raise ValueError("criteria are numbered 1-%d" % len(acceptance.ALL))
-    return idx
+    return set(idx)
 
 
-LATTICE = {"n_t": (int, 12), "n_x": (int, 8),
-           "a_t": (Fraction, Fraction(1, 2)), "a_x": (Fraction, Fraction(1)),
-           "mass": (float, 1.0)}
+LATTICE = {"n_t": (_int, 12), "n_x": (_int, 8),
+           "a_t": (_fraction, Fraction(1, 2)),
+           "a_x": (_fraction, Fraction(1)), "mass": (_float, 1.0)}
 FUNCTIONAL = ("degree", "hbar_order", "lambda_order", "sites", "coefficient")
 QUANTITY = ("quantity", "value")
 
@@ -199,7 +217,7 @@ def gns(cfg, seed):
     return rows, lines, None if ok else "a GNS residual exceeded 1e-10"
 
 
-@command({"n": (int, 64), "dx": (float, 0.25), "hbar": (float, 1.0)},
+@command({"n": (_int, 64), "dx": (_float, 0.25), "hbar": (_float, 1.0)},
          QUANTITY)
 def weyl(cfg, seed):
     """Exponentiated commutation relations on a discrete line."""
@@ -252,7 +270,7 @@ def propagators(cfg, seed, out):
 
 # --------------------------------------------------------------- products
 
-@command({**LATTICE, "n_sites": (int, 4)}, FUNCTIONAL)
+@command({**LATTICE, "n_sites": (_int, 4)}, FUNCTIONAL)
 def commutator(cfg, seed):
     """Field commutator against the covariant pairing, term by term."""
     _, xp, (f, g) = _exact(cfg, seed, cfg["n_sites"], cfg["n_sites"])
@@ -266,7 +284,7 @@ def commutator(cfg, seed):
 WICK_TERM = ("contractions", "hbar_power", "binding_coefficient", "structure")
 
 
-@command({**LATTICE, "n_sites": (int, 2)}, WICK_TERM)
+@command({**LATTICE, "n_sites": (_int, 2)}, WICK_TERM)
 def wick(cfg, seed):
     """Three-term expansion of a product of two quadratic densities."""
     _, xp, (f1, f2) = _exact(cfg, seed, cfg["n_sites"], cfg["n_sites"])
@@ -316,7 +334,7 @@ def bogoliubov(cfg, seed):
 
 # ----------------------------------------------------------------- graphs
 
-@command({"n": (int, 2), "lines": (int, 4), "d": (int, 4)},
+@command({"n": (_int, 2), "lines": (_int, 4), "d": (_int, 4)},
          ("n_vertices", "total_lines", "graph", "Sym", "div"))
 def graphs(cfg, seed):
     """List multigraphs with symmetry factors and divergence degrees."""
@@ -438,9 +456,9 @@ def _metric(name):
 
 
 @command({"x0": (_pair, (0.0, 0.0)), "k0": (_pair, (1.0, 1.0)),
-          "dt": (float, 0.01), "n_steps": (int, 400),
+          "dt": (_float, 0.01), "n_steps": (_int, 400),
           "metric": (_metric, None),
-          "drift_tol": (float, 1e-8)},
+          "drift_tol": (_float, 1e-8)},
          ("time", "t", "x", "k_t", "k_x", "sigma"))
 def flow(cfg, seed):
     """Integrate a null bicharacteristic and report the symbol drift."""

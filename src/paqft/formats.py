@@ -73,7 +73,7 @@ def _parse_scalar(tok):
     if "/" in tok:
         try:
             return Fraction(tok)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     try:
         return float(tok)

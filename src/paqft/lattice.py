@@ -250,6 +250,7 @@ _KINDS = {
     "star_H": lambda r, a, h: ExactComplex(h(), (r - a) / 2),
     "timeordered_D": lambda r, a, h: ExactComplex(0, (r + a) / 2),
     "timeordered_F": lambda r, a, h: ExactComplex(h(), (r + a) / 2),
+    "antitimeordered_F": lambda r, a, h: ExactComplex(h(), -(r + a) / 2),
 }
 
 
@@ -262,8 +263,8 @@ class ExactPropagators:
     first use, from the retarded and positive-frequency float tables.
     Structural identities hold by construction (antisymmetric causal kernel,
     symmetric Hadamard kernel, Wightman = H + (i/2)Delta, Feynman =
-    H + i*DiracD), so every algebraic relation between the kernels holds
-    exactly over the rationals, entry by entry.
+    H + i*DiracD, anti-Feynman = H - i*DiracD), so every algebraic relation
+    between the kernels holds exactly over the rationals, entry by entry.
     """
 
     def __init__(self, ps):

@@ -6,10 +6,14 @@ Every product here is one exponential-contraction formula,
 
 differing only in the contraction kernel K: (i/2)Delta for the star product,
 the positive-frequency kernel for the Wick-ordered star product, i*DiracD and
-Feynman for the two time-ordered products.  The Wick transform alpha_H and the
-time-ordering operator are the same formula with both ends of each line in
-one functional (e^{(hbar/2) Gamma_K}), and the graph expansion of graphs.py
-is the same formula with n functionals and lines between any two of them.
+Feynman for the two time-ordered products, anti-Feynman for the
+anti-time-ordered one.  The Wick transform alpha_H and the time-ordering
+operator are the same formula with both ends of each line in one functional
+(e^{(hbar/2) Gamma_K}), and the graph expansion of graphs.py is the same
+formula with n functionals and lines between any two of them.  The formal
+S-matrix is the exponential of the vertex in a time-ordered product, and the
+Bogoliubov map R F = Sbar(-V) * (S(V) x_T F) takes the star-inverse of S(V)
+as Sbar(-V), the anti-time-ordered exponential of -V.
 
 All of them are thin callers of `contract`, the single contraction engine.
 It works on Gaussian-integer numerators over shared denominators: each input
@@ -36,7 +40,8 @@ from .functionals import (MaxDegreeExceeded, PolyFunctional,
 from .lattice import ExactPropagators
 from .series import FormalSeries
 
-PRODUCT_KINDS = ("star", "star_H", "timeordered_D", "timeordered_F")
+PRODUCT_KINDS = ("star", "star_H", "timeordered_D", "timeordered_F",
+                 "antitimeordered_F")
 
 
 class QuantizationError(Exception):
@@ -337,54 +342,32 @@ def wick_theorem_demo(xp: ExactPropagators, f1, f2,
 
 
 class BogoliubovMap:
-    """R_{S_I} and its inverse, built from the time-ordered exponential.
+    """R_V and its inverse, built from the formal S-matrix S(V).
 
-    R F = (e_T^{S_I})^{*-1} * (e_T^{S_I} x_T F)
-    R^-1 F = e_T^{-S_I} x_T (e_T^{S_I} * F)
+    R F = Sbar(-V) * (S(V) x_T F)
+    R^-1 F = S(-V) x_T (S(V) * F)
 
-    The interaction must carry the formal coupling, which makes every series
+    S(-V) is the x_T-inverse of S(V), and Sbar(-V), the S-matrix of -V
+    with the anti-Feynman kernel, is its star-inverse: off equal times the
+    Feynman kernel is the Wightman kernel of the later site against the
+    earlier one and the anti-Feynman kernel the reverse, so the
+    largest-time argument gives S(V) * Sbar(-V) = 1 order by order.  The
+    interaction must carry the formal coupling, which makes every series
     finite per order.
     """
 
-    def __init__(self, xp: ExactPropagators, S_I: PolyFunctional,
-                 time_kind: str = "timeordered_F", star_kind: str = "star_H",
-                 degree_cap: int | None = None):
-        for c in S_I.terms.values():
-            if any(l == 0 for (_, l) in c.coeff):
-                raise NoLambdaGrading(
-                    "interaction has a coupling-order-zero part")
-        self.xp = xp
-        self.S_I = S_I
-        self.tp = QuantProduct(xp, time_kind, degree_cap)
-        self.sp = QuantProduct(xp, star_kind, degree_cap)
-        self._eT = exp_T(self.tp, S_I)
-        self._eT_neg = exp_T(self.tp, S_I * (-1))
-        self._eT_star_inv = self.star_inverse(self._eT)
-
-    def star_inverse(self, A: PolyFunctional) -> PolyFunctional:
-        """Geometric series in the coupling grading; A must be 1 + O(coupling)."""
-        lat = A.lat
-        one = PolyFunctional.unit(lat, A.trunc_h, A.trunc_l)
-        a = A - one
-        for c in a.terms.values():
-            if any(l == 0 for (_, l) in c.coeff):
-                raise NoLambdaGrading("star_inverse needs 1 + O(coupling)")
-        out = one
-        term = one
-        sign = -1
-        for _ in range(A.trunc_l):
-            term = self.sp.product(term, a)
-            if term.is_zero():
-                break
-            out = out + term * sign
-            sign = -sign
-        return out
+    def __init__(self, xp: ExactPropagators, V: PolyFunctional):
+        self.tp = QuantProduct(xp, "timeordered_F")
+        self.sp = QuantProduct(xp, "star_H")
+        self._S = s_matrix(xp, V)
+        self._S_neg = s_matrix(xp, V * (-1))
+        self._S_star_inv = s_matrix(xp, V * (-1), "antitimeordered_F")
 
     def R(self, F: PolyFunctional) -> PolyFunctional:
-        return self.sp.product(self._eT_star_inv, self.tp.product(self._eT, F))
+        return self.sp.product(self._S_star_inv, self.tp.product(self._S, F))
 
     def Rinv(self, F: PolyFunctional) -> PolyFunctional:
-        return self.tp.product(self._eT_neg, self.sp.product(self._eT, F))
+        return self.tp.product(self._S_neg, self.sp.product(self._S, F))
 
     def star_interacting(self, F: PolyFunctional,
                          G: PolyFunctional) -> PolyFunctional:
@@ -402,9 +385,7 @@ def causally_later(lat, F: PolyFunctional, G: PolyFunctional) -> bool:
 
 
 def causal_factorization_check(xp: ExactPropagators, V1: PolyFunctional,
-                               V2: PolyFunctional,
-                               kind: str = "timeordered_F",
-                               star_kind: str = "star_H") -> PolyFunctional:
+                               V2: PolyFunctional) -> PolyFunctional:
     """S(V1 + V2) - S(V1) * S(V2) for V1 nowhere earlier than V2.
 
     Returns the residual functional; it vanishes identically whenever the
@@ -413,33 +394,28 @@ def causal_factorization_check(xp: ExactPropagators, V1: PolyFunctional,
     """
     if not causally_later(xp.lat, V1, V2):
         raise ValueError("supp V1 intersects the past of supp V2")
-    star = QuantProduct(xp, star_kind)
-    lhs = s_matrix(xp, V1 + V2, kind)
-    rhs = star.product(s_matrix(xp, V1, kind), s_matrix(xp, V2, kind))
-    return lhs - rhs
-
-
-def exp_T(tp: QuantProduct, V: PolyFunctional) -> PolyFunctional:
-    """Time-ordered exponential sum_n V^{x_T n} / n! for the time-ordered
-    product tp, to the coupling truncation of V."""
-    out = PolyFunctional.unit(V.lat, V.trunc_h, V.trunc_l)
-    term = out
-    for n in range(1, V.trunc_l + 1):
-        term = tp.product(term, V) * Fraction(1, n)
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    return s_matrix(xp, V1 + V2) - QuantProduct(xp, "star_H").product(
+        s_matrix(xp, V1), s_matrix(xp, V2))
 
 
 def s_matrix(xp: ExactPropagators, V: PolyFunctional,
              kind: str = "timeordered_F",
              degree_cap: int | None = None) -> PolyFunctional:
-    """Formal S-matrix sum_n T_n(V,..,V)/n! to the coupling truncation."""
+    """Formal S-matrix sum_n V^{x_K n} / n! in the product of kernel `kind`
+    (timeordered_F; antitimeordered_F for Sbar), to the coupling truncation
+    of V."""
     for c in V.terms.values():
         if any(l == 0 for (_, l) in c.coeff):
             raise NoLambdaGrading("S-matrix argument must carry the coupling")
-    return exp_T(QuantProduct(xp, kind, degree_cap), V)
+    product = QuantProduct(xp, kind, degree_cap).product
+    out = PolyFunctional.unit(V.lat, V.trunc_h, V.trunc_l)
+    term = out
+    for n in range(1, V.trunc_l + 1):
+        term = product(term, V) * Fraction(1, n)
+        if term.is_zero():
+            break
+        out = out + term
+    return out
 
 
 def multilocal_injectivity_check(basis, degree: int, n_probes: int | None = None,

@@ -312,6 +312,17 @@ def test_unknown_config_key_is_a_config_error(tmp_path, command, text):
     ("suite", "only = 14\n"),
     ("suite", "only = 0\n"),
     ("suite", "only = five\n"),
+    ("suite", "only = yes\n"),
+    ("suite", "only = 2.5\n"),
+    ("weyl", "n = 2.5\n"),
+    ("commutator", "n_t = 17/2\n"),
+    ("graphs", "lines = on\n"),
+    ("flow", "n_steps = 12.5\n"),
+    ("commutator", "a_t = yes\n"),
+    ("commutator", "a_t = 1/0\n"),
+    ("commutator", "a_t = inf\n"),
+    ("commutator", "mass = on\n"),
+    ("flow", "k0 = 1.0, yes\n"),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"

@@ -53,15 +53,17 @@ def test_hadamard_symmetric_exact(xp_small):
 
 
 def test_wightman_decomposition_exact(xp_small):
-    """W = H + (i/2) Delta and F = H + i D, coefficient by coefficient."""
+    """W = H + (i/2) Delta, F = H + i D and F + Fbar = 2 H, coefficient by
+    coefficient."""
     half_i = ExactComplex(0, Fraction(1, 2))
-    H, C, W, S, iD, F = (xp_small.kernel(kind) for kind in (
+    H, C, W, S, iD, F, Fbar = (xp_small.kernel(kind) for kind in (
         "hadamard", "causal", "star_H", "star", "timeordered_D",
-        "timeordered_F"))
+        "timeordered_F", "antitimeordered_F"))
     for i, j in _pairs(xp_small.lat):
         assert S(i, j) == half_i * C(i, j)
         assert W(i, j) == H(i, j) + S(i, j)
         assert F(i, j) == H(i, j) + iD(i, j)
+        assert Fbar(i, j) + F(i, j) == H(i, j) * 2
 
 
 def test_feynman_minus_wightman_supported_on_past_cone(xp_small):
@@ -132,12 +134,13 @@ def reference_kernels(ps, i, j):
             "star": ExactComplex(0, Fraction(r - a) / 2),
             "star_H": ExactComplex(h, Fraction(r - a) / 2),
             "timeordered_D": ExactComplex(0, Fraction(r + a) / 2),
-            "timeordered_F": ExactComplex(h, Fraction(r + a) / 2)}
+            "timeordered_F": ExactComplex(h, Fraction(r + a) / 2),
+            "antitimeordered_F": ExactComplex(h, -Fraction(r + a) / 2)}
 
 
 def test_kernels_match_reference_lift(xp_small):
     kinds = ("causal", "hadamard", "star", "star_H", "timeordered_D",
-             "timeordered_F")
+             "timeordered_F", "antitimeordered_F")
     kernels = {kind: xp_small.kernel(kind) for kind in kinds}
     ps = PropagatorSet(xp_small.lat)
     for i, j in _pairs(xp_small.lat):

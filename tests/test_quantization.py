@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from paqft.exact import ExactComplex
 from paqft.series import FormalSeries
@@ -205,6 +207,37 @@ def test_s_matrix_is_unit_plus_coupling(xp_small):
             assert zero_slice == {(0, 0): ExactComplex(1)}
         else:
             assert zero_slice == {}
+
+
+def _star_inverse_reference(sp, A):
+    """Star-inverse of A = 1 + O(coupling) by the geometric series
+    sum_n (1 - A)^{*n}, which ends at the coupling truncation."""
+    one = PolyFunctional.unit(A.lat, A.trunc_h, A.trunc_l)
+    a = one - A
+    out = term = one
+    for _ in range(A.trunc_l):
+        term = sp.product(term, a)
+        out = out + term
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.dictionaries(st.integers(4, 27),  # sites of the interior rows
+                       st.fractions(-3, 3, max_denominator=4).filter(bool),
+                       min_size=1, max_size=3),
+       st.integers(2, 4), st.integers(1, 3), st.integers(1, 3))
+def test_antitimeordered_s_matrix_is_star_inverse(xp_small, f, degree,
+                                                  th, tl):
+    """Sbar(-V) equals the geometric series for S(V)^{*-1}, and
+    S(V) * Sbar(-V) = 1 = Sbar(-V) * S(V), exactly."""
+    V = interaction_vertex(xp_small.lat, f, degree, th, tl)
+    star = QuantProduct(xp_small, "star_H")
+    S = s_matrix(xp_small, V)
+    S_bar = s_matrix(xp_small, V * (-1), "antitimeordered_F")
+    assert S_bar == _star_inverse_reference(star, S)
+    one = PolyFunctional.unit(xp_small.lat, th, tl)
+    assert star.product(S, S_bar) == one
+    assert star.product(S_bar, S) == one
 
 
 def test_causal_factorization_exact(xp_small):
