@@ -288,27 +288,35 @@ def weyl_matrix(alpha: float, beta: float, n: int, dx: float,
     return W
 
 
+WEYL_PAIRS = (((1, 0), (0, 1)), ((2, 0.5), (-1, 1.5)), ((0, 2), (3, 0)))
+
+
+def weyl_grid_check(n: int, dx: float, hbar: float, pairs=WEYL_PAIRS) -> int:
+    """The most cells a composed shift moves, or ValueError naming n when
+    that leaves no interior column (n <= twice it)."""
+    reach = max(round(abs(hbar * a1 / dx)) + round(abs(hbar * a2 / dx))
+                for (a1, _), (a2, _) in pairs)
+    if n <= 2 * reach:
+        raise ValueError(f"n = {n}: no interior column, need n > {2 * reach}")
+    return reach
+
+
 def weyl_rep_check(n: int = 64, dx: float = 0.25, hbar: float = 1.0,
-                   pairs=None, x0: float = -8.0) -> dict:
+                   pairs=WEYL_PAIRS, x0: float = -8.0) -> dict:
     """Composition and adjoint relations for grid Weyl operators.
 
     Zero padding breaks the relations only in the edge columns a shift can
     reach, so they are asserted on the interior columns exactly.
     """
-    if pairs is None:
-        pairs = [((1.0, 0.0), (0.0, 1.0)),
-                 ((2.0, 0.5), (-1.0, 1.5)),
-                 ((0.0, 2.0), (3.0, 0.0))]
+    max_cells = weyl_grid_check(n, dx, hbar, pairs)
     comp_res = 0.0
     adj_res = 0.0
-    max_cells = 0
     for (a1, b1), (a2, b2) in pairs:
         W1 = weyl_matrix(a1, b1, n, dx, hbar, x0)
         W2 = weyl_matrix(a2, b2, n, dx, hbar, x0)
         W12 = weyl_matrix(a1 + a2, b1 + b2, n, dx, hbar, x0)
         phase = weyl_phase(a1, b1, a2, b2, hbar)
         cells = int(round(abs(hbar * a1 / dx))) + int(round(abs(hbar * a2 / dx)))
-        max_cells = max(max_cells, cells)
         lhs = W1 @ W2
         rhs = phase * W12
         lo, hi = cells, n - cells

@@ -54,11 +54,12 @@ def _fail(code, msg):
     sys.exit(code)
 
 
-def _load_cfg(path, keys):
+def _load_cfg(path, keys, checks):
     """The config of a command whose `keys` map each key it reads to
     (convert, default): every value converted once, defaults filled in.  A
     file that will not load, any other key and a value that will not
-    convert are config errors (exit 2), raised before any work."""
+    convert or that `checks` rejects are config errors (exit 2), raised
+    before any work."""
     cfg = {}
     if path is not None:
         try:
@@ -76,6 +77,12 @@ def _load_cfg(path, keys):
         except (ValueError, TypeError, ArithmeticError) as e:
             _fail(2, "bad config %s: key %s = %r: %s"
                   % (path, key, cfg[key], e))
+    for key, check in checks.items():
+        try:
+            check(out)
+        except (ValueError, ArithmeticError) as e:
+            _fail(2, "bad config %s: key %s = %r: %s"
+                  % (path, key, out[key], e))
     return out
 
 
@@ -101,19 +108,21 @@ def main():
     """Desk-scale perturbative algebraic QFT on a 1+1D lattice."""
 
 
-def command(keys, header, argument=None, comment=None, needs_out=False):
+def command(keys, header, argument=None, comment=None, needs_out=False,
+            checks=None):
     """Register fn(cfg, seed[, out][, argument]) -> (rows, summary lines,
     failure message or None) as the subcommand named after it.
 
-    `keys` maps each config key to (convert, default).  The subcommand loads
-    the config, runs fn under _guarded, writes the rows under `header` (after
-    the line `comment(cfg)` if given), echoes the summary and the artifact
-    path, and exits 3 with the failure message if there is one.  `argument`
-    names a positional command line argument; `needs_out` passes the
-    artifact directory (the propagator cache lives there)."""
+    `keys` maps each config key to (convert, default), `checks` a key to a
+    test across keys (see _load_cfg).  The subcommand loads the config,
+    runs fn under _guarded, writes the rows under `header` (after the line
+    `comment(cfg)` if given), echoes the summary and the artifact path, and
+    exits 3 with the failure message if there is one.  `argument` names a
+    positional command line argument; `needs_out` passes the artifact
+    directory (the propagator cache lives there)."""
     def register(fn):
         def run(config_path, out, seed, label, **arg):
-            cfg = _load_cfg(config_path, keys)
+            cfg = _load_cfg(config_path, keys, checks or {})
             extra = ((out,) if needs_out else ()) + tuple(arg.values())
             os.makedirs(out, exist_ok=True)
             rows, lines, failure = _guarded(lambda: fn(cfg, seed, *extra))
@@ -218,7 +227,8 @@ def gns(cfg, seed):
 
 
 @command({"n": (_int, 64), "dx": (_float, 0.25), "hbar": (_float, 1.0)},
-         QUANTITY)
+         QUANTITY, checks={"n": lambda c: al.weyl_grid_check(
+             c["n"], c["dx"], c["hbar"])})
 def weyl(cfg, seed):
     """Exponentiated commutation relations on a discrete line."""
     r = al.weyl_rep_check(n=cfg["n"], dx=cfg["dx"], hbar=cfg["hbar"])
@@ -409,16 +419,17 @@ def ms(cfg, seed, family_atom):
     div = eg.divergence_degree(base)
     rows = [("scaling_degree", sd), ("sd_method", how),
             ("divergence_degree", div)]
-    worst_pole = 0
+    worst_pole, margin = 0, math.inf
     for name, poly in _PROBES:
         r = eg.analytic_regularization(fam, _probe(poly), pole_cap=3)
         worst_pole = max(worst_pole, r["pole_order"])
+        margin = min(margin, r["pole_margin"])
         rows.append(("pole_order_%s" % name, r["pole_order"]))
         rows.append(("ms_value_%s" % name, r["regular_value"]))
         rows += [("pole_%s_order_%d" % (name, k + 1), c)
                  for k, c in enumerate(r["principal"])]
-    return rows, ["sd = %.6f, div = %.6f, max pole order %d"
-                  % (sd, div, worst_pole)], None
+    return rows, ["sd = %.6f, div = %.6f, max pole order %d, pole margin %.1e"
+                  % (sd, div, worst_pole, margin)], None
 
 
 # -------------------------------------------------------------- microlocal

@@ -7,14 +7,14 @@ the origin are available in closed form and the singular part of every
 pairing integral can be done exactly; adaptive quadrature only ever sees the
 smooth annulus.
 
-Every numerical integral here and in the wave front estimator goes through
-one routine, quad_complex: adaptive 21/10-point Gauss-Kronrod on the panels
-between breakpoints (window radii, jumps, the origin), vectorised over all
-nodes of a bisection round and complex-valued throughout.  It returns the
-value with QUADPACK's qk21 error estimate, which pair_with_error sums over
-terms (exact terms contribute 0); when the tolerance cannot be met within
-the interval limit or above the roundoff floor it warns with
-QuadratureWarning instead of failing silently.
+Every numerical integral here and in the wave front estimator goes through one
+routine, quad_complex: adaptive 21/10-point Gauss-Kronrod on the panels
+between breakpoints (window radii, jumps, the origin), complex-valued, all
+nodes of a round in one call.  Integrands of a family (rows: the circle
+samples of pair_family, a WF ladder) share one set of intervals, each row held
+to its own tolerance, and get QUADPACK's qk21 error estimate per row;
+pair_with_error sums it over terms (exact terms contribute 0).  A tolerance
+missed at the interval limit or roundoff floor warns (QuadratureWarning).
 
 Pairings with the homogeneous kinds below use the standard finite-part /
 analytic-continuation formulas.  For kinds of positive divergence degree the
@@ -25,7 +25,6 @@ order at the origin.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -250,59 +249,63 @@ _EPS = np.finfo(float).eps
 
 def _gk21(func, lo, hi):
     """Kronrod values, QUADPACK error estimates and roundoff floors of func
-    on the intervals [lo_i, hi_i], all nodes in one call of func."""
+    on the intervals [lo_i, hi_i] (axis 0, rows on axis 1), in one call."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _GK_X
-    fx = np.asarray(func(x.ravel()), dtype=complex).reshape(x.shape)
+    fx = np.asarray(func(x.ravel()), dtype=complex)
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
     resk = fx @ _GK_WK
     err = h * np.abs(resk - fx @ _GK_WG)
     resabs = h * (np.abs(fx) @ _GK_WK)
-    resasc = h * (np.abs(fx - 0.5 * resk[:, None]) @ _GK_WK)
+    resasc = h * (np.abs(fx - 0.5 * resk[..., None]) @ _GK_WK)
     scaled = (resasc > 0) & (err > 0)
     err[scaled] = resasc[scaled] * np.minimum(
         1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5)
     floor = 50.0 * _EPS * resabs
-    return h * resk, np.maximum(err, floor), floor
+    return (h * resk).T, np.maximum(err, floor).T, floor.T
 
 
 def quad_complex(func, a: float, b: float, points=(), epsabs: float = 1e-13,
                  epsrel: float = 1e-12, limit: int = 400):
     """(integral of func over [a, b], error estimate) for a complex-valued
-    func that maps an array of points to an array of values.
+    func that maps an array of n points to n values, or to (m, n) values
+    of m integrands (rows), which then share one run and come out as arrays.
 
     Adaptive 21/10-point Gauss-Kronrod on the panels between the breakpoints
-    in (a, b).  Each round bisects every interval whose error estimate
-    exceeds its length share of max(epsabs, epsrel |I|), and evaluates all
-    new nodes in one call.  Stops when the summed estimate is within that
-    tolerance; at `limit` intervals, or when only intervals at their
-    roundoff floor are left to split, it returns what it has and warns with
-    QuadratureWarning.
+    in (a, b), one set of intervals for all rows.  Each round bisects every
+    interval where a row not yet within max(epsabs, epsrel |I_k|) has an
+    error estimate over its length share of that, and evaluates all new
+    nodes in one call.  Stops when every row is within its tolerance; at
+    `limit` intervals, or when only intervals at their roundoff floor are
+    left to split, it returns what it has and warns with QuadratureWarning.
     """
-    if b <= a:
-        return 0j, 0.0
-    edges = np.array(sorted({a, b, *(p for p in points if a < p < b)}),
+    edges = np.array(sorted({a, max(a, b), *(p for p in points if a < p < b)}),
                      dtype=float)
     lo, hi = edges[:-1], edges[1:]
     val, err, floor = _gk21(func, lo, hi)
     while True:
-        total, etotal = val.sum(), err.sum()
-        tol = max(epsabs, epsrel * abs(total))
-        if etotal <= tol:
+        total, etotal = val.sum(axis=0), err.sum(axis=0)
+        tol = np.maximum(epsabs, epsrel * abs(total))
+        open_ = etotal > tol
+        if not np.count_nonzero(open_):
             break
         mid = 0.5 * (lo + hi)
-        split = np.flatnonzero((err > tol * (hi - lo) / (b - a))
-                               & (err > floor) & (lo < mid) & (mid < hi))
+        share = np.multiply.outer(hi - lo, tol) / (b - a)
+        over = ((err > share) & (err > floor) & open_).reshape(len(lo), -1)
+        split = np.flatnonzero(over.any(axis=1) & (lo < mid) & (mid < hi))
         room = limit - len(lo)
         if not len(split) or room <= 0:
+            i = np.argmax(np.ravel(etotal / tol))  # the worst row
             warnings.warn(
                 "quadrature on [%g, %g] stopped at %d intervals with error "
                 "estimate %.2e > tolerance %.2e (%s)"
-                % (a, b, len(lo), etotal, tol,
+                % (a, b, len(lo), np.ravel(etotal)[i], np.ravel(tol)[i],
                    "interval limit" if len(split) else "roundoff floor"),
                 QuadratureWarning, stacklevel=2)
             break
         if len(split) > room:
-            split = split[np.argsort(err[split])[::-1][:room]]
+            worst = np.where(open_, err / tol, 0.0).reshape(len(lo), -1)
+            split = split[np.argsort(worst.max(axis=1)[split])[::-1][:room]]
         keep = np.ones(len(lo), dtype=bool)
         keep[split] = False
         new_lo = np.concatenate([lo[split], mid[split]])
@@ -312,6 +315,8 @@ def quad_complex(func, a: float, b: float, points=(), epsabs: float = 1e-13,
         hi = np.concatenate([hi[keep], new_hi])
         val, err, floor = (np.concatenate([old[keep], fresh])
                            for old, fresh in zip((val, err, floor), new))
+    if np.ndim(total):
+        return total, etotal
     return complex(total), float(etotal)
 
 
@@ -322,15 +327,14 @@ def _breakpoints(f: TestFunction1D):
     return pts
 
 
-def _power_log_integral(b: complex, p: int, upper: float) -> complex:
-    """int_0^upper x^b log^p(x) dx, Re b > -1."""
+def _power_log_integral(b, p: int, upper: float):
+    """int_0^upper x^b log^p(x) dx, Re b > -1 (b complex or an array)."""
     lu = math.log(upper)
-    ub = upper ** (b + 1) if isinstance(b, float) else cmath.exp((b + 1) * lu)
     total = 0j
     for i in range(p + 1):
         total += ((-1) ** (p - i) * math.factorial(p) / math.factorial(i)
                   * lu ** i / (b + 1) ** (p - i + 1))
-    return ub * total
+    return np.exp((b + 1) * lu) * total
 
 
 # ---------------------------------------------------------------------------
@@ -454,20 +458,20 @@ def _pair_term(kind, f: TestFunction1D):
                             points=_breakpoints(f))
     if tag == "power_i0":
         _, sign, a = kind
-        return _pair_power_i0(sign, complex(a), f)
+        return _pair_power_i0(sign, a, f)
     if tag == "halfline":
         _, side, a, p = kind
         g = f if side == 1 else f.mirror()
-        return _pair_halfline_plus(complex(a), p, g)
+        return _pair_halfline_plus(a, p, g)
     raise DistError(f"unknown term kind {tag!r}")
 
 
-def _is_int(z: complex, tol: float = 1e-12) -> bool:
-    return abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
+def _is_int(z, tol: float = 1e-12):
+    return (abs(z.imag) < tol) & (abs(z.real - np.round(z.real)) < tol)
 
 
-def _pair_power_i0(sign: int, a: complex, f: TestFunction1D):
-    if _is_int(a):
+def _pair_power_i0(sign: int, a, f: TestFunction1D):
+    if np.any(_is_int(a)):
         n = int(round(a.real))
         if n >= 0:
             return _pair_term(("monomial", n), f)
@@ -479,7 +483,7 @@ def _pair_power_i0(sign: int, a: complex, f: TestFunction1D):
     # branch cut split: (x + s i0)^a = x_+^a + e^{s i pi a} x_-^a
     plus, e_plus = _pair_halfline_plus(a, 0, f)
     minus, e_minus = _pair_halfline_plus(a, 0, f.mirror())
-    phase = cmath.exp(sign * 1j * math.pi * a)
+    phase = np.exp(sign * 1j * math.pi * a)
     return plus + phase * minus, e_plus + abs(phase) * e_minus
 
 
@@ -525,25 +529,27 @@ def principal_value(f: TestFunction1D) -> complex:
     return _finite_part(1, f)[0]
 
 
-def _pair_halfline_plus(a: complex, p: int, f: TestFunction1D):
+def _pair_halfline_plus(a, p: int, f: TestFunction1D):
     """(<x_+^a log^p x, f>, error estimate) by analytic continuation:
     subtract the Taylor polynomial to order N-1 on (0, 1), N minimal with
     Re(a) + N > -1, and add back the boundary moments.  At negative integer
     a = -n the j = n-1 moment is a genuine pole; the pairing exists only on
     test functions whose order-(n-1) jet vanishes (as after a w-scheme
-    projection), and then the pole term is simply absent."""
+    projection), and then the pole term is simply absent.  An array of
+    non-integer a gives one row per exponent, all weighted by exp(a_k log x)
+    at shared nodes, with the largest N any row needs."""
     core = f.core_poly
     skip_j = None
-    if _is_int(a) and round(a.real) <= -1:
-        skip_j = -round(a.real) - 1
+    if np.any(_is_int(a) & (a.real < -0.5)):
+        skip_j = -int(np.round(a.real)) - 1
         jet = core[skip_j] if skip_j < len(core) else 0.0
         scale = max([1.0] + [abs(c) for c in core])
         if abs(jet) > 1e-9 * scale:
             raise DivergentPairing(
                 f"x_+^{a} has a pole against a nonzero order-{skip_j} jet; "
                 "extend or regularize instead")
-    N = max(0, int(math.floor(-a.real)))
-    while a.real + N <= -1:
+    N = max(0, int(math.floor(-np.min(np.real(a)))))
+    while np.any(np.real(a) + N <= -1):
         N += 1
     delta = min(f.plateau_radius, 1.0)
     out = 0j
@@ -551,12 +557,12 @@ def _pair_halfline_plus(a: complex, p: int, f: TestFunction1D):
     for j in range(N, len(core)):
         out += core[j] * _power_log_integral(a + j, p, delta)
     # numeric part on (delta, 1) with explicit subtraction
-    weight = lambda x: (np.asarray(x, complex) ** a
-                        * (np.log(x) ** p if p else 1.0))
+    weight = lambda log_x: np.exp(np.multiply.outer(a, log_x)) * log_x ** p
     err = 0.0
     if delta < 1.0:
-        v, err = quad_complex(lambda x: weight(x) * f.taylor_remainder(x, N),
-                              delta, 1.0, points=_breakpoints(f))
+        v, err = quad_complex(
+            lambda x: weight(np.log(x)) * f.taylor_remainder(x, N),
+            delta, 1.0, points=_breakpoints(f))
         out += v
     # boundary moments int_0^1 x^(a+j) log^p
     for j in range(min(N, len(core))):
@@ -567,10 +573,33 @@ def _pair_halfline_plus(a: complex, p: int, f: TestFunction1D):
     # far part (1, R)
     R = f.support_radius
     if R > 1.0:
-        v, e = quad_complex(lambda x: weight(x) * f(x), 1.0, R,
+        v, e = quad_complex(lambda x: weight(np.log(x)) * f(x), 1.0, R,
                             points=_breakpoints(f))
         out, err = out + v, err + e
     return out, err
+
+
+def pair_family(dists, f: TestFunction1D):
+    """(values, error estimates) of <t_k, f> over distributions of one term
+    layout: the same kinds (signs or sides, log powers) less their exponent,
+    index 2 if any; coefficients may differ.  A term with one exponent is
+    paired once, a halfline or power_i0 term with varying non-integer exponents
+    in one exponent-array pairing.  Any other family raises DistError."""
+    if len({tuple(k[:2] + k[3:] for _, k in t.terms) for t in dists}) != 1:
+        raise DistError("pair_family needs one term layout over the family")
+    values, errors = np.zeros(len(dists), dtype=complex), np.zeros(len(dists))
+    for terms in zip(*(t.terms for t in dists)):
+        coeffs, kinds = zip(*terms)
+        kind = kinds[0]
+        if len(set(kinds)) > 1:
+            a = np.array([k[2] for k in kinds], dtype=complex)
+            if _is_int(a).any():
+                raise DistError("a varying exponent meets an integer")
+            kind = kind[:2] + (a,) + kind[3:]
+        v, e = _pair_term(kind, f)
+        values += np.multiply(coeffs, v)
+        errors += np.abs(coeffs) * e
+    return values, errors
 
 
 def pointwise_power_product(t1: SymbolicDistribution1D,

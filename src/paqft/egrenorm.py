@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .dist1d import (DistError, SymbolicDistribution1D, TestFunction1D,
-                     pointwise_power_product)
+                     pair_family, pointwise_power_product)
 
 
 class ExtensionError(DistError):
@@ -161,21 +161,20 @@ def analytic_regularization(family, f: TestFunction1D, pole_cap: int = 3,
                             tail_order: int = 8, tol: float = 1e-9) -> dict:
     """Laurent data of zeta -> <family(zeta), f> around zeta = 0.
 
-    family maps a nonzero complex zeta to a SymbolicDistribution1D.  Samples
-    on small circles are fitted to sum_{k=-p}^{q} c_k zeta^k for increasing
-    pole order p; the first p whose fit residual is below tol (relative to
-    the sample scale) wins.  The analytic tail must be long enough to push
-    the truncation error below tol at the outer radius.
+    family maps a nonzero complex zeta to a SymbolicDistribution1D of one
+    term layout.  Samples on small circles (one pair_family run) are fitted
+    to sum_{k=-p}^{q} c_k zeta^k for increasing pole order p; the first p
+    whose fit residual is below tol * scale (the largest sample, at least 1)
+    wins, with pole_margin the factor by which the nearer of it and the
+    order-(p-1) fit clears tol * scale.  The analytic tail must be long
+    enough to push the truncation error below tol at the outer radius.
     """
-    zetas, vals = [], []
-    for r in radii:
-        for j in range(n_angles):
-            z = r * cmath.exp(2j * math.pi * (j + 0.5) / n_angles)
-            zetas.append(z)
-            vals.append(family(z).pair(f))
+    zetas = [r * cmath.exp(2j * math.pi * (j + 0.5) / n_angles)
+             for r in radii for j in range(n_angles)]
+    vals, errs = pair_family([family(z) for z in zetas], f)
     zetas = np.array(zetas)
-    vals = np.array(vals)
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    threshold = tol * max(1.0, float(np.max(np.abs(vals))))
+    margin = math.inf
     for p in range(pole_cap + 1):
         powers = list(range(-p, tail_order + 1))
         A = np.array([[z ** k for k in powers] for z in zetas])
@@ -184,7 +183,7 @@ def analytic_regularization(family, f: TestFunction1D, pole_cap: int = 3,
         sol, *_ = np.linalg.lstsq(A / colscale, vals, rcond=None)
         coeffs = sol / colscale
         resid = float(np.max(np.abs(A @ coeffs - vals)))
-        if resid < tol * scale:
+        if resid < threshold:
             by_power = dict(zip(powers, coeffs))
             return {
                 "pole_order": p,
@@ -193,7 +192,11 @@ def analytic_regularization(family, f: TestFunction1D, pole_cap: int = 3,
                 "coefficients": by_power,
                 "residual": resid,
                 "n_samples": len(vals),
+                "sample_error": float(np.max(errs)),
+                "pole_margin": min(margin, threshold / resid if resid
+                                   else math.inf),
             }
+        margin = resid / threshold
     raise PoleOrderExceeded(
         f"no fit with pole order <= {pole_cap} (residual {resid:.3e})")
 

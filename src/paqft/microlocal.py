@@ -104,8 +104,8 @@ def _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor, meta):
 
 
 class _WindowedWave:
-    """W(x - x0) e^{ikx} with a plateau window; derivatives at the origin are
-    exact when the origin sits on the plateau or outside the support."""
+    """W(x - x0) e^{ikx} with a plateau window, k one frequency or an array
+    (a row each); derivatives at 0 are exact on the plateau or off support."""
 
     def __init__(self, x0: float, k: float, r0: float, R: float):
         self.x0 = x0
@@ -124,47 +124,48 @@ class _WindowedWave:
 
     def value(self, x):
         return _window(np.asarray(x) - self.x0, self.r0, self.R) \
-            * np.exp(1j * self.k * np.asarray(x))
+            * np.exp(1j * np.multiply.outer(self.k, x))
 
     def derivative_at_0(self, m: int) -> complex:
         return self.window_at_origin() * (1j * self.k) ** m
 
 
-def _quad(f, lo, hi, points=()) -> complex:
+def _quad(f, lo, hi, points=()):
     return quad_complex(f, lo, hi, points, epsabs=1e-12, epsrel=1e-10,
-                        limit=1000)[0]
+                        limit=1000)
 
 
-def _pair_wave_1d(t, wave: _WindowedWave) -> complex:
-    """<t, W e^{ikx}> for the model kinds that appear in the demos; a
-    callable t maps an array of points to an array of values."""
+def _pair_wave_1d(t, wave: _WindowedWave):
+    """(<t, W e^{ikx}>, error estimate) per frequency, for the model kinds of
+    the demos; a callable t maps an array of points to an array of values."""
     lo, hi = wave.x0 - wave.R, wave.x0 + wave.R
     if callable(t) and not isinstance(t, SymbolicDistribution1D):
         return _quad(lambda x: t(x) * wave.value(x), lo, hi)
-    out = 0j
+    out, err = 0j, 0.0
     for coeff, kind in t.terms:
-        tag = kind[0]
+        tag, e = kind[0], 0.0
         if tag == "delta":
-            out += coeff * (-1) ** kind[1] * wave.derivative_at_0(kind[1])
+            v = (-1) ** kind[1] * wave.derivative_at_0(kind[1])
         elif tag == "monomial":
-            out += coeff * _pair_wave_1d(lambda x: x ** kind[1], wave)
+            v, e = _pair_wave_1d(lambda x: x ** kind[1], wave)
         elif tag == "heaviside":
-            out += coeff * _quad(lambda x: np.where(x >= 0, x ** kind[1], 0.0)
-                                 * wave.value(x), lo, hi, points=(0.0,))
+            v, e = _quad(lambda x: np.where(x >= 0, x ** kind[1], 0.0)
+                         * wave.value(x), lo, hi, points=(0.0,))
         elif tag == "power_i0" and kind[2] == -1:
             sign = kind[1]
             if lo < 0.0 < hi:
                 # PV int g/x = int (g - g(0))/x + g(0) log(hi / -lo)
                 g0 = wave.window_at_origin()
-                pv = _quad(lambda x: (wave.value(x) - g0) / x, lo, hi,
-                           points=(0.0,)) + g0 * math.log(hi / -lo)
-                out += coeff * (pv - sign * 1j * math.pi * g0)
+                pv, e = _quad(lambda x: (wave.value(x) - g0) / x, lo, hi,
+                              points=(0.0,))
+                v = pv + g0 * math.log(hi / -lo) - sign * 1j * math.pi * g0
             else:
-                out += coeff * _pair_wave_1d(lambda x: 1.0 / x, wave)
+                v, e = _pair_wave_1d(lambda x: 1.0 / x, wave)
         else:
             raise MicrolocalError(
                 f"wave pairing not implemented for kind {kind}")
-    return out
+        out, err = out + coeff * v, err + abs(coeff) * e
+    return out, err
 
 
 def _array_valued(t):
@@ -190,17 +191,21 @@ def wf_estimate_1d(t, centers=(0.0,), k_base: float = 4.0,
     evaluated on numpy arrays of points (all quadrature nodes of a round at
     once) and must return an array of values of the same shape, e.g.
     lambda x: np.exp(-x ** 2); anything else raises TypeError.  Directions
-    are the two signs; the frequency ladder is k_base * 2^j.
-    """
+    are the two signs, the ladder k_base * 2^j (one quadrature run per centre);
+    meta["abserr"] is each ray's worst error estimate over its ladder."""
     if callable(t) and not isinstance(t, SymbolicDistribution1D):
         t = _array_valued(t)
     r0, R = window
     rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
     cs, dirs = [(float(x0),) for x0 in centers], ((1.0,), (-1.0,))
-    amps = [abs(_pair_wave_1d(t, _WindowedWave(c[0], s * r, r0, R)))
-            for c in cs for (s,) in dirs for r in rs]
-    return _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor,
-                     {"k_base": k_base, "ladder": rs, "window": window})
+    ks = np.array([s * r for (s,) in dirs for r in rs])
+    vals, errs = np.zeros((2, len(cs), len(ks)), dtype=complex)
+    for i, c in enumerate(cs):
+        vals[i], errs[i] = _pair_wave_1d(t, _WindowedWave(c[0], ks, r0, R))
+    meta = {"k_base": k_base, "ladder": rs, "window": window,
+            "abserr": errs.real.reshape(-1, len(rs)).max(axis=1)}
+    return _estimate(cs, dirs, rs, np.abs(vals), threshold, amp_floor,
+                     rel_floor, meta)
 
 
 # ---------------------------------------------------------------------------

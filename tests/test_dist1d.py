@@ -6,17 +6,19 @@ polynomial extrapolation, half-line powers via explicit subtraction) and
 never call into the pairing rules they are checking.
 """
 import cmath
+import functools
 import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from paqft.dist1d import (TestFunction1D, SymbolicDistribution1D, DistError,
                           DivergentPairing, NotHomogeneousClass,
-                          QuadratureWarning, principal_value,
+                          QuadratureWarning, principal_value, pair_family,
                           pointwise_power_product, quad_complex)
 from paqft import microlocal as ml
 
@@ -384,22 +386,36 @@ def test_limit_too_small_warns():
         got, err = quad_complex(lambda x: np.exp(200j * x), 0.0, 1.0,
                                 limit=4)
     assert err > 1e-13
+    # a family warns when its worst row falls short
+    rows = lambda x: np.exp(1j * np.multiply.outer([1.0, 200.0], x))
+    with pytest.warns(QuadratureWarning, match="interval limit"):
+        got, err = quad_complex(rows, 0.0, 1.0, limit=4)
+    assert err.shape == (2,) and err[1] > 1e-13
 
 
 def test_roundoff_floor_warns():
     with pytest.warns(QuadratureWarning, match="roundoff floor"):
         got, err = quad_complex(np.cos, 0.0, 1.0, epsabs=0.0, epsrel=1e-18)
     assert got == pytest.approx(math.sin(1.0), rel=1e-14)
+    with pytest.warns(QuadratureWarning, match="roundoff floor"):
+        got, err = quad_complex(lambda x: np.array([np.cos(x), np.sin(x)]),
+                                0.0, 1.0, epsabs=0.0, epsrel=1e-18)
+    assert got == pytest.approx([math.sin(1.0), 1.0 - math.cos(1.0)],
+                                rel=1e-14)
 
 
 def test_empty_interval():
     assert quad_complex(np.cos, 1.0, 1.0) == (0j, 0.0)
+    got, err = quad_complex(lambda x: np.array([np.cos(x), np.sin(x)]),
+                            1.0, 1.0)
+    assert got.tolist() == [0j, 0j] and err.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("k", LADDER)
 def test_pv_subtraction_matches_cauchy_weight(k):
     wave = ml._WindowedWave(0.0, k, 0.25, 0.5)
-    got = ml._pair_wave_1d(SymbolicDistribution1D.power_i0(-1.0, +1), wave)
+    got, err = ml._pair_wave_1d(SymbolicDistribution1D.power_i0(-1.0, +1),
+                                wave)
 
     def pv(part):
         return integrate.quad(lambda x: part(wave.value(x)), -0.5, 0.5,
@@ -429,3 +445,183 @@ def test_pair_with_error():
     want = (2.0 * (oracle_pv(f) - 1j * math.pi * f(0.0)) + f(0.0)
             + oracle_halfline(-0.5, 1, f.mirror()))
     assert abs(value - want) < 1e-8
+
+
+EXPONENTS = np.array([-1.5, -0.5 + 0.3j, 0.0, 1.0, 2.5 - 1.0j, 7.0])
+WINDOW = TestFunction1D.plateau(0.25, 0.5)
+
+
+@pytest.mark.parametrize("rows, a, b, m", [
+    (lambda x: np.exp(np.multiply.outer(EXPONENTS, np.log(x))), 0.3, 1.0,
+     len(EXPONENTS)),
+    (lambda x: np.exp(1j * np.multiply.outer(
+        [s * k for s in (1, -1) for k in LADDER], x)) * WINDOW(x),
+     -0.5, 0.5, 2 * len(LADDER)),
+])
+def test_vector_rows_match_scalar_runs(rows, a, b, m):
+    """Shared intervals are at least as fine as each row's own run: every
+    row meets its own tolerance and agrees with its scalar run within the
+    two error estimates."""
+    epsabs, epsrel = 1e-13, 1e-12
+    got, err = _quad_checked(rows, a, b, epsabs=epsabs, epsrel=epsrel)
+    assert got.shape == err.shape == (m,)
+    for k in range(m):
+        one, one_err = _quad_checked(lambda x: rows(x)[k], a, b,
+                                     epsabs=epsabs, epsrel=epsrel)
+        assert type(one) is complex and type(one_err) is float
+        assert abs(got[k] - one) <= err[k] + one_err
+        assert err[k] <= max(epsabs, epsrel * abs(got[k]))
+
+
+def test_pair_family_needs_one_layout():
+    f = TestFunction1D.from_poly((1.0, 0.5), 0.4, 1.2)
+    half = lambda a, p=0: SymbolicDistribution1D.halfline(a, +1, p)
+    for family in (
+            [half(-0.5), SymbolicDistribution1D.power_i0(-0.5)],
+            [half(-0.5), half(-0.6, 1)],
+            [half(-0.5), SymbolicDistribution1D.halfline(-0.6, -1)],
+            [half(-0.5), half(-0.6) + SymbolicDistribution1D.delta(0)],
+            [SymbolicDistribution1D.delta(0), SymbolicDistribution1D.delta(1)],
+            [SymbolicDistribution1D.power_i0(a) for a in (-1.5, -1.0)],
+            []):
+        with pytest.raises(DistError):
+            pair_family(family, f)
+    # a term with a fixed exponent is shared, coefficients may vary
+    family = [SymbolicDistribution1D.delta(1, coeff=c) + half(a)
+              for c, a in ((1.0, -0.5), (2.0, -0.7 + 0.1j))]
+    values, errors = pair_family(family, f)
+    for t, v, e in zip(family, values, errors):
+        assert abs(v - t.pair(f)) <= e + t.pair_with_error(f)[1]
+
+
+# --------------------------------------------------------------------------
+# high-precision oracle: mpmath at 30 digits
+#
+# Each truth is an integral over the window's transition annulus [r0, R] by
+# a composite tanh-sinh rule, plus the plateau part in closed form.  The
+# closed form differs from the one under test: int_0^r0 x^(a+j) =
+# r0^(a+j+1)/(a+j+1) with nothing subtracted, against the library's Taylor
+# subtraction up to x = 1 and its boundary moments there.  Every truth is
+# computed with two rules that must agree to 1e-20, six orders below the
+# smallest floor; the wave integrand, up to 20 periods on [r0, R], needs
+# more panels than the smooth half-line one.  The asserted bound is the
+# error estimate plus a floor of 1e-14 * max(1, |truth|): the estimate
+# covers the quadrature only, the floor covers the double-precision
+# rounding of the closed-form terms the library adds to it (boundary
+# moments 1/(a + j + 1) of size up to 20 on the circle |z| = 0.05, log and
+# i pi terms).
+
+HALFLINE_RULES = ((1, 1 / 32), (2, 1 / 32))  # (panels, tanh-sinh step)
+WAVE_RULES = ((4, 1 / 32), (8, 1 / 16))
+
+
+@functools.lru_cache(maxsize=None)
+def _tanh_sinh(h):
+    """Tanh-sinh nodes and weights on [-1, 1], |t| <= 3.5, at 30 digits."""
+    with mpmath.workdps(30):
+        out = []
+        for j in range(-int(3.5 / h), int(3.5 / h) + 1):
+            t = j * mpmath.mpf(h)
+            u = mpmath.pi / 2 * mpmath.sinh(t)
+            w = h * mpmath.pi / 2 * mpmath.cosh(t) / mpmath.cosh(u) ** 2
+            out.append((mpmath.tanh(u), w))
+        return tuple(out)
+
+
+def _mp_nodes(lo, hi, panels, h):
+    """Composite tanh-sinh nodes and weights on [lo, hi]."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    r = (hi - lo) / (2 * panels)
+    return [(lo + (2 * i + 1) * r + r * x, r * w)
+            for i in range(panels) for x, w in _tanh_sinh(h)]
+
+
+def _mp_window(x, r0, R):
+    ax = abs(x)
+    if ax <= r0:
+        return mpmath.mpf(1)
+    if ax >= R:
+        return mpmath.mpf(0)
+    u = (R - ax) / (R - r0)
+    a, b = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+    return a / (a + b)
+
+
+def _mp_truth(truth, rules):
+    """truth(rule) with both rules, checked to agree; the first as complex."""
+    with mpmath.workdps(30):
+        fine, coarse = (truth(rule) for rule in rules)
+        assert max(abs(x - y) for x, y in zip(fine, coarse)) < 1e-20
+        return [complex(x) for x in fine]
+
+
+def _mp_halfline(exponents, a0, f, side, rule):
+    """<x_+^a, f(side x)> for each exponent a near the integer a0, f real.
+    On the annulus x^a = x^a0 sum_k (a - a0)^k log^k(x) / k!, so 16
+    moments, one pass over the nodes, serve every exponent (|a - a0| <= 0.1
+    and |log x| < 0.92 here: the 16th term is below 1e-29)."""
+    (coeff, poly, r0, R), = f.atoms
+    poly = [mpmath.mpf((coeff * c).real) * side ** j
+            for j, c in enumerate(poly)]
+    moments = [mpmath.mpf(0)] * 16
+    for x, w in _mp_nodes(r0, R, *rule):
+        v = w * x ** a0 * mpmath.polyval(poly[::-1], x) * _mp_window(x, r0, R)
+        log_x = mpmath.log(x)
+        for k in range(len(moments)):
+            moments[k] += v
+            v *= log_x
+    moments = [m / mpmath.factorial(k) for k, m in enumerate(moments)]
+    r0 = mpmath.mpf(r0)
+    return [sum(c * r0 ** (a + j + 1) / (a + j + 1)
+                for j, c in enumerate(poly))
+            + mpmath.polyval(moments[::-1], a - a0)
+            for a in map(mpmath.mpc, exponents)]
+
+
+CIRCLE = [r * cmath.exp(2j * math.pi * (j + 0.5) / 8)
+          for r in (0.1, 0.05) for j in range(8)]
+
+
+@pytest.mark.parametrize("family, a0, f, sides", [
+    (lambda z: SymbolicDistribution1D.halfline(z - 1.0, +1), -1,
+     TestFunction1D.from_poly((1.0, 0.4), 1.0, 2.0), False),
+    (lambda z: SymbolicDistribution1D.power_i0(-2.0 + z, +1), -2,
+     TestFunction1D.from_poly((1.0, -0.5, 0.25, 0.125), 0.4, 0.9), True),
+])
+def test_circle_samples_against_mpmath(family, a0, f, sides):
+    """The 16 samples of analytic_regularization around zeta = 0: AC09's
+    x_+^(z-1) and the Feynman square's (x+i0)^(-2+z) =
+    x_+^a + e^{i pi a} x_-^a, each on its probe."""
+    dists = [family(z) for z in CIRCLE]
+    values, errors = pair_family(dists, f)
+    exps = [t.terms[0][1][2] for t in dists]
+
+    def truth(rule):
+        out = _mp_halfline(exps, a0, f, 1, rule)
+        if sides:
+            out = [p + mpmath.expjpi(mpmath.mpc(a)) * m for a, p, m in zip(
+                exps, out, _mp_halfline(exps, a0, f, -1, rule))]
+        return out
+    for v, e, w in zip(values, errors, _mp_truth(truth, HALFLINE_RULES)):
+        assert abs(w - v) <= e + 1e-14 * max(1.0, abs(w))
+
+
+def test_wf_ladder_against_mpmath():
+    """AC11's (x+i0)^-1 ladder at x0 = 0: <(x+i0)^-1, W e^{ikx}> =
+    +-2i (Si(k r0) + int_r0^R W sin(|k| x)/x) - i pi for k = +-|k|."""
+    r0, R = 0.25, 0.5
+    ks = np.array([s * k for s in (1, -1) for k in LADDER])
+    values, errors = ml._pair_wave_1d(
+        SymbolicDistribution1D.power_i0(-1.0, +1),
+        ml._WindowedWave(0.0, ks, r0, R))
+
+    def truth(rule):
+        S = [mpmath.si(k * mpmath.mpf(r0)) for k in LADDER]
+        for x, w in _mp_nodes(r0, R, *rule):
+            g, e = w * _mp_window(x, r0, R) / x, mpmath.expj(LADDER[0] * x)
+            for j in range(len(LADDER)):  # the ladder doubles k
+                S[j] += g * e.imag
+                e = e * e
+        return [s * 2j * v - 1j * mpmath.pi for s in (1, -1) for v in S]
+    for v, e, w in zip(values, errors, _mp_truth(truth, WAVE_RULES)):
+        assert abs(w - v) <= e + 1e-14 * max(1.0, abs(w))
