@@ -46,8 +46,6 @@ INVARIANT_ERRORS = (qz.QuantizationError, gr.GraphError, al.AlgebraError,
 CHECK_ERRORS = (eg.ExtensionError, dist1d.DivergentPairing,
                 ml.MicrolocalError)
 
-DEGREE_CAP = 8  # demos stay below this; the cap catches runaway expansions
-
 
 def _fail(code, msg):
     click.echo("error: %s" % msg, err=True)
@@ -168,6 +166,13 @@ def _real(convert):
 _float, _fraction = _real(float), _real(Fraction)
 
 
+def _positive(v):
+    x = _float(v)
+    if not (x > 0 and math.isfinite(x)):  # nan fails x > 0
+        raise ValueError("want a positive finite number")
+    return x
+
+
 def _floats(v):
     return tuple(_float(x) for x in (v if isinstance(v, list) else [v]))
 
@@ -226,7 +231,8 @@ def gns(cfg, seed):
     return rows, lines, None if ok else "a GNS residual exceeded 1e-10"
 
 
-@command({"n": (_int, 64), "dx": (_float, 0.25), "hbar": (_float, 1.0)},
+@command({"n": (_int, 64), "dx": (_positive, 0.25),
+          "hbar": (_positive, 1.0)},
          QUANTITY, checks={"n": lambda c: al.weyl_grid_check(
              c["n"], c["dx"], c["hbar"])})
 def weyl(cfg, seed):
@@ -322,7 +328,7 @@ def smatrix(cfg, seed):
     """Formal S-matrix of a quartic vertex, term by term."""
     lat, xp, (g,) = _exact(cfg, seed, 1)
     V = interaction_vertex(lat, g, 4)
-    S = qz.s_matrix(xp, V, degree_cap=DEGREE_CAP)
+    S = qz.s_matrix(xp, V)
     ok = S.coefficient(()).coefficient(0, 0) == ExactComplex(1)
     return formats.functional_rows(S), [
         "S = T exp(V) to (hbar<=%d, lambda<=%d); unit at lambda^0: %s"
@@ -371,7 +377,7 @@ def _sd_report(t):
     try:
         return eg.scaling_degree_regression(t), "regression"
     except dist1d.DivergentPairing:
-        return eg.scaling_degree(t), "symbolic"
+        return t.scaling_degree(), "symbolic"
 
 
 def _probe(poly):
@@ -419,17 +425,19 @@ def ms(cfg, seed, family_atom):
     div = eg.divergence_degree(base)
     rows = [("scaling_degree", sd), ("sd_method", how),
             ("divergence_degree", div)]
-    worst_pole, margin = 0, math.inf
+    worst_pole, margin, error = 0, math.inf, 0.0
     for name, poly in _PROBES:
         r = eg.analytic_regularization(fam, _probe(poly), pole_cap=3)
         worst_pole = max(worst_pole, r["pole_order"])
         margin = min(margin, r["pole_margin"])
+        error = max(error, r["error"])
         rows.append(("pole_order_%s" % name, r["pole_order"]))
         rows.append(("ms_value_%s" % name, r["regular_value"]))
         rows += [("pole_%s_order_%d" % (name, k + 1), c)
                  for k, c in enumerate(r["principal"])]
-    return rows, ["sd = %.6f, div = %.6f, max pole order %d, pole margin %.1e"
-                  % (sd, div, worst_pole, margin)], None
+    return rows, ["sd = %.6f, div = %.6f, max pole order %d, pole margin "
+                  "%.1e, worst MS error bound %.1e"
+                  % (sd, div, worst_pole, margin, error)], None
 
 
 # -------------------------------------------------------------- microlocal

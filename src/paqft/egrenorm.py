@@ -3,13 +3,14 @@
 Workflow: measure the scaling degree (symbolically and by a scaling
 regression), read off the divergence degree, then either project test
 functions onto the subspace vanishing to that order (W-scheme) or remove the
-pole of an analytic regularization (minimal subtraction).  Different schemes
-differ by local terms only; the difference is fitted and certified here.
+pole of an analytic regularization (minimal subtraction, from Laurent
+coefficients read off as trapezoid sums on two small circles, each with its
+error bound).  Different schemes differ by local terms only; the difference
+is fitted and certified here.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import warnings
@@ -36,20 +37,12 @@ class NegativeDivergenceWarning(UserWarning):
     """Extension is unique; a supplied projection was ignored."""
 
 
-def scaling_degree(t: SymbolicDistribution1D) -> float:
-    return t.scaling_degree()
-
-
-def scaling_degree_regression(t: SymbolicDistribution1D,
-                              probe: TestFunction1D | None = None,
-                              lams=None) -> float:
-    """Slope of log|<t(lam .), f>| against log(lam); sd is minus the slope."""
-    if probe is None:
-        probe = TestFunction1D.from_poly((1.0, 0.5, -0.25), 0.5, 1.0)
-    if lams is None:
-        lams = [2.0 ** -k for k in range(1, 9)]
+def scaling_degree_regression(t: SymbolicDistribution1D) -> float:
+    """Slope of log|<t(lam .), f>| against log(lam) over lam = 2^-1..2^-8 on
+    one fixed probe f; sd is minus the slope."""
+    probe = TestFunction1D.from_poly((1.0, 0.5, -0.25), 0.5, 1.0)
     xs, ys = [], []
-    for lam in lams:
+    for lam in (2.0 ** -k for k in range(1, 9)):
         v = t.pair_scaled(lam, probe)
         if abs(v) > 1e-300:
             xs.append(math.log(lam))
@@ -106,8 +99,7 @@ class ExtendedDistribution:
         return self.base.pair_with_error(w_project(f, self.w_alphas))
 
 
-def extend(t: SymbolicDistribution1D, w_alphas=None,
-           order: int | None = None) -> ExtendedDistribution:
+def extend(t: SymbolicDistribution1D, w_alphas=None) -> ExtendedDistribution:
     """Extension across the origin.
 
     div < 0: the extension is unique, any supplied projection is ignored
@@ -120,7 +112,7 @@ def extend(t: SymbolicDistribution1D, w_alphas=None,
             warnings.warn("negative divergence degree: unique extension, "
                           "projection ignored", NegativeDivergenceWarning)
         return ExtendedDistribution(t, None, div)
-    k = int(math.floor(div)) if order is None else order
+    k = int(math.floor(div))
     if w_alphas is None:
         w_alphas = make_w_projection(k)
     if len(w_alphas) < k + 1:
@@ -130,15 +122,16 @@ def extend(t: SymbolicDistribution1D, w_alphas=None,
 
 
 def extension_ambiguity(e1: ExtendedDistribution, e2: ExtendedDistribution,
-                        max_order: int, n_probes: int | None = None,
-                        seed: int = 11, tol: float = 1e-8):
-    """Fit e1 - e2 = sum_a c_a delta^(a), a <= max_order, over random probes.
+                        max_order: int):
+    """Fit e1 - e2 = sum_a c_a delta^(a), a <= max_order, over
+    2 (max_order + 1) + 6 random probes drawn from a fixed seed.
 
-    Returns (coefficients, max residual).  A residual above tol means the
-    difference is not local at the origin and the fit is rejected.
+    Returns (coefficients, max residual).  A residual above 1e-8 times the
+    largest difference (at least 1) means the difference is not local at the
+    origin and the fit is rejected.
     """
-    rng = random.Random(seed)
-    m = n_probes or 2 * (max_order + 1) + 6
+    rng = random.Random(11)
+    m = 2 * (max_order + 1) + 6
     probes = [TestFunction1D.random_probe(rng, max_degree=max_order + 2)
               for _ in range(m)]
     A = np.zeros((m, max_order + 1), dtype=complex)
@@ -150,68 +143,82 @@ def extension_ambiguity(e1: ExtendedDistribution, e2: ExtendedDistribution,
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = np.max(np.abs(A @ coeffs - b))
     scale = max(1.0, float(np.max(np.abs(b))))
-    if resid > tol * scale:
+    if resid > 1e-8 * scale:
         raise NonLocalDifference(
             f"difference is not a local term (residual {resid:.3e})")
     return coeffs, float(resid)
 
 
-def analytic_regularization(family, f: TestFunction1D, pole_cap: int = 3,
-                            radii=(0.1, 0.05), n_angles: int = 8,
-                            tail_order: int = 8, tol: float = 1e-9) -> dict:
+# Minimal subtraction samples a family on the circles |zeta| = r of MS_RADII,
+# MS_ANGLES half-offset angles each, and reads the Laurent coefficients on
+# the last (smallest) circle.  The regular part's nearest other singularity
+# sits at |zeta| ~ 1 for the families here, so aliasing falls like r^N.
+MS_RADII = (0.1, 0.05)
+MS_ANGLES = 16
+
+
+def ms_circle() -> np.ndarray:
+    """The sample points zeta, shape (len(MS_RADII), MS_ANGLES)."""
+    return np.multiply.outer(MS_RADII, np.exp(
+        2j * np.pi * (np.arange(MS_ANGLES) + 0.5) / MS_ANGLES))
+
+
+def analytic_regularization(family, f: TestFunction1D,
+                            pole_cap: int = 3) -> dict:
     """Laurent data of zeta -> <family(zeta), f> around zeta = 0.
 
     family maps a nonzero complex zeta to a SymbolicDistribution1D of one
-    term layout.  Samples on small circles (one pair_family run) are fitted
-    to sum_{k=-p}^{q} c_k zeta^k for increasing pole order p; the first p
-    whose fit residual is below tol * scale (the largest sample, at least 1)
-    wins, with pole_margin the factor by which the nearer of it and the
-    order-(p-1) fit clears tol * scale.  The analytic tail must be long
-    enough to push the truncation error below tol at the outer radius.
+    term layout; one pair_family run pairs it at every point of ms_circle().
+    On a circle of radius r the trapezoid sum c_k = mean(v_j zeta_j^-k) is
+    the Laurent coefficient up to aliasing by c_(k +- N) r^N.  Read on the
+    smallest circle, c_k carries the bound
+
+        (max sample abserr + N eps max|v|) r^-k + |c_k(r') - c_k(r)|,
+
+    the quadrature and rounding error of the sum plus the gap to the larger
+    circle r' as the aliasing estimate.  The pole order p is the largest
+    k <= pole_cap + 1 with |c_-k| above its bound; p > pole_cap raises
+    PoleOrderExceeded.  pole_margin is the smaller of |c_-p| over its bound
+    and each bound over |c_-k| for k > p (inf when neither exists), and
+    error bounds regular_value = c_0.
     """
-    zetas = [r * cmath.exp(2j * math.pi * (j + 0.5) / n_angles)
-             for r in radii for j in range(n_angles)]
-    vals, errs = pair_family([family(z) for z in zetas], f)
-    zetas = np.array(zetas)
-    threshold = tol * max(1.0, float(np.max(np.abs(vals))))
-    margin = math.inf
-    for p in range(pole_cap + 1):
-        powers = list(range(-p, tail_order + 1))
-        A = np.array([[z ** k for k in powers] for z in zetas])
-        # column scaling keeps the Vandermonde solvable in double precision
-        colscale = np.max(np.abs(A), axis=0)
-        sol, *_ = np.linalg.lstsq(A / colscale, vals, rcond=None)
-        coeffs = sol / colscale
-        resid = float(np.max(np.abs(A @ coeffs - vals)))
-        if resid < threshold:
-            by_power = dict(zip(powers, coeffs))
-            return {
-                "pole_order": p,
-                "principal": [by_power[k] for k in range(-p, 0)],
-                "regular_value": complex(by_power[0]),
-                "coefficients": by_power,
-                "residual": resid,
-                "n_samples": len(vals),
-                "sample_error": float(np.max(errs)),
-                "pole_margin": min(margin, threshold / resid if resid
-                                   else math.inf),
-            }
-        margin = resid / threshold
-    raise PoleOrderExceeded(
-        f"no fit with pole order <= {pole_cap} (residual {resid:.3e})")
+    zetas = ms_circle()
+    vals, errs = pair_family([family(z) for z in zetas.ravel()], f)
+    ks = np.arange(pole_cap + 2)  # c_-k for k = 0 .. pole_cap + 1
+    coeffs = np.mean(vals.reshape(zetas.shape)[..., None]
+                     * zetas[..., None] ** ks, axis=1)  # one row per circle
+    noise = np.max(errs) + MS_ANGLES * np.finfo(float).eps * np.max(abs(vals))
+    bound = noise * MS_RADII[-1] ** ks + abs(coeffs[0] - coeffs[-1])
+    c = coeffs[-1]
+    above = np.flatnonzero(abs(c[1:]) > bound[1:])
+    p = int(above[-1]) + 1 if len(above) else 0
+    ratios = [abs(c[p]) / bound[p]] if p else []
+    ratios += [bound[k] / abs(c[k]) for k in range(p + 1, len(ks)) if c[k]]
+    margin = min(ratios, default=math.inf)
+    if p > pole_cap:
+        raise PoleOrderExceeded(
+            f"pole order {p} exceeds {pole_cap} (margin {margin:.1e})")
+    return {
+        "pole_order": p,
+        "principal": [complex(v) for v in c[p:0:-1]],  # c_-p .. c_-1
+        "regular_value": complex(c[0]),
+        "error": float(bound[0]),
+        "pole_margin": margin,
+    }
 
 
-def minimal_subtraction(family, f: TestFunction1D, **kw) -> complex:
+def minimal_subtraction(family, f: TestFunction1D,
+                        pole_cap: int = 3) -> complex:
     """Regular value at zeta = 0 after removing the principal part."""
-    return analytic_regularization(family, f, **kw)["regular_value"]
+    return analytic_regularization(family, f, pole_cap)["regular_value"]
 
 
-def ms_extension(family, pole_cap: int = 3, **kw):
+def ms_extension(family):
     """Minimal-subtraction extension as a pairing closure."""
 
     class _MS:
         def pair(self, f):
-            return minimal_subtraction(family, f, pole_cap=pole_cap, **kw)
+            return minimal_subtraction(family, f)
 
     return _MS()
 

@@ -45,6 +45,7 @@ from .exact import ExactComplex
 from .series import FormalSeries
 from .functionals import PolyFunctional
 from .algebra import FiniteStarAlgebra
+from . import dist1d
 
 
 class FormatError(ValueError):
@@ -286,7 +287,6 @@ def _num(tok):
 
 
 def _parse_atom(tok):
-    from . import dist1d
     for rex, kind in _ATOM_RES:
         m = rex.match(tok)
         if not m:

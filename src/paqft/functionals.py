@@ -28,10 +28,6 @@ class DimensionMismatch(FunctionalError):
     pass
 
 
-class MaxDegreeExceeded(FunctionalError):
-    pass
-
-
 class CutoffTooSmall(FunctionalError):
     """Cutoff function is not identically 1 around a probed site."""
 
@@ -246,8 +242,7 @@ def interaction_vertex(lat: Lattice1p1, f, power: int = 4,
     return base * coeff
 
 
-def pointwise_product(F: PolyFunctional, G: PolyFunctional,
-                      degree_cap: int | None = None) -> PolyFunctional:
+def pointwise_product(F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
     if F.lat is not G.lat:
         raise DimensionMismatch("functionals live on different lattices")
     th = min(F.trunc_h, G.trunc_h)
@@ -255,9 +250,6 @@ def pointwise_product(F: PolyFunctional, G: PolyFunctional,
     out = {}
     for k1, c1 in F.terms.items():
         for k2, c2 in G.terms.items():
-            if degree_cap is not None and len(k1) + len(k2) > degree_cap:
-                raise MaxDegreeExceeded(
-                    f"degree {len(k1) + len(k2)} exceeds cap {degree_cap}")
             key = tuple(sorted(k1 + k2))
             c = c1 * c2
             out[key] = out[key] + c if key in out else c

@@ -145,8 +145,7 @@ def divergence_degree(g: Multigraph, dim: int) -> int:
 
 
 def graph_expand_Tn(factors, xp: ExactPropagators,
-                    kind: str = "timeordered_F",
-                    degree_cap: int | None = None) -> PolyFunctional:
+                    kind: str = "timeordered_F") -> PolyFunctional:
     """n-fold time-ordered product evaluated as the graph sum.
 
     Keeps one polynomial bank per factor, applies each line of each graph as
@@ -161,7 +160,7 @@ def graph_expand_Tn(factors, xp: ExactPropagators,
         lines = tuple((i - 1, j - 1) for (i, j), m in sorted(g.lines.items())
                       for _ in range(m))
         schedules.append((lines, Fraction(1, symmetry_factor(g))))
-    return contract(factors, xp.kernel(kind), schedules, degree_cap)
+    return contract(factors, xp.kernel(kind), schedules)
 
 
 def tadpole_demo(xp: ExactPropagators, F: PolyFunctional, G: PolyFunctional,
@@ -185,8 +184,8 @@ def tadpole_demo(xp: ExactPropagators, F: PolyFunctional, G: PolyFunctional,
     # all lines in a binary product are cross lines
     cross_only = QuantProduct(xp, kind).product(F, G)
 
-    got = _h_slice(dressed, 1)
-    want = _h_slice(cross_only, 1)
+    got = h_slice(dressed, 1)
+    want = h_slice(cross_only, 1)
     return {
         "dressed": dressed,
         "cross_expected_h1": want,
@@ -195,7 +194,7 @@ def tadpole_demo(xp: ExactPropagators, F: PolyFunctional, G: PolyFunctional,
     }
 
 
-def _h_slice(F: PolyFunctional, n: int) -> PolyFunctional:
+def h_slice(F: PolyFunctional, n: int) -> PolyFunctional:
     """Terms of exact hbar-order n, as a functional (hbar stripped)."""
     out = {}
     for key, c in F.terms.items():

@@ -35,8 +35,7 @@ import random
 from fractions import Fraction
 
 from .exact import ExactComplex
-from .functionals import (MaxDegreeExceeded, PolyFunctional,
-                          pointwise_product, local_power)
+from .functionals import PolyFunctional, pointwise_product, local_power
 from .lattice import ExactPropagators
 from .series import FormalSeries
 
@@ -135,8 +134,7 @@ def _after(memo: dict, lines: tuple, table: dict) -> dict:
     return memo[lines]
 
 
-def contract(factors, kernel, schedules, degree_cap: int | None = None
-             ) -> PolyFunctional:
+def contract(factors, kernel, schedules) -> PolyFunctional:
     """The contraction engine behind every product, Gamma_K and graph sum.
 
     factors are the functionals F_0..F_{k-1}, one bank each.  schedules is a
@@ -148,9 +146,7 @@ def contract(factors, kernel, schedules, degree_cap: int | None = None
         sum over schedules of weight * hbar^len(lines) * (lines applied to
         F_0 ... F_{k-1}), the remaining fields of all banks multiplied,
 
-    truncated at the smallest truncation orders of the factors.  A product
-    of input monomials of total degree above degree_cap raises
-    MaxDegreeExceeded.
+    truncated at the smallest truncation orders of the factors.
     """
     factors = list(factors)
     th = min(f.trunc_h for f in factors)
@@ -188,9 +184,6 @@ def contract(factors, kernel, schedules, degree_cap: int | None = None
     out: dict[tuple, dict] = {}
     for combo in itertools.product(*banks):
         keys = tuple(k for k, _ in combo)
-        if degree_cap is not None and sum(map(len, keys)) > degree_cap:
-            raise MaxDegreeExceeded(
-                f"degree {sum(map(len, keys))} exceeds cap {degree_cap}")
         series = combo[0][1]
         for _, s in combo[1:]:
             series = _mul_add({}, series, s, th, tl)
@@ -231,19 +224,16 @@ def exp_gamma(F: PolyFunctional, kernel, prefactor: Fraction) -> PolyFunctional:
 class QuantProduct:
     """One of the product structures, bound to a lattice's exact kernels."""
 
-    def __init__(self, xp: ExactPropagators, kind: str,
-                 degree_cap: int | None = None):
+    def __init__(self, xp: ExactPropagators, kind: str):
         if kind not in PRODUCT_KINDS:
             raise ValueError(f"unknown product kind {kind!r}")
         self.xp = xp
         self.kind = kind
         self.kernel = xp.kernel(kind)
-        self.degree_cap = degree_cap
 
     def product(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
         n_max = min(F.trunc_h, G.trunc_h)
-        return contract([F, G], self.kernel,
-                        _exponential((0, 1), n_max), self.degree_cap)
+        return contract([F, G], self.kernel, _exponential((0, 1), n_max))
 
     def multi(self, factors) -> PolyFunctional:
         """Iterated product; for the commutative time-ordered kinds this equals
@@ -264,8 +254,7 @@ class QuantProduct:
             [F, G], self.kernel,
             _exponential((0, 1), n_max)[1:]
             + [(lines, -w) for lines, w
-               in _exponential((1, 0), n_max)[1:]],
-            self.degree_cap)
+               in _exponential((1, 0), n_max)[1:]])
 
 
 def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int = 1) -> PolyFunctional:
@@ -399,15 +388,14 @@ def causal_factorization_check(xp: ExactPropagators, V1: PolyFunctional,
 
 
 def s_matrix(xp: ExactPropagators, V: PolyFunctional,
-             kind: str = "timeordered_F",
-             degree_cap: int | None = None) -> PolyFunctional:
+             kind: str = "timeordered_F") -> PolyFunctional:
     """Formal S-matrix sum_n V^{x_K n} / n! in the product of kernel `kind`
     (timeordered_F; antitimeordered_F for Sbar), to the coupling truncation
     of V."""
     for c in V.terms.values():
         if any(l == 0 for (_, l) in c.coeff):
             raise NoLambdaGrading("S-matrix argument must carry the coupling")
-    product = QuantProduct(xp, kind, degree_cap).product
+    product = QuantProduct(xp, kind).product
     out = PolyFunctional.unit(V.lat, V.trunc_h, V.trunc_l)
     term = out
     for n in range(1, V.trunc_l + 1):

@@ -20,6 +20,7 @@ from paqft.dist1d import (TestFunction1D, SymbolicDistribution1D, DistError,
                           DivergentPairing, NotHomogeneousClass,
                           QuadratureWarning, principal_value, pair_family,
                           pointwise_power_product, quad_complex)
+from paqft import egrenorm as eg
 from paqft import microlocal as ml
 
 RNG = random.Random(404)
@@ -578,8 +579,7 @@ def _mp_halfline(exponents, a0, f, side, rule):
             for a in map(mpmath.mpc, exponents)]
 
 
-CIRCLE = [r * cmath.exp(2j * math.pi * (j + 0.5) / 8)
-          for r in (0.1, 0.05) for j in range(8)]
+CIRCLE = eg.ms_circle().ravel()
 
 
 @pytest.mark.parametrize("family, a0, f, sides", [
@@ -589,7 +589,7 @@ CIRCLE = [r * cmath.exp(2j * math.pi * (j + 0.5) / 8)
      TestFunction1D.from_poly((1.0, -0.5, 0.25, 0.125), 0.4, 0.9), True),
 ])
 def test_circle_samples_against_mpmath(family, a0, f, sides):
-    """The 16 samples of analytic_regularization around zeta = 0: AC09's
+    """The circle samples of analytic_regularization around zeta = 0: AC09's
     x_+^(z-1) and the Feynman square's (x+i0)^(-2+z) =
     x_+^a + e^{i pi a} x_-^a, each on its probe."""
     dists = [family(z) for z in CIRCLE]
@@ -604,6 +604,31 @@ def test_circle_samples_against_mpmath(family, a0, f, sides):
         return out
     for v, e, w in zip(values, errors, _mp_truth(truth, HALFLINE_RULES)):
         assert abs(w - v) <= e + 1e-14 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("poly, r0, R", [
+    ((1.0, 0.4), 1.0, 2.0), ((0.5, -0.3, 0.2), 1.0, 2.0),  # AC09
+    ((1.0,), 0.5, 1.0), ((1.0, 1.0), 0.5, 1.0),  # the `ms` command
+    ((0.5, -0.3, 0.2), 0.5, 1.0),
+])
+def test_ms_values_against_mpmath(poly, r0, R):
+    """The MS value of x_+^(z-1) at z = 0, int_0^1 (f - f(0))/x +
+    int_1^inf f/x = sum_(j>=1) p_j r0^j / j + f(0) log r0 + int_r0^R f/x,
+    lies within the error that analytic_regularization reports."""
+    f = TestFunction1D.from_poly(poly, r0, R)
+    rep = eg.analytic_regularization(
+        lambda z: SymbolicDistribution1D.halfline(z - 1.0, +1), f)
+
+    def truth(rule):
+        p = [mpmath.mpf(c) for c in poly]
+        out = p[0] * mpmath.log(r0) + sum(
+            c * mpmath.mpf(r0) ** j / j for j, c in enumerate(p) if j)
+        for x, w in _mp_nodes(r0, R, *rule):
+            out += w * mpmath.polyval(p[::-1], x) * _mp_window(x, r0, R) / x
+        return [out]
+    (want,) = _mp_truth(truth, HALFLINE_RULES)
+    assert rep["pole_order"] == 1
+    assert abs(want - rep["regular_value"]) <= rep["error"]
 
 
 def test_wf_ladder_against_mpmath():

@@ -48,7 +48,7 @@ def test_regression_recovers_symbolic_degrees():
         (SymbolicDistribution1D.power_i0(-1.0, +1), 1.0),
     ]
     for t, want in cases:
-        assert eg.scaling_degree(t) == want
+        assert t.scaling_degree() == want
         assert eg.scaling_degree_regression(t) == pytest.approx(want, abs=0.05)
         assert eg.divergence_degree(t) == want - 1.0
 

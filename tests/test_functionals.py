@@ -10,7 +10,7 @@ import pytest
 from paqft.exact import ExactComplex
 from paqft.series import FormalSeries
 from paqft.functionals import (PolyFunctional, DimensionMismatch,
-                               MaxDegreeExceeded, CutoffTooSmall,
+                               CutoffTooSmall,
                                smeared_field, local_power, interaction_vertex,
                                pointwise_product, peierls_bracket,
                                GeneralizedLagrangian)
@@ -77,12 +77,6 @@ def test_smeared_field_evaluation(lat_small):
 def test_site_bounds_checked(lat_small):
     with pytest.raises(DimensionMismatch):
         PolyFunctional(lat_small, {(lat_small.n_sites,): FormalSeries.one()})
-
-
-def test_pointwise_product_degree_cap(lat_small):
-    F = local_power(lat_small, {5: 1}, 3)
-    with pytest.raises(MaxDegreeExceeded):
-        pointwise_product(F, F, degree_cap=5)
 
 
 def test_interaction_vertex_carries_coupling(lat_small):

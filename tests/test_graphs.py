@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from paqft.functionals import local_power, MaxDegreeExceeded
+from paqft.functionals import local_power
 from paqft.graphs import (Multigraph, GraphError, SelfLineForbidden,
                           enumerate_graphs, symmetry_factor,
                           symmetry_factor_multinomial, eg_subgraphs,
@@ -111,13 +111,6 @@ def test_graph_sum_equals_iterated_product(xp_small):
             factors = [make_functional(rng, lat, max_degree=2, n_terms=2)
                        for _ in range(n)]
             assert graph_expand_Tn(factors, xp_small) == tp.multi(factors)
-
-
-def test_graph_sum_degree_cap(xp_small):
-    lat = xp_small.lat
-    cube = local_power(lat, {lat.site(3, 1): Fraction(1)}, 3)
-    with pytest.raises(MaxDegreeExceeded):
-        graph_expand_Tn([cube, cube], xp_small, degree_cap=5)
     with pytest.raises(GraphError):
         graph_expand_Tn([], xp_small)
 

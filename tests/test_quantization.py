@@ -20,7 +20,6 @@ from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 time_order_op,
                                 causally_later, multilocal_injectivity_check,
                                 NoLambdaGrading, RankDeficient)
-from paqft.functionals import MaxDegreeExceeded
 
 from conftest import make_functional
 
@@ -136,17 +135,6 @@ def test_tadpole_first_order_cancellation(xp_small):
     rep = tadpole_demo(xp_small, F, G)
     assert rep["self_terms_cancel"]
     assert rep["dressed_h1"] == rep["cross_expected_h1"]
-
-
-def test_degree_cap_enforced(xp_small):
-    lat = xp_small.lat
-    f = {lat.site(3, 1): Fraction(1)}
-    cube = local_power(lat, f, 3)
-    capped = QuantProduct(xp_small, "star", degree_cap=5)
-    with pytest.raises(MaxDegreeExceeded):
-        capped.product(cube, cube)
-    # degree 6 is fine without the cap
-    QuantProduct(xp_small, "star").product(cube, cube)
 
 
 def test_unknown_product_kind_rejected(xp_small):
