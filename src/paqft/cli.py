@@ -261,15 +261,17 @@ def propagators(cfg, seed, out):
         lat.n_t, lat.n_x, lat.a_t, lat.a_x, lat.mass)
     cache = os.path.join(out, key.replace("/", "-") + ".npz")
     if os.path.exists(cache):
-        blob = np.load(cache)
-        want = {"ret": (lat.n_t, lat.n_x),
-                "wig": (2 * lat.n_t - 1, lat.n_x)}
-        got = {k: blob[k].shape for k in want
-               if k in getattr(blob, "files", ())}
-        if got != want:
-            _fail(2, "propagator cache %s does not fit this lattice: "
-                  "arrays %s, expected %s" % (cache, got, want))
-        ret, wig = blob["ret"], blob["wig"]
+        # opened here, not by np.load: a plain .npy array has no close()
+        with open(cache, "rb") as fh:
+            blob = np.load(fh)
+            want = {"ret": (lat.n_t, lat.n_x),
+                    "wig": (2 * lat.n_t - 1, lat.n_x)}
+            got = {k: blob[k].shape for k in want
+                   if k in getattr(blob, "files", ())}
+            if got != want:
+                _fail(2, "propagator cache %s does not fit this lattice: "
+                      "arrays %s, expected %s" % (cache, got, want))
+            ret, wig = blob["ret"], blob["wig"]
         lines = ["cache hit: %s" % cache]
     else:
         ret, wig = xp.ps.ret_table(), xp.ps.wightman_table()

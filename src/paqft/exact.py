@@ -2,8 +2,8 @@
 
 Every coefficient in the quantization stack lives in Q + iQ so that algebraic
 identities can be asserted with ==, not with tolerances.  Floats are dyadic
-rationals, hence Fraction(float) is an exact lift; that is the bridge between
-the float propagator matrices and this ring.
+rationals, hence Fraction(float) is an exact lift (the propagator tables
+take the integer route, lattice.dyadic).
 """
 
 from __future__ import annotations
@@ -114,6 +114,4 @@ class ExactComplex:
         return f"ExactComplex({self.re}, {self.im})"
 
 
-EC_ZERO = ExactComplex(0)
 EC_ONE = ExactComplex(1)
-EC_I = ExactComplex(0, 1)

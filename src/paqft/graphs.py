@@ -160,7 +160,7 @@ def graph_expand_Tn(factors, xp: ExactPropagators,
         lines = tuple((i - 1, j - 1) for (i, j), m in sorted(g.lines.items())
                       for _ in range(m))
         schedules.append((lines, Fraction(1, symmetry_factor(g))))
-    return contract(factors, xp.kernel(kind), schedules)
+    return contract(factors, xp.numerators(kind), schedules)
 
 
 def tadpole_demo(xp: ExactPropagators, F: PolyFunctional, G: PolyFunctional,
@@ -172,7 +172,7 @@ def tadpole_demo(xp: ExactPropagators, F: PolyFunctional, G: PolyFunctional,
     single-loop self-line terms at first order in hbar, leaving only the
     cross contractions between F and G.
     """
-    kernel = xp.kernel(kind)
+    kernel = xp.numerators(kind)
 
     def dress(X, weight):
         """(1 + weight * D) X."""

@@ -18,6 +18,7 @@ layer (ExactPropagators) turns into identities over the rationals.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -239,32 +240,44 @@ class PropagatorSet:
         return out
 
 
-# Each kernel kind as a formula in three exact entries at one offset: the
-# retarded entry r, the advanced entry a (r at the mirrored offset) and the
-# Hadamard entry h, passed as a thunk so that only the kinds built on h need
-# the positive-frequency table (a massless lattice has none).
+def dyadic(values) -> tuple[list[int], int]:
+    """(nums, e): the floats as exact integer numerators over 2**e, e >= 0
+    the least such, read off their integer ratios (no float is scaled)."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    e = max((q for _, q in ratios), default=1).bit_length() - 1
+    return [p << (e - q.bit_length() + 1) for p, q in ratios], e
+
+
+# Each kernel kind as (re, im) over 2**(e + 1), an integer formula in the
+# numerators over 2**e of the retarded entry r, the advanced entry a (r at the
+# mirrored offset) and the Hadamard entry h at one offset.  h is a thunk, as a
+# massless lattice has no positive-frequency table.
 _KINDS = {
-    "causal": lambda r, a, h: ExactComplex(r - a),
-    "hadamard": lambda r, a, h: ExactComplex(h()),
-    "star": lambda r, a, h: ExactComplex(0, (r - a) / 2),
-    "star_H": lambda r, a, h: ExactComplex(h(), (r - a) / 2),
-    "timeordered_D": lambda r, a, h: ExactComplex(0, (r + a) / 2),
-    "timeordered_F": lambda r, a, h: ExactComplex(h(), (r + a) / 2),
-    "antitimeordered_F": lambda r, a, h: ExactComplex(h(), -(r + a) / 2),
+    "causal": lambda r, a, h: (2 * (r - a), 0),
+    "hadamard": lambda r, a, h: (2 * h(), 0),
+    "star": lambda r, a, h: (0, r - a),
+    "star_H": lambda r, a, h: (2 * h(), r - a),
+    "timeordered_D": lambda r, a, h: (0, r + a),
+    "timeordered_F": lambda r, a, h: (2 * h(), r + a),
+    "antitimeordered_F": lambda r, a, h: (2 * h(), -(r + a)),
 }
 
 
 class ExactPropagators:
-    """Exact rational lifts of the float propagator tables, one table per
-    kernel kind.
+    """Exact rational lifts of the float propagator tables, one integer
+    table per kernel kind.
 
-    Every kernel depends only on the site offset (n, dx), so each kind keeps
-    one table keyed by offset, and each entry is lifted once per lattice, on
-    first use, from the retarded and positive-frequency float tables.
-    Structural identities hold by construction (antisymmetric causal kernel,
-    symmetric Hadamard kernel, Wightman = H + (i/2)Delta, Feynman =
-    H + i*DiracD, anti-Feynman = H - i*DiracD), so every algebraic relation
-    between the kernels holds exactly over the rationals, entry by entry.
+    On first use the retarded and positive-frequency float tables are lifted
+    whole to integer numerators over one power of two (`dyadic`); only the
+    kinds free of h work on a massless lattice, which has no
+    positive-frequency table.  Every kernel depends only on the site offset
+    (n, dx), so each kind keeps one table keyed by offset that holds (re, im)
+    int pairs over the lattice's one denominator, each computed once per
+    lattice on first use.  Structural identities hold by construction
+    (antisymmetric causal kernel, symmetric Hadamard kernel, Wightman =
+    H + (i/2)Delta, Feynman = H + i*DiracD, anti-Feynman = H - i*DiracD), so
+    every algebraic relation between the kernels holds exactly over the
+    rationals, entry by entry.
     """
 
     def __init__(self, ps):
@@ -274,35 +287,56 @@ class ExactPropagators:
         self.lat = ps.lat
         self._tables = {kind: {} for kind in _KINDS}
 
-    def _lift(self, n: int, dx: int):
-        """(r, a, h) at offset (n, dx); h is a thunk.  H is read at the
-        smaller of the offset and its mirror, so it is exactly symmetric."""
+    @functools.cached_property
+    def _lifted(self) -> tuple[list[int], list[int] | None, int]:
+        """(ret, had, den): the retarded and Hadamard tables, flat, as
+        numerators over den / 2; had is None on a massless lattice."""
+        ret = self.ps.ret_table().ravel().tolist()
+        had = (self.ps.wightman_table().real.ravel().tolist()
+               if self.lat.mass > 0 else [])
+        nums, e = dyadic(ret + had)
+        return nums[:len(ret)], nums[len(ret):] if had else None, 2 << e
+
+    def _lift(self, key: int):
+        """(r, a, h) at the offset key = n * n_x + dx; h is a thunk.  H is
+        read at the smaller of the offset and its mirror, so it is exactly
+        symmetric."""
         n_t, n_x = self.lat.n_t, self.lat.n_x
-        mirror = (-n, -dx % n_x)
-        ret = self.ps.ret_table()
-        r = Fraction(float(ret[n, dx])) if n > 0 else Fraction(0)
-        a = Fraction(float(ret[mirror])) if n < 0 else Fraction(0)
+        ret, had, _ = self._lifted
+        n, dx = divmod(key, n_x)
+        mirror = -n * n_x + -dx % n_x
+        r = ret[key] if n > 0 else 0
+        a = ret[mirror] if n < 0 else 0
 
         def h():
-            m, mdx = min((n, dx), mirror)
-            return Fraction(float(
-                self.ps.wightman_table()[m + n_t - 1, mdx].real))
+            if had is None:
+                self.ps.wightman_table()  # raises ZeroModeSingular
+            return had[min(key, mirror) + (n_t - 1) * n_x]
         return r, a, h
 
-    def kernel(self, kind: str):
-        """Kernel `kind` (a key of _KINDS) as (i, j) -> ExactComplex; sites
-        at the same offset share one entry object."""
+    def _entry(self, kind: str, i: int, j: int) -> tuple[int, int]:
+        n_x = self.lat.n_x
+        key = (i // n_x - j // n_x) * n_x + (i - j) % n_x
+        table = self._tables[kind]
+        e = table.get(key)
+        if e is None:
+            e = table[key] = _KINDS[kind](*self._lift(key))
+        return e
+
+    def numerators(self, kind: str):
+        """Kernel `kind` (a key of _KINDS) as (entry, den), the form the
+        contraction engine takes: entry(i, j) -> (re, im) is the kernel at
+        (i, j) times den, as ints.  Sites at the same offset share one
+        pair."""
         if kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}")
-        formula, table, n_x = _KINDS[kind], self._tables[kind], self.lat.n_x
+        return functools.partial(self._entry, kind), self._lifted[2]
 
-        def entry(i: int, j: int) -> ExactComplex:
-            key = (i // n_x - j // n_x, (i - j) % n_x)
-            e = table.get(key)
-            if e is None:
-                e = table[key] = formula(*self._lift(*key))
-            return e
-        return entry
+    def kernel(self, kind: str):
+        """Kernel `kind` as (i, j) -> ExactComplex, a view of numerators."""
+        entry, den = self.numerators(kind)
+        return lambda i, j: ExactComplex(*(Fraction(v, den)
+                                           for v in entry(i, j)))
 
     def causal_entry(self, i: int, j: int) -> Fraction:
-        return self.kernel("causal")(i, j).re
+        return Fraction(self._entry("causal", i, j)[0], self._lifted[2])

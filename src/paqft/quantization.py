@@ -18,13 +18,14 @@ as Sbar(-V), the anti-time-ordered exponential of -V.
 All of them are thin callers of `contract`, the single contraction engine.
 It works on Gaussian-integer numerators over shared denominators: each input
 functional's coefficients are lifted once to int pairs over the lcm of its
-denominators, the kernel is tabulated once per call as int pairs over the lcm
-of its entries' denominators, every contraction order accumulates in ints,
-and the schedule weights (1/n!, 1/prod l_ij!) fold into one final
-denominator.  Fractions are normalised once per output coefficient, so the
-results, ExactComplex coefficients in FormalSeries in PolyFunctionals, are
-exactly those of rational arithmetic, and identities (commutation relations,
-equivalences, factorisation) are checked with equality.
+denominators, the kernel comes as int pairs over one declared denominator
+(a power of two per lattice, ExactPropagators.numerators) and is tabulated
+once per call, every contraction order accumulates in ints, and the kernel
+denominator and the schedule weights (1/n!, 1/prod l_ij!) fold into one
+final denominator.  Fractions are normalised once per output coefficient,
+so the results, ExactComplex coefficients in FormalSeries in PolyFunctionals,
+are exactly those of rational arithmetic, and identities (commutation
+relations, equivalences, factorisation) are checked with equality.
 """
 
 from __future__ import annotations
@@ -140,13 +141,16 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
     factors are the functionals F_0..F_{k-1}, one bank each.  schedules is a
     list of (lines, weight): lines is a tuple of bank pairs (i, j), applied
     in order, each contracting one field of bank i with one field of bank j
-    (a different field of the same bank when i == j) through
-    kernel(y, z) -> ExactComplex.  The result is
+    (a different field of the same bank when i == j).  kernel is a pair
+    (entry, den): entry(y, z) -> (re, im) is the kernel at (y, z) times the
+    positive int den, as ints.  The result is
 
         sum over schedules of weight * hbar^len(lines) * (lines applied to
         F_0 ... F_{k-1}), the remaining fields of all banks multiplied,
 
-    truncated at the smallest truncation orders of the factors.
+    truncated at the smallest truncation orders of the factors.  A schedule
+    of n lines is scaled by den^(N - n), N the most lines of any schedule,
+    and den^N joins the final denominator.
     """
     factors = list(factors)
     th = min(f.trunc_h for f in factors)
@@ -162,17 +166,15 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
                       for key, s in f.terms.items()])
         den *= d
 
-    lifted = {}
+    entry, dk = kernel
+    table: dict[int, dict] = {}
     for i, j in {line for lines, _ in schedules for line in lines}:
         for y in factors[i].support():
+            row = table.setdefault(y, {})
             for z in factors[j].support():
-                if (y, z) not in lifted:
-                    lifted[y, z] = kernel(y, z)
-    dk = _common_denominator(lifted.values())
-    table: dict[int, dict] = {}
-    for (y, z), kv in lifted.items():
-        if kv:
-            table.setdefault(y, {})[z] = _numerators(kv, dk)
+                kv = entry(y, z)
+                if kv[0] or kv[1]:
+                    row[z] = kv
 
     n_max = max((len(lines) for lines, _ in schedules), default=0)
     q = math.lcm(*(Fraction(w).denominator for _, w in schedules))
@@ -217,7 +219,8 @@ def _exponential(line: tuple[int, int], n_max: int, c=1) -> list:
 
 def exp_gamma(F: PolyFunctional, kernel, prefactor: Fraction) -> PolyFunctional:
     """e^{prefactor * hbar * Gamma_K} F, truncated in hbar, where
-    Gamma_K F = sum_{y,z} K(y,z) d^2 F / dphi[y] dphi[z]."""
+    Gamma_K F = sum_{y,z} K(y,z) d^2 F / dphi[y] dphi[z]; kernel is K as
+    contract takes it."""
     return contract([F], kernel, _exponential((0, 0), F.trunc_h, prefactor))
 
 
@@ -229,7 +232,7 @@ class QuantProduct:
             raise ValueError(f"unknown product kind {kind!r}")
         self.xp = xp
         self.kind = kind
-        self.kernel = xp.kernel(kind)
+        self.kernel = xp.numerators(kind)
 
     def product(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
         n_max = min(F.trunc_h, G.trunc_h)
@@ -261,7 +264,7 @@ def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int = 1) -> PolyFunct
     """Wick-transform e^{sign (hbar/2) Gamma_H}; sign=-1 normal-orders."""
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    return exp_gamma(F, xp.kernel("hadamard"), Fraction(sign, 2))
+    return exp_gamma(F, xp.numerators("hadamard"), Fraction(sign, 2))
 
 
 def time_order_op(xp: ExactPropagators, F: PolyFunctional, sign: int = 1,
@@ -271,7 +274,7 @@ def time_order_op(xp: ExactPropagators, F: PolyFunctional, sign: int = 1,
     corresponding time-ordered product."""
     if kind not in ("timeordered_D", "timeordered_F"):
         raise ValueError("kind must be a time-ordered kernel")
-    return exp_gamma(F, xp.kernel(kind), Fraction(sign, 2))
+    return exp_gamma(F, xp.numerators(kind), Fraction(sign, 2))
 
 
 def star_H_equivalence_check(xp: ExactPropagators, F: PolyFunctional,

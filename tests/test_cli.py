@@ -1,4 +1,5 @@
 """End-to-end command line checks through click's test runner."""
+import gc
 import hashlib
 import re
 import warnings
@@ -443,6 +444,31 @@ def test_propagators_rejects_a_misshapen_cache(tmp_path, arrays):
                str(tmp_path), "--label", "t"], expect=2)
     assert name in res.output
     assert not (tmp_path / "propagators_t.csv").exists()
+
+
+def test_propagators_rejects_a_cache_that_is_no_archive(tmp_path):
+    with open(tmp_path / "prop_8_4_1-2_1_1.0.npz", "wb") as fh:
+        np.save(fh, np.zeros((8, 4)))
+    res = run(["propagators", "--config", small_cfg(tmp_path), "--out",
+               str(tmp_path), "--label", "t"], expect=2)
+    assert "arrays {}" in res.output
+
+
+def test_propagators_close_the_cache(tmp_path):
+    """A cache hit and a misshapen cache (exit 2) both leave the .npz
+    closed: no ResourceWarning once the garbage is collected."""
+    cfg = small_cfg(tmp_path)
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    np.savez(bad / "prop_8_4_1-2_1_1.0.npz", ret=np.zeros((8, 4)))
+    run(["propagators", "--config", cfg, "--out", str(tmp_path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hit = run(["propagators", "--config", cfg, "--out", str(tmp_path)])
+        run(["propagators", "--config", cfg, "--out", str(bad)], expect=2)
+        gc.collect()
+    assert "cache hit" in hit.output
+    assert not [w for w in caught if w.category is ResourceWarning]
 
 
 def test_failed_criterion_maps_to_exit_3(tmp_path, monkeypatch):

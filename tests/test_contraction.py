@@ -176,13 +176,18 @@ LINES = st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
        st.lists(st.tuples(LINES, RATIONALS), min_size=1, max_size=4))
 def test_engine_with_non_dyadic_kernel(lat_small, f, g, th, tl, schedules):
     """Arbitrary schedules (shared prefixes, same-bank and cross-bank lines,
-    zero weights) with a kernel whose entries are thirds and sevenths."""
+    zero weights) with a kernel whose entries are thirds and sevenths,
+    given as numerators over 21."""
+    def numerators(y, z):
+        return 7 * (y - 2 * z + 1), 3 * (y * z % 5)
+
     def kernel(y, z):
-        return ExactComplex(Fraction(y - 2 * z + 1, 3), Fraction(y * z % 5, 7))
+        return tuple(Fraction(v, 21) for v in numerators(y, z))
 
     want = {}
     for lines, w in schedules:
-        naive([f, g], pair_kernel(kernel), list(lines), w, th, tl, want)
+        naive([f, g], kernel, list(lines), w, th, tl, want)
     got = contract([functional(lat_small, f, th, tl),
-                    functional(lat_small, g, th, tl)], kernel, schedules)
+                    functional(lat_small, g, th, tl)], (numerators, 21),
+                   schedules)
     assert plain(got) == nonzero(want)

@@ -1,15 +1,19 @@
 """Propagator identities on small lattices, exact where the construction is
 exact, and the guard rails on the discretization parameters."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from paqft.exact import ExactComplex
-from paqft.lattice import (Lattice1p1, PropagatorSet, kg_operator,
-                           el_operator, kg_apply, UnstableStep,
-                           ZeroModeSingular)
+from paqft.functionals import smeared_field
+from paqft.lattice import (ExactPropagators, Lattice1p1, PropagatorSet,
+                           dyadic, kg_operator, el_operator, kg_apply,
+                           UnstableStep, ZeroModeSingular)
+from paqft.quantization import QuantProduct
 
 
 def _pairs(lat):
@@ -138,23 +142,88 @@ def reference_kernels(ps, i, j):
             "antitimeordered_F": ExactComplex(h, -Fraction(r + a) / 2)}
 
 
-def test_kernels_match_reference_lift(xp_small):
+def _offset_pairs(lat):
+    """Site pairs that meet every offset (n, dx): all sites against one
+    site of the first and one of the last time row."""
+    return [(i, j) for i in range(lat.n_sites)
+            for j in (lat.site(0, 0), lat.site(lat.n_t - 1, 0))]
+
+
+def test_kernels_match_reference_lift(xp_small, xp24):
+    """8x4 on every site pair; 24x24 (dyadic exponents up to 72) on every
+    offset."""
     kinds = ("causal", "hadamard", "star", "star_H", "timeordered_D",
              "timeordered_F", "antitimeordered_F")
-    kernels = {kind: xp_small.kernel(kind) for kind in kinds}
-    ps = PropagatorSet(xp_small.lat)
-    for i, j in _pairs(xp_small.lat):
-        want = reference_kernels(ps, i, j)
-        for kind in kinds:
-            assert kernels[kind](i, j) == want[kind], (kind, i, j)
+    for xp, pairs in ((xp_small, _pairs(xp_small.lat)),
+                      (xp24, _offset_pairs(xp24.lat))):
+        kernels = {kind: xp.kernel(kind) for kind in kinds}
+        ps = PropagatorSet(xp.lat)
+        for i, j in pairs:
+            want = reference_kernels(ps, i, j)
+            for kind in kinds:
+                assert kernels[kind](i, j) == want[kind], (kind, i, j)
 
 
 def test_entries_are_shared_per_offset(xp_small):
     lat = xp_small.lat
     for kind in ("hadamard", "star_H"):
-        e1 = xp_small.kernel(kind)(lat.site(3, 1), lat.site(1, 3))
-        e2 = xp_small.kernel(kind)(lat.site(6, 0), lat.site(4, 2))
+        e1 = xp_small.numerators(kind)[0](lat.site(3, 1), lat.site(1, 3))
+        e2 = xp_small.numerators(kind)[0](lat.site(6, 0), lat.site(4, 2))
         assert e1 is e2
+
+
+@pytest.mark.parametrize("x", [
+    5e-324, 2.5e-320, 1e-300, -1e-300, -0.75, 3.0 * 2.0 ** -120,
+    -(2.0 ** 60 + 2.0 ** 8), 1.0 / 3.0, 0.0])
+def test_dyadic_is_exact(x):
+    """Subnormals, tiny and negative values and exponents above 100, alone
+    and sharing one power of two with ordinary entries."""
+    nums, e = dyadic([x])
+    assert Fraction(nums[0], 2 ** e) == Fraction(x)
+    assert e == 0 or nums[0] % 2  # the least power of two
+    values = [x, 0.5, -1.25, 1e-30]
+    nums, e = dyadic(values)
+    assert [Fraction(v, 2 ** e) for v in nums] == [Fraction(v)
+                                                    for v in values]
+
+
+def test_massless_lattice_has_the_kinds_free_of_h():
+    lat = Lattice1p1(8, 4, Fraction(1, 4), Fraction(1), mass=0.0)
+    xp = ExactPropagators(lat)
+    ret = xp.ps.ret_table()
+    for i, j in _pairs(lat):
+        (ti, xi), (tj, xj) = lat.coords(i), lat.coords(j)
+        r = Fraction(ret[ti - tj, (xi - xj) % 4]) if ti > tj else 0
+        a = Fraction(ret[tj - ti, (xj - xi) % 4]) if tj > ti else 0
+        assert xp.causal_entry(i, j) == r - a
+        assert xp.kernel("star")(i, j) == ExactComplex(0, (r - a) / 2)
+        assert xp.kernel("timeordered_D")(i, j) == ExactComplex(
+            0, (r + a) / 2)
+    f, g = {lat.site(2, 0): Fraction(1, 3)}, {lat.site(5, 1): Fraction(2)}
+    comm = QuantProduct(xp, "star").commutator(smeared_field(lat, f),
+                                               smeared_field(lat, g))
+    want = (f[lat.site(2, 0)] * g[lat.site(5, 1)] * lat.volume_weight ** 2
+            * xp.causal_entry(lat.site(2, 0), lat.site(5, 1)))
+    assert want and comm.terms[()].coeff == {(1, 0): ExactComplex(0, want)}
+    for kind in ("hadamard", "star_H", "timeordered_F", "antitimeordered_F"):
+        with pytest.raises(ZeroModeSingular,
+                           match="positive-frequency split needs m > 0"):
+            xp.kernel(kind)(3, 7)
+
+
+def test_lifts_are_freed_without_the_cycle_collector(lat_small):
+    """Nothing an ExactPropagators hands out is stored back on it, so its
+    tables go with the last reference, not at a later gc pass."""
+    xp = ExactPropagators(lat_small)
+    xp.causal_entry(3, 7)
+    xp.kernel("star_H")(3, 7)
+    ref = weakref.ref(xp)
+    gc.disable()
+    try:
+        del xp
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_kernel_dispatch(xp_small):

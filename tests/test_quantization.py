@@ -228,6 +228,28 @@ def test_antitimeordered_s_matrix_is_star_inverse(xp_small, f, degree,
     assert star.product(S_bar, S) == one
 
 
+COUPLINGS = st.fractions(-3, 3, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.dictionaries(st.integers(4, 27), COUPLINGS, min_size=1, max_size=3),
+       st.dictionaries(st.integers(0, 31), COUPLINGS, min_size=1, max_size=2),
+       st.integers(2, 4), st.integers(1, 2), st.integers(1, 3),
+       st.integers(1, 3))
+def test_bogoliubov_map_sees_only_the_past_cone(xp_small, v, f, degree,
+                                                power, th, tl):
+    """R_V(F) == R_V'(F) exactly, where V' keeps only the vertex sites in
+    the closed past cone of supp F."""
+    lat = xp_small.lat
+    past = {s: c for s, c in v.items()
+            if any(lat.in_past_cone(s, y) for y in f)}
+    F = local_power(lat, f, power, th, tl)
+    R = BogoliubovMap(xp_small, interaction_vertex(lat, v, degree, th, tl)).R
+    R_past = BogoliubovMap(
+        xp_small, interaction_vertex(lat, past, degree, th, tl)).R
+    assert R(F) == R_past(F)
+
+
 def test_causal_factorization_exact(xp_small):
     lat = xp_small.lat
     V1 = interaction_vertex(lat, {lat.site(5, 1): Fraction(1)}, 4)
