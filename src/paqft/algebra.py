@@ -9,7 +9,6 @@ explicit matrix representation with a cyclic vector.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 

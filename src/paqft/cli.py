@@ -154,6 +154,12 @@ def _int(v):
     return v
 
 
+def _count(v):
+    if _int(v) < 1:
+        raise ValueError("want an integer >= 1")
+    return v
+
+
 def _real(convert):
     """`convert` (float or Fraction) for a numeric key, rejecting a bool."""
     def checked(v):
@@ -166,9 +172,16 @@ def _real(convert):
 _float, _fraction = _real(float), _real(Fraction)
 
 
-def _positive(v):
+def _finite(v):
     x = _float(v)
-    if not (x > 0 and math.isfinite(x)):  # nan fails x > 0
+    if not math.isfinite(x):
+        raise ValueError("want a finite number")
+    return x
+
+
+def _positive(v):
+    x = _finite(v)
+    if not x > 0:
         raise ValueError("want a positive finite number")
     return x
 
@@ -180,7 +193,7 @@ def _floats(v):
 def _pair(v):
     if not isinstance(v, list) or len(v) != 2:
         raise ValueError("want two comma-separated numbers")
-    return _floats(v)
+    return tuple(_finite(x) for x in v)
 
 
 def _criteria(v):
@@ -477,9 +490,9 @@ def _metric(name):
 
 
 @command({"x0": (_pair, (0.0, 0.0)), "k0": (_pair, (1.0, 1.0)),
-          "dt": (_float, 0.01), "n_steps": (_int, 400),
+          "dt": (_positive, 0.01), "n_steps": (_count, 400),
           "metric": (_metric, None),
-          "drift_tol": (_float, 1e-8)},
+          "drift_tol": (_positive, 1e-8)},
          ("time", "t", "x", "k_t", "k_x", "sigma"))
 def flow(cfg, seed):
     """Integrate a null bicharacteristic and report the symbol drift."""
@@ -491,7 +504,7 @@ def flow(cfg, seed):
     return rows, ["sigma drift %.2e per unit time over %d steps (tol %.1e)"
                   % (drift, n_steps, tol)], (
         "symbol drift %.2e exceeds %.1e per unit time" % (drift, tol)
-        if drift > tol else None)
+        if not drift <= tol else None)  # a NaN drift fails
 
 
 # ------------------------------------------------------------------ suite

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
@@ -95,10 +94,6 @@ class TestFunction1D:
                 cleaned.append((complex(coeff), poly, r0, R))
         self.atoms = tuple(cleaned)
         self._core = None
-
-    @classmethod
-    def plateau(cls, r0: float = 0.5, R: float = 1.0, coeff=1.0):
-        return cls([(coeff, (1.0,), r0, R)])
 
     @classmethod
     def monomial(cls, degree: int, r0: float = 0.5, R: float = 1.0, coeff=1.0):

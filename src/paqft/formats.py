@@ -1,5 +1,5 @@
-"""Text formats: config files, algebra/state files, functional literals,
-distribution expressions, and deterministic CSV output.
+"""Text formats: config files, algebra files, distribution expressions,
+and deterministic CSV output.
 
 All formats are line-oriented plain text.  Blank lines and lines starting
 with '#' are ignored everywhere.
@@ -19,13 +19,6 @@ Algebra files
     omega i re [im]      # state vector (optional)
     label i name         # optional basis label
 
-Functional literal files
-------------------------
-One record per line:
-    <degree> <t,x> <t,x> ... <coeff>
-with exactly <degree> site tuples; degree 0 uses "-" as placeholder.
-Coefficients are Fractions or "re,im" pairs of Fractions.
-
 Distribution expressions
 ------------------------
 Terms joined by " + " or " - " (spaces required around the sign):
@@ -42,8 +35,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import ExactComplex
-from .series import FormalSeries
-from .functionals import PolyFunctional
 from .algebra import FiniteStarAlgebra
 from . import dist1d
 
@@ -108,163 +99,60 @@ def load_config(path):
 
 # --------------------------------------------------------------- algebra
 
-def _entry(tokens, want):
-    # want index tokens then re [im]
-    idx = [int(t) for t in tokens[:want]]
-    vals = [float(t) for t in tokens[want:]]
-    if len(vals) == 1:
-        return idx, complex(vals[0], 0.0)
-    if len(vals) == 2:
-        return idx, complex(vals[0], vals[1])
-    raise FormatError("expected re [im], got %r" % (tokens[want:],))
+# record tag -> number of basis indices before its value
+_INDICES = {"c": 3, "s": 2, "unit": 1, "omega": 1, "label": 1}
 
 
 def parse_algebra(text):
-    """Parse an algebra file.  Returns (FiniteStarAlgebra, omega or None)."""
-    dim = None
-    c_rows, s_rows, u_rows, w_rows = [], [], [], []
-    labels = {}
+    """Parse an algebra file.  Returns (FiniteStarAlgebra, omega or None).
+
+    A record with missing or extra fields, a field that does not parse or a
+    basis index outside [0, dim) raises FormatError naming the record."""
+    dim, records = None, []
     for line in _lines(text):
-        toks = line.split()
-        tag, rest = toks[0], toks[1:]
+        tag, *rest = line.split()
         if tag == "dim":
+            if len(rest) != 1 or not rest[0].isdecimal() or int(rest[0]) < 1:
+                raise FormatError("record %r: want one integer >= 1" % line)
             dim = int(rest[0])
-        elif tag == "c":
-            c_rows.append(_entry(rest, 3))
-        elif tag == "s":
-            s_rows.append(_entry(rest, 2))
-        elif tag == "unit":
-            u_rows.append(_entry(rest, 1))
-        elif tag == "omega":
-            w_rows.append(_entry(rest, 1))
-        elif tag == "label":
-            labels[int(rest[0])] = rest[1]
+        elif tag in _INDICES:
+            records.append((line, tag, rest))
         else:
             raise FormatError("unknown record %r" % tag)
     if dim is None:
         raise FormatError("missing dim record")
-    c = np.zeros((dim, dim, dim), dtype=complex)
-    for (i, j, k), v in c_rows:
-        c[i, j, k] = v
-    star = np.zeros((dim, dim), dtype=complex)
-    for (i, j), v in s_rows:
-        star[i, j] = v
-    if u_rows:
-        unit = np.zeros(dim, dtype=complex)
-        for (i,), v in u_rows:
-            unit[i] = v
-    else:
-        unit = np.zeros(dim, dtype=complex)
-        unit[0] = 1.0
-    name_list = [labels.get(i, "b%d" % i) for i in range(dim)]
-    alg = FiniteStarAlgebra(c, star, unit, labels=name_list)
-    omega = None
-    if w_rows:
-        omega = np.zeros(dim, dtype=complex)
-        for (i,), v in w_rows:
-            omega[i] = v
-    return alg, omega
+    arrays = {"c": np.zeros((dim, dim, dim), dtype=complex),
+              "s": np.zeros((dim, dim), dtype=complex),
+              "unit": np.zeros(dim, dtype=complex),
+              "omega": np.zeros(dim, dtype=complex)}
+    names = ["b%d" % i for i in range(dim)]
+    for line, tag, rest in records:
+        want = _INDICES[tag]
+        try:
+            if len(rest) - want not in ((1,) if tag == "label" else (1, 2)):
+                raise ValueError("wrong number of fields")
+            idx = tuple(int(t) for t in rest[:want])
+            value = (rest[want] if tag == "label"
+                     else complex(*(float(t) for t in rest[want:])))
+        except ValueError as e:
+            raise FormatError("record %r: %s" % (line, e)) from None
+        if not all(0 <= i < dim for i in idx):
+            raise FormatError("record %r: index outside [0, %d)" % (line, dim))
+        if tag == "label":
+            names[idx[0]] = value
+        else:
+            arrays[tag][idx] = value
+    tags = {tag for _, tag, _ in records}
+    if "unit" not in tags:
+        arrays["unit"][0] = 1.0
+    alg = FiniteStarAlgebra(arrays["c"], arrays["s"], arrays["unit"],
+                            labels=names)
+    return alg, arrays["omega"] if "omega" in tags else None
 
 
 def load_algebra(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_algebra(fh.read())
-
-
-def _fmt_c(z):
-    z = complex(z)
-    if z.imag == 0.0:
-        return repr(z.real)
-    return "%s %s" % (repr(z.real), repr(z.imag))
-
-
-def dump_algebra(alg, omega=None):
-    """Write an algebra (and optional state vector) back to text."""
-    out = ["dim %d" % alg.dim]
-    for i, name in enumerate(alg.labels):
-        if name != "b%d" % i:
-            out.append("label %d %s" % (i, name))
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k in range(alg.dim):
-                v = alg.c[i, j, k]
-                if v != 0:
-                    out.append("c %d %d %d %s" % (i, j, k, _fmt_c(v)))
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            v = alg.star[i, j]
-            if v != 0:
-                out.append("s %d %d %s" % (i, j, _fmt_c(v)))
-    for i in range(alg.dim):
-        if alg.unit[i] != 0:
-            out.append("unit %d %s" % (i, _fmt_c(alg.unit[i])))
-    if omega is not None:
-        vec = np.asarray(omega, dtype=complex)
-        for i in range(alg.dim):
-            if vec[i] != 0:
-                out.append("omega %d %s" % (i, _fmt_c(vec[i])))
-    return "\n".join(out) + "\n"
-
-
-# ----------------------------------------------------- functional literals
-
-def _parse_coeff(tok):
-    if "," in tok:
-        re_s, im_s = tok.split(",", 1)
-        return ExactComplex(Fraction(re_s), Fraction(im_s))
-    return ExactComplex(Fraction(tok))
-
-
-def parse_functional(text, lattice):
-    """Parse functional literal records into a PolyFunctional."""
-    terms = {}
-    for line in _lines(text):
-        toks = line.split()
-        if len(toks) < 2:
-            raise FormatError("short record %r" % line)
-        degree = int(toks[0])
-        coeff = _parse_coeff(toks[-1])
-        site_toks = toks[1:-1]
-        if degree == 0:
-            if site_toks != ["-"]:
-                raise FormatError("degree 0 record needs '-' placeholder")
-            sites = ()
-        else:
-            if len(site_toks) != degree:
-                raise FormatError(
-                    "degree %d record has %d sites" % (degree, len(site_toks)))
-            sites = []
-            for st in site_toks:
-                t_s, x_s = st.split(",")
-                sites.append(lattice.site(int(t_s), int(x_s)))
-            sites = tuple(sorted(sites))
-        series = FormalSeries({(0, 0): coeff})
-        if sites in terms:
-            terms[sites] = terms[sites] + series
-        else:
-            terms[sites] = series
-    return PolyFunctional(lattice, terms)
-
-
-def dump_functional(F):
-    """Write a PolyFunctional (with scalar coefficients) back to records."""
-    out = []
-    for sites in sorted(F.terms):
-        c = F.terms[sites].coefficient(0, 0)
-        for (h, l) in F.terms[sites].coeff:
-            if (h, l) != (0, 0):
-                raise FormatError("only hbar/lambda-free functionals dump")
-        if c.im == 0:
-            coeff = str(c.re)
-        else:
-            coeff = "%s,%s" % (c.re, c.im)
-        if not sites:
-            out.append("0 - %s" % coeff)
-        else:
-            lat = F.lat
-            pts = " ".join("%d,%d" % lat.coords(i) for i in sites)
-            out.append("%d %s %s" % (len(sites), pts, coeff))
-    return "\n".join(out) + "\n"
 
 
 # ------------------------------------------------ distribution expressions
@@ -377,12 +265,6 @@ def write_csv(path, header, rows, comment=None):
         w.writerow(header)
         for row in rows:
             w.writerow([fmt_value(v) for v in row])
-
-
-def series_rows(series):
-    """(hbar order, lambda order, coefficient) rows, sorted."""
-    return [(h, l, series.coeff[(h, l)])
-            for (h, l) in sorted(series.coeff)]
 
 
 def functional_rows(F):

@@ -138,9 +138,6 @@ class PolyFunctional:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "PolyFunctional":
-        return self._wrap({k: c.conjugate() for k, c in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, PolyFunctional):
             return NotImplemented

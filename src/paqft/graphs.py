@@ -58,10 +58,6 @@ class Multigraph:
     def total_lines(self) -> int:
         return sum(self.lines.values())
 
-    def multiplicity(self, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        return self.lines.get(key, 0)
-
     def sort_key(self):
         return (self.n_vertices, sorted(self.lines.items()))
 

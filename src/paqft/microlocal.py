@@ -66,9 +66,6 @@ class WFEstimate:
         return [r for r, q in zip(self.rays, ratio)
                 if 1 / factor <= q <= factor]
 
-    def is_regular(self) -> bool:
-        return not self.singular()
-
     def __repr__(self):
         return (f"WFEstimate({len(self.rays)} rays, "
                 f"{len(self.singular())} singular)")

@@ -7,25 +7,12 @@ operations take the minimum, so orders never silently inflate.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .exact import EC_ONE, ExactComplex
 
 DEFAULT_TRUNC_H = 2
 DEFAULT_TRUNC_L = 2
-
-
-class SeriesError(Exception):
-    pass
-
-
-class ExpOfNonNilpotentConstant(SeriesError):
-    """exp of a series with nonzero constant term has no exact expansion."""
-
-
-class NonInvertibleLeadingTerm(SeriesError):
-    """inverse needs an invertible (nonzero) constant term."""
 
 
 class FormalSeries:
@@ -67,16 +54,6 @@ class FormalSeries:
     def zero(cls, trunc_h: int = DEFAULT_TRUNC_H,
              trunc_l: int = DEFAULT_TRUNC_L) -> "FormalSeries":
         return cls({}, trunc_h, trunc_l)
-
-    @classmethod
-    def one(cls, trunc_h: int = DEFAULT_TRUNC_H,
-            trunc_l: int = DEFAULT_TRUNC_L) -> "FormalSeries":
-        return cls.const(1, trunc_h, trunc_l)
-
-    @classmethod
-    def hbar(cls, trunc_h: int = DEFAULT_TRUNC_H,
-             trunc_l: int = DEFAULT_TRUNC_L) -> "FormalSeries":
-        return cls({(1, 0): EC_ONE}, trunc_h, trunc_l)
 
     @classmethod
     def coupling(cls, trunc_h: int = DEFAULT_TRUNC_H,
@@ -133,49 +110,6 @@ class FormalSeries:
         return FormalSeries({k: v * c for k, v in self.coeff.items()},
                             self.trunc_h, self.trunc_l)
 
-    def shift(self, dh: int = 0, dl: int = 0) -> "FormalSeries":
-        """Multiply by hbar^dh * lambda^dl (coefficients beyond truncation drop)."""
-        return FormalSeries({(h + dh, l + dl): c
-                             for (h, l), c in self.coeff.items()},
-                            self.trunc_h, self.trunc_l)
-
-    def exp(self) -> "FormalSeries":
-        if (0, 0) in self.coeff:
-            raise ExpOfNonNilpotentConstant(
-                "constant term must vanish for an exact exponential")
-        out = FormalSeries.one(self.trunc_h, self.trunc_l)
-        term = FormalSeries.one(self.trunc_h, self.trunc_l)
-        for n in range(1, self.trunc_h + self.trunc_l + 1):
-            term = term * self
-            if not term.coeff:
-                break
-            out = out + term.scale(Fraction(1, math.factorial(n)))
-        return out
-
-    def inv(self) -> "FormalSeries":
-        c0 = self.coeff.get((0, 0))
-        if not c0:
-            raise NonInvertibleLeadingTerm("constant term is zero")
-        u = self.scale(EC_ONE / c0) - 1  # nilpotent part
-        out = FormalSeries.one(self.trunc_h, self.trunc_l)
-        term = FormalSeries.one(self.trunc_h, self.trunc_l)
-        sign = -1
-        for _ in range(self.trunc_h + self.trunc_l):
-            term = term * u
-            if not term.coeff:
-                break
-            out = out + term if sign > 0 else out - term
-            sign = -sign
-        return out.scale(EC_ONE / c0)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = FormalSeries.one(self.trunc_h, self.trunc_l)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, h: int, l: int = 0) -> ExactComplex:
@@ -183,10 +117,6 @@ class FormalSeries:
 
     def truncate(self, trunc_h: int, trunc_l: int) -> "FormalSeries":
         return FormalSeries(self.coeff, trunc_h, trunc_l)
-
-    def conjugate(self) -> "FormalSeries":
-        return FormalSeries({k: c.conjugate() for k, c in self.coeff.items()},
-                            self.trunc_h, self.trunc_l)
 
     def is_zero(self) -> bool:
         return not self.coeff
@@ -211,24 +141,6 @@ class FormalSeries:
         """Numerical evaluation at given parameter values."""
         return sum((c.to_complex() * hbar ** h * lam ** l
                     for (h, l), c in self.coeff.items()), 0j)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_records(self) -> list[dict]:
-        recs = []
-        for (h, l) in sorted(self.coeff):
-            c = self.coeff[(h, l)]
-            recs.append({"h": h, "l": l, "re": str(c.re), "im": str(c.im)})
-        return recs
-
-    @classmethod
-    def from_records(cls, recs, trunc_h: int = DEFAULT_TRUNC_H,
-                     trunc_l: int = DEFAULT_TRUNC_L) -> "FormalSeries":
-        coeff = {}
-        for r in recs:
-            coeff[(int(r["h"]), int(r["l"]))] = ExactComplex(
-                Fraction(r["re"]), Fraction(r["im"]))
-        return cls(coeff, trunc_h, trunc_l)
 
     def __repr__(self):
         if not self.coeff:

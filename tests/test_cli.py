@@ -338,6 +338,14 @@ def test_unknown_config_key_is_a_config_error(tmp_path, command, text):
     ("commutator", "a_t = inf\n"),
     ("commutator", "mass = on\n"),
     ("flow", "k0 = 1.0, yes\n"),
+    ("flow", "k0 = 1.0, inf\n"),
+    ("flow", "x0 = nan, 0.0\n"),
+    ("flow", "dt = nan\n"),
+    ("flow", "dt = 0\n"),
+    ("flow", "n_steps = -5\n"),
+    ("flow", "n_steps = 0\n"),
+    ("flow", "drift_tol = nan\n"),
+    ("flow", "drift_tol = -1\n"),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"
@@ -393,6 +401,14 @@ def test_flow_drift_tolerance_check(tmp_path):
          "--label", "t"])
 
 
+def test_flow_nan_drift_fails_the_check(tmp_path, monkeypatch):
+    empty = {"x": [], "k": [], "sigma": []}
+    monkeypatch.setattr(cli.acceptance, "flow_drift",
+                        lambda *args: (empty, float("nan")))
+    res = run(["flow", "--out", str(tmp_path)], expect=3)
+    assert "symbol drift nan exceeds" in res.output
+
+
 def test_gns_algebra_file_paths(tmp_path):
     good = tmp_path / "alg.txt"
     good.write_text("dim 2\nc 0 0 0 1\nc 1 1 1 1\ns 0 0 1\ns 1 1 1\n"
@@ -413,6 +429,16 @@ def test_gns_algebra_file_paths(tmp_path):
 
     cfg.write_text("algebra_file = %s\n" % (tmp_path / "missing.txt"))
     run(["gns", "--config", str(cfg), "--out", str(tmp_path)], expect=2)
+
+    # an index outside [0, dim) or a record short of fields is a config
+    # error that names the record, not a wrapped index or an IndexError
+    for record in ("omega -2 1", "c 5 0 0 1", "dim"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(good.read_text() + record + "\n")
+        cfg.write_text("algebra_file = %s\n" % bad)
+        res = run(["gns", "--config", str(cfg), "--out", str(tmp_path)],
+                  expect=2)
+        assert repr(record) in res.output
 
 
 def test_internal_invariant_maps_to_exit_4(tmp_path, monkeypatch):

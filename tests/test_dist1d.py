@@ -119,7 +119,7 @@ def oracle_halfline(a, p, f):
 # test function machinery
 
 def test_plateau_window_shape():
-    f = TestFunction1D.plateau(0.5, 1.0)
+    f = TestFunction1D.from_poly((1.0,), 0.5, 1.0)
     for x in (0.0, 0.3, -0.5):
         assert f(x) == pytest.approx(1.0)
     for x in (1.0, -1.2, 5.0):
@@ -143,7 +143,7 @@ def test_test_function_algebra_and_jets():
     rem = f.taylor_remainder(0.2, 2)
     assert rem == pytest.approx(f(0.2) - 1.0 + 2.0 * 0.2)
     with pytest.raises(ValueError):
-        TestFunction1D.plateau(1.0, 0.5)
+        TestFunction1D.from_poly((1.0,), 1.0, 0.5)
     with pytest.raises(ValueError):
         f.stretched(0.0)
 
@@ -238,7 +238,7 @@ def test_negative_integer_halfline_needs_vanishing_jet():
         got = SymbolicDistribution1D.halfline(-n, +1).pair(f)
         want = oracle_quad(dens, f, 1e-14, f.support_radius)
         assert got == pytest.approx(want, abs=1e-9)
-    bad = TestFunction1D.plateau(0.5, 1.0)
+    bad = TestFunction1D.from_poly((1.0,), 0.5, 1.0)
     with pytest.raises(DivergentPairing):
         SymbolicDistribution1D.halfline(-1, +1).pair(bad)
     with pytest.raises(DivergentPairing):
@@ -331,7 +331,7 @@ def _quad_checked(func, a, b, points=(), **kw):
 
 @pytest.mark.parametrize("k", LADDER)
 def test_oscillatory_window_matches_scipy(k):
-    f = TestFunction1D.plateau(0.25, 0.5)
+    f = TestFunction1D.from_poly((1.0,), 0.25, 0.5)
     wave = lambda x: np.exp(1j * k * np.asarray(x))
     got, err = _quad_checked(lambda x: wave(x) * f(x), -0.5, 0.5,
                              epsabs=1e-12, epsrel=1e-10, limit=1000)
@@ -449,7 +449,7 @@ def test_pair_with_error():
 
 
 EXPONENTS = np.array([-1.5, -0.5 + 0.3j, 0.0, 1.0, 2.5 - 1.0j, 7.0])
-WINDOW = TestFunction1D.plateau(0.25, 0.5)
+WINDOW = TestFunction1D.from_poly((1.0,), 0.25, 0.5)
 
 
 @pytest.mark.parametrize("rows, a, b, m", [

@@ -1,18 +1,18 @@
-"""Config, algebra, functional, and distribution text formats."""
+"""Config, algebra and distribution text formats, and CSV output."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from paqft import formats
 from paqft.exact import ExactComplex
 from paqft.dist1d import TestFunction1D, SymbolicDistribution1D
+from paqft.algebra import functions_on_points
 from paqft.formats import (FormatError, parse_config, parse_algebra,
-                           dump_algebra, parse_functional, dump_functional,
-                           parse_distribution, fmt_value, series_rows,
-                           functional_rows, write_csv)
-from paqft.functionals import smeared_field
+                           parse_distribution, fmt_value, functional_rows,
+                           write_csv)
+from paqft.functionals import PolyFunctional, smeared_field
 from paqft.series import FormalSeries
 
 
@@ -60,26 +60,25 @@ unit 1 1
 omega 0 0.5
 omega 1 0.5
 label 0 chi0
+label 1 chi1
 """
 
 
 def test_algebra_roundtrip():
+    # the file spells out functions on two points exactly
     alg, omega = parse_algebra(TWO_POINTS)
-    assert alg.dim == 2
-    assert alg.labels == ["chi0", "b1"]
-    assert np.allclose(omega, [0.5, 0.5])
-    text = dump_algebra(alg, omega)
-    alg2, omega2 = parse_algebra(text)
-    assert np.allclose(alg.c, alg2.c)
-    assert np.allclose(alg.star, alg2.star)
-    assert np.allclose(alg.unit, alg2.unit)
-    assert np.allclose(omega, omega2)
-    assert alg2.labels == alg.labels
+    want = functions_on_points(2)
+    assert np.array_equal(alg.c, want.c)
+    assert np.array_equal(alg.star, want.star)
+    assert np.array_equal(alg.unit, want.unit)
+    assert alg.labels == want.labels
+    assert np.array_equal(omega, [0.5, 0.5])
 
 
 def test_algebra_default_unit_and_missing_dim():
     alg, omega = parse_algebra("dim 1\nc 0 0 0 1\ns 0 0 1")
     assert np.allclose(alg.unit, [1.0])
+    assert alg.labels == ["b0"]
     assert omega is None
     with pytest.raises(FormatError):
         parse_algebra("c 0 0 0 1")
@@ -89,53 +88,30 @@ def test_algebra_default_unit_and_missing_dim():
         parse_algebra("dim 1\nc 0 0 0 1 2 3")
 
 
+@pytest.mark.parametrize("record", [
+    "omega -2 1",     # would wrap to omega[0]
+    "c 5 0 0 1",      # past the end
+    "label 2 x",
+    "s 0 0",          # no value
+    "c 0 0 1",        # one index short
+    "unit 0 1 0 1",   # one field too many
+    "label 1",
+    "s 0 x 1",
+    "dim",
+    "dim 0",
+    "dim 2 3",
+])
+def test_algebra_rejects_bad_records(record):
+    text = "dim 2\nc 0 0 0 1\nc 1 1 1 1\ns 0 0 1\ns 1 1 1\n" + record
+    with pytest.raises(FormatError, match=re.escape(repr(record))):
+        parse_algebra(text)
+
+
 def test_algebra_complex_entries():
-    text = "dim 1\nc 0 0 0 1\ns 0 0 1\nomega 0 1 0"
-    alg, omega = parse_algebra(text)
+    _, omega = parse_algebra("dim 1\nc 0 0 0 1\ns 0 0 1\nomega 0 1 0")
     assert omega[0] == 1.0 + 0.0j
-    dumped = dump_algebra(alg, [0.5 + 0.25j])
-    _, om2 = parse_algebra(dumped)
-    assert om2[0] == 0.5 + 0.25j
-
-
-# --------------------------------------------------------------------------
-# functional literals
-
-def test_functional_roundtrip(lat_small):
-    text = """
-    0 - 3/4
-    1 2,1 1,2
-    2 3,0 3,1 -1/3
-    """
-    F = parse_functional(text, lat_small)
-    assert F.terms[()].coefficient(0, 0) == ExactComplex(Fraction(3, 4))
-    s = lat_small.site(2, 1)
-    assert F.terms[(s,)].coefficient(0, 0) == ExactComplex(1, 2)
-    back = dump_functional(F)
-    F2 = parse_functional(back, lat_small)
-    assert F2 == F
-
-
-def test_functional_accumulates_repeated_records(lat_small):
-    F = parse_functional("1 2,1 1/2\n1 2,1 1/2", lat_small)
-    s = lat_small.site(2, 1)
-    assert F.terms[(s,)].coefficient(0, 0) == ExactComplex(1)
-
-
-def test_functional_bad_records(lat_small):
-    with pytest.raises(FormatError):
-        parse_functional("1", lat_small)
-    with pytest.raises(FormatError):
-        parse_functional("0 1,1 2", lat_small)
-    with pytest.raises(FormatError):
-        parse_functional("2 1,1 5", lat_small)
-
-
-def test_dump_rejects_graded_coefficients(lat_small):
-    F = smeared_field(lat_small, {lat_small.site(2, 1): Fraction(1)})
-    G = F * FormalSeries.hbar()
-    with pytest.raises(FormatError):
-        dump_functional(G)
+    _, omega = parse_algebra("dim 1\nc 0 0 0 1\ns 0 0 1\nomega 0 0.5 0.25")
+    assert omega[0] == 0.5 + 0.25j
 
 
 # --------------------------------------------------------------------------
@@ -209,9 +185,10 @@ def test_write_csv_deterministic(tmp_path):
 
 
 def test_series_and_functional_rows(lat_small):
+    # a constant functional gives one row per series coefficient, sorted
     s = FormalSeries({(1, 0): ExactComplex(2), (0, 1): ExactComplex(3)})
-    assert series_rows(s) == [(0, 1, ExactComplex(3)),
-                              (1, 0, ExactComplex(2))]
+    assert functional_rows(PolyFunctional(lat_small, {(): s})) == [
+        (0, 0, 1, "-", ExactComplex(3)), (0, 1, 0, "-", ExactComplex(2))]
     F = smeared_field(lat_small, {lat_small.site(2, 1): Fraction(2)})
     rows = functional_rows(F)
     assert len(rows) == 1

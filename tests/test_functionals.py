@@ -76,7 +76,7 @@ def test_smeared_field_evaluation(lat_small):
 
 def test_site_bounds_checked(lat_small):
     with pytest.raises(DimensionMismatch):
-        PolyFunctional(lat_small, {(lat_small.n_sites,): FormalSeries.one()})
+        PolyFunctional(lat_small, {(lat_small.n_sites,): FormalSeries.const(1)})
 
 
 def test_interaction_vertex_carries_coupling(lat_small):
@@ -173,7 +173,7 @@ def test_peierls_jacobi_identically_zero(xp_small, rand_functional):
 
 def test_subtraction_is_adding_the_negative(lat_small):
     rng = random.Random(33)
-    h, lam = FormalSeries.hbar(), FormalSeries.coupling()
+    h, lam = FormalSeries({(1, 0): 1}), FormalSeries.coupling()
     series = (FormalSeries.const(Fraction(2, 3)) + h.scale(ExactComplex(
         Fraction(-1, 5), Fraction(3, 7))) + h * lam.scale(Fraction(5, 9)))
     for _ in range(20):
