@@ -154,10 +154,16 @@ def _int(v):
     return v
 
 
-def _count(v):
-    if _int(v) < 1:
-        raise ValueError("want an integer >= 1")
-    return v
+def _at_least(low):
+    """An integer key that must be at least `low`."""
+    def checked(v):
+        if _int(v) < low:
+            raise ValueError("want an integer >= %d" % low)
+        return v
+    return checked
+
+
+_count = _at_least(1)
 
 
 def _real(convert):
@@ -187,7 +193,7 @@ def _positive(v):
 
 
 def _floats(v):
-    return tuple(_float(x) for x in (v if isinstance(v, list) else [v]))
+    return tuple(_finite(x) for x in (v if isinstance(v, list) else [v]))
 
 
 def _pair(v):
@@ -365,7 +371,7 @@ def bogoliubov(cfg, seed):
 
 # ----------------------------------------------------------------- graphs
 
-@command({"n": (_int, 2), "lines": (_int, 4), "d": (_int, 4)},
+@command({"n": (_count, 2), "lines": (_at_least(0), 4), "d": (_int, 4)},
          ("n_vertices", "total_lines", "graph", "Sym", "div"))
 def graphs(cfg, seed):
     """List multigraphs with symmetry factors and divergence degrees."""

@@ -195,11 +195,13 @@ class PropagatorSet:
             k, omega_hat, s_hat = self.mode_data()
             at = float(lat.a_t)
             ax = float(lat.a_x)
-            n = np.arange(-(lat.n_t - 1), lat.n_t)[:, None, None]
-            dx = np.arange(lat.n_x)[None, :, None]
-            phase = np.exp(-1j * omega_hat[None, None, :] * n * at
-                           + 1j * k[None, None, :] * dx * ax)
-            wt = (phase / (2.0 * s_hat[None, None, :])).sum(axis=2)
+            # a time row at a time, so the transient phases are (n_x, modes),
+            # not (2 n_t - 1, n_x, modes); same reduction, same bits
+            space = 1j * k * np.arange(lat.n_x)[:, None] * ax
+            wt = np.array([
+                (np.exp(-1j * omega_hat * n * at + space)
+                 / (2.0 * s_hat)).sum(axis=1)
+                for n in range(-(lat.n_t - 1), lat.n_t)])
             self._wightman_table = wt / (lat.n_x * ax)
         return self._wightman_table
 

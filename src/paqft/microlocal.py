@@ -12,6 +12,7 @@ bicharacteristics.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -241,9 +242,14 @@ def wf_estimate_2d(field: SampledField2D, centers, n_rays: int = 16,
     the box of offsets around it that is E_t[q, di] E_x[q, dj], q = (direction,
     frequency), two tables built once per call.  Window and mask use the
     float offsets ts[i] - t0, xs[j] - x0 on the box, as on the full grid, so
-    points exactly at the cut fall the same way.  Boxes of _CHUNK centres
-    pair in one product with E_t and one contraction with E_x.  Centres with
-    no grid point in reach are listed in meta["skipped_centers"]."""
+    points exactly at the cut fall the same way.  A chunk of up to _CHUNK
+    centres lays its boxes out as (time offset, centre, space offset) and
+    pairs in one matrix product with E_t over the time offsets, then
+    contracts with E_x over the space offsets.  For real samples the product is
+    real, with the stacked table [Re E_t; Im E_t], and the contraction
+    forms (A + iB)(C + iD) from real parts, so no complex copy of the box
+    is made.  Centres with no grid point in reach are listed in
+    meta["skipped_centers"]."""
     kmax = k_base * 2 ** n_octaves
     nyq = math.pi / max(field.a_t, field.a_x)
     if kmax > nyq:
@@ -257,14 +263,20 @@ def wf_estimate_2d(field: SampledField2D, centers, n_rays: int = 16,
     ht, hx = (math.ceil(R / a) + 1 for a in (field.a_t, field.a_x))
     E_t = np.exp(1j * np.outer(k[:, 0], np.arange(-ht, ht + 1) * field.a_t))
     E_x = np.exp(1j * np.outer(k[:, 1], np.arange(-hx, hx + 1) * field.a_x))
+    real = not np.iscomplexobj(field.values)
+    if real:
+        E_t = np.concatenate([E_t.real, E_t.imag])
+        C, D = E_x.real, E_x.imag
+    pair = partial(np.einsum, "qcj,qj->cq")  # sum over space offsets
     (nt, nx), cell = field.values.shape, field.a_t * field.a_x
     centers = list(centers)
     cs, amps, skipped = [], [np.zeros((0, len(k)))], []
     for start in range(0, len(centers), _CHUNK):
-        box = np.zeros((_CHUNK, 2 * ht + 1, 2 * hx + 1),
+        chunk = centers[start:start + _CHUNK]
+        box = np.zeros((2 * ht + 1, len(chunk), 2 * hx + 1),
                        np.result_type(field.values, float))
         n = 0
-        for t0, x0 in centers[start:start + _CHUNK]:
+        for t0, x0 in chunk:
             it, ix = round(t0 / field.a_t), round(x0 / field.a_x)
             i0, i1 = max(it - ht, 0), min(it + ht + 1, nt)
             j0, j1 = max(ix - hx, 0), min(ix + hx + 1, nx)
@@ -275,11 +287,18 @@ def wf_estimate_2d(field: SampledField2D, centers, n_rays: int = 16,
                 skipped.append((t0, x0))
                 continue
             w = np.exp(-dist2[mask] / (2.0 * sigma * sigma))
-            box[n, i0 - it + ht:i1 - it + ht, j0 - ix + hx:j1 - ix + hx][
+            box[i0 - it + ht:i1 - it + ht, n, j0 - ix + hx:j1 - ix + hx][
                 mask] = field.values[i0:i1, j0:j1][mask] * w * cell
             cs.append((t0, x0))
             n += 1
-        amps.append(np.abs(np.einsum("cqj,qj->cq", E_t @ box[:n], E_x)))
+        p = (E_t @ box[:, :n].reshape(2 * ht + 1, -1)).reshape(
+            len(E_t), n, 2 * hx + 1)
+        if real:
+            A, B = p[:len(k)], p[len(k):]
+            amps.append(np.hypot(pair(A, C) - pair(B, D),
+                                 pair(A, D) + pair(B, C)))
+        else:
+            amps.append(np.abs(pair(p, E_x)))
     return _estimate(cs, dirs, rs, np.concatenate(amps), threshold,
                      amp_floor, rel_floor,
                      {"ladder": rs, "n_rays": n_rays, "sigma": sigma,

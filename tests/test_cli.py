@@ -346,12 +346,17 @@ def test_unknown_config_key_is_a_config_error(tmp_path, command, text):
     ("flow", "n_steps = 0\n"),
     ("flow", "drift_tol = nan\n"),
     ("flow", "drift_tol = -1\n"),
+    ("wf delta", "centers = nan\n"),
+    ("wf delta", "centers = 0.0, inf\n"),
+    ("graphs", "n = 0\n"),
+    ("graphs", "n = -1\n"),
+    ("graphs", "lines = -2\n"),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
-    res = run([command, "--config", str(cfg), "--out", str(tmp_path)],
-              expect=2)
+    res = run([*command.split(), "--config", str(cfg), "--out",
+               str(tmp_path)], expect=2)
     key = text.split(" =")[0]
     assert "bad config %s: key %s = " % (cfg, key) in res.output
     if key == "only":

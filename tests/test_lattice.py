@@ -107,6 +107,26 @@ def test_wightman_solves_field_equation_on_interior(lat_small):
     assert np.max(np.abs(resid[rows])) < 1e-12
 
 
+def reference_wightman_table(lat):
+    """The positive-frequency table from the whole (2 n_t - 1, n_x, modes)
+    phase array, summed over modes in one reduction."""
+    k, omega_hat, s_hat = PropagatorSet(lat).mode_data()
+    at, ax = float(lat.a_t), float(lat.a_x)
+    n = np.arange(-(lat.n_t - 1), lat.n_t)[:, None, None]
+    dx = np.arange(lat.n_x)[None, :, None]
+    phase = np.exp(-1j * omega_hat[None, None, :] * n * at
+                   + 1j * k[None, None, :] * dx * ax)
+    wt = (phase / (2.0 * s_hat[None, None, :])).sum(axis=2)
+    return wt / (lat.n_x * ax)
+
+
+@pytest.mark.parametrize("n_t, n_x", [(8, 4), (24, 24), (48, 48), (96, 96)])
+def test_wightman_table_rows_match_the_whole_array_sum(n_t, n_x):
+    lat = Lattice1p1(n_t, n_x)
+    assert np.array_equal(PropagatorSet(lat).wightman_table(),
+                          reference_wightman_table(lat))
+
+
 def test_exact_lift_matches_float_tables(xp_small):
     lat = xp_small.lat
     ps = PropagatorSet(lat)

@@ -228,14 +228,26 @@ def test_2d_estimate_matches_full_grid_reference():
     centers = [(c, c), (2.0, 3.0),                 # grid-aligned
                (c + 0.031, c - 0.027), (0.55, 6.98),  # off-grid
                (0.3, 7.0), (9.4, 0.2), (0.0, 0.0),  # cut by the grid edge
-               (-1.0, 4.8), (4.8, 11.2),            # centre off the grid
-               (-3.0, 4.8), (20.0, 20.0)]           # no grid point in reach
-    for values in (points, bump, points + bump):
+               (-1.0, 4.8), (4.8, 11.2)]            # centre off the grid
+    skipped = [(-3.0, 4.8), (20.0, 20.0),          # no grid point in reach
+               (4.8, -4.0), (12.6, 3.0)]
+    # fill up to the first chunk boundary, so that a skipped and an off-grid
+    # centre sit on each side of it
+    edge = ml._CHUNK
+    centers += [(1.0 + 0.25 * i, 8.013 - 0.2 * i)
+                for i in range(edge - 2 - len(centers))]
+    centers += [skipped[0], (c - 0.047, c + 0.052),
+                skipped[1], (5.51, 4.49), (c, 2.0), skipped[2],
+                (7.5, 9.5), skipped[3]]
+    assert centers[edge - 2] in skipped and centers[edge] in skipped
+    # real fields take the real product, the complex one the complex product
+    for values in (points, bump, points + bump, points + 1j * bump):
         field = ml.SampledField2D(values, h, h)
         wf = ml.wf_estimate_2d(field, centers)
         assert_matches_reference(wf, reference_wf2d(field, centers))
-        assert wf.meta["skipped_centers"] == [(-3.0, 4.8), (20.0, 20.0)]
-        assert {r.center for r in wf.rays} == set(centers[:-2])
+        assert wf.meta["skipped_centers"] == skipped
+        assert [r.center for r in wf.rays[::16]] == [
+            p for p in centers if p not in skipped]
 
 
 def test_propagation_flags_match_reference():
