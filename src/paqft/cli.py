@@ -276,7 +276,9 @@ def weyl(cfg, seed):
 def propagators(cfg, seed, out):
     """Propagator offset tables for a lattice, with a binary cache."""
     lat, xp, _ = _exact(cfg, seed)
-    key = "prop_%d_%d_%s_%s_%s" % (
+    # the format tag: raise it whenever the stored arrays change, so that a
+    # file of an older format has another name and is never read
+    key = "prop_v2_%d_%d_%s_%s_%s" % (
         lat.n_t, lat.n_x, lat.a_t, lat.a_x, lat.mass)
     cache = os.path.join(out, key.replace("/", "-") + ".npz")
     if os.path.exists(cache):
@@ -507,10 +509,16 @@ def flow(cfg, seed):
                                      cfg["metric"])
     rows = [(i * dt, x[0], x[1], k[0], k[1], s)
             for i, (x, k, s) in enumerate(zip(r["x"], r["k"], r["sigma"]))]
+    capped = r["fixpoint_capped"]
+    failures = ["symbol drift %.2e exceeds %.1e per unit time" % (drift, tol)
+                ] if not drift <= tol else []  # a NaN drift fails
+    if capped:
+        failures.append("%d of %d steps hit the fixed-point cap unconverged"
+                        % (capped, n_steps))
     return rows, ["sigma drift %.2e per unit time over %d steps (tol %.1e)"
-                  % (drift, n_steps, tol)], (
-        "symbol drift %.2e exceeds %.1e per unit time" % (drift, tol)
-        if not drift <= tol else None)  # a NaN drift fails
+                  % (drift, n_steps, tol),
+                  "%d steps hit the fixed-point cap" % capped], (
+        "; ".join(failures) or None)
 
 
 # ------------------------------------------------------------------ suite

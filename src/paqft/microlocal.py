@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -353,53 +354,84 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
     midpoint rule; G is the (position-dependent) inverse metric, default
     diag(1, -1).  Midpoint steps preserve quadratic invariants, so for
     constant G the symbol is conserved to rounding.
+
+    Each step solves its midpoint equation by fixed-point iteration.  The
+    x derivative is 2 G k; the k derivative is a central difference
+    (h = 1e-6) of the symbol, which leaves the rounding of its two symbol
+    values, amplified by 1/(2h), in every k update.  An iteration stops
+    once its update (max over x and k) is at most that noise floor times
+    |dt|, never below 1e-15, so an exactly zero update stops at once.
+    A step starts from the prediction x + dt v, k + dt w, where (v, w) is
+    the midpoint derivative of the previous step; the first step starts
+    from (x0, k0).  For constant G the prediction is exact and every step
+    after the first takes one iteration.  `fixpoint_capped` counts the
+    steps that ran all `fixpoint_iters` iterations without meeting the
+    bound: their points are accepted, but not converged.
     """
     if metric_inv is None:
         G0 = np.diag([1.0, -1.0])
         metric_inv = lambda x: G0
-    x = np.asarray(x0, dtype=float).copy()
-    k = np.asarray(k0, dtype=float).copy()
-    dim = x.size
+    x = np.asarray(x0, dtype=float).ravel().tolist()
+    k = np.asarray(k0, dtype=float).ravel().tolist()
+    idx = range(len(x))
+    h = 1e-6
+    # |dt| times the rounding of the difference's two symbol values over
+    # 2h, each at most dim^2 eps |k|^2 max|G|, with a margin of 4 on each
+    noise = 4.0 * abs(dt) * 4.0 * len(x) ** 2 * np.finfo(float).eps / (2 * h)
+
+    def apply(point, k):
+        """G(point) as nested lists and G k."""
+        G = metric_inv(np.array(point)).tolist()
+        return G, [sum(map(mul, row, k)) for row in G]
 
     def grads(x, k):
-        G = metric_inv(x)
-        dx = 2.0 * G @ k
-        dk = np.zeros(dim)
-        h = 1e-6
-        for a in range(dim):
-            xp = x.copy(); xp[a] += h
-            xm = x.copy(); xm[a] -= h
-            dk[a] = -(k @ metric_inv(xp) @ k - k @ metric_inv(xm) @ k) / (2 * h)
-        return dx, dk
+        """(dx, dk) at (x, k) and the noise floor of the update."""
+        G, Gk = apply(x, k)
+        dk = []
+        for a in idx:
+            p = list(x)
+            p[a] = x[a] + h
+            s_plus = sum(map(mul, k, apply(p, k)[1]))
+            p[a] = x[a] - h
+            s_minus = sum(map(mul, k, apply(p, k)[1]))
+            dk.append(-(s_plus - s_minus) / (2 * h))
+        floor = noise * sum(map(mul, k, k)) * max(abs(g) for row in G
+                                                  for g in row)
+        return [2.0 * g for g in Gk], dk, max(floor, 1e-15)
 
-    def sigma(x, k):
-        return float(k @ metric_inv(x) @ k)
+    def advance(y, dy):
+        return [p + dt * q for p, q in zip(y, dy)]
 
-    xs = [x.copy()]
-    ks = [k.copy()]
-    sigmas = [sigma(x, k)]
+    def middle(y, ym):
+        return [(p + q) / 2 for p, q in zip(y, ym)]
+
+    xs, ks = [x], [k]
+    v = w = None
+    capped = 0
     for _ in range(n_steps):
-        xm, km = x.copy(), k.copy()
+        xm, km = (x, k) if v is None else (advance(x, v), advance(k, w))
         for _ in range(fixpoint_iters):
-            dxm, dkm = grads((x + xm) / 2, (k + km) / 2)
-            xm_new = x + dt * dxm
-            km_new = k + dt * dkm
-            if (np.max(np.abs(xm_new - xm)) < 1e-15
-                    and np.max(np.abs(km_new - km)) < 1e-15):
-                xm, km = xm_new, km_new
+            v, w, floor = grads(middle(x, xm), middle(k, km))
+            xn, kn = advance(x, v), advance(k, w)
+            update = max(abs(p - q) for p, q in zip(xn + kn, xm + km))
+            xm, km = xn, kn
+            if update <= floor:
                 break
-            xm, km = xm_new, km_new
+        else:
+            capped += 1
         x, k = xm, km
-        xs.append(x.copy())
-        ks.append(k.copy())
-        sigmas.append(sigma(x, k))
-    sigmas = np.array(sigmas)
+        xs.append(x)
+        ks.append(k)
+    xs, ks = np.array(xs), np.array(ks)
+    sigmas = np.array([float(kk @ metric_inv(xx) @ kk)
+                       for xx, kk in zip(xs, ks)])
     return {
-        "x": np.array(xs),
-        "k": np.array(ks),
+        "x": xs,
+        "k": ks,
         "sigma": sigmas,
         "sigma_drift": float(np.max(np.abs(sigmas - sigmas[0]))),
         "time": dt * n_steps,
+        "fixpoint_capped": capped,
     }
 
 

@@ -68,7 +68,7 @@ def test_propagators_cache_and_header(tmp_path):
     b = (tmp_path / "propagators_b.csv").read_bytes()
     assert a == b
     assert a.splitlines()[0].startswith(b"# n_t=8 n_x=4")
-    assert (tmp_path / "prop_8_4_1-2_1_1.0.npz").exists()
+    assert (tmp_path / "prop_v2_8_4_1-2_1_1.0.npz").exists()
 
 
 def test_commutator_deterministic_across_runs(tmp_path):
@@ -275,6 +275,7 @@ def test_wf_centers_from_config(tmp_path):
 def test_flow_flat_null(tmp_path):
     res = run(["flow", "--out", str(tmp_path), "--label", "t"])
     assert "sigma drift 0.00e+00" in res.output
+    assert "0 steps hit the fixed-point cap" in res.output
     lines = csv_lines(tmp_path / "flow_t.csv")
     assert lines[0] == "time,t,x,k_t,k_x,sigma"
     assert len(lines) == 402
@@ -406,8 +407,20 @@ def test_flow_drift_tolerance_check(tmp_path):
          "--label", "t"])
 
 
+def test_flow_capped_fixed_point_fails_the_check(tmp_path):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("metric = conformal\nk0 = 1.0, 0.3\ndt = 0.5\n"
+                   "n_steps = 20\ndrift_tol = 1.0\n")
+    res = run(["flow", "--config", str(cfg), "--out", str(tmp_path),
+               "--label", "t"], expect=3)
+    assert "of 20 steps hit the fixed-point cap unconverged" in res.output
+    assert "exceeds" not in res.output
+    # the count is a note, not a column
+    assert csv_lines(tmp_path / "flow_t.csv")[0] == "time,t,x,k_t,k_x,sigma"
+
+
 def test_flow_nan_drift_fails_the_check(tmp_path, monkeypatch):
-    empty = {"x": [], "k": [], "sigma": []}
+    empty = {"x": [], "k": [], "sigma": [], "fixpoint_capped": 0}
     monkeypatch.setattr(cli.acceptance, "flow_drift",
                         lambda *args: (empty, float("nan")))
     res = run(["flow", "--out", str(tmp_path)], expect=3)
@@ -464,12 +477,28 @@ def test_unexpected_exception_maps_to_exit_4(tmp_path, monkeypatch):
     assert "RuntimeError: synthetic library bug" in res.output
 
 
+def test_propagators_ignore_a_cache_of_an_older_format(tmp_path):
+    """A file under the name without a format tag, misshapen so that reading
+    it would fail, is left alone: the tables are computed and cached anew."""
+    old = tmp_path / "prop_8_4_1-2_1_1.0.npz"
+    np.savez(old, ret=np.zeros((8, 4)))
+    res = run(["propagators", "--config", small_cfg(tmp_path), "--out",
+               str(tmp_path), "--label", "t"])
+    assert "cache write" in res.output
+    assert (tmp_path / "prop_v2_8_4_1-2_1_1.0.npz").exists()
+    fresh = tmp_path / "fresh"
+    run(["propagators", "--config", small_cfg(tmp_path), "--out",
+         str(fresh), "--label", "t"])
+    assert ((tmp_path / "propagators_t.csv").read_bytes()
+            == (fresh / "propagators_t.csv").read_bytes())
+
+
 @pytest.mark.parametrize("arrays", [
     {"ret": np.zeros((4, 4)), "wig": np.zeros((15, 4))},
     {"ret": np.zeros((8, 4))},
 ])
 def test_propagators_rejects_a_misshapen_cache(tmp_path, arrays):
-    name = "prop_8_4_1-2_1_1.0.npz"
+    name = "prop_v2_8_4_1-2_1_1.0.npz"
     np.savez(tmp_path / name, **arrays)
     res = run(["propagators", "--config", small_cfg(tmp_path), "--out",
                str(tmp_path), "--label", "t"], expect=2)
@@ -478,7 +507,7 @@ def test_propagators_rejects_a_misshapen_cache(tmp_path, arrays):
 
 
 def test_propagators_rejects_a_cache_that_is_no_archive(tmp_path):
-    with open(tmp_path / "prop_8_4_1-2_1_1.0.npz", "wb") as fh:
+    with open(tmp_path / "prop_v2_8_4_1-2_1_1.0.npz", "wb") as fh:
         np.save(fh, np.zeros((8, 4)))
     res = run(["propagators", "--config", small_cfg(tmp_path), "--out",
                str(tmp_path), "--label", "t"], expect=2)
@@ -491,7 +520,7 @@ def test_propagators_close_the_cache(tmp_path):
     cfg = small_cfg(tmp_path)
     bad = tmp_path / "bad"
     bad.mkdir()
-    np.savez(bad / "prop_8_4_1-2_1_1.0.npz", ret=np.zeros((8, 4)))
+    np.savez(bad / "prop_v2_8_4_1-2_1_1.0.npz", ret=np.zeros((8, 4)))
     run(["propagators", "--config", cfg, "--out", str(tmp_path)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -137,6 +137,123 @@ def test_midpoint_flow_is_reversible():
     assert np.max(np.abs(back["k"][-1] - (0.9, 0.5))) < 1e-9
 
 
+def reference_flow(x0, k0, dt, n_steps, metric_inv=None, fixpoint_iters=12):
+    """The earlier integrator, kept verbatim as an oracle: up to
+    fixpoint_iters iterations per step on numpy arrays, each step started
+    from (x, k), stopped only by an update below 1e-15."""
+    if metric_inv is None:
+        G0 = np.diag([1.0, -1.0])
+        metric_inv = lambda x: G0
+    x = np.asarray(x0, dtype=float).copy()
+    k = np.asarray(k0, dtype=float).copy()
+    dim = x.size
+
+    def grads(x, k):
+        G = metric_inv(x)
+        dx = 2.0 * G @ k
+        dk = np.zeros(dim)
+        h = 1e-6
+        for a in range(dim):
+            xp = x.copy(); xp[a] += h
+            xm = x.copy(); xm[a] -= h
+            dk[a] = -(k @ metric_inv(xp) @ k - k @ metric_inv(xm) @ k) / (2 * h)
+        return dx, dk
+
+    def sigma(x, k):
+        return float(k @ metric_inv(x) @ k)
+
+    xs = [x.copy()]
+    ks = [k.copy()]
+    sigmas = [sigma(x, k)]
+    for _ in range(n_steps):
+        xm, km = x.copy(), k.copy()
+        for _ in range(fixpoint_iters):
+            dxm, dkm = grads((x + xm) / 2, (k + km) / 2)
+            xm_new = x + dt * dxm
+            km_new = k + dt * dkm
+            if (np.max(np.abs(xm_new - xm)) < 1e-15
+                    and np.max(np.abs(km_new - km)) < 1e-15):
+                xm, km = xm_new, km_new
+                break
+            xm, km = xm_new, km_new
+        x, k = xm, km
+        xs.append(x.copy())
+        ks.append(k.copy())
+        sigmas.append(sigma(x, k))
+    return {"x": np.array(xs), "k": np.array(ks), "sigma": np.array(sigmas)}
+
+
+@pytest.mark.parametrize("x0, k0, dt", [
+    ((0.0, 0.0), (1.0, 1.0), 0.01),   # the `paqft flow` default
+    ((0.3, -0.7), (1.7, -0.4), 0.01),
+    ((-0.9, 0.2), (0.6, 1.9), -0.02),
+    ((0.5, 0.5), (1.25, 0.0), 0.0075),
+])
+def test_flat_flow_matches_the_reference_bit_for_bit(x0, k0, dt):
+    rep = ml.bicharacteristic_flow(x0, k0, dt, 400)
+    ref = reference_flow(x0, k0, dt, 400)
+    for key in ("x", "k", "sigma"):
+        assert np.array_equal(rep[key], ref[key]), key
+    assert rep["fixpoint_capped"] == 0
+
+
+@pytest.mark.parametrize("x0, k0", [
+    ((0.2, -0.1), (1.0, 1.0)),     # null
+    ((-0.6, 0.8), (1.6, -1.6)),    # null
+    ((0.0, 0.0), (1.0, 0.3)),      # timelike
+    ((0.7, 0.4), (1.1, -1.8)),     # spacelike
+])
+def test_conformal_flow_matches_the_reference(x0, k0):
+    rep = ml.bicharacteristic_flow(x0, k0, 0.01, 400, metric_inv=conformal)
+    ref = reference_flow(x0, k0, 0.01, 400, metric_inv=conformal)
+    assert np.max(np.abs(rep["x"] - ref["x"])) < 1e-8
+    assert np.max(np.abs(rep["k"] - ref["k"])) < 1e-8
+    assert rep["fixpoint_capped"] == 0
+
+
+class CountingMetric:
+    def __init__(self, metric_inv):
+        self.metric_inv, self.calls = metric_inv, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.metric_inv(x)
+
+
+def test_conformal_null_flow_stops_at_the_noise_floor():
+    """Five metric calls per iteration and one for sigma: 19.8 a step on
+    this ray, where `reference_flow` runs all 12 iterations of nearly
+    every step (60.1 a step)."""
+    counted = CountingMetric(conformal)
+    ml.bicharacteristic_flow((0.3, -0.5), (1.4, -1.4), 0.01, 400,
+                             metric_inv=counted)
+    assert counted.calls <= 25 * 400
+
+
+def test_flat_flow_takes_one_iteration_a_step():
+    """The predictor is exact for a constant metric: the first step (no
+    predictor) takes two iterations, every other step one."""
+    counted = CountingMetric(lambda x: np.diag([1.0, -1.0]))
+    rep = ml.bicharacteristic_flow((0.1, 0.2), (1.3, 0.4), 0.01, 400,
+                                   metric_inv=counted)
+    assert counted.calls == 5 * 401 + 401
+    assert np.array_equal(rep["x"], ml.bicharacteristic_flow(
+        (0.1, 0.2), (1.3, 0.4), 0.01, 400)["x"])
+
+
+def test_capped_fixed_point_steps_are_counted():
+    coarse = ml.bicharacteristic_flow((0.0, 0.0), (1.0, 0.3), 0.5, 20,
+                                      metric_inv=conformal)
+    assert 0 < coarse["fixpoint_capped"] <= 20
+    fine = ml.bicharacteristic_flow((0.0, 0.0), (1.0, 0.3), 0.01, 400,
+                                    metric_inv=conformal)
+    assert fine["fixpoint_capped"] == 0
+    starved = ml.bicharacteristic_flow((0.0, 0.0), (1.0, 0.3), 0.01, 10,
+                                       metric_inv=conformal,
+                                       fixpoint_iters=1)
+    assert starved["fixpoint_capped"] == 10
+
+
 # --------------------------------------------------------------------------
 # 2d sampled estimator
 
