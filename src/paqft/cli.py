@@ -414,6 +414,8 @@ def extend(cfg, seed, expression):
     EXPRESSION uses the term grammar, e.g. "(x+i0)^-2 + 3/2*delta".
     """
     t = formats.parse_distribution(expression)
+    if not t.terms:
+        _fail(2, "%r is the zero distribution" % expression)
     sd, how = _sd_report(t)
     div, order, e1, _, coeffs, resid = acceptance.w_extensions(t)
     rows = [("scaling_degree", sd), ("sd_method", how),
@@ -470,8 +472,13 @@ def ms(cfg, seed, family_atom):
          argument="expression")
 def wf(cfg, seed, expression):
     """Wavefront set estimate of a 1D distribution expression."""
-    est = ml.wf_estimate_1d(formats.parse_distribution(expression),
-                            centers=cfg["centers"])
+    t = formats.parse_distribution(expression)
+    for _, kind in t.terms:
+        if not ml.wave_pairable(kind):
+            _fail(2, "no wave pairing for the term %s of %r: it takes "
+                  "delta^m, x^m, heaviside^m and (x+-i0)^-1"
+                  % (kind, expression))
+    est = ml.wf_estimate_1d(t, centers=cfg["centers"])
     rows = [(r.center[0], r.direction[0], r.exponent, r.amplitude, r.singular)
             for r in est.rays]
     sing = est.singular()

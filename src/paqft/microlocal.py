@@ -7,11 +7,16 @@ whose decay exponent stays below the threshold are flagged singular.  On top
 of that sit the Whitney-sum compatibility test for products, the microcausal
 covector condition, and the Hamiltonian flow transporting covectors along
 bicharacteristics.
+
+Ladders, windows, thresholds, noise floors, the AC11 grid, the flow's
+iteration cap and the Whitney-sum tolerances are the fixed constants below;
+only the 2D threshold stays a parameter.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import partial
 from operator import mul
 from typing import NamedTuple
@@ -20,6 +25,23 @@ import numpy as np
 
 from .dist1d import SymbolicDistribution1D, _window, quad_complex
 from .lattice import Lattice1p1, PropagatorSet
+
+
+# 1D estimator: ladder K_BASE * 2^j for j <= OCTAVES, plateau window radii,
+# decay threshold and noise floors
+WF1D_K_BASE, WF1D_OCTAVES, WF1D_WINDOW = 4.0, 7, (0.25, 0.5)
+WF1D_THRESHOLD, WF1D_AMP_FLOOR, WF1D_REL_FLOOR = 4.0, 1e-9, 1e-6
+# 2D estimator: directions, ladder, a Gaussian window of width SIGMA cut at
+# CUT_SIGMAS widths, and noise floors
+WF2D_RAYS, WF2D_K_BASE, WF2D_OCTAVES = 16, 1.25, 3
+WF2D_SIGMA, WF2D_CUT_SIGMAS = 0.5, 5.0
+WF2D_AMP_FLOOR, WF2D_REL_FLOOR = 1e-7, 1e-4
+_CHUNK = 32  # centres per batched pairing; bounds the working set
+# AC11: centres on every STRIDE-th grid point of the annulus around the
+# source; singular mass within CONE_TOL_DEG of a null ray is on the cone
+AC11_ANNULUS, AC11_STRIDE, AC11_CONE_TOL_DEG = (5.0, 9.3), 6, 15.0
+FLOW_FIXPOINT_ITERS = 12  # fixed-point iterations per flow step, at most
+POS_TOL, DIR_TOL = 1e-9, 1e-6  # Whitney sums: same point, opposite directions
 
 
 class MicrolocalError(Exception):
@@ -49,10 +71,10 @@ class WFEstimate:
     def singular(self):
         return [r for r in self.rays if r.singular]
 
-    def singular_at(self, center, tol: float = 1e-9):
+    def singular_at(self, center):
         c = np.asarray(center, dtype=float)
         return [r for r in self.singular()
-                if np.linalg.norm(np.asarray(r.center) - c) <= tol]
+                if np.linalg.norm(np.asarray(r.center) - c) <= POS_TOL]
 
     def near_threshold(self, band: float):
         """Rays whose decay exponent lies within band of the threshold: the
@@ -134,6 +156,13 @@ def _quad(f, lo, hi, points=()):
                         limit=1000)
 
 
+def wave_pairable(kind) -> bool:
+    """Whether the wave pairing takes a term of this kind: delta^m, x^m,
+    heaviside^m or (x +- i0)^-1."""
+    return (kind[0] in ("delta", "monomial", "heaviside")
+            or kind[0] == "power_i0" and kind[2] == -1)
+
+
 def _pair_wave_1d(t, wave: _WindowedWave):
     """(<t, W e^{ikx}>, error estimate) per frequency, for the model kinds of
     the demos; a callable t maps an array of points to an array of values."""
@@ -142,6 +171,9 @@ def _pair_wave_1d(t, wave: _WindowedWave):
         return _quad(lambda x: t(x) * wave.value(x), lo, hi)
     out, err = 0j, 0.0
     for coeff, kind in t.terms:
+        if not wave_pairable(kind):
+            raise MicrolocalError(
+                f"wave pairing not implemented for kind {kind}")
         tag, e = kind[0], 0.0
         if tag == "delta":
             v = (-1) ** kind[1] * wave.derivative_at_0(kind[1])
@@ -150,7 +182,7 @@ def _pair_wave_1d(t, wave: _WindowedWave):
         elif tag == "heaviside":
             v, e = _quad(lambda x: np.where(x >= 0, x ** kind[1], 0.0)
                          * wave.value(x), lo, hi, points=(0.0,))
-        elif tag == "power_i0" and kind[2] == -1:
+        else:  # (x +- i0)^-1
             sign = kind[1]
             if lo < 0.0 < hi:
                 # PV int g/x = int (g - g(0))/x + g(0) log(hi / -lo)
@@ -160,9 +192,6 @@ def _pair_wave_1d(t, wave: _WindowedWave):
                 v = pv + g0 * math.log(hi / -lo) - sign * 1j * math.pi * g0
             else:
                 v, e = _pair_wave_1d(lambda x: 1.0 / x, wave)
-        else:
-            raise MicrolocalError(
-                f"wave pairing not implemented for kind {kind}")
         out, err = out + coeff * v, err + abs(coeff) * e
     return out, err
 
@@ -180,31 +209,28 @@ def _array_valued(t):
     return checked
 
 
-def wf_estimate_1d(t, centers=(0.0,), k_base: float = 4.0,
-                   n_octaves: int = 7, window=(0.25, 0.5),
-                   threshold: float = 4.0, amp_floor: float = 1e-9,
-                   rel_floor: float = 1e-6) -> WFEstimate:
+def wf_estimate_1d(t, centers=(0.0,)) -> WFEstimate:
     """Wave front estimate of a distribution on the line.
 
     t is a SymbolicDistribution1D or a smooth callable.  A callable is
     evaluated on numpy arrays of points (all quadrature nodes of a round at
     once) and must return an array of values of the same shape, e.g.
     lambda x: np.exp(-x ** 2); anything else raises TypeError.  Directions
-    are the two signs, the ladder k_base * 2^j (one quadrature run per centre);
-    meta["abserr"] is each ray's worst error estimate over its ladder."""
+    are the two signs, the ladder WF1D_K_BASE * 2^j (one quadrature run per
+    centre); meta["abserr"] is each ray's worst error estimate over its
+    ladder."""
     if callable(t) and not isinstance(t, SymbolicDistribution1D):
         t = _array_valued(t)
-    r0, R = window
-    rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
+    r0, R = WF1D_WINDOW
+    rs = [WF1D_K_BASE * 2 ** j for j in range(WF1D_OCTAVES + 1)]
     cs, dirs = [(float(x0),) for x0 in centers], ((1.0,), (-1.0,))
     ks = np.array([s * r for (s,) in dirs for r in rs])
     vals, errs = np.zeros((2, len(cs), len(ks)), dtype=complex)
     for i, c in enumerate(cs):
         vals[i], errs[i] = _pair_wave_1d(t, _WindowedWave(c[0], ks, r0, R))
-    meta = {"k_base": k_base, "ladder": rs, "window": window,
-            "abserr": errs.real.reshape(-1, len(rs)).max(axis=1)}
-    return _estimate(cs, dirs, rs, np.abs(vals), threshold, amp_floor,
-                     rel_floor, meta)
+    meta = {"abserr": errs.real.reshape(-1, len(rs)).max(axis=1)}
+    return _estimate(cs, dirs, rs, np.abs(vals), WF1D_THRESHOLD,
+                     WF1D_AMP_FLOOR, WF1D_REL_FLOOR, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +250,13 @@ class SampledField2D:
         self.xs = np.arange(nx) * self.a_x
 
 
-_CHUNK = 32  # centres per batched pairing; bounds the working set
-
-
-def wf_estimate_2d(field: SampledField2D, centers, n_rays: int = 16,
-                   k_base: float = 1.25, n_octaves: int = 3,
-                   sigma: float = 0.5, cut_sigmas: float = 5.0,
-                   threshold: float = 2.5, amp_floor: float = 1e-7,
-                   rel_floor: float = 1e-4) -> WFEstimate:
+def wf_estimate_2d(field: SampledField2D, centers,
+                   threshold: float = 2.5) -> WFEstimate:
     """Windowed-pairing wave front estimate for gridded data.
 
-    The window is a radial Gaussian (truncated at cut_sigmas), whose spectral
-    decay is fast enough to resolve power-law fronts over a short dyadic
-    ladder; frequencies stay below the grid Nyquist limit.
+    The window is a radial Gaussian (truncated at WF2D_CUT_SIGMAS widths),
+    whose spectral decay is fast enough to resolve power-law fronts over a
+    short dyadic ladder; frequencies stay below the grid Nyquist limit.
 
     Shared stencil: |sum v e^{i r d.p}| ignores a global phase, so a centre
     pairs against e^{i r d.(p - anchor)}, anchor its nearest grid point; on
@@ -251,15 +271,15 @@ def wf_estimate_2d(field: SampledField2D, centers, n_rays: int = 16,
     forms (A + iB)(C + iD) from real parts, so no complex copy of the box
     is made.  Centres with no grid point in reach are listed in
     meta["skipped_centers"]."""
-    kmax = k_base * 2 ** n_octaves
+    kmax = WF2D_K_BASE * 2 ** WF2D_OCTAVES
     nyq = math.pi / max(field.a_t, field.a_x)
     if kmax > nyq:
         raise MicrolocalError(
             f"ladder top {kmax:.3g} exceeds grid Nyquist {nyq:.3g}")
-    R = sigma * cut_sigmas
-    rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
-    dirs = [(math.cos(2 * math.pi * j / n_rays),
-             math.sin(2 * math.pi * j / n_rays)) for j in range(n_rays)]
+    R, sigma = WF2D_SIGMA * WF2D_CUT_SIGMAS, WF2D_SIGMA
+    rs = [WF2D_K_BASE * 2 ** j for j in range(WF2D_OCTAVES + 1)]
+    dirs = [(math.cos(2 * math.pi * j / WF2D_RAYS),
+             math.sin(2 * math.pi * j / WF2D_RAYS)) for j in range(WF2D_RAYS)]
     k = np.array([[r * d[0], r * d[1]] for d in dirs for r in rs])
     ht, hx = (math.ceil(R / a) + 1 for a in (field.a_t, field.a_x))
     E_t = np.exp(1j * np.outer(k[:, 0], np.arange(-ht, ht + 1) * field.a_t))
@@ -301,47 +321,45 @@ def wf_estimate_2d(field: SampledField2D, centers, n_rays: int = 16,
         else:
             amps.append(np.abs(pair(p, E_x)))
     return _estimate(cs, dirs, rs, np.concatenate(amps), threshold,
-                     amp_floor, rel_floor,
-                     {"ladder": rs, "n_rays": n_rays, "sigma": sigma,
-                      "cut": R, "skipped_centers": skipped})
+                     WF2D_AMP_FLOOR, WF2D_REL_FLOOR,
+                     {"skipped_centers": skipped})
 
 
 # ---------------------------------------------------------------------------
 # compatibility and causality of covector sets
 
 
-def whitney_sum_witnesses(wf1: WFEstimate, wf2: WFEstimate,
-                          pos_tol: float = 1e-9,
-                          dir_tol: float = 1e-6):
-    """Pairs of singular rays at a common point whose directions cancel,
-    i.e. hits of the fibrewise sum on the zero section."""
+def whitney_sum_witnesses(wf1: WFEstimate, wf2: WFEstimate):
+    """Pairs of singular rays at a common point (within POS_TOL) whose
+    directions cancel (to DIR_TOL), i.e. hits of the fibrewise sum on the
+    zero section."""
     return [(r1, r2) for r1 in wf1.singular() for r2 in wf2.singular()
-            if np.linalg.norm(np.subtract(r1.center, r2.center)) <= pos_tol
-            and np.linalg.norm(np.add(r1.direction, r2.direction)) < dir_tol]
+            if np.linalg.norm(np.subtract(r1.center, r2.center)) <= POS_TOL
+            and np.linalg.norm(np.add(r1.direction, r2.direction)) < DIR_TOL]
 
 
-def product_compatible(wf1: WFEstimate, wf2: WFEstimate, **kw):
+def product_compatible(wf1: WFEstimate, wf2: WFEstimate):
     """Hoermander criterion on the estimated sets: the product is admissible
     when no opposite singular covectors sit over the same point."""
-    wit = whitney_sum_witnesses(wf1, wf2, **kw)
+    wit = whitney_sum_witnesses(wf1, wf2)
     return len(wit) == 0, wit
 
 
-def in_future_cone(k, tol: float = 0.0) -> bool:
+def in_future_cone(k) -> bool:
     """Closed forward covector cone for signature (+,-): k_t >= |k_x|."""
-    return k[0] >= abs(k[1]) - tol
+    return k[0] >= abs(k[1])
 
 
-def in_past_cone(k, tol: float = 0.0) -> bool:
-    return -k[0] >= abs(k[1]) - tol
+def in_past_cone(k) -> bool:
+    return -k[0] >= abs(k[1])
 
 
-def microcausal_check(covectors, tol: float = 0.0) -> bool:
+def microcausal_check(covectors) -> bool:
     """True when the tuple avoids both the all-future and the all-past
     configuration (the admissibility cone condition for vertex covectors)."""
     ks = list(covectors)
-    return (bool(ks) and not all(in_future_cone(k, tol) for k in ks)
-            and not all(in_past_cone(k, tol) for k in ks))
+    return (bool(ks) and not all(in_future_cone(k) for k in ks)
+            and not all(in_past_cone(k) for k in ks))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +367,7 @@ def microcausal_check(covectors, tol: float = 0.0) -> bool:
 
 
 def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
-                          metric_inv=None, fixpoint_iters: int = 12) -> dict:
+                          metric_inv=None) -> dict:
     """Hamiltonian flow of sigma(x, k) = k . G(x) k with the implicit
     midpoint rule; G is the (position-dependent) inverse metric, default
     diag(1, -1).  Midpoint steps preserve quadratic invariants, so for
@@ -365,7 +383,7 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
     the midpoint derivative of the previous step; the first step starts
     from (x0, k0).  For constant G the prediction is exact and every step
     after the first takes one iteration.  `fixpoint_capped` counts the
-    steps that ran all `fixpoint_iters` iterations without meeting the
+    steps that ran all FLOW_FIXPOINT_ITERS iterations without meeting the
     bound: their points are accepted, but not converged.
     """
     if metric_inv is None:
@@ -410,7 +428,7 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
     capped = 0
     for _ in range(n_steps):
         xm, km = (x, k) if v is None else (advance(x, v), advance(k, w))
-        for _ in range(fixpoint_iters):
+        for _ in range(FLOW_FIXPOINT_ITERS):
             v, w, floor = grads(middle(x, xm), middle(k, km))
             xn, kn = advance(x, v), advance(k, w)
             update = max(abs(p - q) for p, q in zip(xn + kn, xm + km))
@@ -439,43 +457,30 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
 # propagation of singularities on the lattice
 
 
-def propagation_check(mass: float = 1.0, n_t: int = 512, n_x: int = 256,
-                      a_t: float = 0.05, a_x: float = 0.1,
-                      y0=None, annulus=(5.0, 9.3), stride: int = 6,
-                      cone_tol_deg: float = 15.0,
-                      threshold: float = 2.5) -> dict:
-    """Estimate the wave front of the commutator kernel column Delta(., y0)
-    and measure how much of the singular amplitude sits near the light cone
-    through y0 (position angles within cone_tol_deg of the +-45 degree rays).
-    """
-    from fractions import Fraction
-    lat = Lattice1p1(n_t=n_t, n_x=n_x,
-                     a_t=Fraction(a_t).limit_denominator(10 ** 6),
-                     a_x=Fraction(a_x).limit_denominator(10 ** 6),
-                     mass=mass)
-    ps = PropagatorSet(lat)
-    if y0 is None:
-        y0 = (n_t // 2, n_x // 2)
-    t0, x0 = y0
-    col = ps.causal_column(t0, x0)
-    field = SampledField2D(col, a_t, a_x)
+def propagation_check() -> dict:
+    """AC11: estimate the wave front of the commutator kernel column
+    Delta(., y0) of the 512x256 lattice (a_t = 1/20, a_x = 1/10, m = 1), y0
+    its centre, at the AC11_STRIDE grid centres of the annulus AC11_ANNULUS
+    around y0, and measure how much of the singular amplitude sits near the
+    light cone through y0 (position angles within AC11_CONE_TOL_DEG of the
+    +-45 degree rays)."""
+    lat = Lattice1p1(512, 256, Fraction(1, 20), Fraction(1, 10), 1.0)
+    a_t, a_x = 0.05, 0.1
+    t0, x0 = lat.n_t // 2, lat.n_x // 2
+    field = SampledField2D(PropagatorSet(lat).causal_column(t0, x0), a_t, a_x)
     origin = np.array([t0 * a_t, x0 * a_x])
-
-    lo, hi = annulus
+    lo, hi = AC11_ANNULUS
     centers = []
-    for it in range(2, n_t - 2, stride):
-        for ix in range(2, n_x - 2, stride):
+    for it in range(2, lat.n_t - 2, AC11_STRIDE):
+        for ix in range(2, lat.n_x - 2, AC11_STRIDE):
             p = np.array([it * a_t, ix * a_x])
-            d = np.linalg.norm(p - origin)
-            if lo <= d <= hi:
+            if lo <= np.linalg.norm(p - origin) <= hi:
                 centers.append((p[0], p[1]))
-
-    wf = wf_estimate_2d(field, centers, threshold=threshold)
+    wf = wf_estimate_2d(field, centers)
 
     cone_rays = [np.array([a, b]) / math.sqrt(2)
                  for a in (1.0, -1.0) for b in (1.0, -1.0)]
-    cos_tol = math.cos(math.radians(cone_tol_deg))
-
+    cos_tol = math.cos(math.radians(AC11_CONE_TOL_DEG))
     mass_on, mass_total = 0.0, 0.0
     per_center: dict[tuple, float] = {}
     for r in wf.singular():
@@ -483,19 +488,10 @@ def propagation_check(mass: float = 1.0, n_t: int = 512, n_x: int = 256,
     for c, m in per_center.items():
         p = np.array(c) - origin
         nrm = np.linalg.norm(p)
-        if nrm < 1e-12:
-            continue
-        u = p / nrm
-        mass_total += m
-        if any(float(u @ ray) >= cos_tol for ray in cone_rays):
-            mass_on += m
-    frac = mass_on / mass_total if mass_total else 0.0
-    return {
-        "fraction_on_cone": frac,
-        "passes": frac >= 0.9,
-        "n_centers": len(centers),
-        "n_singular_centers": len(per_center),
-        "mass_total": mass_total,
-        "wf": wf,
-        "y0_physical": tuple(origin),
-    }
+        if nrm >= 1e-12:
+            mass_total += m
+            if any(float(p / nrm @ ray) >= cos_tol for ray in cone_rays):
+                mass_on += m
+    return {"fraction_on_cone": mass_on / mass_total if mass_total else 0.0,
+            "n_centers": len(centers), "n_singular_centers": len(per_center),
+            "wf": wf}

@@ -14,6 +14,14 @@ Uses inside the definition's own body, or inside another definition without
 a caller, do not count, so deleting an API also flags the helpers only it
 used.  Matching is by name alone: a method that shares its name with another
 attribute (say `exp` and `np.exp`) always counts as used.
+
+The same discipline holds for parameters in the modules of SWEPT: a
+parameter with a default must be passed, by position or by name, by some
+call from src/ or perfbench/ outside its own body, and one that every such
+call sets only to its default expression is a single-valued knob.  Both kinds
+become module constants, unless their definition is in KEEP or the
+parameter is in KNOBS with a reason.  Calls are matched to definitions by
+name, as references are above (a constructor by its class name).
 """
 
 import ast
@@ -44,6 +52,14 @@ KEEP = {
         "step 3: the time-ordering operator",
     "exact.ExactComplex.conjugate":
         "the involution of Q(i), which an exact GNS construction needs",
+}
+
+
+SWEPT = ("microlocal", "graphs", "quantization", "egrenorm")
+
+KNOBS = {
+    "microlocal.wf_estimate_2d.threshold":
+        "perfbench/wavefront.py passes it by name, at its default",
 }
 
 
@@ -83,15 +99,103 @@ def _references(tree):
                 yield alias.name, node.lineno, False
 
 
+def _files():
+    """The library modules, and they with the non-test perfbench files."""
+    sources = sorted((ROOT / "src" / "paqft").glob("*.py"))
+    return sources, sources + [
+        p for p in sorted((ROOT / "perfbench").glob("*.py"))
+        if not p.name.startswith("test_")]
+
+
+def _calls(tree):
+    """(callee name, call) for every call the module makes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if name:
+                yield name, node
+
+
+def _defaulted(path, tree):
+    """(qualified parameter, callee name, positional index or None, default,
+    first line, last line) per parameter with a default."""
+    mod = path.stem
+    scopes = [(None, tree.body)] + [(c, c.body) for c in tree.body
+                                     if isinstance(c, ast.ClassDef)]
+    for cls, body in scopes:
+        for fn in body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            method = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list)
+            callee = cls.name if method and fn.name == "__init__" else fn.name
+            qual = ".".join(n.name for n in (cls, fn) if n)
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            start = len(pos) - len(a.defaults)  # first defaulted position
+            params = [(i - method, pos[i], d)  # a caller passes no self
+                      for i, d in enumerate(a.defaults, start)]
+            params += [(None, arg, d) for arg, d
+                       in zip(a.kwonlyargs, a.kw_defaults) if d]
+            for i, arg, d in params:
+                yield (f"{mod}.{qual}.{arg.arg}", callee, i, d, fn.lineno,
+                       fn.end_lineno)
+
+
+def _passed(call, name, index):
+    """The value node a call passes for the parameter, None when it passes
+    none, and ... when it may pass one through * or **."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+        if kw.arg is None:
+            return ...
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return ...
+        if i == index:
+            return arg
+    return None
+
+
+def knobs():
+    """Qualified defaulted parameters of the SWEPT modules that no call
+    passes, and those that every call passes only as its default
+    expression, kept ones too."""
+    sources, callers = _files()
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in callers}
+    calls = {}  # callee name -> [(path, call)]
+    for path, tree in trees.items():
+        for name, call in _calls(tree):
+            calls.setdefault(name, []).append((path, call))
+    uncalled, single = [], []
+    for path in sources:
+        if path.stem not in SWEPT:
+            continue
+        for qual, callee, index, default, first, last in _defaulted(
+                path, trees[path]):
+            values = [_passed(c, qual.rsplit(".", 1)[1], index)
+                      for p, c in calls.get(callee, ())
+                      if not (p == path and first <= c.lineno <= last)]
+            values = [v for v in values if v is not None]
+            if not values:
+                uncalled.append(qual)
+            elif all(v is not ... and ast.dump(v) == ast.dump(default)
+                     for v in values):
+                single.append(qual)
+    return uncalled, single
+
+
 def _kept(qual):
     return qual in KEEP or qual.rsplit(".", 1)[0] in KEEP
 
 
 def uncalled():
     """Qualified names of the definitions without a caller, kept ones too."""
-    sources = sorted((ROOT / "src" / "paqft").glob("*.py"))
-    callers = sources + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
-                         if not p.name.startswith("test_")]
+    sources, callers = _files()
     refs = {}  # name -> [(path, line, is attribute)]
     defs = []  # (path, qualified name, is method, first line, last line)
     for path in callers:
@@ -125,3 +229,25 @@ def test_every_library_definition_has_a_caller():
 def test_keep_list_names_existing_uncalled_definitions():
     # a kept name that gained a caller, or was deleted, leaves the list
     assert sorted(set(KEEP) - set(uncalled())) == []
+
+
+def _param_kept(qual):
+    return _kept(qual.rsplit(".", 1)[0]) or qual in KNOBS
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    missing = [q for q in knobs()[0] if not _param_kept(q)]
+    assert not missing, ("no call outside the tests passes these; make them "
+                         "module constants or add them to KNOBS with a "
+                         "reason: " + ", ".join(missing))
+
+
+def test_single_valued_parameters_are_listed():
+    # what is left of the settable values: a parameter every call passes
+    # only at its default is a constant in disguise
+    uncalled, single = knobs()
+    left = sorted(q for q in uncalled + single
+                  if not _kept(q.rsplit(".", 1)[0]))
+    assert left == sorted(KNOBS), (
+        "defaulted parameters set to one value only; make them module "
+        "constants or list them in KNOBS with a reason: " + ", ".join(left))

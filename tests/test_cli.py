@@ -390,6 +390,22 @@ def test_ms_rejects_non_power_seed(tmp_path):
     run(["ms", "x_+^-1 + delta", "--out", str(tmp_path)], expect=2)
 
 
+@pytest.mark.parametrize("expr", ["(x+i0)^-2", "x_+^-0.5",
+                                  "delta + 2*x_+^-0.5"])
+def test_wf_rejects_a_term_without_a_wave_pairing(tmp_path, monkeypatch,
+                                                  expr):
+    monkeypatch.setattr(cli.ml, "wf_estimate_1d",
+                        lambda *a, **kw: pytest.fail("pairing ran"))
+    res = run(["wf", expr, "--out", str(tmp_path)], expect=2)
+    assert "no wave pairing for the term" in res.output
+    assert repr(expr) in res.output
+
+
+def test_extend_rejects_the_zero_distribution(tmp_path):
+    res = run(["extend", "0*delta", "--out", str(tmp_path)], expect=2)
+    assert "'0*delta' is the zero distribution" in res.output
+
+
 def test_bad_metric_is_a_config_error(tmp_path):
     cfg = tmp_path / "m.cfg"
     cfg.write_text("metric = curly\n")

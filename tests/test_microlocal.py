@@ -248,10 +248,6 @@ def test_capped_fixed_point_steps_are_counted():
     fine = ml.bicharacteristic_flow((0.0, 0.0), (1.0, 0.3), 0.01, 400,
                                     metric_inv=conformal)
     assert fine["fixpoint_capped"] == 0
-    starved = ml.bicharacteristic_flow((0.0, 0.0), (1.0, 0.3), 0.01, 10,
-                                       metric_inv=conformal,
-                                       fixpoint_iters=1)
-    assert starved["fixpoint_capped"] == 10
 
 
 # --------------------------------------------------------------------------
@@ -286,14 +282,6 @@ def test_nyquist_guard():
     coarse = ml.SampledField2D(values, 1.0, 1.0)
     with pytest.raises(ml.MicrolocalError):
         ml.wf_estimate_2d(coarse, [(8.0, 8.0)])
-
-
-def test_commutator_front_rides_the_light_cone():
-    # quarter-size grid for speed; the mass-1 interior tail is relatively
-    # stronger at these short radii, so the bar sits below the full-size run
-    rep = ml.propagation_check(n_t=256, n_x=128, annulus=(3.0, 5.5))
-    assert rep["fraction_on_cone"] >= 0.7
-    assert rep["n_singular_centers"] > 0
 
 
 # --------------------------------------------------------------------------
@@ -367,16 +355,24 @@ def test_2d_estimate_matches_full_grid_reference():
             p for p in centers if p not in skipped]
 
 
-def test_propagation_flags_match_reference():
+def test_commutator_front_rides_the_light_cone():
+    """AC11 on its full grid: at least 90% of the singular mass sits on the
+    light cone, and the rays of every fourth centre match the reference."""
     from fractions import Fraction
     from paqft.lattice import Lattice1p1, PropagatorSet
-    rep = ml.propagation_check(n_t=256, n_x=128, annulus=(3.0, 5.5))
-    lat = Lattice1p1(256, 128, Fraction(1, 20), Fraction(1, 10), 1.0)
-    field = ml.SampledField2D(PropagatorSet(lat).causal_column(128, 64),
-                              0.05, 0.1)
+    rep = ml.propagation_check()
+    assert rep["fraction_on_cone"] >= 0.9
+    assert rep["n_singular_centers"] > 0
     centers = list(dict.fromkeys(r.center for r in rep["wf"].rays))
-    assert len(centers) == rep["n_centers"]
-    assert_matches_reference(rep["wf"], reference_wf2d(field, centers))
+    assert len(centers) == rep["n_centers"] == 1079
+    lat = Lattice1p1(512, 256, Fraction(1, 20), Fraction(1, 10), 1.0)
+    field = ml.SampledField2D(PropagatorSet(lat).causal_column(256, 128),
+                              0.05, 0.1)
+    picked = set(centers[::4])
+    wf = rep["wf"]
+    sub = ml.WFEstimate([r for r in wf.rays if r.center in picked],
+                        wf.threshold)
+    assert_matches_reference(sub, reference_wf2d(field, centers[::4]))
 
 
 def test_margins_are_aligned_with_rays():
