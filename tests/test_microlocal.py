@@ -241,13 +241,17 @@ def test_flat_flow_takes_one_iteration_a_step():
         (0.1, 0.2), (1.3, 0.4), 0.01, 400)["x"])
 
 
-def test_capped_fixed_point_steps_are_counted():
+def test_capped_fixed_point_steps_are_counted(monkeypatch):
     coarse = ml.bicharacteristic_flow((0.0, 0.0), (1.0, 0.3), 0.5, 20,
                                       metric_inv=conformal)
     assert 0 < coarse["fixpoint_capped"] <= 20
     fine = ml.bicharacteristic_flow((0.0, 0.0), (1.0, 0.3), 0.01, 400,
                                     metric_inv=conformal)
     assert fine["fixpoint_capped"] == 0
+    monkeypatch.setattr(ml, "FLOW_FIXPOINT_ITERS", 1)
+    starved = ml.bicharacteristic_flow((0.0, 0.0), (1.0, 0.3), 0.01, 10,
+                                       metric_inv=conformal)
+    assert starved["fixpoint_capped"] == 10
 
 
 # --------------------------------------------------------------------------
@@ -355,14 +359,26 @@ def test_2d_estimate_matches_full_grid_reference():
             p for p in centers if p not in skipped]
 
 
-def test_commutator_front_rides_the_light_cone():
+@pytest.fixture(scope="module")
+def full_grid_check():
+    """One AC11 run on its full grid, shared by the tests that read it."""
+    return ml.propagation_check()
+
+
+def test_commutator_front_rides_the_light_cone(full_grid_check):
     """AC11 on its full grid: at least 90% of the singular mass sits on the
-    light cone, and the rays of every fourth centre match the reference."""
-    from fractions import Fraction
-    from paqft.lattice import Lattice1p1, PropagatorSet
-    rep = ml.propagation_check()
+    light cone."""
+    rep = full_grid_check
     assert rep["fraction_on_cone"] >= 0.9
     assert rep["n_singular_centers"] > 0
+
+
+def test_propagation_flags_match_reference(full_grid_check):
+    """The rays of every fourth of the full grid's centres match the
+    reference pairing."""
+    from fractions import Fraction
+    from paqft.lattice import Lattice1p1, PropagatorSet
+    rep = full_grid_check
     centers = list(dict.fromkeys(r.center for r in rep["wf"].rays))
     assert len(centers) == rep["n_centers"] == 1079
     lat = Lattice1p1(512, 256, Fraction(1, 20), Fraction(1, 10), 1.0)
