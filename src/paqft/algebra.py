@@ -4,6 +4,11 @@ Everything is concrete linear algebra: an algebra is a structure-constant
 tensor with an involution matrix, a state is a functional on the basis, and
 the GNS construction quotients the Gram matrix's null space to produce an
 explicit matrix representation with a cyclic vector.
+
+The floating-point tolerances are module constants: STAR_TOL for the
+algebra axioms, STATE_TOL for a state's normalization and positivity, and
+GNS_TOL for the Gram null space.  The Weyl relations are checked on the
+shift pairs WEYL_PAIRS over a grid that starts at WEYL_X0.
 """
 
 from __future__ import annotations
@@ -11,6 +16,10 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+
+STAR_TOL = 1e-12  # algebra axioms, entrywise
+STATE_TOL = 1e-10  # omega(1) = 1, and Gram eigenvalues >= -STATE_TOL * max
+GNS_TOL = 1e-10  # Gram eigenvalues below GNS_TOL * max span the null space
 
 
 class AlgebraError(Exception):
@@ -36,7 +45,7 @@ class FiniteStarAlgebra:
     b_i^* = sum_a star[i, a] b_a; unit is the coefficient vector of 1.
     """
 
-    def __init__(self, mul_const, star, unit, labels=None, tol: float = 1e-12):
+    def __init__(self, mul_const, star, unit, labels=None):
         self.c = np.asarray(mul_const, dtype=complex)
         self.star = np.asarray(star, dtype=complex)
         self.unit = np.asarray(unit, dtype=complex)
@@ -46,7 +55,7 @@ class FiniteStarAlgebra:
             raise AlgebraError("structure constants must be dim^3")
         if self.star.shape != (self.dim, self.dim):
             raise AlgebraError("involution matrix must be dim^2")
-        self._validate(tol)
+        self._validate()
 
     # x, y are coefficient vectors on the basis
     def mul(self, x, y):
@@ -60,31 +69,31 @@ class FiniteStarAlgebra:
         """Matrix of x -> b_i x."""
         return self.c[i].T.copy()
 
-    def _validate(self, tol: float):
+    def _validate(self):
         d = self.dim
         eye = np.eye(d)
         # unit laws
         for i in range(d):
             e = eye[i]
-            if np.max(np.abs(self.mul(self.unit, e) - e)) > tol \
-                    or np.max(np.abs(self.mul(e, self.unit) - e)) > tol:
+            if np.max(np.abs(self.mul(self.unit, e) - e)) > STAR_TOL \
+                    or np.max(np.abs(self.mul(e, self.unit) - e)) > STAR_TOL:
                 raise AlgebraError("unit laws fail")
         # associativity: (b_i b_j) b_k == b_i (b_j b_k)
         lhs = np.einsum("ijm,mkl->ijkl", self.c, self.c)
         rhs = np.einsum("jkm,iml->ijkl", self.c, self.c)
-        if np.max(np.abs(lhs - rhs)) > tol:
+        if np.max(np.abs(lhs - rhs)) > STAR_TOL:
             raise AlgebraError("multiplication is not associative")
         # involution: involutive and antimultiplicative
         for i in range(d):
             e = eye[i]
-            if np.max(np.abs(self.adjoint(self.adjoint(e)) - e)) > tol:
+            if np.max(np.abs(self.adjoint(self.adjoint(e)) - e)) > STAR_TOL:
                 raise AlgebraError("involution is not involutive")
         for i in range(d):
             for j in range(d):
                 ab = self.mul(eye[i], eye[j])
                 lhs = self.adjoint(ab)
                 rhs = self.mul(self.adjoint(eye[j]), self.adjoint(eye[i]))
-                if np.max(np.abs(lhs - rhs)) > tol:
+                if np.max(np.abs(lhs - rhs)) > STAR_TOL:
                     raise AlgebraError("involution is not antimultiplicative")
 
     def __repr__(self):
@@ -123,17 +132,17 @@ def matrix_algebra(n: int) -> FiniteStarAlgebra:
 class AlgebraState:
     """Normalized positive functional, given by its values on the basis."""
 
-    def __init__(self, alg: FiniteStarAlgebra, omega, tol: float = 1e-10):
+    def __init__(self, alg: FiniteStarAlgebra, omega):
         self.alg = alg
         self.omega = np.asarray(omega, dtype=complex)
         if self.omega.shape != (alg.dim,):
             raise AlgebraError("state vector has wrong length")
         u = self.value(alg.unit)
-        if abs(u - 1.0) > tol:
+        if abs(u - 1.0) > STATE_TOL:
             raise AlgebraError(f"state is not normalized: omega(1) = {u}")
         G = gram_matrix(alg, self.omega)
         evs = np.linalg.eigvalsh((G + G.conj().T) / 2)
-        if evs.min() < -tol * max(1.0, evs.max()):
+        if evs.min() < -STATE_TOL * max(1.0, evs.max()):
             raise StateNotPositive(f"Gram matrix has eigenvalue {evs.min()}")
 
     def value(self, x) -> complex:
@@ -146,8 +155,7 @@ def gram_matrix(alg: FiniteStarAlgebra, omega) -> np.ndarray:
     return np.einsum("ia,ajk,k->ij", alg.star, alg.c, omega)
 
 
-def gns_construct(alg: FiniteStarAlgebra, state: AlgebraState,
-                  tol: float = 1e-10) -> dict:
+def gns_construct(alg: FiniteStarAlgebra, state: AlgebraState) -> dict:
     """GNS triple (H, pi, Omega) of a state, with certification residuals.
 
     The Hilbert space is the quotient by the Gram null space; pi acts by
@@ -157,8 +165,8 @@ def gns_construct(alg: FiniteStarAlgebra, state: AlgebraState,
     G = (G + G.conj().T) / 2
     w, V = np.linalg.eigh(G)
     scale = max(1.0, float(w.max()))
-    keep = w > tol * scale
-    if w.min() < -tol * scale:
+    keep = w > GNS_TOL * scale
+    if w.min() < -GNS_TOL * scale:
         raise StateNotPositive(f"Gram matrix has eigenvalue {w.min()}")
     r = int(np.count_nonzero(keep))
     Vr = V[:, keep]
@@ -189,7 +197,7 @@ def gns_construct(alg: FiniteStarAlgebra, state: AlgebraState,
         got = np.vdot(Omega, pis[i] @ Omega)
         vec = max(vec, abs(got - state.value(eye[i])))
     cyc_mat = np.column_stack([p @ Omega for p in pis])
-    cyc_rank = int(np.linalg.matrix_rank(cyc_mat, tol=tol * scale))
+    cyc_rank = int(np.linalg.matrix_rank(cyc_mat, tol=GNS_TOL * scale))
 
     return {
         "dim": r,
@@ -288,32 +296,32 @@ def weyl_matrix(alpha: float, beta: float, n: int, dx: float,
 
 
 WEYL_PAIRS = (((1, 0), (0, 1)), ((2, 0.5), (-1, 1.5)), ((0, 2), (3, 0)))
+WEYL_X0 = -8.0  # the grid's first point
 
 
-def weyl_grid_check(n: int, dx: float, hbar: float, pairs=WEYL_PAIRS) -> int:
+def weyl_grid_check(n: int, dx: float, hbar: float) -> int:
     """The most cells a composed shift moves, or ValueError naming n when
     that leaves no interior column (n <= twice it)."""
     reach = max(round(abs(hbar * a1 / dx)) + round(abs(hbar * a2 / dx))
-                for (a1, _), (a2, _) in pairs)
+                for (a1, _), (a2, _) in WEYL_PAIRS)
     if n <= 2 * reach:
         raise ValueError(f"n = {n}: no interior column, need n > {2 * reach}")
     return reach
 
 
-def weyl_rep_check(n: int = 64, dx: float = 0.25, hbar: float = 1.0,
-                   pairs=WEYL_PAIRS, x0: float = -8.0) -> dict:
+def weyl_rep_check(n: int = 64, dx: float = 0.25, hbar: float = 1.0) -> dict:
     """Composition and adjoint relations for grid Weyl operators.
 
     Zero padding breaks the relations only in the edge columns a shift can
     reach, so they are asserted on the interior columns exactly.
     """
-    max_cells = weyl_grid_check(n, dx, hbar, pairs)
+    max_cells = weyl_grid_check(n, dx, hbar)
     comp_res = 0.0
     adj_res = 0.0
-    for (a1, b1), (a2, b2) in pairs:
-        W1 = weyl_matrix(a1, b1, n, dx, hbar, x0)
-        W2 = weyl_matrix(a2, b2, n, dx, hbar, x0)
-        W12 = weyl_matrix(a1 + a2, b1 + b2, n, dx, hbar, x0)
+    for (a1, b1), (a2, b2) in WEYL_PAIRS:
+        W1 = weyl_matrix(a1, b1, n, dx, hbar, WEYL_X0)
+        W2 = weyl_matrix(a2, b2, n, dx, hbar, WEYL_X0)
+        W12 = weyl_matrix(a1 + a2, b1 + b2, n, dx, hbar, WEYL_X0)
         phase = weyl_phase(a1, b1, a2, b2, hbar)
         cells = int(round(abs(hbar * a1 / dx))) + int(round(abs(hbar * a2 / dx)))
         lhs = W1 @ W2
@@ -321,7 +329,7 @@ def weyl_rep_check(n: int = 64, dx: float = 0.25, hbar: float = 1.0,
         lo, hi = cells, n - cells
         comp_res = max(comp_res, float(np.max(np.abs(
             lhs[:, lo:hi] - rhs[:, lo:hi]))))
-        Wm = weyl_matrix(-a1, -b1, n, dx, hbar, x0)
+        Wm = weyl_matrix(-a1, -b1, n, dx, hbar, WEYL_X0)
         c1 = int(round(abs(hbar * a1 / dx)))
         adj_res = max(adj_res, float(np.max(np.abs(
             (W1.conj().T - Wm)[:, c1:n - c1]))))

@@ -478,6 +478,15 @@ def wf(cfg, seed, expression):
             _fail(2, "no wave pairing for the term %s of %r: it takes "
                   "delta^m, x^m, heaviside^m and (x+-i0)^-1"
                   % (kind, expression))
+    # a delta^m or (x+-i0)^-1 term pairs through the window's value at 0,
+    # which is neither 1 nor 0 when 0 is in the transition annulus
+    r0, R = ml.WF1D_WINDOW
+    if any(kind[0] in ("delta", "power_i0") for _, kind in t.terms):
+        for c in cfg["centers"]:
+            if r0 < abs(c) < R:
+                _fail(2, "centre %g lies in the window's transition annulus "
+                      "%g < |x| < %g, where %r has no wave pairing; use "
+                      "|x| <= %g or |x| >= %g" % (c, r0, R, expression, r0, R))
     est = ml.wf_estimate_1d(t, centers=cfg["centers"])
     rows = [(r.center[0], r.direction[0], r.exponent, r.amplitude, r.singular)
             for r in est.rays]

@@ -21,6 +21,9 @@ analytic-continuation formulas.  For kinds of positive divergence degree the
 value returned is therefore already one particular extension; it coincides
 with the honest pairing whenever the test function vanishes to the required
 order at the origin.
+
+A random probe has PROBE_ATOMS atoms; an exponent within INT_TOL of an
+integer, in both parts, counts as that integer.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ class DivergentPairing(DistError):
 
 class NotHomogeneousClass(DistError):
     pass
+
+
+PROBE_ATOMS = 2  # atoms of a random probe
+INT_TOL = 1e-12  # an exponent this close to an integer is that integer
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +108,13 @@ class TestFunction1D:
         return cls([(coeff, poly, r0, R)])
 
     @classmethod
-    def from_poly(cls, poly, r0: float = 0.5, R: float = 1.0, coeff=1.0):
-        return cls([(coeff, tuple(poly), r0, R)])
+    def from_poly(cls, poly, r0: float = 0.5, R: float = 1.0):
+        return cls([(1.0, tuple(poly), r0, R)])
 
     @classmethod
-    def random_probe(cls, rng, max_degree: int = 4, n_atoms: int = 2):
+    def random_probe(cls, rng, max_degree: int = 4):
         atoms = []
-        for _ in range(n_atoms):
+        for _ in range(PROBE_ATOMS):
             deg = rng.randint(0, max_degree)
             poly = [rng.uniform(-2, 2) for _ in range(deg + 1)]
             r0 = rng.uniform(0.2, 0.7)
@@ -366,28 +373,28 @@ class SymbolicDistribution1D:
         self.terms = tuple(cleaned)
 
     @classmethod
-    def delta(cls, k: int = 0, coeff=1.0):
-        return cls([(coeff, ("delta", k))])
+    def delta(cls, k: int = 0):
+        return cls([(1.0, ("delta", k))])
 
     @classmethod
-    def monomial(cls, m: int, coeff=1.0):
-        return cls([(coeff, ("monomial", m))])
+    def monomial(cls, m: int):
+        return cls([(1.0, ("monomial", m))])
 
     @classmethod
-    def heaviside(cls, m: int = 0, coeff=1.0):
-        return cls([(coeff, ("heaviside", m))])
+    def heaviside(cls, m: int = 0):
+        return cls([(1.0, ("heaviside", m))])
 
     @classmethod
-    def power_i0(cls, a, sign: int = 1, coeff=1.0):
+    def power_i0(cls, a, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError("sign must be +-1")
-        return cls([(coeff, ("power_i0", sign, complex(a)))])
+        return cls([(1.0, ("power_i0", sign, complex(a)))])
 
     @classmethod
-    def halfline(cls, a, side: int = 1, log_power: int = 0, coeff=1.0):
+    def halfline(cls, a, side: int = 1, log_power: int = 0):
         if side not in (1, -1):
             raise ValueError("side must be +-1")
-        return cls([(coeff, ("halfline", side, complex(a), log_power))])
+        return cls([(1.0, ("halfline", side, complex(a), log_power))])
 
     def __add__(self, other):
         if not isinstance(other, SymbolicDistribution1D):
@@ -461,8 +468,8 @@ def _pair_term(kind, f: TestFunction1D):
     raise DistError(f"unknown term kind {tag!r}")
 
 
-def _is_int(z, tol: float = 1e-12):
-    return (abs(z.imag) < tol) & (abs(z.real - np.round(z.real)) < tol)
+def _is_int(z):
+    return (abs(z.imag) < INT_TOL) & (abs(z.real - np.round(z.real)) < INT_TOL)
 
 
 def _pair_power_i0(sign: int, a, f: TestFunction1D):

@@ -105,9 +105,6 @@ class ExactComplex:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
     def __repr__(self):
         if self.im == 0:
             return f"ExactComplex({self.re})"

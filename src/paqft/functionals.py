@@ -168,15 +168,6 @@ class PolyFunctional:
             total = total + c.scale(v)
         return total
 
-    def evaluate_float(self, phi, hbar: float = 1.0, lam: float = 1.0) -> complex:
-        total = 0j
-        for key, c in self.terms.items():
-            v = complex(1.0)
-            for s in key:
-                v *= complex(phi[s])
-            total += c.to_complex(hbar, lam) * v
-        return total
-
     # -- derivatives ---------------------------------------------------------
 
     def partial(self, site: int) -> "PolyFunctional":
@@ -201,17 +192,9 @@ class PolyFunctional:
                 f"deg {self.max_degree}, trunc=({self.trunc_h},{self.trunc_l}))")
 
 
-def smeared_field(lat: Lattice1p1, f, trunc_h: int = DEFAULT_TRUNC_H,
-                  trunc_l: int = DEFAULT_TRUNC_L) -> PolyFunctional:
+def smeared_field(lat: Lattice1p1, f) -> PolyFunctional:
     """Phi(f) = sum_s f[s] * (a_t a_x) * phi[s]; f a dict site->value or sequence."""
-    w = lat.volume_weight
-    items = f.items() if isinstance(f, dict) else enumerate(f)
-    terms = {}
-    for s, v in items:
-        v = _lift_value(v) * w
-        if v:
-            terms[(s,)] = v
-    return PolyFunctional(lat, terms, trunc_h, trunc_l)
+    return local_power(lat, f, 1)
 
 
 def local_power(lat: Lattice1p1, f, power: int,
@@ -228,7 +211,7 @@ def local_power(lat: Lattice1p1, f, power: int,
     return PolyFunctional(lat, terms, trunc_h, trunc_l)
 
 
-def interaction_vertex(lat: Lattice1p1, f, power: int = 4,
+def interaction_vertex(lat: Lattice1p1, f, power: int,
                        trunc_h: int = DEFAULT_TRUNC_H,
                        trunc_l: int = DEFAULT_TRUNC_L) -> PolyFunctional:
     """lambda/power! * integral of f phi^power: the quartic vertex carries one

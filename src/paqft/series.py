@@ -112,7 +112,7 @@ class FormalSeries:
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, h: int, l: int = 0) -> ExactComplex:
+    def coefficient(self, h: int, l: int) -> ExactComplex:
         return self.coeff.get((h, l), ExactComplex(0))
 
     def truncate(self, trunc_h: int, trunc_l: int) -> "FormalSeries":
@@ -136,11 +136,6 @@ class FormalSeries:
 
     def __hash__(self):
         return hash((frozenset(self.coeff.items()), self.trunc_h, self.trunc_l))
-
-    def to_complex(self, hbar: float = 1.0, lam: float = 1.0) -> complex:
-        """Numerical evaluation at given parameter values."""
-        return sum((c.to_complex() * hbar ** h * lam ** l
-                    for (h, l), c in self.coeff.items()), 0j)
 
     def __repr__(self):
         if not self.coeff:

@@ -114,10 +114,16 @@ def test_gns_vector_reproduces_the_state():
 
 
 def test_gns_uniqueness_intertwiner():
+    # the second triple is the first conjugated by a fixed non-diagonal
+    # unitary V, so the intertwiner found must be V
     alg, st = tracial_state(2)
     rep1 = gns_construct(alg, st)
-    rep2 = gns_construct(alg, st, tol=1e-9)
+    u = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    V = np.kron(u, [[0.6, -0.8], [0.8, 0.6]])
+    rep2 = dict(rep1, pi=[V @ p @ V.conj().T for p in rep1["pi"]],
+                Omega=V @ rep1["Omega"])
     rep = gns_uniqueness_check(alg, st, rep1, rep2)
+    assert np.max(np.abs(rep["U"] - V)) < 1e-12
     assert rep["residual_unitary"] < 1e-8
     assert rep["residual_intertwine"] < 1e-8
 

@@ -15,11 +15,11 @@ a caller, do not count, so deleting an API also flags the helpers only it
 used.  Matching is by name alone: a method that shares its name with another
 attribute (say `exp` and `np.exp`) always counts as used.
 
-The same discipline holds for parameters in the modules of SWEPT: a
+The same discipline holds for the parameters of every library module: a
 parameter with a default must be passed, by position or by name, by some
 call from src/ or perfbench/ outside its own body, and one that every such
-call sets only to its default expression is a single-valued knob.  Both kinds
-become module constants, unless their definition is in KEEP or the
+call sets only to its default expression is a single-valued knob.  Both
+kinds become module constants, unless their definition is in KEEP or the
 parameter is in KNOBS with a reason.  Calls are matched to definitions by
 name, as references are above (a constructor by its class name).
 """
@@ -54,8 +54,6 @@ KEEP = {
         "the involution of Q(i), which an exact GNS construction needs",
 }
 
-
-SWEPT = ("microlocal", "graphs", "quantization", "egrenorm")
 
 KNOBS = {
     "microlocal.wf_estimate_2d.threshold":
@@ -162,9 +160,9 @@ def _passed(call, name, index):
 
 
 def knobs():
-    """Qualified defaulted parameters of the SWEPT modules that no call
-    passes, and those that every call passes only as its default
-    expression, kept ones too."""
+    """Qualified defaulted parameters of the library that no call passes,
+    and those that every call passes only as its default expression, kept
+    ones too."""
     sources, callers = _files()
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in callers}
     calls = {}  # callee name -> [(path, call)]
@@ -173,8 +171,6 @@ def knobs():
             calls.setdefault(name, []).append((path, call))
     uncalled, single = [], []
     for path in sources:
-        if path.stem not in SWEPT:
-            continue
         for qual, callee, index, default, first, last in _defaulted(
                 path, trees[path]):
             values = [_passed(c, qual.rsplit(".", 1)[1], index)

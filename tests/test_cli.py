@@ -401,6 +401,35 @@ def test_wf_rejects_a_term_without_a_wave_pairing(tmp_path, monkeypatch,
     assert repr(expr) in res.output
 
 
+def _centres_cfg(tmp_path, centres):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("centers = %s\n" % centres)
+    return str(cfg)
+
+
+@pytest.mark.parametrize("expr", ["delta^1", "(x-i0)^-1"])
+def test_wf_rejects_a_centre_in_the_window_annulus(tmp_path, monkeypatch,
+                                                   expr):
+    # 0.25 < |0.3| < 0.5: the window's value at the singularity is neither
+    # 1 nor 0, so the pairing would fail; the centre is a config error
+    monkeypatch.setattr(cli.ml, "wf_estimate_1d",
+                        lambda *a, **kw: pytest.fail("pairing ran"))
+    res = run(["wf", expr, "--config", _centres_cfg(tmp_path, "0.0, 0.3"),
+               "--out", str(tmp_path)], expect=2)
+    assert "centre 0.3 lies in the window's transition annulus" in res.output
+    assert repr(expr) in res.output
+
+
+@pytest.mark.parametrize("expr, centre", [
+    ("delta^1", "0.25"), ("delta^1", "-0.5"), ("(x-i0)^-1", "0.25"),
+    ("(x-i0)^-1", "0.5"), ("x^2", "0.3"), ("heaviside", "0.3")])
+def test_wf_pairs_at_the_annulus_edges_and_for_smooth_terms(tmp_path, expr,
+                                                            centre):
+    res = run(["wf", expr, "--config", _centres_cfg(tmp_path, centre),
+               "--out", str(tmp_path)])
+    assert "2 rays probed" in res.output
+
+
 def test_extend_rejects_the_zero_distribution(tmp_path):
     res = run(["extend", "0*delta", "--out", str(tmp_path)], expect=2)
     assert "'0*delta' is the zero distribution" in res.output

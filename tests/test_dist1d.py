@@ -289,7 +289,7 @@ def test_linear_structure():
     want = 2.0 * f(0.0) - oracle_quad(lambda x: 1.0, f, 0.0,
                                       f.support_radius)
     assert t.pair(f) == pytest.approx(want, abs=1e-9)
-    assert SymbolicDistribution1D.delta(0, coeff=0.0).terms == ()
+    assert (SymbolicDistribution1D.delta(0) * 0.0).terms == ()
 
 
 def test_pointwise_power_product_adds_exponents():
@@ -437,7 +437,7 @@ def test_pair_with_error():
     f = TestFunction1D.from_poly((1.0, 0.3, -0.2), 0.4, 1.3)
     assert SymbolicDistribution1D.delta(2).pair_with_error(f) == (
         SymbolicDistribution1D.delta(2).pair(f), 0.0)
-    t = (SymbolicDistribution1D.power_i0(-1.0, +1, coeff=2.0)
+    t = (SymbolicDistribution1D.power_i0(-1.0, +1) * 2.0
          + SymbolicDistribution1D.delta(0)
          + SymbolicDistribution1D.halfline(-0.5, -1, 1))
     value, err = t.pair_with_error(f)
@@ -488,7 +488,7 @@ def test_pair_family_needs_one_layout():
         with pytest.raises(DistError):
             pair_family(family, f)
     # a term with a fixed exponent is shared, coefficients may vary
-    family = [SymbolicDistribution1D.delta(1, coeff=c) + half(a)
+    family = [SymbolicDistribution1D.delta(1) * c + half(a)
               for c, a in ((1.0, -0.5), (2.0, -0.7 + 0.1j))]
     values, errors = pair_family(family, f)
     for t, v, e in zip(family, values, errors):

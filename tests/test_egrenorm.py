@@ -125,7 +125,7 @@ def test_nonlocal_difference_is_rejected():
     w = eg.make_w_projection(1)
     e1 = eg.extend(t, w_alphas=w)
     smeared = eg.ExtendedDistribution(
-        t + SymbolicDistribution1D.heaviside(0, coeff=0.3), w, 1.0)
+        t + SymbolicDistribution1D.heaviside(0) * 0.3, w, 1.0)
     with pytest.raises(eg.NonLocalDifference):
         eg.extension_ambiguity(e1, smeared, max_order=1)
 

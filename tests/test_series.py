@@ -33,12 +33,6 @@ def test_coefficient_lookup_and_shift():
     assert t.coefficient(2, 1) == ExactComplex(0)
 
 
-def test_to_complex():
-    s = S({(0, 0): 1, (1, 0): 2, (1, 1): (0, 1)})
-    got = s.to_complex(hbar=0.5, lam=2.0)
-    assert got == pytest.approx(1 + 2 * 0.5 + 1j * 0.5 * 2.0)
-
-
 small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
