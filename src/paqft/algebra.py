@@ -6,8 +6,9 @@ the GNS construction quotients the Gram matrix's null space to produce an
 explicit matrix representation with a cyclic vector.
 
 The floating-point tolerances are module constants: STAR_TOL for the
-algebra axioms, STATE_TOL for a state's normalization and positivity, and
-GNS_TOL for the Gram null space.  The Weyl relations are checked on the
+algebra axioms, STATE_TOL for a state's normalization and positivity,
+GNS_TOL for the Gram null space and INTERTWINER_TOL for the residuals of a
+GNS intertwiner.  The Weyl relations are checked on the
 shift pairs WEYL_PAIRS over a grid that starts at WEYL_X0.
 """
 
@@ -20,6 +21,7 @@ import numpy as np
 STAR_TOL = 1e-12  # algebra axioms, entrywise
 STATE_TOL = 1e-10  # omega(1) = 1, and Gram eigenvalues >= -STATE_TOL * max
 GNS_TOL = 1e-10  # Gram eigenvalues below GNS_TOL * max span the null space
+INTERTWINER_TOL = 1e-8  # unitarity, intertwining and U Omega1 = Omega2
 
 
 class AlgebraError(Exception):
@@ -214,7 +216,7 @@ def gns_construct(alg: FiniteStarAlgebra, state: AlgebraState) -> dict:
 
 
 def gns_uniqueness_check(alg: FiniteStarAlgebra, state: AlgebraState,
-                         rep1: dict, rep2: dict, tol: float = 1e-8) -> dict:
+                         rep1: dict, rep2: dict) -> dict:
     """Unitary intertwiner between two GNS triples of the same state.
 
     U is defined on the dense subspace by U (pi1(a) Omega1) = pi2(a) Omega2;
@@ -230,7 +232,7 @@ def gns_uniqueness_check(alg: FiniteStarAlgebra, state: AlgebraState,
     for p1, p2 in zip(rep1["pi"], rep2["pi"]):
         inter = max(inter, float(np.max(np.abs(U @ p1 - p2 @ U))))
     om = float(np.max(np.abs(U @ rep1["Omega"] - rep2["Omega"])))
-    if max(unit_res, inter, om) > tol:
+    if max(unit_res, inter, om) > INTERTWINER_TOL:
         raise NoIntertwiner(
             f"no unitary intertwiner (residuals {unit_res:.2e}, "
             f"{inter:.2e}, {om:.2e})")

@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 config error, 3 numerical check failure, 4 internal
 invariant violation or unexpected exception.
 """
 
+import cmath
 import datetime
 import math
 import os
@@ -115,9 +116,10 @@ def command(keys, header, argument=None, comment=None, needs_out=False,
     test across keys (see _load_cfg).  The subcommand loads the config,
     runs fn under _guarded, writes the rows under `header` (after the line
     `comment(cfg)` if given), echoes the summary and the artifact path, and
-    exits 3 with the failure message if there is one.  `argument` names a
-    positional command line argument; `needs_out` passes the artifact
-    directory (the propagator cache lives there)."""
+    exits 3 with the failure message if there is one, or if a row holds
+    NaN (a result that lost its meaning, say to overflow).  `argument`
+    names a positional command line argument; `needs_out` passes the
+    artifact directory (the propagator cache lives there)."""
     def register(fn):
         def run(config_path, out, seed, label, **arg):
             cfg = _load_cfg(config_path, keys, checks or {})
@@ -131,6 +133,12 @@ def command(keys, header, argument=None, comment=None, needs_out=False,
             formats.write_csv(path, header, rows,
                               comment(cfg) if comment else None)
             click.echo("\n".join([*lines, "artifact: %s" % path]))
+            nan = [row for row in rows if any(
+                isinstance(v, (float, complex)) and cmath.isnan(v)
+                for v in row)]
+            if nan and not failure:
+                failure = "NaN in %d artifact row(s), the first %s" % (
+                    len(nan), ",".join(map(formats.fmt_value, nan[0])))
             if failure:
                 _fail(3, failure)
         run.__doc__ = fn.__doc__

@@ -24,11 +24,16 @@ Distribution expressions
 Terms joined by " + " or " - " (spaces required around the sign):
     delta          delta^k        x^m           heaviside^m
     (x+i0)^a       (x-i0)^a       x_+^a         x_-^a       x_+^a*log^p
-each optionally prefixed by "c*" with c an int, fraction, or float.
+each optionally prefixed by "c*" with c an int, fraction, or finite float.
+Like terms merge into one (coefficients added, first place kept), so
+"delta - delta" is the zero distribution, as "0*delta" is; a coefficient
+that is not finite, as written or merged, is an error.
 Example:  "(x+i0)^-2 + 3/2*delta^1 - 0.5*x_+^-1.5"
 """
 
+import cmath
 import csv
+import math
 import re
 from fractions import Fraction
 
@@ -170,7 +175,11 @@ _ATOM_RES = [
 
 def _num(tok):
     if "/" in tok:
-        return float(Fraction(tok))
+        q = Fraction(tok)
+        try:
+            return float(q)
+        except OverflowError:  # out of float range, as float("1e400") is
+            return math.inf if q > 0 else -math.inf
     return float(tok)
 
 
@@ -199,13 +208,16 @@ def _parse_atom(tok):
 
 
 def parse_distribution(expr):
-    """Parse a distribution expression (grammar in the module docstring)."""
+    """Parse a distribution expression (grammar in the module docstring).
+
+    Like terms merge into one, at the place of the first; a coefficient,
+    as written or merged, that is not finite raises FormatError."""
     expr = expr.strip()
     if not expr:
         raise FormatError("empty distribution expression")
     # split on top-level " + " / " - "; signs inside atoms have no spaces
     pieces = re.split(r"\s+([+-])\s+", expr)
-    total = None
+    merged = {}  # term kind -> coefficient, in order of first appearance
     sign = 1.0
     for piece in pieces:
         if piece == "+":
@@ -223,10 +235,17 @@ def parse_distribution(expr):
                 tok = tail
             except (ValueError, ZeroDivisionError):
                 tok = piece  # the '*' belongs to the atom (log powers)
-        term = _parse_atom(tok) * (sign * coeff)
-        total = term if total is None else total + term
+        if not math.isfinite(coeff):
+            raise FormatError("coefficient of %r is not finite" % piece)
+        for c, kind in (_parse_atom(tok) * (sign * coeff)).terms:
+            merged[kind] = merged[kind] + c if kind in merged else c
         sign = 1.0
-    return total
+    for kind, c in merged.items():
+        if not cmath.isfinite(c):
+            raise FormatError("the %s terms of %r add up to a coefficient "
+                              "that is not finite" % (kind[0], expr))
+    return dist1d.SymbolicDistribution1D(
+        [(c, kind) for kind, c in merged.items()])
 
 
 # -------------------------------------------------------------------- CSV

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import ExactComplex, to_fraction
-from .lattice import ExactPropagators, Lattice1p1, kg_apply
+from .lattice import ExactPropagators, Lattice1p1, kg_apply, leapfrog
 from .series import DEFAULT_TRUNC_H, DEFAULT_TRUNC_L, FormalSeries
 
 
@@ -262,7 +262,8 @@ def peierls_bracket(F: PolyFunctional, G: PolyFunctional,
 
 
 class GeneralizedLagrangian:
-    """Cutoff action for the scalar field with an optional quartic term.
+    """Cutoff action for the scalar field with a quartic term of coupling
+    lam (0 for the free field).
 
     Density (forward differences, periodic space):
         1/2 (d_t phi)^2 - 1/2 (d_x phi)^2 - 1/2 m^2 phi^2 - lam/4! phi^4
@@ -271,15 +272,14 @@ class GeneralizedLagrangian:
     the Green functions.
     """
 
-    def __init__(self, lat: Lattice1p1, cutoff, lam=Fraction(0)):
+    def __init__(self, lat: Lattice1p1, cutoff, lam):
         self.lat = lat
         self.cutoff = [to_fraction(v) for v in cutoff]
         if len(self.cutoff) != lat.n_sites:
             raise DimensionMismatch("cutoff length != number of sites")
         self.lam = to_fraction(lam)
 
-    def action(self, trunc_h: int = DEFAULT_TRUNC_H,
-               trunc_l: int = DEFAULT_TRUNC_L) -> PolyFunctional:
+    def action(self) -> PolyFunctional:
         lat = self.lat
         w = lat.volume_weight
         m2 = to_fraction(lat.mass) ** 2
@@ -311,15 +311,13 @@ class GeneralizedLagrangian:
                 add((s, s), -fw * m2 / 2)
                 if self.lam:
                     add((s, s, s, s), -fw * self.lam / 24)
-        return PolyFunctional(lat, terms, trunc_h, trunc_l)
+        return PolyFunctional(lat, terms)
 
-    def euler_lagrange(self, phi, probe=None) -> np.ndarray:
+    def euler_lagrange(self, phi, probe) -> np.ndarray:
         """S'(phi) as a site vector: -((box + m^2) phi + lam/3! phi^3) where
-        the cutoff is identically 1; raises CutoffTooSmall if a probed site's
-        stencil neighborhood leaves the flat region."""
+        the cutoff is identically 1; raises CutoffTooSmall if a site of
+        `probe` has a stencil neighborhood that leaves the flat region."""
         lat = self.lat
-        if probe is None:
-            probe = lat.interior_sites()
         for s in probe:
             t, x = lat.coords(s)
             if not lat.is_interior_time(t):
@@ -340,16 +338,4 @@ class GeneralizedLagrangian:
         """March the (nonlinear) field equation from two initial time rows;
         the result satisfies euler_lagrange == 0 on interior sites exactly
         up to rounding."""
-        lat = self.lat
-        at2 = float(lat.a_t) ** 2
-        ax2 = float(lat.a_x) ** 2
-        m2 = lat.mass ** 2
-        phi = np.zeros((lat.n_t, lat.n_x))
-        phi[0] = np.asarray(phi0, dtype=float)
-        phi[1] = np.asarray(phi1, dtype=float)
-        for t in range(1, lat.n_t - 1):
-            dxx = (np.roll(phi[t], -1) - 2 * phi[t] + np.roll(phi[t], 1)) / ax2
-            phi[t + 1] = (2 * phi[t] - phi[t - 1]
-                          + at2 * (dxx - m2 * phi[t]
-                                   - float(self.lam) / 6.0 * phi[t] ** 3))
-        return phi
+        return leapfrog(self.lat, phi0, phi1, float(self.lam))

@@ -85,10 +85,6 @@ class Lattice1p1:
     def is_interior_time(self, t: int) -> bool:
         return 1 <= t <= self.n_t - 2
 
-    def interior_sites(self) -> list[int]:
-        return [self.site(t, x) for t in range(1, self.n_t - 1)
-                for x in range(self.n_x)]
-
     def per_dist(self, x1: int, x2: int) -> int:
         d = abs(x1 - x2) % self.n_x
         return min(d, self.n_x - d)
@@ -104,29 +100,6 @@ class Lattice1p1:
                 f"a_t={self.a_t}, a_x={self.a_x}, m={self.mass})")
 
 
-def kg_operator(lat: Lattice1p1) -> np.ndarray:
-    """Dense stencil matrix for box + m^2 (signature +,-), interior time rows only."""
-    n = lat.n_sites
-    at2 = float(lat.a_t) ** 2
-    ax2 = float(lat.a_x) ** 2
-    m2 = lat.mass ** 2
-    P = np.zeros((n, n))
-    for t in range(1, lat.n_t - 1):
-        for x in range(lat.n_x):
-            r = lat.site(t, x)
-            P[r, lat.site(t + 1, x)] += 1.0 / at2
-            P[r, lat.site(t - 1, x)] += 1.0 / at2
-            P[r, r] += -2.0 / at2 + 2.0 / ax2 + m2
-            P[r, lat.site(t, x + 1)] += -1.0 / ax2
-            P[r, lat.site(t, x - 1)] += -1.0 / ax2
-    return P
-
-
-def el_operator(lat: Lattice1p1) -> np.ndarray:
-    """E = S''(0) = -(box + m^2): the linearized field-equation operator."""
-    return -kg_operator(lat)
-
-
 def kg_apply(lat: Lattice1p1, phi: np.ndarray) -> np.ndarray:
     """Apply the box + m^2 stencil to a (n_t, n_x) field; boundary rows zero."""
     at2 = float(lat.a_t) ** 2
@@ -139,9 +112,29 @@ def kg_apply(lat: Lattice1p1, phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def leapfrog(lat: Lattice1p1, phi0, phi1, lam: float) -> np.ndarray:
+    """March (box + m^2) phi + lam/3! phi^3 = 0 from the time rows phi0 and
+    phi1 over the whole (n_t, n_x) grid.  The cubic term enters only when
+    lam != 0, so a linear march is free of it down to the sign of zeros."""
+    at = float(lat.a_t)
+    ax = float(lat.a_x)
+    c2 = at * at / (ax * ax)
+    m2at2 = lat.mass ** 2 * at * at
+    phi = np.zeros((lat.n_t, lat.n_x))
+    phi[0] = phi0
+    phi[1] = phi1
+    for n in range(1, lat.n_t - 1):
+        dxx = np.roll(phi[n], -1) - 2.0 * phi[n] + np.roll(phi[n], 1)
+        phi[n + 1] = 2.0 * phi[n] - phi[n - 1] + c2 * dxx - m2at2 * phi[n]
+        if lam:
+            phi[n + 1] -= at * at * lam / 6.0 * phi[n] ** 3
+    return phi
+
+
 class PropagatorSet:
     """All free propagators of one lattice, as translation-invariant tables
-    and (for small lattices) dense site-indexed matrices.
+    keyed by the site offset (n, dx); a kernel at a site pair is its table
+    read at their offset (see causal_column and ExactPropagators).
 
     Kernels are continuum normalized: E applied to the retarded kernel gives
     the lattice delta delta_xy/(a_t*a_x) on interior rows.
@@ -151,7 +144,6 @@ class PropagatorSet:
         self.lat = lat
         self._ret_table = None
         self._wightman_table = None
-        self._retarded = None
 
     # -- translation-invariant tables ---------------------------------------
 
@@ -159,17 +151,9 @@ class PropagatorSet:
         """g[n, dx]: retarded response n steps after a unit kernel-delta source."""
         if self._ret_table is None:
             lat = self.lat
-            at = float(lat.a_t)
-            ax = float(lat.a_x)
-            c2 = at * at / (ax * ax)
-            m2at2 = lat.mass ** 2 * at * at
-            g = np.zeros((lat.n_t, lat.n_x))
-            if lat.n_t > 1:
-                g[1, 0] = -at / ax  # kick from the source row of E g = delta
-            for n in range(1, lat.n_t - 1):
-                dxx = np.roll(g[n], -1) - 2.0 * g[n] + np.roll(g[n], 1)
-                g[n + 1] = 2.0 * g[n] - g[n - 1] + c2 * dxx - m2at2 * g[n]
-            self._ret_table = g
+            kick = np.zeros(lat.n_x)  # from the source row of E g = delta
+            kick[0] = -float(lat.a_t) / float(lat.a_x)
+            self._ret_table = leapfrog(lat, 0.0, kick, 0.0)
         return self._ret_table
 
     def mode_data(self):
@@ -204,26 +188,6 @@ class PropagatorSet:
                 for n in range(-(lat.n_t - 1), lat.n_t)])
             self._wightman_table = wt / (lat.n_x * ax)
         return self._wightman_table
-
-    # -- dense matrices ------------------------------------------------------
-
-    def _offsets(self):
-        lat = self.lat
-        t = np.arange(lat.n_t).repeat(lat.n_x)
-        x = np.tile(np.arange(lat.n_x), lat.n_t)
-        dt = t[:, None] - t[None, :]
-        dx = (x[:, None] - x[None, :]) % lat.n_x
-        return dt, dx
-
-    def retarded(self) -> np.ndarray:
-        if self._retarded is None:
-            g = self.ret_table()
-            dt, dx = self._offsets()
-            out = np.zeros(dt.shape)
-            mask = dt > 0
-            out[mask] = g[dt[mask], dx[mask]]
-            self._retarded = out
-        return self._retarded
 
     # -- column views (large lattices) ---------------------------------------
 

@@ -271,8 +271,8 @@ def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int = 1) -> PolyFunct
     return exp_gamma(F, xp.numerators("hadamard"), Fraction(sign, 2))
 
 
-def time_order_op(xp: ExactPropagators, F: PolyFunctional, sign: int = 1,
-                  kind: str = "timeordered_D") -> PolyFunctional:
+def time_order_op(xp: ExactPropagators, F: PolyFunctional, sign: int,
+                  kind: str) -> PolyFunctional:
     """The time-ordering operator e^{sign (hbar/2) Gamma_K} for K the
     time-ordered kernel; conjugating the pointwise product by it gives the
     corresponding time-ordered product."""

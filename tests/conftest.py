@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from paqft.exact import ExactComplex
@@ -51,3 +52,53 @@ def rand_functional(lat_small):
         return make_functional(rng, lat_small, **kw)
 
     return make
+
+
+# -- dense site-by-site oracles ----------------------------------------------
+# The library keeps each kernel as a table keyed by the site offset; these
+# spell the same objects out as n_sites x n_sites matrices, by the naive
+# route, for the checks that compare against them on small lattices.
+
+def interior_sites(lat):
+    """The sites of the interior time rows 1 .. n_t - 2."""
+    return [lat.site(t, x) for t in range(1, lat.n_t - 1)
+            for x in range(lat.n_x)]
+
+
+def kg_matrix(lat):
+    """Dense stencil matrix for box + m^2 (signature +,-), interior time
+    rows only."""
+    n = lat.n_sites
+    at2 = float(lat.a_t) ** 2
+    ax2 = float(lat.a_x) ** 2
+    m2 = lat.mass ** 2
+    P = np.zeros((n, n))
+    for t in range(1, lat.n_t - 1):
+        for x in range(lat.n_x):
+            r = lat.site(t, x)
+            P[r, lat.site(t + 1, x)] += 1.0 / at2
+            P[r, lat.site(t - 1, x)] += 1.0 / at2
+            P[r, r] += -2.0 / at2 + 2.0 / ax2 + m2
+            P[r, lat.site(t, x + 1)] += -1.0 / ax2
+            P[r, lat.site(t, x - 1)] += -1.0 / ax2
+    return P
+
+
+def el_matrix(lat):
+    """E = S''(0) = -(box + m^2): the linearized field-equation operator."""
+    return -kg_matrix(lat)
+
+
+def retarded_matrix(ps):
+    """Delta_R(i, j): the retarded table read at every site pair's offset,
+    zero unless i is strictly later than j."""
+    lat = ps.lat
+    g = ps.ret_table()
+    R = np.zeros((lat.n_sites, lat.n_sites))
+    for i in range(lat.n_sites):
+        ti, xi = lat.coords(i)
+        for j in range(lat.n_sites):
+            tj, xj = lat.coords(j)
+            if ti > tj:
+                R[i, j] = g[ti - tj, (xi - xj) % lat.n_x]
+    return R

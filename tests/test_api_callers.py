@@ -19,9 +19,11 @@ The same discipline holds for the parameters of every library module: a
 parameter with a default must be passed, by position or by name, by some
 call from src/ or perfbench/ outside its own body, and one that every such
 call sets only to its default expression is a single-valued knob.  Both
-kinds become module constants, unless their definition is in KEEP or the
-parameter is in KNOBS with a reason.  Calls are matched to definitions by
-name, as references are above (a constructor by its class name).
+kinds become module constants, unless the parameter is in KNOBS with a
+reason.  A definition in KEEP is no exception: no library call reaches it,
+so nothing shows that a default of its is ever needed, and its parameters
+are required or constants.  Calls are matched to definitions by name, as
+references are above (a constructor by its class name).
 """
 
 import ast
@@ -161,8 +163,7 @@ def _passed(call, name, index):
 
 def knobs():
     """Qualified defaulted parameters of the library that no call passes,
-    and those that every call passes only as its default expression, kept
-    ones too."""
+    and those that every call passes only as its default expression."""
     sources, callers = _files()
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in callers}
     calls = {}  # callee name -> [(path, call)]
@@ -227,12 +228,8 @@ def test_keep_list_names_existing_uncalled_definitions():
     assert sorted(set(KEEP) - set(uncalled())) == []
 
 
-def _param_kept(qual):
-    return _kept(qual.rsplit(".", 1)[0]) or qual in KNOBS
-
-
 def test_every_defaulted_parameter_has_a_caller():
-    missing = [q for q in knobs()[0] if not _param_kept(q)]
+    missing = [q for q in knobs()[0] if q not in KNOBS]
     assert not missing, ("no call outside the tests passes these; make them "
                          "module constants or add them to KNOBS with a "
                          "reason: " + ", ".join(missing))
@@ -242,8 +239,7 @@ def test_single_valued_parameters_are_listed():
     # what is left of the settable values: a parameter every call passes
     # only at its default is a constant in disguise
     uncalled, single = knobs()
-    left = sorted(q for q in uncalled + single
-                  if not _kept(q.rsplit(".", 1)[0]))
-    assert left == sorted(KNOBS), (
+    assert sorted(uncalled + single) == sorted(KNOBS), (
         "defaulted parameters set to one value only; make them module "
-        "constants or list them in KNOBS with a reason: " + ", ".join(left))
+        "constants or list them in KNOBS with a reason: "
+        + ", ".join(sorted(uncalled + single)))

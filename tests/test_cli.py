@@ -435,6 +435,39 @@ def test_extend_rejects_the_zero_distribution(tmp_path):
     assert "'0*delta' is the zero distribution" in res.output
 
 
+@pytest.mark.parametrize("expr", ["delta - delta",
+                                  "1/2*x^1 + delta - delta - 1/2*x^1"])
+def test_extend_rejects_terms_that_cancel(tmp_path, expr):
+    res = run(["extend", expr, "--out", str(tmp_path)], expect=2)
+    assert "%r is the zero distribution" % expr in res.output
+
+
+@pytest.mark.parametrize("command, expr", [
+    ("wf", "nan*delta"), ("ms", "inf*x_+^-1"), ("extend", "nan*delta"),
+    ("extend", "1e400*delta"), ("ms", "1e308*x_+^-1 + 1e308*x_+^-1")])
+def test_non_finite_coefficients_are_config_errors(tmp_path, command, expr):
+    res = run([command, expr, "--out", str(tmp_path)], expect=2)
+    assert "FormatError" in res.output and "not finite" in res.output
+
+
+def test_like_terms_merge_into_one_ms_family_seed(tmp_path):
+    run(["ms", "2*x_+^-1", "--out", str(tmp_path), "--label", "a"])
+    run(["ms", "x_+^-1 + x_+^-1", "--out", str(tmp_path), "--label", "b"])
+    assert (tmp_path / "ms_a.csv").read_bytes() \
+        == (tmp_path / "ms_b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, expr", [
+    ("extend", "1e308*delta"), ("ms", "1e307*x_+^-1")])
+def test_a_nan_result_is_a_check_failure(tmp_path, command, expr):
+    """A huge coefficient overflows to NaN inside the computation; the
+    overflow warnings are the CLI's to print, not errors."""
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        res = run([command, expr, "--out", str(tmp_path)], expect=3)
+    assert "NaN in" in res.output
+
+
 def test_bad_metric_is_a_config_error(tmp_path):
     cfg = tmp_path / "m.cfg"
     cfg.write_text("metric = curly\n")

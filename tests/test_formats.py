@@ -145,6 +145,27 @@ def test_distribution_sums_signs_and_coefficients():
     assert t.pair(f) == pytest.approx(want.pair(f), rel=1e-12)
 
 
+def test_like_terms_merge_in_order_of_first_appearance():
+    t = parse_distribution("x^1 + 1/2*delta - 3/4*x^1 + delta - x_+^-1.5"
+                           " + x_+^-1.5")
+    assert t.terms == ((0.25, ("monomial", 1)), (1.5, ("delta", 0)))
+    assert parse_distribution("delta - delta").terms == ()
+    assert parse_distribution("1e308*delta - 1e308*delta").terms == ()
+    assert parse_distribution("delta^0 + delta").terms == (
+        (2.0, ("delta", 0)),)
+
+
+@pytest.mark.parametrize("expr", [
+    "nan*delta", "NaN*delta", "inf*x_+^-1", "-inf*heaviside", "1e400*delta",
+    "delta + 1e400*x^1", "1%s/3*delta" % ("0" * 400),
+    "-1%s/3*delta" % ("0" * 400), "1e308*delta + 1e308*delta"],
+    ids=lambda e: e[:12])
+def test_non_finite_coefficients_are_rejected(expr):
+    """As written, or once like terms merge."""
+    with pytest.raises(FormatError, match="not finite"):
+        parse_distribution(expr)
+
+
 def test_distribution_rejects_garbage():
     for bad in ("", "wiggle", "delta^x", "x_+^", "delta + + delta"):
         with pytest.raises(FormatError):

@@ -2,18 +2,21 @@
 exact, and the guard rails on the discretization parameters."""
 
 import gc
+import re
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from paqft import acceptance
 from paqft.exact import ExactComplex
 from paqft.functionals import smeared_field
 from paqft.lattice import (ExactPropagators, Lattice1p1, PropagatorSet,
-                           dyadic, kg_operator, el_operator, kg_apply,
-                           UnstableStep, ZeroModeSingular)
+                           dyadic, kg_apply, UnstableStep, ZeroModeSingular)
 from paqft.quantization import QuantProduct
+
+from conftest import el_matrix, interior_sites, kg_matrix, retarded_matrix
 
 
 def _pairs(lat):
@@ -36,8 +39,77 @@ def test_zero_mode_needs_mass():
     assert ps.ret_table().shape == (8, 4)
 
 
+def reference_ret_table(lat):
+    """The retarded table by a recursion of its own, apart from the
+    library's shared leapfrog march, in the same float operation order."""
+    at = float(lat.a_t)
+    ax = float(lat.a_x)
+    c2 = at * at / (ax * ax)
+    m2at2 = lat.mass ** 2 * at * at
+    g = np.zeros((lat.n_t, lat.n_x))
+    if lat.n_t > 1:
+        g[1, 0] = -at / ax  # kick from the source row of E g = delta
+    for n in range(1, lat.n_t - 1):
+        dxx = np.roll(g[n], -1) - 2.0 * g[n] + np.roll(g[n], 1)
+        g[n + 1] = 2.0 * g[n] - g[n - 1] + c2 * dxx - m2at2 * g[n]
+    return g
+
+
+@pytest.mark.parametrize("lat", [
+    Lattice1p1(8, 4, Fraction(1, 2), Fraction(1)),
+    Lattice1p1(12, 8, Fraction(1, 2), Fraction(1)),
+    Lattice1p1(24, 24),
+    Lattice1p1(48, 48),
+    Lattice1p1(96, 96),
+    Lattice1p1(512, 256, Fraction(1, 20), Fraction(1, 10), 1.0),
+    Lattice1p1(8, 4, Fraction(1, 4), Fraction(1), mass=0.0),
+], ids=repr)
+def test_ret_table_matches_its_own_recursion(lat):
+    """Same bits, down to the sign of every zero (the propagators CSV
+    prints -0.0)."""
+    got, want = PropagatorSet(lat).ret_table(), reference_ret_table(lat)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _ac13_with_table(monkeypatch, table):
+    """AC13 on `table` in place of the retarded one: (passed, whether the
+    cone check passed, residual of the field equation)."""
+    monkeypatch.setattr(PropagatorSet, "ret_table", lambda self: table)
+    passed, detail = acceptance.crit_13()
+    resid = float(re.search(r"id\| = (\S+) on", detail).group(1))
+    return passed, detail.startswith("zero outside"), resid
+
+
+def test_ac13_checks_the_cone_exactly(monkeypatch):
+    """A subnormal entry just outside the cone fails AC13, though it moves
+    the field equation by far less than its tolerance."""
+    lat, xp = acceptance._ctx(24, 24)
+    bad = xp.ps.ret_table().copy()
+    assert bad[3, 4] == 0.0
+    bad[3, 4] = 5e-324
+    passed, cone_ok, resid = _ac13_with_table(monkeypatch, bad)
+    assert not passed and not cone_ok and resid < 1e-320
+
+
+def test_ac13_takes_in_every_table_entry(monkeypatch):
+    """Any one entry of the table perturbed, inside the cone or out, moves
+    the field equation past AC13's tolerance: each enters it at some
+    offset, as each entry of the dense Delta_R does."""
+    lat, xp = acceptance._ctx(24, 24)
+    g = xp.ps.ret_table().copy()
+    assert _ac13_with_table(monkeypatch, g) == (True, True, 0.0)
+    for n in range(lat.n_t):
+        for dx in range(lat.n_x):
+            bad = g.copy()
+            bad[n, dx] += 1e-6
+            passed, cone_ok, resid = _ac13_with_table(monkeypatch, bad)
+            assert not passed and resid > 1e-7, (n, dx, resid)
+            assert cone_ok == (lat.per_dist(0, dx) <= n), (n, dx)
+
+
 def test_retarded_supported_on_future_cone(lat_small):
-    R = PropagatorSet(lat_small).retarded()
+    R = retarded_matrix(PropagatorSet(lat_small))
     for i, j in _pairs(lat_small):
         if not lat_small.in_past_cone(j, i):
             assert R[i, j] == 0.0
@@ -74,7 +146,7 @@ def test_feynman_minus_wightman_supported_on_past_cone(xp_small):
     """F - W = i Delta_A vanishes unless i is in the past cone of j; this
     is what makes causal factorization exact on the lattice."""
     lat = xp_small.lat
-    R = xp_small.ps.retarded()
+    R = retarded_matrix(xp_small.ps)
     F = xp_small.kernel("timeordered_F")
     W = xp_small.kernel("star_H")
     for i, j in _pairs(lat):
@@ -85,10 +157,10 @@ def test_feynman_minus_wightman_supported_on_past_cone(xp_small):
 
 
 def test_retarded_inverts_linearized_operator(lat_small):
-    R = PropagatorSet(lat_small).retarded()
-    E = el_operator(lat_small)
+    R = retarded_matrix(PropagatorSet(lat_small))
+    E = el_matrix(lat_small)
     resid = float(lat_small.volume_weight) * (E @ R) - np.eye(lat_small.n_sites)
-    rows = lat_small.interior_sites()
+    rows = interior_sites(lat_small)
     assert np.max(np.abs(resid[rows])) == 0.0
 
 
@@ -101,9 +173,9 @@ def test_wightman_solves_field_equation_on_interior(lat_small):
         for j in range(lat_small.n_sites):
             tj, xj = lat_small.coords(j)
             W[i, j] = wt[ti - tj + n_t - 1, (xi - xj) % n_x]
-    E = el_operator(lat_small)
+    E = el_matrix(lat_small)
     resid = E @ W
-    rows = lat_small.interior_sites()
+    rows = interior_sites(lat_small)
     assert np.max(np.abs(resid[rows])) < 1e-12
 
 
@@ -130,7 +202,7 @@ def test_wightman_table_rows_match_the_whole_array_sum(n_t, n_x):
 def test_exact_lift_matches_float_tables(xp_small):
     lat = xp_small.lat
     ps = PropagatorSet(lat)
-    R = ps.retarded()
+    R = retarded_matrix(ps)
     wt = ps.wightman_table()
     H = xp_small.kernel("hadamard")
     for i, j in _pairs(lat):
@@ -273,8 +345,8 @@ def test_causal_column_agrees_with_entries(xp_small):
 def test_kg_apply_matches_matrix(lat_small):
     rng = np.random.default_rng(3)
     phi = rng.normal(size=lat_small.n_sites)
-    K = kg_operator(lat_small)
+    K = kg_matrix(lat_small)
     got = kg_apply(lat_small, phi.reshape(lat_small.n_t, lat_small.n_x))
     want = (K @ phi).reshape(lat_small.n_t, lat_small.n_x)
-    rows = [lat_small.coords(s)[0] for s in lat_small.interior_sites()]
+    rows = [lat_small.coords(s)[0] for s in interior_sites(lat_small)]
     assert np.allclose(got[rows], want[rows], atol=1e-12)
