@@ -183,6 +183,17 @@ def _num(tok):
     return float(tok)
 
 
+def _exponent(tok):
+    """The exponent of a power atom, as a finite float."""
+    try:
+        a = float(tok)
+    except ValueError:
+        a = math.nan
+    if not math.isfinite(a):
+        raise FormatError("exponent %r is not a finite number" % tok)
+    return a
+
+
 def _parse_atom(tok):
     for rex, kind in _ATOM_RES:
         m = rex.match(tok)
@@ -195,15 +206,17 @@ def _parse_atom(tok):
         if kind == "heaviside":
             return dist1d.SymbolicDistribution1D.heaviside(int(m.group(1) or 0))
         if kind == "i0plus":
-            return dist1d.SymbolicDistribution1D.power_i0(_num(m.group(1)), +1)
+            return dist1d.SymbolicDistribution1D.power_i0(
+                _exponent(m.group(1)), +1)
         if kind == "i0minus":
-            return dist1d.SymbolicDistribution1D.power_i0(_num(m.group(1)), -1)
+            return dist1d.SymbolicDistribution1D.power_i0(
+                _exponent(m.group(1)), -1)
         if kind == "halfplus":
             return dist1d.SymbolicDistribution1D.halfline(
-                _num(m.group(1)), +1, int(m.group(2) or 0))
+                _exponent(m.group(1)), +1, int(m.group(2) or 0))
         if kind == "halfminus":
             return dist1d.SymbolicDistribution1D.halfline(
-                _num(m.group(1)), -1, int(m.group(2) or 0))
+                _exponent(m.group(1)), -1, int(m.group(2) or 0))
     raise FormatError("cannot parse distribution atom %r" % tok)
 
 

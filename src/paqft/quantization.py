@@ -16,16 +16,18 @@ Bogoliubov map R F = Sbar(-V) * (S(V) x_T F) takes the star-inverse of S(V)
 as Sbar(-V), the anti-time-ordered exponential of -V.
 
 All of them are thin callers of `contract`, the single contraction engine.
-It works on Gaussian-integer numerators over shared denominators: each input
-functional's coefficients are lifted once to int pairs over the lcm of its
-denominators, the kernel comes as int pairs over one declared denominator
-(a power of two per lattice, ExactPropagators.numerators) and is tabulated
-once per call, every contraction order accumulates in ints, and the kernel
-denominator and the schedule weights (1/n!, 1/prod l_ij!) fold into one
-final denominator.  Fractions are normalised once per output coefficient,
-so the results, ExactComplex coefficients in FormalSeries in PolyFunctionals,
-are exactly those of rational arithmetic, and identities (commutation
-relations, equivalences, factorisation) are checked with equality.
+It follows the formula: a line contracts, through the kernel, functional
+derivatives of two whole factors (or two of one).  Each factor is split
+once into grade slices, one polynomial per (hbar, lambda) order, held as
+Gaussian-integer numerators over the lcm of its denominators; the kernel
+comes as int pairs over one declared denominator (a power of two per
+lattice, ExactPropagators.numerators), tabulated once per call; between
+lines the state is a list of tensor terms, one polynomial per factor.  The
+kernel denominator and the schedule weights (1/n!, 1/prod l_ij!) fold into
+one final denominator and Fractions are normalised once per output
+coefficient, so the results, ExactComplex coefficients in FormalSeries in
+PolyFunctionals, are exactly those of rational arithmetic, and identities
+(commutation relations, equivalences, factorisation) are checked with ==.
 
 The checks take no knobs: the Wick demo runs at the default series
 truncation, and the injectivity check draws its rational probes from the
@@ -78,64 +80,68 @@ def _numerators(c: ExactComplex, d: int) -> tuple[int, int]:
             c.im.numerator * (d // c.im.denominator))
 
 
-def _mul_add(acc: dict, s: dict, t: dict, th: int, tl: int) -> dict:
-    """acc += s * t for series of int pairs {(h, l): (re, im)}, truncated at
-    (th, tl); returns acc."""
-    for (h1, l1), (a, b) in s.items():
-        for (h2, l2), (c, d) in t.items():
-            hl = (h1 + h2, l1 + l2)
-            if hl[0] > th or hl[1] > tl:
-                continue
-            re, im = a * c - b * d, a * d + b * c
-            if hl in acc:
-                r0, i0 = acc[hl]
-                acc[hl] = (r0 + re, i0 + im)
-            else:
-                acc[hl] = (re, im)
-    return acc
+def _add(acc: dict, key, re: int, im: int) -> None:
+    if key in acc:
+        r0, i0 = acc[key]
+        acc[key] = (r0 + re, i0 + im)
+    else:
+        acc[key] = (re, im)
 
 
-def _contract_line(states: dict, i: int, j: int, table: dict) -> dict:
-    """Apply one line between banks i and j (i == j: within bank i).
-
-    states maps a tuple of bank monomials to its int-pair weight; every way
-    of picking one field y of bank i and one other field z of bank j
-    contributes weight * K(y, z) with the multiplicities of y and z."""
-    nxt: dict[tuple, tuple[int, int]] = {}
-    for keys, (wr, wi) in states.items():
-        ki = keys[i]
-        for y in set(ki):
-            row = table.get(y)
-            if row is None:
-                continue
-            m0 = ki.count(y)
-            kir = _remove_one(ki, y)
-            kj = kir if i == j else keys[j]
-            for z in set(kj):
-                kv = row.get(z)
-                if kv is None:
-                    continue
-                m = m0 * kj.count(z)
-                new = list(keys)
-                new[i] = kir
-                new[j] = _remove_one(kj, z)
-                new = tuple(new)
-                kr, ki_ = kv
-                re, im = m * (wr * kr - wi * ki_), m * (wr * ki_ + wi * kr)
-                if new in nxt:
-                    r0, i0 = nxt[new]
-                    nxt[new] = (r0 + re, i0 + im)
-                else:
-                    nxt[new] = (re, im)
-    return nxt
+def _partial(bank: dict, y: int) -> dict:
+    """dT/dphi[y] of a bank T = {monomial: (re, im)}; no two keys merge."""
+    out = {}
+    for key, (re, im) in bank.items():
+        m = key.count(y)
+        if m:
+            out[_remove_one(key, y)] = (m * re, m * im)
+    return out
 
 
-def _after(memo: dict, lines: tuple, table: dict) -> dict:
-    """States after `lines`; memo holds those after each prefix computed so
-    far, so schedules that share a prefix share its contractions."""
+def _smeared(bank: dict, row: dict, out: dict) -> dict:
+    """out += sum_z K(y, z) dT/dphi[z] for the kernel row {z: K(y, z)};
+    returns out."""
+    for key, (re, im) in bank.items():
+        for z in set(key):
+            kv = row.get(z)
+            if kv is not None:
+                m = key.count(z)
+                kr, ki = kv
+                _add(out, _remove_one(key, z), m * (re * kr - im * ki),
+                     m * (re * ki + im * kr))
+    return out
+
+
+def _line(terms: list, i: int, j: int, table: dict) -> list:
+    """Apply the line (i, j) to tensor terms, each a tuple of banks.
+    i != j: (T_i, T_j) -> d_y T_i (x) sum_z K(y, z) d_z T_j, one term per
+    site y of T_i with a kernel row.  i == j: T_i -> Gamma_K T_i =
+    sum_{y,z} K(y, z) d_z d_y T_i, one field y, then a different field z."""
+    out = []
+    for banks in terms:
+        sites = {s for key in banks[i] for s in key} & table.keys()
+        if i == j:
+            gamma: dict = {}
+            for y in sites:
+                _smeared(_partial(banks[i], y), table[y], gamma)
+            if gamma:
+                out.append(banks[:i] + (gamma,) + banks[i + 1:])
+            continue
+        for y in sites:
+            smeared = _smeared(banks[j], table[y], {})
+            if smeared:
+                new = list(banks)
+                new[i], new[j] = _partial(banks[i], y), smeared
+                out.append(tuple(new))
+    return out
+
+
+def _after(memo: dict, lines: tuple, table: dict) -> list:
+    """Tensor terms after `lines`; memo holds those after each prefix
+    computed so far, so schedules that share a prefix share its lines."""
     if lines not in memo:
-        memo[lines] = _contract_line(_after(memo, lines[:-1], table),
-                                     *lines[-1], table)
+        memo[lines] = _line(_after(memo, lines[:-1], table), *lines[-1],
+                            table)
     return memo[lines]
 
 
@@ -152,30 +158,40 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
         sum over schedules of weight * hbar^len(lines) * (lines applied to
         F_0 ... F_{k-1}), the remaining fields of all banks multiplied,
 
-    truncated at the smallest truncation orders of the factors.  A schedule
-    of n lines is scaled by den^(N - n), N the most lines of any schedule,
-    and den^N joins the final denominator.
+    truncated at the smallest truncation orders of the factors.
+
+    Each factor is split once into grade slices (h, l) -> {monomial:
+    (re, im)}.  For each tuple of slices, one per bank, whose orders leave
+    room under the truncation, the lines act on whole banks (see _line),
+    on a state of tensor terms that schedules sharing a prefix share.  The
+    banks of each final term are multiplied pointwise and added at
+    (sum h + len(lines), sum l).  A schedule of n lines is scaled by
+    den^(N - n), N the most lines of any schedule, and den^N joins the
+    final denominator.
     """
     factors = list(factors)
     th = min(f.trunc_h for f in factors)
     tl = min(f.trunc_l for f in factors)
 
     den = 1
-    banks = []
+    slices = []
     for f in factors:
         d = _common_denominator(c for s in f.terms.values()
                                 for c in s.coeff.values())
-        banks.append([(key, {hl: _numerators(c, d)
-                             for hl, c in s.coeff.items()})
-                      for key, s in f.terms.items()])
+        grades: dict[tuple, dict] = {}
+        for key, s in f.terms.items():
+            for hl, c in s.coeff.items():
+                grades.setdefault(hl, {})[key] = _numerators(c, d)
+        slices.append(list(grades.items()))
         den *= d
 
     entry, dk = kernel
+    supports = [f.support() for f in factors]
     table: dict[int, dict] = {}
     for i, j in {line for lines, _ in schedules for line in lines}:
-        for y in factors[i].support():
+        for y in supports[i]:
             row = table.setdefault(y, {})
-            for z in factors[j].support():
+            for z in supports[j]:
                 kv = entry(y, z)
                 if kv[0] or kv[1]:
                     row[z] = kv
@@ -188,22 +204,23 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
     den *= dk ** n_max * q
 
     out: dict[tuple, dict] = {}
-    for combo in itertools.product(*banks):
-        keys = tuple(k for k, _ in combo)
-        series = combo[0][1]
-        for _, s in combo[1:]:
-            series = _mul_add({}, series, s, th, tl)
-        if not series:
+    for combo in itertools.product(*slices):
+        h, l = map(sum, zip(*(hl for hl, _ in combo)))
+        if h > th or l > tl:
             continue
-        room = th - min(h for h, _ in series)
-        memo = {(): {keys: (1, 0)}}
+        memo = {(): [tuple(bank for _, bank in combo)]}
         for lines, n, scale in plan:
-            if n > room or not scale:
+            if h + n > th or not scale:
                 continue
-            for rest, (wr, wi) in _after(memo, lines, table).items():
-                key = tuple(sorted(itertools.chain.from_iterable(rest)))
-                _mul_add(out.setdefault(key, {}), series,
-                         {(n, 0): (wr * scale, wi * scale)}, th, tl)
+            for banks in _after(memo, lines, table):
+                prod = list(banks[0].items())
+                for bank in banks[1:]:
+                    prod = [(k1 + k2, (a * c - b * e, a * e + b * c))
+                            for k1, (a, b) in prod
+                            for k2, (c, e) in bank.items()]
+                for key, (re, im) in prod:
+                    _add(out.setdefault(tuple(sorted(key)), {}), (h + n, l),
+                         re * scale, im * scale)
 
     terms = {}
     for key, acc in out.items():

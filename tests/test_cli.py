@@ -450,6 +450,15 @@ def test_non_finite_coefficients_are_config_errors(tmp_path, command, expr):
     assert "FormatError" in res.output and "not finite" in res.output
 
 
+@pytest.mark.parametrize("command, expr", [
+    ("ms", "x_+^-" + "9" * 400), ("extend", "(x+i0)^-" + "9" * 400)])
+def test_non_finite_exponents_are_config_errors(tmp_path, command, expr):
+    """An exponent beyond the float range would become inf; it is rejected
+    as written instead of overflowing inside the computation (exit 4)."""
+    res = run([command, expr, "--out", str(tmp_path)], expect=2)
+    assert "FormatError" in res.output and "not a finite number" in res.output
+
+
 def test_like_terms_merge_into_one_ms_family_seed(tmp_path):
     run(["ms", "2*x_+^-1", "--out", str(tmp_path), "--label", "a"])
     run(["ms", "x_+^-1 + x_+^-1", "--out", str(tmp_path), "--label", "b"])

@@ -104,13 +104,14 @@ RATIONALS = st.builds(Fraction, st.integers(-7, 7),
                       st.sampled_from([1, 2, 3, 5, 7, 9]))
 
 
-def terms(sites):
+def terms(sites, order=1):
     """Up to three monomials of degree <= 4 on a few sites (repeats
-    allowed), each with a short series in (hbar, lambda)."""
+    allowed), each with a short series in (hbar, lambda) of orders up to
+    `order`."""
     key = st.lists(st.sampled_from(sites), min_size=0, max_size=4).map(
         lambda k: tuple(sorted(k)))
     series = st.dictionaries(
-        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(st.integers(0, order), st.integers(0, order)),
         st.tuples(RATIONALS, RATIONALS), min_size=1, max_size=2)
     return st.dictionaries(key, series, min_size=1, max_size=3)
 
@@ -167,17 +168,27 @@ def test_graph_sum_matches_reference(xp_small, fs, th, tl):
     assert plain(got) == nonzero(want)
 
 
-LINES = st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
-                 max_size=3).map(tuple)
+@st.composite
+def engine_cases(draw):
+    """1-3 banks, each a functional with series orders up to 2 (so some
+    tuples of grades exceed the truncation before any line runs), and up
+    to four schedules of up to three lines between any two banks, a bank
+    with itself included."""
+    fs = draw(st.lists(terms(SITES, order=2), min_size=1, max_size=3))
+    pairs = [(i, j) for i in range(len(fs)) for j in range(len(fs))]
+    lines = st.lists(st.sampled_from(pairs), max_size=3).map(tuple)
+    return fs, draw(st.lists(st.tuples(lines, RATIONALS), min_size=1,
+                             max_size=4))
 
 
-@settings(max_examples=40, deadline=None)
-@given(terms(SITES), terms(SITES), TRUNC_H, TRUNC_L,
-       st.lists(st.tuples(LINES, RATIONALS), min_size=1, max_size=4))
-def test_engine_with_non_dyadic_kernel(lat_small, f, g, th, tl, schedules):
+@settings(max_examples=60, deadline=None)
+@given(engine_cases(), TRUNC_H, TRUNC_L)
+def test_engine_with_non_dyadic_kernel(lat_small, case, th, tl):
     """Arbitrary schedules (shared prefixes, same-bank and cross-bank lines,
     zero weights) with a kernel whose entries are thirds and sevenths,
     given as numerators over 21."""
+    fs, schedules = case
+
     def numerators(y, z):
         return 7 * (y - 2 * z + 1), 3 * (y * z % 5)
 
@@ -186,8 +197,7 @@ def test_engine_with_non_dyadic_kernel(lat_small, f, g, th, tl, schedules):
 
     want = {}
     for lines, w in schedules:
-        naive([f, g], kernel, list(lines), w, th, tl, want)
-    got = contract([functional(lat_small, f, th, tl),
-                    functional(lat_small, g, th, tl)], (numerators, 21),
-                   schedules)
+        naive(fs, kernel, list(lines), w, th, tl, want)
+    got = contract([functional(lat_small, f, th, tl) for f in fs],
+                   (numerators, 21), schedules)
     assert plain(got) == nonzero(want)

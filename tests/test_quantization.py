@@ -156,6 +156,21 @@ def test_bogoliubov_roundtrip(xp_small, rand_functional):
         assert bog.R(bog.Rinv(F)) == F
 
 
+def test_bogoliubov_roundtrip_at_three_vertices(xp_small):
+    """R^-1 R F == F at (hbar, lambda) = (3, 3) with a vertex on the four
+    sites of t = 2: S(V) reaches V^3, so graphs of three vertices join the
+    round trip."""
+    lat = xp_small.lat
+    V = interaction_vertex(lat, {lat.site(2, x): Fraction(1)
+                                 for x in range(lat.n_x)}, 4, 3, 3)
+    F = local_power(lat, {lat.site(5, 0): Fraction(1),
+                          lat.site(6, 2): Fraction(-2, 3)}, 3, 3, 3)
+    bog = BogoliubovMap(xp_small, V)
+    RF = bog.R(F)
+    assert any((3, 3) in c.coeff for c in RF.terms.values())
+    assert bog.Rinv(RF) == F
+
+
 def test_bogoliubov_fixes_unit(xp_small):
     V = interaction(xp_small.lat)
     bog = BogoliubovMap(xp_small, V)
