@@ -47,12 +47,12 @@ class FiniteStarAlgebra:
     b_i^* = sum_a star[i, a] b_a; unit is the coefficient vector of 1.
     """
 
-    def __init__(self, mul_const, star, unit, labels=None):
+    def __init__(self, mul_const, star, unit, labels):
         self.c = np.asarray(mul_const, dtype=complex)
         self.star = np.asarray(star, dtype=complex)
         self.unit = np.asarray(unit, dtype=complex)
         self.dim = self.c.shape[0]
-        self.labels = list(labels) if labels else [f"b{i}" for i in range(self.dim)]
+        self.labels = list(labels)
         if self.c.shape != (self.dim,) * 3:
             raise AlgebraError("structure constants must be dim^3")
         if self.star.shape != (self.dim, self.dim):
@@ -273,13 +273,13 @@ def direct_sum_state_example() -> dict:
 
 
 def weyl_phase(a1: float, b1: float, a2: float, b2: float,
-               hbar: float = 1.0) -> complex:
+               hbar: float) -> complex:
     """Composition phase: W(a1,b1) W(a2,b2) = phase * W(a1+a2, b1+b2)."""
     return cmath.exp(0.5j * hbar * (a1 * b2 - a2 * b1))
 
 
 def weyl_matrix(alpha: float, beta: float, n: int, dx: float,
-                hbar: float = 1.0, x0: float = 0.0) -> np.ndarray:
+                hbar: float, x0: float) -> np.ndarray:
     """W(alpha, beta) on samples over x_j = x0 + j dx:
     (W phi)(x) = e^{i hbar alpha beta / 2} e^{i beta x} phi(x + hbar alpha),
     with zero padding off the grid; the shift must align with the grid."""
@@ -311,7 +311,7 @@ def weyl_grid_check(n: int, dx: float, hbar: float) -> int:
     return reach
 
 
-def weyl_rep_check(n: int = 64, dx: float = 0.25, hbar: float = 1.0) -> dict:
+def weyl_rep_check(n: int, dx: float, hbar: float) -> dict:
     """Composition and adjoint relations for grid Weyl operators.
 
     Zero padding breaks the relations only in the edge columns a shift can

@@ -335,7 +335,8 @@ WICK_TERM = ("contractions", "hbar_power", "binding_coefficient", "structure")
 def wick(cfg, seed):
     """Three-term expansion of a product of two quadratic densities."""
     _, xp, (f1, f2) = _exact(cfg, seed, cfg["n_sites"], cfg["n_sites"])
-    r, ok = acceptance.wick_check(xp, f1, f2)
+    r = qz.wick_theorem_demo(xp, f1, f2)
+    ok = r["match"]
     rows = [tuple(term[k] for k in WICK_TERM) for term in r["terms"]]
     return rows, ["normal-ordered coefficients (1, 4, 2); "
                   "term-by-term match: %s" % ok], (
@@ -448,6 +449,9 @@ def ms(cfg, seed, family_atom):
     base = formats.parse_distribution(family_atom)
     if len(base.terms) != 1:
         _fail(2, "family seed must be a single term")
+    # the family runs unit_scaled, its results scaled back: a huge
+    # coefficient cannot overflow the circle samples
+    scale, base = eg.unit_scaled(base)
     coeff, kind = base.terms[0]
     if kind[0] not in ("halfline", "power_i0"):
         _fail(2, "family seed must be a halfline or (x+-i0) power")
@@ -463,14 +467,16 @@ def ms(cfg, seed, family_atom):
         r = eg.analytic_regularization(fam, _probe(poly), pole_cap=3)
         worst_pole = max(worst_pole, r["pole_order"])
         margin = min(margin, r["pole_margin"])
-        error = max(error, r["error"])
+        error = max(error, r["error"] * scale)
         rows.append(("pole_order_%s" % name, r["pole_order"]))
-        rows.append(("ms_value_%s" % name, r["regular_value"]))
-        rows += [("pole_%s_order_%d" % (name, k + 1), c)
+        rows.append(("ms_value_%s" % name, r["regular_value"] * scale))
+        rows += [("pole_%s_order_%d" % (name, k + 1), c * scale)
                  for k, c in enumerate(r["principal"])]
+    big = [q for q, v in rows[3:] if not cmath.isfinite(v)]
     return rows, ["sd = %.6f, div = %.6f, max pole order %d, pole margin "
                   "%.1e, worst MS error bound %.1e"
-                  % (sd, div, worst_pole, margin, error)], None
+                  % (sd, div, worst_pole, margin, error)], (
+        "%s overflows the float range" % big[0] if big else None)
 
 
 # -------------------------------------------------------------- microlocal

@@ -103,16 +103,16 @@ class TestFunction1D:
         self._core = None
 
     @classmethod
-    def monomial(cls, degree: int, r0: float = 0.5, R: float = 1.0, coeff=1.0):
+    def monomial(cls, degree: int, r0: float, R: float, coeff):
         poly = (0.0,) * degree + (1.0,)
         return cls([(coeff, poly, r0, R)])
 
     @classmethod
-    def from_poly(cls, poly, r0: float = 0.5, R: float = 1.0):
+    def from_poly(cls, poly, r0: float, R: float):
         return cls([(1.0, tuple(poly), r0, R)])
 
     @classmethod
-    def random_probe(cls, rng, max_degree: int = 4):
+    def random_probe(cls, rng, max_degree: int):
         atoms = []
         for _ in range(PROBE_ATOMS):
             deg = rng.randint(0, max_degree)
@@ -267,7 +267,7 @@ def _gk21(func, lo, hi):
     return (h * resk).T, np.maximum(err, floor).T, floor.T
 
 
-def quad_complex(func, a: float, b: float, points=(), epsabs: float = 1e-13,
+def quad_complex(func, a: float, b: float, points, epsabs: float = 1e-13,
                  epsrel: float = 1e-12, limit: int = 400):
     """(integral of func over [a, b], error estimate) for a complex-valued
     func that maps an array of n points to n values, or to (m, n) values
@@ -373,7 +373,7 @@ class SymbolicDistribution1D:
         self.terms = tuple(cleaned)
 
     @classmethod
-    def delta(cls, k: int = 0):
+    def delta(cls, k: int):
         return cls([(1.0, ("delta", k))])
 
     @classmethod
@@ -381,7 +381,7 @@ class SymbolicDistribution1D:
         return cls([(1.0, ("monomial", m))])
 
     @classmethod
-    def heaviside(cls, m: int = 0):
+    def heaviside(cls, m: int):
         return cls([(1.0, ("heaviside", m))])
 
     @classmethod
@@ -391,7 +391,7 @@ class SymbolicDistribution1D:
         return cls([(1.0, ("power_i0", sign, complex(a)))])
 
     @classmethod
-    def halfline(cls, a, side: int = 1, log_power: int = 0):
+    def halfline(cls, a, side: int, log_power: int = 0):
         if side not in (1, -1):
             raise ValueError("side must be +-1")
         return cls([(1.0, ("halfline", side, complex(a), log_power))])

@@ -37,9 +37,21 @@ class NegativeDivergenceWarning(UserWarning):
     """Extension is unique; a supplied projection was ignored."""
 
 
+def unit_scaled(t: SymbolicDistribution1D):
+    """(s, t / s) for s the power of two at the largest |coefficient| of t,
+    1 when that lies in [1, 2).  The division is exact, and so is scaling a
+    result linear in t back by s, unless a value overflows or underflows."""
+    top = max((abs(c) for c, _ in t.terms), default=1.0)
+    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return s, SymbolicDistribution1D([(c / s, kind) for c, kind in t.terms])
+
+
 def scaling_degree_regression(t: SymbolicDistribution1D) -> float:
     """Slope of log|<t(lam .), f>| against log(lam) over lam = 2^-1..2^-8 on
-    one fixed probe f; sd is minus the slope."""
+    one fixed probe f, t unit_scaled (a common factor cannot change the
+    slope, and a huge or tiny one would overflow the samples or drop them
+    under the floor); sd is minus the slope."""
+    t = unit_scaled(t)[1]
     probe = TestFunction1D.from_poly((1.0, 0.5, -0.25), 0.5, 1.0)
     xs, ys = [], []
     for lam in (2.0 ** -k for k in range(1, 9)):
@@ -164,7 +176,7 @@ def ms_circle() -> np.ndarray:
 
 
 def analytic_regularization(family, f: TestFunction1D,
-                            pole_cap: int = 3) -> dict:
+                            pole_cap: int) -> dict:
     """Laurent data of zeta -> <family(zeta), f> around zeta = 0.
 
     family maps a nonzero complex zeta to a SymbolicDistribution1D of one

@@ -12,13 +12,11 @@ from fractions import Fraction
 
 
 def to_fraction(x) -> Fraction:
-    """Exact lift of int/Fraction/float into Fraction."""
+    """Exact lift of int/Fraction/float into Fraction (a float is a dyadic
+    rational, so its lift is exact)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        # dyadic lift, exact by IEEE-754
+    if isinstance(x, (int, float)):
         return Fraction(x)
     raise TypeError(f"cannot lift {type(x).__name__} exactly")
 
@@ -28,7 +26,7 @@ class ExactComplex:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         object.__setattr__(self, "re", to_fraction(re))
         object.__setattr__(self, "im", to_fraction(im))
 

@@ -27,7 +27,9 @@ Terms joined by " + " or " - " (spaces required around the sign):
 each optionally prefixed by "c*" with c an int, fraction, or finite float.
 Like terms merge into one (coefficients added, first place kept), so
 "delta - delta" is the zero distribution, as "0*delta" is; a coefficient
-that is not finite, as written or merged, is an error.
+that is not finite, as written or merged, is an error.  So is an order
+the pairings cannot take: a log power p above MAX_LOG_POWER, or an order
+k, m above MAX_ORDER.
 Example:  "(x+i0)^-2 + 3/2*delta^1 - 0.5*x_+^-1.5"
 """
 
@@ -162,17 +164,6 @@ def load_algebra(path):
 
 # ------------------------------------------------ distribution expressions
 
-_ATOM_RES = [
-    (re.compile(r"^delta(?:\^(\d+))?$"), "delta"),
-    (re.compile(r"^x\^(\d+)$"), "monomial"),
-    (re.compile(r"^heaviside(?:\^(\d+))?$"), "heaviside"),
-    (re.compile(r"^\(x\+i0\)\^(-?[\d.]+)$"), "i0plus"),
-    (re.compile(r"^\(x-i0\)\^(-?[\d.]+)$"), "i0minus"),
-    (re.compile(r"^x_\+\^(-?[\d.]+)(?:\*log\^(\d+))?$"), "halfplus"),
-    (re.compile(r"^x_-\^(-?[\d.]+)(?:\*log\^(\d+))?$"), "halfminus"),
-]
-
-
 def _num(tok):
     if "/" in tok:
         q = Fraction(tok)
@@ -194,29 +185,44 @@ def _exponent(tok):
     return a
 
 
+# The largest integer orders the pairings take.  A log power p enters
+# through p!, a finite float only up to 170!; an order of delta^k, x^m or
+# heaviside^m enters as a float, and 2^1024 - 2^970 is the least integer
+# that rounds past the largest one.
+MAX_LOG_POWER = 170
+MAX_ORDER = 2 ** 1024 - 2 ** 970 - 1
+
+
+def _order(tok, top):
+    """An integer order as written (0 when absent), at most top."""
+    k = int(tok or 0)
+    if k > top:
+        raise FormatError("order %s is too large: the largest accepted is %s"
+                          % (tok, "2^1024 - 2^970 - 1" if top == MAX_ORDER
+                             else top))
+    return k
+
+
+_D = dist1d.SymbolicDistribution1D
+_SIGN = {"+": 1, "-": -1}
+# each atom's pattern, and the distribution its groups stand for
+_ATOMS = [(re.compile(rex), build) for rex, build in (
+    (r"delta(?:\^(\d+))?", lambda k: _D.delta(_order(k, MAX_ORDER))),
+    (r"x\^(\d+)", lambda m: _D.monomial(_order(m, MAX_ORDER))),
+    (r"heaviside(?:\^(\d+))?",
+     lambda m: _D.heaviside(_order(m, MAX_ORDER))),
+    (r"\(x([+-])i0\)\^(-?[\d.]+)",
+     lambda s, a: _D.power_i0(_exponent(a), _SIGN[s])),
+    (r"x_([+-])\^(-?[\d.]+)(?:\*log\^(\d+))?",
+     lambda s, a, p: _D.halfline(_exponent(a), _SIGN[s],
+                                 _order(p, MAX_LOG_POWER))))]
+
+
 def _parse_atom(tok):
-    for rex, kind in _ATOM_RES:
-        m = rex.match(tok)
-        if not m:
-            continue
-        if kind == "delta":
-            return dist1d.SymbolicDistribution1D.delta(int(m.group(1) or 0))
-        if kind == "monomial":
-            return dist1d.SymbolicDistribution1D.monomial(int(m.group(1)))
-        if kind == "heaviside":
-            return dist1d.SymbolicDistribution1D.heaviside(int(m.group(1) or 0))
-        if kind == "i0plus":
-            return dist1d.SymbolicDistribution1D.power_i0(
-                _exponent(m.group(1)), +1)
-        if kind == "i0minus":
-            return dist1d.SymbolicDistribution1D.power_i0(
-                _exponent(m.group(1)), -1)
-        if kind == "halfplus":
-            return dist1d.SymbolicDistribution1D.halfline(
-                _exponent(m.group(1)), +1, int(m.group(2) or 0))
-        if kind == "halfminus":
-            return dist1d.SymbolicDistribution1D.halfline(
-                _exponent(m.group(1)), -1, int(m.group(2) or 0))
+    for rex, build in _ATOMS:
+        m = rex.fullmatch(tok)
+        if m:
+            return build(*m.groups())
     raise FormatError("cannot parse distribution atom %r" % tok)
 
 
@@ -287,7 +293,7 @@ def fmt_value(v):
     return str(v)
 
 
-def write_csv(path, header, rows, comment=None):
+def write_csv(path, header, rows, comment):
     """Write rows of scalars as CSV with '\\n' line endings, after the line
     `comment` if one is given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

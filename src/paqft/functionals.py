@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import ExactComplex, to_fraction
-from .lattice import ExactPropagators, Lattice1p1, kg_apply, leapfrog
+from .lattice import Lattice1p1, kg_apply, leapfrog
 from .series import DEFAULT_TRUNC_H, DEFAULT_TRUNC_L, FormalSeries
 
 
@@ -45,25 +45,24 @@ class PolyFunctional:
 
     __slots__ = ("lat", "terms", "trunc_h", "trunc_l")
 
-    def __init__(self, lat: Lattice1p1, terms=None,
+    def __init__(self, lat: Lattice1p1, terms,
                  trunc_h: int = DEFAULT_TRUNC_H, trunc_l: int = DEFAULT_TRUNC_L):
         clean = {}
-        if terms:
-            for key, c in terms.items():
-                key = tuple(sorted(key))
-                for s in key:
-                    if not 0 <= s < lat.n_sites:
-                        raise DimensionMismatch(f"site {s} outside lattice")
-                if not isinstance(c, FormalSeries):
-                    c = FormalSeries.const(c, trunc_h, trunc_l)
-                else:
-                    c = c.truncate(trunc_h, trunc_l)
-                if key in clean:
-                    c = clean[key] + c
-                if c:
-                    clean[key] = c
-                elif key in clean:
-                    del clean[key]
+        for key, c in terms.items():
+            key = tuple(sorted(key))
+            for s in key:
+                if not 0 <= s < lat.n_sites:
+                    raise DimensionMismatch(f"site {s} outside lattice")
+            if not isinstance(c, FormalSeries):
+                c = FormalSeries.const(c, trunc_h, trunc_l)
+            else:
+                c = c.truncate(trunc_h, trunc_l)
+            if key in clean:
+                c = clean[key] + c
+            if c:
+                clean[key] = c
+            elif key in clean:
+                del clean[key]
         self.lat = lat
         self.terms = clean
         self.trunc_h = trunc_h
@@ -72,14 +71,9 @@ class PolyFunctional:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def constant(cls, lat, value, trunc_h: int = DEFAULT_TRUNC_H,
-                 trunc_l: int = DEFAULT_TRUNC_L) -> "PolyFunctional":
+    def constant(cls, lat, value, trunc_h: int,
+                 trunc_l: int) -> "PolyFunctional":
         return cls(lat, {(): value}, trunc_h, trunc_l)
-
-    @classmethod
-    def unit(cls, lat, trunc_h: int = DEFAULT_TRUNC_H,
-             trunc_l: int = DEFAULT_TRUNC_L) -> "PolyFunctional":
-        return cls.constant(lat, 1, trunc_h, trunc_l)
 
     # -- structure -----------------------------------------------------------
 
@@ -234,31 +228,6 @@ def pointwise_product(F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
             c = c1 * c2
             out[key] = out[key] + c if key in out else c
     return PolyFunctional(F.lat, out, th, tl)
-
-
-def peierls_bracket(F: PolyFunctional, G: PolyFunctional,
-                    xp: ExactPropagators) -> PolyFunctional:
-    """{F, G} = <Delta F^(1), G^(1)> with volume weights; exact coefficients.
-
-    In partial-derivative form the weights cancel:
-    sum_{y,z} dF/dphi[y] Delta(y,z) dG/dphi[z].
-    """
-    th = min(F.trunc_h, G.trunc_h)
-    tl = min(F.trunc_l, G.trunc_l)
-    out = PolyFunctional(F.lat, {}, th, tl)
-    for y in sorted(F.support()):
-        dF = F.partial(y)
-        if dF.is_zero():
-            continue
-        for z in sorted(G.support()):
-            d = xp.causal_entry(y, z)
-            if not d:
-                continue
-            dG = G.partial(z)
-            if dG.is_zero():
-                continue
-            out = out + pointwise_product(dF, dG) * ExactComplex(d)
-    return out
 
 
 class GeneralizedLagrangian:

@@ -37,12 +37,12 @@ class Multigraph:
 
     __slots__ = ("n_vertices", "lines")
 
-    def __init__(self, n_vertices: int, lines: dict | None = None):
+    def __init__(self, n_vertices: int, lines: dict):
         if n_vertices < 0:
             raise GraphError("negative vertex count")
         self.n_vertices = n_vertices
         canon: dict[tuple, int] = {}
-        for (i, j), m in (lines or {}).items():
+        for (i, j), m in lines.items():
             if i == j:
                 raise SelfLineForbidden(f"self-line at vertex {i}")
             if not (1 <= i <= n_vertices and 1 <= j <= n_vertices):

@@ -41,7 +41,7 @@ class ZeroModeSingular(LatticeError):
 class Lattice1p1:
     """Uniform n_t x n_x grid, spacings a_t, a_x (exact rationals), mass m."""
 
-    def __init__(self, n_t: int = 24, n_x: int = 24,
+    def __init__(self, n_t: int, n_x: int,
                  a_t=Fraction(1, 2), a_x=Fraction(1), mass: float = 1.0):
         if n_t < 4 or n_x < 4 or n_x % 2:
             raise ValueError("need n_t >= 4 and even n_x >= 4")

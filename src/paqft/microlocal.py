@@ -63,10 +63,10 @@ class WFRay(NamedTuple):
 class WFEstimate:
     """Decay-exponent table over (center, direction) rays."""
 
-    def __init__(self, rays, threshold: float, meta=None):
+    def __init__(self, rays, threshold: float, meta):
         self.rays = list(rays)
         self.threshold = threshold
-        self.meta = meta or {}
+        self.meta = meta
 
     def singular(self):
         return [r for r in self.rays if r.singular]

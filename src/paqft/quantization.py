@@ -9,11 +9,12 @@ the positive-frequency kernel for the Wick-ordered star product, i*DiracD and
 Feynman for the two time-ordered products, anti-Feynman for the
 anti-time-ordered one.  The Wick transform alpha_H and the time-ordering
 operator are the same formula with both ends of each line in one functional
-(e^{(hbar/2) Gamma_K}), and the graph expansion of graphs.py is the same
-formula with n functionals and lines between any two of them.  The formal
-S-matrix is the exponential of the vertex in a time-ordered product, and the
-Bogoliubov map R F = Sbar(-V) * (S(V) x_T F) takes the star-inverse of S(V)
-as Sbar(-V), the anti-time-ordered exponential of -V.
+(e^{(hbar/2) Gamma_K}), the Peierls bracket is one line of the causal
+kernel Delta between two functionals, and the graph expansion of graphs.py
+is the same formula with n functionals and lines between any two of them.
+The formal S-matrix is the exponential of the vertex in a time-ordered
+product, and the Bogoliubov map R F = Sbar(-V) * (S(V) x_T F) takes the
+star-inverse of S(V) as Sbar(-V), the anti-time-ordered exponential of -V.
 
 All of them are thin callers of `contract`, the single contraction engine.
 It follows the formula: a line contracts, through the kernel, functional
@@ -231,6 +232,24 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
     return PolyFunctional(factors[0].lat, terms, th, tl)
 
 
+def peierls_bracket(F: PolyFunctional, G: PolyFunctional,
+                    xp: ExactPropagators) -> PolyFunctional:
+    """{F, G} = <Delta F^(1), G^(1)> with volume weights; exact coefficients.
+
+    In partial-derivative form the weights cancel: sum_{y,z} dF/dphi[y]
+    Delta(y,z) dG/dphi[z], one causal line F -> G.  contract counts the
+    line as an hbar order, so the factors enter one order deeper and the
+    bracket is read one order down."""
+    th, tl = min(F.trunc_h, G.trunc_h), min(F.trunc_l, G.trunc_l)
+    deeper = [PolyFunctional(f.lat, f.terms, f.trunc_h + 1, f.trunc_l)
+              for f in (F, G)]
+    out = contract(deeper, xp.numerators("causal"), [(((0, 1),), 1)])
+    return PolyFunctional(F.lat, {
+        key: FormalSeries({(h - 1, l): c for (h, l), c in s.coeff.items()},
+                          th, tl)
+        for key, s in out.terms.items()}, th, tl)
+
+
 def _exponential(line: tuple[int, int], n_max: int, c=1) -> list:
     """(line^n, c^n / n!) for n <= n_max: the schedules of
     e^{c * hbar * line}."""
@@ -281,7 +300,7 @@ class QuantProduct:
                in _exponential((1, 0), n_max)[1:]])
 
 
-def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int = 1) -> PolyFunctional:
+def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int) -> PolyFunctional:
     """Wick-transform e^{sign (hbar/2) Gamma_H}; sign=-1 normal-orders."""
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
@@ -417,7 +436,7 @@ def s_matrix(xp: ExactPropagators, V: PolyFunctional,
         if any(l == 0 for (_, l) in c.coeff):
             raise NoLambdaGrading("S-matrix argument must carry the coupling")
     product = QuantProduct(xp, kind).product
-    out = PolyFunctional.unit(V.lat, V.trunc_h, V.trunc_l)
+    out = PolyFunctional.constant(V.lat, 1, V.trunc_h, V.trunc_l)
     term = out
     for n in range(1, V.trunc_l + 1):
         term = product(term, V) * Fraction(1, n)

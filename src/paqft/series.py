@@ -24,18 +24,17 @@ class FormalSeries:
 
     __slots__ = ("coeff", "trunc_h", "trunc_l")
 
-    def __init__(self, coeff=None, trunc_h: int = DEFAULT_TRUNC_H,
+    def __init__(self, coeff, trunc_h: int = DEFAULT_TRUNC_H,
                  trunc_l: int = DEFAULT_TRUNC_L):
         clean = {}
-        if coeff:
-            for (h, l), c in coeff.items():
-                if h < 0 or l < 0:
-                    raise ValueError("negative series order")
-                if h > trunc_h or l > trunc_l:
-                    continue
-                c = ExactComplex.lift(c)
-                if c:
-                    clean[(h, l)] = c
+        for (h, l), c in coeff.items():
+            if h < 0 or l < 0:
+                raise ValueError("negative series order")
+            if h > trunc_h or l > trunc_l:
+                continue
+            c = ExactComplex.lift(c)
+            if c:
+                clean[(h, l)] = c
         object.__setattr__(self, "coeff", clean)
         object.__setattr__(self, "trunc_h", trunc_h)
         object.__setattr__(self, "trunc_l", trunc_l)
@@ -46,8 +45,7 @@ class FormalSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, value, trunc_h: int = DEFAULT_TRUNC_H,
-              trunc_l: int = DEFAULT_TRUNC_L) -> "FormalSeries":
+    def const(cls, value, trunc_h: int, trunc_l: int) -> "FormalSeries":
         return cls({(0, 0): ExactComplex.lift(value)}, trunc_h, trunc_l)
 
     @classmethod
@@ -56,8 +54,7 @@ class FormalSeries:
         return cls({}, trunc_h, trunc_l)
 
     @classmethod
-    def coupling(cls, trunc_h: int = DEFAULT_TRUNC_H,
-                 trunc_l: int = DEFAULT_TRUNC_L) -> "FormalSeries":
+    def coupling(cls, trunc_h: int, trunc_l: int) -> "FormalSeries":
         return cls({(0, 1): EC_ONE}, trunc_h, trunc_l)
 
     # -- ring operations ---------------------------------------------------

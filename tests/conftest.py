@@ -12,7 +12,7 @@ from paqft.functionals import PolyFunctional
 
 @pytest.fixture(scope="session")
 def lat24():
-    return Lattice1p1()  # 24x24, a_t=1/2, a_x=1, m=1
+    return Lattice1p1(24, 24)  # a_t=1/2, a_x=1, m=1
 
 
 @pytest.fixture(scope="session")

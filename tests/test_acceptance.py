@@ -56,7 +56,7 @@ def test_warnings_inside_a_criterion_are_recorded(monkeypatch):
 
     noisy.title = "noisy"
     monkeypatch.setattr(acceptance, "ALL", [noisy])
-    r, = acceptance.run_all()
+    r, = acceptance.run_all(None)
     assert (r.index, r.title, r.passed, r.detail) == (1, "noisy", True, "ok")
     assert r.warnings == {"RuntimeWarning": 2,
                           "NegativeDivergenceWarning": 1}

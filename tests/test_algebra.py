@@ -32,16 +32,18 @@ def test_validation_rejects_broken_structures():
     c = good.c.copy()
     c[1, 1, 0] = 0.5
     with pytest.raises(AlgebraError):
-        FiniteStarAlgebra(c, good.star, good.unit)
+        FiniteStarAlgebra(c, good.star, good.unit, good.labels)
     # wrong unit
     with pytest.raises(AlgebraError):
-        FiniteStarAlgebra(good.c, good.star, [1.0, 0.0])
+        FiniteStarAlgebra(good.c, good.star, [1.0, 0.0], good.labels)
     # involution that is not involutive
     with pytest.raises(AlgebraError):
-        FiniteStarAlgebra(good.c, [[0.0, 1.0], [1.0, 0.5]], good.unit)
+        FiniteStarAlgebra(good.c, [[0.0, 1.0], [1.0, 0.5]], good.unit,
+                          good.labels)
     # shape guards
     with pytest.raises(AlgebraError):
-        FiniteStarAlgebra(np.zeros((2, 2, 3)), good.star, good.unit)
+        FiniteStarAlgebra(np.zeros((2, 2, 3)), good.star, good.unit,
+                          good.labels)
 
 
 def test_left_mult_matrix_matches_mul():
@@ -148,15 +150,16 @@ def test_direct_sum_decomposition():
 # Weyl operators
 
 def test_weyl_phase_value():
-    assert weyl_phase(1.0, 0.0, 0.0, 1.0) == pytest.approx(cmath.exp(0.5j))
+    assert weyl_phase(1.0, 0.0, 0.0, 1.0, 1.0) \
+        == pytest.approx(cmath.exp(0.5j))
     # antisymmetry of the exponent under swapping the pair
-    assert weyl_phase(2.0, 0.5, -1.0, 1.5) \
-        == pytest.approx(1.0 / weyl_phase(-1.0, 1.5, 2.0, 0.5))
+    assert weyl_phase(2.0, 0.5, -1.0, 1.5, 1.0) \
+        == pytest.approx(1.0 / weyl_phase(-1.0, 1.5, 2.0, 0.5, 1.0))
 
 
 def test_weyl_matrix_is_a_shift_with_phase():
     n, dx = 8, 0.5
-    W = weyl_matrix(1.0, 0.0, n, dx, x0=0.0)
+    W = weyl_matrix(1.0, 0.0, n, dx, 1.0, 0.0)
     phi = np.zeros(n, dtype=complex)
     phi[4] = 1.0
     out = W @ phi
@@ -167,11 +170,11 @@ def test_weyl_matrix_is_a_shift_with_phase():
 
 def test_weyl_shift_must_align_with_grid():
     with pytest.raises(ShiftOffGrid):
-        weyl_matrix(0.3, 0.0, 8, 0.25)
+        weyl_matrix(0.3, 0.0, 8, 0.25, 1.0, 0.0)
 
 
 def test_weyl_relations_hold_on_interior():
-    rep = weyl_rep_check()
+    rep = weyl_rep_check(64, 0.25, 1.0)
     assert rep["composition_residual"] < 1e-8
     assert rep["adjoint_residual"] < 1e-8
     assert rep["phase_example"] == pytest.approx(cmath.exp(0.5j))
@@ -180,8 +183,9 @@ def test_weyl_relations_hold_on_interior():
 def test_weyl_pure_multiplier_commutes_globally():
     # alpha = 0 operators are diagonal phases: relations exact on all of C^n
     n, dx = 16, 0.25
-    W1 = weyl_matrix(0.0, 1.0, n, dx)
-    W2 = weyl_matrix(0.0, 2.5, n, dx)
+    W1 = weyl_matrix(0.0, 1.0, n, dx, 1.0, 0.0)
+    W2 = weyl_matrix(0.0, 2.5, n, dx, 1.0, 0.0)
     lhs = W1 @ W2
-    rhs = weyl_phase(0.0, 1.0, 0.0, 2.5) * weyl_matrix(0.0, 3.5, n, dx)
+    rhs = (weyl_phase(0.0, 1.0, 0.0, 2.5, 1.0)
+           * weyl_matrix(0.0, 3.5, n, dx, 1.0, 0.0))
     assert np.max(np.abs(lhs - rhs)) < 1e-12

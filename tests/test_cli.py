@@ -466,15 +466,68 @@ def test_like_terms_merge_into_one_ms_family_seed(tmp_path):
         == (tmp_path / "ms_b.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command, expr", [
-    ("extend", "1e308*delta"), ("ms", "1e307*x_+^-1")])
-def test_a_nan_result_is_a_check_failure(tmp_path, command, expr):
-    """A huge coefficient overflows to NaN inside the computation; the
-    overflow warnings are the CLI's to print, not errors."""
+@pytest.mark.parametrize("expr", ["1.7e308*(x+i0)^-2", "1e308*x_+^-2"])
+def test_a_nan_result_is_a_check_failure(tmp_path, expr):
+    """A coefficient near the float limit overflows to NaN in the ambiguity
+    fit of `extend`; the overflow warnings are the CLI's to print, not
+    errors."""
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
-        res = run([command, expr, "--out", str(tmp_path)], expect=3)
+        res = run(["extend", expr, "--out", str(tmp_path)], expect=3)
     assert "NaN in" in res.output
+
+
+def test_an_ms_value_past_the_float_range_is_a_check_failure(tmp_path):
+    res = run(["ms", "1.7e308*(x+i0)^-2", "--out", str(tmp_path)], expect=3)
+    assert "ms_value_plateau overflows the float range" in res.output
+
+
+def quantities(path):
+    return dict(line.split(",", 1) for line in csv_lines(path)[1:])
+
+
+@pytest.mark.parametrize("command", ["extend", "ms"])
+def test_a_huge_coefficient_scales_the_result(tmp_path, command):
+    """A common factor cannot change a scaling degree or a pole order, and
+    scales every value; at 1e307 the regression's samples overflowed
+    (exit 3, "needs more nonzero samples")."""
+    for label, expr in (("big", "1e307*(x+i0)^-2"), ("one", "(x+i0)^-2")):
+        run([command, expr, "--out", str(tmp_path), "--label", label])
+    big = quantities(tmp_path / ("%s_big.csv" % command))
+    one = quantities(tmp_path / ("%s_one.csv" % command))
+    assert big.keys() == one.keys()
+    assert float(big["scaling_degree"]) == pytest.approx(2.0, abs=1e-6)
+    for q in big:
+        if q.startswith(("pole_order", "sd_", "divergence", "extension")):
+            assert big[q] == one[q]
+        elif q.startswith(("ms_value", "pairing")):
+            b, o = (complex(v[q].replace("i", "j")) for v in (big, one))
+            assert b == pytest.approx(1e307 * o, rel=1e-12)
+
+
+@pytest.mark.parametrize("command, expr, top", [
+    ("extend", "heaviside^" + "9" * 400, "2^1024 - 2^970 - 1"),
+    ("wf", "delta^" + "9" * 400, "2^1024 - 2^970 - 1"),
+    ("extend", "x^%d" % (2 ** 1024 - 2 ** 970), "2^1024 - 2^970 - 1"),
+    ("extend", "x_+^-1*log^200", "170"),
+    ("ms", "x_+^-1*log^171", "170"),
+    ("ms", "x_-^-0.5*log^" + "9" * 30, "170")])
+def test_orders_past_the_pairings_are_config_errors(tmp_path, command, expr,
+                                                    top):
+    """An order beyond the float range, or a log power whose factorial is
+    no float, used to overflow inside the pairing (exit 4)."""
+    res = run([command, expr, "--out", str(tmp_path)], expect=2)
+    assert "FormatError" in res.output
+    assert "the largest accepted is %s" % top in res.output
+
+
+def test_the_largest_orders_still_parse(tmp_path):
+    # x^m at the float limit is 0 on the probe window; log^170 reaches
+    # the numeric checks, which fail on the overflowed values (exit 3)
+    run(["wf", "x^%d" % (2 ** 1024 - 2 ** 970 - 1), "--out", str(tmp_path)])
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        run(["ms", "x_+^-1*log^170", "--out", str(tmp_path)], expect=3)
 
 
 def test_bad_metric_is_a_config_error(tmp_path):

@@ -7,7 +7,10 @@ same exit code and, on exit 0, the same CSV bytes.  A spelling writes each
 coefficient as a decimal, a fraction or an integer, or splits it into two
 parts that add up exactly, and may add a pair of terms that cancel.
 Coefficients range over 0, dyadic rationals, tiny and huge magnitudes, NaN
-and the infinities.
+and the infinities.  An integer order is written with or without leading
+zeros (and an order 0 may be left out), an exponent as a decimal with or
+without trailing zeros; orders range up to and past the largest the
+pairings take, log powers up to and past 170.
 """
 
 import cmath
@@ -21,12 +24,19 @@ from hypothesis import given, settings
 
 from paqft import cli
 
-# per command: the atoms of its distributions, in order, and an atom that
-# only ever appears in a cancelling pair
+ORDERS = st.sampled_from((0, 1, 2, 170, 2 ** 1024 - 2 ** 970 - 1,
+                          2 ** 1024 - 2 ** 970, int("9" * 400)))
+LOG_POWERS = st.sampled_from((0, 1, 2, 170, 171, 10 ** 30))
+EXPONENTS = st.sampled_from((-2.0, -1.5, -1.0, -0.5))
+
+# per command: the atoms of its distributions, in order, as (name, strategy
+# of its parameters), and an atom that only ever appears in a cancelling pair
 ATOMS = {
-    "wf": (("delta", "heaviside", "(x+i0)^-1"), "x^1"),
-    "ms": (("x_+^-1",), "delta"),
-    "extend": (("delta", "x^2"), "heaviside"),
+    "wf": ((("delta", st.tuples(ORDERS)), ("heaviside", st.tuples(ORDERS)),
+            ("(x+i0)", st.just((-1.0,)))), "x^1"),
+    "ms": ((("x_+", st.tuples(EXPONENTS, LOG_POWERS)),), "delta"),
+    "extend": ((("delta", st.tuples(ORDERS)), ("x", st.tuples(ORDERS)),
+                ("x_+", st.tuples(EXPONENTS, LOG_POWERS))), "heaviside"),
 }
 HUGE = (1e300, -1e300, 1e307, 1e308, -1.7976931348623157e308)
 VALUES = st.one_of(
@@ -52,10 +62,32 @@ def _numeral(draw, c, bare=True):
     return draw(st.sampled_from(ways))
 
 
+def _decimals(a):
+    """Spellings of the exponent a."""
+    return [repr(a), "%.3f" % a] + (["%d" % a] if a.is_integer() else [])
+
+
+def _atom(draw, name, params):
+    """A spelling of the atom `name` with its order or exponent params."""
+    if name == "(x+i0)":
+        ways = ["(x+i0)^" + a for a in _decimals(params[0])]
+    elif name == "x_+":
+        a, p = params
+        logs = ["*log^%d" % p, "*log^0%d" % p] + ([""] if p == 0 else [])
+        ways = ["x_+^" + e + log for e in _decimals(a) for log in logs]
+    else:
+        k, = params
+        ways = ["%s^%d" % (name, k), "%s^0%d" % (name, k)]
+        if k == 0 and name != "x":
+            ways.append(name)
+    return draw(st.sampled_from(ways))
+
+
 @st.composite
 def spelling(draw, base, spare):
     terms = []  # (coefficient spelling, atom)
-    for c, atom in base:
+    for c, (name, params) in base:
+        atom = _atom(draw, name, params)
         parts = [c]
         d = draw(DYADIC)
         if (math.isfinite(c) and draw(st.booleans())
@@ -84,7 +116,8 @@ def two_spellings(draw):
     command = draw(st.sampled_from(sorted(ATOMS)))
     atoms, spare = ATOMS[command]
     n = draw(st.integers(1, len(atoms)))
-    base = [(draw(VALUES), atom) for atom in atoms[:n]]
+    base = [(draw(VALUES), (name, draw(params)))
+            for name, params in atoms[:n]]
     return (command, draw(spelling(base, spare)),
             draw(spelling(base, spare)))
 

@@ -6,7 +6,8 @@ product (AC06) cannot see a bug in that primitive.  The reference below
 enumerates every ordered choice of field slots on plain Fraction pairs,
 with no lifting, no shared denominators and no merging of states; the
 library routes are compared with it on random functionals with repeated
-sites and non-dyadic coefficients.
+sites and non-dyadic coefficients.  The Peierls bracket has a second
+reference, the site-pair loop over partial derivatives that it replaced.
 """
 import itertools
 import math
@@ -16,9 +17,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from paqft.exact import ExactComplex
-from paqft.functionals import PolyFunctional
+from paqft.functionals import PolyFunctional, pointwise_product
 from paqft.graphs import graph_expand_Tn
-from paqft.quantization import QuantProduct, alpha_H, contract
+from paqft.quantization import (QuantProduct, alpha_H, contract,
+                                peierls_bracket)
 from paqft.series import FormalSeries
 
 
@@ -201,3 +203,30 @@ def test_engine_with_non_dyadic_kernel(lat_small, case, th, tl):
     got = contract([functional(lat_small, f, th, tl) for f in fs],
                    (numerators, 21), schedules)
     assert plain(got) == nonzero(want)
+
+
+def peierls_loop(F, G, xp):
+    """{F, G} as the sum over site pairs of dF/dphi[y] Delta(y, z)
+    dG/dphi[z], one pointwise product per pair."""
+    th = min(F.trunc_h, G.trunc_h)
+    tl = min(F.trunc_l, G.trunc_l)
+    out = PolyFunctional(F.lat, {}, th, tl)
+    for y in sorted(F.support()):
+        dF = F.partial(y)
+        for z in sorted(G.support()):
+            d = xp.causal_entry(y, z)
+            dG = G.partial(z)
+            if d and dF and dG:
+                out = out + pointwise_product(dF, dG) * ExactComplex(d)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms(SITES, order=3), terms(SITES, order=3), st.integers(0, 3),
+       st.integers(0, 3), TRUNC_L)
+def test_peierls_bracket_matches_site_pair_loop(xp_small, f, g, th_f, th_g,
+                                                tl):
+    # series orders up to 3 reach the top hbar order of every truncation
+    lat = xp_small.lat
+    F, G = functional(lat, f, th_f, tl), functional(lat, g, th_g, tl)
+    assert peierls_bracket(F, G, xp_small) == peierls_loop(F, G, xp_small)

@@ -243,7 +243,7 @@ def test_negative_integer_halfline_needs_vanishing_jet():
         SymbolicDistribution1D.halfline(-1, +1).pair(bad)
     with pytest.raises(DivergentPairing):
         SymbolicDistribution1D.halfline(-2, +1).pair(
-            TestFunction1D.monomial(1, 0.5, 1.0))
+            TestFunction1D.monomial(1, 0.5, 1.0, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def test_scaling_degree_rules():
 
 
 def test_linear_structure():
-    f = TestFunction1D.random_probe(RNG)
+    f = TestFunction1D.random_probe(RNG, 4)
     t = SymbolicDistribution1D.delta(0) * 2.0 \
         - SymbolicDistribution1D.heaviside(0)
     want = 2.0 * f(0.0) - oracle_quad(lambda x: 1.0, f, 0.0,
@@ -384,31 +384,32 @@ def test_degree_19_takes_one_panel():
 
 def test_limit_too_small_warns():
     with pytest.warns(QuadratureWarning, match="interval limit"):
-        got, err = quad_complex(lambda x: np.exp(200j * x), 0.0, 1.0,
+        got, err = quad_complex(lambda x: np.exp(200j * x), 0.0, 1.0, (),
                                 limit=4)
     assert err > 1e-13
     # a family warns when its worst row falls short
     rows = lambda x: np.exp(1j * np.multiply.outer([1.0, 200.0], x))
     with pytest.warns(QuadratureWarning, match="interval limit"):
-        got, err = quad_complex(rows, 0.0, 1.0, limit=4)
+        got, err = quad_complex(rows, 0.0, 1.0, (), limit=4)
     assert err.shape == (2,) and err[1] > 1e-13
 
 
 def test_roundoff_floor_warns():
     with pytest.warns(QuadratureWarning, match="roundoff floor"):
-        got, err = quad_complex(np.cos, 0.0, 1.0, epsabs=0.0, epsrel=1e-18)
+        got, err = quad_complex(np.cos, 0.0, 1.0, (), epsabs=0.0,
+                                epsrel=1e-18)
     assert got == pytest.approx(math.sin(1.0), rel=1e-14)
     with pytest.warns(QuadratureWarning, match="roundoff floor"):
         got, err = quad_complex(lambda x: np.array([np.cos(x), np.sin(x)]),
-                                0.0, 1.0, epsabs=0.0, epsrel=1e-18)
+                                0.0, 1.0, (), epsabs=0.0, epsrel=1e-18)
     assert got == pytest.approx([math.sin(1.0), 1.0 - math.cos(1.0)],
                                 rel=1e-14)
 
 
 def test_empty_interval():
-    assert quad_complex(np.cos, 1.0, 1.0) == (0j, 0.0)
+    assert quad_complex(np.cos, 1.0, 1.0, ()) == (0j, 0.0)
     got, err = quad_complex(lambda x: np.array([np.cos(x), np.sin(x)]),
-                            1.0, 1.0)
+                            1.0, 1.0, ())
     assert got.tolist() == [0j, 0j] and err.tolist() == [0.0, 0.0]
 
 
@@ -617,7 +618,7 @@ def test_ms_values_against_mpmath(poly, r0, R):
     lies within the error that analytic_regularization reports."""
     f = TestFunction1D.from_poly(poly, r0, R)
     rep = eg.analytic_regularization(
-        lambda z: SymbolicDistribution1D.halfline(z - 1.0, +1), f)
+        lambda z: SymbolicDistribution1D.halfline(z - 1.0, +1), f, 3)
 
     def truth(rule):
         p = [mpmath.mpf(c) for c in poly]

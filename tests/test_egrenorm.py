@@ -53,6 +53,27 @@ def test_regression_recovers_symbolic_degrees():
         assert eg.divergence_degree(t) == want - 1.0
 
 
+@pytest.mark.parametrize("c", [5e-324, 1.5, -3.0, 1e300, 1e307, -1.7e308])
+def test_regression_ignores_a_common_factor(c):
+    # a common factor cannot change the degree: the subnormal coefficient
+    # used to drop every sample under the floor, and 1e307 up to overflow
+    # them (both "needs more nonzero samples")
+    t = SymbolicDistribution1D.power_i0(-2.0, +1) * c
+    assert eg.scaling_degree_regression(t) == pytest.approx(2.0, abs=0.05)
+
+
+def test_unit_scaled_divides_by_the_power_of_two_at_the_largest():
+    delta = SymbolicDistribution1D.delta(0)
+    x2 = SymbolicDistribution1D.monomial(2)
+    t = delta * 1.5 + x2 * -0.25
+    assert eg.unit_scaled(t)[0] == 1.0
+    assert eg.unit_scaled(t)[1].terms == t.terms
+    s, t = eg.unit_scaled(delta * -3.0 + x2 * 2j)
+    assert (s, t.terms) == (2.0, ((-1.5, ("delta", 0)), (1j, ("monomial", 2))))
+    assert eg.unit_scaled(delta * 1e307)[0] == 2.0 ** 1019
+    assert eg.unit_scaled(delta * 5e-324)[0] == 5e-324
+
+
 def test_regression_raises_at_halfline_pole():
     with pytest.raises(DivergentPairing):
         eg.scaling_degree_regression(SymbolicDistribution1D.halfline(-1, +1))
@@ -136,7 +157,7 @@ def test_nonlocal_difference_is_rejected():
 def test_entire_family_has_no_pole():
     family = lambda z: SymbolicDistribution1D.power_i0(-1.0 + z, +1)
     f = probe()
-    rep = eg.analytic_regularization(family, f)
+    rep = eg.analytic_regularization(family, f, 3)
     assert rep["pole_order"] == 0
     assert rep["principal"] == []
     direct = SymbolicDistribution1D.power_i0(-1.0, +1).pair(f)
@@ -146,7 +167,7 @@ def test_entire_family_has_no_pole():
 def test_simple_pole_residue_is_the_value_at_zero():
     family = lambda z: SymbolicDistribution1D.halfline(z - 1.0, +1)
     f = probe()
-    rep = eg.analytic_regularization(family, f)
+    rep = eg.analytic_regularization(family, f, 3)
     assert rep["pole_order"] == 1
     assert rep["principal"][0] == pytest.approx(f(0.0), abs=1e-7)
 
@@ -154,7 +175,7 @@ def test_simple_pole_residue_is_the_value_at_zero():
 def test_second_pole_residue_is_the_first_jet():
     family = lambda z: SymbolicDistribution1D.halfline(z - 2.0, +1)
     f = probe((0.8, -0.6, 0.3))
-    rep = eg.analytic_regularization(family, f)
+    rep = eg.analytic_regularization(family, f, 3)
     assert rep["pole_order"] == 1
     assert rep["principal"][0] == pytest.approx(f.derivative_at_0(1),
                                                 abs=1e-6)

@@ -198,8 +198,8 @@ def test_write_csv_deterministic(tmp_path):
             (2, -0.25, ExactComplex(0, Fraction(1)))]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_csv(p1, ("i", "x", "c"), rows)
-    write_csv(p2, ("i", "x", "c"), rows)
+    write_csv(p1, ("i", "x", "c"), rows, None)
+    write_csv(p2, ("i", "x", "c"), rows, None)
     b1 = p1.read_bytes()
     assert b1 == p2.read_bytes()
     assert b1 == b"i,x,c\n1,0.5,1/3\n2,-0.25,0+1i\n"

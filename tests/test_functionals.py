@@ -12,8 +12,8 @@ from paqft.series import FormalSeries
 from paqft.functionals import (PolyFunctional, DimensionMismatch,
                                CutoffTooSmall,
                                smeared_field, local_power, interaction_vertex,
-                               pointwise_product, peierls_bracket,
-                               GeneralizedLagrangian)
+                               pointwise_product, GeneralizedLagrangian)
+from paqft.quantization import peierls_bracket
 from conftest import el_matrix, interior_sites, make_functional
 
 
@@ -76,7 +76,7 @@ def test_smeared_field_evaluation(lat_small):
 
 def test_site_bounds_checked(lat_small):
     with pytest.raises(DimensionMismatch):
-        PolyFunctional(lat_small, {(lat_small.n_sites,): FormalSeries.const(1)})
+        PolyFunctional(lat_small, {(lat_small.n_sites,): FormalSeries.const(1, 2, 2)})
 
 
 def test_interaction_vertex_carries_coupling(lat_small):
@@ -174,8 +174,8 @@ def test_peierls_jacobi_identically_zero(xp_small, rand_functional):
 
 def test_subtraction_is_adding_the_negative(lat_small):
     rng = random.Random(33)
-    h, lam = FormalSeries({(1, 0): 1}), FormalSeries.coupling()
-    series = (FormalSeries.const(Fraction(2, 3)) + h.scale(ExactComplex(
+    h, lam = FormalSeries({(1, 0): 1}), FormalSeries.coupling(2, 2)
+    series = (FormalSeries.const(Fraction(2, 3), 2, 2) + h.scale(ExactComplex(
         Fraction(-1, 5), Fraction(3, 7))) + h * lam.scale(Fraction(5, 9)))
     for _ in range(20):
         F = make_functional(rng, lat_small, max_degree=3, n_terms=4)

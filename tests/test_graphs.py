@@ -36,7 +36,7 @@ def test_multigraph_rejects_bad_lines():
     with pytest.raises(GraphError):
         Multigraph(2, {(1, 2): -1})
     with pytest.raises(GraphError):
-        Multigraph(-1)
+        Multigraph(-1, {})
 
 
 def test_enumeration_counts():
@@ -73,21 +73,21 @@ def test_symmetry_factor_matches_multinomial_count():
 def test_eg_subgraphs_cover_all_subsets():
     subs = eg_subgraphs(TRIANGLE)
     assert len(subs) == 8
-    assert subs[0] == ((), Multigraph(0))
+    assert subs[0] == ((), Multigraph(0, {}))
     table = dict(subs)
     # two-vertex subsets inherit the single connecting line, relabelled
     assert table[(1, 2)] == EDGE
     assert table[(2, 3)] == EDGE
     assert table[(1, 3)] == EDGE
     assert table[(1, 2, 3)] == TRIANGLE
-    assert table[(2,)] == Multigraph(1)
+    assert table[(2,)] == Multigraph(1, {})
 
 
 def test_eg_subgraphs_relabel_multiplicities():
     g = Multigraph(3, {(1, 3): 2})
     table = dict(eg_subgraphs(g))
     assert table[(1, 3)] == FISH
-    assert table[(1, 2)] == Multigraph(2)
+    assert table[(1, 2)] == Multigraph(2, {})
 
 
 def test_divergence_degrees():

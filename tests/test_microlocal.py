@@ -70,8 +70,8 @@ def test_one_sided_boundary_value_is_squarable():
 def test_whitney_sum_needs_matching_base_point():
     ray_up = ml.WFRay((0.0,), (1.0,), 0.0, 1.0, True)
     ray_dn_far = ml.WFRay((3.0,), (-1.0,), 0.0, 1.0, True)
-    wf1 = ml.WFEstimate([ray_up], 2.0)
-    wf2 = ml.WFEstimate([ray_dn_far], 2.0)
+    wf1 = ml.WFEstimate([ray_up], 2.0, {})
+    wf2 = ml.WFEstimate([ray_dn_far], 2.0, {})
     assert ml.whitney_sum_witnesses(wf1, wf2) == []
 
 
@@ -387,7 +387,7 @@ def test_propagation_flags_match_reference(full_grid_check):
     picked = set(centers[::4])
     wf = rep["wf"]
     sub = ml.WFEstimate([r for r in wf.rays if r.center in picked],
-                        wf.threshold)
+                        wf.threshold, {})
     assert_matches_reference(sub, reference_wf2d(field, centers[::4]))
 
 

@@ -174,7 +174,7 @@ def test_bogoliubov_roundtrip_at_three_vertices(xp_small):
 def test_bogoliubov_fixes_unit(xp_small):
     V = interaction(xp_small.lat)
     bog = BogoliubovMap(xp_small, V)
-    one = PolyFunctional.unit(xp_small.lat)
+    one = PolyFunctional.constant(xp_small.lat, 1, 2, 2)
     assert bog.R(one) == one
     assert bog.Rinv(one) == one
 
@@ -215,7 +215,7 @@ def test_s_matrix_is_unit_plus_coupling(xp_small):
 def _star_inverse_reference(sp, A):
     """Star-inverse of A = 1 + O(coupling) by the geometric series
     sum_n (1 - A)^{*n}, which ends at the coupling truncation."""
-    one = PolyFunctional.unit(A.lat, A.trunc_h, A.trunc_l)
+    one = PolyFunctional.constant(A.lat, 1, A.trunc_h, A.trunc_l)
     a = one - A
     out = term = one
     for _ in range(A.trunc_l):
@@ -238,7 +238,7 @@ def test_antitimeordered_s_matrix_is_star_inverse(xp_small, f, degree,
     S = s_matrix(xp_small, V)
     S_bar = s_matrix(xp_small, V * (-1), "antitimeordered_F")
     assert S_bar == _star_inverse_reference(star, S)
-    one = PolyFunctional.unit(xp_small.lat, th, tl)
+    one = PolyFunctional.constant(xp_small.lat, 1, th, tl)
     assert star.product(S, S_bar) == one
     assert star.product(S_bar, S) == one
 
@@ -309,6 +309,6 @@ def test_multilocal_rank_deficient_for_repeated_basis(xp_small):
 
 def test_multilocal_rejects_constant_part(xp_small):
     lat = xp_small.lat
-    one = PolyFunctional.unit(lat)
+    one = PolyFunctional.constant(lat, 1, 2, 2)
     with pytest.raises(ValueError):
         multilocal_injectivity_check([one], 1)
