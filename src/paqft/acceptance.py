@@ -375,20 +375,20 @@ def crit_11():
 
     prop = ml.propagation_check()
     wfs = (wf_d, wf_p, prop["wf"])
-    near = sum(len(wf.near_threshold(0.05)) for wf in wfs)
-    floor = sum(len(wf.near_floor(2.0)) for wf in wfs)
+    near = sum(len(wf.near_threshold()) for wf in wfs)
+    floor = sum(len(wf.near_floor()) for wf in wfs)
     n_rays = sum(len(wf.rays) for wf in wfs)
     frac = prop["fraction_on_cone"]
     ok = (d_dirs == [-1.0, 1.0] and p_dirs == [-1.0]
           and drift < 1e-8 and frac >= 0.9)
     return ok, (
         "WF(delta) dirs %s, WF((x+i0)^-1) dirs %s (default threshold); "
-        "%d of %d rays within 0.05 of their threshold, %d within 2x of "
+        "%d of %d rays within %g of their threshold, %d within %gx of "
         "the rel_floor test; "
         "sigma drift %.1e per unit time (tol 1e-8); %.1f%% of singular mass "
         "within 15 deg of the lattice cone (need 90%%, margin %+.1f points)"
-        % (d_dirs, p_dirs, near, n_rays, floor, drift, 100 * frac,
-           100 * (frac - 0.9)))
+        % (d_dirs, p_dirs, near, n_rays, ml.NEAR_BAND, floor, ml.NEAR_FACTOR,
+           drift, 100 * frac, 100 * (frac - 0.9)))
 
 
 @criterion("GNS representations and direct-sum mixture")

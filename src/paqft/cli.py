@@ -425,18 +425,24 @@ def extend(cfg, seed, expression):
     t = formats.parse_distribution(expression)
     if not t.terms:
         _fail(2, "%r is the zero distribution" % expression)
+    # the extension runs unit_scaled, its results scaled back: a huge
+    # coefficient cannot overflow the pairings or the fit
+    scale, t = eg.unit_scaled(t)
     sd, how = _sd_report(t)
     div, order, e1, _, coeffs, resid = acceptance.w_extensions(t)
     rows = [("scaling_degree", sd), ("sd_method", how),
             ("divergence_degree", div), ("extension_order", order),
-            ("ambiguity_residual", resid)]
-    rows += [("ambiguity_delta_%d" % a, c) for a, c in enumerate(coeffs)]
-    rows += [("pairing_%s" % name, e1.pair(_probe(poly)))
+            ("ambiguity_residual", resid * scale)]
+    rows += [("ambiguity_delta_%d" % a, complex(c) * scale)
+             for a, c in enumerate(coeffs)]
+    rows += [("pairing_%s" % name, e1.pair(_probe(poly)) * scale)
              for name, poly in _PROBES]
+    big = [q for q, v in rows[4:] if cmath.isinf(v)]
     return rows, ["sd = %.6f (%s), div = %.6f, extension order %d"
                   % (sd, how, div, order),
                   "two w-projection extensions differ by a local term, "
-                  "fit residual %.2e" % resid], None
+                  "fit residual %.2e" % (resid * scale)], (
+        "%s overflows the float range" % big[0] if big else None)
 
 
 @command({}, QUANTITY, argument="family_atom")
@@ -507,9 +513,9 @@ def wf(cfg, seed, expression):
     sing = est.singular()
     lines = ["%d rays probed, %d singular (threshold %.2f)"
              % (len(est.rays), len(sing), est.threshold),
-             "%d rays within 0.05 of the threshold, %d within 2x of the "
-             "rel_floor test" % (len(est.near_threshold(0.05)),
-                                 len(est.near_floor(2.0)))]
+             "%d rays within %g of the threshold, %d within %gx of the "
+             "rel_floor test" % (len(est.near_threshold()), ml.NEAR_BAND,
+                                 len(est.near_floor()), ml.NEAR_FACTOR)]
     lines += ["  x = %+.3f  k_hat = %+d  exponent %.2f"
               % (r.center[0], int(r.direction[0]), r.exponent) for r in sing]
     return rows, lines, None

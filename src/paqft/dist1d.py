@@ -67,8 +67,7 @@ def _window_scalar(x: float, r0: float, R: float) -> float:
 
 
 def _window(x, r0: float, R: float):
-    if np.isscalar(x):
-        return _window_scalar(float(x), r0, R)
+    """The window at an array of points."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     out = np.zeros_like(ax)
@@ -396,19 +395,11 @@ class SymbolicDistribution1D:
             raise ValueError("side must be +-1")
         return cls([(1.0, ("halfline", side, complex(a), log_power))])
 
-    def __add__(self, other):
-        if not isinstance(other, SymbolicDistribution1D):
-            return NotImplemented
-        return SymbolicDistribution1D(list(self.terms) + list(other.terms))
-
     def __mul__(self, scalar):
         return SymbolicDistribution1D(
             [(c * scalar, k) for c, k in self.terms])
 
     __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + other * (-1)
 
     def scaling_degree(self) -> float:
         """Largest scaling degree among the terms (symbolic rule)."""

@@ -11,6 +11,7 @@ is fitted and certified here.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import warnings
@@ -50,12 +51,28 @@ def scaling_degree_regression(t: SymbolicDistribution1D) -> float:
     """Slope of log|<t(lam .), f>| against log(lam) over lam = 2^-1..2^-8 on
     one fixed probe f, t unit_scaled (a common factor cannot change the
     slope, and a huge or tiny one would overflow the samples or drop them
-    under the floor); sd is minus the slope."""
+    under the floor); sd is minus the slope.
+
+    The probe is 1 + x/2 - x^2/4 + x^3/8 + ... + x^k/8 on its plateau, k
+    the largest delta order of t (at least 2), so that delta^k pairs to a
+    nonzero value.  A delta order whose scaled pairings overflow the float
+    range (k! alone does above 170) raises ExtensionError."""
     t = unit_scaled(t)[1]
-    probe = TestFunction1D.from_poly((1.0, 0.5, -0.25), 0.5, 1.0)
+    k = max([2] + [kind[1] for _, kind in t.terms if kind[0] == "delta"])
+    overflow = ExtensionError(f"scaling regression: the scaled pairings of "
+                              f"delta^{k} overflow the float range")
+    if k > 170:
+        raise overflow
+    probe = TestFunction1D.from_poly((1.0, 0.5, -0.25) + (0.125,) * (k - 2),
+                                     0.5, 1.0)
     xs, ys = [], []
-    for lam in (2.0 ** -k for k in range(1, 9)):
-        v = t.pair_scaled(lam, probe)
+    for lam in (2.0 ** -j for j in range(1, 9)):
+        try:
+            v = t.pair_scaled(lam, probe)
+        except OverflowError:
+            raise overflow from None
+        if not cmath.isfinite(v):
+            raise overflow
         if abs(v) > 1e-300:
             xs.append(math.log(lam))
             ys.append(math.log(abs(v)))

@@ -37,8 +37,6 @@ class ExactComplex:
     def lift(cls, x) -> "ExactComplex":
         if isinstance(x, ExactComplex):
             return x
-        if isinstance(x, complex):
-            return cls(Fraction(x.real), Fraction(x.imag))
         return cls(to_fraction(x))
 
     def __add__(self, other):
@@ -72,21 +70,6 @@ class ExactComplex:
         return ExactComplex((self.re * o.re + self.im * o.im) / n,
                             (self.im * o.re - self.re * o.im) / n)
 
-    def __rtruediv__(self, other):
-        return ExactComplex.lift(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = EC_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)
 
@@ -97,9 +80,6 @@ class ExactComplex:
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
@@ -108,5 +88,3 @@ class ExactComplex:
             return f"ExactComplex({self.re})"
         return f"ExactComplex({self.re}, {self.im})"
 
-
-EC_ONE = ExactComplex(1)

@@ -32,14 +32,6 @@ class CutoffTooSmall(FunctionalError):
     """Cutoff function is not identically 1 around a probed site."""
 
 
-def _lift_value(v):
-    if isinstance(v, ExactComplex):
-        return v
-    if isinstance(v, complex):
-        return ExactComplex.lift(v)
-    return ExactComplex(to_fraction(v))
-
-
 class PolyFunctional:
     """Sparse polynomial functional; immutable by convention."""
 
@@ -97,9 +89,6 @@ class PolyFunctional:
         return PolyFunctional(self.lat, terms, self.trunc_h, self.trunc_l)
 
     def __add__(self, other):
-        if not isinstance(other, PolyFunctional):
-            other = PolyFunctional.constant(self.lat, other,
-                                            self.trunc_h, self.trunc_l)
         th = min(self.trunc_h, other.trunc_h)
         tl = min(self.trunc_l, other.trunc_l)
         out = dict(self.terms)
@@ -107,30 +96,19 @@ class PolyFunctional:
             out[k] = out[k] + c if k in out else c
         return PolyFunctional(self.lat, out, th, tl)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if not isinstance(other, PolyFunctional):
-            return self + (-_lift_value(other))
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out[k] - c if k in out else -c
         return PolyFunctional(self.lat, out, min(self.trunc_h, other.trunc_h),
                               min(self.trunc_l, other.trunc_l))
 
-    def __neg__(self):
-        return self * (-1)
-
     def __mul__(self, other):
         """Scalar multiple (number or FormalSeries); use pointwise_product for F*G."""
-        if isinstance(other, PolyFunctional):
-            return pointwise_product(self, other)
         if isinstance(other, FormalSeries):
             return self._wrap({k: c * other for k, c in self.terms.items()})
-        v = _lift_value(other)
+        v = ExactComplex.lift(other)
         return self._wrap({k: c.scale(v) for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, PolyFunctional):
@@ -138,14 +116,8 @@ class PolyFunctional:
         return (self.terms == other.terms and self.trunc_h == other.trunc_h
                 and self.trunc_l == other.trunc_l)
 
-    def __hash__(self):
-        return hash((frozenset(self.terms), self.trunc_h, self.trunc_l))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -157,7 +129,7 @@ class PolyFunctional:
             v = ExactComplex(1)
             for s in key:
                 if s not in cache:
-                    cache[s] = _lift_value(phi[s])
+                    cache[s] = ExactComplex.lift(phi[s])
                 v = v * cache[s]
             total = total + c.scale(v)
         return total
@@ -187,19 +159,19 @@ class PolyFunctional:
 
 
 def smeared_field(lat: Lattice1p1, f) -> PolyFunctional:
-    """Phi(f) = sum_s f[s] * (a_t a_x) * phi[s]; f a dict site->value or sequence."""
+    """Phi(f) = sum_s f[s] * (a_t a_x) * phi[s]; f a dict site -> value."""
     return local_power(lat, f, 1)
 
 
 def local_power(lat: Lattice1p1, f, power: int,
                 trunc_h: int = DEFAULT_TRUNC_H,
                 trunc_l: int = DEFAULT_TRUNC_L) -> PolyFunctional:
-    """Integral of f * phi^power: sum_s f[s] * (a_t a_x) * phi[s]^power."""
+    """Integral of f * phi^power: sum_s f[s] * (a_t a_x) * phi[s]^power,
+    f a dict site -> value."""
     w = lat.volume_weight
-    items = f.items() if isinstance(f, dict) else enumerate(f)
     terms = {}
-    for s, v in items:
-        v = _lift_value(v) * w
+    for s, v in f.items():
+        v = ExactComplex.lift(v) * w
         if v:
             terms[(s,) * power] = v
     return PolyFunctional(lat, terms, trunc_h, trunc_l)

@@ -62,15 +62,6 @@ class Multigraph:
     def sort_key(self):
         return (self.n_vertices, sorted(self.lines.items()))
 
-    def __eq__(self, other):
-        if not isinstance(other, Multigraph):
-            return NotImplemented
-        return (self.n_vertices == other.n_vertices
-                and self.lines == other.lines)
-
-    def __hash__(self):
-        return hash((self.n_vertices, tuple(sorted(self.lines.items()))))
-
     def __repr__(self):
         return f"Multigraph({self.n_vertices}, {dict(sorted(self.lines.items()))})"
 

@@ -8,9 +8,10 @@ of that sit the Whitney-sum compatibility test for products, the microcausal
 covector condition, and the Hamiltonian flow transporting covectors along
 bicharacteristics.
 
-Ladders, windows, thresholds, noise floors, the AC11 grid, the flow's
-iteration cap and the Whitney-sum tolerances are the fixed constants below;
-only the 2D threshold stays a parameter.
+Ladders, windows, thresholds, noise floors, the near-decision bands that
+the reports count, the AC11 grid, the flow's iteration cap and the
+Whitney-sum tolerances are the fixed constants below; only the 2D threshold
+stays a parameter.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ WF1D_THRESHOLD, WF1D_AMP_FLOOR, WF1D_REL_FLOOR = 4.0, 1e-9, 1e-6
 WF2D_RAYS, WF2D_K_BASE, WF2D_OCTAVES = 16, 1.25, 3
 WF2D_SIGMA, WF2D_CUT_SIGMAS = 0.5, 5.0
 WF2D_AMP_FLOOR, WF2D_REL_FLOOR = 1e-7, 1e-4
+# a ray is near a decision when its exponent is within NEAR_BAND of the
+# threshold, or its floor ratio within a factor NEAR_FACTOR of 1
+NEAR_BAND, NEAR_FACTOR = 0.05, 2.0
 _CHUNK = 32  # centres per batched pairing; bounds the working set
 # AC11: centres on every STRIDE-th grid point of the annulus around the
 # source; singular mass within CONE_TOL_DEG of a null ray is on the cone
@@ -76,19 +80,19 @@ class WFEstimate:
         return [r for r in self.singular()
                 if np.linalg.norm(np.asarray(r.center) - c) <= POS_TOL]
 
-    def near_threshold(self, band: float):
-        """Rays whose decay exponent lies within band of the threshold: the
-        decisions that a small change of data or threshold could flip."""
+    def near_threshold(self):
+        """Rays whose decay exponent lies within NEAR_BAND of the threshold:
+        the decisions that a small change of data or threshold could flip."""
         margin = self.meta["exponent_margin"]
-        return [r for r, m in zip(self.rays, margin) if abs(m) <= band]
+        return [r for r, m in zip(self.rays, margin) if abs(m) <= NEAR_BAND]
 
-    def near_floor(self, factor: float):
-        """Rays whose top-of-ladder amplitude is within `factor` of the
-        relative noise floor (floor_ratio in [1/factor, factor]): the floor
-        test, not the exponent, decides them."""
+    def near_floor(self):
+        """Rays whose top-of-ladder amplitude is within a factor NEAR_FACTOR
+        of the relative noise floor (floor_ratio in [1/NEAR_FACTOR,
+        NEAR_FACTOR]): the floor test, not the exponent, decides them."""
         ratio = self.meta["floor_ratio"]
         return [r for r, q in zip(self.rays, ratio)
-                if 1 / factor <= q <= factor]
+                if 1 / NEAR_FACTOR <= q <= NEAR_FACTOR]
 
     def __repr__(self):
         return (f"WFEstimate({len(self.rays)} rays, "
@@ -163,12 +167,10 @@ def wave_pairable(kind) -> bool:
             or kind[0] == "power_i0" and kind[2] == -1)
 
 
-def _pair_wave_1d(t, wave: _WindowedWave):
+def _pair_wave_1d(t: SymbolicDistribution1D, wave: _WindowedWave):
     """(<t, W e^{ikx}>, error estimate) per frequency, for the model kinds of
-    the demos; a callable t maps an array of points to an array of values."""
+    the demos."""
     lo, hi = wave.x0 - wave.R, wave.x0 + wave.R
-    if callable(t) and not isinstance(t, SymbolicDistribution1D):
-        return _quad(lambda x: t(x) * wave.value(x), lo, hi)
     out, err = 0j, 0.0
     for coeff, kind in t.terms:
         if not wave_pairable(kind):
@@ -178,7 +180,7 @@ def _pair_wave_1d(t, wave: _WindowedWave):
         if tag == "delta":
             v = (-1) ** kind[1] * wave.derivative_at_0(kind[1])
         elif tag == "monomial":
-            v, e = _pair_wave_1d(lambda x: x ** kind[1], wave)
+            v, e = _quad(lambda x: x ** kind[1] * wave.value(x), lo, hi)
         elif tag == "heaviside":
             v, e = _quad(lambda x: np.where(x >= 0, x ** kind[1], 0.0)
                          * wave.value(x), lo, hi, points=(0.0,))
@@ -191,36 +193,21 @@ def _pair_wave_1d(t, wave: _WindowedWave):
                               points=(0.0,))
                 v = pv + g0 * math.log(hi / -lo) - sign * 1j * math.pi * g0
             else:
-                v, e = _pair_wave_1d(lambda x: 1.0 / x, wave)
+                v, e = _quad(lambda x: 1.0 / x * wave.value(x), lo, hi)
         out, err = out + coeff * v, err + abs(coeff) * e
     return out, err
 
 
-def _array_valued(t):
-    """t checked to map an array of points to an array of the same shape."""
-    def checked(x):
-        y = np.asarray(t(x))
-        if y.shape != x.shape:
-            raise TypeError(
-                "wf_estimate_1d needs a callable that maps an array of "
-                f"points to an array of values; got shape {y.shape} for "
-                f"input shape {x.shape}")
-        return y
-    return checked
-
-
-def wf_estimate_1d(t, centers=(0.0,)) -> WFEstimate:
+def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
     """Wave front estimate of a distribution on the line.
 
-    t is a SymbolicDistribution1D or a smooth callable.  A callable is
-    evaluated on numpy arrays of points (all quadrature nodes of a round at
-    once) and must return an array of values of the same shape, e.g.
-    lambda x: np.exp(-x ** 2); anything else raises TypeError.  Directions
-    are the two signs, the ladder WF1D_K_BASE * 2^j (one quadrature run per
-    centre); meta["abserr"] is each ray's worst error estimate over its
-    ladder."""
-    if callable(t) and not isinstance(t, SymbolicDistribution1D):
-        t = _array_valued(t)
+    Directions are the two signs, the ladder WF1D_K_BASE * 2^j (one
+    quadrature run per centre); meta["abserr"] is each ray's worst error
+    estimate over its ladder.  Anything but a SymbolicDistribution1D
+    raises TypeError."""
+    if not isinstance(t, SymbolicDistribution1D):
+        raise TypeError("wf_estimate_1d takes a SymbolicDistribution1D, "
+                        f"not {type(t).__name__}")
     r0, R = WF1D_WINDOW
     rs = [WF1D_K_BASE * 2 ** j for j in range(WF1D_OCTAVES + 1)]
     cs, dirs = [(float(x0),) for x0 in centers], ((1.0,), (-1.0,))
@@ -238,11 +225,14 @@ def wf_estimate_1d(t, centers=(0.0,)) -> WFEstimate:
 
 
 class SampledField2D:
-    """Real or complex samples on a rectangular (t, x) grid with spacings
-    (a_t, a_x); coordinates are physical."""
+    """Real samples on a rectangular (t, x) grid with spacings (a_t, a_x);
+    coordinates are physical.  Complex samples raise TypeError."""
 
     def __init__(self, values: np.ndarray, a_t: float, a_x: float):
         self.values = np.asarray(values)
+        if np.iscomplexobj(self.values):
+            raise TypeError("SampledField2D takes real samples, not "
+                            f"{self.values.dtype}")
         self.a_t = float(a_t)
         self.a_x = float(a_x)
         nt, nx = self.values.shape
@@ -266,10 +256,10 @@ def wf_estimate_2d(field: SampledField2D, centers,
     points exactly at the cut fall the same way.  A chunk of up to _CHUNK
     centres lays its boxes out as (time offset, centre, space offset) and
     pairs in one matrix product with E_t over the time offsets, then
-    contracts with E_x over the space offsets.  For real samples the product is
-    real, with the stacked table [Re E_t; Im E_t], and the contraction
-    forms (A + iB)(C + iD) from real parts, so no complex copy of the box
-    is made.  Centres with no grid point in reach are listed in
+    contracts with E_x over the space offsets.  The samples are real, so
+    the product is real, with the stacked table [Re E_t; Im E_t], and the
+    contraction forms (A + iB)(C + iD) from real parts: no complex copy of
+    the box is made.  Centres with no grid point in reach are listed in
     meta["skipped_centers"]."""
     kmax = WF2D_K_BASE * 2 ** WF2D_OCTAVES
     nyq = math.pi / max(field.a_t, field.a_x)
@@ -284,10 +274,8 @@ def wf_estimate_2d(field: SampledField2D, centers,
     ht, hx = (math.ceil(R / a) + 1 for a in (field.a_t, field.a_x))
     E_t = np.exp(1j * np.outer(k[:, 0], np.arange(-ht, ht + 1) * field.a_t))
     E_x = np.exp(1j * np.outer(k[:, 1], np.arange(-hx, hx + 1) * field.a_x))
-    real = not np.iscomplexobj(field.values)
-    if real:
-        E_t = np.concatenate([E_t.real, E_t.imag])
-        C, D = E_x.real, E_x.imag
+    E_t = np.concatenate([E_t.real, E_t.imag])
+    C, D = E_x.real, E_x.imag
     pair = partial(np.einsum, "qcj,qj->cq")  # sum over space offsets
     (nt, nx), cell = field.values.shape, field.a_t * field.a_x
     centers = list(centers)
@@ -314,12 +302,8 @@ def wf_estimate_2d(field: SampledField2D, centers,
             n += 1
         p = (E_t @ box[:, :n].reshape(2 * ht + 1, -1)).reshape(
             len(E_t), n, 2 * hx + 1)
-        if real:
-            A, B = p[:len(k)], p[len(k):]
-            amps.append(np.hypot(pair(A, C) - pair(B, D),
-                                 pair(A, D) + pair(B, C)))
-        else:
-            amps.append(np.abs(pair(p, E_x)))
+        A, B = p[:len(k)], p[len(k):]
+        amps.append(np.hypot(pair(A, C) - pair(B, D), pair(A, D) + pair(B, C)))
     return _estimate(cs, dirs, rs, np.concatenate(amps), threshold,
                      WF2D_AMP_FLOOR, WF2D_REL_FLOOR,
                      {"skipped_centers": skipped})

@@ -338,16 +338,11 @@ def wick_theorem_demo(xp: ExactPropagators, f1, f2) -> dict:
     prod = QuantProduct(xp, "star_H").product(F, G)
 
     w2 = lat.volume_weight ** 2
-    items1 = f1.items() if isinstance(f1, dict) else enumerate(f1)
-    items1 = [(s, v) for s, v in items1 if v]
-    items2 = f2.items() if isinstance(f2, dict) else enumerate(f2)
-    items2 = [(s, v) for s, v in items2 if v]
-
     wightman = xp.kernel("star_H")
     one_terms: dict[tuple, FormalSeries] = {}
     two_terms: dict[tuple, FormalSeries] = {}
-    for s1, v1 in items1:
-        for s2, v2 in items2:
+    for s1, v1 in f1.items():
+        for s2, v2 in f2.items():
             wp = wightman(s1, s2)
             base = ExactComplex.lift(v1) * ExactComplex.lift(v2) * w2
             key = tuple(sorted((s1, s2)))

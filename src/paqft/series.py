@@ -7,9 +7,7 @@ operations take the minimum, so orders never silently inflate.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact import EC_ONE, ExactComplex
+from .exact import ExactComplex
 
 DEFAULT_TRUNC_H = 2
 DEFAULT_TRUNC_L = 2
@@ -55,13 +53,14 @@ class FormalSeries:
 
     @classmethod
     def coupling(cls, trunc_h: int, trunc_l: int) -> "FormalSeries":
-        return cls({(0, 1): EC_ONE}, trunc_h, trunc_l)
+        return cls({(0, 1): 1}, trunc_h, trunc_l)
 
     # -- ring operations ---------------------------------------------------
 
     def _join(self, other) -> tuple["FormalSeries", int, int]:
         if not isinstance(other, FormalSeries):
-            other = FormalSeries.const(other, self.trunc_h, self.trunc_l)
+            raise TypeError(
+                f"a FormalSeries operand, not {type(other).__name__}")
         return (other, min(self.trunc_h, other.trunc_h),
                 min(self.trunc_l, other.trunc_l))
 
@@ -72,17 +71,12 @@ class FormalSeries:
             out[k] = out.get(k, 0) + c
         return FormalSeries(out, th, tl)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o, th, tl = self._join(other)
         out = dict(self.coeff)
         for k, c in o.coeff.items():
             out[k] = out.get(k, 0) - c
         return FormalSeries(out, th, tl)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return FormalSeries({k: -c for k, c in self.coeff.items()},
@@ -100,8 +94,6 @@ class FormalSeries:
                 out[key] = out.get(key, 0) + c1 * c2
         return FormalSeries(out, th, tl)
 
-    __rmul__ = __mul__
-
     def scale(self, c) -> "FormalSeries":
         c = ExactComplex.lift(c)
         return FormalSeries({k: v * c for k, v in self.coeff.items()},
@@ -115,24 +107,15 @@ class FormalSeries:
     def truncate(self, trunc_h: int, trunc_l: int) -> "FormalSeries":
         return FormalSeries(self.coeff, trunc_h, trunc_l)
 
-    def is_zero(self) -> bool:
-        return not self.coeff
-
     def __bool__(self):
         return bool(self.coeff)
 
     def __eq__(self, other):
         if not isinstance(other, FormalSeries):
-            if isinstance(other, (int, Fraction, float, complex, ExactComplex)):
-                other = FormalSeries.const(other, self.trunc_h, self.trunc_l)
-            else:
-                return NotImplemented
+            return NotImplemented
         return (self.coeff == other.coeff
                 and self.trunc_h == other.trunc_h
                 and self.trunc_l == other.trunc_l)
-
-    def __hash__(self):
-        return hash((frozenset(self.coeff.items()), self.trunc_h, self.trunc_l))
 
     def __repr__(self):
         if not self.coeff:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from paqft.dist1d import SymbolicDistribution1D
 from paqft.exact import ExactComplex
 from paqft.series import FormalSeries
 from paqft.lattice import Lattice1p1, ExactPropagators
@@ -102,3 +103,9 @@ def retarded_matrix(ps):
             if ti > tj:
                 R[i, j] = g[ti - tj, (xi - xj) % lat.n_x]
     return R
+
+
+def dist_sum(*ts):
+    """The sum of distributions: their terms in one list, as the parser
+    builds a sum."""
+    return SymbolicDistribution1D([term for t in ts for term in t.terms])

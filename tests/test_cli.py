@@ -1,6 +1,7 @@
 """End-to-end command line checks through click's test runner."""
 import gc
 import hashlib
+import math
 import re
 import warnings
 from pathlib import Path
@@ -209,6 +210,14 @@ def test_extend_pole_expression(tmp_path):
     assert any(l.startswith("ambiguity_delta_1,") for l in lines)
 
 
+def test_extend_takes_delta_orders_above_two(tmp_path):
+    res = run(["extend", "delta^3", "--out", str(tmp_path)])
+    assert "sd = 4.000000 (regression), div = 3.000000" in res.output
+    res = run(["extend", "delta^100", "--out", str(tmp_path)], expect=3)
+    assert ("ExtensionError: scaling regression: the scaled pairings of "
+            "delta^100 overflow the float range") in res.output
+
+
 def test_extend_falls_back_to_symbolic_degree(tmp_path):
     res = run(["extend", "x_+^-1", "--out", str(tmp_path), "--label", "t"])
     assert "(symbolic)" in res.output
@@ -255,8 +264,8 @@ def test_wf_reports_margins(tmp_path):
     res = run(["wf", expr, "--out", str(tmp_path), "--label", "t"])
     wf = ml.wf_estimate_1d(formats.parse_distribution(expr))
     assert ("%d rays within 0.05 of the threshold, %d within 2x of the "
-            "rel_floor test" % (len(wf.near_threshold(0.05)),
-                                len(wf.near_floor(2.0)))) in res.output
+            "rel_floor test" % (len(wf.near_threshold()),
+                                len(wf.near_floor()))) in res.output
     res = run(["wf", "delta^1", "--out", str(tmp_path), "--label", "t"])
     assert ("0 rays within 0.05 of the threshold, 0 within 2x of the "
             "rel_floor test") in res.output
@@ -467,14 +476,43 @@ def test_like_terms_merge_into_one_ms_family_seed(tmp_path):
 
 
 @pytest.mark.parametrize("expr", ["1.7e308*(x+i0)^-2", "1e308*x_+^-2"])
-def test_a_nan_result_is_a_check_failure(tmp_path, expr):
-    """A coefficient near the float limit overflows to NaN in the ambiguity
-    fit of `extend`; the overflow warnings are the CLI's to print, not
-    errors."""
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        res = run(["extend", expr, "--out", str(tmp_path)], expect=3)
-    assert "NaN in" in res.output
+def test_a_nan_result_is_a_check_failure(tmp_path, monkeypatch, expr):
+    """A NaN in an artifact row exits 3, whatever computed it; here the
+    ambiguity fit of `extend` is made to return one.  Next to a row that
+    overflows, the overflow is the failure named."""
+    fit = cli.acceptance.w_extensions
+    monkeypatch.setattr(cli.acceptance, "w_extensions",
+                        lambda t: fit(t)[:-1] + (math.nan,))
+    res = run(["extend", expr, "--out", str(tmp_path)], expect=3)
+    assert {"1.7e308*(x+i0)^-2": "ambiguity_delta_0 overflows the float range",
+            "1e308*x_+^-2": "NaN in 1 artifact row(s), the first "
+                            "ambiguity_residual,nan"}[expr] in res.output
+
+
+def test_extend_near_the_float_limit_runs_unit_scaled(tmp_path):
+    """`extend` pairs and fits t over the power of two at its largest
+    coefficient and scales the results back, as `ms` does, so a coefficient
+    near the float limit no longer overflows the fit to NaN: a result in
+    range is the unit result scaled, one past it exits 3 by name."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no raw overflow warning either
+        run(["extend", "1e308*x_+^-2", "--out", str(tmp_path), "--label",
+             "big"])
+        run(["extend", "x_+^-2", "--out", str(tmp_path), "--label", "one"])
+        res = run(["extend", "1.7e308*(x+i0)^-2", "--out", str(tmp_path)],
+                  expect=3)
+    assert "ambiguity_delta_0 overflows the float range" in res.output
+    big = quantities(tmp_path / "extend_big.csv")
+    one = quantities(tmp_path / "extend_one.csv")
+    assert big.keys() == one.keys()
+    for q in big:
+        b, o = (complex(v[q].replace("i", "j")) if q != "sd_method"
+                else v[q] for v in (big, one))
+        if q.startswith(("ambiguity_delta", "pairing")):
+            assert b == pytest.approx(1e308 * o, rel=1e-12)
+        elif q != "ambiguity_residual":
+            assert b == o
+    assert complex(big["ambiguity_residual"]).real <= 1e-8 * 1e308
 
 
 def test_an_ms_value_past_the_float_range_is_a_check_failure(tmp_path):

@@ -16,6 +16,8 @@ from paqft.dist1d import (TestFunction1D, SymbolicDistribution1D,
                           DivergentPairing)
 from paqft import egrenorm as eg
 
+from conftest import dist_sum
+
 RNG = random.Random(1311)
 
 
@@ -42,6 +44,11 @@ def test_regression_recovers_symbolic_degrees():
     cases = [
         (SymbolicDistribution1D.delta(0), 1.0),
         (SymbolicDistribution1D.delta(2), 3.0),
+        # the probe reaches order k; a quadratic one paired delta^k, k >= 3,
+        # to 0 at every scale ("needs more nonzero samples")
+        (SymbolicDistribution1D.delta(3), 4.0),
+        (SymbolicDistribution1D.delta(40), 41.0),
+        (SymbolicDistribution1D.delta(78), 79.0),
         (SymbolicDistribution1D.heaviside(0), 0.0),
         (SymbolicDistribution1D.monomial(2), -2.0),
         (SymbolicDistribution1D.halfline(-1.5, +1), 1.5),
@@ -51,6 +58,24 @@ def test_regression_recovers_symbolic_degrees():
         assert t.scaling_degree() == want
         assert eg.scaling_degree_regression(t) == pytest.approx(want, abs=0.05)
         assert eg.divergence_degree(t) == want - 1.0
+
+
+def test_regression_of_a_sum_follows_its_top_delta_order():
+    # (x+i0)^-2 (sd 2) with delta^3 (sd 4): the quadratic probe saw only
+    # the first, below the divergence degree 3 of the sum
+    t = dist_sum(SymbolicDistribution1D.delta(3),
+                 SymbolicDistribution1D.power_i0(-2.0, +1))
+    assert eg.divergence_degree(t) == 3.0
+    assert 3.5 < eg.scaling_degree_regression(t) < 4.0
+
+
+@pytest.mark.parametrize("k", [79, 100, 170, 171, pytest.param(
+    2 ** 1024 - 2 ** 970 - 1, id="largest_parsed")])
+def test_regression_names_a_delta_order_past_the_float_range(k):
+    # delta^100 pairs to k! (2^8)^k times the probe coefficient: inf, and
+    # above 170 k! alone is no float; never a NaN slope
+    with pytest.raises(eg.ExtensionError, match=r"delta\^%d overflow" % k):
+        eg.scaling_degree_regression(SymbolicDistribution1D.delta(k))
 
 
 @pytest.mark.parametrize("c", [5e-324, 1.5, -3.0, 1e300, 1e307, -1.7e308])
@@ -65,10 +90,10 @@ def test_regression_ignores_a_common_factor(c):
 def test_unit_scaled_divides_by_the_power_of_two_at_the_largest():
     delta = SymbolicDistribution1D.delta(0)
     x2 = SymbolicDistribution1D.monomial(2)
-    t = delta * 1.5 + x2 * -0.25
+    t = dist_sum(delta * 1.5, x2 * -0.25)
     assert eg.unit_scaled(t)[0] == 1.0
     assert eg.unit_scaled(t)[1].terms == t.terms
-    s, t = eg.unit_scaled(delta * -3.0 + x2 * 2j)
+    s, t = eg.unit_scaled(dist_sum(delta * -3.0, x2 * 2j))
     assert (s, t.terms) == (2.0, ((-1.5, ("delta", 0)), (1j, ("monomial", 2))))
     assert eg.unit_scaled(delta * 1e307)[0] == 2.0 ** 1019
     assert eg.unit_scaled(delta * 5e-324)[0] == 5e-324
@@ -146,7 +171,7 @@ def test_nonlocal_difference_is_rejected():
     w = eg.make_w_projection(1)
     e1 = eg.extend(t, w_alphas=w)
     smeared = eg.ExtendedDistribution(
-        t + SymbolicDistribution1D.heaviside(0) * 0.3, w, 1.0)
+        dist_sum(t, SymbolicDistribution1D.heaviside(0) * 0.3), w, 1.0)
     with pytest.raises(eg.NonLocalDifference):
         eg.extension_ambiguity(e1, smeared, max_order=1)
 

@@ -15,6 +15,8 @@ from paqft.formats import (FormatError, parse_config, parse_algebra,
 from paqft.functionals import PolyFunctional, smeared_field
 from paqft.series import FormalSeries
 
+from conftest import dist_sum
+
 
 # --------------------------------------------------------------------------
 # config
@@ -139,9 +141,9 @@ def test_distribution_atoms():
 def test_distribution_sums_signs_and_coefficients():
     f = TestFunction1D.from_poly((1.0, 0.5), 0.5, 1.0)
     t = parse_distribution("2*delta - 1/2*heaviside + 0.25*x^1")
-    want = (SymbolicDistribution1D.delta(0) * 2.0
-            - SymbolicDistribution1D.heaviside(0) * 0.5
-            + SymbolicDistribution1D.monomial(1) * 0.25)
+    want = dist_sum(SymbolicDistribution1D.delta(0) * 2.0,
+                    SymbolicDistribution1D.heaviside(0) * -0.5,
+                    SymbolicDistribution1D.monomial(1) * 0.25)
     assert t.pair(f) == pytest.approx(want.pair(f), rel=1e-12)
 
 

@@ -18,14 +18,14 @@ FISH = Multigraph(2, {(1, 2): 2})
 SUN = Multigraph(2, {(1, 2): 3})
 EDGE = Multigraph(2, {(1, 2): 1})
 TRIANGLE = Multigraph(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
+key = Multigraph.sort_key  # the canonical form: vertex count, sorted lines
 
 
 def test_multigraph_canonicalization():
     g = Multigraph(3, {(2, 1): 2, (1, 2): 1, (3, 2): 0})
     assert g.lines == {(1, 2): 3}
     assert g.total_lines == 3
-    assert g == Multigraph(3, {(1, 2): 3})
-    assert hash(g) == hash(Multigraph(3, {(1, 2): 3}))
+    assert key(g) == key(Multigraph(3, {(1, 2): 3}))
 
 
 def test_multigraph_rejects_bad_lines():
@@ -51,7 +51,7 @@ def test_enumeration_counts():
         for L in (0, 1, 2, 3):
             graphs = enumerate_graphs(n, L)
             assert len(graphs) == expected(n, L)
-            assert len(set(graphs)) == len(graphs)
+            assert len({repr(g) for g in graphs}) == len(graphs)
             assert graphs[0].total_lines == 0  # empty graph first
     with pytest.raises(GraphError):
         enumerate_graphs(0, 2)
@@ -73,21 +73,21 @@ def test_symmetry_factor_matches_multinomial_count():
 def test_eg_subgraphs_cover_all_subsets():
     subs = eg_subgraphs(TRIANGLE)
     assert len(subs) == 8
-    assert subs[0] == ((), Multigraph(0, {}))
-    table = dict(subs)
+    assert subs[0][0] == () and key(subs[0][1]) == key(Multigraph(0, {}))
+    table = {subset: key(g) for subset, g in subs}
     # two-vertex subsets inherit the single connecting line, relabelled
-    assert table[(1, 2)] == EDGE
-    assert table[(2, 3)] == EDGE
-    assert table[(1, 3)] == EDGE
-    assert table[(1, 2, 3)] == TRIANGLE
-    assert table[(2,)] == Multigraph(1, {})
+    assert table[(1, 2)] == key(EDGE)
+    assert table[(2, 3)] == key(EDGE)
+    assert table[(1, 3)] == key(EDGE)
+    assert table[(1, 2, 3)] == key(TRIANGLE)
+    assert table[(2,)] == key(Multigraph(1, {}))
 
 
 def test_eg_subgraphs_relabel_multiplicities():
     g = Multigraph(3, {(1, 3): 2})
-    table = dict(eg_subgraphs(g))
-    assert table[(1, 3)] == FISH
-    assert table[(1, 2)] == Multigraph(2, {})
+    table = {subset: key(h) for subset, h in eg_subgraphs(g)}
+    assert table[(1, 3)] == key(FISH)
+    assert table[(1, 2)] == key(Multigraph(2, {}))
 
 
 def test_divergence_degrees():

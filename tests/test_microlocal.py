@@ -34,8 +34,15 @@ def test_boundary_values_are_one_sided():
 
 
 def test_smooth_function_is_regular():
-    wf = ml.wf_estimate_1d(lambda x: np.exp(-np.asarray(x) ** 2))
-    assert not wf.singular()
+    for m in (0, 2):
+        wf = ml.wf_estimate_1d(SymbolicDistribution1D.monomial(m),
+                               centers=(0.0, 0.7))
+        assert not wf.singular()
+
+
+def test_wf_estimate_1d_takes_only_a_symbolic_distribution():
+    with pytest.raises(TypeError, match="SymbolicDistribution1D"):
+        ml.wf_estimate_1d(lambda x: np.exp(-x * x))
 
 
 def test_singularity_is_localized():
@@ -258,8 +265,13 @@ def test_capped_fixed_point_steps_are_counted(monkeypatch):
 # 2d sampled estimator
 
 def grid_field(n=96, spacing=0.1):
-    values = np.zeros((n, n), dtype=complex)
+    values = np.zeros((n, n))
     return ml.SampledField2D(values, spacing, spacing), n, spacing
+
+
+def test_sampled_field_takes_real_samples():
+    with pytest.raises(TypeError, match="real samples"):
+        ml.SampledField2D(np.zeros((4, 4), dtype=complex), 0.1, 0.1)
 
 
 def test_point_source_singular_at_its_site_only():
@@ -349,8 +361,7 @@ def test_2d_estimate_matches_full_grid_reference():
                 skipped[1], (5.51, 4.49), (c, 2.0), skipped[2],
                 (7.5, 9.5), skipped[3]]
     assert centers[edge - 2] in skipped and centers[edge] in skipped
-    # real fields take the real product, the complex one the complex product
-    for values in (points, bump, points + bump, points + 1j * bump):
+    for values in (points, bump, points + bump):
         field = ml.SampledField2D(values, h, h)
         wf = ml.wf_estimate_2d(field, centers)
         assert_matches_reference(wf, reference_wf2d(field, centers))
@@ -391,7 +402,7 @@ def test_propagation_flags_match_reference(full_grid_check):
     assert_matches_reference(sub, reference_wf2d(field, centers[::4]))
 
 
-def test_margins_are_aligned_with_rays():
+def test_margins_are_aligned_with_rays(monkeypatch):
     field, n, h = grid_field()
     field.values[n // 2, n // 2] = 1.0
     wf = ml.wf_estimate_2d(field, [(4.8, 4.8), (2.4, 2.4)])
@@ -402,18 +413,23 @@ def test_margins_are_aligned_with_rays():
         # the point source rays are singular and far above the floor; the
         # empty window far away has no peak at all
         assert (q > 1.0) if r.center == (4.8, 4.8) else np.isnan(q)
-    assert wf.near_threshold(1e6) == [r for r in wf.rays
-                                      if math.isfinite(r.exponent)]
+    monkeypatch.setattr(ml, "NEAR_BAND", 1e6)
+    assert wf.near_threshold() == [r for r in wf.rays
+                                   if math.isfinite(r.exponent)]
+    monkeypatch.setattr(ml, "NEAR_BAND", 0.5)
     assert all(abs(r.exponent - wf.threshold) <= 0.5
-               for r in wf.near_threshold(0.5))
+               for r in wf.near_threshold())
     # rays without a peak (nan ratio) are never near the floor
-    assert wf.near_floor(1e300) == [r for r in wf.rays
-                                    if r.center == (4.8, 4.8)]
+    monkeypatch.setattr(ml, "NEAR_FACTOR", 1e300)
+    assert wf.near_floor() == [r for r in wf.rays if r.center == (4.8, 4.8)]
 
 
-def test_1d_margins():
+def test_1d_margins(monkeypatch):
     wf = ml.wf_estimate_1d(SymbolicDistribution1D.delta(1))
     # exponent -1 against threshold 4: five units inside the singular side
     assert np.allclose(wf.meta["exponent_margin"], -5.0)
-    assert wf.near_threshold(4.9) == []
-    assert len(wf.near_threshold(5.1)) == 2
+    assert wf.near_threshold() == []
+    monkeypatch.setattr(ml, "NEAR_BAND", 4.9)
+    assert wf.near_threshold() == []
+    monkeypatch.setattr(ml, "NEAR_BAND", 5.1)
+    assert len(wf.near_threshold()) == 2

@@ -1,6 +1,8 @@
 """Ring laws, truncation and coefficient conjugation for the truncated
 double power series."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -16,10 +18,22 @@ def S(d, th=2, tl=2):
 
 def test_truncation_in_products():
     h = FormalSeries({(1, 0): 1})
-    assert (h * h * h).is_zero()  # falls off the hbar <= 2 window
+    assert not h * h * h  # falls off the hbar <= 2 window
     g = FormalSeries.coupling(2, 2)
-    assert not (h * h * g).is_zero()
-    assert (h * g * g * g).is_zero()
+    assert h * h * g
+    assert not h * g * g * g
+
+
+def test_a_scalar_operand_is_rejected():
+    # a scalar is lifted with FormalSeries.const or multiplied in with scale
+    h = FormalSeries({(1, 0): 1})
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError, match="a FormalSeries operand, not int"):
+            op(h, 1)
+        with pytest.raises(TypeError):
+            op(1, h)
+    with pytest.raises(TypeError, match="cannot lift complex exactly"):
+        ExactComplex.lift(1j)
 
 
 def test_coefficient_lookup_and_shift():
