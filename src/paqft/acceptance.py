@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import InputError
 from .exact import ExactComplex
 from .series import FormalSeries
 from .lattice import Lattice1p1, ExactPropagators, kg_apply
@@ -64,7 +65,11 @@ def _ctx(n_t, n_x):
 
 
 def sparse_smear(rng, lat, n_sites):
-    """n_sites random sites with small random rational weights."""
+    """n_sites random sites with small random rational weights; more sites
+    than the lattice has raise InputError."""
+    if n_sites > lat.n_sites:
+        raise InputError("n_sites = %d: the lattice has %d sites" % (
+            n_sites, lat.n_sites))
     out = {}
     while len(out) < n_sites:
         s = rng.randrange(lat.n_sites)
@@ -85,6 +90,15 @@ def _random_poly(rng, lat, max_degree, sites):
 
 
 # ----------------------------------------------------- checks shared with cli
+
+GNS_RESIDUAL_TOL = 1e-10  # a GNS residual passes below this
+FLOW_DRIFT_TOL = 1e-8  # symbol drift per unit time of a null ray
+
+
+def tol_text(tol):
+    """A tolerance as a detail line writes it: 1e-8, not 1e-08."""
+    return np.format_float_scientific(tol, trim="-", exp_digits=1)
+
 
 def commutator_check(xp, f, g):
     """[Phi(f), Phi(g)] under the star_H product, <f, Delta g>, and whether
@@ -154,10 +168,11 @@ GNS_RESIDUALS = ("residual_homomorphism", "residual_adjoint",
 
 def gns_check(states):
     """The GNS representation of each (name, algebra, omega), and whether
-    each is cyclic with every residual below 1e-10."""
+    each is cyclic with every residual below GNS_RESIDUAL_TOL."""
     reps = [alg.gns_construct(a, alg.AlgebraState(a, omega))
             for _, a, omega in states]
-    return reps, all(r["cyclic"] and max(r[k] for k in GNS_RESIDUALS) < 1e-10
+    return reps, all(r["cyclic"]
+                     and max(r[k] for k in GNS_RESIDUALS) < GNS_RESIDUAL_TOL
                      for r in reps)
 
 
@@ -380,15 +395,15 @@ def crit_11():
     n_rays = sum(len(wf.rays) for wf in wfs)
     frac = prop["fraction_on_cone"]
     ok = (d_dirs == [-1.0, 1.0] and p_dirs == [-1.0]
-          and drift < 1e-8 and frac >= 0.9)
+          and drift < FLOW_DRIFT_TOL and frac >= 0.9)
     return ok, (
         "WF(delta) dirs %s, WF((x+i0)^-1) dirs %s (default threshold); "
         "%d of %d rays within %g of their threshold, %d within %gx of "
         "the rel_floor test; "
-        "sigma drift %.1e per unit time (tol 1e-8); %.1f%% of singular mass "
+        "sigma drift %.1e per unit time (tol %s); %.1f%% of singular mass "
         "within 15 deg of the lattice cone (need 90%%, margin %+.1f points)"
         % (d_dirs, p_dirs, near, n_rays, ml.NEAR_BAND, floor, ml.NEAR_FACTOR,
-           drift, 100 * frac, 100 * (frac - 0.9)))
+           drift, tol_text(FLOW_DRIFT_TOL), 100 * frac, 100 * (frac - 0.9)))
 
 
 @criterion("GNS representations and direct-sum mixture")
@@ -400,11 +415,12 @@ def crit_12():
                 for r in reps)
     ds = alg.direct_sum_state_example()
     ok = (ok and dims == (1, 2, 4)
-          and max(abs(w - 0.5) for w in ds["omega_weights"]) < 1e-10
-          and ds["block_residual"] < 1e-10)
-    return ok, ("dims %s (want (1,2,4)), residuals <= %.1e (tol 1e-10), "
+          and max(abs(w - 0.5) for w in ds["omega_weights"]) < GNS_RESIDUAL_TOL
+          and ds["block_residual"] < GNS_RESIDUAL_TOL)
+    return ok, ("dims %s (want (1,2,4)), residuals <= %.1e (tol %s), "
                 "cyclic; mixture = equal-weight direct sum, block residual "
-                "%.1e" % (dims, worst, ds["block_residual"]))
+                "%.1e" % (dims, worst, tol_text(GNS_RESIDUAL_TOL),
+                          ds["block_residual"]))
 
 
 @criterion("retarded propagator support and inverse")

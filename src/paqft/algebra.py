@@ -9,7 +9,8 @@ The floating-point tolerances are module constants: STAR_TOL for the
 algebra axioms, STATE_TOL for a state's normalization and positivity,
 GNS_TOL for the Gram null space and INTERTWINER_TOL for the residuals of a
 GNS intertwiner.  The Weyl relations are checked on the
-shift pairs WEYL_PAIRS over a grid that starts at WEYL_X0.
+shift pairs WEYL_PAIRS over a grid that starts at WEYL_X0, and hold when
+their residuals stay within WEYL_TOL.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ import cmath
 
 import numpy as np
 
+from . import InputError
+
 STAR_TOL = 1e-12  # algebra axioms, entrywise
 STATE_TOL = 1e-10  # omega(1) = 1, and Gram eigenvalues >= -STATE_TOL * max
 GNS_TOL = 1e-10  # Gram eigenvalues below GNS_TOL * max span the null space
 INTERTWINER_TOL = 1e-8  # unitarity, intertwining and U Omega1 = Omega2
+WEYL_TOL = 1e-8  # composition and adjoint residuals on interior columns
 
 
 class AlgebraError(Exception):
@@ -36,7 +40,7 @@ class NoIntertwiner(AlgebraError):
     pass
 
 
-class ShiftOffGrid(AlgebraError):
+class ShiftOffGrid(InputError):
     """Weyl shift is not an integer number of grid cells."""
 
 
@@ -286,7 +290,8 @@ def weyl_matrix(alpha: float, beta: float, n: int, dx: float,
     shift = hbar * alpha / dx
     s = round(shift)
     if abs(shift - s) > 1e-9:
-        raise ShiftOffGrid(f"shift {hbar * alpha} is not a multiple of {dx}")
+        raise ShiftOffGrid(f"shift hbar * alpha = {hbar * alpha} is not a "
+                           f"multiple of dx = {dx}")
     xs = x0 + dx * np.arange(n)
     W = np.zeros((n, n), dtype=complex)
     ph = cmath.exp(0.5j * hbar * alpha * beta)
@@ -301,40 +306,29 @@ WEYL_PAIRS = (((1, 0), (0, 1)), ((2, 0.5), (-1, 1.5)), ((0, 2), (3, 0)))
 WEYL_X0 = -8.0  # the grid's first point
 
 
-def weyl_grid_check(n: int, dx: float, hbar: float) -> int:
-    """The most cells a composed shift moves, or ValueError naming n when
-    that leaves no interior column (n <= twice it)."""
-    reach = max(round(abs(hbar * a1 / dx)) + round(abs(hbar * a2 / dx))
-                for (a1, _), (a2, _) in WEYL_PAIRS)
-    if n <= 2 * reach:
-        raise ValueError(f"n = {n}: no interior column, need n > {2 * reach}")
-    return reach
-
-
 def weyl_rep_check(n: int, dx: float, hbar: float) -> dict:
     """Composition and adjoint relations for grid Weyl operators.
 
     Zero padding breaks the relations only in the edge columns a shift can
-    reach, so they are asserted on the interior columns exactly.
+    reach, so they are asserted on the interior columns exactly; a grid
+    without one (n at most twice the reach) raises InputError naming n.
     """
-    max_cells = weyl_grid_check(n, dx, hbar)
-    comp_res = 0.0
-    adj_res = 0.0
+    cells = lambda a: round(abs(hbar * a / dx))  # the columns a shift moves
+    reach = max(cells(a1) + cells(a2) for (a1, _), (a2, _) in WEYL_PAIRS)
+    if n <= 2 * reach:
+        raise InputError(f"n = {n}: no interior column, need n > {2 * reach}")
+    comp_res = adj_res = 0.0
     for (a1, b1), (a2, b2) in WEYL_PAIRS:
         W1 = weyl_matrix(a1, b1, n, dx, hbar, WEYL_X0)
         W2 = weyl_matrix(a2, b2, n, dx, hbar, WEYL_X0)
         W12 = weyl_matrix(a1 + a2, b1 + b2, n, dx, hbar, WEYL_X0)
         phase = weyl_phase(a1, b1, a2, b2, hbar)
-        cells = int(round(abs(hbar * a1 / dx))) + int(round(abs(hbar * a2 / dx)))
-        lhs = W1 @ W2
-        rhs = phase * W12
-        lo, hi = cells, n - cells
+        lo, hi = cells(a1) + cells(a2), n - cells(a1) - cells(a2)
         comp_res = max(comp_res, float(np.max(np.abs(
-            lhs[:, lo:hi] - rhs[:, lo:hi]))))
+            (W1 @ W2 - phase * W12)[:, lo:hi]))))
         Wm = weyl_matrix(-a1, -b1, n, dx, hbar, WEYL_X0)
-        c1 = int(round(abs(hbar * a1 / dx)))
         adj_res = max(adj_res, float(np.max(np.abs(
-            (W1.conj().T - Wm)[:, c1:n - c1]))))
+            (W1.conj().T - Wm)[:, cells(a1):n - cells(a1)]))))
     return {"composition_residual": comp_res, "adjoint_residual": adj_res,
-            "interior_margin_cells": max_cells, "n": n, "dx": dx,
+            "interior_margin_cells": reach, "n": n, "dx": dx,
             "phase_example": weyl_phase(1.0, 0.0, 0.0, 1.0, 1.0)}

@@ -11,8 +11,8 @@ lines, failure message or None), registered with `command`, which owns
 the config, the artifact, the summary and the exit codes.  Checks that a
 command shares with the acceptance battery live in acceptance.py.
 
-Exit codes: 0 ok, 2 config error, 3 numerical check failure, 4 internal
-invariant violation or unexpected exception.
+Exit codes: 0 ok, 2 invalid input (InputError, OSError), 3 a failed check
+(CheckFailed, a failure message, a cell not finite), 4 any other error.
 """
 
 import cmath
@@ -22,15 +22,16 @@ import os
 import random
 import sys
 import traceback
+import zipfile
 from fractions import Fraction
 
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, CheckFailed, InputError
 from .exact import ExactComplex
-from .lattice import (Lattice1p1, ExactPropagators, LatticeError)
-from .functionals import (FunctionalError, smeared_field, interaction_vertex)
+from .lattice import Lattice1p1, ExactPropagators
+from .functionals import smeared_field, interaction_vertex
 from . import quantization as qz
 from . import graphs as gr
 from . import dist1d
@@ -40,30 +41,22 @@ from . import algebra as al
 from . import formats
 from . import acceptance
 
-CONFIG_ERRORS = (formats.FormatError, LatticeError, ValueError,
-                 KeyError, OSError)
-INVARIANT_ERRORS = (qz.QuantizationError, gr.GraphError, al.AlgebraError,
-                    FunctionalError)
-CHECK_ERRORS = (eg.ExtensionError, dist1d.DivergentPairing,
-                ml.MicrolocalError)
-
 
 def _fail(code, msg):
     click.echo("error: %s" % msg, err=True)
     sys.exit(code)
 
 
-def _load_cfg(path, keys, checks):
+def _load_cfg(path, keys):
     """The config of a command whose `keys` map each key it reads to
     (convert, default): every value converted once, defaults filled in.  A
     file that will not load, any other key and a value that will not
-    convert or that `checks` rejects are config errors (exit 2), raised
-    before any work."""
+    convert are config errors (exit 2), raised before any work."""
     cfg = {}
     if path is not None:
         try:
             cfg = formats.load_config(path)
-        except CONFIG_ERRORS as e:
+        except (InputError, OSError) as e:
             _fail(2, "bad config %s: %s" % (path, e))
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
@@ -76,26 +69,18 @@ def _load_cfg(path, keys, checks):
         except (ValueError, TypeError, ArithmeticError) as e:
             _fail(2, "bad config %s: key %s = %r: %s"
                   % (path, key, cfg[key], e))
-    for key, check in checks.items():
-        try:
-            check(out)
-        except (ValueError, ArithmeticError) as e:
-            _fail(2, "bad config %s: key %s = %r: %s"
-                  % (path, key, out[key], e))
     return out
 
 
 def _guarded(fn):
-    """Map library exceptions to the documented exit codes; any other
-    exception is an internal error (exit 4)."""
+    """fn(), exiting 2 on invalid input, 3 on a failed check and 4, with
+    the traceback, on any other exception (a bug)."""
     try:
         return fn()
-    except CHECK_ERRORS as e:
-        _fail(3, "%s: %s" % (type(e).__name__, e))
-    except INVARIANT_ERRORS as e:
-        _fail(4, "%s: %s" % (type(e).__name__, e))
-    except CONFIG_ERRORS as e:
+    except (InputError, OSError) as e:
         _fail(2, "%s: %s" % (type(e).__name__, e))
+    except CheckFailed as e:
+        _fail(3, "%s: %s" % (type(e).__name__, e))
     except Exception as e:  # _fail's SystemExit is no Exception
         traceback.print_exc()
         _fail(4, "%s: %s" % (type(e).__name__, e))
@@ -108,21 +93,21 @@ def main():
 
 
 def command(keys, header, argument=None, comment=None, needs_out=False,
-            checks=None):
+            may_be_inf=()):
     """Register fn(cfg, seed[, out][, argument]) -> (rows, summary lines,
     failure message or None) as the subcommand named after it.
 
-    `keys` maps each config key to (convert, default), `checks` a key to a
-    test across keys (see _load_cfg).  The subcommand loads the config,
-    runs fn under _guarded, writes the rows under `header` (after the line
-    `comment(cfg)` if given), echoes the summary and the artifact path, and
-    exits 3 with the failure message if there is one, or if a row holds
-    NaN (a result that lost its meaning, say to overflow).  `argument`
+    `keys` maps each config key to (convert, default) (see _load_cfg).  The
+    subcommand loads the config, runs fn under _guarded, writes the rows
+    under `header` (after the line `comment(cfg)` if given), echoes the
+    summary and the artifact path, and exits 3 with the failure message if
+    there is one, else if a cell is not finite: an infinite one outside the
+    columns `may_be_inf` overflowed, and a NaN lost its meaning.  `argument`
     names a positional command line argument; `needs_out` passes the
     artifact directory (the propagator cache lives there)."""
     def register(fn):
         def run(config_path, out, seed, label, **arg):
-            cfg = _load_cfg(config_path, keys, checks or {})
+            cfg = _load_cfg(config_path, keys)
             extra = ((out,) if needs_out else ()) + tuple(arg.values())
             os.makedirs(out, exist_ok=True)
             rows, lines, failure = _guarded(lambda: fn(cfg, seed, *extra))
@@ -133,12 +118,8 @@ def command(keys, header, argument=None, comment=None, needs_out=False,
             formats.write_csv(path, header, rows,
                               comment(cfg) if comment else None)
             click.echo("\n".join([*lines, "artifact: %s" % path]))
-            nan = [row for row in rows if any(
-                isinstance(v, (float, complex)) and cmath.isnan(v)
-                for v in row)]
-            if nan and not failure:
-                failure = "NaN in %d artifact row(s), the first %s" % (
-                    len(nan), ",".join(map(formats.fmt_value, nan[0])))
+            failure = failure or _non_finite(
+                rows, [header.index(c) for c in may_be_inf])
             if failure:
                 _fail(3, failure)
         run.__doc__ = fn.__doc__
@@ -154,6 +135,23 @@ def command(keys, header, argument=None, comment=None, needs_out=False,
             run = click.argument(argument)(run)
         return main.command(fn.__name__)(run)
     return register
+
+
+def _non_finite(rows, skip):
+    """The failure of the first row with an infinite cell outside the
+    columns `skip`, else of the rows with a NaN cell, if any."""
+    def has(test, row, skip=()):
+        return any(isinstance(v, (float, complex)) and test(v)
+                   for j, v in enumerate(row) if j not in skip)
+    text = lambda row: ",".join(map(formats.fmt_value, row))
+    big = [row for row in rows if has(cmath.isinf, row, skip)]
+    nan = [row for row in rows if has(cmath.isnan, row)]
+    if big:  # named by its label, if it leads with one
+        return "%s overflows the float range" % (
+            big[0][0] if isinstance(big[0][0], str) else text(big[0]))
+    if nan:
+        return "NaN in %d artifact row(s), the first %s" % (len(nan),
+                                                            text(nan[0]))
 
 
 def _int(v):
@@ -241,27 +239,19 @@ def gns(cfg, seed):
     """GNS construction for built-in or file-given states."""
     states = acceptance.gns_states()
     if cfg["algebra_file"] is not None:
-        try:
-            a, omega = formats.load_algebra(cfg["algebra_file"])
-            if omega is None:
-                raise formats.FormatError("algebra file has no omega record")
-            al.AlgebraState(a, omega)
-        except al.AlgebraError as e:
-            _fail(2, "algebra file rejected: %s" % e)
-        states = [("file", a, omega)]
+        states = [("file", *formats.load_algebra(cfg["algebra_file"]))]
     reps, ok = acceptance.gns_check(states)
     rows = [(name, rep["dim"]) + tuple(rep[k] for k in acceptance.GNS_RESIDUALS)
             + (rep["cyclic"],) for (name, _, _), rep in zip(states, reps)]
     lines = ["%-22s dim %d  worst residual %.2e  cyclic %s"
              % (name, dim, max(residuals), cyclic)
              for name, dim, *residuals, cyclic in rows]
-    return rows, lines, None if ok else "a GNS residual exceeded 1e-10"
+    return rows, lines, None if ok else "a GNS residual exceeded %s" % (
+        acceptance.tol_text(acceptance.GNS_RESIDUAL_TOL))
 
 
 @command({"n": (_int, 64), "dx": (_positive, 0.25),
-          "hbar": (_positive, 1.0)},
-         QUANTITY, checks={"n": lambda c: al.weyl_grid_check(
-             c["n"], c["dx"], c["hbar"])})
+          "hbar": (_positive, 1.0)}, QUANTITY)
 def weyl(cfg, seed):
     """Exponentiated commutation relations on a discrete line."""
     r = al.weyl_rep_check(n=cfg["n"], dx=cfg["dx"], hbar=cfg["hbar"])
@@ -272,8 +262,9 @@ def weyl(cfg, seed):
     lines = ["phase factor example: %s"
              % formats.fmt_value(r["phase_example"]),
              "worst interior residual: %.2e" % worst]
-    return rows, lines, ("Weyl relation residual %.2e exceeds 1e-8" % worst
-                         if worst > 1e-8 else None)
+    return rows, lines, ("Weyl relation residual %.2e exceeds %s" % (
+        worst, acceptance.tol_text(al.WEYL_TOL)) if worst > al.WEYL_TOL
+        else None)
 
 
 # -------------------------------------------------------------- propagators
@@ -290,17 +281,22 @@ def propagators(cfg, seed, out):
         lat.n_t, lat.n_x, lat.a_t, lat.a_x, lat.mass)
     cache = os.path.join(out, key.replace("/", "-") + ".npz")
     if os.path.exists(cache):
+        want = {"ret": (lat.n_t, lat.n_x), "wig": (2 * lat.n_t - 1, lat.n_x)}
         # opened here, not by np.load: a plain .npy array has no close()
         with open(cache, "rb") as fh:
-            blob = np.load(fh)
-            want = {"ret": (lat.n_t, lat.n_x),
-                    "wig": (2 * lat.n_t - 1, lat.n_x)}
-            got = {k: blob[k].shape for k in want
-                   if k in getattr(blob, "files", ())}
-            if got != want:
-                _fail(2, "propagator cache %s does not fit this lattice: "
-                      "arrays %s, expected %s" % (cache, got, want))
-            ret, wig = blob["ret"], blob["wig"]
+            try:
+                blob = np.load(fh)
+                got = {k: blob[k].shape for k in want
+                       if k in getattr(blob, "files", ())}
+                tables = [blob[k] for k in want] if got == want else None
+            except (ValueError, EOFError, zipfile.BadZipFile) as e:
+                raise formats.FormatError("propagator cache %s is unreadable: "
+                                          "%s" % (cache, e)) from None
+        if tables is None:
+            raise formats.FormatError(
+                "propagator cache %s does not fit this lattice: arrays %s, "
+                "expected %s" % (cache, got, want))
+        ret, wig = tables
         lines = ["cache hit: %s" % cache]
     else:
         ret, wig = xp.ps.ret_table(), xp.ps.wightman_table()
@@ -424,7 +420,7 @@ def extend(cfg, seed, expression):
     """
     t = formats.parse_distribution(expression)
     if not t.terms:
-        _fail(2, "%r is the zero distribution" % expression)
+        raise InputError("%r is the zero distribution" % expression)
     # the extension runs unit_scaled, its results scaled back: a huge
     # coefficient cannot overflow the pairings or the fit
     scale, t = eg.unit_scaled(t)
@@ -437,12 +433,10 @@ def extend(cfg, seed, expression):
              for a, c in enumerate(coeffs)]
     rows += [("pairing_%s" % name, e1.pair(_probe(poly)) * scale)
              for name, poly in _PROBES]
-    big = [q for q, v in rows[4:] if cmath.isinf(v)]
     return rows, ["sd = %.6f (%s), div = %.6f, extension order %d"
                   % (sd, how, div, order),
                   "two w-projection extensions differ by a local term, "
-                  "fit residual %.2e" % (resid * scale)], (
-        "%s overflows the float range" % big[0] if big else None)
+                  "fit residual %.2e" % (resid * scale)], None
 
 
 @command({}, QUANTITY, argument="family_atom")
@@ -452,18 +446,10 @@ def ms(cfg, seed, family_atom):
     FAMILY_ATOM is a single term such as "x_+^-1" or "(x+i0)^-2"; the family
     shifts its exponent by the regularization parameter.
     """
-    base = formats.parse_distribution(family_atom)
-    if len(base.terms) != 1:
-        _fail(2, "family seed must be a single term")
     # the family runs unit_scaled, its results scaled back: a huge
     # coefficient cannot overflow the circle samples
-    scale, base = eg.unit_scaled(base)
-    coeff, kind = base.terms[0]
-    if kind[0] not in ("halfline", "power_i0"):
-        _fail(2, "family seed must be a halfline or (x+-i0) power")
-    # both kinds carry the exponent third: (kind, side or sign, a[, log power])
-    fam = lambda z: dist1d.SymbolicDistribution1D(
-        [(coeff, kind[:2] + (kind[2] + z,) + kind[3:])])
+    scale, base = eg.unit_scaled(formats.parse_distribution(family_atom))
+    fam = dist1d.exponent_family(base)
     sd, how = _sd_report(base)
     div = eg.divergence_degree(base)
     rows = [("scaling_degree", sd), ("sd_method", how),
@@ -478,36 +464,20 @@ def ms(cfg, seed, family_atom):
         rows.append(("ms_value_%s" % name, r["regular_value"] * scale))
         rows += [("pole_%s_order_%d" % (name, k + 1), c * scale)
                  for k, c in enumerate(r["principal"])]
-    big = [q for q, v in rows[3:] if not cmath.isfinite(v)]
     return rows, ["sd = %.6f, div = %.6f, max pole order %d, pole margin "
                   "%.1e, worst MS error bound %.1e"
-                  % (sd, div, worst_pole, margin, error)], (
-        "%s overflows the float range" % big[0] if big else None)
+                  % (sd, div, worst_pole, margin, error)], None
 
 
 # -------------------------------------------------------------- microlocal
 
 @command({"centers": (_floats, (0.0,))},
          ("x", "k_hat", "exponent", "amplitude", "singular"),
-         argument="expression")
+         argument="expression", may_be_inf=("exponent",))
 def wf(cfg, seed, expression):
     """Wavefront set estimate of a 1D distribution expression."""
-    t = formats.parse_distribution(expression)
-    for _, kind in t.terms:
-        if not ml.wave_pairable(kind):
-            _fail(2, "no wave pairing for the term %s of %r: it takes "
-                  "delta^m, x^m, heaviside^m and (x+-i0)^-1"
-                  % (kind, expression))
-    # a delta^m or (x+-i0)^-1 term pairs through the window's value at 0,
-    # which is neither 1 nor 0 when 0 is in the transition annulus
-    r0, R = ml.WF1D_WINDOW
-    if any(kind[0] in ("delta", "power_i0") for _, kind in t.terms):
-        for c in cfg["centers"]:
-            if r0 < abs(c) < R:
-                _fail(2, "centre %g lies in the window's transition annulus "
-                      "%g < |x| < %g, where %r has no wave pairing; use "
-                      "|x| <= %g or |x| >= %g" % (c, r0, R, expression, r0, R))
-    est = ml.wf_estimate_1d(t, centers=cfg["centers"])
+    est = ml.wf_estimate_1d(formats.parse_distribution(expression),
+                            centers=cfg["centers"])
     rows = [(r.center[0], r.direction[0], r.exponent, r.amplitude, r.singular)
             for r in est.rays]
     sing = est.singular()
@@ -536,7 +506,7 @@ def _metric(name):
 @command({"x0": (_pair, (0.0, 0.0)), "k0": (_pair, (1.0, 1.0)),
           "dt": (_positive, 0.01), "n_steps": (_count, 400),
           "metric": (_metric, None),
-          "drift_tol": (_positive, 1e-8)},
+          "drift_tol": (_positive, acceptance.FLOW_DRIFT_TOL)},
          ("time", "t", "x", "k_t", "k_x", "sigma"))
 def flow(cfg, seed):
     """Integrate a null bicharacteristic and report the symbol drift."""

@@ -33,12 +33,14 @@ import warnings
 
 import numpy as np
 
+from . import CheckFailed, InputError
+
 
 class DistError(Exception):
     pass
 
 
-class DivergentPairing(DistError):
+class DivergentPairing(DistError, CheckFailed):
     """Pairing has a genuine pole (e.g. x_+^a at a negative integer)."""
 
 
@@ -570,6 +572,19 @@ def _pair_halfline_plus(a, p: int, f: TestFunction1D):
                             points=_breakpoints(f))
         out, err = out + v, err + e
     return out, err
+
+
+def exponent_family(t: SymbolicDistribution1D):
+    """zeta -> t with its exponent shifted by zeta, for t one halfline or
+    (x +- i0)^a term, both of which carry the exponent third; any other t
+    raises InputError."""
+    kinds = [kind for _, kind in t.terms]
+    if len(kinds) != 1 or kinds[0][0] not in ("halfline", "power_i0"):
+        raise InputError(f"an exponent family needs one halfline or "
+                         f"(x+-i0)^a term, not {kinds}")
+    (c, kind), = t.terms
+    return lambda z: SymbolicDistribution1D(
+        [(c, kind[:2] + (kind[2] + z,) + kind[3:])])
 
 
 def pair_family(dists, f: TestFunction1D):

@@ -18,11 +18,12 @@ import warnings
 
 import numpy as np
 
+from . import CheckFailed
 from .dist1d import (DistError, SymbolicDistribution1D, TestFunction1D,
                      pair_family, pointwise_power_product)
 
 
-class ExtensionError(DistError):
+class ExtensionError(DistError, CheckFailed):
     pass
 
 
@@ -48,15 +49,22 @@ def unit_scaled(t: SymbolicDistribution1D):
 
 
 def scaling_degree_regression(t: SymbolicDistribution1D) -> float:
-    """Slope of log|<t(lam .), f>| against log(lam) over lam = 2^-1..2^-8 on
-    one fixed probe f, t unit_scaled (a common factor cannot change the
-    slope, and a huge or tiny one would overflow the samples or drop them
-    under the floor); sd is minus the slope.
+    """The largest of minus the slopes of log|<t(lam .), f>| against log(lam)
+    over lam = 2^-1..2^-8, one per term of t (a sum of terms of different
+    degree has no one slope), each unit_scaled (a common factor cannot
+    change the slope, and a huge or tiny one would overflow the samples or
+    drop them under the floor).
 
-    The probe is 1 + x/2 - x^2/4 + x^3/8 + ... + x^k/8 on its plateau, k
-    the largest delta order of t (at least 2), so that delta^k pairs to a
-    nonzero value.  A delta order whose scaled pairings overflow the float
-    range (k! alone does above 170) raises ExtensionError."""
+    The probe f is 1 + x/2 - x^2/4 + x^3/8 + ... + x^k/8 on its plateau, k
+    the term's delta order (at least 2), so that delta^k pairs to a nonzero
+    value.  A delta order whose scaled pairings overflow the float range
+    (k! alone does above 170) raises ExtensionError."""
+    # an empty t is regressed whole, and finds no samples
+    parts = [SymbolicDistribution1D([term]) for term in t.terms] or [t]
+    return max(map(_term_regression, parts))
+
+
+def _term_regression(t: SymbolicDistribution1D) -> float:
     t = unit_scaled(t)[1]
     k = max([2] + [kind[1] for _, kind in t.terms if kind[0] == "delta"])
     overflow = ExtensionError(f"scaling regression: the scaled pairings of "

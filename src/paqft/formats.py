@@ -41,13 +41,21 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import InputError
 from .exact import ExactComplex
-from .algebra import FiniteStarAlgebra
+from .algebra import AlgebraError, AlgebraState, FiniteStarAlgebra
 from . import dist1d
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     pass
+
+
+def _read(path):
+    """The text of a file; a byte that is not UTF-8 becomes U+FFFD, which
+    the parsers reject as they reject any malformed field."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return fh.read()
 
 
 def _lines(text):
@@ -100,8 +108,7 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(_read(path))
 
 
 # --------------------------------------------------------------- algebra
@@ -113,8 +120,9 @@ _INDICES = {"c": 3, "s": 2, "unit": 1, "omega": 1, "label": 1}
 def parse_algebra(text):
     """Parse an algebra file.  Returns (FiniteStarAlgebra, omega or None).
 
-    A record with missing or extra fields, a field that does not parse or a
-    basis index outside [0, dim) raises FormatError naming the record."""
+    A record with missing or extra fields, a field that does not parse, a
+    value that is not finite or a basis index outside [0, dim) raises
+    FormatError naming the record."""
     dim, records = None, []
     for line in _lines(text):
         tag, *rest = line.split()
@@ -141,6 +149,8 @@ def parse_algebra(text):
             idx = tuple(int(t) for t in rest[:want])
             value = (rest[want] if tag == "label"
                      else complex(*(float(t) for t in rest[want:])))
+            if not (tag == "label" or cmath.isfinite(value)):
+                raise ValueError("value is not finite")
         except ValueError as e:
             raise FormatError("record %r: %s" % (line, e)) from None
         if not all(0 <= i < dim for i in idx):
@@ -158,8 +168,16 @@ def parse_algebra(text):
 
 
 def load_algebra(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+    """(algebra, omega) of an algebra file with an omega record; an algebra
+    or state that fails validation, or no omega, raises FormatError."""
+    try:
+        alg, omega = parse_algebra(_read(path))
+        if omega is None:
+            raise AlgebraError("no omega record")
+        AlgebraState(alg, omega)
+    except AlgebraError as e:
+        raise FormatError("algebra file rejected: %s" % e) from None
+    return alg, omega
 
 
 # ------------------------------------------------ distribution expressions

@@ -19,14 +19,16 @@ layer (ExactPropagators) turns into identities over the rationals.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from . import InputError
 from .exact import ExactComplex, to_fraction
 
 
-class LatticeError(Exception):
+class LatticeError(InputError):
     pass
 
 
@@ -44,18 +46,24 @@ class Lattice1p1:
     def __init__(self, n_t: int, n_x: int,
                  a_t=Fraction(1, 2), a_x=Fraction(1), mass: float = 1.0):
         if n_t < 4 or n_x < 4 or n_x % 2:
-            raise ValueError("need n_t >= 4 and even n_x >= 4")
+            raise LatticeError(f"n_t = {n_t}, n_x = {n_x}: need n_t >= 4, "
+                               f"even n_x >= 4")
         a_t = to_fraction(a_t)
         a_x = to_fraction(a_x)
         if a_t <= 0 or a_x <= 0:
-            raise ValueError("spacings must be positive")
+            raise LatticeError(f"a_t = {a_t}, a_x = {a_x}: want both > 0")
         if a_t > a_x:
             raise UnstableStep(f"Courant condition a_t <= a_x violated: "
                                f"{a_t} > {a_x}")
-        if mass < 0:
-            raise ValueError("mass must be nonnegative")
+        if not 0 <= mass < math.inf:
+            raise LatticeError(f"mass = {mass}: want a finite number >= 0")
         # band edge: a_t^2 * max_k Omega_k^2 < 4 keeps every mode oscillatory
-        edge = float(a_t) ** 2 * (mass ** 2 + 4.0 / float(a_x) ** 2)
+        try:
+            edge = float(a_t) ** 2 * (mass ** 2 + 4.0 / float(a_x) ** 2)
+        except ArithmeticError:  # overflow, or a_x^2 underflowing to 0
+            raise LatticeError(f"a_t = {a_t}, a_x = {a_x}, mass = {mass}: "
+                               f"the band edge leaves the float range"
+                               ) from None
         if mass > 0 and edge >= 4.0:
             raise UnstableStep(
                 f"massive band edge a_t^2 (m^2 + 4/a_x^2) = {edge:.6g} >= 4")
@@ -185,8 +193,11 @@ class PropagatorSet:
             wt = np.array([
                 (np.exp(-1j * omega_hat * n * at + space)
                  / (2.0 * s_hat)).sum(axis=1)
-                for n in range(-(lat.n_t - 1), lat.n_t)])
-            self._wightman_table = wt / (lat.n_x * ax)
+                for n in range(-(lat.n_t - 1), lat.n_t)]) / (lat.n_x * ax)
+            if not np.isfinite(wt).all():
+                raise LatticeError(f"mass = {lat.mass}: the positive-"
+                                   f"frequency table is not finite")
+            self._wightman_table = wt
         return self._wightman_table
 
     # -- column views (large lattices) ---------------------------------------

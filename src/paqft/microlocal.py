@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import CheckFailed, InputError
 from .dist1d import SymbolicDistribution1D, _window, quad_complex
 from .lattice import Lattice1p1, PropagatorSet
 
@@ -48,12 +49,16 @@ FLOW_FIXPOINT_ITERS = 12  # fixed-point iterations per flow step, at most
 POS_TOL, DIR_TOL = 1e-9, 1e-6  # Whitney sums: same point, opposite directions
 
 
-class MicrolocalError(Exception):
+class MicrolocalError(CheckFailed):
     pass
 
 
-class WindowTooWide(MicrolocalError):
+class WindowTooWide(InputError):
     """The window's transition annulus covers the singular support."""
+
+
+class NoWavePairing(InputError):
+    """The wave pairing takes no term of this kind."""
 
 
 class WFRay(NamedTuple):
@@ -139,13 +144,9 @@ class _WindowedWave:
         self.R = R
 
     def window_at_origin(self) -> float:
-        ax = abs(self.x0)
-        if ax <= self.r0:
-            return 1.0
-        if ax >= self.R:
-            return 0.0
-        raise WindowTooWide(
-            f"origin lies in the transition annulus of the window at {self.x0}")
+        """1 on the plateau, 0 off the support; wf_estimate_1d keeps the
+        origin out of the transition annulus between them."""
+        return 1.0 if abs(self.x0) <= self.r0 else 0.0
 
     def value(self, x):
         return _window(np.asarray(x) - self.x0, self.r0, self.R) \
@@ -160,22 +161,12 @@ def _quad(f, lo, hi, points=()):
                         limit=1000)
 
 
-def wave_pairable(kind) -> bool:
-    """Whether the wave pairing takes a term of this kind: delta^m, x^m,
-    heaviside^m or (x +- i0)^-1."""
-    return (kind[0] in ("delta", "monomial", "heaviside")
-            or kind[0] == "power_i0" and kind[2] == -1)
-
-
 def _pair_wave_1d(t: SymbolicDistribution1D, wave: _WindowedWave):
-    """(<t, W e^{ikx}>, error estimate) per frequency, for the model kinds of
-    the demos."""
+    """(<t, W e^{ikx}>, error estimate) per frequency, for the kinds that
+    wf_estimate_1d admits."""
     lo, hi = wave.x0 - wave.R, wave.x0 + wave.R
     out, err = 0j, 0.0
     for coeff, kind in t.terms:
-        if not wave_pairable(kind):
-            raise MicrolocalError(
-                f"wave pairing not implemented for kind {kind}")
         tag, e = kind[0], 0.0
         if tag == "delta":
             v = (-1) ** kind[1] * wave.derivative_at_0(kind[1])
@@ -204,11 +195,26 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
     Directions are the two signs, the ladder WF1D_K_BASE * 2^j (one
     quadrature run per centre); meta["abserr"] is each ray's worst error
     estimate over its ladder.  Anything but a SymbolicDistribution1D
-    raises TypeError."""
+    raises TypeError.  Before any quadrature, a term other than delta^m,
+    x^m, heaviside^m and (x +- i0)^-1 raises NoWavePairing, and a centre in
+    the window's transition annulus WindowTooWide when a delta^m or
+    (x +- i0)^-1 term pairs through the window's value at the origin."""
     if not isinstance(t, SymbolicDistribution1D):
         raise TypeError("wf_estimate_1d takes a SymbolicDistribution1D, "
                         f"not {type(t).__name__}")
     r0, R = WF1D_WINDOW
+    for _, kind in t.terms:
+        if not (kind[0] in ("delta", "monomial", "heaviside")
+                or kind[0] == "power_i0" and kind[2] == -1):
+            raise NoWavePairing(
+                f"no wave pairing for the term {kind}: it takes delta^m, "
+                f"x^m, heaviside^m and (x+-i0)^-1")
+    bad = [c for c in centers if r0 < abs(c) < R]
+    if bad and any(kind[0] in ("delta", "power_i0") for _, kind in t.terms):
+        raise WindowTooWide(
+            f"centre {bad[0]:g} lies in the window's transition annulus "
+            f"{r0:g} < |x| < {R:g}, where a delta^m or (x+-i0)^-1 term has "
+            f"no wave pairing; use |x| <= {r0:g} or |x| >= {R:g}")
     rs = [WF1D_K_BASE * 2 ** j for j in range(WF1D_OCTAVES + 1)]
     cs, dirs = [(float(x0),) for x0 in centers], ((1.0,), (-1.0,))
     ks = np.array([s * r for (s,) in dirs for r in rs])

@@ -2,7 +2,10 @@
 import gc
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -218,6 +221,15 @@ def test_extend_takes_delta_orders_above_two(tmp_path):
             "delta^100 overflow the float range") in res.output
 
 
+@pytest.mark.parametrize("expr, sd", [("delta^3 + (x+i0)^-2", "4.000000"),
+                                      ("x_+^-0.5 + delta", "1.000000")])
+def test_extend_reports_the_largest_degree_of_a_sum(tmp_path, expr, sd):
+    # one regression of the whole sum read a slope between its terms'
+    # degrees: 3.887895 and 0.850033
+    res = run(["extend", expr, "--out", str(tmp_path)])
+    assert "sd = %s (regression)" % sd in res.output
+
+
 def test_extend_falls_back_to_symbolic_degree(tmp_path):
     res = run(["extend", "x_+^-1", "--out", str(tmp_path), "--label", "t"])
     assert "(symbolic)" in res.output
@@ -368,7 +380,11 @@ def test_bad_config_value_is_a_config_error(tmp_path, command, text):
     res = run([*command.split(), "--config", str(cfg), "--out",
                str(tmp_path)], expect=2)
     key = text.split(" =")[0]
-    assert "bad config %s: key %s = " % (cfg, key) in res.output
+    # a value that converts but that the library rejects, naming the key
+    want = {"weyl-n = 24\n": "InputError: n = 24: no interior column",
+            "weyl-n = 4\n": "InputError: n = 4: no interior column"}
+    assert want.get("%s-%s" % (command, text),
+                    "bad config %s: key %s = " % (cfg, key)) in res.output
     if key == "only":
         assert "criteria are numbered 1-13" in res.output
     assert "AC" not in res.output  # rejected before any work
@@ -395,19 +411,26 @@ def test_bad_expression_is_a_config_error(tmp_path):
 
 
 def test_ms_rejects_non_power_seed(tmp_path):
-    run(["ms", "delta", "--out", str(tmp_path)], expect=2)
-    run(["ms", "x_+^-1 + delta", "--out", str(tmp_path)], expect=2)
+    res = run(["ms", "delta", "--out", str(tmp_path)], expect=2)
+    assert ("InputError: an exponent family needs one halfline or "
+            "(x+-i0)^a term, not [('delta', 0)]") in res.output
+    res = run(["ms", "x_+^-1 + delta", "--out", str(tmp_path)], expect=2)
+    assert "('halfline', 1, (-1+0j), 0), ('delta', 0)]" in res.output
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("expr", ["(x+i0)^-2", "x_+^-0.5",
                                   "delta + 2*x_+^-0.5"])
 def test_wf_rejects_a_term_without_a_wave_pairing(tmp_path, monkeypatch,
                                                   expr):
-    monkeypatch.setattr(cli.ml, "wf_estimate_1d",
+    monkeypatch.setattr(cli.ml, "_pair_wave_1d",
                         lambda *a, **kw: pytest.fail("pairing ran"))
     res = run(["wf", expr, "--out", str(tmp_path)], expect=2)
-    assert "no wave pairing for the term" in res.output
-    assert repr(expr) in res.output
+    term = {"(x+i0)^-2": "('power_i0', 1, (-2+0j))"}.get(
+        expr, "('halfline', 1, (-0.5+0j), 0)")
+    assert "NoWavePairing: no wave pairing for the term %s" % term \
+        in res.output
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def _centres_cfg(tmp_path, centres):
@@ -421,12 +444,13 @@ def test_wf_rejects_a_centre_in_the_window_annulus(tmp_path, monkeypatch,
                                                    expr):
     # 0.25 < |0.3| < 0.5: the window's value at the singularity is neither
     # 1 nor 0, so the pairing would fail; the centre is a config error
-    monkeypatch.setattr(cli.ml, "wf_estimate_1d",
+    monkeypatch.setattr(cli.ml, "_pair_wave_1d",
                         lambda *a, **kw: pytest.fail("pairing ran"))
     res = run(["wf", expr, "--config", _centres_cfg(tmp_path, "0.0, 0.3"),
                "--out", str(tmp_path)], expect=2)
-    assert "centre 0.3 lies in the window's transition annulus" in res.output
-    assert repr(expr) in res.output
+    assert ("WindowTooWide: centre 0.3 lies in the window's transition "
+            "annulus") in res.output
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("expr, centre", [
@@ -621,14 +645,23 @@ def test_gns_algebra_file_paths(tmp_path):
     cfg.write_text("algebra_file = %s\n" % broken)
     res = run(["gns", "--config", str(cfg), "--out", str(tmp_path)],
               expect=2)
-    assert "algebra file rejected" in res.output
+    assert "FormatError: algebra file rejected" in res.output
+
+    no_omega = tmp_path / "no_omega.txt"
+    no_omega.write_text("dim 1\nc 0 0 0 1\ns 0 0 1\n")
+    cfg.write_text("algebra_file = %s\n" % no_omega)
+    res = run(["gns", "--config", str(cfg), "--out", str(tmp_path)],
+              expect=2)
+    assert "algebra file rejected: no omega record" in res.output
+    assert [p.name for p in tmp_path.glob("gns_*.csv")] == ["gns_t.csv"]
 
     cfg.write_text("algebra_file = %s\n" % (tmp_path / "missing.txt"))
     run(["gns", "--config", str(cfg), "--out", str(tmp_path)], expect=2)
 
-    # an index outside [0, dim) or a record short of fields is a config
-    # error that names the record, not a wrapped index or an IndexError
-    for record in ("omega -2 1", "c 5 0 0 1", "dim"):
+    # an index outside [0, dim), a record short of fields or a value that is
+    # not finite is a config error that names the record, not a wrapped
+    # index, an IndexError or a NaN in the Gram matrix (exit 4)
+    for record in ("omega -2 1", "c 5 0 0 1", "dim", "s 0 1 nan"):
         bad = tmp_path / "bad.txt"
         bad.write_text(good.read_text() + record + "\n")
         cfg.write_text("algebra_file = %s\n" % bad)
@@ -653,6 +686,37 @@ def test_unexpected_exception_maps_to_exit_4(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.al, "weyl_rep_check", boom)
     res = run(["weyl", "--out", str(tmp_path)], expect=4)
     assert "RuntimeError: synthetic library bug" in res.output
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_a_bare_library_error_is_a_bug(tmp_path, monkeypatch, error):
+    """Invalid input raises a paqft.InputError; a bare ValueError or
+    KeyError from inside the library is a bug (exit 4), not the user's."""
+    def boom(**kw):
+        raise error("synthetic library bug")
+
+    monkeypatch.setattr(cli.al, "weyl_rep_check", boom)
+    res = run(["weyl", "--out", str(tmp_path)], expect=4)
+    assert "%s: " % error.__name__ in res.output
+    assert "synthetic library bug" in res.output
+
+
+@pytest.mark.parametrize("command", ["commutator", "wick"])
+def test_more_sites_than_the_lattice_is_an_input_error(tmp_path, command):
+    """n_sites above the lattice's site count looped forever drawing
+    distinct sites; a subprocess with a timeout fails instead of hanging."""
+    cfg = tmp_path / "sites.cfg"
+    cfg.write_text("n_sites = 97\n")  # the default lattice has 12 x 8
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    res = subprocess.run(
+        [sys.executable, "-m", "paqft.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path)], capture_output=True, text=True, env=env,
+        timeout=10)
+    assert res.returncode == 2, res.stderr
+    assert "InputError: n_sites = 97: the lattice has 96 sites" in res.stderr
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_propagators_ignore_a_cache_of_an_older_format(tmp_path):

@@ -1,26 +1,43 @@
-"""The exit-code contract of the distribution commands, as a property over
-spellings of one distribution.
+"""The exit-code contract of the CLI, as properties over its inputs.
 
-`wf`, `ms` and `extend` exit 0, 2 or 3, never 4 (an internal error); on
-exit 0 no CSV cell is NaN; and two spellings of one distribution give the
-same exit code and, on exit 0, the same CSV bytes.  A spelling writes each
-coefficient as a decimal, a fraction or an integer, or splits it into two
-parts that add up exactly, and may add a pair of terms that cancel.
-Coefficients range over 0, dyadic rationals, tiny and huge magnitudes, NaN
-and the infinities.  An integer order is written with or without leading
-zeros (and an order 0 may be left out), an exponent as a decimal with or
-without trailing zeros; orders range up to and past the largest the
-pairings take, log powers up to and past 170.
+Every command exits 0, 2 or 3, never 4 (an internal error), and on exit 0
+no CSV cell is NaN.  Two inputs are fuzzed.
+
+Spellings of one distribution: `wf`, `ms` and `extend` give two spellings
+of one distribution the same exit code and, on exit 0, the same CSV bytes.
+A spelling writes each coefficient as a decimal, a fraction or an integer,
+or splits it into two parts that add up exactly, and may add a pair of
+terms that cancel.  Coefficients range over 0, dyadic rationals, tiny and
+huge magnitudes, NaN and the infinities.  An integer order is written with
+or without leading zeros (and an order 0 may be left out), an exponent as a
+decimal with or without trailing zeros; orders range up to and past the
+largest the pairings take, log powers up to and past 170.
+
+Config keys: every key of every command, one at a time, at a boundary value
+(0, -1, nan, +-inf, 1e300, 1e-300, a word, a boolean, a list); a size key
+takes small and negative values only, so that no case starts a large
+computation.
+
+EXPRESSION_EXAMPLES and KEY_EXAMPLES are explicit examples of the two, each
+with the exit code it must give; with CACHE_EXAMPLES, propagator caches
+that must be rejected, tools/system_lines.py runs them as user paths.
 """
 
 import cmath
+import functools
+import io
 import math
+import re
+import tempfile
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from paqft import cli
 
@@ -44,6 +61,18 @@ VALUES = st.one_of(
     st.sampled_from((0.0, -0.0, 5e-324, 1e-300) + HUGE
                     + (math.nan, math.inf, -math.inf)))
 DYADIC = st.integers(-64, 64).filter(bool).map(lambda k: k / 8)
+
+# (command, expression) -> exit code: a failed check (3) and the
+# distributions that only some commands take (2)
+EXPRESSION_EXAMPLES = {
+    ("extend", "delta^100"): 3,
+    ("extend", "1.7e308*(x+i0)^-2"): 3,
+    ("ms", "1.7e308*(x+i0)^-2"): 3,
+    ("extend", "0*delta"): 2,
+    ("ms", "delta"): 2,
+    ("ms", "delta + x_+^-1"): 2,
+    ("wf", "x_+^-0.5"): 2,
+}
 
 
 def _numeral(draw, c, bare=True):
@@ -122,14 +151,21 @@ def two_spellings(draw):
             draw(spelling(base, spare)))
 
 
-def _is_nan(cell):
+def _number(cell):
+    """A CSV cell as a complex number (written with a trailing i), or None
+    for a cell that is no number."""
     try:
-        return cmath.isnan(complex(cell.replace("i", "j")))
+        return complex(cell[:-1] + "j" if cell.endswith("i") else cell)
     except ValueError:
-        return False
+        return None
 
 
-def _run(tmp, command, expr, label):
+def _is_nan(cell):
+    v = _number(cell)
+    return v is not None and cmath.isnan(v)
+
+
+def run_expression(tmp, command, expr, label):
     # overflow warnings are the CLI's to print, not the test's errors
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
@@ -140,15 +176,145 @@ def _run(tmp, command, expr, label):
     return 0, (tmp / ("%s_%s.csv" % (command, label))).read_bytes()
 
 
+def _expression_examples(test):
+    for command, expr in EXPRESSION_EXAMPLES:
+        test = example((command, expr, expr))(test)
+    return test
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@_expression_examples
 @given(two_spellings())
 def test_spellings_of_one_distribution_agree(tmp_path_factory, case):
     command, a, b = case
     tmp = tmp_path_factory.mktemp("contract")
-    code_a, data_a = _run(tmp, command, a, "a")
-    code_b, data_b = _run(tmp, command, b, "b")
+    code_a, data_a = run_expression(tmp, command, a, "a")
+    code_b, data_b = run_expression(tmp, command, b, "b")
     assert code_a in (0, 2, 3), (command, a, code_a)
+    assert code_a == EXPRESSION_EXAMPLES.get((command, a), code_a), case
     assert (code_a, data_a) == (code_b, data_b), (command, a, b)
     if data_a is not None:
         cells = data_a.decode().replace("\n", ",").split(",")
         assert not any(map(_is_nan, cells)), (command, a)
+
+
+# ------------------------------------------------------------- config keys
+
+SIZES = {"n_t", "n_x", "n_sites", "n", "lines", "n_steps"}
+BOUNDARY = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "word",
+            "yes", "0, -1")
+SMALL = ("0", "-1", "1", "3", "nan", "inf", "-inf", "word", "yes", "0, -1")
+ARGUMENTS = {"extend": ["(x+i0)^-2"], "ms": ["x_+^-1"], "wf": ["delta"]}
+# (command, key, value) -> exit code: the inputs that once gave another
+# code (4 for invalid input, 2 for a bug, or no exit at all), then one
+# value for each way a config value is rejected
+KEY_EXAMPLES = {
+    ("weyl", "dx", "0.3"): 2,  # ShiftOffGrid
+    ("weyl", "hbar", "0.3"): 2,
+    ("commutator", "a_x", "1e300"): 2,  # OverflowError
+    ("commutator", "mass", "1e300"): 2,
+    ("commutator", "mass", "nan"): 2,  # exit 2 by a bare ValueError
+    ("commutator", "mass", "1e-300"): 2,
+    ("commutator", "n_sites", "97"): 2,  # more sites than 12 x 8: a hang
+    ("wf", "centers", "0.3"): 2,  # the window's annulus holds the origin
+    ("weyl", "dx", "1e300"): 3,  # x0 + j dx loses the phases' digits
+    ("graphs", "linez", "9"): 2,
+    ("graphs", "n", "2.5"): 2,
+    ("graphs", "n", "0"): 2,
+    ("commutator", "mass", "yes"): 2,
+    ("wf", "centers", "inf"): 2,
+    ("weyl", "dx", "0"): 2,
+    ("flow", "x0", "1"): 2,
+    ("flow", "metric", "curly"): 2,
+    ("flow", "metric", "conformal"): 0,
+    ("suite", "only", "14"): 2,
+    ("gns", "algebra_file", "no/such/file"): 2,
+}
+# a propagator cache that np.load cannot read (exit 4, or 2 by a bare
+# ValueError), and one whose arrays do not fit the lattice
+_MISSHAPEN = io.BytesIO()
+np.savez(_MISSHAPEN, ret=np.zeros((4, 4)))
+CACHE_EXAMPLES = {"zip header": b"PK\x03\x04" + bytes(range(256)),
+                  "no zip": bytes(range(256)), "empty": b"",
+                  "misshapen": _MISSHAPEN.getvalue()}
+CACHE_NAME = "prop_v2_12_8_1-2_1_1.0.npz"  # the default lattice's
+
+
+@functools.lru_cache(maxsize=None)
+def command_keys():
+    """{command: the config keys it reads}, as its unknown-key error (exit 2,
+    before any work) lists them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "unknown.cfg"
+        cfg.write_text("no_such_key = 1\n")
+        keys = {}
+        for command in sorted(cli.main.commands):
+            res = CliRunner().invoke(cli.main, [
+                command, *ARGUMENTS.get(command, []), "--config", str(cfg),
+                "--out", tmp])
+            reads = re.search(r"this command reads: (.*)\)$", res.output,
+                              flags=re.M).group(1)
+            keys[command] = [] if reads == "none" else reads.split(", ")
+    return keys
+
+
+@st.composite
+def key_case(draw):
+    command, key = draw(st.sampled_from(
+        [(c, k) for c, keys in sorted(command_keys().items()) for k in keys]))
+    return command, key, draw(st.sampled_from(SMALL if key in SIZES
+                                              else BOUNDARY))
+
+
+def run_key_case(out, command, key, value):
+    """paqft `command` with the one config line `key = value`; (exit code,
+    output)."""
+    cfg = Path(out) / "key.cfg"
+    cfg.write_text("%s = %s\n" % (key, value))
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        res = CliRunner().invoke(cli.main, [
+            command, *ARGUMENTS.get(command, []), "--config", str(cfg),
+            "--out", str(out), "--label", "key"])
+    return res.exit_code, res.output
+
+
+def _key_examples(test):
+    for case in KEY_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@_key_examples
+@given(key_case())
+def test_config_keys_keep_the_exit_code_contract(tmp_path_factory, case):
+    tmp = tmp_path_factory.mktemp("keys")
+    code, output = run_key_case(tmp, *case)
+    assert code in (0, 2, 3), (case, output)
+    assert code == KEY_EXAMPLES.get(case, code), (case, output)
+    csv = list(tmp.glob("*.csv"))
+    if code == 2:
+        assert not csv, case  # rejected before any artifact
+    elif code == 0:
+        header, *rows = csv[0].read_text().splitlines()
+        inf_ok = header.split(",").index("exponent") if case[0] == "wf" \
+            else None
+        for row in rows:
+            for j, cell in enumerate(row.split(",")):
+                v = _number(cell)
+                assert v is None or cmath.isfinite(v) or j == inf_ok and \
+                    not cmath.isnan(v), (case, row)
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_EXAMPLES))
+def test_a_bad_propagator_cache_is_an_input_error(tmp_path, name):
+    cache = tmp_path / CACHE_NAME
+    cache.write_bytes(CACHE_EXAMPLES[name])
+    res = CliRunner().invoke(cli.main, ["propagators", "--out",
+                                        str(tmp_path), "--label", "t"])
+    assert res.exit_code == 2, res.output
+    assert "FormatError: propagator cache %s " % cache in res.output
+    assert ("does not fit this lattice" if name == "misshapen"
+            else "is unreadable") in res.output
+    assert not list(tmp_path.glob("*.csv"))

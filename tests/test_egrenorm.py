@@ -62,11 +62,24 @@ def test_regression_recovers_symbolic_degrees():
 
 def test_regression_of_a_sum_follows_its_top_delta_order():
     # (x+i0)^-2 (sd 2) with delta^3 (sd 4): the quadratic probe saw only
-    # the first, below the divergence degree 3 of the sum
+    # the first, below the divergence degree 3 of the sum; one regression
+    # of the whole sum read a slope between the two, 3.887895
     t = dist_sum(SymbolicDistribution1D.delta(3),
                  SymbolicDistribution1D.power_i0(-2.0, +1))
     assert eg.divergence_degree(t) == 3.0
-    assert 3.5 < eg.scaling_degree_regression(t) < 4.0
+    assert eg.scaling_degree_regression(t) == pytest.approx(4.0, abs=1e-9)
+
+
+def test_regression_of_a_sum_is_the_largest_term_degree():
+    # x_+^-0.5 (sd 0.5) with delta (sd 1): one regression of the whole sum
+    # read 0.850033; each term by itself keeps its bits
+    halfline = SymbolicDistribution1D.halfline(-0.5, +1, 0)
+    delta = SymbolicDistribution1D.delta(0)
+    t = dist_sum(halfline, delta)
+    assert eg.scaling_degree_regression(t) == pytest.approx(1.0, abs=1e-9)
+    assert eg.scaling_degree_regression(t) == max(
+        eg.scaling_degree_regression(halfline),
+        eg.scaling_degree_regression(delta))
 
 
 @pytest.mark.parametrize("k", [79, 100, 170, 171, pytest.param(

@@ -9,6 +9,10 @@ trace module, what a user of paqft runs:
 - every CLI command, in-process through click's CliRunner into a temporary
   directory, with the argument and config of PIN_INPUTS in tests/test_cli.py
   and its defaults otherwise;
+- the explicit examples of tests/test_cli_contract.py, inputs that the CLI
+  must reject (exit 2) or fail (exit 3) among them: the expressions of
+  EXPRESSION_EXAMPLES and the config keys of KEY_EXAMPLES, each expected to
+  give its exit code, and the propagator caches of CACHE_EXAMPLES (exit 2);
 - one pass of each perfbench part at --size tiny, through the part's own
   setup and items (perfbench/run.py is not called: it writes under
   perfbench/out/).
@@ -16,7 +20,7 @@ trace module, what a user of paqft runs:
 Then it prints, per module of src/paqft, the statements that none of these
 ran, grouped by the function that holds them.  A statement is a line that
 holds an instruction of a function body; module and class bodies run at
-import and are not counted.  The full run takes minutes under the tracer.
+import and are not counted.  The full run takes about ten seconds.
 """
 
 import ast
@@ -103,6 +107,7 @@ def _invoke_cli(out):
     from paqft import cli
     sys.path.insert(0, str(ROOT / "tests"))
     from test_cli import PIN_INPUTS
+    import test_cli_contract as contract
 
     runner = CliRunner()
     for name in sorted(cli.main.commands):
@@ -118,6 +123,25 @@ def _invoke_cli(out):
             raise SystemExit("paqft %s exited %d:\n%s"
                              % (" ".join(args), result.exit_code,
                                 result.output))
+    for (command, expr), want in contract.EXPRESSION_EXAMPLES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _ = contract.run_expression(Path(tmp), command, expr, "x")
+        if code != want:
+            raise SystemExit("paqft %s %r exited %d, not %d"
+                             % (command, expr, code, want))
+    for (command, key, value), want in contract.KEY_EXAMPLES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            code, output = contract.run_key_case(tmp, command, key, value)
+        if code != want:
+            raise SystemExit("paqft %s with %s = %s exited %d, not %d:\n%s"
+                             % (command, key, value, code, want, output))
+    for name, data in contract.CACHE_EXAMPLES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, contract.CACHE_NAME).write_bytes(data)
+            result = runner.invoke(cli.main, ["propagators", "--out", tmp])
+        if result.exit_code != 2:
+            raise SystemExit("paqft propagators on the %s cache exited %d:\n%s"
+                             % (name, result.exit_code, result.output))
 
 
 def _perfbench_parts():
