@@ -311,12 +311,21 @@ def weyl_rep_check(n: int, dx: float, hbar: float) -> dict:
 
     Zero padding breaks the relations only in the edge columns a shift can
     reach, so they are asserted on the interior columns exactly; a grid
-    without one (n at most twice the reach) raises InputError naming n.
+    without one (n at most twice the reach) raises InputError naming n.  A
+    phase e^{i beta x_j} is off by up to |beta x_j| eps, so a grid whose
+    largest |beta x_j| puts that past WEYL_TOL raises InputError naming dx
+    and n: there the relations cannot be checked, not found to fail.
     """
     cells = lambda a: round(abs(hbar * a / dx))  # the columns a shift moves
     reach = max(cells(a1) + cells(a2) for (a1, _), (a2, _) in WEYL_PAIRS)
     if n <= 2 * reach:
         raise InputError(f"n = {n}: no interior column, need n > {2 * reach}")
+    theta = max(abs(b1) + abs(b2) for (_, b1), (_, b2) in WEYL_PAIRS) * max(
+        abs(WEYL_X0), abs(WEYL_X0 + (n - 1) * dx))
+    if theta * np.finfo(float).eps > WEYL_TOL:
+        raise InputError(f"dx = {dx}, n = {n}: phase arguments |beta x_j| "
+                         f"up to {theta:.3g} carry rounding above WEYL_TOL "
+                         f"= {WEYL_TOL:g}; keep (n - 1) dx smaller")
     comp_res = adj_res = 0.0
     for (a1, b1), (a2, b2) in WEYL_PAIRS:
         W1 = weyl_matrix(a1, b1, n, dx, hbar, WEYL_X0)

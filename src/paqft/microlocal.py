@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from operator import mul
 from typing import NamedTuple
 
@@ -41,7 +40,6 @@ WF2D_AMP_FLOOR, WF2D_REL_FLOOR = 1e-7, 1e-4
 # a ray is near a decision when its exponent is within NEAR_BAND of the
 # threshold, or its floor ratio within a factor NEAR_FACTOR of 1
 NEAR_BAND, NEAR_FACTOR = 0.05, 2.0
-_CHUNK = 32  # centres per batched pairing; bounds the working set
 # AC11: centres on every STRIDE-th grid point of the annulus around the
 # source; singular mass within CONE_TOL_DEG of a null ray is on the cone
 AC11_ANNULUS, AC11_STRIDE, AC11_CONE_TOL_DEG = (5.0, 9.3), 6, 15.0
@@ -259,14 +257,14 @@ def wf_estimate_2d(field: SampledField2D, centers,
     the box of offsets around it that is E_t[q, di] E_x[q, dj], q = (direction,
     frequency), two tables built once per call.  Window and mask use the
     float offsets ts[i] - t0, xs[j] - x0 on the box, as on the full grid, so
-    points exactly at the cut fall the same way.  A chunk of up to _CHUNK
-    centres lays its boxes out as (time offset, centre, space offset) and
-    pairs in one matrix product with E_t over the time offsets, then
-    contracts with E_x over the space offsets.  The samples are real, so
-    the product is real, with the stacked table [Re E_t; Im E_t], and the
-    contraction forms (A + iB)(C + iD) from real parts: no complex copy of
-    the box is made.  Centres with no grid point in reach are listed in
-    meta["skipped_centers"]."""
+    points exactly at the cut fall the same way.  Each centre pairs on its
+    own box: one real matrix product with the stacked table [Re E_t; Im E_t]
+    over its time offsets (no complex copy of the box), then a sum of
+    (Re + i Im) E_x over its space offsets.  Real samples make the pairing
+    at -d the complex conjugate of the one at d, and direction
+    j + WF2D_RAYS/2 is -direction j, so the tables cover the first half of
+    the directions and the second half repeats their amplitudes.  Centres
+    with no grid point in reach are listed in meta["skipped_centers"]."""
     kmax = WF2D_K_BASE * 2 ** WF2D_OCTAVES
     nyq = math.pi / max(field.a_t, field.a_x)
     if kmax > nyq:
@@ -276,41 +274,32 @@ def wf_estimate_2d(field: SampledField2D, centers,
     rs = [WF2D_K_BASE * 2 ** j for j in range(WF2D_OCTAVES + 1)]
     dirs = [(math.cos(2 * math.pi * j / WF2D_RAYS),
              math.sin(2 * math.pi * j / WF2D_RAYS)) for j in range(WF2D_RAYS)]
-    k = np.array([[r * d[0], r * d[1]] for d in dirs for r in rs])
+    k = np.array([[r * d[0], r * d[1]]
+                  for d in dirs[:WF2D_RAYS // 2] for r in rs])
     ht, hx = (math.ceil(R / a) + 1 for a in (field.a_t, field.a_x))
     E_t = np.exp(1j * np.outer(k[:, 0], np.arange(-ht, ht + 1) * field.a_t))
     E_x = np.exp(1j * np.outer(k[:, 1], np.arange(-hx, hx + 1) * field.a_x))
     E_t = np.concatenate([E_t.real, E_t.imag])
-    C, D = E_x.real, E_x.imag
-    pair = partial(np.einsum, "qcj,qj->cq")  # sum over space offsets
     (nt, nx), cell = field.values.shape, field.a_t * field.a_x
-    centers = list(centers)
-    cs, amps, skipped = [], [np.zeros((0, len(k)))], []
-    for start in range(0, len(centers), _CHUNK):
-        chunk = centers[start:start + _CHUNK]
-        box = np.zeros((2 * ht + 1, len(chunk), 2 * hx + 1),
-                       np.result_type(field.values, float))
-        n = 0
-        for t0, x0 in chunk:
-            it, ix = round(t0 / field.a_t), round(x0 / field.a_x)
-            i0, i1 = max(it - ht, 0), min(it + ht + 1, nt)
-            j0, j1 = max(ix - hx, 0), min(ix + hx + 1, nx)
-            dT, dX = field.ts[i0:i1, None] - t0, field.xs[j0:j1] - x0
-            dist2 = dT * dT + dX * dX
-            mask = dist2 < R * R
-            if not mask.any():
-                skipped.append((t0, x0))
-                continue
-            w = np.exp(-dist2[mask] / (2.0 * sigma * sigma))
-            box[i0 - it + ht:i1 - it + ht, n, j0 - ix + hx:j1 - ix + hx][
-                mask] = field.values[i0:i1, j0:j1][mask] * w * cell
-            cs.append((t0, x0))
-            n += 1
-        p = (E_t @ box[:, :n].reshape(2 * ht + 1, -1)).reshape(
-            len(E_t), n, 2 * hx + 1)
-        A, B = p[:len(k)], p[len(k):]
-        amps.append(np.hypot(pair(A, C) - pair(B, D), pair(A, D) + pair(B, C)))
-    return _estimate(cs, dirs, rs, np.concatenate(amps), threshold,
+    cs, amps, skipped = [], [], []
+    for t0, x0 in centers:
+        it, ix = round(t0 / field.a_t), round(x0 / field.a_x)
+        i0, i1 = max(it - ht, 0), min(it + ht + 1, nt)
+        j0, j1 = max(ix - hx, 0), min(ix + hx + 1, nx)
+        dT, dX = field.ts[i0:i1, None] - t0, field.xs[j0:j1] - x0
+        dist2 = dT * dT + dX * dX
+        mask = dist2 < R * R
+        if not mask.any():
+            skipped.append((t0, x0))
+            continue
+        w = np.exp(-dist2[mask] / (2.0 * sigma * sigma))
+        box = np.zeros(mask.shape, np.result_type(field.values, float))
+        box[mask] = field.values[i0:i1, j0:j1][mask] * w * cell
+        p = E_t[:, i0 - it + ht:i1 - it + ht] @ box
+        A = p[:len(k)] + 1j * p[len(k):]
+        amps.append(np.abs((A * E_x[:, j0 - ix + hx:j1 - ix + hx]).sum(1)))
+        cs.append((t0, x0))
+    return _estimate(cs, dirs, rs, np.tile(amps, 2), threshold,
                      WF2D_AMP_FLOOR, WF2D_REL_FLOOR,
                      {"skipped_centers": skipped})
 

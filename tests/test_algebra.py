@@ -1,9 +1,11 @@
 """Finite star-algebras, GNS representations, and grid Weyl operators."""
 import cmath
+import re
 
 import numpy as np
 import pytest
 
+from paqft import InputError
 from paqft.algebra import (FiniteStarAlgebra, AlgebraState, AlgebraError,
                            StateNotPositive, NoIntertwiner, ShiftOffGrid,
                            functions_on_points, matrix_algebra, gram_matrix,
@@ -178,6 +180,16 @@ def test_weyl_relations_hold_on_interior():
     assert rep["composition_residual"] < 1e-8
     assert rep["adjoint_residual"] < 1e-8
     assert rep["phase_example"] == pytest.approx(cmath.exp(0.5j))
+
+
+def test_weyl_grid_past_the_phase_resolution_is_rejected():
+    # 2 (n - 1) dx eps passes WEYL_TOL = 1e-8 between dx = 3e5 and 4e5 at
+    # n = 64, and n = 1000 takes dx = 3e5 past it
+    assert weyl_rep_check(64, 3e5, 3e5)["composition_residual"] < 1e-8
+    for n, dx in ((64, 4e5), (64, 1e300), (1000, 3e5)):
+        with pytest.raises(InputError,
+                           match=re.escape(f"dx = {dx}, n = {n}:")):
+            weyl_rep_check(n, dx, dx)
 
 
 def test_weyl_pure_multiplier_commutes_globally():

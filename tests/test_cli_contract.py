@@ -217,7 +217,7 @@ KEY_EXAMPLES = {
     ("commutator", "mass", "1e-300"): 2,
     ("commutator", "n_sites", "97"): 2,  # more sites than 12 x 8: a hang
     ("wf", "centers", "0.3"): 2,  # the window's annulus holds the origin
-    ("weyl", "dx", "1e300"): 3,  # x0 + j dx loses the phases' digits
+    ("weyl", "dx", "1e300"): 2,  # x0 + j dx loses the phases' digits
     ("graphs", "linez", "9"): 2,
     ("graphs", "n", "2.5"): 2,
     ("graphs", "n", "0"): 2,

@@ -305,16 +305,21 @@ def test_nyquist_guard():
 
 def reference_wf2d(field, centers, n_rays=16, k_base=1.25, n_octaves=3,
                    sigma=0.5, R=2.5, amp_floor=1e-7, rel_floor=1e-4):
-    """Per-centre full-grid pairing, one exponential per (direction,
-    frequency), and one polyfit per ray: {(centre, j): (peak, exponent)}."""
+    """Per-centre pairing over the grid points within R, one exponential
+    per (direction, frequency), for each of the n_rays directions on its own,
+    and one polyfit per ray: {(centre, j): (peak, exponent)}.  The grid is
+    first cut to the rows and columns within R of the centre; a point inside
+    the cut lies in both, so the masked points and their order are those of
+    the full grid."""
     rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
-    T, X = np.meshgrid(field.ts, field.xs, indexing="ij")
     out = {}
     for (t0, x0) in centers:
+        rows, cols = (field.ts - t0) ** 2 < R * R, (field.xs - x0) ** 2 < R * R
+        T, X = np.meshgrid(field.ts[rows], field.xs[cols], indexing="ij")
         dist2 = (T - t0) ** 2 + (X - x0) ** 2
         mask = dist2 < R * R
-        v = field.values[mask] * np.exp(-dist2[mask] / (2 * sigma ** 2)) \
-            * field.a_t * field.a_x
+        v = field.values[np.ix_(rows, cols)][mask] \
+            * np.exp(-dist2[mask] / (2 * sigma ** 2)) * field.a_t * field.a_x
         for j in range(n_rays if mask.any() else 0):
             a = 2 * math.pi * j / n_rays
             amps = [abs(np.sum(v * np.exp(1j * r * (math.cos(a) * T[mask]
@@ -338,7 +343,10 @@ def assert_matches_reference(wf, ref):
         assert r.exponent == pytest.approx(want_expo, abs=1e-8)
 
 
-def test_2d_estimate_matches_full_grid_reference():
+def two_d_cases():
+    """Fields on a 96x96 grid (point sources, one next to the t = 0 edge, a
+    broad bump, and their sum) and centres of every kind, with the skipped
+    ones between the others."""
     n, h = 96, 0.1
     T, X = np.meshgrid(np.arange(n) * h, np.arange(n) * h, indexing="ij")
     c = n // 2 * h
@@ -346,28 +354,55 @@ def test_2d_estimate_matches_full_grid_reference():
     points[n // 2, n // 2] = 1.0
     points[3, 70] = -0.5  # next to the t = 0 edge
     bump = np.exp(-((T - c) ** 2 + (X - c) ** 2) / (2 * 2.0 ** 2))
-    centers = [(c, c), (2.0, 3.0),                 # grid-aligned
-               (c + 0.031, c - 0.027), (0.55, 6.98),  # off-grid
-               (0.3, 7.0), (9.4, 0.2), (0.0, 0.0),  # cut by the grid edge
-               (-1.0, 4.8), (4.8, 11.2)]            # centre off the grid
     skipped = [(-3.0, 4.8), (20.0, 20.0),          # no grid point in reach
                (4.8, -4.0), (12.6, 3.0)]
-    # fill up to the first chunk boundary, so that a skipped and an off-grid
-    # centre sit on each side of it
-    edge = ml._CHUNK
-    centers += [(1.0 + 0.25 * i, 8.013 - 0.2 * i)
-                for i in range(edge - 2 - len(centers))]
-    centers += [skipped[0], (c - 0.047, c + 0.052),
-                skipped[1], (5.51, 4.49), (c, 2.0), skipped[2],
-                (7.5, 9.5), skipped[3]]
-    assert centers[edge - 2] in skipped and centers[edge] in skipped
-    for values in (points, bump, points + bump):
-        field = ml.SampledField2D(values, h, h)
+    centers = [(c, c), (2.0, 3.0), (c, 2.0), (7.5, 9.5),  # grid-aligned
+               skipped[0],
+               (c + 0.031, c - 0.027), (0.55, 6.98),  # off-grid
+               (c - 0.047, c + 0.052), (5.51, 4.49),
+               skipped[1], skipped[2],
+               (0.3, 7.0), (9.4, 0.2), (0.0, 0.0),  # cut by the grid edge
+               (-1.0, 4.8), (4.8, 11.2),            # centre off the grid
+               skipped[3]]
+    centers += [(1.0 + 0.25 * i, 8.013 - 0.2 * i) for i in range(0, 21, 5)]
+    fields = [ml.SampledField2D(v, h, h)
+              for v in (points, bump, points + bump)]
+    return fields, centers, skipped
+
+
+def test_2d_estimate_matches_full_grid_reference():
+    fields, centers, skipped = two_d_cases()
+    for field in fields:
         wf = ml.wf_estimate_2d(field, centers)
         assert_matches_reference(wf, reference_wf2d(field, centers))
         assert wf.meta["skipped_centers"] == skipped
         assert [r.center for r in wf.rays[::16]] == [
             p for p in centers if p not in skipped]
+
+
+def test_2d_estimate_pairs_each_centre_on_its_own():
+    """One call over all centres, skipped ones included, is the
+    concatenation of one call per centre."""
+    fields, centers, skipped = two_d_cases()
+    for field in fields:
+        wf = ml.wf_estimate_2d(field, centers)
+        ones = [ml.wf_estimate_2d(field, [p]) for p in centers]
+        assert wf.rays == [r for one in ones for r in one.rays]
+        assert wf.meta["skipped_centers"] == [
+            p for one in ones for p in one.meta["skipped_centers"]]
+
+
+def test_opposite_directions_are_half_the_rays_apart():
+    """wf_estimate_2d pairs the first half of the directions and gives
+    direction j + WF2D_RAYS/2 the amplitudes of direction j: that rests on
+    the second half being the negated first half."""
+    assert ml.WF2D_RAYS % 2 == 0
+    field, n, h = grid_field()
+    dirs = [r.direction for r in ml.wf_estimate_2d(field, [(4.8, 4.8)]).rays]
+    half = ml.WF2D_RAYS // 2
+    assert len(dirs) == ml.WF2D_RAYS
+    for d, e in zip(dirs[:half], dirs[half:]):
+        assert np.abs(np.add(d, e)).max() <= 1e-15
 
 
 @pytest.fixture(scope="module")
