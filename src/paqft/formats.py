@@ -12,7 +12,7 @@ float, or kept as strings; comma-separated values become lists.
 
 Algebra files
 -------------
-    dim 2
+    dim 2                # 1 <= dim <= MAX_DIM
     c i j k re [im]      # b_i b_j = sum_k c[i,j,k] b_k   (sparse triples)
     s i j re [im]        # b_i^* = sum_j s[i,j] b_j
     unit i re [im]       # unit vector (optional, defaults to b_0)
@@ -117,19 +117,28 @@ def load_config(path):
 _INDICES = {"c": 3, "s": 2, "unit": 1, "omega": 1, "label": 1}
 
 
+MAX_DIM = 32  # the axiom checks hold dim^4 complex arrays, 16 MB at 32
+
+
 def parse_algebra(text):
     """Parse an algebra file.  Returns (FiniteStarAlgebra, omega or None).
 
     A record with missing or extra fields, a field that does not parse, a
     value that is not finite or a basis index outside [0, dim) raises
-    FormatError naming the record."""
+    FormatError naming the record, and so does a dim above MAX_DIM, before
+    any array is allocated."""
     dim, records = None, []
     for line in _lines(text):
         tag, *rest = line.split()
         if tag == "dim":
-            if len(rest) != 1 or not rest[0].isdecimal() or int(rest[0]) < 1:
-                raise FormatError("record %r: want one integer >= 1" % line)
-            dim = int(rest[0])
+            try:
+                dim = int(rest[0]) if len(rest) == 1 and rest[0].isdecimal() \
+                    else 0
+            except ValueError:  # more digits than int() converts
+                dim = 0
+            if not 1 <= dim <= MAX_DIM:
+                raise FormatError("record %r: want one integer in [1, %d]"
+                                  % (line, MAX_DIM))
         elif tag in _INDICES:
             records.append((line, tag, rest))
         else:

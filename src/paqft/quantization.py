@@ -59,6 +59,10 @@ class NoLambdaGrading(QuantizationError):
     """Interaction term must carry at least one power of the coupling."""
 
 
+class NonLocalInteraction(QuantizationError):
+    """Interaction term off one site: Sbar(-V) is no star-inverse of S(V)."""
+
+
 class RankDeficient(QuantizationError):
     """Probe family too small to certify the rank; enlarge the probe set."""
 
@@ -375,23 +379,55 @@ class BogoliubovMap:
     with the anti-Feynman kernel, is its star-inverse: off equal times the
     Feynman kernel is the Wightman kernel of the later site against the
     earlier one and the anti-Feynman kernel the reverse, so the
-    largest-time argument gives S(V) * Sbar(-V) = 1 order by order.  The
-    interaction must carry the formal coupling, which makes every series
-    finite per order.
+    largest-time argument gives S(V) * Sbar(-V) = 1 order by order.  That
+    argument needs every term of V to sit on one site (NonLocalInteraction
+    otherwise), and the interaction must carry the formal coupling, which
+    makes every series finite per order.
+
+    Both maps use V', the terms of V on a site in the closed past cone of
+    supp F: R_V F = R_V' F, as the interacting field depends only on the
+    interaction in its past.  For R^-1, V' is closed under taking pasts
+    (the past-cone relation is transitive) and G = R^-1_V' F has support in
+    supp F and supp V', so R_V G = R_V' G = F; R_V is injective, so
+    G = R^-1_V F.  The S-matrices of each V' are built once, on first use;
+    those of V with the map.
     """
 
     def __init__(self, xp: ExactPropagators, V: PolyFunctional):
+        for key in V.terms:
+            if len(set(key)) != 1:
+                raise NonLocalInteraction(
+                    f"interaction term on sites {key} is not on one site")
+        self.xp = xp
+        self.V = V
         self.tp = QuantProduct(xp, "timeordered_F")
         self.sp = QuantProduct(xp, "star_H")
-        self._S = s_matrix(xp, V)
-        self._S_neg = s_matrix(xp, V * (-1))
-        self._S_star_inv = s_matrix(xp, V * (-1), "antitimeordered_F")
+        self._S: dict[frozenset, tuple] = {}
+        self._s_matrices(V.terms)
+
+    def _s_matrices(self, terms: dict) -> tuple:
+        """(S(V'), S(-V'), Sbar(-V')) for V' the given terms of V."""
+        key = frozenset(terms)
+        if key not in self._S:
+            V = PolyFunctional(self.V.lat, terms, self.V.trunc_h,
+                               self.V.trunc_l)
+            self._S[key] = (s_matrix(self.xp, V), s_matrix(self.xp, V * (-1)),
+                            s_matrix(self.xp, V * (-1), "antitimeordered_F"))
+        return self._S[key]
+
+    def _past(self, F: PolyFunctional) -> tuple:
+        lat, supp = self.V.lat, F.support()
+        return self._s_matrices({
+            k: c for k, c in self.V.terms.items()
+            if any(lat.in_past_cone(k[0], y) for y in supp)})
 
     def R(self, F: PolyFunctional) -> PolyFunctional:
-        return self.sp.product(self._S_star_inv, self.tp.product(self._S, F))
+        S, _, S_star_inv = self._past(F)
+        return self.sp.product(S_star_inv, self.tp.product(S, F))
 
     def Rinv(self, F: PolyFunctional) -> PolyFunctional:
-        return self.tp.product(self._S_neg, self.sp.product(self._S, F))
+        S, S_neg, _ = self._past(F)
+        return self.tp.product(S_neg, self.sp.product(S, F))
 
     def star_interacting(self, F: PolyFunctional,
                          G: PolyFunctional) -> PolyFunctional:

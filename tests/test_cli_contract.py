@@ -1,7 +1,7 @@
 """The exit-code contract of the CLI, as properties over its inputs.
 
 Every command exits 0, 2 or 3, never 4 (an internal error), and on exit 0
-no CSV cell is NaN.  Two inputs are fuzzed.
+no CSV cell is NaN.  Three inputs are fuzzed.
 
 Spellings of one distribution: `wf`, `ms` and `extend` give two spellings
 of one distribution the same exit code and, on exit 0, the same CSV bytes.
@@ -13,14 +13,19 @@ or without leading zeros (and an order 0 may be left out), an exponent as a
 decimal with or without trailing zeros; orders range up to and past the
 largest the pairings take, log powers up to and past 170.
 
+Algebra files for `gns`: a valid file with records dropped (omega among
+them), fields redrawn (indices in and out of range, finite, tiny, huge and
+non-finite values, words, a 5,000-digit number) and records added.
+
 Config keys: every key of every command, one at a time, at a boundary value
 (0, -1, nan, +-inf, 1e300, 1e-300, a word, a boolean, a list); a size key
 takes small and negative values only, so that no case starts a large
 computation.
 
-EXPRESSION_EXAMPLES and KEY_EXAMPLES are explicit examples of the two, each
-with the exit code it must give; with CACHE_EXAMPLES, propagator caches
-that must be rejected, tools/system_lines.py runs them as user paths.
+EXPRESSION_EXAMPLES, ALGEBRA_EXAMPLES and KEY_EXAMPLES are explicit
+examples of the three, each with the exit code it must give; with
+CACHE_EXAMPLES, propagator caches that must be rejected,
+tools/system_lines.py runs them as user paths.
 """
 
 import cmath
@@ -305,6 +310,84 @@ def test_config_keys_keep_the_exit_code_contract(tmp_path_factory, case):
                 v = _number(cell)
                 assert v is None or cmath.isfinite(v) or j == inf_ok and \
                     not cmath.isnan(v), (case, row)
+
+
+# ------------------------------------------------------------ algebra files
+
+# functions on two points, with a state: one record per line
+ALGEBRA = ("dim 2", "c 0 0 0 1", "c 1 1 1 1", "s 0 0 1", "s 1 1 1",
+           "unit 0 1", "unit 1 1", "omega 0 0.5", "omega 1 0.5",
+           "label 0 chi0", "label 1 chi1")
+TAGS = ("dim", "c", "s", "unit", "omega", "label", "q")
+FIELDS = ("0", "1", "2", "-1", "32", "33", "0.5", "1.5", "0x1", "x", "1/2",
+          "1e300", "-1e308", "5e-324", "nan", "inf", "-inf", "9" * 5000)
+# algebra file -> exit code: the inputs that once gave exit 4, then one
+# example of each other way a file is rejected or passes
+ALGEBRA_EXAMPLES = {
+    "dim 100000": 2,  # MemoryError from np.zeros((dim,) * 3)
+    "dim " + "9" * 5000: 2,  # more digits than int() converts
+    "dim 33": 2,
+    "\n".join(ALGEBRA): 0,
+    "\n".join(r for r in ALGEBRA if r.split()[0] != "omega"): 2,
+    "\n".join(ALGEBRA + ("omega 0 1",)): 2,  # omega(1) = 1.5
+    "\n".join(ALGEBRA + ("c 0 1 0 1e300",)): 2,
+    "\n".join(ALGEBRA + ("s 0 1 nan",)): 2,
+}
+
+
+@st.composite
+def algebra_file(draw):
+    """ALGEBRA after up to three edits: drop a record, redraw one of its
+    fields, or add a record of a drawn tag and fields."""
+    records = [r.split() for r in ALGEBRA]
+    field = st.sampled_from(FIELDS)
+    for edit in draw(st.lists(st.sampled_from(("drop", "redraw", "add")),
+                              max_size=3)):
+        i = draw(st.integers(0, max(len(records) - 1, 0)))
+        if edit == "add" or not records:
+            records.insert(i, [draw(st.sampled_from(TAGS)),
+                               *draw(st.lists(field, max_size=5))])
+        elif edit == "drop":
+            del records[i]
+        elif len(records[i]) > 1:
+            records[i][draw(st.integers(1, len(records[i]) - 1))] = draw(field)
+    return "\n".join(" ".join(rec) for rec in records)
+
+
+def run_algebra(out, text):
+    """paqft gns on the algebra file `text`; (exit code, output)."""
+    path = Path(out) / "alg.txt"
+    path.write_text(text + "\n")
+    cfg = Path(out) / "gns.cfg"
+    cfg.write_text("algebra_file = %s\n" % path)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        res = CliRunner().invoke(cli.main, [
+            "gns", "--config", str(cfg), "--out", str(out), "--label", "alg"])
+    return res.exit_code, res.output
+
+
+def _algebra_examples(test):
+    for text in ALGEBRA_EXAMPLES:
+        test = example(text)(test)
+    return test
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@_algebra_examples
+@given(algebra_file())
+def test_algebra_files_keep_the_exit_code_contract(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("algebra")
+    code, output = run_algebra(tmp, text)
+    assert code in (0, 2, 3), (text[:200], output)
+    assert code == ALGEBRA_EXAMPLES.get(text, code), (text[:200], output)
+    csv = list(tmp.glob("*.csv"))
+    if code == 2:
+        assert not csv, text[:200]
+    elif code == 0:
+        for cell in csv[0].read_text().replace("\n", ",").split(","):
+            v = _number(cell)
+            assert v is None or cmath.isfinite(v), (text[:200], cell)
 
 
 @pytest.mark.parametrize("name", sorted(CACHE_EXAMPLES))

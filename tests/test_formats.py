@@ -8,8 +8,8 @@ import pytest
 
 from paqft.exact import ExactComplex
 from paqft.dist1d import TestFunction1D, SymbolicDistribution1D
-from paqft.algebra import functions_on_points
-from paqft.formats import (FormatError, parse_config, parse_algebra,
+from paqft.algebra import FiniteStarAlgebra, functions_on_points
+from paqft.formats import (FormatError, MAX_DIM, parse_config, parse_algebra,
                            parse_distribution, fmt_value, functional_rows,
                            write_csv)
 from paqft.functionals import PolyFunctional, smeared_field
@@ -107,6 +107,27 @@ def test_algebra_rejects_bad_records(record):
     text = "dim 2\nc 0 0 0 1\nc 1 1 1 1\ns 0 0 1\ns 1 1 1\n" + record
     with pytest.raises(FormatError, match=re.escape(repr(record))):
         parse_algebra(text)
+
+
+@pytest.mark.parametrize("dim", ["33", "100000", "9" * 5000])
+def test_algebra_dim_above_the_bound_is_rejected_before_allocation(
+        monkeypatch, dim):
+    def allocate(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    monkeypatch.setattr(np, "zeros", allocate)
+    with pytest.raises(FormatError, match=r"in \[1, %d\]" % MAX_DIM):
+        parse_algebra("dim %s\nc 0 0 0 1\ns 0 0 1" % dim)
+
+
+def test_algebra_dim_at_the_bound_parses(monkeypatch):
+    # the axiom checks take over a second at this size; parsing is the point
+    monkeypatch.setattr(FiniteStarAlgebra, "_validate", lambda self: None)
+    n = MAX_DIM
+    text = "dim %d\n" % n + "".join("c %d %d %d 1\ns %d %d 1\nunit %d 1\n"
+                                    % (i, i, i, i, i, i) for i in range(n))
+    alg, _ = parse_algebra(text)
+    assert np.array_equal(alg.c, functions_on_points(n).c)
 
 
 def test_algebra_complex_entries():

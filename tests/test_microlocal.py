@@ -305,31 +305,39 @@ def test_nyquist_guard():
 
 def reference_wf2d(field, centers, n_rays=16, k_base=1.25, n_octaves=3,
                    sigma=0.5, R=2.5, amp_floor=1e-7, rel_floor=1e-4):
-    """Per-centre pairing over the grid points within R, one exponential
-    per (direction, frequency), for each of the n_rays directions on its own,
-    and one polyfit per ray: {(centre, j): (peak, exponent)}.  The grid is
-    first cut to the rows and columns within R of the centre; a point inside
-    the cut lies in both, so the masked points and their order are those of
-    the full grid."""
+    """Per-centre pairing over the grid points within R, for each of the
+    n_rays directions on its own, and a least-squares line per ray:
+    {(centre, j): (peak, exponent)}.  The grid is first cut to the rows and
+    columns within R of the centre; a point inside the cut lies in both, so
+    the masked points are those of the full grid.  The phases e^{i r d.p}
+    of all directions at the lowest frequency come from one exponential per
+    (direction, point); each octave doubles r, so squaring them gives the
+    next rung.  The fits of all rays are one polyfit."""
     rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
+    a = 2 * math.pi * np.arange(n_rays) / n_rays
+    dirs = np.stack([np.cos(a), np.sin(a)], axis=1)
     out = {}
     for (t0, x0) in centers:
         rows, cols = (field.ts - t0) ** 2 < R * R, (field.xs - x0) ** 2 < R * R
         T, X = np.meshgrid(field.ts[rows], field.xs[cols], indexing="ij")
         dist2 = (T - t0) ** 2 + (X - x0) ** 2
         mask = dist2 < R * R
+        if not mask.any():
+            continue
         v = field.values[np.ix_(rows, cols)][mask] \
             * np.exp(-dist2[mask] / (2 * sigma ** 2)) * field.a_t * field.a_x
-        for j in range(n_rays if mask.any() else 0):
-            a = 2 * math.pi * j / n_rays
-            amps = [abs(np.sum(v * np.exp(1j * r * (math.cos(a) * T[mask]
-                                                    + math.sin(a) * X[mask]))))
-                    for r in rs]
-            peak, expo = max(amps), math.inf
-            if peak >= amp_floor and amps[-1] > rel_floor * peak:
-                ys = np.log(np.maximum(amps, max(amp_floor, peak * 1e-14)))
-                expo = -np.polyfit(np.log(rs), ys, 1)[0]
-            out[(t0, x0), j] = (peak, expo)
+        phase = np.exp(1j * rs[0] * (dirs @ np.stack([T[mask], X[mask]])))
+        amps = []
+        for _ in rs:
+            amps.append(np.abs((phase * v).sum(1)))
+            phase = phase * phase
+        amps = np.array(amps)  # (frequency, direction)
+        peak = amps.max(0)
+        ys = np.log(np.maximum(amps, np.maximum(amp_floor, peak * 1e-14)))
+        slope = np.polyfit(np.log(rs), ys, 1)[0]
+        fit = (peak >= amp_floor) & (amps[-1] > rel_floor * peak)
+        for j in range(n_rays):
+            out[(t0, x0), j] = (peak[j], -slope[j] if fit[j] else math.inf)
     return out
 
 

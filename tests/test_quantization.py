@@ -4,22 +4,25 @@ Everything here is exact rational-complex arithmetic, so equalities are
 asserted with == on functionals, not with tolerances.
 """
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from paqft.exact import ExactComplex
 from paqft.series import FormalSeries
 from paqft.functionals import (PolyFunctional, smeared_field, local_power,
                                interaction_vertex, pointwise_product)
+from paqft import quantization as qz
 from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 wick_theorem_demo, BogoliubovMap,
                                 s_matrix, causal_factorization_check,
                                 time_order_op,
                                 causally_later, multilocal_injectivity_check,
-                                NoLambdaGrading, RankDeficient)
+                                NoLambdaGrading, NonLocalInteraction,
+                                RankDeficient)
 
 from conftest import make_functional
 
@@ -246,23 +249,103 @@ def test_antitimeordered_s_matrix_is_star_inverse(xp_small, f, degree,
 COUPLINGS = st.fractions(-3, 3, max_denominator=4).filter(bool)
 
 
+def unrestricted_maps(xp, V):
+    """R_V, R_V^-1 and the interacting product built from the S-matrices
+    of the whole V: the oracle for the library's BogoliubovMap, which
+    restricts V to the past cone of each argument."""
+    tp, sp = QuantProduct(xp, "timeordered_F"), QuantProduct(xp, "star_H")
+    S = s_matrix(xp, V)
+    S_neg = s_matrix(xp, V * (-1))
+    S_bar = s_matrix(xp, V * (-1), "antitimeordered_F")
+
+    def R(F):
+        return sp.product(S_bar, tp.product(S, F))
+
+    def Rinv(F):
+        return tp.product(S_neg, sp.product(S, F))
+
+    return R, Rinv, lambda F, G: Rinv(sp.product(R(F), R(G)))
+
+
+# sites of V lie on rows 1..6; sites 0..3 (row 0) have none of them in
+# their past, and sites 28 and 30 (row 7) together have all of them
+NO_PAST = dict(v={9: 1, 22: -2}, f={1: Fraction(1, 2)}, g={3: 1},
+               degree=4, power=2, th=2, tl=2, fh=2, fl=2)
+ALL_PAST = dict(v={4: 1, 15: Fraction(-1, 2), 27: 2}, f={28: 1, 30: -1},
+                g={29: Fraction(3, 4)}, degree=3, power=1, th=2, tl=2,
+                fh=2, fl=2)
+
+
 @settings(max_examples=12, deadline=None)
-@given(st.dictionaries(st.integers(4, 27), COUPLINGS, min_size=1, max_size=3),
-       st.dictionaries(st.integers(0, 31), COUPLINGS, min_size=1, max_size=2),
-       st.integers(2, 4), st.integers(1, 2), st.integers(1, 3),
-       st.integers(1, 3))
-def test_bogoliubov_map_sees_only_the_past_cone(xp_small, v, f, degree,
-                                                power, th, tl):
-    """R_V(F) == R_V'(F) exactly, where V' keeps only the vertex sites in
-    the closed past cone of supp F."""
+@example(**NO_PAST)
+@example(**ALL_PAST)
+@example(**dict(ALL_PAST, th=1, tl=1, fh=3, fl=3))  # F above V's orders
+@example(**dict(NO_PAST, th=1, tl=2, fh=3, fl=2))
+@given(v=st.dictionaries(st.integers(4, 27), COUPLINGS, min_size=1,
+                         max_size=3),
+       f=st.dictionaries(st.integers(0, 31), COUPLINGS, min_size=1,
+                         max_size=2),
+       g=st.dictionaries(st.integers(0, 31), COUPLINGS, min_size=1,
+                         max_size=2),
+       degree=st.integers(2, 4), power=st.integers(1, 2),
+       th=st.integers(1, 3), tl=st.integers(1, 3),
+       fh=st.integers(1, 3), fl=st.integers(1, 3))
+def test_bogoliubov_map_sees_only_the_past_cone(xp_small, v, f, g, degree,
+                                                power, th, tl, fh, fl):
+    """R, R^-1 and the interacting product, which use only the vertex
+    sites in the closed past cone of their argument, are == the maps built
+    from all of V, whatever the truncation orders of F against V's."""
     lat = xp_small.lat
-    past = {s: c for s, c in v.items()
-            if any(lat.in_past_cone(s, y) for y in f)}
-    F = local_power(lat, f, power, th, tl)
-    R = BogoliubovMap(xp_small, interaction_vertex(lat, v, degree, th, tl)).R
-    R_past = BogoliubovMap(
-        xp_small, interaction_vertex(lat, past, degree, th, tl)).R
-    assert R(F) == R_past(F)
+    V = interaction_vertex(lat, v, degree, th, tl)
+    F = local_power(lat, f, power, fh, fl)
+    G = local_power(lat, g, 1, fh, fl)
+    bog = BogoliubovMap(xp_small, V)
+    R, Rinv, star_interacting = unrestricted_maps(xp_small, V)
+    assert bog.R(F) == R(F)
+    assert bog.Rinv(F) == Rinv(F)
+    assert bog.star_interacting(F, G) == star_interacting(F, G)
+
+
+def test_bogoliubov_map_builds_each_vertex_set_once(xp_small, monkeypatch):
+    """The S-matrices of V are built with the map, those of a part of V on
+    the first argument whose past holds just that part, and none twice."""
+    lat = xp_small.lat
+    early, late = lat.site(2, 0), lat.site(5, 2)
+    V = interaction(lat, [early, late])
+    built = []
+
+    def counted(xp, W, *kind):
+        built.append((tuple(sorted(W.support())), *kind))
+        return s_matrix(xp, W, *kind)
+
+    monkeypatch.setattr(qz, "s_matrix", counted)
+
+    def S_of(*sites):
+        return [(sites,), (sites,), (sites, "antitimeordered_F")]
+
+    bog = BogoliubovMap(xp_small, V)
+    assert built == S_of(early, late)
+    before_both = smeared_field(lat, {lat.site(1, 0): 1})
+    after_early = smeared_field(lat, {lat.site(3, 0): 1})
+    after_both = smeared_field(lat, {lat.site(7, 2): 1})
+    for F in (before_both, after_early, after_both) * 2:
+        bog.Rinv(bog.R(F))
+    bog.star_interacting(after_early, before_both)
+    assert built == S_of(early, late) + S_of() + S_of(early)
+
+
+@pytest.mark.parametrize("key", [(1, 21), (5, 5, 21)])
+def test_a_non_local_interaction_is_rejected(xp_small, key):
+    """A term on two sites: Sbar(-V) is not the star-inverse of S(V), so
+    R^-1 R would not be the identity."""
+    lat = xp_small.lat
+    V = PolyFunctional(lat, {key: FormalSeries.coupling(2, 2)}, 2, 2)
+    star = QuantProduct(xp_small, "star_H")
+    S_bar = s_matrix(xp_small, V * (-1), "antitimeordered_F")
+    assert star.product(s_matrix(xp_small, V), S_bar) \
+        != PolyFunctional.constant(lat, 1, 2, 2)
+    with pytest.raises(NonLocalInteraction, match=re.escape(str(key))):
+        BogoliubovMap(xp_small, V)
 
 
 def test_causal_factorization_exact(xp_small):

@@ -11,8 +11,9 @@ trace module, what a user of paqft runs:
   and its defaults otherwise;
 - the explicit examples of tests/test_cli_contract.py, inputs that the CLI
   must reject (exit 2) or fail (exit 3) among them: the expressions of
-  EXPRESSION_EXAMPLES and the config keys of KEY_EXAMPLES, each expected to
-  give its exit code, and the propagator caches of CACHE_EXAMPLES (exit 2);
+  EXPRESSION_EXAMPLES, the algebra files of ALGEBRA_EXAMPLES and the config
+  keys of KEY_EXAMPLES, each expected to give its exit code, and the
+  propagator caches of CACHE_EXAMPLES (exit 2);
 - one pass of each perfbench part at --size tiny, through the part's own
   setup and items (perfbench/run.py is not called: it writes under
   perfbench/out/).
@@ -129,6 +130,12 @@ def _invoke_cli(out):
         if code != want:
             raise SystemExit("paqft %s %r exited %d, not %d"
                              % (command, expr, code, want))
+    for text, want in contract.ALGEBRA_EXAMPLES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            code, output = contract.run_algebra(tmp, text)
+        if code != want:
+            raise SystemExit("paqft gns on the algebra file %r exited %d, "
+                             "not %d:\n%s" % (text[:60], code, want, output))
     for (command, key, value), want in contract.KEY_EXAMPLES.items():
         with tempfile.TemporaryDirectory() as tmp:
             code, output = contract.run_key_case(tmp, command, key, value)
