@@ -84,8 +84,7 @@ def _random_poly(rng, lat, max_degree, sites):
         deg = rng.randint(1, max_degree)
         key = tuple(sorted(rng.choice(sites) for _ in range(deg)))
         c = ExactComplex(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3)))
-        add = FormalSeries({(0, 0): c})
-        terms[key] = terms[key] + add if key in terms else add
+        terms[key] = terms.get(key, ExactComplex(0)) + c
     return PolyFunctional(lat, terms)
 
 

@@ -27,11 +27,8 @@ class ExactComplex:
     __slots__ = ("re", "im")
 
     def __init__(self, re, im=0):
-        object.__setattr__(self, "re", to_fraction(re))
-        object.__setattr__(self, "im", to_fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactComplex is immutable")
+        self.re = to_fraction(re)
+        self.im = to_fraction(im)
 
     @classmethod
     def lift(cls, x) -> "ExactComplex":
@@ -43,24 +40,14 @@ class ExactComplex:
         o = ExactComplex.lift(other)
         return ExactComplex(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = ExactComplex.lift(other)
         return ExactComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return ExactComplex.lift(other) - self
-
-    def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
 
     def __mul__(self, other):
         o = ExactComplex.lift(other)
         return ExactComplex(self.re * o.re - self.im * o.im,
                             self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = ExactComplex.lift(other)

@@ -1,7 +1,17 @@
 """Polynomial functionals of lattice field configurations.
 
 A PolyFunctional is a sparse multivariate polynomial in the site variables
-phi[s], with FormalSeries coefficients: monomial keys are sorted site tuples.
+phi[s] with coefficients in Q(i)[hbar, lambda], truncated in both orders.
+It is stored in one canonical form, the layout of FLINT's fmpq_poly: grade
+slices {(h, l): {monomial: (re, im)}} of Gaussian-integer numerators over
+one positive int denominator, with monomial keys sorted site tuples, no
+zero pair, no empty slice, no order above the truncation, and no common
+factor of the denominator and all numerators.  Every operation reads and
+writes that form with int arithmetic over an lcm and reduces its result
+once, so == is dict equality.  FormalSeries (series.py) is only the view
+through which coefficients are built and read: the constructor takes
+FormalSeries or number values, and `terms` gives them back.
+
 Constructors bake the volume weight a_t*a_x into every site sum that stands
 for an integral; functional derivatives divide it back out, so contraction
 pairings (Peierls bracket, star products) reduce to plain partial-derivative
@@ -32,33 +42,99 @@ class CutoffTooSmall(FunctionalError):
     """Cutoff function is not identically 1 around a probed site."""
 
 
-class PolyFunctional:
-    """Sparse polynomial functional; immutable by convention."""
+def add_to(acc: dict, key, re: int, im: int) -> None:
+    """acc[key] += (re, im)."""
+    if key in acc:
+        r0, i0 = acc[key]
+        acc[key] = (r0 + re, i0 + im)
+    else:
+        acc[key] = (re, im)
 
-    __slots__ = ("lat", "terms", "trunc_h", "trunc_l")
+
+def remove_one(key: tuple, site: int) -> tuple:
+    i = key.index(site)
+    return key[:i] + key[i + 1:]
+
+
+def partial_bank(bank: dict, y: int) -> dict:
+    """dT/dphi[y] of a bank T = {monomial: (re, im)}; no two keys merge."""
+    out = {}
+    for key, (re, im) in bank.items():
+        m = key.count(y)
+        if m:
+            out[remove_one(key, y)] = (m * re, m * im)
+    return out
+
+
+def _same_lattice(F, G) -> None:
+    if F.lat is not G.lat:
+        raise DimensionMismatch("functionals live on different lattices")
+
+
+class PolyFunctional:
+    """Sparse polynomial functional in the canonical form above; immutable
+    by convention."""
+
+    __slots__ = ("lat", "slices", "den", "trunc_h", "trunc_l", "_terms")
 
     def __init__(self, lat: Lattice1p1, terms,
                  trunc_h: int = DEFAULT_TRUNC_H, trunc_l: int = DEFAULT_TRUNC_L):
-        clean = {}
+        """terms maps site tuples (any order, repeats merge) to FormalSeries
+        or exact numbers (an order-(0, 0) coefficient)."""
+        parts = []
         for key, c in terms.items():
             key = tuple(sorted(key))
             for s in key:
                 if not 0 <= s < lat.n_sites:
                     raise DimensionMismatch(f"site {s} outside lattice")
-            if not isinstance(c, FormalSeries):
-                c = FormalSeries.const(c, trunc_h, trunc_l)
-            else:
-                c = c.truncate(trunc_h, trunc_l)
-            if key in clean:
-                c = clean[key] + c
-            if c:
-                clean[key] = c
-            elif key in clean:
-                del clean[key]
+            series = c.coeff if isinstance(c, FormalSeries) else {(0, 0): c}
+            for hl, v in series.items():
+                v = ExactComplex.lift(v)
+                parts.append((hl, key, v.re, v.im))
+        den = math.lcm(*(x.denominator for *_, re, im in parts
+                         for x in (re, im)))
+        slices: dict[tuple, dict] = {}
+        for hl, key, re, im in parts:
+            add_to(slices.setdefault(hl, {}), key,
+                   re.numerator * (den // re.denominator),
+                   im.numerator * (den // im.denominator))
+        self._set(lat, slices, den, trunc_h, trunc_l)
+
+    @classmethod
+    def from_numerators(cls, lat, slices: dict, den: int, trunc_h: int,
+                        trunc_l: int) -> "PolyFunctional":
+        """The functional of grade slices {(h, l): {sorted monomial:
+        (re, im)}} over den >= 1, brought to the canonical form."""
+        F = cls.__new__(cls)
+        F._set(lat, slices, den, trunc_h, trunc_l)
+        return F
+
+    def _set(self, lat, slices, den, trunc_h, trunc_l) -> None:
+        """Store slices over den in the canonical form: orders above the
+        truncation, zero pairs and empty slices dropped, then one gcd
+        over den and every numerator divided out."""
+        clean = {}
+        g = den
+        for (h, l), bank in slices.items():
+            if h > trunc_h or l > trunc_l:
+                continue
+            bank = {k: v for k, v in bank.items() if v[0] or v[1]}
+            if bank:
+                clean[h, l] = bank
+                for re, im in bank.values():
+                    if g == 1:
+                        break
+                    g = math.gcd(g, re, im)
+        if g != 1:
+            den //= g
+            clean = {hl: {k: (re // g, im // g) for k, (re, im) in bank.items()}
+                     for hl, bank in clean.items()}
         self.lat = lat
-        self.terms = clean
+        self.slices = clean
+        self.den = den
         self.trunc_h = trunc_h
         self.trunc_l = trunc_l
+        self._terms = None
 
     # -- constructors --------------------------------------------------------
 
@@ -70,84 +146,98 @@ class PolyFunctional:
     # -- structure -----------------------------------------------------------
 
     @property
-    def max_degree(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
+    def terms(self) -> dict:
+        """{monomial: FormalSeries}: the coefficients as reduced Fractions,
+        built on first read and kept."""
+        if self._terms is None:
+            view: dict[tuple, dict] = {}
+            for hl, bank in self.slices.items():
+                for key, (re, im) in bank.items():
+                    view.setdefault(key, {})[hl] = ExactComplex(
+                        Fraction(re, self.den), Fraction(im, self.den))
+            self._terms = {key: FormalSeries(c, self.trunc_h, self.trunc_l)
+                           for key, c in view.items()}
+        return self._terms
 
     def support(self) -> set[int]:
-        out: set[int] = set()
-        for k in self.terms:
-            out.update(k)
-        return out
+        return {s for bank in self.slices.values() for k in bank for s in k}
 
     def coefficient(self, key) -> FormalSeries:
         return self.terms.get(tuple(sorted(key)),
-                              FormalSeries.zero(self.trunc_h, self.trunc_l))
+                              FormalSeries({}, self.trunc_h, self.trunc_l))
 
     # -- algebra -------------------------------------------------------------
 
-    def _wrap(self, terms) -> "PolyFunctional":
-        return PolyFunctional(self.lat, terms, self.trunc_h, self.trunc_l)
+    def _combine(self, other, sign: int) -> "PolyFunctional":
+        """self + sign * other over the lcm of the denominators."""
+        _same_lattice(self, other)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {hl: {k: (re * a, im * a) for k, (re, im) in bank.items()}
+               for hl, bank in self.slices.items()}
+        for hl, bank in other.slices.items():
+            acc = out.setdefault(hl, {})
+            for k, (re, im) in bank.items():
+                add_to(acc, k, re * b, im * b)
+        return PolyFunctional.from_numerators(
+            self.lat, out, den, min(self.trunc_h, other.trunc_h),
+            min(self.trunc_l, other.trunc_l))
 
     def __add__(self, other):
-        th = min(self.trunc_h, other.trunc_h)
-        tl = min(self.trunc_l, other.trunc_l)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return PolyFunctional(self.lat, out, th, tl)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] - c if k in out else -c
-        return PolyFunctional(self.lat, out, min(self.trunc_h, other.trunc_h),
-                              min(self.trunc_l, other.trunc_l))
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         """Scalar multiple (number or FormalSeries); use pointwise_product for F*G."""
-        if isinstance(other, FormalSeries):
-            return self._wrap({k: c * other for k, c in self.terms.items()})
-        v = ExactComplex.lift(other)
-        return self._wrap({k: c.scale(v) for k, c in self.terms.items()})
+        return pointwise_product(self, PolyFunctional.constant(
+            self.lat, other, self.trunc_h, self.trunc_l))
 
     def __eq__(self, other):
         if not isinstance(other, PolyFunctional):
             return NotImplemented
-        return (self.terms == other.terms and self.trunc_h == other.trunc_h
+        return (self.den == other.den and self.slices == other.slices
+                and self.trunc_h == other.trunc_h
                 and self.trunc_l == other.trunc_l)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.slices
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, phi) -> FormalSeries:
-        """Exact evaluation; phi is a site-indexed sequence/dict of rationals."""
-        total = FormalSeries.zero(self.trunc_h, self.trunc_l)
-        cache = {}
-        for key, c in self.terms.items():
-            v = ExactComplex(1)
-            for s in key:
-                if s not in cache:
-                    cache[s] = ExactComplex.lift(phi[s])
-                v = v * cache[s]
-            total = total + c.scale(v)
-        return total
+        """Exact evaluation; phi is a site-indexed sequence/dict of rationals.
+        The values are lifted over their lcm d, and a monomial of degree k
+        is scaled by d^(deg - k) to sit over den * d^deg."""
+        vals = {s: ExactComplex.lift(phi[s]) for s in self.support()}
+        d = math.lcm(*(x.denominator for v in vals.values()
+                       for x in (v.re, v.im)))
+        nums = {s: (int(v.re * d), int(v.im * d)) for s, v in vals.items()}
+        deg = max((len(k) for bank in self.slices.values() for k in bank),
+                  default=0)
+        out = {}
+        for hl, bank in self.slices.items():
+            tr = ti = 0
+            for key, (re, im) in bank.items():
+                for s in key:
+                    a, b = nums[s]
+                    re, im = re * a - im * b, re * b + im * a
+                f = d ** (deg - len(key))
+                tr += re * f
+                ti += im * f
+            q = self.den * d ** deg
+            out[hl] = ExactComplex(Fraction(tr, q), Fraction(ti, q))
+        return FormalSeries(out, self.trunc_h, self.trunc_l)
 
     # -- derivatives ---------------------------------------------------------
 
     def partial(self, site: int) -> "PolyFunctional":
         """Plain partial derivative d/dphi[site] (no measure factor)."""
-        out = {}
-        for key, c in self.terms.items():
-            m = key.count(site)
-            if not m:
-                continue
-            i = key.index(site)
-            new = key[:i] + key[i + 1:]
-            add = c.scale(m)
-            out[new] = out[new] + add if new in out else add
-        return self._wrap(out)
+        return PolyFunctional.from_numerators(
+            self.lat, {hl: partial_bank(bank, site)
+                       for hl, bank in self.slices.items()},
+            self.den, self.trunc_h, self.trunc_l)
 
     def func_derivative(self, site: int) -> "PolyFunctional":
         """delta F / delta phi(site): partial derivative over the volume weight."""
@@ -155,7 +245,7 @@ class PolyFunctional:
 
     def __repr__(self):
         return (f"PolyFunctional({len(self.terms)} terms, "
-                f"deg {self.max_degree}, trunc=({self.trunc_h},{self.trunc_l}))")
+                f"trunc=({self.trunc_h},{self.trunc_l}))")
 
 
 def smeared_field(lat: Lattice1p1, f) -> PolyFunctional:
@@ -169,12 +259,8 @@ def local_power(lat: Lattice1p1, f, power: int,
     """Integral of f * phi^power: sum_s f[s] * (a_t a_x) * phi[s]^power,
     f a dict site -> value."""
     w = lat.volume_weight
-    terms = {}
-    for s, v in f.items():
-        v = ExactComplex.lift(v) * w
-        if v:
-            terms[(s,) * power] = v
-    return PolyFunctional(lat, terms, trunc_h, trunc_l)
+    return PolyFunctional(lat, {(s,) * power: ExactComplex.lift(v) * w
+                                for s, v in f.items()}, trunc_h, trunc_l)
 
 
 def interaction_vertex(lat: Lattice1p1, f, power: int,
@@ -182,24 +268,25 @@ def interaction_vertex(lat: Lattice1p1, f, power: int,
                        trunc_l: int = DEFAULT_TRUNC_L) -> PolyFunctional:
     """lambda/power! * integral of f phi^power: the quartic vertex carries one
     formal power of the coupling."""
-    base = local_power(lat, f, power, trunc_h, trunc_l)
-    coeff = FormalSeries.coupling(trunc_h, trunc_l).scale(
-        Fraction(1, math.factorial(power)))
-    return base * coeff
+    return local_power(lat, f, power, trunc_h, trunc_l) * FormalSeries(
+        {(0, 1): Fraction(1, math.factorial(power))}, trunc_h, trunc_l)
 
 
 def pointwise_product(F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
-    if F.lat is not G.lat:
-        raise DimensionMismatch("functionals live on different lattices")
+    _same_lattice(F, G)
     th = min(F.trunc_h, G.trunc_h)
     tl = min(F.trunc_l, G.trunc_l)
-    out = {}
-    for k1, c1 in F.terms.items():
-        for k2, c2 in G.terms.items():
-            key = tuple(sorted(k1 + k2))
-            c = c1 * c2
-            out[key] = out[key] + c if key in out else c
-    return PolyFunctional(F.lat, out, th, tl)
+    out: dict[tuple, dict] = {}
+    for (h1, l1), b1 in F.slices.items():
+        for (h2, l2), b2 in G.slices.items():
+            if h1 + h2 > th or l1 + l2 > tl:
+                continue
+            acc = out.setdefault((h1 + h2, l1 + l2), {})
+            for k1, (a, b) in b1.items():
+                for k2, (c, e) in b2.items():
+                    add_to(acc, tuple(sorted(k1 + k2)) if k1 and k2
+                           else k1 or k2, a * c - b * e, a * e + b * c)
+    return PolyFunctional.from_numerators(F.lat, out, F.den * G.den, th, tl)
 
 
 class GeneralizedLagrangian:

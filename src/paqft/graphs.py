@@ -18,7 +18,6 @@ from fractions import Fraction
 from .functionals import PolyFunctional, pointwise_product
 from .lattice import ExactPropagators
 from .quantization import QuantProduct, contract
-from .series import FormalSeries
 
 
 class GraphError(Exception):
@@ -177,9 +176,6 @@ def tadpole_demo(xp: ExactPropagators, F: PolyFunctional,
 
 def h_slice(F: PolyFunctional, n: int) -> PolyFunctional:
     """Terms of exact hbar-order n, as a functional (hbar stripped)."""
-    out = {}
-    for key, c in F.terms.items():
-        picked = {(0, l): v for (h, l), v in c.coeff.items() if h == n}
-        if picked:
-            out[key] = FormalSeries(picked, F.trunc_h, F.trunc_l)
-    return PolyFunctional(F.lat, out, F.trunc_h, F.trunc_l)
+    return PolyFunctional.from_numerators(
+        F.lat, {(0, l): bank for (h, l), bank in F.slices.items() if h == n},
+        F.den, F.trunc_h, F.trunc_l)

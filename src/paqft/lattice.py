@@ -300,20 +300,41 @@ class ExactPropagators:
             e = table[key] = _KINDS[kind](*self._lift(key))
         return e
 
+    def _rows(self, kind: str, ys, zs) -> dict:
+        """{y: {z: entry}} over the nonzero entries of `kind` at (y, z): the
+        offset of each pair read off precomputed (t * n_x, x) per site."""
+        n_x = self.lat.n_x
+        table = self._tables[kind]
+        cols = [(z, z - z % n_x, z % n_x) for z in zs]
+        out = {}
+        for y in ys:
+            ty, xy = y - y % n_x, y % n_x
+            row = {}
+            for z, tz, xz in cols:
+                e = table.get(ty - tz + (xy - xz) % n_x)
+                if e is None:
+                    e = self._entry(kind, y, z)
+                if e[0] or e[1]:
+                    row[z] = e
+            if row:
+                out[y] = row
+        return out
+
     def numerators(self, kind: str):
-        """Kernel `kind` (a key of _KINDS) as (entry, den), the form the
-        contraction engine takes: entry(i, j) -> (re, im) is the kernel at
-        (i, j) times den, as ints.  Sites at the same offset share one
-        pair."""
+        """Kernel `kind` (a key of _KINDS) as (lat, rows, den), the form the
+        contraction engine takes: rows(ys, zs) -> {y: {z: (re, im)}} holds
+        the nonzero kernel entries at (y, z) times den, as ints.  Sites at
+        the same offset share one pair."""
         if kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}")
-        return functools.partial(self._entry, kind), self._lifted[2]
+        return self.lat, functools.partial(self._rows, kind), self._lifted[2]
 
     def kernel(self, kind: str):
-        """Kernel `kind` as (i, j) -> ExactComplex, a view of numerators."""
-        entry, den = self.numerators(kind)
+        """Kernel `kind` as (i, j) -> ExactComplex, a view of the int
+        entries."""
+        den = self.numerators(kind)[2]
         return lambda i, j: ExactComplex(*(Fraction(v, den)
-                                           for v in entry(i, j)))
+                                           for v in self._entry(kind, i, j)))
 
     def causal_entry(self, i: int, j: int) -> Fraction:
         return Fraction(self._entry("causal", i, j)[0], self._lifted[2])

@@ -18,17 +18,18 @@ star-inverse of S(V) as Sbar(-V), the anti-time-ordered exponential of -V.
 
 All of them are thin callers of `contract`, the single contraction engine.
 It follows the formula: a line contracts, through the kernel, functional
-derivatives of two whole factors (or two of one).  Each factor is split
-once into grade slices, one polynomial per (hbar, lambda) order, held as
-Gaussian-integer numerators over the lcm of its denominators; the kernel
-comes as int pairs over one declared denominator (a power of two per
-lattice, ExactPropagators.numerators), tabulated once per call; between
-lines the state is a list of tensor terms, one polynomial per factor.  The
-kernel denominator and the schedule weights (1/n!, 1/prod l_ij!) fold into
-one final denominator and Fractions are normalised once per output
-coefficient, so the results, ExactComplex coefficients in FormalSeries in
-PolyFunctionals, are exactly those of rational arithmetic, and identities
-(commutation relations, equivalences, factorisation) are checked with ==.
+derivatives of two whole factors (or two of one).  A factor comes in the
+stored form of a PolyFunctional, grade slices of Gaussian-integer
+numerators over one denominator (one polynomial per (hbar, lambda) order),
+and is used as it is; the kernel comes as int pairs over one declared
+denominator (a power of two per lattice, ExactPropagators.numerators),
+its rows filled once per call; between lines the state is a list of
+tensor terms, one polynomial per factor.  The factors' denominators, the
+kernel denominator and the schedule weights (1/n!, 1/prod l_ij!) fold
+into one final denominator, and the result is reduced once, in ints, into
+the same form; no Fraction is built between products.  The results are
+exactly those of rational arithmetic, and identities (commutation
+relations, equivalences, factorisation) are checked with ==.
 
 The checks take no knobs: the Wick demo runs at the default series
 truncation, and the injectivity check draws its rational probes from the
@@ -43,7 +44,9 @@ import random
 from fractions import Fraction
 
 from .exact import ExactComplex
-from .functionals import PolyFunctional, pointwise_product, local_power
+from .functionals import (DimensionMismatch, PolyFunctional, add_to,
+                          local_power, partial_bank, pointwise_product,
+                          remove_one)
 from .lattice import ExactPropagators
 from .series import FormalSeries
 
@@ -67,42 +70,6 @@ class RankDeficient(QuantizationError):
     """Probe family too small to certify the rank; enlarge the probe set."""
 
 
-def _remove_one(key: tuple, site: int) -> tuple:
-    i = key.index(site)
-    return key[:i] + key[i + 1:]
-
-
-def _common_denominator(values) -> int:
-    d = 1
-    for c in values:
-        d = math.lcm(d, c.re.denominator, c.im.denominator)
-    return d
-
-
-def _numerators(c: ExactComplex, d: int) -> tuple[int, int]:
-    """(re, im) of c * d as ints; d must be a multiple of both denominators."""
-    return (c.re.numerator * (d // c.re.denominator),
-            c.im.numerator * (d // c.im.denominator))
-
-
-def _add(acc: dict, key, re: int, im: int) -> None:
-    if key in acc:
-        r0, i0 = acc[key]
-        acc[key] = (r0 + re, i0 + im)
-    else:
-        acc[key] = (re, im)
-
-
-def _partial(bank: dict, y: int) -> dict:
-    """dT/dphi[y] of a bank T = {monomial: (re, im)}; no two keys merge."""
-    out = {}
-    for key, (re, im) in bank.items():
-        m = key.count(y)
-        if m:
-            out[_remove_one(key, y)] = (m * re, m * im)
-    return out
-
-
 def _smeared(bank: dict, row: dict, out: dict) -> dict:
     """out += sum_z K(y, z) dT/dphi[z] for the kernel row {z: K(y, z)};
     returns out."""
@@ -112,8 +79,8 @@ def _smeared(bank: dict, row: dict, out: dict) -> dict:
             if kv is not None:
                 m = key.count(z)
                 kr, ki = kv
-                _add(out, _remove_one(key, z), m * (re * kr - im * ki),
-                     m * (re * ki + im * kr))
+                add_to(out, remove_one(key, z), m * (re * kr - im * ki),
+                       m * (re * ki + im * kr))
     return out
 
 
@@ -128,7 +95,7 @@ def _line(terms: list, i: int, j: int, table: dict) -> list:
         if i == j:
             gamma: dict = {}
             for y in sites:
-                _smeared(_partial(banks[i], y), table[y], gamma)
+                _smeared(partial_bank(banks[i], y), table[y], gamma)
             if gamma:
                 out.append(banks[:i] + (gamma,) + banks[i + 1:])
             continue
@@ -136,7 +103,7 @@ def _line(terms: list, i: int, j: int, table: dict) -> list:
             smeared = _smeared(banks[j], table[y], {})
             if smeared:
                 new = list(banks)
-                new[i], new[j] = _partial(banks[i], y), smeared
+                new[i], new[j] = partial_bank(banks[i], y), smeared
                 out.append(tuple(new))
     return out
 
@@ -156,50 +123,42 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
     factors are the functionals F_0..F_{k-1}, one bank each.  schedules is a
     list of (lines, weight): lines is a tuple of bank pairs (i, j), applied
     in order, each contracting one field of bank i with one field of bank j
-    (a different field of the same bank when i == j).  kernel is a pair
-    (entry, den): entry(y, z) -> (re, im) is the kernel at (y, z) times the
-    positive int den, as ints.  The result is
+    (a different field of the same bank when i == j).  kernel is a triple
+    (lat, rows, den): the lattice every factor must live on, and
+    rows(ys, zs) -> {y: {z: (re, im)}}, the nonzero kernel entries at
+    (y, z) for y in ys and z in zs times the positive int den, as ints.
+    The result is
 
         sum over schedules of weight * hbar^len(lines) * (lines applied to
         F_0 ... F_{k-1}), the remaining fields of all banks multiplied,
 
     truncated at the smallest truncation orders of the factors.
 
-    Each factor is split once into grade slices (h, l) -> {monomial:
-    (re, im)}.  For each tuple of slices, one per bank, whose orders leave
+    The grade slices (h, l) -> {monomial: (re, im)} of each factor are used
+    as stored.  For each tuple of slices, one per bank, whose orders leave
     room under the truncation, the lines act on whole banks (see _line),
     on a state of tensor terms that schedules sharing a prefix share.  The
     banks of each final term are multiplied pointwise and added at
     (sum h + len(lines), sum l).  A schedule of n lines is scaled by
     den^(N - n), N the most lines of any schedule, and den^N joins the
-    final denominator.
+    product of the factors' denominators; the result is reduced once.
     """
     factors = list(factors)
+    lat, rows, dk = kernel
+    for f in factors:
+        if f.lat is not lat:
+            raise DimensionMismatch(
+                "a factor and the kernel live on different lattices")
     th = min(f.trunc_h for f in factors)
     tl = min(f.trunc_l for f in factors)
+    den = math.prod(f.den for f in factors)
+    slices = [list(f.slices.items()) for f in factors]
 
-    den = 1
-    slices = []
-    for f in factors:
-        d = _common_denominator(c for s in f.terms.values()
-                                for c in s.coeff.values())
-        grades: dict[tuple, dict] = {}
-        for key, s in f.terms.items():
-            for hl, c in s.coeff.items():
-                grades.setdefault(hl, {})[key] = _numerators(c, d)
-        slices.append(list(grades.items()))
-        den *= d
-
-    entry, dk = kernel
     supports = [f.support() for f in factors]
     table: dict[int, dict] = {}
     for i, j in {line for lines, _ in schedules for line in lines}:
-        for y in supports[i]:
-            row = table.setdefault(y, {})
-            for z in supports[j]:
-                kv = entry(y, z)
-                if kv[0] or kv[1]:
-                    row[z] = kv
+        for y, row in rows(supports[i], supports[j]).items():
+            table.setdefault(y, {}).update(row)
 
     n_max = max((len(lines) for lines, _ in schedules), default=0)
     q = math.lcm(*(Fraction(w).denominator for _, w in schedules))
@@ -217,6 +176,7 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
         for lines, n, scale in plan:
             if h + n > th or not scale:
                 continue
+            acc = out.setdefault((h + n, l), {})
             for banks in _after(memo, lines, table):
                 prod = list(banks[0].items())
                 for bank in banks[1:]:
@@ -224,16 +184,8 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
                             for k1, (a, b) in prod
                             for k2, (c, e) in bank.items()]
                 for key, (re, im) in prod:
-                    _add(out.setdefault(tuple(sorted(key)), {}), (h + n, l),
-                         re * scale, im * scale)
-
-    terms = {}
-    for key, acc in out.items():
-        coeff = {hl: ExactComplex(Fraction(re, den), Fraction(im, den))
-                 for hl, (re, im) in acc.items() if re or im}
-        if coeff:
-            terms[key] = FormalSeries(coeff, th, tl)
-    return PolyFunctional(factors[0].lat, terms, th, tl)
+                    add_to(acc, tuple(sorted(key)), re * scale, im * scale)
+    return PolyFunctional.from_numerators(lat, out, den, th, tl)
 
 
 def peierls_bracket(F: PolyFunctional, G: PolyFunctional,
@@ -244,14 +196,13 @@ def peierls_bracket(F: PolyFunctional, G: PolyFunctional,
     Delta(y,z) dG/dphi[z], one causal line F -> G.  contract counts the
     line as an hbar order, so the factors enter one order deeper and the
     bracket is read one order down."""
-    th, tl = min(F.trunc_h, G.trunc_h), min(F.trunc_l, G.trunc_l)
-    deeper = [PolyFunctional(f.lat, f.terms, f.trunc_h + 1, f.trunc_l)
+    deeper = [PolyFunctional.from_numerators(f.lat, f.slices, f.den,
+                                             f.trunc_h + 1, f.trunc_l)
               for f in (F, G)]
     out = contract(deeper, xp.numerators("causal"), [(((0, 1),), 1)])
-    return PolyFunctional(F.lat, {
-        key: FormalSeries({(h - 1, l): c for (h, l), c in s.coeff.items()},
-                          th, tl)
-        for key, s in out.terms.items()}, th, tl)
+    return PolyFunctional.from_numerators(
+        F.lat, {(h - 1, l): bank for (h, l), bank in out.slices.items()},
+        out.den, min(F.trunc_h, G.trunc_h), min(F.trunc_l, G.trunc_l))
 
 
 def _exponential(line: tuple[int, int], n_max: int, c=1) -> list:
@@ -343,19 +294,18 @@ def wick_theorem_demo(xp: ExactPropagators, f1, f2) -> dict:
 
     w2 = lat.volume_weight ** 2
     wightman = xp.kernel("star_H")
-    one_terms: dict[tuple, FormalSeries] = {}
-    two_terms: dict[tuple, FormalSeries] = {}
+    one = {}  # order hbar: sites -> coefficient
+    two = ExactComplex(0)  # order hbar^2, the constant
     for s1, v1 in f1.items():
         for s2, v2 in f2.items():
             wp = wightman(s1, s2)
             base = ExactComplex.lift(v1) * ExactComplex.lift(v2) * w2
             key = tuple(sorted((s1, s2)))
-            c1 = FormalSeries({(1, 0): base * wp * 4})
-            one_terms[key] = one_terms.get(key, FormalSeries.zero()) + c1
-            c2 = FormalSeries({(2, 0): base * wp * wp * 2})
-            two_terms[()] = two_terms.get((), FormalSeries.zero()) + c2
-    expected = (pointwise_product(F, G) + PolyFunctional(lat, one_terms)
-                + PolyFunctional(lat, two_terms))
+            one[key] = one.get(key, ExactComplex(0)) + base * wp * 4
+            two = two + base * wp * wp * 2
+    contracted = {key: FormalSeries({(1, 0): c}) for key, c in one.items()}
+    contracted[()] = FormalSeries({(2, 0): two})
+    expected = pointwise_product(F, G) + PolyFunctional(lat, contracted)
 
     rows = [
         {"contractions": 0, "hbar_power": 0, "binding_coefficient": 1,
@@ -463,9 +413,8 @@ def s_matrix(xp: ExactPropagators, V: PolyFunctional,
     """Formal S-matrix sum_n V^{x_K n} / n! in the product of kernel `kind`
     (timeordered_F; antitimeordered_F for Sbar), to the coupling truncation
     of V."""
-    for c in V.terms.values():
-        if any(l == 0 for (_, l) in c.coeff):
-            raise NoLambdaGrading("S-matrix argument must carry the coupling")
+    if any(l == 0 for (_, l) in V.slices):
+        raise NoLambdaGrading("S-matrix argument must carry the coupling")
     product = QuantProduct(xp, kind).product
     out = PolyFunctional.constant(V.lat, 1, V.trunc_h, V.trunc_l)
     term = out

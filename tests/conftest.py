@@ -6,7 +6,6 @@ import pytest
 
 from paqft.dist1d import SymbolicDistribution1D
 from paqft.exact import ExactComplex
-from paqft.series import FormalSeries
 from paqft.lattice import Lattice1p1, ExactPropagators
 from paqft.functionals import PolyFunctional
 
@@ -40,8 +39,7 @@ def make_functional(rng, lat, max_degree=3, n_terms=2, sites=None):
         key = tuple(sorted(rng.choice(pool) for _ in range(deg)))
         c = ExactComplex(Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3)),
                          Fraction(rng.randint(-2, 2), 2))
-        add = FormalSeries({(0, 0): c})
-        terms[key] = terms[key] + add if key in terms else add
+        terms[key] = terms.get(key, ExactComplex(0)) + c
     return PolyFunctional(lat, terms)
 
 

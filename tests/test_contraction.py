@@ -194,6 +194,10 @@ def test_engine_with_non_dyadic_kernel(lat_small, case, th, tl):
     def numerators(y, z):
         return 7 * (y - 2 * z + 1), 3 * (y * z % 5)
 
+    def rows(ys, zs):
+        return {y: {z: numerators(y, z) for z in zs if any(numerators(y, z))}
+                for y in ys}
+
     def kernel(y, z):
         return tuple(Fraction(v, 21) for v in numerators(y, z))
 
@@ -201,7 +205,7 @@ def test_engine_with_non_dyadic_kernel(lat_small, case, th, tl):
     for lines, w in schedules:
         naive(fs, kernel, list(lines), w, th, tl, want)
     got = contract([functional(lat_small, f, th, tl) for f in fs],
-                   (numerators, 21), schedules)
+                   (lat_small, rows, 21), schedules)
     assert plain(got) == nonzero(want)
 
 

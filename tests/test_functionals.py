@@ -21,13 +21,20 @@ from conftest import el_matrix, interior_sites, make_functional
 
 def fd_partial(F, phi, site, h=Fraction(1, 2)):
     """Richardson's (4 D(h) - D(2h)) / 3 of the central difference D of the
-    exact evaluation: exact in degree <= 4, the oracle for partial."""
+    exact evaluation, as {(h, l): coefficient}: exact in degree <= 4, the
+    oracle for partial."""
     def D(h):
         up, dn = list(phi), list(phi)
         up[site] += h
         dn[site] -= h
-        return (F.evaluate(up) - F.evaluate(dn)).scale(1 / (2 * h))
-    return (D(h).scale(4) - D(2 * h)).scale(Fraction(1, 3))
+        a, b = F.evaluate(up), F.evaluate(dn)
+        return {hl: (a.coefficient(*hl) - b.coefficient(*hl)) * (1 / (2 * h))
+                for hl in set(a.coeff) | set(b.coeff)}
+    d1, d2 = D(h), D(2 * h)
+    zero = ExactComplex(0)
+    return FormalSeries({hl: (d1.get(hl, zero) * 4 - d2.get(hl, zero))
+                         * Fraction(1, 3) for hl in set(d1) | set(d2)},
+                        F.trunc_h, F.trunc_l).coeff
 
 
 def test_partial_matches_finite_differences(lat_small):
@@ -37,7 +44,8 @@ def test_partial_matches_finite_differences(lat_small):
         phi = [Fraction(rng.randint(-8, 8), 4)
                for _ in range(lat_small.n_sites)]
         for site in sorted(F.support()):
-            assert F.partial(site).evaluate(phi) == fd_partial(F, phi, site)
+            assert (F.partial(site).evaluate(phi).coeff
+                    == fd_partial(F, phi, site))
 
 
 def test_func_derivative_is_partial_over_volume(lat_small):
@@ -61,7 +69,7 @@ def test_evaluate_exact(lat_small):
     want = FormalSeries({(0, 0): ExactComplex(Fraction(1, 2) * Fraction(2, 3)
                                               * Fraction(-3)),
                          (1, 0): ExactComplex(2)})
-    assert got == want
+    assert got.coeff == want.coeff
 
 
 def test_smeared_field_evaluation(lat_small):
@@ -76,7 +84,7 @@ def test_smeared_field_evaluation(lat_small):
 
 def test_site_bounds_checked(lat_small):
     with pytest.raises(DimensionMismatch):
-        PolyFunctional(lat_small, {(lat_small.n_sites,): FormalSeries.const(1, 2, 2)})
+        PolyFunctional(lat_small, {(lat_small.n_sites,): 1})
 
 
 def test_interaction_vertex_carries_coupling(lat_small):
@@ -175,9 +183,9 @@ def test_peierls_jacobi_identically_zero(xp_small, rand_functional):
 
 def test_subtraction_is_adding_the_negative(lat_small):
     rng = random.Random(33)
-    h, lam = FormalSeries({(1, 0): 1}), FormalSeries.coupling(2, 2)
-    series = (FormalSeries.const(Fraction(2, 3), 2, 2) + h.scale(ExactComplex(
-        Fraction(-1, 5), Fraction(3, 7))) + h * lam.scale(Fraction(5, 9)))
+    series = FormalSeries({(0, 0): Fraction(2, 3),
+                           (1, 0): ExactComplex(Fraction(-1, 5), Fraction(3, 7)),
+                           (1, 1): Fraction(5, 9)})
     for _ in range(20):
         F = make_functional(rng, lat_small, max_degree=3, n_terms=4)
         G = make_functional(rng, lat_small, max_degree=3, n_terms=4) * series

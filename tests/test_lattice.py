@@ -259,9 +259,10 @@ def test_kernels_match_reference_lift(xp_small, xp24):
 def test_entries_are_shared_per_offset(xp_small):
     lat = xp_small.lat
     for kind in ("hadamard", "star_H"):
-        e1 = xp_small.numerators(kind)[0](lat.site(3, 1), lat.site(1, 3))
-        e2 = xp_small.numerators(kind)[0](lat.site(6, 0), lat.site(4, 2))
-        assert e1 is e2
+        rows = xp_small.numerators(kind)[1]
+        y1, z1, y2, z2 = (lat.site(3, 1), lat.site(1, 3), lat.site(6, 0),
+                          lat.site(4, 2))
+        assert rows([y1], [z1])[y1][z1] is rows([y2], [z2])[y2][z2]
 
 
 @pytest.mark.parametrize("x", [

@@ -339,7 +339,7 @@ def test_a_non_local_interaction_is_rejected(xp_small, key):
     """A term on two sites: Sbar(-V) is not the star-inverse of S(V), so
     R^-1 R would not be the identity."""
     lat = xp_small.lat
-    V = PolyFunctional(lat, {key: FormalSeries.coupling(2, 2)}, 2, 2)
+    V = PolyFunctional(lat, {key: FormalSeries({(0, 1): 1})}, 2, 2)
     star = QuantProduct(xp_small, "star_H")
     S_bar = s_matrix(xp_small, V * (-1), "antitimeordered_F")
     assert star.product(s_matrix(xp_small, V), S_bar) \
