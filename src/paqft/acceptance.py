@@ -27,9 +27,9 @@ import numpy as np
 from . import InputError
 from .exact import ExactComplex
 from .series import FormalSeries
-from .lattice import Lattice1p1, ExactPropagators, kg_apply
+from .lattice import Lattice1p1, ExactPropagators
 from .functionals import (PolyFunctional, smeared_field, local_power,
-                          interaction_vertex, pointwise_product)
+                          interaction_vertex, pointwise_product, free_action)
 from . import quantization as qz
 from . import graphs as gr
 from . import dist1d
@@ -201,17 +201,24 @@ def crit_01():
 
 @criterion("Wick expansion of (phi^2 f)(phi^2 g)")
 def crit_02():
-    """Three-term Wick structure with normal-ordered coefficients 4 and 2."""
+    """Three-term Wick structure with normal-ordered coefficients 4 and 2;
+    products of the two factors determine them (RankDeficient otherwise)."""
     lat, xp = _ctx(8, 4)
     f1 = {lat.site(3, 1): Fraction(2, 3), lat.site(4, 2): Fraction(-1, 2)}
     f2 = {lat.site(3, 2): Fraction(1), lat.site(5, 0): Fraction(3, 4)}
-    return (qz.wick_theorem_demo(xp, f1, f2)["match"],
-            "three terms, binding coefficients (1, 4, 2), exact match")
+    inj = qz.multilocal_injectivity_check(
+        [local_power(lat, f1, 2), local_power(lat, f2, 2)], 2)
+    return (qz.wick_theorem_demo(xp, f1, f2)["match"] and inj["injective"],
+            "three terms, binding coefficients (1, 4, 2), exact match; "
+            "degree-2 products of the factors have rank %d of %d on %d "
+            "exact probes" % (inj["rank"], inj["expected"], inj["n_probes"]))
 
 
 @criterion("classical limit and Peierls Jacobi")
 def crit_03():
-    """Classical limit and Peierls Jacobi identity."""
+    """Classical limit, the Peierls bracket against its defining sum
+    sum_{y,z} vol^2 dF/dphi(y) Delta(y, z) dG/dphi(z) built term by term
+    from functional derivatives, and the Jacobi identity."""
     lat, xp = _ctx(24, 24)
     rng = random.Random(103)
     sites = [rng.randrange(lat.n_sites) for _ in range(6)]
@@ -226,13 +233,22 @@ def crit_03():
     F = _random_poly(rng, lat, 3, sites)
     G = _random_poly(rng, lat, 3, sites)
     H = _random_poly(rng, lat, 3, sites)
+    FG = qz.peierls_bracket(F, G, xp)
+    w2 = lat.volume_weight ** 2
+    by_sum = PolyFunctional.constant(lat, 0, FG.trunc_h, FG.trunc_l)
+    for y in F.support():
+        for z in G.support():
+            by_sum = by_sum + pointwise_product(
+                F.func_derivative(y),
+                G.func_derivative(z)) * (w2 * xp.causal_entry(y, z))
     J = (qz.peierls_bracket(F, qz.peierls_bracket(G, H, xp), xp)
          + qz.peierls_bracket(G, qz.peierls_bracket(H, F, xp), xp)
-         + qz.peierls_bracket(H, qz.peierls_bracket(F, G, xp), xp))
+         + qz.peierls_bracket(H, FG, xp))
     jacobi = J.is_zero()
-    return ok_cl and jacobi, (
-        "hbar^0 slice = pointwise exactly; Jacobi sum %s"
-        % ("== 0 exactly" if jacobi else "nonzero"))
+    return ok_cl and FG == by_sum and jacobi, (
+        "hbar^0 slice = pointwise exactly; {F, G} %s the sum of dF Delta dG; "
+        "Jacobi sum %s" % ("==" if FG == by_sum else "!=",
+                           "== 0 exactly" if jacobi else "nonzero"))
 
 
 @criterion("alpha_H equivalence of star products")
@@ -263,22 +279,27 @@ def crit_05():
 
 @criterion("graph expansion of T2/T3 and Sym factors")
 def crit_06():
-    """Graph expansion of T-products and symmetry factor cross-check."""
+    """Graph expansion of T-products, the time-ordering operator
+    T = e^{(hbar/2) Gamma_F}, and symmetry factor cross-check."""
     lat, xp = _ctx(8, 4)
     rng = random.Random(106)
     sites = [rng.randrange(lat.n_sites) for _ in range(4)]
     prod = qz.QuantProduct(xp, "timeordered_F")
+    T = lambda F, sign: qz.exp_gamma(F, prod.kernel, Fraction(sign, 2))
     ok_graphs = True
     for n in (2, 3):
         for _ in range(3):
             fs = [_random_poly(rng, lat, 2, sites) for _ in range(n)]
-            if gr.graph_expand_Tn(fs, xp) != prod.multi(fs):
+            direct = prod.multi(fs)
+            if gr.graph_expand_Tn(fs, xp) != direct or (n == 2 and direct != T(
+                    pointwise_product(T(fs[0], -1), T(fs[1], -1)), 1)):
                 ok_graphs = False
     graphs = [g for n in (2, 3, 4) for g in gr.enumerate_graphs(n, 4)]
     ok_sym = all(gr.symmetry_factor(g) == gr.symmetry_factor_multinomial(g)
                  for g in graphs)
     return ok_graphs and ok_sym, (
-        "graph sum = direct product exactly (hbar<=2); Sym = multinomial on "
+        "graph sum = direct product exactly (hbar<=2), and = "
+        "T(T^-1 F . T^-1 G) for two factors; Sym = multinomial on "
         "%d graphs with <=4 lines" % len(graphs))
 
 
@@ -378,65 +399,93 @@ def crit_10():
 
 @criterion("microlocal estimates and propagation")
 def crit_11():
-    """Wavefront content of model distributions and the lattice propagator."""
+    """Wavefront content of model distributions and the lattice propagator;
+    (x+i0)^-1 can be squared, but not multiplied by (x-i0)^-1."""
     wf_d = ml.wf_estimate_1d(dist1d.SymbolicDistribution1D.delta(0))
     d_dirs = sorted(r.direction[0] for r in wf_d.singular_at(0.0))
     wf_p = ml.wf_estimate_1d(
         dist1d.SymbolicDistribution1D.power_i0(-1.0, +1))
     p_dirs = sorted(r.direction[0] for r in wf_p.singular_at(0.0))
+    wf_m = ml.wf_estimate_1d(
+        dist1d.SymbolicDistribution1D.power_i0(-1.0, -1))
+    squarable = ml.product_compatible(wf_p, wf_p)[0]
+    opposite = ml.product_compatible(wf_p, wf_m)[0]
 
     _, drift = flow_drift((0.0, 0.0), (1.0, 1.0), 0.01, 400)
 
     prop = ml.propagation_check()
-    wfs = (wf_d, wf_p, prop["wf"])
+    wfs = (wf_d, wf_p, wf_m, prop["wf"])
     near = sum(len(wf.near_threshold()) for wf in wfs)
     floor = sum(len(wf.near_floor()) for wf in wfs)
     n_rays = sum(len(wf.rays) for wf in wfs)
     frac = prop["fraction_on_cone"]
-    ok = (d_dirs == [-1.0, 1.0] and p_dirs == [-1.0]
-          and drift < FLOW_DRIFT_TOL and frac >= 0.9)
+    ok = (d_dirs == [-1.0, 1.0] and p_dirs == [-1.0] and squarable
+          and not opposite and drift < FLOW_DRIFT_TOL and frac >= 0.9)
     return ok, (
         "WF(delta) dirs %s, WF((x+i0)^-1) dirs %s (default threshold); "
+        "(x+i0)^-1 times itself %s, times (x-i0)^-1 %s; "
         "%d of %d rays within %g of their threshold, %d within %gx of "
         "the rel_floor test; "
         "sigma drift %.1e per unit time (tol %s); %.1f%% of singular mass "
         "within 15 deg of the lattice cone (need 90%%, margin %+.1f points)"
-        % (d_dirs, p_dirs, near, n_rays, ml.NEAR_BAND, floor, ml.NEAR_FACTOR,
-           drift, tol_text(FLOW_DRIFT_TOL), 100 * frac, 100 * (frac - 0.9)))
+        % (d_dirs, p_dirs, "admissible" if squarable else "REJECTED",
+           "ADMITTED" if opposite else "rejected", near, n_rays,
+           ml.NEAR_BAND, floor, ml.NEAR_FACTOR, drift,
+           tol_text(FLOW_DRIFT_TOL), 100 * frac, 100 * (frac - 0.9)))
 
 
 @criterion("GNS representations and direct-sum mixture")
 def crit_12():
-    """GNS construction for three states and the direct-sum mixture."""
+    """GNS construction for three states, uniqueness of the M2 tracial
+    triple up to a unitary intertwiner (NoIntertwiner otherwise), and the
+    direct-sum mixture."""
     reps, ok = gns_check(gns_states())
     dims = tuple(r["dim"] for r in reps)
     worst = max(max(r["residual_homomorphism"], r["residual_adjoint"])
                 for r in reps)
+    tracial = reps[2]
+    u = np.kron(np.array([[1, 1j], [1j, 1]]) / np.sqrt(2),
+                [[0.6, -0.8], [0.8, 0.6]])  # a fixed unitary
+    inter = alg.gns_uniqueness_check(tracial, dict(
+        tracial, pi=[u @ p @ u.conj().T for p in tracial["pi"]],
+        Omega=u @ tracial["Omega"]))
+    unique = max(inter["residual_unitary"], inter["residual_intertwine"],
+                 inter["residual_vector"])
     ds = alg.direct_sum_state_example()
     ok = (ok and dims == (1, 2, 4)
           and max(abs(w - 0.5) for w in ds["omega_weights"]) < GNS_RESIDUAL_TOL
           and ds["block_residual"] < GNS_RESIDUAL_TOL)
     return ok, ("dims %s (want (1,2,4)), residuals <= %.1e (tol %s), "
-                "cyclic; mixture = equal-weight direct sum, block residual "
-                "%.1e" % (dims, worst, tol_text(GNS_RESIDUAL_TOL),
-                          ds["block_residual"]))
+                "cyclic; tracial triple = its unitary conjugate up to an "
+                "intertwiner, residual %.1e (tol %s); mixture = equal-weight "
+                "direct sum, block residual %.1e"
+                % (dims, worst, tol_text(GNS_RESIDUAL_TOL), unique,
+                   tol_text(alg.INTERTWINER_TOL), ds["block_residual"]))
 
 
 @criterion("retarded propagator support and inverse")
 def crit_13():
     """Support and inverse properties of the retarded propagator, checked
-    on its offset table g[n, dx].  Each column of Delta_R is the table
-    shifted to the column's site, so E Delta_R = id / (a_t a_x) on interior
-    rows is E applied to the table, with Delta_R's zero row at offset -1
-    prepended, at offsets 0 .. n_t - 2; every table entry enters."""
+    on its offset table g[n, dx].  E is read off the exact free action:
+    its Hessian row at an interior site is a_t a_x E there, the same on
+    every lattice of these spacings, mass and width, so it is read on the
+    shortest one.  Each column of Delta_R is the table shifted to the
+    column's site, so a_t a_x E Delta_R = id on interior rows is that row
+    applied to the table, with Delta_R's zero row at offset -1 prepended,
+    at offsets 0 .. n_t - 2; every table entry enters."""
     lat, xp = _ctx(24, 24)
     g = xp.ps.ret_table()
     dx = np.arange(lat.n_x)
     dist = np.minimum(dx, lat.n_x - dx)
     cone_ok = not np.any(g[dist[None, :] > np.arange(lat.n_t)[:, None]])
 
+    strip = Lattice1p1(4, lat.n_x, lat.a_t, lat.a_x, lat.mass)
     padded = np.vstack([np.zeros(lat.n_x), g])
-    resid = -float(lat.volume_weight) * kg_apply(lat, padded)[1:-1]
+    resid = np.zeros((lat.n_t - 1, lat.n_x))
+    for (r,), c in free_action(strip).partial(strip.site(1, 0)).terms.items():
+        t, x = strip.coords(r)  # the neighbour (t, x) of the site (1, 0)
+        resid += (float(c.coefficient(0, 0).re)
+                  * np.roll(padded, -x, axis=1)[t:t + lat.n_t - 1])
     resid[0, 0] -= 1.0
     worst = float(np.max(np.abs(resid)))
     cone = ("zero outside the lattice cone exactly" if cone_ok

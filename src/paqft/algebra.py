@@ -19,7 +19,7 @@ import cmath
 
 import numpy as np
 
-from . import InputError
+from . import CheckFailed, InputError
 
 STAR_TOL = 1e-12  # algebra axioms, entrywise
 STATE_TOL = 1e-10  # omega(1) = 1, and Gram eigenvalues >= -STATE_TOL * max
@@ -36,7 +36,7 @@ class StateNotPositive(AlgebraError):
     pass
 
 
-class NoIntertwiner(AlgebraError):
+class NoIntertwiner(AlgebraError, CheckFailed):
     pass
 
 
@@ -219,8 +219,7 @@ def gns_construct(alg: FiniteStarAlgebra, state: AlgebraState) -> dict:
     }
 
 
-def gns_uniqueness_check(alg: FiniteStarAlgebra, state: AlgebraState,
-                         rep1: dict, rep2: dict) -> dict:
+def gns_uniqueness_check(rep1: dict, rep2: dict) -> dict:
     """Unitary intertwiner between two GNS triples of the same state.
 
     U is defined on the dense subspace by U (pi1(a) Omega1) = pi2(a) Omega2;

@@ -519,11 +519,6 @@ def _finite_part(n: int, f: TestFunction1D):
     return out, err
 
 
-def principal_value(f: TestFunction1D) -> complex:
-    """PV int f(x)/x dx."""
-    return _finite_part(1, f)[0]
-
-
 def _pair_halfline_plus(a, p: int, f: TestFunction1D):
     """(<x_+^a log^p x, f>, error estimate) by analytic continuation:
     subtract the Taylor polynomial to order N-1 on (0, 1), N minimal with

@@ -57,9 +57,6 @@ class ExactComplex:
         return ExactComplex((self.re * o.re + self.im * o.im) / n,
                             (self.im * o.re - self.re * o.im) / n)
 
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
     def __eq__(self, other):
         try:
             o = ExactComplex.lift(other)

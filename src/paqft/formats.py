@@ -7,8 +7,9 @@ with '#' are ignored everywhere.
 Config files
 ------------
     key = value
-Values are parsed as bool ("true"/"false"), int, Fraction ("3/4"),
-float, or kept as strings; comma-separated values become lists.
+Values are parsed as bool ("true", "yes", "on" or "false", "no", "off",
+in any case), int, Fraction ("3/4"), float, or kept as strings;
+comma-separated values become lists.
 
 Algebra files
 -------------

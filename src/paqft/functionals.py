@@ -15,7 +15,9 @@ FormalSeries or number values, and `terms` gives them back.
 Constructors bake the volume weight a_t*a_x into every site sum that stands
 for an integral; functional derivatives divide it back out, so contraction
 pairings (Peierls bracket, star products) reduce to plain partial-derivative
-sums against the kernels with all measure factors cancelled exactly.
+sums against the kernels with all measure factors cancelled exactly.  The
+free action of the lattice is such a functional, whose Hessian is the wave
+operator of the Green functions; the interaction is interaction_vertex.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import ExactComplex, to_fraction
-from .lattice import Lattice1p1, kg_apply, leapfrog
+from .lattice import Lattice1p1
 from .series import DEFAULT_TRUNC_H, DEFAULT_TRUNC_L, FormalSeries
 
 
@@ -36,10 +36,6 @@ class FunctionalError(Exception):
 
 class DimensionMismatch(FunctionalError):
     pass
-
-
-class CutoffTooSmall(FunctionalError):
-    """Cutoff function is not identically 1 around a probed site."""
 
 
 def add_to(acc: dict, key, re: int, im: int) -> None:
@@ -289,81 +285,35 @@ def pointwise_product(F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
     return PolyFunctional.from_numerators(F.lat, out, F.den * G.den, th, tl)
 
 
-class GeneralizedLagrangian:
-    """Cutoff action for the scalar field with a quartic term of coupling
-    lam (0 for the free field).
+def free_action(lat: Lattice1p1) -> PolyFunctional:
+    """The free action of the lattice, exactly:
 
-    Density (forward differences, periodic space):
-        1/2 (d_t phi)^2 - 1/2 (d_x phi)^2 - 1/2 m^2 phi^2 - lam/4! phi^4
-    summed against the cutoff with weight a_t*a_x.  Its second derivative at
-    phi = 0 on interior sites is exactly the linearized operator E used by
-    the Green functions.
-    """
+        sum over sites of a_t a_x (1/2 (d_t phi)^2 - 1/2 (d_x phi)^2
+                                   - 1/2 m^2 phi^2)
 
-    def __init__(self, lat: Lattice1p1, cutoff, lam):
-        self.lat = lat
-        self.cutoff = [to_fraction(v) for v in cutoff]
-        if len(self.cutoff) != lat.n_sites:
-            raise DimensionMismatch("cutoff length != number of sites")
-        self.lam = to_fraction(lam)
+    with forward differences, periodic in space and open in time.  Its
+    second derivative at an interior site is a_t a_x times the row of the
+    linearized operator E = -(box + m^2) that builds the Green functions."""
+    w = lat.volume_weight
+    kt = w / (2 * lat.a_t ** 2)  # the weight of each (phi(t+1) - phi(t))^2
+    kx = w / (2 * lat.a_x ** 2)  # and of each (phi(x+1) - phi(x))^2
+    m2 = to_fraction(lat.mass) ** 2
+    terms: dict[tuple, Fraction] = {}
 
-    def action(self) -> PolyFunctional:
-        lat = self.lat
-        w = lat.volume_weight
-        m2 = to_fraction(lat.mass) ** 2
-        at2 = lat.a_t ** 2
-        ax2 = lat.a_x ** 2
-        terms: dict[tuple, Fraction] = {}
+    def add(key, val):
+        key = tuple(sorted(key))
+        terms[key] = terms.get(key, Fraction(0)) + val
 
-        def add(key, val):
-            key = tuple(sorted(key))
-            terms[key] = terms.get(key, Fraction(0)) + val
-
-        for t in range(lat.n_t):
-            for x in range(lat.n_x):
-                s = lat.site(t, x)
-                fw = self.cutoff[s] * w
-                if not fw:
-                    continue
-                if t + 1 < lat.n_t:
-                    sp = lat.site(t + 1, x)
-                    half = fw / (2 * at2)
-                    add((sp, sp), half)
-                    add((sp, s), -2 * half)
-                    add((s, s), half)
-                sx = lat.site(t, x + 1)
-                halfx = fw / (2 * ax2)
-                add((sx, sx), -halfx)
-                add((sx, s), 2 * halfx)
-                add((s, s), -halfx)
-                add((s, s), -fw * m2 / 2)
-                if self.lam:
-                    add((s, s, s, s), -fw * self.lam / 24)
-        return PolyFunctional(lat, terms)
-
-    def euler_lagrange(self, phi, probe) -> np.ndarray:
-        """S'(phi) as a site vector: -((box + m^2) phi + lam/3! phi^3) where
-        the cutoff is identically 1; raises CutoffTooSmall if a site of
-        `probe` has a stencil neighborhood that leaves the flat region."""
-        lat = self.lat
-        for s in probe:
-            t, x = lat.coords(s)
-            if not lat.is_interior_time(t):
-                raise CutoffTooSmall(f"site {s} touches the time boundary")
-            for nb in (s, lat.site(t + 1, x), lat.site(t - 1, x),
-                       lat.site(t, x + 1), lat.site(t, x - 1)):
-                if self.cutoff[nb] != 1:
-                    raise CutoffTooSmall(
-                        f"cutoff not 1 on the stencil around site {s}")
-        arr = np.asarray(phi, dtype=float).reshape(lat.n_t, lat.n_x)
-        out = -(kg_apply(lat, arr)
-                + float(self.lam) / 6.0 * arr ** 3)
-        out[0, :] = 0.0
-        out[-1, :] = 0.0
-        return out.reshape(-1)
-
-    def solve_leapfrog(self, phi0, phi1) -> np.ndarray:
-        """March the (nonlinear) field equation from two initial time rows;
-        the result satisfies euler_lagrange == 0 on interior sites exactly
-        up to rounding."""
-        return leapfrog(self.lat, phi0, phi1, float(self.lam))
+    for t in range(lat.n_t):
+        for x in range(lat.n_x):
+            s = lat.site(t, x)
+            if t + 1 < lat.n_t:
+                sp = lat.site(t + 1, x)
+                add((sp, sp), kt)
+                add((sp, s), -2 * kt)
+                add((s, s), kt)
+            sx = lat.site(t, x + 1)
+            add((sx, sx), -kx)
+            add((sx, s), 2 * kx)
+            add((s, s), -kx - w * m2 / 2)
+    return PolyFunctional(lat, terms)

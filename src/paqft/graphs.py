@@ -109,22 +109,6 @@ def symmetry_factor_multinomial(g: Multigraph) -> int:
     return math.factorial(len(labels)) // len(seen)
 
 
-def eg_subgraphs(g: Multigraph) -> list[tuple[tuple, Multigraph]]:
-    """Induced sub-multigraphs for every vertex subset, vertices relabelled
-    1..k in increasing order.  2^n entries including the empty subset."""
-    verts = range(1, g.n_vertices + 1)
-    out = []
-    for r in range(g.n_vertices + 1):
-        for subset in itertools.combinations(verts, r):
-            relabel = {v: i + 1 for i, v in enumerate(subset)}
-            lines = {}
-            for (i, j), m in g.lines.items():
-                if i in relabel and j in relabel:
-                    lines[(relabel[i], relabel[j])] = m
-            out.append((subset, Multigraph(r, lines)))
-    return out
-
-
 def divergence_degree(g: Multigraph, dim: int) -> int:
     """Power-counting degree |E|(d-2) - (|V|-1)d for a connected graph in
     d spacetime dimensions."""

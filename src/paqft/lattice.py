@@ -90,9 +90,6 @@ class Lattice1p1:
     def coords(self, i: int) -> tuple[int, int]:
         return divmod(i, self.n_x)
 
-    def is_interior_time(self, t: int) -> bool:
-        return 1 <= t <= self.n_t - 2
-
     def per_dist(self, x1: int, x2: int) -> int:
         d = abs(x1 - x2) % self.n_x
         return min(d, self.n_x - d)
@@ -108,22 +105,9 @@ class Lattice1p1:
                 f"a_t={self.a_t}, a_x={self.a_x}, m={self.mass})")
 
 
-def kg_apply(lat: Lattice1p1, phi: np.ndarray) -> np.ndarray:
-    """Apply the box + m^2 stencil to a (n_t, n_x) field; boundary rows zero."""
-    at2 = float(lat.a_t) ** 2
-    ax2 = float(lat.a_x) ** 2
-    out = np.zeros_like(phi, dtype=float)
-    dtt = phi[2:, :] - 2.0 * phi[1:-1, :] + phi[:-2, :]
-    dxx = (np.roll(phi, -1, axis=1) - 2.0 * phi
-           + np.roll(phi, 1, axis=1))[1:-1, :]
-    out[1:-1, :] = dtt / at2 - dxx / ax2 + lat.mass ** 2 * phi[1:-1, :]
-    return out
-
-
-def leapfrog(lat: Lattice1p1, phi0, phi1, lam: float) -> np.ndarray:
-    """March (box + m^2) phi + lam/3! phi^3 = 0 from the time rows phi0 and
-    phi1 over the whole (n_t, n_x) grid.  The cubic term enters only when
-    lam != 0, so a linear march is free of it down to the sign of zeros."""
+def leapfrog(lat: Lattice1p1, phi0, phi1) -> np.ndarray:
+    """March (box + m^2) phi = 0 from the time rows phi0 and phi1 over the
+    whole (n_t, n_x) grid."""
     at = float(lat.a_t)
     ax = float(lat.a_x)
     c2 = at * at / (ax * ax)
@@ -134,8 +118,6 @@ def leapfrog(lat: Lattice1p1, phi0, phi1, lam: float) -> np.ndarray:
     for n in range(1, lat.n_t - 1):
         dxx = np.roll(phi[n], -1) - 2.0 * phi[n] + np.roll(phi[n], 1)
         phi[n + 1] = 2.0 * phi[n] - phi[n - 1] + c2 * dxx - m2at2 * phi[n]
-        if lam:
-            phi[n + 1] -= at * at * lam / 6.0 * phi[n] ** 3
     return phi
 
 
@@ -161,7 +143,7 @@ class PropagatorSet:
             lat = self.lat
             kick = np.zeros(lat.n_x)  # from the source row of E g = delta
             kick[0] = -float(lat.a_t) / float(lat.a_x)
-            self._ret_table = leapfrog(lat, 0.0, kick, 0.0)
+            self._ret_table = leapfrog(lat, 0.0, kick)
         return self._ret_table
 
     def mode_data(self):

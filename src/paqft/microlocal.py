@@ -4,9 +4,8 @@ The estimator localizes with a smooth plateau window around a candidate
 point, takes the pairing against e^{+ikx} along a dyadic frequency ladder in
 each direction, and fits the power-law decay of the amplitude.  Directions
 whose decay exponent stays below the threshold are flagged singular.  On top
-of that sit the Whitney-sum compatibility test for products, the microcausal
-covector condition, and the Hamiltonian flow transporting covectors along
-bicharacteristics.
+of that sit the Whitney-sum compatibility test for products and the
+Hamiltonian flow transporting covectors along bicharacteristics.
 
 Ladders, windows, thresholds, noise floors, the near-decision bands that
 the reports count, the AC11 grid, the flow's iteration cap and the
@@ -305,7 +304,7 @@ def wf_estimate_2d(field: SampledField2D, centers,
 
 
 # ---------------------------------------------------------------------------
-# compatibility and causality of covector sets
+# compatibility of covector sets
 
 
 def whitney_sum_witnesses(wf1: WFEstimate, wf2: WFEstimate):
@@ -322,23 +321,6 @@ def product_compatible(wf1: WFEstimate, wf2: WFEstimate):
     when no opposite singular covectors sit over the same point."""
     wit = whitney_sum_witnesses(wf1, wf2)
     return len(wit) == 0, wit
-
-
-def in_future_cone(k) -> bool:
-    """Closed forward covector cone for signature (+,-): k_t >= |k_x|."""
-    return k[0] >= abs(k[1])
-
-
-def in_past_cone(k) -> bool:
-    return -k[0] >= abs(k[1])
-
-
-def microcausal_check(covectors) -> bool:
-    """True when the tuple avoids both the all-future and the all-past
-    configuration (the admissibility cone condition for vertex covectors)."""
-    ks = list(covectors)
-    return (bool(ks) and not all(in_future_cone(k) for k in ks)
-            and not all(in_past_cone(k) for k in ks))
 
 
 # ---------------------------------------------------------------------------

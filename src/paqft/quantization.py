@@ -9,9 +9,10 @@ the positive-frequency kernel for the Wick-ordered star product, i*DiracD and
 Feynman for the two time-ordered products, anti-Feynman for the
 anti-time-ordered one.  The Wick transform alpha_H and the time-ordering
 operator are the same formula with both ends of each line in one functional
-(e^{(hbar/2) Gamma_K}), the Peierls bracket is one line of the causal
-kernel Delta between two functionals, and the graph expansion of graphs.py
-is the same formula with n functionals and lines between any two of them.
+(exp_gamma, e^{(hbar/2) Gamma_K}), the Peierls bracket is one line of the
+causal kernel Delta between two functionals, and the graph expansion of
+graphs.py is the same formula with n functionals and lines between any two
+of them.
 The formal S-matrix is the exponential of the vertex in a time-ordered
 product, and the Bogoliubov map R F = Sbar(-V) * (S(V) x_T F) takes the
 star-inverse of S(V) as Sbar(-V), the anti-time-ordered exponential of -V.
@@ -43,6 +44,7 @@ import math
 import random
 from fractions import Fraction
 
+from . import CheckFailed
 from .exact import ExactComplex
 from .functionals import (DimensionMismatch, PolyFunctional, add_to,
                           local_power, partial_bank, pointwise_product,
@@ -66,7 +68,7 @@ class NonLocalInteraction(QuantizationError):
     """Interaction term off one site: Sbar(-V) is no star-inverse of S(V)."""
 
 
-class RankDeficient(QuantizationError):
+class RankDeficient(QuantizationError, CheckFailed):
     """Probe family too small to certify the rank; enlarge the probe set."""
 
 
@@ -260,16 +262,6 @@ def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int) -> PolyFunctiona
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
     return exp_gamma(F, xp.numerators("hadamard"), Fraction(sign, 2))
-
-
-def time_order_op(xp: ExactPropagators, F: PolyFunctional, sign: int,
-                  kind: str) -> PolyFunctional:
-    """The time-ordering operator e^{sign (hbar/2) Gamma_K} for K the
-    time-ordered kernel; conjugating the pointwise product by it gives the
-    corresponding time-ordered product."""
-    if kind not in ("timeordered_D", "timeordered_F"):
-        raise ValueError("kind must be a time-ordered kernel")
-    return exp_gamma(F, xp.numerators(kind), Fraction(sign, 2))
 
 
 def star_H_equivalence_check(xp: ExactPropagators, F: PolyFunctional,

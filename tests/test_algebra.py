@@ -126,7 +126,7 @@ def test_gns_uniqueness_intertwiner():
     V = np.kron(u, [[0.6, -0.8], [0.8, 0.6]])
     rep2 = dict(rep1, pi=[V @ p @ V.conj().T for p in rep1["pi"]],
                 Omega=V @ rep1["Omega"])
-    rep = gns_uniqueness_check(alg, st, rep1, rep2)
+    rep = gns_uniqueness_check(rep1, rep2)
     assert np.max(np.abs(rep["U"] - V)) < 1e-12
     assert rep["residual_unitary"] < 1e-8
     assert rep["residual_intertwine"] < 1e-8
@@ -137,8 +137,7 @@ def test_no_intertwiner_between_different_dimensions():
     pure = gns_construct(alg, AlgebraState(alg, [1.0, 0.0]))
     mixed = gns_construct(alg, AlgebraState(alg, [0.5, 0.5]))
     with pytest.raises(NoIntertwiner):
-        gns_uniqueness_check(alg, AlgebraState(alg, [0.5, 0.5]),
-                             pure, mixed)
+        gns_uniqueness_check(pure, mixed)
 
 
 def test_direct_sum_decomposition():

@@ -2,10 +2,11 @@
 
 A module-level function or class, or a non-dunder method, in
 src/paqft/*.py must be referenced from src/ or from a non-test file of
-perfbench/.  Code that only its own unit tests reach is deleted, unless it
-implements a step of the chain in PAPER.md or a README promise; those names
-(a kept class keeps its methods) sit in KEEP with the reason.  CLI commands
-are reached through their decorator and are exempt.
+perfbench/.  Code that only its own unit tests reach is deleted, or put on
+a user path: each step of the chain in PAPER.md is run by the acceptance
+criterion that checks it.  KEEP is empty; a name in it (a kept class keeps
+its methods) would be exempt, with the reason.  CLI commands are reached
+through their decorator and are exempt.
 
 References are read from the syntax tree: a name, an attribute or an import.
 A method counts as used when some attribute of that name is read; a
@@ -38,28 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DUNDER = re.compile(r"^__\w+__$")
 
-KEEP = {
-    "graphs.eg_subgraphs":
-        "step 5: subgraph enumeration for recursive renormalization",
-    "microlocal.microcausal_check":
-        "step 7: the microcausality configuration check",
-    "microlocal.product_compatible":
-        "step 7: the wavefront criterion for multiplying distributions",
-    "dist1d.principal_value":
-        "step 6: the principal value, the simplest extension across 0",
-    "algebra.gns_uniqueness_check":
-        "step 8: GNS uniqueness via an explicit intertwiner",
-    "quantization.multilocal_injectivity_check":
-        "step 2: products of local functionals determine their factors",
-    "functionals.GeneralizedLagrangian":
-        "step 1: the cutoff action whose linearization is the wave operator",
-    "functionals.PolyFunctional.func_derivative":
-        "step 2: functional derivatives",
-    "quantization.time_order_op":
-        "step 3: the time-ordering operator",
-    "exact.ExactComplex.conjugate":
-        "the involution of Q(i), which an exact GNS construction needs",
-}
+KEEP = {}
 
 
 KNOBS = {

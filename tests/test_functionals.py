@@ -10,9 +10,9 @@ import pytest
 from paqft.exact import ExactComplex
 from paqft.series import FormalSeries
 from paqft.functionals import (PolyFunctional, DimensionMismatch,
-                               CutoffTooSmall,
                                smeared_field, local_power, interaction_vertex,
-                               pointwise_product, GeneralizedLagrangian)
+                               pointwise_product, free_action)
+from paqft.lattice import Lattice1p1, leapfrog
 from paqft.quantization import peierls_bracket
 from conftest import el_matrix, interior_sites, make_functional
 
@@ -98,52 +98,40 @@ def test_interaction_vertex_carries_coupling(lat_small):
 # --------------------------------------------------------- field equations
 
 def test_leapfrog_solution_satisfies_field_equation():
-    from paqft.lattice import Lattice1p1
+    """The leapfrog march from two random time rows solves E phi = 0 on
+    the interior rows, E the dense oracle."""
     lat = Lattice1p1(12, 8, Fraction(1, 2), Fraction(1))
-    lag = GeneralizedLagrangian(lat, np.ones(lat.n_sites), lam=Fraction(1, 3))
     rng = np.random.default_rng(4)
     phi0 = rng.normal(size=lat.n_x) * 0.3
     phi1 = phi0 + 0.05 * rng.normal(size=lat.n_x)
-    phi = lag.solve_leapfrog(phi0, phi1)
+    phi = leapfrog(lat, phi0, phi1).reshape(-1)
     rows = interior_sites(lat)
-    el = lag.euler_lagrange(phi.reshape(-1), rows)
-    assert np.max(np.abs(el[rows])) < 1e-12
+    assert np.max(np.abs((el_matrix(lat) @ phi)[rows])) < 1e-12
 
 
 def test_constant_field_euler_lagrange(lat_small):
-    lam = Fraction(3, 2)
-    lag = GeneralizedLagrangian(lat_small, np.ones(lat_small.n_sites), lam=lam)
-    c = 0.7
-    rows = interior_sites(lat_small)
-    el = lag.euler_lagrange(np.full(lat_small.n_sites, c), rows)
-    want = -(lat_small.mass ** 2 * c + float(lam) / 6.0 * c ** 3)
-    for s in rows:
-        assert el[s] == pytest.approx(want, rel=1e-12)
-
-
-def test_cutoff_too_small(lat_small):
-    cut = np.ones(lat_small.n_sites)
-    cut[lat_small.site(3, 2)] = 0.0
-    lag = GeneralizedLagrangian(lat_small, cut, lam=Fraction(0))
-    with pytest.raises(CutoffTooSmall):
-        lag.euler_lagrange(np.zeros(lat_small.n_sites),
-                           probe=[lat_small.site(3, 2)])
-    with pytest.raises(CutoffTooSmall):
-        lag.euler_lagrange(np.zeros(lat_small.n_sites),
-                           probe=[lat_small.site(0, 1)])
+    """At a constant field c the action's derivative at an interior site
+    is -m^2 c a_t a_x, exactly: the field equation of the free action."""
+    S = free_action(lat_small)
+    c = Fraction(7, 10)
+    phi = [c] * lat_small.n_sites
+    want = ExactComplex(-Fraction(lat_small.mass) ** 2 * c
+                        * lat_small.volume_weight)
+    for s in interior_sites(lat_small):
+        assert S.partial(s).evaluate(phi).coefficient(0, 0) == want
 
 
 def test_action_second_derivative_is_linearized_operator(lat_small):
-    """d^2 S / dphi_s dphi_r at zero reproduces the weighted E stencil."""
-    lag = GeneralizedLagrangian(lat_small, np.ones(lat_small.n_sites),
-                                lam=Fraction(0))
-    S = lag.action()
+    """d^2 S / dphi_s dphi_r at zero reproduces the weighted E stencil on
+    every interior row."""
+    S = free_action(lat_small)
     E = el_matrix(lat_small)
     w = lat_small.volume_weight
-    s = lat_small.site(3, 1)
-    for r in range(lat_small.n_sites):
-        second = S.partial(s).partial(r).coefficient(()).coefficient(0, 0)
-        assert second == ExactComplex(Fraction(E[s, r]) * w)
+    for s in interior_sites(lat_small):
+        row = S.partial(s)
+        for r in range(lat_small.n_sites):
+            second = row.partial(r).coefficient(()).coefficient(0, 0)
+            assert second == ExactComplex(Fraction(E[s, r]) * w)
 
 
 # ----------------------------------------------------------------- bracket

@@ -8,7 +8,7 @@ import pytest
 from paqft.functionals import local_power
 from paqft.graphs import (Multigraph, GraphError, SelfLineForbidden,
                           enumerate_graphs, symmetry_factor,
-                          symmetry_factor_multinomial, eg_subgraphs,
+                          symmetry_factor_multinomial,
                           divergence_degree, graph_expand_Tn, tadpole_demo)
 from paqft.quantization import QuantProduct
 
@@ -68,26 +68,6 @@ def test_symmetry_factors_known_graphs():
 def test_symmetry_factor_matches_multinomial_count():
     for g in enumerate_graphs(4, 4):
         assert symmetry_factor(g) == symmetry_factor_multinomial(g)
-
-
-def test_eg_subgraphs_cover_all_subsets():
-    subs = eg_subgraphs(TRIANGLE)
-    assert len(subs) == 8
-    assert subs[0][0] == () and key(subs[0][1]) == key(Multigraph(0, {}))
-    table = {subset: key(g) for subset, g in subs}
-    # two-vertex subsets inherit the single connecting line, relabelled
-    assert table[(1, 2)] == key(EDGE)
-    assert table[(2, 3)] == key(EDGE)
-    assert table[(1, 3)] == key(EDGE)
-    assert table[(1, 2, 3)] == key(TRIANGLE)
-    assert table[(2,)] == key(Multigraph(1, {}))
-
-
-def test_eg_subgraphs_relabel_multiplicities():
-    g = Multigraph(3, {(1, 3): 2})
-    table = {subset: key(h) for subset, h in eg_subgraphs(g)}
-    assert table[(1, 3)] == key(FISH)
-    assert table[(1, 2)] == key(Multigraph(2, {}))
 
 
 def test_divergence_degrees():

@@ -13,10 +13,10 @@ from paqft import acceptance
 from paqft.exact import ExactComplex
 from paqft.functionals import smeared_field
 from paqft.lattice import (ExactPropagators, Lattice1p1, PropagatorSet,
-                           dyadic, kg_apply, UnstableStep, ZeroModeSingular)
+                           dyadic, UnstableStep, ZeroModeSingular)
 from paqft.quantization import QuantProduct
 
-from conftest import el_matrix, interior_sites, kg_matrix, retarded_matrix
+from conftest import el_matrix, interior_sites, retarded_matrix
 
 
 def _pairs(lat):
@@ -41,7 +41,7 @@ def test_zero_mode_needs_mass():
 
 def reference_ret_table(lat):
     """The retarded table by a recursion of its own, apart from the
-    library's shared leapfrog march, in the same float operation order."""
+    library's leapfrog march, in the same float operation order."""
     at = float(lat.a_t)
     ax = float(lat.a_x)
     c2 = at * at / (ax * ax)
@@ -341,13 +341,3 @@ def test_causal_column_agrees_with_entries(xp_small):
     for i in range(lat.n_sites):
         t, x = lat.coords(i)
         assert col[t, x] == pytest.approx(float(xp_small.causal_entry(i, j)))
-
-
-def test_kg_apply_matches_matrix(lat_small):
-    rng = np.random.default_rng(3)
-    phi = rng.normal(size=lat_small.n_sites)
-    K = kg_matrix(lat_small)
-    got = kg_apply(lat_small, phi.reshape(lat_small.n_t, lat_small.n_x))
-    want = (K @ phi).reshape(lat_small.n_t, lat_small.n_x)
-    rows = [lat_small.coords(s)[0] for s in interior_sites(lat_small)]
-    assert np.allclose(got[rows], want[rows], atol=1e-12)

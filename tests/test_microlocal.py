@@ -83,28 +83,6 @@ def test_whitney_sum_needs_matching_base_point():
 
 
 # --------------------------------------------------------------------------
-# covector cones
-
-def test_cone_membership():
-    assert ml.in_future_cone((1.0, 0.5))
-    assert ml.in_future_cone((1.0, 1.0))
-    assert not ml.in_future_cone((1.0, 1.5))
-    assert ml.in_past_cone((-2.0, 1.0))
-    assert not ml.in_past_cone((2.0, 1.0))
-
-
-def test_microcausal_configurations():
-    fut = (1.0, 0.2)
-    past = (-1.0, 0.3)
-    space = (0.1, 1.0)
-    assert ml.microcausal_check([fut, past])
-    assert ml.microcausal_check([space, space])
-    assert not ml.microcausal_check([fut, fut])
-    assert not ml.microcausal_check([past, past])
-    assert not ml.microcausal_check([])
-
-
-# --------------------------------------------------------------------------
 # bicharacteristic flow
 
 def test_flat_flow_is_a_straight_null_ray():

@@ -19,7 +19,6 @@ from paqft import quantization as qz
 from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 wick_theorem_demo, BogoliubovMap,
                                 s_matrix, causal_factorization_check,
-                                time_order_op,
                                 causally_later, multilocal_injectivity_check,
                                 NoLambdaGrading, NonLocalInteraction,
                                 RankDeficient)
@@ -110,7 +109,7 @@ def test_time_ordered_product_conjugates_pointwise(xp_small, rand_functional,
     """F x_T G = T(T^-1 F . T^-1 G) with T = e^{(hbar/2) Gamma_K}; holds
     because both time-ordered kernels are symmetric."""
     tp = QuantProduct(xp_small, kind)
-    T = lambda F, sign: time_order_op(xp_small, F, sign, kind)
+    T = lambda F, sign: qz.exp_gamma(F, tp.kernel, Fraction(sign, 2))
     for _ in range(4):
         F = rand_functional(max_degree=4)
         G = rand_functional(max_degree=4)

@@ -16,7 +16,7 @@ def test_system_lines_reports_what_paqft_graphs_leaves_out(tmp_path):
         assert res.exit_code == 0, res.output
 
     report = system_lines.not_run(graphs)["graphs"]
-    missed, count = report["eg_subgraphs"]
+    missed, count = report["graph_expand_Tn"]
     assert len(missed) == count > 0  # no statement of it ran
     missed, count = report.get("enumerate_graphs", ([], None))
     assert count is None or len(missed) < count  # it ran

@@ -19,9 +19,10 @@ trace module, what a user of paqft runs:
   perfbench/out/).
 
 Then it prints, per module of src/paqft, the statements that none of these
-ran, grouped by the function that holds them.  A statement is a line that
-holds an instruction of a function body; module and class bodies run at
-import and are not counted.  The full run takes about ten seconds.
+ran, grouped by the function that holds them, and last the number of
+functions of which no statement ran.  A statement is a line that holds an
+instruction of a function body; module and class bodies run at import and
+are not counted.  The full run takes about ten seconds.
 """
 
 import ast
@@ -197,7 +198,7 @@ def _spans(lines):
 def main():
     sys.path.insert(0, str(ROOT / "src"))
     report = not_run(system_paths)
-    total = 0
+    total = wholly = 0
     for mod, missed in report.items():
         n = sum(len(lines) for lines, _ in missed.values())
         total += n
@@ -205,8 +206,10 @@ def main():
         for fn, (lines, count) in sorted(missed.items(),
                                          key=lambda kv: kv[1][0][0]):
             whole = " (all %d)" % count if len(lines) == count else ""
+            wholly += bool(whole)
             print("  %s%s: %s" % (fn, whole, _spans(lines)))
     print("%d statements of src/paqft not run" % total)
+    print("%d functions of src/paqft with no statement run" % wholly)
 
 
 if __name__ == "__main__":
