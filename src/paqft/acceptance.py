@@ -1,7 +1,8 @@
 """Acceptance battery: thirteen numbered end-to-end checks.
 
 Each criterion is a function returning (passed, one-line detail); run_all
-times it, records its warnings and numbers it by its position in ALL.  The
+times it, records its warnings, numbers it by its position in ALL, and
+records a CheckFailed it raises as its failure, with the message.  The
 same battery backs tests/test_acceptance.py and the CLI `suite` subcommand,
 so pass and fail mean the same thing everywhere.  The checks a criterion
 shares with a CLI command (the commutator, Wick, tadpole, Bogoliubov,
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import InputError
+from . import CheckFailed, InputError
 from .exact import ExactComplex
 from .series import FormalSeries
 from .lattice import Lattice1p1, ExactPropagators
@@ -202,7 +203,8 @@ def crit_01():
 @criterion("Wick expansion of (phi^2 f)(phi^2 g)")
 def crit_02():
     """Three-term Wick structure with normal-ordered coefficients 4 and 2;
-    products of the two factors determine them (RankDeficient otherwise)."""
+    the products of the two factors are independent, so they determine
+    them."""
     lat, xp = _ctx(8, 4)
     f1 = {lat.site(3, 1): Fraction(2, 3), lat.site(4, 2): Fraction(-1, 2)}
     f2 = {lat.site(3, 2): Fraction(1), lat.site(5, 0): Fraction(3, 4)}
@@ -210,8 +212,8 @@ def crit_02():
         [local_power(lat, f1, 2), local_power(lat, f2, 2)], 2)
     return (qz.wick_theorem_demo(xp, f1, f2)["match"] and inj["injective"],
             "three terms, binding coefficients (1, 4, 2), exact match; "
-            "degree-2 products of the factors have rank %d of %d on %d "
-            "exact probes" % (inj["rank"], inj["expected"], inj["n_probes"]))
+            "degree-2 products of the factors have rank %d of %d over %d "
+            "monomials" % (inj["rank"], inj["expected"], inj["n_monomials"]))
 
 
 @criterion("classical limit and Peierls Jacobi")
@@ -378,9 +380,10 @@ def _ms_halfline_oracle(f):
     from scipy.integrate import quad
     f0 = f(0.0).real
     inner = quad(lambda x: (f(x).real - f0) / x, 0.0, 1.0,
-                 points=[f.plateau_radius], limit=200, epsabs=1e-13)[0]
+                 points=[f.plateau_radius], limit=200, epsabs=1e-13,
+                 epsrel=1e-12)[0]
     outer = quad(lambda x: f(x).real / x, 1.0, f.support_radius,
-                 limit=200, epsabs=1e-13)[0]
+                 limit=200, epsabs=1e-13, epsrel=1e-12)[0]
     return inner + outer
 
 
@@ -501,7 +504,8 @@ ALL = (crit_01, crit_02, crit_03, crit_04, crit_05, crit_06, crit_07,
 
 def run_all(indices):
     """Run the criteria numbered in `indices` (all by default), each timed
-    and with its warnings recorded."""
+    and with its warnings recorded; a criterion that raises CheckFailed
+    fails with the exception as its detail, and the rest still run."""
     results = []
     for i, fn in enumerate(ALL, start=1):
         if indices is not None and i not in indices:
@@ -509,7 +513,10 @@ def run_all(indices):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             t0 = time.perf_counter()
-            passed, detail = fn()
+            try:
+                passed, detail = fn()
+            except CheckFailed as e:
+                passed, detail = False, "%s: %s" % (type(e).__name__, e)
             seconds = time.perf_counter() - t0
         results.append(CriterionResult(
             i, fn.title, passed, seconds, detail,

@@ -368,7 +368,6 @@ def smatrix(cfg, seed):
 def bogoliubov(cfg, seed):
     """Interacting observable R(F) and the round-trip check."""
     lat, xp, (g, f) = _exact(cfg, seed, 1, 2)
-    # no degree cap: the map's intermediate degrees exceed it
     bog = qz.BogoliubovMap(xp, interaction_vertex(lat, g, 4))
     RF, ok = acceptance.round_trip(bog, smeared_field(lat, f))
     return formats.functional_rows(RF), [

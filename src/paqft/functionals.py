@@ -200,32 +200,6 @@ class PolyFunctional:
     def is_zero(self) -> bool:
         return not self.slices
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, phi) -> FormalSeries:
-        """Exact evaluation; phi is a site-indexed sequence/dict of rationals.
-        The values are lifted over their lcm d, and a monomial of degree k
-        is scaled by d^(deg - k) to sit over den * d^deg."""
-        vals = {s: ExactComplex.lift(phi[s]) for s in self.support()}
-        d = math.lcm(*(x.denominator for v in vals.values()
-                       for x in (v.re, v.im)))
-        nums = {s: (int(v.re * d), int(v.im * d)) for s, v in vals.items()}
-        deg = max((len(k) for bank in self.slices.values() for k in bank),
-                  default=0)
-        out = {}
-        for hl, bank in self.slices.items():
-            tr = ti = 0
-            for key, (re, im) in bank.items():
-                for s in key:
-                    a, b = nums[s]
-                    re, im = re * a - im * b, re * b + im * a
-                f = d ** (deg - len(key))
-                tr += re * f
-                ti += im * f
-            q = self.den * d ** deg
-            out[hl] = ExactComplex(Fraction(tr, q), Fraction(ti, q))
-        return FormalSeries(out, self.trunc_h, self.trunc_l)
-
     # -- derivatives ---------------------------------------------------------
 
     def partial(self, site: int) -> "PolyFunctional":

@@ -33,18 +33,16 @@ exactly those of rational arithmetic, and identities (commutation
 relations, equivalences, factorisation) are checked with ==.
 
 The checks take no knobs: the Wick demo runs at the default series
-truncation, and the injectivity check draws its rational probes from the
-fixed seed PROBE_SEED, enlarging the set at most PROBE_ROUNDS times.
+truncation, and the injectivity check reads the exact rank of the products'
+coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
-from . import CheckFailed
 from .exact import ExactComplex
 from .functionals import (DimensionMismatch, PolyFunctional, add_to,
                           local_power, partial_bank, pointwise_product,
@@ -66,10 +64,6 @@ class NoLambdaGrading(QuantizationError):
 
 class NonLocalInteraction(QuantizationError):
     """Interaction term off one site: Sbar(-V) is no star-inverse of S(V)."""
-
-
-class RankDeficient(QuantizationError, CheckFailed):
-    """Probe family too small to certify the rank; enlarge the probe set."""
 
 
 def _smeared(bank: dict, row: dict, out: dict) -> dict:
@@ -418,49 +412,30 @@ def s_matrix(xp: ExactPropagators, V: PolyFunctional,
     return out
 
 
-PROBE_SEED = 7  # seeds the rational probe configurations
-PROBE_ROUNDS = 3  # probe sets tried, each twice the last
-
-
 def multilocal_injectivity_check(basis, degree: int) -> dict:
     """Rank of the multiplication map on degree-`degree` symmetric products of
-    the basis functionals, certified on exact rational probe configurations:
-    2 r + 4 probes for an expected rank r, doubled up to PROBE_ROUNDS times.
+    the basis functionals (degree >= 1): the exact rank of the products'
+    hbar^0 lambda^0 slices, one row of Gaussian-integer numerators per
+    product over the union of their monomials.  Each row leaves out its
+    product's denominator, a nonzero scale that keeps the rank.
 
     Expected rank (injectivity) is the multiset count C(n+k-1, k)."""
     basis = list(basis)
-    n = len(basis)
-    expected = math.comb(n + degree - 1, degree) if n else 0
-    if n == 0:
-        return {"n_basis": 0, "degree": degree, "rank": 0,
-                "expected": 0, "injective": True}
-    for b in basis:
-        if () in b.terms:
-            raise ValueError("basis functionals must vanish at phi = 0")
-    products = []
-    for combo in itertools.combinations_with_replacement(range(n), degree):
-        P = basis[combo[0]]
-        for i in combo[1:]:
-            P = pointwise_product(P, basis[i])
-        products.append(P)
-    support = sorted(set().union(*[b.support() for b in basis]))
-
-    rng = random.Random(PROBE_SEED)
-    m = 2 * expected + 4
-    for _ in range(PROBE_ROUNDS):
-        probes = [{s: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                   for s in support} for _ in range(m)]
-        rows = [[P.evaluate(phi).coefficient(0, 0) for phi in probes]
-                for P in products]
-        rank = _exact_rank(rows)
-        if rank == expected:
-            return {"n_basis": n, "degree": degree, "rank": rank,
-                    "expected": expected, "injective": True,
-                    "n_probes": m}
-        m *= 2
-    # the products number `expected`, so their rank is at most that
-    raise RankDeficient(
-        f"rank {rank} < expected {expected} with {m // 2} probes")
+    if any(() in bank for b in basis for bank in b.slices.values()):
+        raise ValueError("basis functionals must vanish at phi = 0")
+    banks = []
+    for combo in itertools.combinations_with_replacement(basis, degree):
+        P = combo[0]
+        for G in combo[1:]:
+            P = pointwise_product(P, G)
+        banks.append(P.slices.get((0, 0), {}))
+    monomials = sorted(set().union(*banks))
+    rank = _exact_rank([[ExactComplex(*bank.get(k, (0, 0)))
+                         for k in monomials] for bank in banks])
+    expected = math.comb(len(basis) + degree - 1, degree)
+    return {"n_basis": len(basis), "degree": degree, "rank": rank,
+            "expected": expected, "injective": rank == expected,
+            "n_monomials": len(monomials)}
 
 
 def _exact_rank(rows: list[list[ExactComplex]]) -> int:

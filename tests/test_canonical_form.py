@@ -72,16 +72,6 @@ def ref_partial(a, site, th, tl):
     return accumulate(out, th, tl)
 
 
-def ref_evaluate(a, phi):
-    total = {}
-    for key, hl, c in pieces(a):
-        for s in key:
-            c = cmul(c, phi[s])
-        r0, i0 = total.get(hl, (0, 0))
-        total[hl] = (r0 + c[0], i0 + c[1])
-    return {hl: c for hl, c in total.items() if c != (0, 0)}
-
-
 def assert_canonical(F):
     assert isinstance(F.den, int) and F.den >= 1
     g = F.den
@@ -167,12 +157,6 @@ def test_operations_are_canonical_and_match_the_reference(
     check(F * FormalSeries({hl: ExactComplex(*c)
                             for hl, c in series.items()}, 3, 3),
           ref_product(a, {(): series}, th_f, tl_f), th_f, tl_f)
-
-    phi = {s: (Fraction(i - 2, 3), Fraction(1, i + 4))
-           for i, s in enumerate(SITES)}
-    got = F.evaluate({s: ExactComplex(*v) for s, v in phi.items()})
-    assert {hl: (c.re, c.im) for hl, c in got.coeff.items()} \
-        == ref_evaluate(a, phi)
 
 
 @settings(max_examples=100, deadline=None)

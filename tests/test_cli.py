@@ -312,6 +312,19 @@ def test_suite_single_criterion(tmp_path):
     assert len(lines) == 3
 
 
+def test_a_criterion_that_raises_keeps_the_report(tmp_path, monkeypatch):
+    # no intertwiner meets a zero tolerance: AC12 raises NoIntertwiner, and
+    # its line fails while the other twelve criteria still run and pass
+    monkeypatch.setattr(al, "INTERTWINER_TOL", 0)
+    res = run(["suite", "--out", str(tmp_path), "--label", "t"], expect=3)
+    rows = csv_lines(tmp_path / "suite_t.csv")[1:]
+    assert len(rows) == 13
+    status = {int(r.split(",")[0]): r.split(",")[2] for r in rows}
+    assert status == {i: "FAIL" if i == 12 else "PASS" for i in range(1, 14)}
+    assert "NoIntertwiner" in rows[11]
+    assert "AC12 FAIL" in res.output and "12/13 criteria passed" in res.output
+
+
 def test_default_label_is_a_timestamp(tmp_path):
     run(["weyl", "--out", str(tmp_path)])
     names = [p.name for p in tmp_path.iterdir()]

