@@ -227,10 +227,21 @@ def local_power(lat: Lattice1p1, f, power: int,
                 trunc_h: int = DEFAULT_TRUNC_H,
                 trunc_l: int = DEFAULT_TRUNC_L) -> PolyFunctional:
     """Integral of f * phi^power: sum_s f[s] * (a_t a_x) * phi[s]^power,
-    f a dict site -> value."""
+    f a dict site -> value, built as one bank of numerators."""
+    if power < 1:
+        raise ValueError(f"power = {power}: want >= 1")
     w = lat.volume_weight
-    return PolyFunctional(lat, {(s,) * power: ExactComplex.lift(v) * w
-                                for s, v in f.items()}, trunc_h, trunc_l)
+    values = [(s, ExactComplex.lift(v)) for s, v in f.items()]
+    den = math.lcm(*(x.denominator for _, v in values for x in (v.re, v.im)))
+    bank = {}
+    for s, v in values:
+        if not 0 <= s < lat.n_sites:
+            raise DimensionMismatch(f"site {s} outside lattice")
+        bank[(s,) * power] = (
+            v.re.numerator * (den // v.re.denominator) * w.numerator,
+            v.im.numerator * (den // v.im.denominator) * w.numerator)
+    return PolyFunctional.from_numerators(
+        lat, {(0, 0): bank}, den * w.denominator, trunc_h, trunc_l)
 
 
 def interaction_vertex(lat: Lattice1p1, f, power: int,

@@ -209,34 +209,36 @@ def dyadic(values) -> tuple[list[int], int]:
 
 # Each kernel kind as (re, im) over 2**(e + 1), an integer formula in the
 # numerators over 2**e of the retarded entry r, the advanced entry a (r at the
-# mirrored offset) and the Hadamard entry h at one offset.  h is a thunk, as a
-# massless lattice has no positive-frequency table.
+# mirrored offset) and the Hadamard entry h, read from their flat lists at
+# one offset k.  Only the kinds in _READS_H index h.
 _KINDS = {
-    "causal": lambda r, a, h: (2 * (r - a), 0),
-    "hadamard": lambda r, a, h: (2 * h(), 0),
-    "star": lambda r, a, h: (0, r - a),
-    "star_H": lambda r, a, h: (2 * h(), r - a),
-    "timeordered_D": lambda r, a, h: (0, r + a),
-    "timeordered_F": lambda r, a, h: (2 * h(), r + a),
-    "antitimeordered_F": lambda r, a, h: (2 * h(), -(r + a)),
+    "causal": lambda r, a, h, k: (2 * (r[k] - a[k]), 0),
+    "hadamard": lambda r, a, h, k: (2 * h[k], 0),
+    "star": lambda r, a, h, k: (0, r[k] - a[k]),
+    "star_H": lambda r, a, h, k: (2 * h[k], r[k] - a[k]),
+    "timeordered_D": lambda r, a, h, k: (0, r[k] + a[k]),
+    "timeordered_F": lambda r, a, h, k: (2 * h[k], r[k] + a[k]),
+    "antitimeordered_F": lambda r, a, h, k: (2 * h[k], -(r[k] + a[k])),
 }
+_READS_H = {"hadamard", "star_H", "timeordered_F", "antitimeordered_F"}
 
 
 class ExactPropagators:
-    """Exact rational lifts of the float propagator tables, one integer
-    table per kernel kind.
+    """Exact rational lifts of the float propagator tables, as flat lists.
 
     On first use the retarded and positive-frequency float tables are lifted
-    whole to integer numerators over one power of two (`dyadic`); only the
-    kinds free of h work on a massless lattice, which has no
-    positive-frequency table.  Every kernel depends only on the site offset
-    (n, dx), so each kind keeps one table keyed by offset that holds (re, im)
-    int pairs over the lattice's one denominator, each computed once per
-    lattice on first use.  Structural identities hold by construction
-    (antisymmetric causal kernel, symmetric Hadamard kernel, Wightman =
-    H + (i/2)Delta, Feynman = H + i*DiracD, anti-Feynman = H - i*DiracD), so
-    every algebraic relation between the kernels holds exactly over the
-    rationals, entry by entry.
+    whole to integer numerators over one power of two (`dyadic`), laid out
+    by the offset k = (n + n_t - 1) * n_x + dx: the retarded numerator r (0
+    for n <= 0), the advanced a (r at the mirrored offset) and the Hadamard
+    h (read at the smaller of the offset and its mirror, so exactly
+    symmetric).  A kind's entry at a site pair is an integer formula
+    (`_KINDS`) in them at the pair's offset, an (re, im) int pair over the
+    lattice's one denominator, computed on each read; only the kinds free
+    of h work on a massless lattice, which has no positive-frequency table.
+    Structural identities hold by construction (antisymmetric causal
+    kernel, symmetric Hadamard kernel, Wightman = H + (i/2)Delta, Feynman =
+    H + i*DiracD, anti-Feynman = H - i*DiracD), so every algebraic relation
+    between the kernels holds exactly over the rationals, entry by entry.
     """
 
     def __init__(self, ps):
@@ -244,58 +246,50 @@ class ExactPropagators:
             ps = PropagatorSet(ps)
         self.ps = ps
         self.lat = ps.lat
-        self._tables = {kind: {} for kind in _KINDS}
+        self._causal = {}
 
     @functools.cached_property
-    def _lifted(self) -> tuple[list[int], list[int] | None, int]:
-        """(ret, had, den): the retarded and Hadamard tables, flat, as
-        numerators over den / 2; had is None on a massless lattice."""
+    def _lifted(self) -> tuple[list[int], list[int], list[int] | None, int]:
+        """(r, a, h, den): the retarded, advanced and Hadamard numerators
+        over den / 2 by offset k; h is None on a massless lattice."""
+        n_t, n_x = self.lat.n_t, self.lat.n_x
         ret = self.ps.ret_table().ravel().tolist()
         had = (self.ps.wightman_table().real.ravel().tolist()
                if self.lat.mass > 0 else [])
         nums, e = dyadic(ret + had)
-        return nums[:len(ret)], nums[len(ret):] if had else None, 2 << e
+        r = [0] * (n_t * n_x) + nums[n_x:len(ret)]
+        k = np.arange(len(r))
+        mirror = (2 * n_t - 2 - k // n_x) * n_x + -k % n_x
+        h = ([nums[i] for i in (np.minimum(k, mirror) + len(ret)).tolist()]
+             if had else None)
+        return r, [r[m] for m in mirror.tolist()], h, 2 << e
 
-    def _lift(self, key: int):
-        """(r, a, h) at the offset key = n * n_x + dx; h is a thunk.  H is
-        read at the smaller of the offset and its mirror, so it is exactly
-        symmetric."""
-        n_t, n_x = self.lat.n_t, self.lat.n_x
-        ret, had, _ = self._lifted
-        n, dx = divmod(key, n_x)
-        mirror = -n * n_x + -dx % n_x
-        r = ret[key] if n > 0 else 0
-        a = ret[mirror] if n < 0 else 0
-
-        def h():
-            if had is None:
-                self.ps.wightman_table()  # raises ZeroModeSingular
-            return had[min(key, mirror) + (n_t - 1) * n_x]
-        return r, a, h
-
-    def _entry(self, kind: str, i: int, j: int) -> tuple[int, int]:
+    def _offset(self, i: int, j: int) -> int:
         n_x = self.lat.n_x
-        key = (i // n_x - j // n_x) * n_x + (i - j) % n_x
-        table = self._tables[kind]
-        e = table.get(key)
-        if e is None:
-            e = table[key] = _KINDS[kind](*self._lift(key))
-        return e
+        return (i // n_x - j // n_x + self.lat.n_t - 1) * n_x + (i - j) % n_x
+
+    def _read(self, kind: str):
+        """(formula, r, a, h) of `kind`; ZeroModeSingular for an h-kind."""
+        if kind not in _KINDS:
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        r, a, h, _ = self._lifted
+        if h is None and kind in _READS_H:
+            self.ps.wightman_table()  # raises ZeroModeSingular
+        return _KINDS[kind], r, a, h
 
     def _rows(self, kind: str, ys, zs) -> dict:
         """{y: {z: entry}} over the nonzero entries of `kind` at (y, z): the
         offset of each pair read off precomputed (t * n_x, x) per site."""
+        f, r, a, h = self._read(kind)
         n_x = self.lat.n_x
-        table = self._tables[kind]
-        cols = [(z, z - z % n_x, z % n_x) for z in zs]
+        past = (self.lat.n_t - 1) * n_x
+        cols = [(z, z - z % n_x - past, z % n_x) for z in zs]
         out = {}
         for y in ys:
             ty, xy = y - y % n_x, y % n_x
             row = {}
             for z, tz, xz in cols:
-                e = table.get(ty - tz + (xy - xz) % n_x)
-                if e is None:
-                    e = self._entry(kind, y, z)
+                e = f(r, a, h, ty - tz + (xy - xz) % n_x)
                 if e[0] or e[1]:
                     row[z] = e
             if row:
@@ -305,18 +299,25 @@ class ExactPropagators:
     def numerators(self, kind: str):
         """Kernel `kind` (a key of _KINDS) as (lat, rows, den), the form the
         contraction engine takes: rows(ys, zs) -> {y: {z: (re, im)}} holds
-        the nonzero kernel entries at (y, z) times den, as ints.  Sites at
-        the same offset share one pair."""
+        the nonzero kernel entries at (y, z) times den, as ints."""
         if kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}")
-        return self.lat, functools.partial(self._rows, kind), self._lifted[2]
+        return self.lat, functools.partial(self._rows, kind), self._lifted[3]
 
     def kernel(self, kind: str):
         """Kernel `kind` as (i, j) -> ExactComplex, a view of the int
         entries."""
-        den = self.numerators(kind)[2]
-        return lambda i, j: ExactComplex(*(Fraction(v, den)
-                                           for v in self._entry(kind, i, j)))
+        f, r, a, h = self._read(kind)
+        den = self._lifted[3]
+        offset = self._offset
+        return lambda i, j: ExactComplex(*(Fraction(v, den) for v in
+                                           f(r, a, h, offset(i, j))))
 
     def causal_entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self._entry("causal", i, j)[0], self._lifted[2])
+        """Delta(i, j) as a reduced Fraction, one per offset."""
+        k = self._offset(i, j)
+        c = self._causal.get(k)
+        if c is None:
+            r, a, _, den = self._lifted
+            c = self._causal[k] = Fraction(r[k] - a[k], den >> 1)
+        return c

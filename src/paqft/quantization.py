@@ -24,13 +24,14 @@ stored form of a PolyFunctional, grade slices of Gaussian-integer
 numerators over one denominator (one polynomial per (hbar, lambda) order),
 and is used as it is; the kernel comes as int pairs over one declared
 denominator (a power of two per lattice, ExactPropagators.numerators),
-its rows filled once per call; between lines the state is a list of
-tensor terms, one polynomial per factor.  The factors' denominators, the
-kernel denominator and the schedule weights (1/n!, 1/prod l_ij!) fold
-into one final denominator, and the result is reduced once, in ints, into
-the same form; no Fraction is built between products.  The results are
-exactly those of rational arithmetic, and identities (commutation
-relations, equivalences, factorisation) are checked with ==.
+its rows over the factors' supports read once per call; between lines
+the state is a list of tensor terms, one polynomial per factor.  The
+factors' denominators, the kernel denominator and the schedule weights
+(1/n!, 1/prod l_ij!) fold into one final denominator, and the result is
+reduced once, in ints, into the same form; no Fraction is built between
+products.  The results are exactly those of rational arithmetic, and
+identities (commutation relations, equivalences, factorisation) are
+checked with ==.
 
 The checks take no knobs: the Wick demo runs at the default series
 truncation, and the injectivity check reads the exact rank of the products'
@@ -44,9 +45,8 @@ import math
 from fractions import Fraction
 
 from .exact import ExactComplex
-from .functionals import (DimensionMismatch, PolyFunctional, add_to,
-                          local_power, partial_bank, pointwise_product,
-                          remove_one)
+from .functionals import (DimensionMismatch, PolyFunctional, local_power,
+                          partial_bank, pointwise_product, remove_one)
 from .lattice import ExactPropagators
 from .series import FormalSeries
 
@@ -73,10 +73,11 @@ def _smeared(bank: dict, row: dict, out: dict) -> dict:
         for z in set(key):
             kv = row.get(z)
             if kv is not None:
-                m = key.count(z)
-                kr, ki = kv
-                add_to(out, remove_one(key, z), m * (re * kr - im * ki),
-                       m * (re * ki + im * kr))
+                m, (kr, ki) = key.count(z), kv
+                k = remove_one(key, z)
+                r0, i0 = out.get(k, (0, 0))
+                out[k] = (r0 + m * (re * kr - im * ki),
+                          i0 + m * (re * ki + im * kr))
     return out
 
 
@@ -180,7 +181,9 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
                             for k1, (a, b) in prod
                             for k2, (c, e) in bank.items()]
                 for key, (re, im) in prod:
-                    add_to(acc, tuple(sorted(key)), re * scale, im * scale)
+                    key = tuple(sorted(key))
+                    r0, i0 = acc.get(key, (0, 0))
+                    acc[key] = (r0 + re * scale, i0 + im * scale)
     return PolyFunctional.from_numerators(lat, out, den, th, tl)
 
 

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from paqft.exact import ExactComplex
-from paqft.series import FormalSeries
+from paqft.series import DEFAULT_TRUNC_H, DEFAULT_TRUNC_L, FormalSeries
 from paqft.functionals import (PolyFunctional, DimensionMismatch,
                                smeared_field, local_power, interaction_vertex,
                                pointwise_product, free_action)
@@ -30,6 +32,51 @@ def test_func_derivative_is_partial_over_volume(lat_small):
 def test_site_bounds_checked(lat_small):
     with pytest.raises(DimensionMismatch):
         PolyFunctional(lat_small, {(lat_small.n_sites,): 1})
+
+
+def ref_local_power(lat, f, power, trunc_h, trunc_l):
+    """local_power by the generic route: each value lifted, times the volume
+    weight, through the PolyFunctional constructor."""
+    w = lat.volume_weight
+    return PolyFunctional(lat, {(s,) * power: ExactComplex.lift(v) * w
+                                for s, v in f.items()}, trunc_h, trunc_l)
+
+
+# a_t a_x = 1/2 and 2/9
+LOCAL_LATTICES = [Lattice1p1(8, 4, Fraction(1, 2), Fraction(1)),
+                  Lattice1p1(8, 4, Fraction(1, 3), Fraction(2, 3))]
+RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+VALUES = st.one_of(
+    st.just(0), st.integers(-10, 10), RATIONAL,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(ExactComplex, RATIONAL, RATIONAL))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example(lat=0, f={}, power=1, th=2, tl=2)
+@example(lat=1, f={0: 0, 5: ExactComplex(0)}, power=2, th=2, tl=2)
+@example(lat=1, f={3: 5e-324, 7: -1e300, 9: Fraction(2, 9),
+                   31: ExactComplex(Fraction(1, 3), Fraction(-4, 7))},
+         power=4, th=0, tl=0)
+@given(lat=st.integers(0, 1),
+       f=st.dictionaries(st.integers(0, 31), VALUES, max_size=6),
+       power=st.integers(1, 4), th=st.integers(0, 3), tl=st.integers(0, 3))
+def test_local_power_matches_the_constructor_route(lat, f, power, th, tl):
+    lat = LOCAL_LATTICES[lat]
+    assert local_power(lat, f, power, th, tl) == ref_local_power(
+        lat, f, power, th, tl)
+    assert smeared_field(lat, f) == ref_local_power(
+        lat, f, 1, DEFAULT_TRUNC_H, DEFAULT_TRUNC_L)
+
+
+@pytest.mark.parametrize("site", [-1, 32])
+def test_local_power_checks_its_sites(lat_small, site):
+    for power in (1, 2, 4):
+        for build in (local_power, ref_local_power):
+            with pytest.raises(DimensionMismatch):
+                build(lat_small, {0: 1, site: Fraction(1, 3)}, power, 2, 2)
+    with pytest.raises(ValueError, match="power = 0"):
+        local_power(lat_small, {0: 1}, 0)
 
 
 def test_interaction_vertex_carries_coupling(lat_small):

@@ -214,6 +214,10 @@ def test_exact_lift_matches_float_tables(xp_small):
             wt[tj - ti + lat.n_t - 1, (xj - xi) % lat.n_x].real)
 
 
+KINDS = ("causal", "hadamard", "star", "star_H", "timeordered_D",
+         "timeordered_F", "antitimeordered_F")
+
+
 def reference_kernels(ps, i, j):
     """Every kernel kind at (i, j), lifted straight from the float tables
     for this one site pair."""
@@ -244,25 +248,52 @@ def _offset_pairs(lat):
 def test_kernels_match_reference_lift(xp_small, xp24):
     """8x4 on every site pair; 24x24 (dyadic exponents up to 72) on every
     offset."""
-    kinds = ("causal", "hadamard", "star", "star_H", "timeordered_D",
-             "timeordered_F", "antitimeordered_F")
     for xp, pairs in ((xp_small, _pairs(xp_small.lat)),
                       (xp24, _offset_pairs(xp24.lat))):
-        kernels = {kind: xp.kernel(kind) for kind in kinds}
+        kernels = {kind: xp.kernel(kind) for kind in KINDS}
         ps = PropagatorSet(xp.lat)
         for i, j in pairs:
             want = reference_kernels(ps, i, j)
-            for kind in kinds:
+            for kind in KINDS:
                 assert kernels[kind](i, j) == want[kind], (kind, i, j)
 
 
-def test_entries_are_shared_per_offset(xp_small):
-    lat = xp_small.lat
-    for kind in ("hadamard", "star_H"):
-        rows = xp_small.numerators(kind)[1]
-        y1, z1, y2, z2 = (lat.site(3, 1), lat.site(1, 3), lat.site(6, 0),
-                          lat.site(4, 2))
-        assert rows([y1], [z1])[y1][z1] is rows([y2], [z2])[y2][z2]
+def _entries_by_offset(xp, kind):
+    """{(n, dx): the set of entries of `kind` over all site pairs at that
+    offset}, an absent entry read as (0, 0)."""
+    lat = xp.lat
+    sites = range(lat.n_sites)
+    rows = xp.numerators(kind)[1](sites, sites)
+    out = {}
+    for i in sites:
+        (ti, xi), row = lat.coords(i), rows.get(i, {})
+        for j in sites:
+            tj, xj = lat.coords(j)
+            out.setdefault((ti - tj, (xi - xj) % lat.n_x), set()).add(
+                row.get(j, (0, 0)))
+    return out
+
+
+def test_entries_depend_only_on_the_offset(xp_small, xp24):
+    """All site pairs at one offset give == entries: every kind and every
+    offset of 8x4, every offset of 24x24 for star_H, which reads the
+    retarded, advanced and Hadamard lists.  The entries are read, not
+    kept: after a commutator the lift holds no per-kind table."""
+    for xp, kinds in ((xp_small, KINDS), (xp24, ("star_H",))):
+        lat = xp.lat
+        for kind in kinds:
+            by_offset = _entries_by_offset(xp, kind)
+            assert len(by_offset) == (2 * lat.n_t - 1) * lat.n_x
+            for offset, entries in by_offset.items():
+                assert len(entries) == 1, (kind, offset, entries)
+    xp = ExactPropagators(xp_small.lat)
+    f, g = {3: Fraction(1, 3)}, {21: Fraction(2)}
+    QuantProduct(xp, "star_H").commutator(smeared_field(xp.lat, f),
+                                          smeared_field(xp.lat, g))
+    assert set(vars(xp)) == {"ps", "lat", "_lifted", "_causal"}
+    n_offsets = (2 * xp.lat.n_t - 1) * xp.lat.n_x
+    assert [len(v) for v in xp._lifted[:3]] == 3 * [n_offsets]
+    assert xp._causal == {}
 
 
 @pytest.mark.parametrize("x", [

@@ -16,6 +16,7 @@ from paqft.exact import ExactComplex
 from paqft.series import FormalSeries
 from paqft.functionals import (PolyFunctional, smeared_field, local_power,
                                interaction_vertex, pointwise_product)
+from paqft.lattice import ExactPropagators, Lattice1p1, ZeroModeSingular
 from paqft import quantization as qz
 from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 wick_theorem_demo, BogoliubovMap,
@@ -59,6 +60,46 @@ def test_star_commutator_of_fields_is_central(xp_small):
         want = PolyFunctional(lat, {
             (): FormalSeries({(1, 0): ExactComplex(0, val)})})
         assert star.commutator(F, G) == want
+
+
+def test_massless_lattice_contracts_the_kinds_free_of_h():
+    """On a massless lattice the star and Dirac-time-ordered products and
+    the Peierls bracket run through the contraction engine, == the sums
+    over the retarded float table lifted pair by pair; the Wightman
+    product raises ZeroModeSingular when it reads its rows."""
+    lat = Lattice1p1(8, 4, Fraction(1, 4), Fraction(1), mass=0.0)
+    xp = ExactPropagators(lat)
+    ret = xp.ps.ret_table()
+
+    def r(i, j):
+        (ti, xi), (tj, xj) = lat.coords(i), lat.coords(j)
+        return Fraction(ret[ti - tj, (xi - xj) % 4]) if ti > tj else 0
+
+    rng = random.Random(11)
+    f, g = sparse(rng, lat), sparse(rng, lat)
+    w2 = lat.volume_weight ** 2
+    pairs = [(y, z, f[y] * g[z] * w2) for y in f for z in g]
+    F, G = local_power(lat, f, 2), local_power(lat, g, 2)
+    for kind, sign in (("star", -1), ("timeordered_D", 1)):
+        one, two = {}, ExactComplex(0)
+        for y, z, base in pairs:
+            k = ExactComplex(0, (r(y, z) + sign * r(z, y)) / 2)
+            key = tuple(sorted((y, z)))
+            one[key] = one.get(key, ExactComplex(0)) + k * base * 4
+            two = two + k * k * base * 2
+        want = pointwise_product(F, G) + PolyFunctional(lat, {
+            **{key: FormalSeries({(1, 0): c}) for key, c in one.items()},
+            (): FormalSeries({(2, 0): two})})
+        assert want.slices[(1, 0)] and want.slices[(2, 0)]
+        assert QuantProduct(xp, kind).product(F, G) == want, kind
+    bracket = sum(base * (r(y, z) - r(z, y)) for y, z, base in pairs)
+    assert bracket and qz.peierls_bracket(
+        smeared_field(lat, f), smeared_field(lat, g), xp) == PolyFunctional(
+            lat, {(): bracket})
+    sH = QuantProduct(xp, "star_H")
+    with pytest.raises(ZeroModeSingular,
+                       match="positive-frequency split needs m > 0"):
+        sH.product(F, G)
 
 
 def test_hbar_zero_slice_is_pointwise(xp_small, rand_functional):
