@@ -203,17 +203,21 @@ def crit_01():
 @criterion("Wick expansion of (phi^2 f)(phi^2 g)")
 def crit_02():
     """Three-term Wick structure with normal-ordered coefficients 4 and 2;
-    the products of the two factors are independent, so they determine
-    them."""
+    the degree-2 products of the two factors and of a third that shares a
+    site with each are independent, so they determine them.  The shared
+    sites give the products common monomials, so the rank takes
+    elimination steps."""
     lat, xp = _ctx(8, 4)
     f1 = {lat.site(3, 1): Fraction(2, 3), lat.site(4, 2): Fraction(-1, 2)}
     f2 = {lat.site(3, 2): Fraction(1), lat.site(5, 0): Fraction(3, 4)}
+    f3 = {lat.site(3, 1): Fraction(1), lat.site(3, 2): Fraction(-2, 5)}
     inj = qz.multilocal_injectivity_check(
-        [local_power(lat, f1, 2), local_power(lat, f2, 2)], 2)
+        [local_power(lat, f, 2) for f in (f1, f2, f3)], 2)
     return (qz.wick_theorem_demo(xp, f1, f2)["match"] and inj["injective"],
             "three terms, binding coefficients (1, 4, 2), exact match; "
-            "degree-2 products of the factors have rank %d of %d over %d "
-            "monomials" % (inj["rank"], inj["expected"], inj["n_monomials"]))
+            "degree-2 products of three factors sharing sites have rank %d "
+            "of %d over %d monomials" % (inj["rank"], inj["expected"],
+                                          inj["n_monomials"]))
 
 
 @criterion("classical limit and Peierls Jacobi")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from operator import mul
 from typing import NamedTuple
 
@@ -119,9 +120,9 @@ def _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor, meta):
     expo[fit] = -(ys @ xs) / (xs @ xs)
     ratio = np.divide(last, rel_floor * peak, out=np.full_like(peak, np.nan),
                       where=peak > 0)
-    pairs = ((c, d) for c in cs for d in dirs)
-    rays = [WFRay(c, d, e, a, e < threshold)
-            for (c, d), e, a in zip(pairs, expo.tolist(), peak.tolist())]
+    rays = map(partial(tuple.__new__, WFRay),
+               zip((c for c in cs for _ in dirs), dirs * len(cs),
+                   expo.tolist(), peak.tolist(), (expo < threshold).tolist()))
     meta.update(exponent_margin=expo - threshold, floor_ratio=ratio)
     return WFEstimate(rays, threshold, meta)
 
@@ -253,17 +254,21 @@ def wf_estimate_2d(field: SampledField2D, centers,
 
     Shared stencil: |sum v e^{i r d.p}| ignores a global phase, so a centre
     pairs against e^{i r d.(p - anchor)}, anchor its nearest grid point; on
-    the box of offsets around it that is E_t[q, di] E_x[q, dj], q = (direction,
-    frequency), two tables built once per call.  Window and mask use the
-    float offsets ts[i] - t0, xs[j] - x0 on the box, as on the full grid, so
+    the box of offsets around it that is E_t[di, q] E_x[dj, q], q =
+    (direction, frequency), two tables built once per call.  The Gaussian is
+    separable, so the window on the box is the outer product of its factors
+    over the float offsets dT = ts[i] - t0 and dX = xs[j] - x0, and the box
+    is zeroed where dT*dT + dX*dX >= R*R, the test made on the full grid:
     points exactly at the cut fall the same way.  Each centre pairs on its
-    own box: one real matrix product with the stacked table [Re E_t; Im E_t]
-    over its time offsets (no complex copy of the box), then a sum of
-    (Re + i Im) E_x over its space offsets.  Real samples make the pairing
-    at -d the complex conjugate of the one at d, and direction
-    j + WF2D_RAYS/2 is -direction j, so the tables cover the first half of
-    the directions and the second half repeats their amplitudes.  Centres
-    with no grid point in reach are listed in meta["skipped_centers"]."""
+    own box: one real matrix product of the box's transpose with E_t,
+    stored with each q's real and imaginary parts side by side, reads as a
+    complex (space offset, q) array, and one sum against E_x over the space
+    offsets gives the amplitudes; the cell area scales them all at the end.
+    Real samples make the pairing at -d the complex conjugate of the one at
+    d, and direction j + WF2D_RAYS/2 is -direction j, so the tables cover
+    the first half of the directions and the second half repeats their
+    amplitudes.  Centres with no grid point in reach are listed in
+    meta["skipped_centers"]."""
     kmax = WF2D_K_BASE * 2 ** WF2D_OCTAVES
     nyq = math.pi / max(field.a_t, field.a_x)
     if kmax > nyq:
@@ -276,28 +281,27 @@ def wf_estimate_2d(field: SampledField2D, centers,
     k = np.array([[r * d[0], r * d[1]]
                   for d in dirs[:WF2D_RAYS // 2] for r in rs])
     ht, hx = (math.ceil(R / a) + 1 for a in (field.a_t, field.a_x))
-    E_t = np.exp(1j * np.outer(k[:, 0], np.arange(-ht, ht + 1) * field.a_t))
-    E_x = np.exp(1j * np.outer(k[:, 1], np.arange(-hx, hx + 1) * field.a_x))
-    E_t = np.concatenate([E_t.real, E_t.imag])
-    (nt, nx), cell = field.values.shape, field.a_t * field.a_x
+    E_t = np.exp(1j * np.outer(np.arange(-ht, ht + 1) * field.a_t, k[:, 0]))
+    E_x = np.exp(1j * np.outer(np.arange(-hx, hx + 1) * field.a_x, k[:, 1]))
+    E_t = E_t.view(float)
+    (nt, nx), g = field.values.shape, -0.5 / (sigma * sigma)
     cs, amps, skipped = [], [], []
     for t0, x0 in centers:
         it, ix = round(t0 / field.a_t), round(x0 / field.a_x)
         i0, i1 = max(it - ht, 0), min(it + ht + 1, nt)
         j0, j1 = max(ix - hx, 0), min(ix + hx + 1, nx)
-        dT, dX = field.ts[i0:i1, None] - t0, field.xs[j0:j1] - x0
-        dist2 = dT * dT + dX * dX
-        mask = dist2 < R * R
-        if not mask.any():
+        dT2, dX2 = (field.ts[i0:i1] - t0) ** 2, (field.xs[j0:j1] - x0) ** 2
+        outside = dT2[:, None] + dX2 >= R * R
+        if outside.all():
             skipped.append((t0, x0))
             continue
-        w = np.exp(-dist2[mask] / (2.0 * sigma * sigma))
-        box = np.zeros(mask.shape, np.result_type(field.values, float))
-        box[mask] = field.values[i0:i1, j0:j1][mask] * w * cell
-        p = E_t[:, i0 - it + ht:i1 - it + ht] @ box
-        A = p[:len(k)] + 1j * p[len(k):]
-        amps.append(np.abs((A * E_x[:, j0 - ix + hx:j1 - ix + hx]).sum(1)))
+        box = np.exp(g * dT2)[:, None] * np.exp(g * dX2)
+        box *= field.values[i0:i1, j0:j1]
+        box[outside] = 0.0
+        A = (box.T @ E_t[i0 - it + ht:i1 - it + ht]).view(complex)
+        amps.append((A * E_x[j0 - ix + hx:j1 - ix + hx]).sum(0))
         cs.append((t0, x0))
+    amps = np.abs(amps) * (field.a_t * field.a_x)
     return _estimate(cs, dirs, rs, np.tile(amps, 2), threshold,
                      WF2D_AMP_FLOOR, WF2D_REL_FLOOR,
                      {"skipped_centers": skipped})

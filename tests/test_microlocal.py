@@ -366,6 +366,53 @@ def test_2d_estimate_matches_full_grid_reference():
             p for p in centers if p not in skipped]
 
 
+def test_points_on_the_cut_fall_as_in_the_reference():
+    """On AC11's spacings, single samples at grid offsets (time steps,
+    space steps) exactly R = 2.5 from a grid-aligned centre, and one step
+    inside.  The float test dT*dT + dX*dX < R*R keeps some of the points on
+    the cut and drops others; the estimator keeps and drops the same ones as
+    the reference, with zero amplitude where both drop the point."""
+    a_t, a_x, shape = 0.05, 0.1, (200, 100)
+    on_cut = [(50, 0), (-50, 0), (0, 25), (0, -25), (30, 20), (-30, -20),
+              (30, -20), (14, 24), (-14, 24), (48, 7), (48, -7), (-48, 7),
+              (40, 15), (-40, -15)]
+    inside = [(49, 0), (29, 20), (-14, 23)]
+    kept = {}
+    for it, ix in ((60, 30), (77, 33)):
+        for dt, dx in on_cut + inside:
+            values = np.zeros(shape)
+            values[it + dt, ix + dx] = 1.0
+            field = ml.SampledField2D(values, a_t, a_x)
+            centre = (field.ts[it], field.xs[ix])
+            wf = ml.wf_estimate_2d(field, [centre])
+            assert_matches_reference(wf, reference_wf2d(field, [centre]))
+            kept[it, dt, dx] = max(r.amplitude for r in wf.rays) > 0.0
+    assert {kept[it, dt, dx] for it in (60, 77) for dt, dx in on_cut} \
+        == {False, True}
+    assert all(kept[it, dt, dx] for it in (60, 77) for dt, dx in inside)
+
+
+def test_rays_hold_python_scalars():
+    """Rays are WFRay tuples of Python scalars, also when the threshold and
+    the centres are numpy scalars."""
+    field, n, h = grid_field()
+    field.values[n // 2, n // 2] = 1.0
+    c = np.float64(n // 2 * h)
+    wfs = [ml.wf_estimate_2d(field, [(c, c), (c / 2, c)],
+                             threshold=np.float64(2.5)),
+           ml.wf_estimate_1d(SymbolicDistribution1D.delta(0),
+                             centers=(np.float64(0.0), 0.7))]
+    for wf in wfs:
+        assert wf.singular() and len(wf.singular()) < len(wf.rays)
+        for r in wf.rays:
+            assert type(r) is ml.WFRay
+            assert type(r.exponent) is float
+            assert type(r.amplitude) is float
+            assert type(r.singular) is bool
+            assert type(r.direction) is tuple
+            assert all(type(d) is float for d in r.direction)
+
+
 def test_2d_estimate_pairs_each_centre_on_its_own():
     """One call over all centres, skipped ones included, is the
     concatenation of one call per centre."""
