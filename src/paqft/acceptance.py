@@ -5,10 +5,10 @@ times it, records its warnings, numbers it by its position in ALL, and
 records a CheckFailed it raises as its failure, with the message.  The
 same battery backs tests/test_acceptance.py and the CLI `suite` subcommand,
 so pass and fail mean the same thing everywhere.  The checks a criterion
-shares with a CLI command (the commutator, Wick, tadpole, Bogoliubov,
-W-extension, flow and GNS checks below) are one function each, called by
-both: the command with its config and seed, the criterion with its fixed
-inputs.
+shares with a CLI command (the commutator, Bogoliubov, W-extension, flow
+and GNS checks below, quantization.wick_theorem_demo and
+graphs.tadpole_demo) are one function each, called by both: the command
+with its config and seed, the criterion with its fixed inputs.
 
 Exact checks compare rational/Gaussian-rational coefficients for literal
 equality; numeric checks state their tolerance in the detail line.
@@ -114,14 +114,6 @@ def commutator_check(xp, f, g):
     want = PolyFunctional(
         lat, {(): FormalSeries({(1, 0): ExactComplex(0, val)})})
     return comm, val, comm == want
-
-
-def tadpole_check(xp, f, g):
-    """The tadpole-dressed product of phi^2 f and phi^2 g and whether its
-    order-hbar self-contractions cancel."""
-    lat = xp.lat
-    r = gr.tadpole_demo(xp, local_power(lat, f, 2), local_power(lat, g, 2))
-    return r, r["self_terms_cancel"]
 
 
 def round_trip(bog, F):
@@ -277,8 +269,9 @@ def crit_04():
 def crit_05():
     """Self-contraction terms cancel in the tadpole-dressed product."""
     lat, xp = _ctx(8, 4)
-    return (tadpole_check(xp, {lat.site(3, 1): Fraction(1, 2)},
-                          {lat.site(4, 2): Fraction(2, 3)})[1],
+    r = gr.tadpole_demo(xp, {lat.site(3, 1): Fraction(1, 2)},
+                        {lat.site(4, 2): Fraction(2, 3)})
+    return (r["self_terms_cancel"],
             "order-hbar slice of dressed product has no self-contractions, "
             "exact")
 

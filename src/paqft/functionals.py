@@ -47,18 +47,17 @@ def add_to(acc: dict, key, re: int, im: int) -> None:
         acc[key] = (re, im)
 
 
-def remove_one(key: tuple, site: int) -> tuple:
-    i = key.index(site)
-    return key[:i] + key[i + 1:]
-
-
-def partial_bank(bank: dict, y: int) -> dict:
-    """dT/dphi[y] of a bank T = {monomial: (re, im)}; no two keys merge."""
-    out = {}
+def gradient(bank: dict) -> dict:
+    """{y: dT/dphi[y]} of a bank T = {sorted monomial: (re, im)}, one entry
+    per site T holds: the last slot of each run of y is dropped and the
+    run's length multiplies; no two keys of one derivative merge."""
+    out: dict[int, dict] = {}
     for key, (re, im) in bank.items():
-        m = key.count(y)
-        if m:
-            out[remove_one(key, y)] = (m * re, m * im)
+        last = len(key) - 1
+        for i, y in enumerate(key):
+            if i == last or key[i + 1] != y:
+                m = i + 1 - key.index(y)
+                out.setdefault(y, {})[key[:i] + key[i + 1:]] = (m * re, m * im)
     return out
 
 
@@ -205,7 +204,7 @@ class PolyFunctional:
     def partial(self, site: int) -> "PolyFunctional":
         """Plain partial derivative d/dphi[site] (no measure factor)."""
         return PolyFunctional.from_numerators(
-            self.lat, {hl: partial_bank(bank, site)
+            self.lat, {hl: gradient(bank).get(site, {})
                        for hl, bank in self.slices.items()},
             self.den, self.trunc_h, self.trunc_l)
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .functionals import PolyFunctional, pointwise_product
+from .functionals import PolyFunctional, local_power, pointwise_product
 from .lattice import ExactPropagators
 from .quantization import QuantProduct, contract
 
@@ -134,9 +134,9 @@ def graph_expand_Tn(factors, xp: ExactPropagators) -> PolyFunctional:
     return contract(factors, xp.numerators("timeordered_F"), schedules)
 
 
-def tadpole_demo(xp: ExactPropagators, F: PolyFunctional,
-                 G: PolyFunctional) -> dict:
-    """Self-contraction bookkeeping for a renormalised binary product.
+def tadpole_demo(xp: ExactPropagators, f, g) -> dict:
+    """Self-contraction bookkeeping for a renormalised binary product of
+    F = integral of phi^2 f and G = integral of phi^2 g.
 
     With D = hbar * Gamma_K the single-vertex self-contraction operator, K
     the Feynman kernel, the dressed product (1 + D/2)[((1 - D/2)F)
@@ -144,6 +144,7 @@ def tadpole_demo(xp: ExactPropagators, F: PolyFunctional,
     hbar, leaving only the cross contractions between F and G.
     """
     kernel = xp.numerators("timeordered_F")
+    F, G = local_power(xp.lat, f, 2), local_power(xp.lat, g, 2)
 
     def dress(X, weight):
         """(1 + weight * D) X."""

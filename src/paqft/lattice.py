@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import InputError
-from .exact import ExactComplex, to_fraction
+from .exact import to_fraction
 
 
 class LatticeError(InputError):
@@ -268,19 +268,14 @@ class ExactPropagators:
         n_x = self.lat.n_x
         return (i // n_x - j // n_x + self.lat.n_t - 1) * n_x + (i - j) % n_x
 
-    def _read(self, kind: str):
-        """(formula, r, a, h) of `kind`; ZeroModeSingular for an h-kind."""
-        if kind not in _KINDS:
-            raise ValueError(f"unknown kernel kind {kind!r}")
+    def _rows(self, kind: str, ys, zs) -> dict:
+        """{y: {z: entry}} over the nonzero entries of `kind` at (y, z): the
+        offset of each pair read off precomputed (t * n_x, x) per site;
+        ZeroModeSingular for a kind that reads h on a massless lattice."""
         r, a, h, _ = self._lifted
         if h is None and kind in _READS_H:
             self.ps.wightman_table()  # raises ZeroModeSingular
-        return _KINDS[kind], r, a, h
-
-    def _rows(self, kind: str, ys, zs) -> dict:
-        """{y: {z: entry}} over the nonzero entries of `kind` at (y, z): the
-        offset of each pair read off precomputed (t * n_x, x) per site."""
-        f, r, a, h = self._read(kind)
+        f = _KINDS[kind]
         n_x = self.lat.n_x
         past = (self.lat.n_t - 1) * n_x
         cols = [(z, z - z % n_x - past, z % n_x) for z in zs]
@@ -303,15 +298,6 @@ class ExactPropagators:
         if kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}")
         return self.lat, functools.partial(self._rows, kind), self._lifted[3]
-
-    def kernel(self, kind: str):
-        """Kernel `kind` as (i, j) -> ExactComplex, a view of the int
-        entries."""
-        f, r, a, h = self._read(kind)
-        den = self._lifted[3]
-        offset = self._offset
-        return lambda i, j: ExactComplex(*(Fraction(v, den) for v in
-                                           f(r, a, h, offset(i, j))))
 
     def causal_entry(self, i: int, j: int) -> Fraction:
         """Delta(i, j) as a reduced Fraction, one per offset."""

@@ -280,7 +280,7 @@ def wf_estimate_2d(field: SampledField2D, centers,
              math.sin(2 * math.pi * j / WF2D_RAYS)) for j in range(WF2D_RAYS)]
     k = np.array([[r * d[0], r * d[1]]
                   for d in dirs[:WF2D_RAYS // 2] for r in rs])
-    ht, hx = (math.ceil(R / a) + 1 for a in (field.a_t, field.a_x))
+    ht, hx = (math.floor(R / a + 0.5) for a in (field.a_t, field.a_x))
     E_t = np.exp(1j * np.outer(np.arange(-ht, ht + 1) * field.a_t, k[:, 0]))
     E_x = np.exp(1j * np.outer(np.arange(-hx, hx + 1) * field.a_x, k[:, 1]))
     E_t = E_t.view(float)

@@ -25,7 +25,9 @@ numerators over one denominator (one polynomial per (hbar, lambda) order),
 and is used as it is; the kernel comes as int pairs over one declared
 denominator (a power of two per lattice, ExactPropagators.numerators),
 its rows over the factors' supports read once per call; between lines
-the state is a list of tensor terms, one polynomial per factor.  The
+the state is a list of tensor terms, one polynomial per factor, and a
+line reads every derivative of a polynomial off its gradient
+(functionals.gradient), built once.  The
 factors' denominators, the kernel denominator and the schedule weights
 (1/n!, 1/prod l_ij!) fold into one final denominator, and the result is
 reduced once, in ints, into the same form; no Fraction is built between
@@ -45,8 +47,8 @@ import math
 from fractions import Fraction
 
 from .exact import ExactComplex
-from .functionals import (DimensionMismatch, PolyFunctional, local_power,
-                          partial_bank, pointwise_product, remove_one)
+from .functionals import (DimensionMismatch, PolyFunctional, gradient,
+                          local_power, pointwise_product)
 from .lattice import ExactPropagators
 from .series import FormalSeries
 
@@ -66,18 +68,16 @@ class NonLocalInteraction(QuantizationError):
     """Interaction term off one site: Sbar(-V) is no star-inverse of S(V)."""
 
 
-def _smeared(bank: dict, row: dict, out: dict) -> dict:
-    """out += sum_z K(y, z) dT/dphi[z] for the kernel row {z: K(y, z)};
-    returns out."""
-    for key, (re, im) in bank.items():
-        for z in set(key):
-            kv = row.get(z)
-            if kv is not None:
-                m, (kr, ki) = key.count(z), kv
-                k = remove_one(key, z)
+def _smeared(grad: dict, row: dict, out: dict) -> dict:
+    """out += sum_z K(y, z) dT/dphi[z] for the kernel row {z: K(y, z)} and
+    grad = gradient(T); returns out."""
+    for z, d in grad.items():
+        kv = row.get(z)
+        if kv is not None:
+            kr, ki = kv
+            for k, (re, im) in d.items():
                 r0, i0 = out.get(k, (0, 0))
-                out[k] = (r0 + m * (re * kr - im * ki),
-                          i0 + m * (re * ki + im * kr))
+                out[k] = (r0 + re * kr - im * ki, i0 + re * ki + im * kr)
     return out
 
 
@@ -88,19 +88,21 @@ def _line(terms: list, i: int, j: int, table: dict) -> list:
     sum_{y,z} K(y, z) d_z d_y T_i, one field y, then a different field z."""
     out = []
     for banks in terms:
-        sites = {s for key in banks[i] for s in key} & table.keys()
+        gi = gradient(banks[i])
+        sites = gi.keys() & table.keys()
         if i == j:
             gamma: dict = {}
             for y in sites:
-                _smeared(partial_bank(banks[i], y), table[y], gamma)
+                _smeared(gradient(gi[y]), table[y], gamma)
             if gamma:
                 out.append(banks[:i] + (gamma,) + banks[i + 1:])
             continue
+        gj = gradient(banks[j])
         for y in sites:
-            smeared = _smeared(banks[j], table[y], {})
+            smeared = _smeared(gj, table[y], {})
             if smeared:
                 new = list(banks)
-                new[i], new[j] = partial_bank(banks[i], y), smeared
+                new[i], new[j] = gi[y], smeared
                 out.append(tuple(new))
     return out
 
@@ -282,12 +284,14 @@ def wick_theorem_demo(xp: ExactPropagators, f1, f2) -> dict:
     prod = QuantProduct(xp, "star_H").product(F, G)
 
     w2 = lat.volume_weight ** 2
-    wightman = xp.kernel("star_H")
+    _, rows, dk = xp.numerators("star_H")
+    wightman = rows(f1, f2)
     one = {}  # order hbar: sites -> coefficient
     two = ExactComplex(0)  # order hbar^2, the constant
     for s1, v1 in f1.items():
         for s2, v2 in f2.items():
-            wp = wightman(s1, s2)
+            wp = ExactComplex(*(Fraction(v, dk) for v in
+                                wightman.get(s1, {}).get(s2, (0, 0))))
             base = ExactComplex.lift(v1) * ExactComplex.lift(v2) * w2
             key = tuple(sorted((s1, s2)))
             one[key] = one.get(key, ExactComplex(0)) + base * wp * 4

@@ -53,6 +53,18 @@ def rand_functional(lat_small):
     return make
 
 
+def kernel_view(xp, kind):
+    """Kernel `kind` as (i, j) -> ExactComplex, each entry read from the
+    rows of xp.numerators(kind), the form the contraction engine takes; a
+    pair the rows leave out is zero."""
+    _, rows, den = xp.numerators(kind)
+
+    def entry(i, j):
+        re, im = rows((i,), (j,)).get(i, {}).get(j, (0, 0))
+        return ExactComplex(Fraction(re, den), Fraction(im, den))
+    return entry
+
+
 # -- dense site-by-site oracles ----------------------------------------------
 # The library keeps each kernel as a table keyed by the site offset; these
 # spell the same objects out as n_sites x n_sites matrices, by the naive

@@ -13,7 +13,7 @@ from paqft.exact import ExactComplex
 from paqft.series import DEFAULT_TRUNC_H, DEFAULT_TRUNC_L, FormalSeries
 from paqft.functionals import (PolyFunctional, DimensionMismatch,
                                smeared_field, local_power, interaction_vertex,
-                               pointwise_product, free_action)
+                               pointwise_product, free_action, gradient)
 from paqft.lattice import Lattice1p1, leapfrog
 from paqft.quantization import peierls_bracket
 from conftest import el_matrix, interior_sites, make_functional
@@ -27,6 +27,39 @@ def test_func_derivative_is_partial_over_volume(lat_small):
     s = sorted(F.support())[0]
     w = Fraction(1) / lat_small.volume_weight
     assert F.func_derivative(s) == F.partial(s) * w
+
+
+def partial_bank(bank, y):
+    """dT/dphi[y] of a bank T = {monomial: (re, im)}, one site at a time:
+    each key holding y loses one y and its coefficient gains its count."""
+    out = {}
+    for key, (re, im) in bank.items():
+        m = key.count(y)
+        if m:
+            i = key.index(y)
+            out[key[:i] + key[i + 1:]] = (m * re, m * im)
+    return out
+
+
+GAUSSIAN_INTS = st.tuples(st.integers(-10 ** 20, 10 ** 20),
+                          st.integers(-10 ** 20, 10 ** 20))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example(bank={(): (3, -1)})
+@example(bank={(2, 2, 2, 2): (1, 1), (2, 5, 5): (0, -7), (2,): (4, 0)})
+@given(bank=st.dictionaries(
+    st.lists(st.integers(0, 6), max_size=4).map(lambda k: tuple(sorted(k))),
+    GAUSSIAN_INTS, max_size=6))
+def test_gradient_is_the_partial_at_every_site(bank):
+    """Banks with repeated sites up to phi^4, the empty monomial and
+    Gaussian-integer values: the gradient holds one entry per site of the
+    bank, equal to the one-site derivative, and none for another site."""
+    grad = gradient(bank)
+    sites = {s for key in bank for s in key}
+    assert grad.keys() == sites
+    for y in range(-1, 8):
+        assert grad.get(y, {}) == partial_bank(bank, y)
 
 
 def test_site_bounds_checked(lat_small):

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from paqft.functionals import local_power
 from paqft.graphs import (Multigraph, GraphError, SelfLineForbidden,
                           enumerate_graphs, symmetry_factor,
                           symmetry_factor_multinomial,
@@ -96,8 +95,7 @@ def test_graph_sum_equals_iterated_product(xp_small):
 
 def test_tadpole_self_contractions_cancel(xp_small):
     lat = xp_small.lat
-    F = local_power(lat, {lat.site(3, 1): Fraction(1),
-                          lat.site(3, 2): Fraction(1, 3)}, 2)
-    G = local_power(lat, {lat.site(4, 2): Fraction(1)}, 2)
-    rep = tadpole_demo(xp_small, F, G)
+    rep = tadpole_demo(xp_small, {lat.site(3, 1): Fraction(1),
+                                  lat.site(3, 2): Fraction(1, 3)},
+                       {lat.site(4, 2): Fraction(1)})
     assert rep["self_terms_cancel"]

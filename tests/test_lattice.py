@@ -16,7 +16,7 @@ from paqft.lattice import (ExactPropagators, Lattice1p1, PropagatorSet,
                            dyadic, UnstableStep, ZeroModeSingular)
 from paqft.quantization import QuantProduct
 
-from conftest import el_matrix, interior_sites, retarded_matrix
+from conftest import el_matrix, interior_sites, kernel_view, retarded_matrix
 
 
 def _pairs(lat):
@@ -122,7 +122,7 @@ def test_commutator_function_antisymmetric_exact(xp_small):
 
 
 def test_hadamard_symmetric_exact(xp_small):
-    H = xp_small.kernel("hadamard")
+    H = kernel_view(xp_small, "hadamard")
     for i, j in _pairs(xp_small.lat):
         assert H(i, j) == H(j, i)
         assert H(i, j).im == 0
@@ -132,7 +132,7 @@ def test_wightman_decomposition_exact(xp_small):
     """W = H + (i/2) Delta, F = H + i D and F + Fbar = 2 H, coefficient by
     coefficient."""
     half_i = ExactComplex(0, Fraction(1, 2))
-    H, C, W, S, iD, F, Fbar = (xp_small.kernel(kind) for kind in (
+    H, C, W, S, iD, F, Fbar = (kernel_view(xp_small, kind) for kind in (
         "hadamard", "causal", "star_H", "star", "timeordered_D",
         "timeordered_F", "antitimeordered_F"))
     for i, j in _pairs(xp_small.lat):
@@ -147,8 +147,8 @@ def test_feynman_minus_wightman_supported_on_past_cone(xp_small):
     is what makes causal factorization exact on the lattice."""
     lat = xp_small.lat
     R = retarded_matrix(xp_small.ps)
-    F = xp_small.kernel("timeordered_F")
-    W = xp_small.kernel("star_H")
+    F = kernel_view(xp_small, "timeordered_F")
+    W = kernel_view(xp_small, "star_H")
     for i, j in _pairs(lat):
         diff = F(i, j) - W(i, j)
         assert diff == ExactComplex(0, Fraction(float(R[j, i])))
@@ -204,7 +204,7 @@ def test_exact_lift_matches_float_tables(xp_small):
     ps = PropagatorSet(lat)
     R = retarded_matrix(ps)
     wt = ps.wightman_table()
-    H = xp_small.kernel("hadamard")
+    H = kernel_view(xp_small, "hadamard")
     for i, j in _pairs(lat):
         assert float(xp_small.causal_entry(i, j)) == R[i, j] - R[j, i]
         (ti, xi), (tj, xj) = lat.coords(i), lat.coords(j)
@@ -245,12 +245,31 @@ def _offset_pairs(lat):
             for j in (lat.site(0, 0), lat.site(lat.n_t - 1, 0))]
 
 
+def test_rows_hold_exactly_the_nonzero_entries(xp_small):
+    """rows(ys, zs) over every site pair of 8x4 has an entry at (i, j)
+    exactly where the reference lift is nonzero, and it is that entry times
+    den; a row with no nonzero entry is left out."""
+    lat = xp_small.lat
+    ps = PropagatorSet(lat)
+    want = {kind: {} for kind in KINDS}
+    for i, j in _pairs(lat):
+        for kind, v in reference_kernels(ps, i, j).items():
+            if v != ExactComplex(0):
+                want[kind].setdefault(i, {})[j] = v
+    sites = range(lat.n_sites)
+    for kind in KINDS:
+        _, rows, den = xp_small.numerators(kind)
+        got = rows(sites, sites)
+        assert got == {i: {j: (v.re * den, v.im * den) for j, v in row.items()}
+                       for i, row in want[kind].items()}, kind
+
+
 def test_kernels_match_reference_lift(xp_small, xp24):
     """8x4 on every site pair; 24x24 (dyadic exponents up to 72) on every
     offset."""
     for xp, pairs in ((xp_small, _pairs(xp_small.lat)),
                       (xp24, _offset_pairs(xp24.lat))):
-        kernels = {kind: xp.kernel(kind) for kind in KINDS}
+        kernels = {kind: kernel_view(xp, kind) for kind in KINDS}
         ps = PropagatorSet(xp.lat)
         for i, j in pairs:
             want = reference_kernels(ps, i, j)
@@ -320,8 +339,8 @@ def test_massless_lattice_has_the_kinds_free_of_h():
         r = Fraction(ret[ti - tj, (xi - xj) % 4]) if ti > tj else 0
         a = Fraction(ret[tj - ti, (xj - xi) % 4]) if tj > ti else 0
         assert xp.causal_entry(i, j) == r - a
-        assert xp.kernel("star")(i, j) == ExactComplex(0, (r - a) / 2)
-        assert xp.kernel("timeordered_D")(i, j) == ExactComplex(
+        assert kernel_view(xp, "star")(i, j) == ExactComplex(0, (r - a) / 2)
+        assert kernel_view(xp, "timeordered_D")(i, j) == ExactComplex(
             0, (r + a) / 2)
     f, g = {lat.site(2, 0): Fraction(1, 3)}, {lat.site(5, 1): Fraction(2)}
     comm = QuantProduct(xp, "star").commutator(smeared_field(lat, f),
@@ -330,9 +349,10 @@ def test_massless_lattice_has_the_kinds_free_of_h():
             * xp.causal_entry(lat.site(2, 0), lat.site(5, 1)))
     assert want and comm.terms[()].coeff == {(1, 0): ExactComplex(0, want)}
     for kind in ("hadamard", "star_H", "timeordered_F", "antitimeordered_F"):
+        _, rows, _ = xp.numerators(kind)
         with pytest.raises(ZeroModeSingular,
                            match="positive-frequency split needs m > 0"):
-            xp.kernel(kind)(3, 7)
+            rows((3,), (7,))
 
 
 def test_lifts_are_freed_without_the_cycle_collector(lat_small):
@@ -340,7 +360,7 @@ def test_lifts_are_freed_without_the_cycle_collector(lat_small):
     tables go with the last reference, not at a later gc pass."""
     xp = ExactPropagators(lat_small)
     xp.causal_entry(3, 7)
-    xp.kernel("star_H")(3, 7)
+    kernel_view(xp, "star_H")(3, 7)
     ref = weakref.ref(xp)
     gc.disable()
     try:
@@ -351,17 +371,17 @@ def test_lifts_are_freed_without_the_cycle_collector(lat_small):
 
 
 def test_kernel_dispatch(xp_small):
-    k_star = xp_small.kernel("star")
-    k_h = xp_small.kernel("star_H")
-    k_f = xp_small.kernel("timeordered_F")
-    had = xp_small.kernel("hadamard")(3, 7).re
+    k_star = kernel_view(xp_small, "star")
+    k_h = kernel_view(xp_small, "star_H")
+    k_f = kernel_view(xp_small, "timeordered_F")
+    had = kernel_view(xp_small, "hadamard")(3, 7).re
     causal = xp_small.causal_entry(3, 7)
     assert k_star(3, 7) == ExactComplex(0, causal / 2)
     assert k_h(3, 7) == ExactComplex(had, causal / 2)
     assert k_f(3, 7) == ExactComplex(
-        had, xp_small.kernel("timeordered_D")(3, 7).im)
-    with pytest.raises(ValueError):
-        xp_small.kernel("nonsense")
+        had, kernel_view(xp_small, "timeordered_D")(3, 7).im)
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        xp_small.numerators("nonsense")
 
 
 def test_causal_column_agrees_with_entries(xp_small):

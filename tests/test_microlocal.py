@@ -392,6 +392,37 @@ def test_points_on_the_cut_fall_as_in_the_reference():
     assert all(kept[it, dt, dx] for it in (60, 77) for dt, dx in inside)
 
 
+def test_box_reaches_every_point_inside_the_cut():
+    """On AC11's spacings, centres half a step off the grid in t, in x or
+    in both, the farthest a centre gets from its anchor (the nearest grid
+    point).  No grid point more than h = floor(R/a + 1/2) steps from the
+    anchor passes the cut dT*dT + dX*dX < R*R, being at least (h + 1/2) a
+    > R away, and some point h steps out does: the box of wf_estimate_2d
+    is the smallest that holds the cut.  On a random field the estimate
+    at these centres matches the full-grid reference, so no point inside
+    the cut is left out of the box."""
+    a_t, a_x = 0.05, 0.1
+    R = ml.WF2D_SIGMA * ml.WF2D_CUT_SIGMAS
+    ht, hx = (math.floor(R / a + 0.5) for a in (a_t, a_x))
+    field = ml.SampledField2D(
+        np.random.default_rng(5).standard_normal((200, 100)), a_t, a_x)
+    centres = [(field.ts[it] + st * a_t / 2, field.xs[ix] + sx * a_x / 2)
+               for it, ix in ((100, 50), (101, 51))  # round() ties go even
+               for st in (-1, 0, 1) for sx in (-1, 0, 1)]
+    reach_t, reach_x = set(), set()
+    for t0, x0 in centres:
+        inside = np.argwhere((field.ts[:, None] - t0) ** 2
+                             + (field.xs - x0) ** 2 < R * R)
+        dt = inside[:, 0] - round(t0 / a_t)
+        dx = inside[:, 1] - round(x0 / a_x)
+        assert np.abs(dt).max() <= ht and np.abs(dx).max() <= hx
+        reach_t |= {dt.min(), dt.max()}
+        reach_x |= {dx.min(), dx.max()}
+    assert {-ht, ht} <= reach_t and {-hx, hx} <= reach_x
+    wf = ml.wf_estimate_2d(field, centres)
+    assert_matches_reference(wf, reference_wf2d(field, centres))
+
+
 def test_rays_hold_python_scalars():
     """Rays are WFRay tuples of Python scalars, also when the threshold and
     the centres are numpy scalars."""

@@ -174,9 +174,8 @@ def test_wick_expansion_three_terms(xp_small):
 def test_tadpole_first_order_cancellation(xp_small):
     from paqft.graphs import tadpole_demo
     lat = xp_small.lat
-    F = local_power(lat, {lat.site(3, 1): Fraction(1)}, 2)
-    G = local_power(lat, {lat.site(4, 2): Fraction(1, 2)}, 2)
-    rep = tadpole_demo(xp_small, F, G)
+    rep = tadpole_demo(xp_small, {lat.site(3, 1): Fraction(1)},
+                       {lat.site(4, 2): Fraction(1, 2)})
     assert rep["self_terms_cancel"]
     assert rep["dressed_h1"] == rep["cross_expected_h1"]
 
