@@ -155,7 +155,7 @@ def _non_finite(rows, skip):
 
 
 def _int(v):
-    if type(v) is not int:  # int() truncates 2.5 and reads yes (True) as 1
+    if type(v) is not int:  # int() truncates 2.5
         raise ValueError("want an integer")
     return v
 
@@ -172,20 +172,8 @@ def _at_least(low):
 _count = _at_least(1)
 
 
-def _real(convert):
-    """`convert` (float or Fraction) for a numeric key, rejecting a bool."""
-    def checked(v):
-        if isinstance(v, bool):
-            raise ValueError("want a number, not a boolean")
-        return convert(v)
-    return checked
-
-
-_float, _fraction = _real(float), _real(Fraction)
-
-
 def _finite(v):
-    x = _float(v)
+    x = float(v)
     if not math.isfinite(x):
         raise ValueError("want a finite number")
     return x
@@ -216,8 +204,8 @@ def _criteria(v):
 
 
 LATTICE = {"n_t": (_int, 12), "n_x": (_int, 8),
-           "a_t": (_fraction, Fraction(1, 2)),
-           "a_x": (_fraction, Fraction(1)), "mass": (_float, 1.0)}
+           "a_t": (Fraction, Fraction(1, 2)),
+           "a_x": (Fraction, Fraction(1)), "mass": (float, 1.0)}
 FUNCTIONAL = ("degree", "hbar_order", "lambda_order", "sites", "coefficient")
 QUANTITY = ("quantity", "value")
 

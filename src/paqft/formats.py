@@ -7,9 +7,8 @@ with '#' are ignored everywhere.
 Config files
 ------------
     key = value
-Values are parsed as bool ("true", "yes", "on" or "false", "no", "off",
-in any case), int, Fraction ("3/4"), float, or kept as strings;
-comma-separated values become lists.
+Values are parsed as int, Fraction ("3/4") or float, or kept as strings
+("true" too); comma-separated values become lists.
 
 Algebra files
 -------------
@@ -69,11 +68,6 @@ def _lines(text):
 # ---------------------------------------------------------------- config
 
 def _parse_scalar(tok):
-    low = tok.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
     try:
         return int(tok)
     except ValueError:

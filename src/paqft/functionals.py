@@ -199,6 +199,13 @@ class PolyFunctional:
     def is_zero(self) -> bool:
         return not self.slices
 
+    def conj(self) -> "PolyFunctional":
+        """The complex conjugate; hbar and lambda are formal, left alone."""
+        return PolyFunctional.from_numerators(
+            self.lat, {hl: {k: (re, -im) for k, (re, im) in bank.items()}
+                       for hl, bank in self.slices.items()},
+            self.den, self.trunc_h, self.trunc_l)
+
     # -- derivatives ---------------------------------------------------------
 
     def partial(self, site: int) -> "PolyFunctional":

@@ -218,9 +218,8 @@ _KINDS = {
     "star_H": lambda r, a, h, k: (2 * h[k], r[k] - a[k]),
     "timeordered_D": lambda r, a, h, k: (0, r[k] + a[k]),
     "timeordered_F": lambda r, a, h, k: (2 * h[k], r[k] + a[k]),
-    "antitimeordered_F": lambda r, a, h, k: (2 * h[k], -(r[k] + a[k])),
 }
-_READS_H = {"hadamard", "star_H", "timeordered_F", "antitimeordered_F"}
+_READS_H = {"hadamard", "star_H", "timeordered_F"}
 
 
 class ExactPropagators:
@@ -237,7 +236,7 @@ class ExactPropagators:
     of h work on a massless lattice, which has no positive-frequency table.
     Structural identities hold by construction (antisymmetric causal
     kernel, symmetric Hadamard kernel, Wightman = H + (i/2)Delta, Feynman =
-    H + i*DiracD, anti-Feynman = H - i*DiracD), so every algebraic relation
+    H + i*DiracD, the conjugate of anti-Feynman), so every algebraic relation
     between the kernels holds exactly over the rationals, entry by entry.
     """
 

@@ -6,16 +6,16 @@ Every product here is one exponential-contraction formula,
 
 differing only in the contraction kernel K: (i/2)Delta for the star product,
 the positive-frequency kernel for the Wick-ordered star product, i*DiracD and
-Feynman for the two time-ordered products, anti-Feynman for the
-anti-time-ordered one.  The Wick transform alpha_H and the time-ordering
-operator are the same formula with both ends of each line in one functional
-(exp_gamma, e^{(hbar/2) Gamma_K}), the Peierls bracket is one line of the
-causal kernel Delta between two functionals, and the graph expansion of
-graphs.py is the same formula with n functionals and lines between any two
-of them.
+Feynman for the two time-ordered products.  The Wick transform alpha_H and
+the time-ordering operator are the same formula with both ends of each line
+in one functional (exp_gamma, e^{(hbar/2) Gamma_K}), the Peierls bracket is
+one line of the causal kernel Delta between two functionals, and the graph
+expansion of graphs.py is the same formula with n functionals and lines
+between any two of them.
 The formal S-matrix is the exponential of the vertex in a time-ordered
 product, and the Bogoliubov map R F = Sbar(-V) * (S(V) x_T F) takes the
-star-inverse of S(V) as Sbar(-V), the anti-time-ordered exponential of -V.
+star-inverse of S(V) as Sbar(-V), the anti-time-ordered exponential of -V:
+the complex conjugate of S(-conj V).
 
 All of them are thin callers of `contract`, the single contraction engine.
 It follows the formula: a line contracts, through the kernel, functional
@@ -52,8 +52,7 @@ from .functionals import (DimensionMismatch, PolyFunctional, gradient,
 from .lattice import ExactPropagators
 from .series import FormalSeries
 
-PRODUCT_KINDS = ("star", "star_H", "timeordered_D", "timeordered_F",
-                 "antitimeordered_F")
+PRODUCT_KINDS = ("star", "star_H", "timeordered_D", "timeordered_F")
 
 
 class QuantizationError(Exception):
@@ -325,44 +324,52 @@ class BogoliubovMap:
     largest-time argument gives S(V) * Sbar(-V) = 1 order by order.  That
     argument needs every term of V to sit on one site (NonLocalInteraction
     otherwise), and the interaction must carry the formal coupling, which
-    makes every series finite per order.
+    makes every series finite per order.  The anti-Feynman kernel is the
+    conjugate of the Feynman one, and contract uses only ring operations
+    and real rational weights, so Sbar(-V) = conj S(-conj V), which is
+    conj S(-V) when V is real.
 
     Both maps use V', the terms of V on a site in the closed past cone of
     supp F: R_V F = R_V' F, as the interacting field depends only on the
     interaction in its past.  For R^-1, V' is closed under taking pasts
     (the past-cone relation is transitive) and G = R^-1_V' F has support in
     supp F and supp V', so R_V G = R_V' G = F; R_V is injective, so
-    G = R^-1_V F.  The S-matrices of each V' are built once, on first use;
-    those of V with the map.
+    G = R^-1_V F.  The S-matrices of each V', keyed by its sites, are built
+    once, on first use; those of V with the map.
     """
 
     def __init__(self, xp: ExactPropagators, V: PolyFunctional):
-        for key in V.terms:
-            if len(set(key)) != 1:
-                raise NonLocalInteraction(
-                    f"interaction term on sites {key} is not on one site")
+        for bank in V.slices.values():
+            for key in bank:
+                if len(set(key)) != 1:
+                    raise NonLocalInteraction(
+                        f"interaction term on sites {key} is not on one site")
         self.xp = xp
         self.V = V
         self.tp = QuantProduct(xp, "timeordered_F")
         self.sp = QuantProduct(xp, "star_H")
         self._S: dict[frozenset, tuple] = {}
-        self._s_matrices(V.terms)
+        self._sites = frozenset(V.support())
+        self._s_matrices(self._sites)
 
-    def _s_matrices(self, terms: dict) -> tuple:
-        """(S(V'), S(-V'), Sbar(-V')) for V' the given terms of V."""
-        key = frozenset(terms)
-        if key not in self._S:
-            V = PolyFunctional(self.V.lat, terms, self.V.trunc_h,
-                               self.V.trunc_l)
-            self._S[key] = (s_matrix(self.xp, V), s_matrix(self.xp, V * (-1)),
-                            s_matrix(self.xp, V * (-1), "antitimeordered_F"))
-        return self._S[key]
+    def _s_matrices(self, sites: frozenset) -> tuple:
+        """(S(V'), S(-V'), Sbar(-V')) for V' the terms of V on `sites`."""
+        if sites not in self._S:
+            V = self.V
+            V = PolyFunctional.from_numerators(V.lat, {
+                hl: {k: c for k, c in bank.items() if k[0] in sites}
+                for hl, bank in V.slices.items()}, V.den, V.trunc_h, V.trunc_l)
+            S, S_neg = s_matrix(self.xp, V), s_matrix(self.xp, V * (-1))
+            W = V.conj()  # Sbar(-V') = conj S(-W)
+            S_W = S_neg if W == V else s_matrix(self.xp, W * (-1))
+            self._S[sites] = (S, S_neg, S_W.conj())
+        return self._S[sites]
 
     def _past(self, F: PolyFunctional) -> tuple:
         lat, supp = self.V.lat, F.support()
-        return self._s_matrices({
-            k: c for k, c in self.V.terms.items()
-            if any(lat.in_past_cone(k[0], y) for y in supp)})
+        return self._s_matrices(frozenset(
+            s for s in self._sites
+            if any(lat.in_past_cone(s, y) for y in supp)))
 
     def R(self, F: PolyFunctional) -> PolyFunctional:
         S, _, S_star_inv = self._past(F)
@@ -401,14 +408,12 @@ def causal_factorization_check(xp: ExactPropagators, V1: PolyFunctional,
         s_matrix(xp, V1), s_matrix(xp, V2))
 
 
-def s_matrix(xp: ExactPropagators, V: PolyFunctional,
-             kind: str = "timeordered_F") -> PolyFunctional:
-    """Formal S-matrix sum_n V^{x_K n} / n! in the product of kernel `kind`
-    (timeordered_F; antitimeordered_F for Sbar), to the coupling truncation
-    of V."""
+def s_matrix(xp: ExactPropagators, V: PolyFunctional) -> PolyFunctional:
+    """Formal S-matrix sum_n V^{x_T n} / n! in the Feynman time-ordered
+    product, to the coupling truncation of V."""
     if any(l == 0 for (_, l) in V.slices):
         raise NoLambdaGrading("S-matrix argument must carry the coupling")
-    product = QuantProduct(xp, kind).product
+    product = QuantProduct(xp, "timeordered_F").product
     out = PolyFunctional.constant(V.lat, 1, V.trunc_h, V.trunc_l)
     term = out
     for n in range(1, V.trunc_l + 1):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from paqft.dist1d import SymbolicDistribution1D
 from paqft.exact import ExactComplex
 from paqft.lattice import Lattice1p1, ExactPropagators
 from paqft.functionals import PolyFunctional
+from paqft.quantization import contract
 
 
 @pytest.fixture(scope="session")
@@ -57,12 +59,46 @@ def kernel_view(xp, kind):
     """Kernel `kind` as (i, j) -> ExactComplex, each entry read from the
     rows of xp.numerators(kind), the form the contraction engine takes; a
     pair the rows leave out is zero."""
-    _, rows, den = xp.numerators(kind)
+    return rows_view(xp.numerators(kind))
+
+
+def rows_view(kernel):
+    """A kernel (lat, rows, den), as contract takes it, as (i, j) ->
+    ExactComplex."""
+    _, rows, den = kernel
 
     def entry(i, j):
         re, im = rows((i,), (j,)).get(i, {}).get(j, (0, 0))
         return ExactComplex(Fraction(re, den), Fraction(im, den))
     return entry
+
+
+# -- the anti-time-ordered exponential ---------------------------------------
+# The library builds Sbar(-V) as the conjugate of S(-conj V); these build it
+# the direct way, from anti-Feynman rows, for the checks that compare the two.
+
+def antifeynman_rows(xp):
+    """The anti-Feynman kernel H - i*DiracD as contract takes it: the rows
+    of xp.numerators("timeordered_F"), each entry conjugated."""
+    lat, rows, den = xp.numerators("timeordered_F")
+
+    def conj_rows(ys, zs):
+        return {y: {z: (re, -im) for z, (re, im) in row.items()}
+                for y, row in rows(ys, zs).items()}
+    return lat, conj_rows, den
+
+
+def antitimeordered_s_matrix(xp, V):
+    """sum_n V^{x n} / n! in the anti-Feynman product, each product one
+    contract over antifeynman_rows, to the coupling truncation of V."""
+    kernel = antifeynman_rows(xp)
+    schedules = [(((0, 1),) * n, Fraction(1, math.factorial(n)))
+             for n in range(V.trunc_h + 1)]
+    out = term = PolyFunctional.constant(V.lat, 1, V.trunc_h, V.trunc_l)
+    for n in range(1, V.trunc_l + 1):
+        term = contract([term, V], kernel, schedules) * Fraction(1, n)
+        out = out + term
+    return out
 
 
 # -- dense site-by-site oracles ----------------------------------------------

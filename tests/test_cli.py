@@ -642,7 +642,7 @@ def test_flow_nan_drift_fails_the_check(tmp_path, monkeypatch):
     assert "symbol drift nan exceeds" in res.output
 
 
-def test_gns_algebra_file_paths(tmp_path):
+def test_gns_algebra_file_paths(tmp_path, monkeypatch):
     good = tmp_path / "alg.txt"
     good.write_text("dim 2\nc 0 0 0 1\nc 1 1 1 1\ns 0 0 1\ns 1 1 1\n"
                     "unit 0 1\nunit 1 1\nomega 0 0.5\nomega 1 0.5\n")
@@ -681,6 +681,13 @@ def test_gns_algebra_file_paths(tmp_path):
         res = run(["gns", "--config", str(cfg), "--out", str(tmp_path)],
                   expect=2)
         assert repr(record) in res.output
+
+    # a path that reads like a boolean is a path all the same
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "yes").write_text(good.read_text())
+    cfg.write_text("algebra_file = yes\n")
+    res = run(["gns", "--config", str(cfg), "--out", str(tmp_path)])
+    assert "file" in res.output
 
 
 def test_internal_invariant_maps_to_exit_4(tmp_path, monkeypatch):

@@ -16,7 +16,8 @@ from paqft.lattice import (ExactPropagators, Lattice1p1, PropagatorSet,
                            dyadic, UnstableStep, ZeroModeSingular)
 from paqft.quantization import QuantProduct
 
-from conftest import el_matrix, interior_sites, kernel_view, retarded_matrix
+from conftest import (antifeynman_rows, el_matrix, interior_sites,
+                      kernel_view, retarded_matrix, rows_view)
 
 
 def _pairs(lat):
@@ -129,17 +130,18 @@ def test_hadamard_symmetric_exact(xp_small):
 
 
 def test_wightman_decomposition_exact(xp_small):
-    """W = H + (i/2) Delta, F = H + i D and F + Fbar = 2 H, coefficient by
-    coefficient."""
+    """W = H + (i/2) Delta and F = H + i D, and the conjugated Feynman rows
+    are Fbar = H - i D, coefficient by coefficient."""
     half_i = ExactComplex(0, Fraction(1, 2))
-    H, C, W, S, iD, F, Fbar = (kernel_view(xp_small, kind) for kind in (
+    H, C, W, S, iD, F = (kernel_view(xp_small, kind) for kind in (
         "hadamard", "causal", "star_H", "star", "timeordered_D",
-        "timeordered_F", "antitimeordered_F"))
+        "timeordered_F"))
+    Fbar = rows_view(antifeynman_rows(xp_small))
     for i, j in _pairs(xp_small.lat):
         assert S(i, j) == half_i * C(i, j)
         assert W(i, j) == H(i, j) + S(i, j)
         assert F(i, j) == H(i, j) + iD(i, j)
-        assert Fbar(i, j) + F(i, j) == H(i, j) * 2
+        assert Fbar(i, j) == H(i, j) - iD(i, j)
 
 
 def test_feynman_minus_wightman_supported_on_past_cone(xp_small):
@@ -215,7 +217,7 @@ def test_exact_lift_matches_float_tables(xp_small):
 
 
 KINDS = ("causal", "hadamard", "star", "star_H", "timeordered_D",
-         "timeordered_F", "antitimeordered_F")
+         "timeordered_F")
 
 
 def reference_kernels(ps, i, j):
@@ -234,8 +236,7 @@ def reference_kernels(ps, i, j):
             "star": ExactComplex(0, Fraction(r - a) / 2),
             "star_H": ExactComplex(h, Fraction(r - a) / 2),
             "timeordered_D": ExactComplex(0, Fraction(r + a) / 2),
-            "timeordered_F": ExactComplex(h, Fraction(r + a) / 2),
-            "antitimeordered_F": ExactComplex(h, -Fraction(r + a) / 2)}
+            "timeordered_F": ExactComplex(h, Fraction(r + a) / 2)}
 
 
 def _offset_pairs(lat):
@@ -348,7 +349,7 @@ def test_massless_lattice_has_the_kinds_free_of_h():
     want = (f[lat.site(2, 0)] * g[lat.site(5, 1)] * lat.volume_weight ** 2
             * xp.causal_entry(lat.site(2, 0), lat.site(5, 1)))
     assert want and comm.terms[()].coeff == {(1, 0): ExactComplex(0, want)}
-    for kind in ("hadamard", "star_H", "timeordered_F", "antitimeordered_F"):
+    for kind in ("hadamard", "star_H", "timeordered_F"):
         _, rows, _ = xp.numerators(kind)
         with pytest.raises(ZeroModeSingular,
                            match="positive-frequency split needs m > 0"):

@@ -24,7 +24,7 @@ from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 causally_later, multilocal_injectivity_check,
                                 NoLambdaGrading, NonLocalInteraction)
 
-from conftest import make_functional
+from conftest import antitimeordered_s_matrix, make_functional
 from test_contraction import cmul, plain
 
 
@@ -274,12 +274,14 @@ def _star_inverse_reference(sp, A):
        st.integers(2, 4), st.integers(1, 3), st.integers(1, 3))
 def test_antitimeordered_s_matrix_is_star_inverse(xp_small, f, degree,
                                                   th, tl):
-    """Sbar(-V) equals the geometric series for S(V)^{*-1}, and
-    S(V) * Sbar(-V) = 1 = Sbar(-V) * S(V), exactly."""
+    """Sbar(-V), the conjugate of S(-conj V), equals the anti-time-ordered
+    exponential of -V built from anti-Feynman rows and the geometric series
+    for S(V)^{*-1}, and S(V) * Sbar(-V) = 1 = Sbar(-V) * S(V), exactly."""
     V = interaction_vertex(xp_small.lat, f, degree, th, tl)
     star = QuantProduct(xp_small, "star_H")
     S = s_matrix(xp_small, V)
-    S_bar = s_matrix(xp_small, V * (-1), "antitimeordered_F")
+    S_bar = s_matrix(xp_small, V.conj() * (-1)).conj()
+    assert S_bar == antitimeordered_s_matrix(xp_small, V * (-1))
     assert S_bar == _star_inverse_reference(star, S)
     one = PolyFunctional.constant(xp_small.lat, 1, th, tl)
     assert star.product(S, S_bar) == one
@@ -296,7 +298,7 @@ def unrestricted_maps(xp, V):
     tp, sp = QuantProduct(xp, "timeordered_F"), QuantProduct(xp, "star_H")
     S = s_matrix(xp, V)
     S_neg = s_matrix(xp, V * (-1))
-    S_bar = s_matrix(xp, V * (-1), "antitimeordered_F")
+    S_bar = antitimeordered_s_matrix(xp, V * (-1))
 
     def R(F):
         return sp.product(S_bar, tp.product(S, F))
@@ -354,14 +356,14 @@ def test_bogoliubov_map_builds_each_vertex_set_once(xp_small, monkeypatch):
     V = interaction(lat, [early, late])
     built = []
 
-    def counted(xp, W, *kind):
-        built.append((tuple(sorted(W.support())), *kind))
-        return s_matrix(xp, W, *kind)
+    def counted(xp, W):
+        built.append(tuple(sorted(W.support())))
+        return s_matrix(xp, W)
 
     monkeypatch.setattr(qz, "s_matrix", counted)
 
-    def S_of(*sites):
-        return [(sites,), (sites,), (sites, "antitimeordered_F")]
+    def S_of(*sites):  # S(V') and S(-V'); V' is real, so Sbar is conj S(-V')
+        return [sites, sites]
 
     bog = BogoliubovMap(xp_small, V)
     assert built == S_of(early, late)
@@ -374,6 +376,38 @@ def test_bogoliubov_map_builds_each_vertex_set_once(xp_small, monkeypatch):
     assert built == S_of(early, late) + S_of() + S_of(early)
 
 
+def test_a_complex_interaction_builds_sbar_from_its_conjugate(xp_small,
+                                                             monkeypatch):
+    """V with Gaussian-rational coefficients at lambda^1 on two sites is
+    not real, so Sbar(-V) = conj S(-conj V) takes a third S-matrix, of
+    -conj V; R and R^-1 are == the oracle maps, and R^-1 R is the
+    identity."""
+    lat = xp_small.lat
+    a, b = lat.site(2, 1), lat.site(4, 3)
+    V = PolyFunctional(lat, {
+        (a,) * 4: FormalSeries({(0, 1): ExactComplex(Fraction(1, 2), 1)}),
+        (b, b): FormalSeries({(0, 1): ExactComplex(-1, Fraction(1, 3))})},
+        2, 2)
+    built = []
+
+    def counted(xp, W):
+        built.append(W)
+        return s_matrix(xp, W)
+
+    monkeypatch.setattr(qz, "s_matrix", counted)
+    bog = BogoliubovMap(xp_small, V)
+    assert built == [V, V * (-1), V.conj() * (-1)]
+    # both vertices lie in the past of F, so the map uses all of V
+    F = local_power(lat, {lat.site(6, 0): 1, lat.site(5, 2): Fraction(1, 2)},
+                    2, 2, 2)
+    R, Rinv, _ = unrestricted_maps(xp_small, V)
+    RF = bog.R(F)
+    assert RF == R(F)
+    assert bog.Rinv(F) == Rinv(F)
+    assert bog.Rinv(RF) == F
+    assert len(built) == 3
+
+
 @pytest.mark.parametrize("key", [(1, 21), (5, 5, 21)])
 def test_a_non_local_interaction_is_rejected(xp_small, key):
     """A term on two sites: Sbar(-V) is not the star-inverse of S(V), so
@@ -381,7 +415,7 @@ def test_a_non_local_interaction_is_rejected(xp_small, key):
     lat = xp_small.lat
     V = PolyFunctional(lat, {key: FormalSeries({(0, 1): 1})}, 2, 2)
     star = QuantProduct(xp_small, "star_H")
-    S_bar = s_matrix(xp_small, V * (-1), "antitimeordered_F")
+    S_bar = antitimeordered_s_matrix(xp_small, V * (-1))
     assert star.product(s_matrix(xp_small, V), S_bar) \
         != PolyFunctional.constant(lat, 1, 2, 2)
     with pytest.raises(NonLocalInteraction, match=re.escape(str(key))):
