@@ -344,12 +344,11 @@ def crit_09():
     t = dist1d.SymbolicDistribution1D.power_i0(-2.0, +1)
     sd = eg.scaling_degree_regression(t)
     div, _, e1, e2, _, resid = w_extensions(t)
-    worst_d1 = worst_err = 0.0
-    for c2, c3 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4)):
-        f = dist1d.TestFunction1D.from_poly((0.0, 0.0, c2, c3), 0.5, 1.0)
-        (v1, err1), (v2, err2) = e1.pair_with_error(f), e2.pair_with_error(f)
-        worst_d1 = max(worst_d1, abs(v1 - v2) + err1 + err2)
-        worst_err = max(worst_err, err1, err2)
+    d1 = [dist1d.TestFunction1D.from_poly((0.0, 0.0, c2, c3), 0.5, 1.0)
+          for c2, c3 in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4))]
+    (v1, err1), (v2, err2) = e1.pair_batch(d1), e2.pair_batch(d1)
+    worst_d1 = float(np.max(abs(v1 - v2) + err1 + err2))
+    worst_err = float(np.max([err1, err2]))
 
     fam = lambda z: dist1d.SymbolicDistribution1D.halfline(z - 1.0, +1)
     worst_ms, ms = 0.0, []

@@ -419,8 +419,9 @@ def extend(cfg, seed, expression):
             ("ambiguity_residual", resid * scale)]
     rows += [("ambiguity_delta_%d" % a, complex(c) * scale)
              for a, c in enumerate(coeffs)]
-    rows += [("pairing_%s" % name, e1.pair(_probe(poly)) * scale)
-             for name, poly in _PROBES]
+    values, _ = e1.pair_batch([_probe(poly) for _, poly in _PROBES])
+    rows += [("pairing_%s" % name, complex(v) * scale)
+             for (name, _), v in zip(_PROBES, values)]
     return rows, ["sd = %.6f (%s), div = %.6f, extension order %d"
                   % (sd, how, div, order),
                   "two w-projection extensions differ by a local term, "

@@ -10,11 +10,22 @@ smooth annulus.
 Every numerical integral here and in the wave front estimator goes through one
 routine, quad_complex: adaptive 21/10-point Gauss-Kronrod on the panels
 between breakpoints (window radii, jumps, the origin), complex-valued, all
-nodes of a round in one call.  Integrands of a family (rows: the circle
-samples of pair_family, a WF ladder) share one set of intervals, each row held
-to its own tolerance, and get QUADPACK's qk21 error estimate per row;
-pair_with_error sums it over terms (exact terms contribute 0).  A tolerance
-missed at the interval limit or roundoff floor warns (QuadratureWarning).
+nodes of a round in one call.  Integrands of a batch (rows: the pairings of
+pair_family, the waves of a WF ladder) share one set of intervals, each row
+held to its own tolerance, and get QUADPACK's qk21 error estimate per row.
+A tolerance missed at the interval limit or roundoff floor warns
+(QuadratureWarning).
+
+Every pairing is a batch: pair_family pairs distributions of one term layout
+(the circle samples of a minimal subtraction) with a batch of test functions
+(the probes of an extension fit, the scales of a regression), one
+quadrature run per panel for all of them.  The panel edges are the union of
+the functions' window radii, the finite-part and half-line split sits at the
+smallest plateau radius in the batch (each function is its core polynomial
+inside its own plateau, so this is exact), and every atom of every function
+is evaluated in one array pass (TestFunctionBatch).  pair_with_error is the
+batch of one, and sums the error estimate over terms (exact terms
+contribute 0).
 
 Pairings with the homogeneous kinds below use the standard finite-part /
 analytic-continuation formulas.  For kinds of positive divergence degree the
@@ -68,15 +79,14 @@ def _window_scalar(x: float, r0: float, R: float) -> float:
     return a / (a + b)
 
 
-def _window(x, r0: float, R: float):
-    """The window at an array of points."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    out = np.zeros_like(ax)
-    out[ax <= r0] = 1.0
+def _window(x, r0, R):
+    """The window at an array of points; r0 and R may be arrays that
+    broadcast against x (a column each: one row per atom)."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    out = np.array(ax <= r0, dtype=float)
     mid = (ax > r0) & (ax < R)
     if mid.any():
-        u = (R - ax[mid]) / (R - r0)
+        u = ((R - ax) / (R - r0))[mid]
         a = np.exp(-1.0 / u)
         b = np.exp(-1.0 / (1.0 - u))
         out[mid] = a / (a + b)
@@ -161,13 +171,7 @@ class TestFunction1D:
                     out += coeff * p * w
             return out
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for coeff, poly, r0, R in self.atoms:
-            p = np.zeros(x.shape, dtype=complex)
-            for c in reversed(poly):
-                p = p * x + c
-            out += coeff * p * _window(x, r0, R)
-        return out
+        return TestFunctionBatch((self,))(x.ravel())[0].reshape(x.shape)
 
     def __add__(self, other):
         if not isinstance(other, TestFunction1D):
@@ -204,12 +208,80 @@ class TestFunction1D:
                         r0 / c, R / c))
         return TestFunction1D(out)
 
+
+class TestFunctionBatch:
+    """Test functions f_0 .. f_(m-1) as one flat table of their atoms.  An
+    evaluation at n points takes every atom of every function in one array
+    pass and gives an (m, n) array, row i the values of f_i."""
+
+    __slots__ = ("functions", "coeff", "poly", "r0", "R", "rounds", "core",
+                 "plateau_radius", "support_radius", "points")
+
+    def __init__(self, functions):
+        self.functions = tuple(functions)
+        # round j: the j-th atom of each function that has one, as table
+        # rows start..stop, and the functions they belong to (a slice when
+        # that is all of them)
+        self.rounds, atoms = [], []
+        for j in range(max((len(f.atoms) for f in self.functions),
+                           default=0)):
+            owners = [i for i, f in enumerate(self.functions)
+                      if len(f.atoms) > j]
+            self.rounds.append((len(atoms), len(atoms) + len(owners),
+                                owners if len(owners) < len(self.functions)
+                                else slice(None)))
+            atoms += [self.functions[i].atoms[j] for i in owners]
+        # poly[j]: the x^j coefficient of every atom, as a column
+        self.poly = np.zeros((max((len(a[1]) for a in atoms), default=0),
+                              len(atoms), 1), dtype=complex)
+        for k, (_, poly, _, _) in enumerate(atoms):
+            self.poly[:len(poly), k, 0] = poly
+        self.coeff = np.array([a[0] for a in atoms], dtype=complex)[:, None]
+        self.r0 = np.array([a[2] for a in atoms], dtype=float)[:, None]
+        self.R = np.array([a[3] for a in atoms], dtype=float)[:, None]
+        self.plateau_radius = min((a[2] for a in atoms), default=0.0)
+        self.support_radius = max((a[3] for a in atoms), default=0.0)
+        self.points = {s * v for _, _, r0, R in atoms
+                       for v in (r0, R) for s in (1, -1)}
+        cores = [f.core_poly for f in self.functions]
+        self.core = np.zeros((len(cores), max(map(len, cores), default=0)),
+                             dtype=complex)
+        for i, core in enumerate(cores):
+            self.core[i, :len(core)] = core
+
+    def __len__(self):
+        return len(self.functions)
+
+    def __call__(self, x):
+        """(m, n) values at the n points of a 1D array x."""
+        x = np.asarray(x, dtype=float)
+        terms = np.zeros((len(self.coeff), len(x)), dtype=complex)
+        for c in self.poly[::-1]:  # Horner, in place
+            terms *= x
+            terms += c
+        np.multiply(self.coeff, terms, out=terms)
+        terms *= _window(x, self.r0, self.R)
+        out = np.zeros((len(self), len(x)), dtype=complex)
+        for start, stop, owners in self.rounds:
+            out[owners] += terms[start:stop]
+        return out
+
+    def mirror(self):
+        """The batch of x -> f_i(-x)."""
+        return TestFunctionBatch(f.mirror() for f in self.functions)
+
+    def derivative_at_0(self, k: int):
+        """f_i^(k)(0) for every i."""
+        if k >= self.core.shape[1]:
+            return np.zeros(len(self), dtype=complex)
+        return self.core[:, k] * math.factorial(k)
+
     def taylor_remainder(self, x, order: int):
-        """f(x) - sum_{j<order} f_j x^j, with f_j the exact core coefficients."""
-        core = self.core_poly
+        """f_i(x) - sum_{j<order} f_ij x^j, f_ij the exact core
+        coefficients, at the points of a 1D array x."""
         val = self(x)
-        for j in range(min(order, len(core))):
-            val = val - core[j] * np.asarray(x, dtype=float) ** j
+        for j in range(min(order, self.core.shape[1])):
+            val -= self.core[:, j, None] * np.asarray(x, dtype=float) ** j
         return val
 
 
@@ -252,15 +324,19 @@ _EPS = np.finfo(float).eps
 
 def _gk21(func, lo, hi):
     """Kronrod values, QUADPACK error estimates and roundoff floors of func
-    on the intervals [lo_i, hi_i] (axis 0, rows on axis 1), in one call."""
+    on the intervals [lo_i, hi_i] (axis 0, rows on axis 1), in one call.
+    The values func returns are scratch space here, overwritten in place:
+    a batch of rows holds one complex array of them and one real one."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _GK_X
     fx = np.asarray(func(x.ravel()), dtype=complex)
     fx = fx.reshape(fx.shape[:-1] + x.shape)
     resk = fx @ _GK_WK
     err = h * np.abs(resk - fx @ _GK_WG)
-    resabs = h * (np.abs(fx) @ _GK_WK)
-    resasc = h * (np.abs(fx - 0.5 * resk[..., None]) @ _GK_WK)
+    absf = np.abs(fx)
+    resabs = h * (absf @ _GK_WK)
+    fx -= 0.5 * resk[..., None]
+    resasc = h * (np.abs(fx, out=absf) @ _GK_WK)
     scaled = (resasc > 0) & (err > 0)
     err[scaled] = resasc[scaled] * np.minimum(
         1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5)
@@ -273,6 +349,7 @@ def quad_complex(func, a: float, b: float, points, epsabs: float = 1e-13,
     """(integral of func over [a, b], error estimate) for a complex-valued
     func that maps an array of n points to n values, or to (m, n) values
     of m integrands (rows), which then share one run and come out as arrays.
+    Each call of func must return a new array: the run overwrites it.
 
     Adaptive 21/10-point Gauss-Kronrod on the panels between the breakpoints
     in (a, b), one set of intervals for all rows.  Each round bisects every
@@ -321,13 +398,6 @@ def quad_complex(func, a: float, b: float, points, epsabs: float = 1e-13,
     if np.ndim(total):
         return total, etotal
     return complex(total), float(etotal)
-
-
-def _breakpoints(f: TestFunction1D):
-    pts = set()
-    for _, _, r0, R in f.atoms:
-        pts.update((r0, R, -r0, -R))
-    return pts
 
 
 def _power_log_integral(b, p: int, upper: float):
@@ -418,46 +488,55 @@ class SymbolicDistribution1D:
 
     def pair_with_error(self, f: TestFunction1D):
         """(<t, f>, quadrature error estimate); exact terms contribute 0."""
-        out, err = 0j, 0.0
-        for coeff, kind in self.terms:
-            v, e = _pair_term(kind, f)
-            out += coeff * v
-            err += abs(coeff) * e
-        return out, err
+        values, errors = self.pair_batch([f])
+        return complex(values[0]), float(errors[0])
 
-    def pair_scaled(self, lam: float, f: TestFunction1D) -> complex:
-        """<t(lam x), f(x)> = (1/lam) <t, f(x/lam)>."""
-        if lam <= 0:
+    def pair_batch(self, fs):
+        """(values, error estimates) of <t, f> over the test functions fs,
+        one quadrature run per panel for all of them."""
+        values, errors = pair_family([self], fs)
+        return values[0], errors[0]
+
+    def pair_scaled(self, lams, f: TestFunction1D):
+        """<t(lam x), f(x)> = (1/lam) <t, f(x/lam)> for each lam of lams,
+        in one batch."""
+        lams = np.asarray(lams, dtype=float)
+        if np.any(lams <= 0):
             raise ValueError("need lam > 0")
-        return self.pair(f.stretched(1.0 / lam)) / lam
+        values, _ = self.pair_batch([f.stretched(1.0 / lam) for lam in lams])
+        return values / lams
 
     def __repr__(self):
         return f"SymbolicDistribution1D({list(self.terms)})"
 
 
-def _pair_term(kind, f: TestFunction1D):
-    """(<term, f>, error estimate)."""
-    tag = kind[0]
+def _quad(func, lo: float, hi: float, points, lead):
+    """quad_complex of func(x), shape lead + (n,), with its leading axes
+    flattened into rows; values and error estimates come out in shape lead."""
+    v, e = quad_complex(lambda x: func(x).reshape(-1, len(x)), lo, hi, points)
+    return v.reshape(lead), e.reshape(lead)
+
+
+def _pair_term(kind, fs: TestFunctionBatch):
+    """(<term, f_i>, error estimates) over the batch: arrays of shape (m,),
+    or (len(a), m) for a halfline or power_i0 term with an exponent array a."""
+    tag, m = kind[0], (len(fs),)
     if tag == "delta":
         k = kind[1]
-        return (-1) ** k * f.derivative_at_0(k), 0.0
+        return (-1) ** k * fs.derivative_at_0(k), np.zeros(m)
     if tag == "monomial":
-        m = kind[1]
-        R = f.support_radius
-        return quad_complex(lambda x: x ** m * f(x), -R, R,
-                            points=_breakpoints(f) | {0.0})
+        n, R = kind[1], fs.support_radius
+        return _quad(lambda x: x ** n * fs(x), -R, R, fs.points | {0.0}, m)
     if tag == "heaviside":
-        m = kind[1]
-        R = f.support_radius
-        return quad_complex(lambda x: x ** m * f(x), 0.0, R,
-                            points=_breakpoints(f))
+        n = kind[1]
+        return _quad(lambda x: x ** n * fs(x), 0.0, fs.support_radius,
+                     fs.points, m)
     if tag == "power_i0":
         _, sign, a = kind
-        return _pair_power_i0(sign, a, f)
+        return _pair_power_i0(sign, a, fs)
     if tag == "halfline":
         _, side, a, p = kind
-        g = f if side == 1 else f.mirror()
-        return _pair_halfline_plus(a, p, g)
+        return _pair_halfline_plus(a, p, fs if side == 1 else fs.mirror())
     raise DistError(f"unknown term kind {tag!r}")
 
 
@@ -465,62 +544,65 @@ def _is_int(z):
     return (abs(z.imag) < INT_TOL) & (abs(z.real - np.round(z.real)) < INT_TOL)
 
 
-def _pair_power_i0(sign: int, a, f: TestFunction1D):
+def _pair_power_i0(sign: int, a, fs: TestFunctionBatch):
     if np.any(_is_int(a)):
         n = int(round(a.real))
         if n >= 0:
-            return _pair_term(("monomial", n), f)
+            return _pair_term(("monomial", n), fs)
         n = -n
         # (x + s i0)^-n = Fp x^-n - s i pi (-1)^(n-1) delta^(n-1) / (n-1)!
-        fp, err = _finite_part(n, f)
-        d = f.derivative_at_0(n - 1) / math.factorial(n - 1)
+        fp, err = _finite_part(n, fs)
+        d = fs.derivative_at_0(n - 1) / math.factorial(n - 1)
         return fp - sign * 1j * math.pi * d, err
     # branch cut split: (x + s i0)^a = x_+^a + e^{s i pi a} x_-^a
-    plus, e_plus = _pair_halfline_plus(a, 0, f)
-    minus, e_minus = _pair_halfline_plus(a, 0, f.mirror())
+    plus, e_plus = _pair_halfline_plus(a, 0, fs)
+    minus, e_minus = _pair_halfline_plus(a, 0, fs.mirror())
     phase = np.exp(sign * 1j * math.pi * a)
-    return plus + phase * minus, e_plus + abs(phase) * e_minus
+    return (plus + phase[..., None] * minus,
+            e_plus + abs(phase)[..., None] * e_minus)
 
 
-def _finite_part(n: int, f: TestFunction1D):
-    """(Fp int x^-n f(x) dx, error estimate), the parity-symmetric finite part.
+def _finite_part(n: int, fs: TestFunctionBatch):
+    """(Fp int x^-n f_i(x) dx, error estimates), the parity-symmetric finite
+    part.
 
-    Splits at the plateau radius: inside, f is exactly its core polynomial and
-    the integral is done termwise; outside, the Taylor-subtracted integrand is
-    smooth and goes to quadrature.  The boundary terms at |x| = 1 come from
-    the subtracted polynomial, odd powers cancelling by parity.
+    Splits at the batch's plateau radius, the smallest of its functions':
+    inside, each f_i is exactly its core polynomial and the integral is done
+    termwise; outside, the Taylor-subtracted integrand is smooth and goes to
+    quadrature.  The boundary terms at |x| = 1 come from the subtracted
+    polynomial, odd powers cancelling by parity.
     """
-    core = f.core_poly
-    delta = min(f.plateau_radius, 1.0)
-    out = 0j
+    core = fs.core.T  # row j: the x^j core coefficient of every f_i
+    delta = min(fs.plateau_radius, 1.0)
+    m = (len(fs),)
+    out, err = np.zeros(m, dtype=complex), np.zeros(m)
     # exact inner part: sum_{j>=n} f_j int_{-d}^{d} x^{j-n}
     for j in range(n, len(core)):
-        m = j - n
-        if m % 2 == 0:
-            out += core[j] * 2.0 * delta ** (m + 1) / (m + 1)
-    err, pts = 0.0, _breakpoints(f)
+        k = j - n
+        if k % 2 == 0:
+            out += core[j] * 2.0 * delta ** (k + 1) / (k + 1)
     # outer subtracted part on delta <= |x| <= 1
     if delta < 1.0:
-        sub = lambda x: f.taylor_remainder(x, n) / x ** n
+        sub = lambda x: fs.taylor_remainder(x, n) / x ** n
         for lo, hi in ((delta, 1.0), (-1.0, -delta)):
-            v, e = quad_complex(sub, lo, hi, points=pts)
+            v, e = _quad(sub, lo, hi, fs.points, m)
             out, err = out + v, err + e
     # boundary terms at 1 from the dropped Taylor polynomial
     for j in range(min(n, len(core))):
         if (n - j) % 2 == 0:
             out += core[j] * 2.0 / (j - n + 1)
     # far part |x| > 1
-    R = f.support_radius
+    R = fs.support_radius
     if R > 1.0:
-        far = lambda x: f(x) / x ** n
+        far = lambda x: fs(x) / x ** n
         for lo, hi in ((1.0, R), (-R, -1.0)):
-            v, e = quad_complex(far, lo, hi, points=pts)
+            v, e = _quad(far, lo, hi, fs.points, m)
             out, err = out + v, err + e
     return out, err
 
 
-def _pair_halfline_plus(a, p: int, f: TestFunction1D):
-    """(<x_+^a log^p x, f>, error estimate) by analytic continuation:
+def _pair_halfline_plus(a, p: int, fs: TestFunctionBatch):
+    """(<x_+^a log^p x, f_i>, error estimates) by analytic continuation:
     subtract the Taylor polynomial to order N-1 on (0, 1), N minimal with
     Re(a) + N > -1, and add back the boundary moments.  At negative integer
     a = -n the j = n-1 moment is a genuine pole; the pairing exists only on
@@ -528,43 +610,44 @@ def _pair_halfline_plus(a, p: int, f: TestFunction1D):
     projection), and then the pole term is simply absent.  An array of
     non-integer a gives one row per exponent, all weighted by exp(a_k log x)
     at shared nodes, with the largest N any row needs."""
-    core = f.core_poly
+    core = fs.core.T  # row j: the x^j core coefficient of every f_i
+    lead = np.shape(a) + (len(fs),)
     skip_j = None
     if np.any(_is_int(a) & (a.real < -0.5)):
         skip_j = -int(np.round(a.real)) - 1
         jet = core[skip_j] if skip_j < len(core) else 0.0
-        scale = max([1.0] + [abs(c) for c in core])
-        if abs(jet) > 1e-9 * scale:
+        scale = np.max(abs(core), axis=0, initial=1.0)
+        if np.any(abs(jet) > 1e-9 * scale):
             raise DivergentPairing(
                 f"x_+^{a} has a pole against a nonzero order-{skip_j} jet; "
                 "extend or regularize instead")
     N = max(0, int(math.floor(-np.min(np.real(a)))))
     while np.any(np.real(a) + N <= -1):
         N += 1
-    delta = min(f.plateau_radius, 1.0)
-    out = 0j
-    # exact inner part on (0, delta): f equals its core polynomial
+    delta = min(fs.plateau_radius, 1.0)
+    out, err = np.zeros(lead, dtype=complex), np.zeros(lead)
+    # exact inner part on (0, delta): f_i equals its core polynomial
     for j in range(N, len(core)):
-        out += core[j] * _power_log_integral(a + j, p, delta)
+        out += np.multiply.outer(_power_log_integral(a + j, p, delta), core[j])
     # numeric part on (delta, 1) with explicit subtraction
-    weight = lambda log_x: np.exp(np.multiply.outer(a, log_x)) * log_x ** p
-    err = 0.0
+    def weight(x):  # shape(a) + (1, n), to broadcast over the batch
+        log_x = np.log(x)
+        return (np.exp(np.multiply.outer(a, log_x)) * log_x ** p)[..., None, :]
+
     if delta < 1.0:
-        v, err = quad_complex(
-            lambda x: weight(np.log(x)) * f.taylor_remainder(x, N),
-            delta, 1.0, points=_breakpoints(f))
+        v, err = _quad(lambda x: weight(x) * fs.taylor_remainder(x, N),
+                       delta, 1.0, fs.points, lead)
         out += v
     # boundary moments int_0^1 x^(a+j) log^p
     for j in range(min(N, len(core))):
         if j == skip_j:
             continue  # pole term, jet checked to vanish above
-        out += core[j] * ((-1) ** p * math.factorial(p)
-                          / (a + j + 1) ** (p + 1))
+        out += np.multiply.outer((-1) ** p * math.factorial(p)
+                                 / (a + j + 1) ** (p + 1), core[j])
     # far part (1, R)
-    R = f.support_radius
+    R = fs.support_radius
     if R > 1.0:
-        v, e = quad_complex(lambda x: weight(np.log(x)) * f(x), 1.0, R,
-                            points=_breakpoints(f))
+        v, e = _quad(lambda x: weight(x) * fs(x), 1.0, R, fs.points, lead)
         out, err = out + v, err + e
     return out, err
 
@@ -582,15 +665,19 @@ def exponent_family(t: SymbolicDistribution1D):
         [(c, kind[:2] + (kind[2] + z,) + kind[3:])])
 
 
-def pair_family(dists, f: TestFunction1D):
-    """(values, error estimates) of <t_k, f> over distributions of one term
-    layout: the same kinds (signs or sides, log powers) less their exponent,
-    index 2 if any; coefficients may differ.  A term with one exponent is
-    paired once, a halfline or power_i0 term with varying non-integer exponents
-    in one exponent-array pairing.  Any other family raises DistError."""
+def pair_family(dists, fs):
+    """(values, error estimates), shape (len(dists), len(fs)): <t_k, f_i>
+    over distributions of one term layout, the same kinds (signs or sides,
+    log powers) less their exponent, index 2 if any, coefficients free; and
+    over test functions fs.  Every term pairs in one batch: all f_i share one
+    quadrature run per panel, each row held to its own tolerance, and a
+    halfline or power_i0 term with varying non-integer exponents pairs as
+    one exponent array.  Any other family raises DistError."""
     if len({tuple(k[:2] + k[3:] for _, k in t.terms) for t in dists}) != 1:
         raise DistError("pair_family needs one term layout over the family")
-    values, errors = np.zeros(len(dists), dtype=complex), np.zeros(len(dists))
+    fs = TestFunctionBatch(fs)
+    values = np.zeros((len(dists), len(fs)), dtype=complex)
+    errors = np.zeros((len(dists), len(fs)))
     for terms in zip(*(t.terms for t in dists)):
         coeffs, kinds = zip(*terms)
         kind = kinds[0]
@@ -599,9 +686,10 @@ def pair_family(dists, f: TestFunction1D):
             if _is_int(a).any():
                 raise DistError("a varying exponent meets an integer")
             kind = kind[:2] + (a,) + kind[3:]
-        v, e = _pair_term(kind, f)
-        values += np.multiply(coeffs, v)
-        errors += np.abs(coeffs) * e
+        v, e = _pair_term(kind, fs)
+        coeffs = np.array(coeffs)[:, None]
+        values += coeffs * v
+        errors += abs(coeffs) * e
     return values, errors
 
 

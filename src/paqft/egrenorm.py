@@ -11,7 +11,6 @@ is fitted and certified here.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import warnings
@@ -73,20 +72,18 @@ def _term_regression(t: SymbolicDistribution1D) -> float:
         raise overflow
     probe = TestFunction1D.from_poly((1.0, 0.5, -0.25) + (0.125,) * (k - 2),
                                      0.5, 1.0)
-    xs, ys = [], []
-    for lam in (2.0 ** -j for j in range(1, 9)):
-        try:
-            v = t.pair_scaled(lam, probe)
-        except OverflowError:
-            raise overflow from None
-        if not cmath.isfinite(v):
-            raise overflow
-        if abs(v) > 1e-300:
-            xs.append(math.log(lam))
-            ys.append(math.log(abs(v)))
-    if len(xs) < 4:
+    lams = 2.0 ** -np.arange(1, 9)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = t.pair_scaled(lams, probe)
+    except OverflowError:
+        raise overflow from None
+    if not np.isfinite(v).all():
+        raise overflow
+    keep = abs(v) > 1e-300
+    if np.count_nonzero(keep) < 4:
         raise ExtensionError("scaling regression needs more nonzero samples")
-    slope = np.polyfit(xs, ys, 1)[0]
+    slope = np.polyfit(np.log(lams[keep]), np.log(abs(v[keep])), 1)[0]
     return -float(slope)
 
 
@@ -131,9 +128,15 @@ class ExtendedDistribution:
 
     def pair_with_error(self, f: TestFunction1D):
         """(<t, f>, quadrature error estimate) of the extension."""
+        values, errors = self.pair_batch([f])
+        return complex(values[0]), float(errors[0])
+
+    def pair_batch(self, fs):
+        """(values, error estimates) of the extension on the test functions
+        fs, all paired in one batch."""
         if self.w_alphas is None:
-            return self.base.pair_with_error(f)
-        return self.base.pair_with_error(w_project(f, self.w_alphas))
+            return self.base.pair_batch(fs)
+        return self.base.pair_batch([w_project(f, self.w_alphas) for f in fs])
 
 
 def extend(t: SymbolicDistribution1D, w_alphas=None) -> ExtendedDistribution:
@@ -161,7 +164,8 @@ def extend(t: SymbolicDistribution1D, w_alphas=None) -> ExtendedDistribution:
 def extension_ambiguity(e1: ExtendedDistribution, e2: ExtendedDistribution,
                         max_order: int):
     """Fit e1 - e2 = sum_a c_a delta^(a), a <= max_order, over
-    2 (max_order + 1) + 6 random probes drawn from a fixed seed.
+    2 (max_order + 1) + 6 random probes drawn from a fixed seed, each
+    extension pairing all of them in one batch.
 
     Returns (coefficients, max residual).  A residual above 1e-8 times the
     largest difference (at least 1) means the difference is not local at the
@@ -171,12 +175,9 @@ def extension_ambiguity(e1: ExtendedDistribution, e2: ExtendedDistribution,
     m = 2 * (max_order + 1) + 6
     probes = [TestFunction1D.random_probe(rng, max_degree=max_order + 2)
               for _ in range(m)]
-    A = np.zeros((m, max_order + 1), dtype=complex)
-    b = np.zeros(m, dtype=complex)
-    for i, f in enumerate(probes):
-        b[i] = e1.pair(f) - e2.pair(f)
-        for alpha in range(max_order + 1):
-            A[i, alpha] = (-1) ** alpha * f.derivative_at_0(alpha)
+    b = e1.pair_batch(probes)[0] - e2.pair_batch(probes)[0]
+    A = np.array([[(-1) ** alpha * f.derivative_at_0(alpha)
+                   for alpha in range(max_order + 1)] for f in probes])
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = np.max(np.abs(A @ coeffs - b))
     scale = max(1.0, float(np.max(np.abs(b))))
@@ -192,6 +193,7 @@ def extension_ambiguity(e1: ExtendedDistribution, e2: ExtendedDistribution,
 # sits at |zeta| ~ 1 for the families here, so aliasing falls like r^N.
 MS_RADII = (0.1, 0.05)
 MS_ANGLES = 16
+MS_POLE_CAP = 3  # the largest pole order a minimal subtraction removes
 
 
 def ms_circle() -> np.ndarray:
@@ -219,8 +221,20 @@ def analytic_regularization(family, f: TestFunction1D,
     and each bound over |c_-k| for k > p (inf when neither exists), and
     error bounds regular_value = c_0.
     """
+    return _regularizations(family, [f], pole_cap)[0]
+
+
+def _regularizations(family, fs, pole_cap: int) -> list:
+    """analytic_regularization on each test function of fs, with one
+    pair_family run for every circle sample and every f."""
     zetas = ms_circle()
-    vals, errs = pair_family([family(z) for z in zetas.ravel()], f)
+    vals, errs = pair_family([family(z) for z in zetas.ravel()], fs)
+    return [_laurent_data(zetas, v, e, pole_cap)
+            for v, e in zip(vals.T, errs.T)]
+
+
+def _laurent_data(zetas, vals, errs, pole_cap: int) -> dict:
+    """analytic_regularization's report from the samples vals at zetas."""
     ks = np.arange(pole_cap + 2)  # c_-k for k = 0 .. pole_cap + 1
     coeffs = np.mean(vals.reshape(zetas.shape)[..., None]
                      * zetas[..., None] ** ks, axis=1)  # one row per circle
@@ -245,7 +259,7 @@ def analytic_regularization(family, f: TestFunction1D,
 
 
 def minimal_subtraction(family, f: TestFunction1D,
-                        pole_cap: int = 3) -> complex:
+                        pole_cap: int = MS_POLE_CAP) -> complex:
     """Regular value at zeta = 0 after removing the principal part."""
     return analytic_regularization(family, f, pole_cap)["regular_value"]
 
@@ -256,6 +270,13 @@ def ms_extension(family):
     class _MS:
         def pair(self, f):
             return minimal_subtraction(family, f)
+
+        def pair_batch(self, fs):
+            """(MS values, their error bounds) on the test functions fs,
+            from one pair_family run over the circle samples and all f."""
+            reps = _regularizations(family, fs, MS_POLE_CAP)
+            return (np.array([r["regular_value"] for r in reps]),
+                    np.array([r["error"] for r in reps]))
 
     return _MS()
 

@@ -67,7 +67,15 @@ def _lines(text):
 
 # ---------------------------------------------------------------- config
 
+def _quoted(tok):
+    """Whether tok is one string in a pair of matching quotes, ' or "."""
+    return (len(tok) >= 2 and tok[0] in "'\"" and tok[-1] == tok[0]
+            and tok[0] not in tok[1:-1])
+
+
 def _parse_scalar(tok):
+    if _quoted(tok):
+        return tok[1:-1]
     try:
         return int(tok)
     except ValueError:
@@ -95,7 +103,7 @@ def parse_config(text):
         val = val.strip()
         if not key:
             raise FormatError("empty key in %r" % line)
-        if "," in val:
+        if "," in val and not _quoted(val):
             out[key] = [_parse_scalar(v.strip()) for v in val.split(",")]
         else:
             out[key] = _parse_scalar(val)

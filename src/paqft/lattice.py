@@ -236,8 +236,8 @@ class ExactPropagators:
     of h work on a massless lattice, which has no positive-frequency table.
     Structural identities hold by construction (antisymmetric causal
     kernel, symmetric Hadamard kernel, Wightman = H + (i/2)Delta, Feynman =
-    H + i*DiracD, the conjugate of anti-Feynman), so every algebraic relation
-    between the kernels holds exactly over the rationals, entry by entry.
+    H + i*DiracD), so every algebraic relation between the kernels holds
+    exactly over the rationals, entry by entry.
     """
 
     def __init__(self, ps):

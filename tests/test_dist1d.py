@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from paqft.dist1d import (TestFunction1D, SymbolicDistribution1D, DistError,
+from paqft.dist1d import (TestFunction1D, TestFunctionBatch,
+                          SymbolicDistribution1D, DistError,
                           DivergentPairing, NotHomogeneousClass,
                           QuadratureWarning, pair_family,
                           pointwise_power_product, quad_complex)
@@ -142,8 +143,14 @@ def test_test_function_algebra_and_jets():
         assert f.derivative_at_0(k) == pytest.approx(jets[k], abs=1e-8)
     assert f.mirror()(0.2) == pytest.approx(f(-0.2))
     assert f.stretched(2.0)(0.1) == pytest.approx(f(0.2))
-    rem = f.taylor_remainder(0.2, 2)
-    assert rem == pytest.approx(f(0.2) - 1.0 + 2.0 * 0.2)
+    batch = TestFunctionBatch([f, g])
+    xs = np.array([-0.95, 0.2, 0.75])
+    assert np.array_equal(batch(xs), [f(xs), g(xs)])
+    rem = batch.taylor_remainder(xs, 2)
+    assert rem[0] == pytest.approx(f(xs) - 1.0 + 2.0 * xs)
+    assert rem[1] == pytest.approx(g(xs) - 3.0 * xs)
+    assert list(batch.derivative_at_0(1)) == [f.derivative_at_0(1),
+                                              g.derivative_at_0(1)]
     with pytest.raises(ValueError):
         TestFunction1D.from_poly((1.0,), 1.0, 0.5)
     with pytest.raises(ValueError):
@@ -268,10 +275,11 @@ def test_pair_scaled_homogeneity():
     ]
     for t, factor in cases:
         base = t.pair(f)
-        assert t.pair_scaled(lam, f) == pytest.approx(factor * base,
-                                                      rel=1e-9, abs=1e-12)
+        got = t.pair_scaled([lam, 1.0], f)
+        assert got == pytest.approx([factor * base, base],
+                                    rel=1e-9, abs=1e-12)
     with pytest.raises(ValueError):
-        cases[0][0].pair_scaled(-1.0, f)
+        cases[0][0].pair_scaled([2.0, -1.0], f)
 
 
 def test_scaling_degree_rules():
@@ -475,6 +483,43 @@ def test_vector_rows_match_scalar_runs(rows, a, b, m):
         assert err[k] <= max(epsabs, epsrel * abs(got[k]))
 
 
+BATCH_KINDS = [
+    SymbolicDistribution1D.delta(0), SymbolicDistribution1D.delta(3),
+    SymbolicDistribution1D.monomial(0), SymbolicDistribution1D.monomial(3),
+    SymbolicDistribution1D.heaviside(0), SymbolicDistribution1D.heaviside(2),
+    SymbolicDistribution1D.power_i0(-1.0, +1),
+    SymbolicDistribution1D.power_i0(-2.0, -1),
+    SymbolicDistribution1D.power_i0(-3.0, +1),
+    SymbolicDistribution1D.power_i0(2.0, -1),
+    SymbolicDistribution1D.power_i0(-0.5, +1),
+    SymbolicDistribution1D.power_i0(-1.5 + 0.2j, -1),
+    SymbolicDistribution1D.power_i0(0.7, +1),
+    SymbolicDistribution1D.halfline(-0.5, +1),
+    SymbolicDistribution1D.halfline(-1.5, -1),
+    SymbolicDistribution1D.halfline(-0.3, +1, 2),
+    SymbolicDistribution1D.halfline(0.4 + 0.1j, -1, 1),
+    SymbolicDistribution1D.halfline(1.5, +1, 1),
+]
+
+
+@pytest.mark.parametrize("t", BATCH_KINDS, ids=repr)
+def test_batched_pairings_agree_with_one_by_one(t):
+    """A batch shares one interval set, panels at the union of its window
+    radii and the finite-part split at its smallest plateau; each value
+    agrees with the function's own run within the two error estimates.
+    The batch mixes plateaus inside and outside 1 and supports on both
+    sides of 1."""
+    rng = random.Random(2024)
+    fs = [TestFunction1D.random_probe(rng, max_degree=4) for _ in range(6)]
+    fs += [TestFunction1D.from_poly((0.3, -1.0, 0.5, 0.2), 1.2, 2.1),
+           TestFunction1D.from_poly((1.0, 0.25), 0.1, 0.3)]
+    values, errors = t.pair_batch(fs)
+    assert values.shape == errors.shape == (len(fs),)
+    for f, v, e in zip(fs, values, errors):
+        one, one_err = t.pair_with_error(f)
+        assert abs(v - one) <= e + one_err
+
+
 def test_pair_family_needs_one_layout():
     f = TestFunction1D.from_poly((1.0, 0.5), 0.4, 1.2)
     half = lambda a, p=0: SymbolicDistribution1D.halfline(a, +1, p)
@@ -488,12 +533,12 @@ def test_pair_family_needs_one_layout():
             [SymbolicDistribution1D.power_i0(a) for a in (-1.5, -1.0)],
             []):
         with pytest.raises(DistError):
-            pair_family(family, f)
+            pair_family(family, [f])
     # a term with a fixed exponent is shared, coefficients may vary
     family = [dist_sum(SymbolicDistribution1D.delta(1) * c, half(a))
               for c, a in ((1.0, -0.5), (2.0, -0.7 + 0.1j))]
-    values, errors = pair_family(family, f)
-    for t, v, e in zip(family, values, errors):
+    values, errors = pair_family(family, [f])
+    for t, v, e in zip(family, values[:, 0], errors[:, 0]):
         assert abs(v - t.pair(f)) <= e + t.pair_with_error(f)[1]
 
 
@@ -595,7 +640,7 @@ def test_circle_samples_against_mpmath(family, a0, f, sides):
     x_+^(z-1) and the Feynman square's (x+i0)^(-2+z) =
     x_+^a + e^{i pi a} x_-^a, each on its probe."""
     dists = [family(z) for z in CIRCLE]
-    values, errors = pair_family(dists, f)
+    values, errors = (a[:, 0] for a in pair_family(dists, [f]))
     exps = [t.terms[0][1][2] for t in dists]
 
     def truth(rule):

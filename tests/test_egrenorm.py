@@ -14,6 +14,7 @@ from scipy import integrate
 
 from paqft.dist1d import (TestFunction1D, SymbolicDistribution1D,
                           DivergentPairing)
+from paqft import dist1d
 from paqft import egrenorm as eg
 
 from conftest import dist_sum
@@ -187,6 +188,43 @@ def test_nonlocal_difference_is_rejected():
         dist_sum(t, SymbolicDistribution1D.heaviside(0) * 0.3), w, 1.0)
     with pytest.raises(eg.NonLocalDifference):
         eg.extension_ambiguity(e1, smeared, max_order=1)
+
+
+def test_quadrature_runs_do_not_grow_with_probes_or_scales(monkeypatch):
+    """extension_ambiguity pairs all its probes, and the regression all 8
+    of its scales, in one batch: as many quad_complex runs as one probe
+    takes, whatever the number of probes (2 (max_order + 1) + 6)."""
+    runs, real = [], dist1d.quad_complex
+
+    def counting(*args, **kw):
+        runs.append(args[1:3])
+        return real(*args, **kw)
+    monkeypatch.setattr(dist1d, "quad_complex", counting)
+    t = SymbolicDistribution1D.power_i0(-2.0, +1)
+    w1, w2 = (eg.extend(t, eg.make_w_projection(1, r0, R))
+              for r0, R in ((0.4, 0.8), (0.25, 0.6)))
+    ms = eg.ms_extension(lambda z: SymbolicDistribution1D.power_i0(-2.0 + z))
+    wide = TestFunction1D.from_poly((1.0, 0.3), 0.3, 1.5)  # beyond 1
+
+    def one_probe(e):
+        runs.clear()
+        e.pair_batch([wide])
+        return len(runs)
+    # two panels each side of the origin: inside and beyond |x| = 1
+    assert one_probe(w1) == one_probe(w2) == one_probe(ms) == 4
+    for e in (w1, ms):
+        for max_order in (1, 2, 4):
+            runs.clear()
+            eg.extension_ambiguity(e, w2, max_order=max_order)
+            assert len(runs) == 8, (max_order, runs)
+    for term in (t, SymbolicDistribution1D.halfline(-0.5, +1, 1),
+                 SymbolicDistribution1D.monomial(1)):
+        runs.clear()
+        term.pair_with_error(probe())
+        one = len(runs)
+        runs.clear()
+        eg.scaling_degree_regression(term)
+        assert len(runs) == one > 0
 
 
 # --------------------------------------------------------------------------

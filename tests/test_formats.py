@@ -41,6 +41,26 @@ def test_config_types():
     assert cfg["mixed"] == [Fraction(1, 4), "x"]
 
 
+def test_config_strips_one_pair_of_matching_quotes():
+    cfg = parse_config("""
+    algebra_file = "my alg.txt"
+    inner = 'say "hi"'
+    with_comma = "a, b.txt"
+    names = "a", 'b c', d
+    number = "2"
+    empty = ""
+    unmatched = "half
+    mixed = 'x"
+    """)
+    assert cfg["algebra_file"] == "my alg.txt"
+    assert cfg["inner"] == 'say "hi"'
+    assert cfg["with_comma"] == "a, b.txt"
+    assert cfg["names"] == ["a", "b c", "d"]
+    assert cfg["number"] == "2"  # a quoted number is a string
+    assert cfg["empty"] == ""
+    assert cfg["unmatched"] == '"half' and cfg["mixed"] == "'x\""
+
+
 def test_config_rejects_bad_lines():
     with pytest.raises(FormatError):
         parse_config("just a line")
