@@ -512,7 +512,9 @@ def flow(cfg, seed):
                         % (capped, n_steps))
     return rows, ["sigma drift %.2e per unit time over %d steps (tol %.1e)"
                   % (drift, n_steps, tol),
-                  "%d steps hit the fixed-point cap" % capped], (
+                  "%d steps hit the fixed-point cap" % capped,
+                  "%.2f fixed-point iterations per step"
+                  % (r["iterations"] / n_steps)], (
         "; ".join(failures) or None)
 
 

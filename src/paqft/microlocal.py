@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
-from operator import mul
+from functools import lru_cache, partial
+from itertools import chain
+from operator import mul, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -244,6 +245,24 @@ class SampledField2D:
         self.xs = np.arange(nx) * self.a_x
 
 
+@lru_cache
+def _phase_tables(a_t: float, a_x: float):
+    """wf_estimate_2d's ladder, directions, box half-widths and read-only
+    phase tables E_t (as float pairs) and E_x on the spacing (a_t, a_x)."""
+    rs = tuple(WF2D_K_BASE * 2 ** j for j in range(WF2D_OCTAVES + 1))
+    dirs = tuple((math.cos(2 * math.pi * j / WF2D_RAYS),
+                  math.sin(2 * math.pi * j / WF2D_RAYS))
+                 for j in range(WF2D_RAYS))
+    k = np.array([[r * d[0], r * d[1]]
+                  for d in dirs[:WF2D_RAYS // 2] for r in rs])
+    R = WF2D_SIGMA * WF2D_CUT_SIGMAS
+    ht, hx = (math.floor(R / a + 0.5) for a in (a_t, a_x))
+    E_t = np.exp(1j * np.outer(np.arange(-ht, ht + 1) * a_t, k[:, 0]))
+    E_x = np.exp(1j * np.outer(np.arange(-hx, hx + 1) * a_x, k[:, 1]))
+    E_t.flags.writeable = E_x.flags.writeable = False
+    return rs, dirs, ht, hx, E_t.view(float), E_x
+
+
 def wf_estimate_2d(field: SampledField2D, centers,
                    threshold: float = 2.5) -> WFEstimate:
     """Windowed-pairing wave front estimate for gridded data.
@@ -255,11 +274,12 @@ def wf_estimate_2d(field: SampledField2D, centers,
     Shared stencil: |sum v e^{i r d.p}| ignores a global phase, so a centre
     pairs against e^{i r d.(p - anchor)}, anchor its nearest grid point; on
     the box of offsets around it that is E_t[di, q] E_x[dj, q], q =
-    (direction, frequency), two tables built once per call.  The Gaussian is
-    separable, so the window on the box is the outer product of its factors
-    over the float offsets dT = ts[i] - t0 and dX = xs[j] - x0, and the box
-    is zeroed where dT*dT + dX*dX >= R*R, the test made on the full grid:
-    points exactly at the cut fall the same way.  Each centre pairs on its
+    (direction, frequency), two read-only tables built once per grid
+    spacing and cached.  The Gaussian is separable, so the window on the
+    box is the outer product of its factors over the float offsets dT =
+    ts[i] - t0 and dX = xs[j] - x0, and the box is zeroed where dT*dT +
+    dX*dX >= R*R, the test made on the full grid: points exactly at the
+    cut fall the same way.  Each centre pairs on its
     own box: one real matrix product of the box's transpose with E_t,
     stored with each q's real and imaginary parts side by side, reads as a
     complex (space offset, q) array, and one sum against E_x over the space
@@ -274,17 +294,9 @@ def wf_estimate_2d(field: SampledField2D, centers,
     if kmax > nyq:
         raise MicrolocalError(
             f"ladder top {kmax:.3g} exceeds grid Nyquist {nyq:.3g}")
-    R, sigma = WF2D_SIGMA * WF2D_CUT_SIGMAS, WF2D_SIGMA
-    rs = [WF2D_K_BASE * 2 ** j for j in range(WF2D_OCTAVES + 1)]
-    dirs = [(math.cos(2 * math.pi * j / WF2D_RAYS),
-             math.sin(2 * math.pi * j / WF2D_RAYS)) for j in range(WF2D_RAYS)]
-    k = np.array([[r * d[0], r * d[1]]
-                  for d in dirs[:WF2D_RAYS // 2] for r in rs])
-    ht, hx = (math.floor(R / a + 0.5) for a in (field.a_t, field.a_x))
-    E_t = np.exp(1j * np.outer(np.arange(-ht, ht + 1) * field.a_t, k[:, 0]))
-    E_x = np.exp(1j * np.outer(np.arange(-hx, hx + 1) * field.a_x, k[:, 1]))
-    E_t = E_t.view(float)
-    (nt, nx), g = field.values.shape, -0.5 / (sigma * sigma)
+    R, g = WF2D_SIGMA * WF2D_CUT_SIGMAS, -0.5 / (WF2D_SIGMA * WF2D_SIGMA)
+    rs, dirs, ht, hx, E_t, E_x = _phase_tables(field.a_t, field.a_x)
+    nt, nx = field.values.shape
     cs, amps, skipped = [], [], []
     for t0, x0 in centers:
         it, ix = round(t0 / field.a_t), round(x0 / field.a_x)
@@ -341,71 +353,76 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
     Each step solves its midpoint equation by fixed-point iteration.  The
     x derivative is 2 G k; the k derivative is a central difference
     (h = 1e-6) of the symbol, which leaves the rounding of its two symbol
-    values, amplified by 1/(2h), in every k update.  An iteration stops
-    once its update (max over x and k) is at most that noise floor times
-    |dt|, never below 1e-15, so an exactly zero update stops at once.
-    A step starts from the prediction x + dt v, k + dt w, where (v, w) is
-    the midpoint derivative of the previous step; the first step starts
-    from (x0, k0).  For constant G the prediction is exact and every step
-    after the first takes one iteration.  `fixpoint_capped` counts the
-    steps that ran all FLOW_FIXPOINT_ITERS iterations without meeting the
-    bound: their points are accepted, but not converged.
+    values, amplified by 1/(2h), in every k update.  For the default G it
+    is the difference's own value, -0.0, without the four metric calls.
+    An iteration stops once its update (max over x and k) is at most that
+    noise floor times |dt|, never below 1e-15, so an exactly zero update
+    stops at once.  A step from y = (x, k) starts at y + dt p, p the
+    quadratic extrapolation 3 f1 - 3 f2 + f3 of the last three steps'
+    midpoint derivatives, f1 the latest: the third step takes the linear
+    2 f1 - f2, the second f1, and the first starts at y.  For constant G
+    the extrapolation is exact and every step after the first takes one
+    iteration.  `iterations` is the total number of fixed-point
+    iterations; `fixpoint_capped` counts the steps that ran all
+    FLOW_FIXPOINT_ITERS iterations without meeting the bound: their points
+    are accepted, but not converged.
     """
-    if metric_inv is None:
+    flat = metric_inv is None
+    if flat:
         G0 = np.diag([1.0, -1.0])
         metric_inv = lambda x: G0
     x = np.asarray(x0, dtype=float).ravel().tolist()
-    k = np.asarray(k0, dtype=float).ravel().tolist()
-    idx = range(len(x))
-    h = 1e-6
+    dim, h = len(x), 1e-6
+    y = x + np.asarray(k0, dtype=float).ravel().tolist()
     # |dt| times the rounding of the difference's two symbol values over
     # 2h, each at most dim^2 eps |k|^2 max|G|, with a margin of 4 on each
-    noise = 4.0 * abs(dt) * 4.0 * len(x) ** 2 * np.finfo(float).eps / (2 * h)
+    noise = 4.0 * abs(dt) * 4.0 * dim ** 2 * np.finfo(float).eps / (2 * h)
 
-    def apply(point, k):
-        """G(point) as nested lists and G k."""
-        G = metric_inv(np.array(point)).tolist()
-        return G, [sum(map(mul, row, k)) for row in G]
+    def symbol(x, k, a, step):
+        """sigma(x + step e_a, k)."""
+        p = list(x)
+        p[a] += step
+        G = metric_inv(np.array(p)).tolist()
+        return sum(map(mul, k, [sum(map(mul, row, k)) for row in G]))
 
-    def grads(x, k):
-        """(dx, dk) at (x, k) and the noise floor of the update."""
-        G, Gk = apply(x, k)
-        dk = []
-        for a in idx:
-            p = list(x)
-            p[a] = x[a] + h
-            s_plus = sum(map(mul, k, apply(p, k)[1]))
-            p[a] = x[a] - h
-            s_minus = sum(map(mul, k, apply(p, k)[1]))
-            dk.append(-(s_plus - s_minus) / (2 * h))
-        floor = noise * sum(map(mul, k, k)) * max(abs(g) for row in G
-                                                  for g in row)
-        return [2.0 * g for g in Gk], dk, max(floor, 1e-15)
+    def grads(y):
+        """The midpoint derivative (2 G k, -d sigma / dx) at y = (x, k) and
+        the noise floor of the update."""
+        x, k = y[:dim], y[dim:]
+        G = metric_inv(np.array(x)).tolist()
+        f = [2.0 * sum(map(mul, row, k)) for row in G]
+        f += [-0.0] * dim if flat else [
+            -(symbol(x, k, a, h) - symbol(x, k, a, -h)) / (2 * h)
+            for a in range(dim)]
+        floor = noise * sum(map(mul, k, k)) * max(map(abs, chain(*G)))
+        return f, max(floor, 1e-15)
 
-    def advance(y, dy):
-        return [p + dt * q for p, q in zip(y, dy)]
-
-    def middle(y, ym):
-        return [(p + q) / 2 for p, q in zip(y, ym)]
-
-    xs, ks = [x], [k]
-    v = w = None
-    capped = 0
+    ys, fs = [y], []
+    iterations = capped = 0
     for _ in range(n_steps):
-        xm, km = (x, k) if v is None else (advance(x, v), advance(k, w))
+        if len(fs) > 2:
+            p = [3.0 * (a - b) + c
+                 for a, b, c in zip(fs[-1], fs[-2], fs[-3])]
+        elif len(fs) == 2:
+            p = [2.0 * a - b for a, b in zip(fs[-1], fs[-2])]
+        elif fs:
+            p = fs[-1]
+        ym = [a + dt * b for a, b in zip(y, p)] if fs else y
         for _ in range(FLOW_FIXPOINT_ITERS):
-            v, w, floor = grads(middle(x, xm), middle(k, km))
-            xn, kn = advance(x, v), advance(k, w)
-            update = max(abs(p - q) for p, q in zip(xn + kn, xm + km))
-            xm, km = xn, kn
+            iterations += 1
+            f, floor = grads([(a + b) / 2 for a, b in zip(y, ym)])
+            yn = [a + dt * b for a, b in zip(y, f)]
+            update = max(map(abs, map(sub, yn, ym)))
+            ym = yn
             if update <= floor:
                 break
         else:
             capped += 1
-        x, k = xm, km
-        xs.append(x)
-        ks.append(k)
-    xs, ks = np.array(xs), np.array(ks)
+        y = ym
+        ys.append(y)
+        fs.append(f)
+    ys = np.array(ys)
+    xs, ks = ys[:, :dim].copy(), ys[:, dim:].copy()
     sigmas = np.array([float(kk @ metric_inv(xx) @ kk)
                        for xx, kk in zip(xs, ks)])
     return {
@@ -414,6 +431,7 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
         "sigma": sigmas,
         "sigma_drift": float(np.max(np.abs(sigmas - sigmas[0]))),
         "time": dt * n_steps,
+        "iterations": iterations,
         "fixpoint_capped": capped,
     }
 

@@ -303,6 +303,7 @@ def test_flow_flat_null(tmp_path):
     res = run(["flow", "--out", str(tmp_path), "--label", "t"])
     assert "sigma drift 0.00e+00" in res.output
     assert "0 steps hit the fixed-point cap" in res.output
+    assert "1.00 fixed-point iterations per step" in res.output
     lines = csv_lines(tmp_path / "flow_t.csv")
     assert lines[0] == "time,t,x,k_t,k_x,sigma"
     assert len(lines) == 402
@@ -641,7 +642,8 @@ def test_flow_capped_fixed_point_fails_the_check(tmp_path):
 
 
 def test_flow_nan_drift_fails_the_check(tmp_path, monkeypatch):
-    empty = {"x": [], "k": [], "sigma": [], "fixpoint_capped": 0}
+    empty = {"x": [], "k": [], "sigma": [], "iterations": 0,
+             "fixpoint_capped": 0}
     monkeypatch.setattr(cli.acceptance, "flow_drift",
                         lambda *args: (empty, float("nan")))
     res = run(["flow", "--out", str(tmp_path)], expect=3)

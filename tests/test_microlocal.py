@@ -1,5 +1,6 @@
 """Wave front estimation, covector causality, and bicharacteristic flow."""
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -122,27 +123,30 @@ def test_midpoint_flow_is_reversible():
     assert np.max(np.abs(back["k"][-1] - (0.9, 0.5))) < 1e-9
 
 
+def reference_grads(metric_inv, x, k):
+    """(2 G k, -d sigma / dx) at (x, k), the x derivative of the symbol a
+    central difference with h = 1e-6."""
+    G = metric_inv(x)
+    dx = 2.0 * G @ k
+    dk = np.zeros(x.size)
+    h = 1e-6
+    for a in range(x.size):
+        xp = x.copy(); xp[a] += h
+        xm = x.copy(); xm[a] -= h
+        dk[a] = -(k @ metric_inv(xp) @ k - k @ metric_inv(xm) @ k) / (2 * h)
+    return dx, dk
+
+
 def reference_flow(x0, k0, dt, n_steps, metric_inv=None, fixpoint_iters=12):
-    """The earlier integrator, kept verbatim as an oracle: up to
-    fixpoint_iters iterations per step on numpy arrays, each step started
-    from (x, k), stopped only by an update below 1e-15."""
+    """The earlier integrator, kept as an oracle: up to fixpoint_iters
+    iterations per step on numpy arrays, each step started from (x, k),
+    stopped only by an update below 1e-15."""
     if metric_inv is None:
         G0 = np.diag([1.0, -1.0])
         metric_inv = lambda x: G0
     x = np.asarray(x0, dtype=float).copy()
     k = np.asarray(k0, dtype=float).copy()
-    dim = x.size
-
-    def grads(x, k):
-        G = metric_inv(x)
-        dx = 2.0 * G @ k
-        dk = np.zeros(dim)
-        h = 1e-6
-        for a in range(dim):
-            xp = x.copy(); xp[a] += h
-            xm = x.copy(); xm[a] -= h
-            dk[a] = -(k @ metric_inv(xp) @ k - k @ metric_inv(xm) @ k) / (2 * h)
-        return dx, dk
+    grads = partial(reference_grads, metric_inv)
 
     def sigma(x, k):
         return float(k @ metric_inv(x) @ k)
@@ -182,18 +186,40 @@ def test_flat_flow_matches_the_reference_bit_for_bit(x0, k0, dt):
     assert rep["fixpoint_capped"] == 0
 
 
-@pytest.mark.parametrize("x0, k0", [
+CONFORMAL_RAYS = [
     ((0.2, -0.1), (1.0, 1.0)),     # null
     ((-0.6, 0.8), (1.6, -1.6)),    # null
     ((0.0, 0.0), (1.0, 0.3)),      # timelike
     ((0.7, 0.4), (1.1, -1.8)),     # spacelike
-])
+]
+
+
+@pytest.mark.parametrize("x0, k0", CONFORMAL_RAYS)
 def test_conformal_flow_matches_the_reference(x0, k0):
     rep = ml.bicharacteristic_flow(x0, k0, 0.01, 400, metric_inv=conformal)
     ref = reference_flow(x0, k0, 0.01, 400, metric_inv=conformal)
     assert np.max(np.abs(rep["x"] - ref["x"])) < 1e-8
     assert np.max(np.abs(rep["k"] - ref["k"])) < 1e-8
     assert rep["fixpoint_capped"] == 0
+
+
+@pytest.mark.parametrize("x0, k0", CONFORMAL_RAYS)
+def test_every_step_solves_the_midpoint_equation(x0, k0):
+    """The extrapolated start changes where a step's iteration begins, not
+    where it stops: each accepted step (y, y+) leaves a midpoint residual
+    |y+ - y - dt f((y + y+)/2)| at the noise floor of the central
+    difference (at most 7e-12 on these rays; 2e-7 and more when a step
+    stops after two iterations), f the reference's own derivative."""
+    dt = 0.01
+    rep = ml.bicharacteristic_flow(x0, k0, dt, 400, metric_inv=conformal)
+    xs, ks = rep["x"], rep["k"]
+    worst = 0.0
+    for i in range(400):
+        dx, dk = reference_grads(conformal, (xs[i] + xs[i + 1]) / 2,
+                                 (ks[i] + ks[i + 1]) / 2)
+        worst = max(worst, np.max(np.abs(xs[i + 1] - xs[i] - dt * dx)),
+                    np.max(np.abs(ks[i + 1] - ks[i] - dt * dk)))
+    assert worst <= 1e-9
 
 
 class CountingMetric:
@@ -206,24 +232,39 @@ class CountingMetric:
 
 
 def test_conformal_null_flow_stops_at_the_noise_floor():
-    """Five metric calls per iteration and one for sigma: 19.8 a step on
+    """Five metric calls per iteration and one for sigma: 13.9 a step on
     this ray, where `reference_flow` runs all 12 iterations of nearly
     every step (60.1 a step)."""
     counted = CountingMetric(conformal)
     ml.bicharacteristic_flow((0.3, -0.5), (1.4, -1.4), 0.01, 400,
                              metric_inv=counted)
-    assert counted.calls <= 25 * 400
+    assert counted.calls <= 16 * 400
+
+
+def test_flow_counts_its_iterations():
+    """`iterations` is every fixed-point iteration: five metric calls each
+    (G and the four symbols of the difference) and one call per point for
+    sigma."""
+    counted = CountingMetric(conformal)
+    rep = ml.bicharacteristic_flow((0.0, 0.0), (1.0, 0.3), 0.01, 400,
+                                   metric_inv=counted)
+    assert 400 < rep["iterations"] < 12 * 400
+    assert counted.calls == 5 * rep["iterations"] + 400 + 1
 
 
 def test_flat_flow_takes_one_iteration_a_step():
-    """The predictor is exact for a constant metric: the first step (no
-    predictor) takes two iterations, every other step one."""
+    """The extrapolated start is exact for a constant metric: the first
+    step (started at y) takes two iterations, every other step one, on the
+    default metric (no difference quotient) as on the same metric passed
+    in, and the two give the same flow."""
     counted = CountingMetric(lambda x: np.diag([1.0, -1.0]))
     rep = ml.bicharacteristic_flow((0.1, 0.2), (1.3, 0.4), 0.01, 400,
                                    metric_inv=counted)
     assert counted.calls == 5 * 401 + 401
-    assert np.array_equal(rep["x"], ml.bicharacteristic_flow(
-        (0.1, 0.2), (1.3, 0.4), 0.01, 400)["x"])
+    flat = ml.bicharacteristic_flow((0.1, 0.2), (1.3, 0.4), 0.01, 400)
+    assert rep["iterations"] == flat["iterations"] == 400 + 1
+    for key in ("x", "k", "sigma"):
+        assert np.array_equal(rep[key], flat[key]), key
 
 
 def test_capped_fixed_point_steps_are_counted(monkeypatch):
@@ -364,6 +405,26 @@ def test_2d_estimate_matches_full_grid_reference():
         assert wf.meta["skipped_centers"] == skipped
         assert [r.center for r in wf.rays[::16]] == [
             p for p in centers if p not in skipped]
+
+
+def test_phase_tables_are_cached_per_spacing():
+    """Tables are built once per grid spacing and shared read-only: a
+    spacing met again reuses its tables, and estimates on alternating
+    spacings match the reference."""
+    fields, centers, _ = two_d_cases()
+    values = fields[2].values
+    ml._phase_tables.cache_clear()
+    for a_t, a_x in ((0.1, 0.1), (0.05, 0.1), (0.1, 0.1)):
+        field = ml.SampledField2D(values, a_t, a_x)
+        centres = [(t * a_t / 0.1, x) for t, x in centers]
+        assert_matches_reference(ml.wf_estimate_2d(field, centres),
+                                 reference_wf2d(field, centres))
+    info = ml._phase_tables.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    *_, E_t, E_x = ml._phase_tables(0.1, 0.1)
+    for table in (E_t, E_x):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
 
 def test_points_on_the_cut_fall_as_in_the_reference():
