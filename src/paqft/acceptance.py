@@ -371,16 +371,25 @@ def crit_09():
 
 
 def _ms_halfline_oracle(f):
-    """Minimal subtraction of <x_+^(z-1), f> at z = 0, independently:
-    int_0^1 (f - f(0))/x + int_1^inf f/x, by direct quadrature."""
-    from scipy.integrate import quad
-    f0 = f(0.0).real
-    inner = quad(lambda x: (f(x).real - f0) / x, 0.0, 1.0,
-                 points=[f.plateau_radius], limit=200, epsabs=1e-13,
-                 epsrel=1e-12)[0]
-    outer = quad(lambda x: f(x).real / x, 1.0, f.support_radius,
-                 limit=200, epsabs=1e-13, epsrel=1e-12)[0]
-    return inner + outer
+    """Minimal subtraction of <x_+^(z-1), f> at z = 0, independently of the
+    library's pairing: int_0^1 (f - f(0))/x + int_1^inf f/x is, for each
+    atom coeff p(x) W(x; r0, R) of f,
+
+        coeff (sum_(j>=1) p_j r0^j / j + p_0 log r0) + int_r0^R coeff p W / x,
+
+    the annulus integral by 8-panel, 20-node Gauss-Legendre on the atom's
+    values at single points (TestFunction1D's scalar path)."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    out = 0j
+    for atom in f.atoms:
+        coeff, poly, r0, R = atom
+        g, h = dist1d.TestFunction1D([atom]), (R - r0) / 16  # half a panel
+        out += coeff * (poly[0] * math.log(r0) + sum(
+            c * r0 ** j / j for j, c in enumerate(poly) if j))
+        for i in range(8):
+            xs = (r0 + (2 * i + 1) * h + h * nodes).tolist()
+            out += h * sum(w * g(x) / x for x, w in zip(xs, weights))
+    return out
 
 
 @criterion("divergence degrees in d=4")

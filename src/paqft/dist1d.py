@@ -23,8 +23,8 @@ quadrature run per panel for all of them.  The panel edges are the union of
 the functions' window radii, the finite-part and half-line split sits at the
 smallest plateau radius in the batch (each function is its core polynomial
 inside its own plateau, so this is exact), and every atom of every function
-is evaluated in one array pass (TestFunctionBatch).  pair_with_error is the
-batch of one, and sums the error estimate over terms (exact terms
+is evaluated in one array pass (TestFunctionBatch).  A single pairing, pair,
+is the batch of one; error estimates sum over terms (exact terms
 contribute 0).
 
 Pairings with the homogeneous kinds below use the standard finite-part /
@@ -160,18 +160,16 @@ class TestFunction1D:
         return core[k] * math.factorial(k)
 
     def __call__(self, x):
-        if np.isscalar(x):
-            out = 0j
-            for coeff, poly, r0, R in self.atoms:
-                w = _window_scalar(float(x), r0, R)
-                if w:
-                    p = 0j
-                    for c in reversed(poly):
-                        p = p * x + c
-                    out += coeff * p * w
-            return out
-        x = np.asarray(x, dtype=float)
-        return TestFunctionBatch((self,))(x.ravel())[0].reshape(x.shape)
+        """f(x) at one point; TestFunctionBatch evaluates arrays."""
+        out = 0j
+        for coeff, poly, r0, R in self.atoms:
+            w = _window_scalar(float(x), r0, R)
+            if w:
+                p = 0j
+                for c in reversed(poly):
+                    p = p * x + c
+                out += coeff * p * w
+        return out
 
     def __add__(self, other):
         if not isinstance(other, TestFunction1D):
@@ -346,10 +344,10 @@ def _gk21(func, lo, hi):
 
 def quad_complex(func, a: float, b: float, points, epsabs: float = 1e-13,
                  epsrel: float = 1e-12, limit: int = 400):
-    """(integral of func over [a, b], error estimate) for a complex-valued
-    func that maps an array of n points to n values, or to (m, n) values
-    of m integrands (rows), which then share one run and come out as arrays.
-    Each call of func must return a new array: the run overwrites it.
+    """(integrals over [a, b], error estimates), arrays of m, for a
+    complex-valued func that maps an array of n points to the (m, n) values
+    of m integrands (rows), which share one run.  Each call of func must
+    return a new array: the run overwrites it.
 
     Adaptive 21/10-point Gauss-Kronrod on the panels between the breakpoints
     in (a, b), one set of intervals for all rows.  Each round bisects every
@@ -395,9 +393,7 @@ def quad_complex(func, a: float, b: float, points, epsabs: float = 1e-13,
         hi = np.concatenate([hi[keep], new_hi])
         val, err, floor = (np.concatenate([old[keep], fresh])
                            for old, fresh in zip((val, err, floor), new))
-    if np.ndim(total):
-        return total, etotal
-    return complex(total), float(etotal)
+    return total, etotal
 
 
 def _power_log_integral(b, p: int, upper: float):
@@ -484,12 +480,7 @@ class SymbolicDistribution1D:
         return float(out)
 
     def pair(self, f: TestFunction1D) -> complex:
-        return self.pair_with_error(f)[0]
-
-    def pair_with_error(self, f: TestFunction1D):
-        """(<t, f>, quadrature error estimate); exact terms contribute 0."""
-        values, errors = self.pair_batch([f])
-        return complex(values[0]), float(errors[0])
+        return complex(self.pair_batch([f])[0][0])
 
     def pair_batch(self, fs):
         """(values, error estimates) of <t, f> over the test functions fs,

@@ -124,12 +124,7 @@ class ExtendedDistribution:
         self.div = div
 
     def pair(self, f: TestFunction1D) -> complex:
-        return self.pair_with_error(f)[0]
-
-    def pair_with_error(self, f: TestFunction1D):
-        """(<t, f>, quadrature error estimate) of the extension."""
-        values, errors = self.pair_batch([f])
-        return complex(values[0]), float(errors[0])
+        return complex(self.pair_batch([f])[0][0])
 
     def pair_batch(self, fs):
         """(values, error estimates) of the extension on the test functions

@@ -132,58 +132,42 @@ def _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor, meta):
 # one-dimensional estimator
 
 
-class _WindowedWave:
-    """W(x - x0) e^{ikx} with a plateau window, k one frequency or an array
-    (a row each); derivatives at 0 are exact on the plateau or off support."""
-
-    def __init__(self, x0: float, k: float, r0: float, R: float):
-        self.x0 = x0
-        self.k = k
-        self.r0 = r0
-        self.R = R
-
-    def window_at_origin(self) -> float:
-        """1 on the plateau, 0 off the support; wf_estimate_1d keeps the
-        origin out of the transition annulus between them."""
-        return 1.0 if abs(self.x0) <= self.r0 else 0.0
-
-    def value(self, x):
-        return _window(np.asarray(x) - self.x0, self.r0, self.R) \
-            * np.exp(1j * np.multiply.outer(self.k, x))
-
-    def derivative_at_0(self, m: int) -> complex:
-        return self.window_at_origin() * (1j * self.k) ** m
-
-
 def _quad(f, lo, hi, points=()):
     return quad_complex(f, lo, hi, points, epsabs=1e-12, epsrel=1e-10,
                         limit=1000)
 
 
-def _pair_wave_1d(t: SymbolicDistribution1D, wave: _WindowedWave):
-    """(<t, W e^{ikx}>, error estimate) per frequency, for the kinds that
-    wf_estimate_1d admits."""
-    lo, hi = wave.x0 - wave.R, wave.x0 + wave.R
+def _pair_wave_1d(t: SymbolicDistribution1D, x0: float, ks):
+    """(<t, W(x - x0) e^{ikx}>, error estimate) for each frequency k of the
+    array ks, W the plateau window of radii WF1D_WINDOW, for the kinds that
+    wf_estimate_1d admits.  The window is 1 at the origin on the plateau
+    and 0 off the support; wf_estimate_1d keeps the origin out of the
+    transition annulus between them, so derivatives at 0 are exact."""
+    r0, R = WF1D_WINDOW
+    lo, hi = x0 - R, x0 + R
+    g0 = 1.0 if abs(x0) <= r0 else 0.0
+
+    def wave(x):
+        return _window(x - x0, r0, R) * np.exp(1j * np.multiply.outer(ks, x))
     out, err = 0j, 0.0
     for coeff, kind in t.terms:
         tag, e = kind[0], 0.0
         if tag == "delta":
-            v = (-1) ** kind[1] * wave.derivative_at_0(kind[1])
+            v = (-1) ** kind[1] * (g0 * (1j * ks) ** kind[1])
         elif tag == "monomial":
-            v, e = _quad(lambda x: x ** kind[1] * wave.value(x), lo, hi)
+            v, e = _quad(lambda x: x ** kind[1] * wave(x), lo, hi)
         elif tag == "heaviside":
             v, e = _quad(lambda x: np.where(x >= 0, x ** kind[1], 0.0)
-                         * wave.value(x), lo, hi, points=(0.0,))
+                         * wave(x), lo, hi, points=(0.0,))
         else:  # (x +- i0)^-1
             sign = kind[1]
             if lo < 0.0 < hi:
                 # PV int g/x = int (g - g(0))/x + g(0) log(hi / -lo)
-                g0 = wave.window_at_origin()
-                pv, e = _quad(lambda x: (wave.value(x) - g0) / x, lo, hi,
+                pv, e = _quad(lambda x: (wave(x) - g0) / x, lo, hi,
                               points=(0.0,))
                 v = pv + g0 * math.log(hi / -lo) - sign * 1j * math.pi * g0
             else:
-                v, e = _quad(lambda x: 1.0 / x * wave.value(x), lo, hi)
+                v, e = _quad(lambda x: 1.0 / x * wave(x), lo, hi)
         out, err = out + coeff * v, err + abs(coeff) * e
     return out, err
 
@@ -219,7 +203,7 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
     ks = np.array([s * r for (s,) in dirs for r in rs])
     vals, errs = np.zeros((2, len(cs), len(ks)), dtype=complex)
     for i, c in enumerate(cs):
-        vals[i], errs[i] = _pair_wave_1d(t, _WindowedWave(c[0], ks, r0, R))
+        vals[i], errs[i] = _pair_wave_1d(t, c[0], ks)
     meta = {"abserr": errs.real.reshape(-1, len(rs)).max(axis=1)}
     return _estimate(cs, dirs, rs, np.abs(vals), WF1D_THRESHOLD,
                      WF1D_AMP_FLOOR, WF1D_REL_FLOOR, meta)
@@ -440,13 +424,12 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
 # propagation of singularities on the lattice
 
 
-def propagation_check() -> dict:
-    """AC11: estimate the wave front of the commutator kernel column
-    Delta(., y0) of the 512x256 lattice (a_t = 1/20, a_x = 1/10, m = 1), y0
-    its centre, at the AC11_STRIDE grid centres of the annulus AC11_ANNULUS
-    around y0, and measure how much of the singular amplitude sits near the
-    light cone through y0 (position angles within AC11_CONE_TOL_DEG of the
-    +-45 degree rays)."""
+def ac11_grid():
+    """AC11's sampled field and centres: (field, y0, centres).  The field is
+    the commutator kernel column Delta(., y0) of the 512x256 lattice
+    (a_t = 1/20, a_x = 1/10, m = 1), y0 its centre, sampled with spacings
+    (0.05, 0.1); the centres are every AC11_STRIDE-th grid point of the
+    annulus AC11_ANNULUS around y0."""
     lat = Lattice1p1(512, 256, Fraction(1, 20), Fraction(1, 10), 1.0)
     a_t, a_x = 0.05, 0.1
     t0, x0 = lat.n_t // 2, lat.n_x // 2
@@ -459,6 +442,14 @@ def propagation_check() -> dict:
             p = np.array([it * a_t, ix * a_x])
             if lo <= np.linalg.norm(p - origin) <= hi:
                 centers.append((p[0], p[1]))
+    return field, origin, centers
+
+
+def propagation_check() -> dict:
+    """AC11: estimate the wave front at the centres of ac11_grid and measure
+    how much of the singular amplitude sits near the light cone through y0
+    (position angles within AC11_CONE_TOL_DEG of the +-45 degree rays)."""
+    field, origin, centers = ac11_grid()
     wf = wf_estimate_2d(field, centers)
 
     cone_rays = [np.array([a, b]) / math.sqrt(2)

@@ -747,6 +747,22 @@ def test_more_sites_than_the_lattice_is_an_input_error(tmp_path, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_suite_runs_without_scipy(tmp_path):
+    """numpy and click are the library's only dependencies: with scipy
+    blocked from import, `paqft suite` runs in a subprocess and passes all
+    thirteen criteria."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from paqft.cli import main; main()")
+    res = subprocess.run(
+        [sys.executable, "-c", code, "suite", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "13/13 criteria passed" in res.stdout
+
+
 def test_propagators_ignore_a_cache_of_an_older_format(tmp_path):
     """A file under the name without a format tag, misshapen so that reading
     it would fail, is left alone: the tables are computed and cached anew."""

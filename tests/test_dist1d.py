@@ -21,6 +21,7 @@ from paqft.dist1d import (TestFunction1D, TestFunctionBatch,
                           DivergentPairing, NotHomogeneousClass,
                           QuadratureWarning, pair_family,
                           pointwise_power_product, quad_complex)
+from paqft import acceptance
 from paqft import egrenorm as eg
 from paqft import microlocal as ml
 
@@ -145,10 +146,11 @@ def test_test_function_algebra_and_jets():
     assert f.stretched(2.0)(0.1) == pytest.approx(f(0.2))
     batch = TestFunctionBatch([f, g])
     xs = np.array([-0.95, 0.2, 0.75])
-    assert np.array_equal(batch(xs), [f(xs), g(xs)])
+    pointwise = np.array([[f(x) for x in xs], [g(x) for x in xs]])
+    assert np.array_equal(batch(xs), pointwise)
     rem = batch.taylor_remainder(xs, 2)
-    assert rem[0] == pytest.approx(f(xs) - 1.0 + 2.0 * xs)
-    assert rem[1] == pytest.approx(g(xs) - 3.0 * xs)
+    assert rem[0] == pytest.approx(pointwise[0] - 1.0 + 2.0 * xs)
+    assert rem[1] == pytest.approx(pointwise[1] - 3.0 * xs)
     assert list(batch.derivative_at_0(1)) == [f.derivative_at_0(1),
                                               g.derivative_at_0(1)]
     with pytest.raises(ValueError):
@@ -344,12 +346,24 @@ def _quad_checked(func, a, b, points=(), **kw):
         return quad_complex(func, a, b, points, **kw)
 
 
+def _one(func):
+    """A single integrand as a batch of one row."""
+    return lambda x: func(x)[None]
+
+
+def _quad_one(func, a, b, points=(), **kw):
+    """(value, error estimate) of _quad_checked on one integrand."""
+    got, err = _quad_checked(_one(func), a, b, points, **kw)
+    return got[0], err[0]
+
+
 @pytest.mark.parametrize("k", LADDER)
 def test_oscillatory_window_matches_scipy(k):
     f = TestFunction1D.from_poly((1.0,), 0.25, 0.5)
     wave = lambda x: np.exp(1j * k * np.asarray(x))
-    got, err = _quad_checked(lambda x: wave(x) * f(x), -0.5, 0.5,
-                             epsabs=1e-12, epsrel=1e-10, limit=1000)
+    (got,), (err,) = _quad_checked(
+        lambda x: wave(x) * TestFunctionBatch([f])(x), -0.5, 0.5,
+        epsabs=1e-12, epsrel=1e-10, limit=1000)
     want = oracle_quad(wave, f, -0.5, 0.5)
     assert abs(got - want) < 1e-11
     assert err <= max(1e-12, 1e-10 * abs(got))
@@ -357,7 +371,8 @@ def test_oscillatory_window_matches_scipy(k):
 
 def test_polynomial_window_matches_scipy():
     f = TestFunction1D.from_poly((0.5, -1.0, 2.0, 0.25j, -0.75), 0.3, 1.4)
-    got, err = _quad_checked(f, -1.4, 1.4, points=(-0.3, 0.3))
+    (got,), (err,) = _quad_checked(TestFunctionBatch([f]), -1.4, 1.4,
+                                   points=(-0.3, 0.3))
     want = oracle_quad(lambda x: 1.0, f, -1.4, 1.4, {-0.3, 0.3})
     assert abs(got - want) < 1e-12
     assert err <= max(1e-13, 1e-12 * abs(got))
@@ -365,7 +380,7 @@ def test_polynomial_window_matches_scipy():
 
 def test_jump_on_a_breakpoint_is_exact_to_tolerance():
     step = lambda x: np.where(x >= 0.0, np.exp(x), 0.0)
-    got, err = _quad_checked(step, -1.0, 1.0, points=(0.0,))
+    got, err = _quad_one(step, -1.0, 1.0, points=(0.0,))
     assert abs(got - (math.e - 1.0)) <= err <= 1e-12 * (math.e - 1.0)
 
 
@@ -380,7 +395,7 @@ def test_jump_on_a_breakpoint_is_exact_to_tolerance():
 ])
 def test_error_estimate_bounds_the_true_error(func, a, b, exact):
     epsabs, epsrel = 1e-13, 1e-12
-    got, err = _quad_checked(func, a, b, epsabs=epsabs, epsrel=epsrel)
+    got, err = _quad_one(func, a, b, epsabs=epsabs, epsrel=epsrel)
     assert abs(got - exact) <= err <= max(epsabs, epsrel * abs(got))
 
 
@@ -392,16 +407,16 @@ def test_degree_19_takes_one_panel():
     def poly(x):
         calls.append(len(x))
         return x ** 18 + x ** 19
-    got, err = _quad_checked(poly, -1.0, 1.0)
+    got, err = _quad_one(poly, -1.0, 1.0)
     assert calls == [21]
     assert got == pytest.approx(2.0 / 19, rel=1e-14)
 
 
 def test_limit_too_small_warns():
     with pytest.warns(QuadratureWarning, match="interval limit"):
-        got, err = quad_complex(lambda x: np.exp(200j * x), 0.0, 1.0, (),
-                                limit=4)
-    assert err > 1e-13
+        got, err = quad_complex(_one(lambda x: np.exp(200j * x)), 0.0, 1.0,
+                                (), limit=4)
+    assert err[0] > 1e-13
     # a family warns when its worst row falls short
     rows = lambda x: np.exp(1j * np.multiply.outer([1.0, 200.0], x))
     with pytest.warns(QuadratureWarning, match="interval limit"):
@@ -411,9 +426,9 @@ def test_limit_too_small_warns():
 
 def test_roundoff_floor_warns():
     with pytest.warns(QuadratureWarning, match="roundoff floor"):
-        got, err = quad_complex(np.cos, 0.0, 1.0, (), epsabs=0.0,
+        got, err = quad_complex(_one(np.cos), 0.0, 1.0, (), epsabs=0.0,
                                 epsrel=1e-18)
-    assert got == pytest.approx(math.sin(1.0), rel=1e-14)
+    assert got[0] == pytest.approx(math.sin(1.0), rel=1e-14)
     with pytest.warns(QuadratureWarning, match="roundoff floor"):
         got, err = quad_complex(lambda x: np.array([np.cos(x), np.sin(x)]),
                                 0.0, 1.0, (), epsabs=0.0, epsrel=1e-18)
@@ -422,7 +437,8 @@ def test_roundoff_floor_warns():
 
 
 def test_empty_interval():
-    assert quad_complex(np.cos, 1.0, 1.0, ()) == (0j, 0.0)
+    got, err = quad_complex(_one(np.cos), 1.0, 1.0, ())
+    assert got.tolist() == [0j] and err.tolist() == [0.0]
     got, err = quad_complex(lambda x: np.array([np.cos(x), np.sin(x)]),
                             1.0, 1.0, ())
     assert got.tolist() == [0j, 0j] and err.tolist() == [0.0, 0.0]
@@ -430,26 +446,28 @@ def test_empty_interval():
 
 @pytest.mark.parametrize("k", LADDER)
 def test_pv_subtraction_matches_cauchy_weight(k):
-    wave = ml._WindowedWave(0.0, k, 0.25, 0.5)
-    got, err = ml._pair_wave_1d(SymbolicDistribution1D.power_i0(-1.0, +1),
-                                wave)
+    (got,), (err,) = ml._pair_wave_1d(
+        SymbolicDistribution1D.power_i0(-1.0, +1), 0.0, np.array([k]))
+    window = TestFunction1D.from_poly((1.0,), *ml.WF1D_WINDOW)
 
     def pv(part):
-        return integrate.quad(lambda x: part(wave.value(x)), -0.5, 0.5,
-                              weight="cauchy", wvar=0.0, limit=1000,
-                              epsabs=1e-12, epsrel=1e-10)[0]
-    want = pv(np.real) + 1j * pv(np.imag) - 1j * math.pi
+        return integrate.quad(
+            lambda x: part(window(x) * cmath.exp(1j * k * x)), -0.5, 0.5,
+            weight="cauchy", wvar=0.0, limit=1000, epsabs=1e-12,
+            epsrel=1e-10)[0]
+    want = pv(lambda z: z.real) + 1j * pv(lambda z: z.imag) - 1j * math.pi
     assert abs(got - want) < 1e-9
 
 
-def test_pair_with_error():
+def test_pair_error_estimate():
     f = TestFunction1D.from_poly((1.0, 0.3, -0.2), 0.4, 1.3)
-    assert SymbolicDistribution1D.delta(2).pair_with_error(f) == (
+    values, errors = SymbolicDistribution1D.delta(2).pair_batch([f])
+    assert (values[0], errors[0]) == (
         SymbolicDistribution1D.delta(2).pair(f), 0.0)
     t = dist_sum(SymbolicDistribution1D.power_i0(-1.0, +1) * 2.0,
                  SymbolicDistribution1D.delta(0),
                  SymbolicDistribution1D.halfline(-0.5, -1, 1))
-    value, err = t.pair_with_error(f)
+    (value,), (err,) = t.pair_batch([f])
     assert value == t.pair(f)
     assert 0.0 < err < 1e-11
     want = (2.0 * (oracle_pv(f) - 1j * math.pi * f(0.0)) + f(0.0)
@@ -458,7 +476,7 @@ def test_pair_with_error():
 
 
 EXPONENTS = np.array([-1.5, -0.5 + 0.3j, 0.0, 1.0, 2.5 - 1.0j, 7.0])
-WINDOW = TestFunction1D.from_poly((1.0,), 0.25, 0.5)
+WINDOW = TestFunctionBatch([TestFunction1D.from_poly((1.0,), 0.25, 0.5)])
 
 
 @pytest.mark.parametrize("rows, a, b, m", [
@@ -470,15 +488,14 @@ WINDOW = TestFunction1D.from_poly((1.0,), 0.25, 0.5)
 ])
 def test_vector_rows_match_scalar_runs(rows, a, b, m):
     """Shared intervals are at least as fine as each row's own run: every
-    row meets its own tolerance and agrees with its scalar run within the
-    two error estimates."""
+    row meets its own tolerance and agrees with its run as a batch of one
+    within the two error estimates."""
     epsabs, epsrel = 1e-13, 1e-12
     got, err = _quad_checked(rows, a, b, epsabs=epsabs, epsrel=epsrel)
     assert got.shape == err.shape == (m,)
     for k in range(m):
-        one, one_err = _quad_checked(lambda x: rows(x)[k], a, b,
-                                     epsabs=epsabs, epsrel=epsrel)
-        assert type(one) is complex and type(one_err) is float
+        one, one_err = _quad_one(lambda x: rows(x)[k], a, b,
+                                 epsabs=epsabs, epsrel=epsrel)
         assert abs(got[k] - one) <= err[k] + one_err
         assert err[k] <= max(epsabs, epsrel * abs(got[k]))
 
@@ -516,7 +533,7 @@ def test_batched_pairings_agree_with_one_by_one(t):
     values, errors = t.pair_batch(fs)
     assert values.shape == errors.shape == (len(fs),)
     for f, v, e in zip(fs, values, errors):
-        one, one_err = t.pair_with_error(f)
+        (one,), (one_err,) = t.pair_batch([f])
         assert abs(v - one) <= e + one_err
 
 
@@ -539,7 +556,7 @@ def test_pair_family_needs_one_layout():
               for c, a in ((1.0, -0.5), (2.0, -0.7 + 0.1j))]
     values, errors = pair_family(family, [f])
     for t, v, e in zip(family, values[:, 0], errors[:, 0]):
-        assert abs(v - t.pair(f)) <= e + t.pair_with_error(f)[1]
+        assert abs(v - t.pair(f)) <= e + t.pair_batch([f])[1][0]
 
 
 # --------------------------------------------------------------------------
@@ -676,16 +693,16 @@ def test_ms_values_against_mpmath(poly, r0, R):
     (want,) = _mp_truth(truth, HALFLINE_RULES)
     assert rep["pole_order"] == 1
     assert abs(want - rep["regular_value"]) <= rep["error"]
+    assert abs(want - acceptance._ms_halfline_oracle(f)) <= 1e-14
 
 
 def test_wf_ladder_against_mpmath():
     """AC11's (x+i0)^-1 ladder at x0 = 0: <(x+i0)^-1, W e^{ikx}> =
     +-2i (Si(k r0) + int_r0^R W sin(|k| x)/x) - i pi for k = +-|k|."""
-    r0, R = 0.25, 0.5
+    r0, R = ml.WF1D_WINDOW
     ks = np.array([s * k for s in (1, -1) for k in LADDER])
     values, errors = ml._pair_wave_1d(
-        SymbolicDistribution1D.power_i0(-1.0, +1),
-        ml._WindowedWave(0.0, ks, r0, R))
+        SymbolicDistribution1D.power_i0(-1.0, +1), 0.0, ks)
 
     def truth(rule):
         S = [mpmath.si(k * mpmath.mpf(r0)) for k in LADDER]

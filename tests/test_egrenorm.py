@@ -220,7 +220,7 @@ def test_quadrature_runs_do_not_grow_with_probes_or_scales(monkeypatch):
     for term in (t, SymbolicDistribution1D.halfline(-0.5, +1, 1),
                  SymbolicDistribution1D.monomial(1)):
         runs.clear()
-        term.pair_with_error(probe())
+        term.pair_batch([probe()])
         one = len(runs)
         runs.clear()
         eg.scaling_degree_regression(term)

@@ -3,11 +3,10 @@
     python3 tools/wf2d_timing.py       # best of 5 runs
     python3 tools/wf2d_timing.py 20    # best of 20 runs
 
-Run from the root of a paqft checkout.  The field is AC11's: the commutator
-kernel column Delta(., y0) of the 512x256 lattice (a_t = 1/20, a_x = 1/10,
-m = 1), y0 its centre, sampled with spacings (0.05, 0.1); the centres are
-every AC11_STRIDE-th grid point of the annulus AC11_ANNULUS around y0, as
-in microlocal.propagation_check.
+Run from the root of a paqft checkout.  The field and the centres are
+AC11's, from microlocal.ac11_grid: the commutator kernel column Delta(., y0)
+of the 512x256 lattice, and every AC11_STRIDE-th grid point of the annulus
+AC11_ANNULUS around y0.
 
 It prints the number of centres, the best and the median microseconds per
 centre of wf_estimate_2d over the runs, the number of singular rays and of
@@ -19,34 +18,11 @@ import hashlib
 import statistics
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np  # noqa: E402
-
 from paqft import microlocal as ml  # noqa: E402
-from paqft.lattice import Lattice1p1, PropagatorSet  # noqa: E402
-
-A_T, A_X = 0.05, 0.1
-
-
-def ac11_grid():
-    """AC11's sampled field and annulus centres."""
-    lat = Lattice1p1(512, 256, Fraction(1, 20), Fraction(1, 10), 1.0)
-    t0, x0 = lat.n_t // 2, lat.n_x // 2
-    field = ml.SampledField2D(PropagatorSet(lat).causal_column(t0, x0),
-                              A_T, A_X)
-    origin = np.array([t0 * A_T, x0 * A_X])
-    lo, hi = ml.AC11_ANNULUS
-    centers = []
-    for it in range(2, lat.n_t - 2, ml.AC11_STRIDE):
-        for ix in range(2, lat.n_x - 2, ml.AC11_STRIDE):
-            p = np.array([it * A_T, ix * A_X])
-            if lo <= np.linalg.norm(p - origin) <= hi:
-                centers.append((p[0], p[1]))
-    return field, centers
 
 
 def flags_sha256(wf):
@@ -64,7 +40,7 @@ def flags_sha256(wf):
 
 def main(argv):
     runs = int(argv[0]) if argv else 5
-    field, centers = ac11_grid()
+    field, _, centers = ml.ac11_grid()
     per_centre = []
     for _ in range(runs):
         t0 = time.perf_counter()
