@@ -213,7 +213,7 @@ class TestFunctionBatch:
     pass and gives an (m, n) array, row i the values of f_i."""
 
     __slots__ = ("functions", "coeff", "poly", "r0", "R", "rounds", "core",
-                 "plateau_radius", "support_radius", "points")
+                 "plateau_radius", "support_radius", "points", "real")
 
     def __init__(self, functions):
         self.functions = tuple(functions)
@@ -237,6 +237,8 @@ class TestFunctionBatch:
         self.coeff = np.array([a[0] for a in atoms], dtype=complex)[:, None]
         self.r0 = np.array([a[2] for a in atoms], dtype=float)[:, None]
         self.R = np.array([a[3] for a in atoms], dtype=float)[:, None]
+        # every coefficient real: each f_i is real-valued
+        self.real = not (self.coeff.imag.any() or self.poly.imag.any())
         self.plateau_radius = min((a[2] for a in atoms), default=0.0)
         self.support_radius = max((a[3] for a in atoms), default=0.0)
         self.points = {s * v for _, _, r0, R in atoms
@@ -600,7 +602,12 @@ def _pair_halfline_plus(a, p: int, fs: TestFunctionBatch):
     test functions whose order-(n-1) jet vanishes (as after a w-scheme
     projection), and then the pole term is simply absent.  An array of
     non-integer a gives one row per exponent, all weighted by exp(a_k log x)
-    at shared nodes, with the largest N any row needs."""
+    at shared nodes, with the largest N any row needs.
+
+    On a real batch the value at conj(a) is the conjugate of the one at a,
+    bit for bit, so the two quadrature runs integrate the exponents with
+    Im a < 0 conjugated, each distinct one once, and conjugate their rows
+    back; a complex batch flips none and integrates each distinct a."""
     core = fs.core.T  # row j: the x^j core coefficient of every f_i
     lead = np.shape(a) + (len(fs),)
     skip_j = None
@@ -620,14 +627,27 @@ def _pair_halfline_plus(a, p: int, fs: TestFunctionBatch):
     # exact inner part on (0, delta): f_i equals its core polynomial
     for j in range(N, len(core)):
         out += np.multiply.outer(_power_log_integral(a + j, p, delta), core[j])
+    # quadrature rows: each distinct exponent, conjugated where flipped, once
+    flip = np.less(np.imag(a), 0) & fs.real
+    index = {}
+    inv = np.reshape([index.setdefault(z, len(index)) for z in
+                      np.where(flip, np.conj(a), a).ravel().tolist()],
+                     np.shape(a))
+    rows = np.array(list(index))
+
+    def quad(func, lo, hi):  # rows spread back to the shape of a
+        v, e = _quad(func, lo, hi, fs.points, rows.shape + (len(fs),))
+        return np.where(flip[..., None], v[inv].conj(), v[inv]), e[inv]
+
     # numeric part on (delta, 1) with explicit subtraction
-    def weight(x):  # shape(a) + (1, n), to broadcast over the batch
+    def weight(x):  # shape(rows) + (1, n), to broadcast over the batch
         log_x = np.log(x)
-        return (np.exp(np.multiply.outer(a, log_x)) * log_x ** p)[..., None, :]
+        return (np.exp(np.multiply.outer(rows, log_x))
+                * log_x ** p)[..., None, :]
 
     if delta < 1.0:
-        v, err = _quad(lambda x: weight(x) * fs.taylor_remainder(x, N),
-                       delta, 1.0, fs.points, lead)
+        v, err = quad(lambda x: weight(x) * fs.taylor_remainder(x, N),
+                      delta, 1.0)
         out += v
     # boundary moments int_0^1 x^(a+j) log^p
     for j in range(min(N, len(core))):
@@ -638,7 +658,7 @@ def _pair_halfline_plus(a, p: int, fs: TestFunctionBatch):
     # far part (1, R)
     R = fs.support_radius
     if R > 1.0:
-        v, e = _quad(lambda x: weight(x) * fs(x), 1.0, R, fs.points, lead)
+        v, e = quad(lambda x: weight(x) * fs(x), 1.0, R)
         out, err = out + v, err + e
     return out, err
 

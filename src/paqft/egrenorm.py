@@ -187,14 +187,19 @@ def extension_ambiguity(e1: ExtendedDistribution, e2: ExtendedDistribution,
 # the last (smallest) circle.  The regular part's nearest other singularity
 # sits at |zeta| ~ 1 for the families here, so aliasing falls like r^N.
 MS_RADII = (0.1, 0.05)
-MS_ANGLES = 16
+MS_ANGLES = 16  # even: each circle is built in conjugate pairs
 MS_POLE_CAP = 3  # the largest pole order a minimal subtraction removes
 
 
 def ms_circle() -> np.ndarray:
-    """The sample points zeta, shape (len(MS_RADII), MS_ANGLES)."""
-    return np.multiply.outer(MS_RADII, np.exp(
-        2j * np.pi * (np.arange(MS_ANGLES) + 0.5) / MS_ANGLES))
+    """The sample points zeta, shape (len(MS_RADII), MS_ANGLES): angles
+    2 pi (j + 1/2) / MS_ANGLES, the upper half computed and point
+    MS_ANGLES - 1 - j the exact conjugate of point j, so that a real test
+    function pairs each sample of the lower half as the conjugate of its
+    mate (dist1d._pair_halfline_plus)."""
+    upper = np.exp(2j * np.pi * (np.arange(MS_ANGLES // 2) + 0.5) / MS_ANGLES)
+    return np.multiply.outer(MS_RADII, np.concatenate(
+        [upper, upper[::-1].conj()]))
 
 
 def analytic_regularization(family, f: TestFunction1D,

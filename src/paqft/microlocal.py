@@ -45,6 +45,7 @@ NEAR_BAND, NEAR_FACTOR = 0.05, 2.0
 # source; singular mass within CONE_TOL_DEG of a null ray is on the cone
 AC11_ANNULUS, AC11_STRIDE, AC11_CONE_TOL_DEG = (5.0, 9.3), 6, 15.0
 FLOW_FIXPOINT_ITERS = 12  # fixed-point iterations per flow step, at most
+FLOW_PREDICTOR_POINTS = 6  # past midpoint derivatives a step starts from
 POS_TOL, DIR_TOL = 1e-9, 1e-6  # Whitney sums: same point, opposite directions
 
 
@@ -132,42 +133,45 @@ def _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor, meta):
 # one-dimensional estimator
 
 
-def _quad(f, lo, hi, points=()):
-    return quad_complex(f, lo, hi, points, epsabs=1e-12, epsrel=1e-10,
-                        limit=1000)
-
-
 def _pair_wave_1d(t: SymbolicDistribution1D, x0: float, ks):
-    """(<t, W(x - x0) e^{ikx}>, error estimate) for each frequency k of the
-    array ks, W the plateau window of radii WF1D_WINDOW, for the kinds that
-    wf_estimate_1d admits.  The window is 1 at the origin on the plateau
-    and 0 off the support; wf_estimate_1d keeps the origin out of the
-    transition annulus between them, so derivatives at 0 are exact."""
+    """(<t, W(x - x0) e^{ikx}>, error estimate) for each frequency k of
+    (ks, -ks), ks an array of positive frequencies, W the plateau window of
+    radii WF1D_WINDOW, for the kinds that wf_estimate_1d admits.  The window
+    is 1 at the origin on the plateau and 0 off the support; wf_estimate_1d
+    keeps the origin out of the transition annulus between them, so
+    derivatives at 0 are exact.  Every integrated kernel is real, so the
+    run takes the k > 0 half and the row at -k is the conjugate of the one
+    at k, bit for bit, with the same error estimate."""
     r0, R = WF1D_WINDOW
     lo, hi = x0 - R, x0 + R
     g0 = 1.0 if abs(x0) <= r0 else 0.0
 
     def wave(x):
         return _window(x - x0, r0, R) * np.exp(1j * np.multiply.outer(ks, x))
+
+    def quad(f, points=()):
+        v, e = quad_complex(f, lo, hi, points, epsabs=1e-12, epsrel=1e-10,
+                            limit=1000)
+        return np.concatenate([v, v.conj()]), np.concatenate([e, e])
     out, err = 0j, 0.0
     for coeff, kind in t.terms:
         tag, e = kind[0], 0.0
         if tag == "delta":
-            v = (-1) ** kind[1] * (g0 * (1j * ks) ** kind[1])
+            k = np.concatenate([ks, -ks])
+            v = (-1) ** kind[1] * (g0 * (1j * k) ** kind[1])
         elif tag == "monomial":
-            v, e = _quad(lambda x: x ** kind[1] * wave(x), lo, hi)
+            v, e = quad(lambda x: x ** kind[1] * wave(x))
         elif tag == "heaviside":
-            v, e = _quad(lambda x: np.where(x >= 0, x ** kind[1], 0.0)
-                         * wave(x), lo, hi, points=(0.0,))
+            v, e = quad(lambda x: np.where(x >= 0, x ** kind[1], 0.0)
+                        * wave(x), points=(0.0,))
         else:  # (x +- i0)^-1
             sign = kind[1]
             if lo < 0.0 < hi:
                 # PV int g/x = int (g - g(0))/x + g(0) log(hi / -lo)
-                pv, e = _quad(lambda x: (wave(x) - g0) / x, lo, hi,
-                              points=(0.0,))
+                pv, e = quad(lambda x: (wave(x) - g0) / x, points=(0.0,))
                 v = pv + g0 * math.log(hi / -lo) - sign * 1j * math.pi * g0
             else:
-                v, e = _quad(lambda x: 1.0 / x * wave(x), lo, hi)
+                v, e = quad(lambda x: 1.0 / x * wave(x))
         out, err = out + coeff * v, err + abs(coeff) * e
     return out, err
 
@@ -176,12 +180,13 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
     """Wave front estimate of a distribution on the line.
 
     Directions are the two signs, the ladder WF1D_K_BASE * 2^j (one
-    quadrature run per centre); meta["abserr"] is each ray's worst error
-    estimate over its ladder.  Anything but a SymbolicDistribution1D
-    raises TypeError.  Before any quadrature, a term other than delta^m,
-    x^m, heaviside^m and (x +- i0)^-1 raises NoWavePairing, and a centre in
-    the window's transition annulus WindowTooWide when a delta^m or
-    (x +- i0)^-1 term pairs through the window's value at the origin."""
+    quadrature run of its k > 0 half per centre); meta["abserr"] is each
+    ray's worst error estimate over its ladder.  Anything but a
+    SymbolicDistribution1D raises TypeError.  Before any quadrature, a
+    term other than delta^m, x^m, heaviside^m and (x +- i0)^-1 raises
+    NoWavePairing, and a centre in the window's transition annulus
+    WindowTooWide when a delta^m or (x +- i0)^-1 term pairs through the
+    window's value at the origin."""
     if not isinstance(t, SymbolicDistribution1D):
         raise TypeError("wf_estimate_1d takes a SymbolicDistribution1D, "
                         f"not {type(t).__name__}")
@@ -200,10 +205,9 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
             f"no wave pairing; use |x| <= {r0:g} or |x| >= {R:g}")
     rs = [WF1D_K_BASE * 2 ** j for j in range(WF1D_OCTAVES + 1)]
     cs, dirs = [(float(x0),) for x0 in centers], ((1.0,), (-1.0,))
-    ks = np.array([s * r for (s,) in dirs for r in rs])
-    vals, errs = np.zeros((2, len(cs), len(ks)), dtype=complex)
+    vals, errs = np.zeros((2, len(cs), 2 * len(rs)), dtype=complex)
     for i, c in enumerate(cs):
-        vals[i], errs[i] = _pair_wave_1d(t, c[0], ks)
+        vals[i], errs[i] = _pair_wave_1d(t, c[0], np.array(rs))
     meta = {"abserr": errs.real.reshape(-1, len(rs)).max(axis=1)}
     return _estimate(cs, dirs, rs, np.abs(vals), WF1D_THRESHOLD,
                      WF1D_AMP_FLOOR, WF1D_REL_FLOOR, meta)
@@ -342,10 +346,11 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
     An iteration stops once its update (max over x and k) is at most that
     noise floor times |dt|, never below 1e-15, so an exactly zero update
     stops at once.  A step from y = (x, k) starts at y + dt p, p the
-    quadratic extrapolation 3 f1 - 3 f2 + f3 of the last three steps'
-    midpoint derivatives, f1 the latest: the third step takes the linear
-    2 f1 - f2, the second f1, and the first starts at y.  For constant G
-    the extrapolation is exact and every step after the first takes one
+    extrapolation sum_(i=1..q) (-1)^(i+1) C(q, i) f_i of the last q =
+    min(steps taken, FLOW_PREDICTOR_POINTS) steps' midpoint derivatives,
+    f_1 the latest (exact for polynomials of degree q - 1 in the step); the
+    first step starts at y.  The weights sum to 1, so for constant G the
+    extrapolation is exact and every step after the first takes one
     iteration.  `iterations` is the total number of fixed-point
     iterations; `fixpoint_capped` counts the steps that ran all
     FLOW_FIXPOINT_ITERS iterations without meeting the bound: their points
@@ -381,16 +386,14 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
         floor = noise * sum(map(mul, k, k)) * max(map(abs, chain(*G)))
         return f, max(floor, 1e-15)
 
+    # weights (-1)^(i+1) C(q, i) of f_i, i = 1 .. q, f_1 the latest
+    weights = [[(-1) ** (i + 1) * math.comb(q, i) for i in range(1, q + 1)]
+               for q in range(FLOW_PREDICTOR_POINTS + 1)]
     ys, fs = [y], []
     iterations = capped = 0
     for _ in range(n_steps):
-        if len(fs) > 2:
-            p = [3.0 * (a - b) + c
-                 for a, b, c in zip(fs[-1], fs[-2], fs[-3])]
-        elif len(fs) == 2:
-            p = [2.0 * a - b for a, b in zip(fs[-1], fs[-2])]
-        elif fs:
-            p = fs[-1]
+        w = weights[min(len(fs), FLOW_PREDICTOR_POINTS)]
+        p = [sum(map(mul, w, col)) for col in zip(*fs[:-len(w) - 1:-1])]
         ym = [a + dt * b for a, b in zip(y, p)] if fs else y
         for _ in range(FLOW_FIXPOINT_ITERS):
             iterations += 1

@@ -19,8 +19,9 @@ from scipy import integrate
 from paqft.dist1d import (TestFunction1D, TestFunctionBatch,
                           SymbolicDistribution1D, DistError,
                           DivergentPairing, NotHomogeneousClass,
-                          QuadratureWarning, pair_family,
-                          pointwise_power_product, quad_complex)
+                          QuadratureWarning, _power_log_integral,
+                          pair_family, pointwise_power_product,
+                          quad_complex)
 from paqft import acceptance
 from paqft import egrenorm as eg
 from paqft import microlocal as ml
@@ -446,17 +447,22 @@ def test_empty_interval():
 
 @pytest.mark.parametrize("k", LADDER)
 def test_pv_subtraction_matches_cauchy_weight(k):
-    (got,), (err,) = ml._pair_wave_1d(
+    """_pair_wave_1d takes the positive frequency k and returns the rows at
+    k and -k, each checked against scipy's Cauchy weight."""
+    got, err = ml._pair_wave_1d(
         SymbolicDistribution1D.power_i0(-1.0, +1), 0.0, np.array([k]))
     window = TestFunction1D.from_poly((1.0,), *ml.WF1D_WINDOW)
 
-    def pv(part):
+    def pv(part, k):
         return integrate.quad(
             lambda x: part(window(x) * cmath.exp(1j * k * x)), -0.5, 0.5,
             weight="cauchy", wvar=0.0, limit=1000, epsabs=1e-12,
             epsrel=1e-10)[0]
-    want = pv(lambda z: z.real) + 1j * pv(lambda z: z.imag) - 1j * math.pi
-    assert abs(got - want) < 1e-9
+    assert len(got) == len(err) == 2
+    for value, kk in zip(got, (k, -k)):
+        want = (pv(lambda z: z.real, kk) + 1j * pv(lambda z: z.imag, kk)
+                - 1j * math.pi)
+        assert abs(value - want) < 1e-9
 
 
 def test_pair_error_estimate():
@@ -666,14 +672,83 @@ def test_circle_samples_against_mpmath(family, a0, f, sides):
             out = [p + mpmath.expjpi(mpmath.mpc(a)) * m for a, p, m in zip(
                 exps, out, _mp_halfline(exps, a0, f, -1, rule))]
         return out
-    for v, e, w in zip(values, errors, _mp_truth(truth, HALFLINE_RULES)):
+    for v, e, w in zip(values, errors, _mp_truth(truth, HALFLINE_RULES),
+                       strict=True):
         assert abs(w - v) <= e + 1e-14 * max(1.0, abs(w))
+
+
+def test_ms_circle_is_conjugate_closed():
+    """Sample MS_ANGLES - 1 - j is the exact conjugate of sample j, which
+    lets a real test function pair the lower half by conjugation."""
+    zetas = eg.ms_circle()
+    assert np.array_equal(zetas[:, ::-1], zetas.conj())
+
+
+def _halfline_every_row(a, p, fs):
+    """(<x_+^a log^p x, f_i>, error estimates) for the non-integer exponent
+    array a: _pair_halfline_plus's closed-form parts in its order, and one
+    quad_complex run per panel over the rows of every exponent, conjugate
+    or not."""
+    core = fs.core.T
+    N = 0
+    while np.any(a.real + N <= -1):
+        N += 1
+    delta = min(fs.plateau_radius, 1.0)
+    lead = a.shape + (len(fs),)
+
+    def run(g, lo, hi):
+        def rows(x):
+            log_x = np.log(x)
+            w = (np.exp(np.multiply.outer(a, log_x)) * log_x ** p)[:, None]
+            return (w * g(x)).reshape(-1, len(x))
+        v, e = quad_complex(rows, lo, hi, fs.points)
+        return v.reshape(lead), e.reshape(lead)
+    out, err = np.zeros(lead, dtype=complex), np.zeros(lead)
+    for j in range(N, len(core)):
+        out += np.multiply.outer(_power_log_integral(a + j, p, delta),
+                                 core[j])
+    if delta < 1.0:
+        v, err = run(lambda x: fs.taylor_remainder(x, N), delta, 1.0)
+        out += v
+    for j in range(min(N, len(core))):
+        out += np.multiply.outer((-1) ** p * math.factorial(p)
+                                 / (a + j + 1) ** (p + 1), core[j])
+    if fs.support_radius > 1.0:
+        v, e = run(fs, 1.0, fs.support_radius)
+        out, err = out + v, err + e
+    return out, err
+
+
+REAL_F = TestFunction1D.from_poly((0.5, -0.3, 0.2), 0.4, 1.7)
+COMPLEX_F = TestFunction1D.from_poly((1.0, 0.5j, -0.3), 0.6, 1.7)
+
+
+@pytest.mark.parametrize("side, a0, p", [(1, -1.0, 0), (-1, -0.5, 1)])
+@pytest.mark.parametrize("fs", [
+    [TestFunction1D.from_poly((1.0, 0.4), 1.0, 2.0)],  # AC09's probe
+    [REAL_F, TestFunction1D.from_poly((1.0, 0.2), 0.3, 0.8) * 2.0],
+    [COMPLEX_F], [REAL_F, COMPLEX_F],
+])
+def test_circle_samples_match_every_row_run(side, a0, p, fs):
+    """On a real batch, pair_family integrates one exponent of each
+    conjugate pair on the circle and conjugates it into its mate; a batch
+    with a complex-valued function integrates every exponent.  Values and
+    error estimates are those of one run over every row, bit for bit."""
+    dists = [SymbolicDistribution1D.halfline(a0 + z, side, p) for z in CIRCLE]
+    values, errors = pair_family(dists, fs)
+    batch = TestFunctionBatch(fs)
+    want, werr = _halfline_every_row(a0 + CIRCLE, p,
+                                     batch if side == 1 else batch.mirror())
+    assert np.array_equal(values, want)
+    assert np.array_equal(errors, werr)
 
 
 @pytest.mark.parametrize("poly, r0, R", [
     ((1.0, 0.4), 1.0, 2.0), ((0.5, -0.3, 0.2), 1.0, 2.0),  # AC09
     ((1.0,), 0.5, 1.0), ((1.0, 1.0), 0.5, 1.0),  # the `ms` command
     ((0.5, -0.3, 0.2), 0.5, 1.0),
+    # complex-valued: no sample is the conjugate of another (-0.0762+0.575i)
+    ((1.0, 0.5j, -0.3), 0.6, 1.7),
 ])
 def test_ms_values_against_mpmath(poly, r0, R):
     """The MS value of x_+^(z-1) at z = 0, int_0^1 (f - f(0))/x +
@@ -684,7 +759,7 @@ def test_ms_values_against_mpmath(poly, r0, R):
         lambda z: SymbolicDistribution1D.halfline(z - 1.0, +1), f, 3)
 
     def truth(rule):
-        p = [mpmath.mpf(c) for c in poly]
+        p = [mpmath.mpmathify(c) for c in poly]
         out = p[0] * mpmath.log(r0) + sum(
             c * mpmath.mpf(r0) ** j / j for j, c in enumerate(p) if j)
         for x, w in _mp_nodes(r0, R, *rule):
@@ -700,9 +775,8 @@ def test_wf_ladder_against_mpmath():
     """AC11's (x+i0)^-1 ladder at x0 = 0: <(x+i0)^-1, W e^{ikx}> =
     +-2i (Si(k r0) + int_r0^R W sin(|k| x)/x) - i pi for k = +-|k|."""
     r0, R = ml.WF1D_WINDOW
-    ks = np.array([s * k for s in (1, -1) for k in LADDER])
     values, errors = ml._pair_wave_1d(
-        SymbolicDistribution1D.power_i0(-1.0, +1), 0.0, ks)
+        SymbolicDistribution1D.power_i0(-1.0, +1), 0.0, np.array(LADDER))
 
     def truth(rule):
         S = [mpmath.si(k * mpmath.mpf(r0)) for k in LADDER]
@@ -712,5 +786,6 @@ def test_wf_ladder_against_mpmath():
                 S[j] += g * e.imag
                 e = e * e
         return [s * 2j * v - 1j * mpmath.pi for s in (1, -1) for v in S]
-    for v, e, w in zip(values, errors, _mp_truth(truth, WAVE_RULES)):
+    for v, e, w in zip(values, errors, _mp_truth(truth, WAVE_RULES),
+                       strict=True):
         assert abs(w - v) <= e + 1e-14 * max(1.0, abs(w))
