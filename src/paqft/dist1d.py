@@ -20,16 +20,20 @@ Every pairing is a batch: pair_family pairs distributions of one term layout
 (the circle samples of a minimal subtraction) with a batch of test functions
 (the probes of an extension fit, the scales of a regression), one
 quadrature run per panel for all of them.  The panel edges are the union of
-the functions' window radii, the finite-part and half-line split sits at the
-smallest plateau radius in the batch (each function is its core polynomial
-inside its own plateau, so this is exact), and every atom of every function
-is evaluated in one array pass (TestFunctionBatch).  A single pairing, pair,
+the functions' window radii, the half-line split sits at the smallest
+plateau radius in the batch (each function is its core polynomial inside
+its own plateau, so this is exact), and every atom of every function is
+evaluated in one array pass (TestFunctionBatch).  A single pairing, pair,
 is the batch of one; error estimates sum over terms (exact terms
 contribute 0).
 
-Pairings with the homogeneous kinds below use the standard finite-part /
-analytic-continuation formulas.  For kinds of positive divergence degree the
-value returned is therefore already one particular extension; it coincides
+delta^(k) pairs exactly; every other kind is a fixed combination of the
+half-line pairings x_+^a log^p x and x_-^a log^p|x|, the one quadrature
+route: heaviside^m = x_+^m, x^m = x_+^m + (-1)^m x_-^m, (x + s i0)^a =
+x_+^a + e^(s i pi a) x_-^a, and at a = -n the symmetric finite part of
+x^-n less the residue s i pi (-1)^(n-1) delta^(n-1) / (n-1)!.  The half-line
+pairings use analytic continuation, so for kinds of positive divergence
+degree the value returned is already one particular extension; it coincides
 with the honest pairing whenever the test function vanishes to the required
 order at the origin.
 
@@ -185,15 +189,6 @@ class TestFunction1D:
     def __sub__(self, other):
         return self + other * (-1)
 
-    def mirror(self):
-        """x -> f(-x)."""
-        out = []
-        for coeff, poly, r0, R in self.atoms:
-            out.append((coeff,
-                        tuple(c * (-1) ** j for j, c in enumerate(poly)),
-                        r0, R))
-        return TestFunction1D(out)
-
     def stretched(self, c):
         """x -> f(c x) for c > 0."""
         c = float(c)
@@ -265,10 +260,6 @@ class TestFunctionBatch:
         for start, stop, owners in self.rounds:
             out[owners] += terms[start:stop]
         return out
-
-    def mirror(self):
-        """The batch of x -> f_i(-x)."""
-        return TestFunctionBatch(f.mirror() for f in self.functions)
 
     def derivative_at_0(self, k: int):
         """f_i^(k)(0) for every i."""
@@ -447,10 +438,14 @@ class SymbolicDistribution1D:
 
     @classmethod
     def monomial(cls, m: int):
+        if m < 0:
+            raise ValueError("need m >= 0")
         return cls([(1.0, ("monomial", m))])
 
     @classmethod
     def heaviside(cls, m: int):
+        if m < 0:
+            raise ValueError("need m >= 0")
         return cls([(1.0, ("heaviside", m))])
 
     @classmethod
@@ -503,130 +498,82 @@ class SymbolicDistribution1D:
         return f"SymbolicDistribution1D({list(self.terms)})"
 
 
-def _quad(func, lo: float, hi: float, points, lead):
-    """quad_complex of func(x), shape lead + (n,), with its leading axes
-    flattened into rows; values and error estimates come out in shape lead."""
-    v, e = quad_complex(lambda x: func(x).reshape(-1, len(x)), lo, hi, points)
-    return v.reshape(lead), e.reshape(lead)
-
-
 def _pair_term(kind, fs: TestFunctionBatch):
     """(<term, f_i>, error estimates) over the batch: arrays of shape (m,),
-    or (len(a), m) for a halfline or power_i0 term with an exponent array a."""
-    tag, m = kind[0], (len(fs),)
+    or (len(a), m) for a halfline or power_i0 term with an exponent array a.
+    Every kind but delta^(k) is a combination of the two half-line pairings:
+    heaviside^m = x_+^m, x^m = x_+^m + (-1)^m x_-^m and (x + s i0)^a =
+    x_+^a + e^(s i pi a) x_-^a, less s i pi f_(n-1) at a = -n."""
+    tag = kind[0]
     if tag == "delta":
         k = kind[1]
-        return (-1) ** k * fs.derivative_at_0(k), np.zeros(m)
-    if tag == "monomial":
-        n, R = kind[1], fs.support_radius
-        return _quad(lambda x: x ** n * fs(x), -R, R, fs.points | {0.0}, m)
-    if tag == "heaviside":
-        n = kind[1]
-        return _quad(lambda x: x ** n * fs(x), 0.0, fs.support_radius,
-                     fs.points, m)
-    if tag == "power_i0":
-        _, sign, a = kind
-        return _pair_power_i0(sign, a, fs)
+        return (-1) ** k * fs.derivative_at_0(k), np.zeros(len(fs))
     if tag == "halfline":
         _, side, a, p = kind
-        return _pair_halfline_plus(a, p, fs if side == 1 else fs.mirror())
-    raise DistError(f"unknown term kind {tag!r}")
+        if np.any(_is_int(a) & (a.real < -0.5)):
+            j = -int(np.round(a.real)) - 1
+            jet = fs.core[:, j] if j < fs.core.shape[1] else 0.0
+            scale = np.max(abs(fs.core), axis=1, initial=1.0)
+            if np.any(abs(jet) > 1e-9 * scale):
+                raise DivergentPairing(
+                    f"x_{'+-'[side < 0]}^{a} has a pole against a nonzero "
+                    f"order-{j} jet; extend or regularize instead")
+        return _pair_halfline(a, p, fs, (side,))[0]
+    if tag == "heaviside":
+        return _pair_halfline(complex(kind[1]), 0, fs, (1,))[0]
+    sign, a = (1, complex(kind[1])) if tag == "monomial" else kind[1:]
+    residue = 0.0
+    if np.any(_is_int(a)):
+        n = int(round(a.real))
+        phase = np.float64((-1) ** n)
+        if n < 0:  # the pole term is in neither side: Fp x^-n
+            residue = (sign * 1j * math.pi * fs.derivative_at_0(-n - 1)
+                       / math.factorial(-n - 1))
+    else:
+        phase = np.exp(sign * 1j * math.pi * a)
+    (plus, e_plus), (minus, e_minus) = _pair_halfline(a, 0, fs, (1, -1))
+    return (plus + phase[..., None] * minus - residue,
+            e_plus + abs(phase)[..., None] * e_minus)
 
 
 def _is_int(z):
     return (abs(z.imag) < INT_TOL) & (abs(z.real - np.round(z.real)) < INT_TOL)
 
 
-def _pair_power_i0(sign: int, a, fs: TestFunctionBatch):
-    if np.any(_is_int(a)):
-        n = int(round(a.real))
-        if n >= 0:
-            return _pair_term(("monomial", n), fs)
-        n = -n
-        # (x + s i0)^-n = Fp x^-n - s i pi (-1)^(n-1) delta^(n-1) / (n-1)!
-        fp, err = _finite_part(n, fs)
-        d = fs.derivative_at_0(n - 1) / math.factorial(n - 1)
-        return fp - sign * 1j * math.pi * d, err
-    # branch cut split: (x + s i0)^a = x_+^a + e^{s i pi a} x_-^a
-    plus, e_plus = _pair_halfline_plus(a, 0, fs)
-    minus, e_minus = _pair_halfline_plus(a, 0, fs.mirror())
-    phase = np.exp(sign * 1j * math.pi * a)
-    return (plus + phase[..., None] * minus,
-            e_plus + abs(phase)[..., None] * e_minus)
-
-
-def _finite_part(n: int, fs: TestFunctionBatch):
-    """(Fp int x^-n f_i(x) dx, error estimates), the parity-symmetric finite
-    part.
-
-    Splits at the batch's plateau radius, the smallest of its functions':
-    inside, each f_i is exactly its core polynomial and the integral is done
-    termwise; outside, the Taylor-subtracted integrand is smooth and goes to
-    quadrature.  The boundary terms at |x| = 1 come from the subtracted
-    polynomial, odd powers cancelling by parity.
-    """
-    core = fs.core.T  # row j: the x^j core coefficient of every f_i
-    delta = min(fs.plateau_radius, 1.0)
-    m = (len(fs),)
-    out, err = np.zeros(m, dtype=complex), np.zeros(m)
-    # exact inner part: sum_{j>=n} f_j int_{-d}^{d} x^{j-n}
-    for j in range(n, len(core)):
-        k = j - n
-        if k % 2 == 0:
-            out += core[j] * 2.0 * delta ** (k + 1) / (k + 1)
-    # outer subtracted part on delta <= |x| <= 1
-    if delta < 1.0:
-        sub = lambda x: fs.taylor_remainder(x, n) / x ** n
-        for lo, hi in ((delta, 1.0), (-1.0, -delta)):
-            v, e = _quad(sub, lo, hi, fs.points, m)
-            out, err = out + v, err + e
-    # boundary terms at 1 from the dropped Taylor polynomial
-    for j in range(min(n, len(core))):
-        if (n - j) % 2 == 0:
-            out += core[j] * 2.0 / (j - n + 1)
-    # far part |x| > 1
-    R = fs.support_radius
-    if R > 1.0:
-        far = lambda x: fs(x) / x ** n
-        for lo, hi in ((1.0, R), (-R, -1.0)):
-            v, e = _quad(far, lo, hi, fs.points, m)
-            out, err = out + v, err + e
-    return out, err
-
-
-def _pair_halfline_plus(a, p: int, fs: TestFunctionBatch):
-    """(<x_+^a log^p x, f_i>, error estimates) by analytic continuation:
-    subtract the Taylor polynomial to order N-1 on (0, 1), N minimal with
-    Re(a) + N > -1, and add back the boundary moments.  At negative integer
-    a = -n the j = n-1 moment is a genuine pole; the pairing exists only on
+def _pair_halfline(a, p: int, fs: TestFunctionBatch, sides):
+    """[(<x_+^a log^p x, f_i(s x)>, error estimates) for s in sides], side -1
+    being x_-^a log^p|x|, by analytic continuation: subtract the Taylor
+    polynomial to order N-1 on (0, 1), N minimal with Re(a) + N > -1, and
+    add back the boundary moments.  At a negative integer a = -n the j = n-1
+    moment is a pole and is left out: the value is the pairing itself on
     test functions whose order-(n-1) jet vanishes (as after a w-scheme
-    projection), and then the pole term is simply absent.  An array of
-    non-integer a gives one row per exponent, all weighted by exp(a_k log x)
-    at shared nodes, with the largest N any row needs.
+    projection), and side 1 plus (-1)^n times side -1 is the symmetric
+    finite part of x^-n.  An array of non-integer a gives one row per
+    exponent, all weighted by exp(a_k log x) at shared nodes, with the
+    largest N any row needs.
 
-    On a real batch the value at conj(a) is the conjugate of the one at a,
-    bit for bit, so the two quadrature runs integrate the exponents with
-    Im a < 0 conjugated, each distinct one once, and conjugate their rows
-    back; a complex batch flips none and integrates each distinct a."""
+    The exponents, their flips and the closed-form parts are set up once;
+    each side has its own two quadrature runs, evaluates f_i(s x) directly
+    and takes core coefficient j times s^j.  On a real batch the value at
+    conj(a) is the conjugate of the one at a, bit for bit, so the runs
+    integrate the exponents with Im a < 0 conjugated, each distinct one
+    once, and conjugate their rows back; a complex batch flips none and
+    integrates each distinct a."""
     core = fs.core.T  # row j: the x^j core coefficient of every f_i
     lead = np.shape(a) + (len(fs),)
-    skip_j = None
-    if np.any(_is_int(a) & (a.real < -0.5)):
-        skip_j = -int(np.round(a.real)) - 1
-        jet = core[skip_j] if skip_j < len(core) else 0.0
-        scale = np.max(abs(core), axis=0, initial=1.0)
-        if np.any(abs(jet) > 1e-9 * scale):
-            raise DivergentPairing(
-                f"x_+^{a} has a pole against a nonzero order-{skip_j} jet; "
-                "extend or regularize instead")
+    pole = (-int(np.round(a.real)) - 1
+            if np.any(_is_int(a) & (a.real < -0.5)) else None)
     N = max(0, int(math.floor(-np.min(np.real(a)))))
     while np.any(np.real(a) + N <= -1):
         N += 1
     delta = min(fs.plateau_radius, 1.0)
-    out, err = np.zeros(lead, dtype=complex), np.zeros(lead)
-    # exact inner part on (0, delta): f_i equals its core polynomial
-    for j in range(N, len(core)):
-        out += np.multiply.outer(_power_log_integral(a + j, p, delta), core[j])
+    # closed-form factors of core coefficient j: int_0^delta x^(a+j) log^p x
+    # where f_i is its core polynomial (j >= N), and the boundary moments
+    # int_0^1 x^(a+j) log^p x of the subtracted polynomial (j < N)
+    inner = [(j, _power_log_integral(a + j, p, delta))
+             for j in range(N, len(core))]
+    moments = [(j, (-1) ** p * math.factorial(p) / (a + j + 1) ** (p + 1))
+               for j in range(min(N, len(core))) if j != pole]
     # quadrature rows: each distinct exponent, conjugated where flipped, once
     flip = np.less(np.imag(a), 0) & fs.real
     index = {}
@@ -636,31 +583,34 @@ def _pair_halfline_plus(a, p: int, fs: TestFunctionBatch):
     rows = np.array(list(index))
 
     def quad(func, lo, hi):  # rows spread back to the shape of a
-        v, e = _quad(func, lo, hi, fs.points, rows.shape + (len(fs),))
+        v, e = quad_complex(lambda x: func(x).reshape(-1, len(x)), lo, hi,
+                            fs.points)
+        v, e = (u.reshape(rows.shape + (len(fs),)) for u in (v, e))
         return np.where(flip[..., None], v[inv].conj(), v[inv]), e[inv]
 
-    # numeric part on (delta, 1) with explicit subtraction
     def weight(x):  # shape(rows) + (1, n), to broadcast over the batch
         log_x = np.log(x)
-        return (np.exp(np.multiply.outer(rows, log_x))
-                * log_x ** p)[..., None, :]
+        w = np.exp(rows[:, None, None] * log_x)
+        return w * log_x ** p if p else w
 
-    if delta < 1.0:
-        v, err = quad(lambda x: weight(x) * fs.taylor_remainder(x, N),
-                      delta, 1.0)
-        out += v
-    # boundary moments int_0^1 x^(a+j) log^p
-    for j in range(min(N, len(core))):
-        if j == skip_j:
-            continue  # pole term, jet checked to vanish above
-        out += np.multiply.outer((-1) ** p * math.factorial(p)
-                                 / (a + j + 1) ** (p + 1), core[j])
-    # far part (1, R)
     R = fs.support_radius
-    if R > 1.0:
-        v, e = quad(lambda x: weight(x) * fs(x), 1.0, R)
-        out, err = out + v, err + e
-    return out, err
+    out = []
+    for s in sides:
+        cs = core * (float(s) ** np.arange(len(core)))[:, None]
+        value, err = np.zeros(lead, dtype=complex), np.zeros(lead)
+        for j, c in inner:  # exact inner part on (0, delta)
+            value += np.multiply.outer(c, cs[j])
+        if delta < 1.0:  # numeric part on (delta, 1), explicitly subtracted
+            v, err = quad(lambda x: weight(x) * fs.taylor_remainder(s * x, N),
+                          delta, 1.0)
+            value += v
+        for j, c in moments:
+            value += np.multiply.outer(c, cs[j])
+        if R > 1.0:  # far part (1, R)
+            v, e = quad(lambda x: weight(x) * fs(s * x), 1.0, R)
+            value, err = value + v, err + e
+        out.append((value, err))
+    return out
 
 
 def exponent_family(t: SymbolicDistribution1D):

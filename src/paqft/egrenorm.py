@@ -196,7 +196,7 @@ def ms_circle() -> np.ndarray:
     2 pi (j + 1/2) / MS_ANGLES, the upper half computed and point
     MS_ANGLES - 1 - j the exact conjugate of point j, so that a real test
     function pairs each sample of the lower half as the conjugate of its
-    mate (dist1d._pair_halfline_plus)."""
+    mate (dist1d._pair_halfline)."""
     upper = np.exp(2j * np.pi * (np.arange(MS_ANGLES // 2) + 0.5) / MS_ANGLES)
     return np.multiply.outer(MS_RADII, np.concatenate(
         [upper, upper[::-1].conj()]))

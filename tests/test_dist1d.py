@@ -36,6 +36,12 @@ def probes(n=4, max_degree=4):
             for _ in range(n)]
 
 
+def mirrored(f):
+    """x -> f(-x), atom by atom: the x^j coefficients times (-1)^j."""
+    return TestFunction1D([(coeff, [c * (-1) ** j for j, c in enumerate(poly)],
+                            r0, R) for coeff, poly, r0, R in f.atoms])
+
+
 # --------------------------------------------------------------------------
 # oracles
 
@@ -143,7 +149,6 @@ def test_test_function_algebra_and_jets():
     jets = oracle_derivatives(f, 2)
     for k in range(3):
         assert f.derivative_at_0(k) == pytest.approx(jets[k], abs=1e-8)
-    assert f.mirror()(0.2) == pytest.approx(f(-0.2))
     assert f.stretched(2.0)(0.1) == pytest.approx(f(0.2))
     batch = TestFunctionBatch([f, g])
     xs = np.array([-0.95, 0.2, 0.75])
@@ -191,7 +196,8 @@ def test_heaviside_pairing_matches_quadrature():
 
 def test_principal_value_matches_cauchy_weight():
     # Sokhotski-Plemelj: <(x+i0)^-1, f> + i pi f(0) is the principal value,
-    # the finite part _finite_part(1, f) of that pairing
+    # the symmetric finite part that x_+^-1 - x_-^-1 gives with the pole
+    # term of each side left out
     plus = SymbolicDistribution1D.power_i0(-1, +1)
     for f in probes(4):
         assert plus.pair(f) + 1j * math.pi * f(0.0) == pytest.approx(
@@ -220,7 +226,7 @@ def test_power_i0_noninteger_sides():
     a = -0.6
     for f in probes(3):
         plus = oracle_halfline(a, 0, f)
-        minus = oracle_halfline(a, 0, f.mirror())
+        minus = oracle_halfline(a, 0, mirrored(f))
         for sign in (1, -1):
             got = SymbolicDistribution1D.power_i0(a, sign).pair(f)
             want = plus + cmath.exp(sign * 1j * math.pi * a) * minus
@@ -243,7 +249,7 @@ def test_halfline_with_log():
 def test_halfline_minus_side_mirrors():
     for f in probes(2):
         got = SymbolicDistribution1D.halfline(-1.3, -1).pair(f)
-        want = SymbolicDistribution1D.halfline(-1.3, +1).pair(f.mirror())
+        want = SymbolicDistribution1D.halfline(-1.3, +1).pair(mirrored(f))
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -260,6 +266,26 @@ def test_negative_integer_halfline_needs_vanishing_jet():
     with pytest.raises(DivergentPairing):
         SymbolicDistribution1D.halfline(-2, +1).pair(
             TestFunction1D.monomial(1, 0.5, 1.0, 1.0))
+
+
+def test_negative_integer_minus_side_needs_vanishing_jet():
+    """x_-^-n checks the order-(n-1) jet of f, the pole term, as x_+^-n
+    does, and is x_+^-n against f(-x)."""
+    with pytest.raises(DivergentPairing, match="x_-"):
+        SymbolicDistribution1D.halfline(-1, -1).pair(
+            TestFunction1D.from_poly((1.0, 0.3), 0.5, 1.2))
+    f = TestFunction1D.from_poly((1.0, 0.0, -0.4, 0.7), 0.5, 1.2)  # f'(0) = 0
+    got = SymbolicDistribution1D.halfline(-2, -1).pair(f)
+    assert got == SymbolicDistribution1D.halfline(-2, +1).pair(mirrored(f))
+    # int_0^1 (f(-x) - f(0)) / x^2, on the plateau (0, 0.5) that of
+    # -0.4 - 0.7 x; int_1^R f(-x) / x^2; and the boundary moment -f(0) of
+    # the subtracted constant
+    want = (-0.4 * 0.5 - 0.7 * 0.5 ** 2 / 2
+            + oracle_quad(lambda x: 1.0 / x ** 2, lambda x: f(-x) - f(0.0),
+                          0.5, 1.0)
+            + oracle_quad(lambda x: 1.0 / x ** 2, lambda x: f(-x), 1.0,
+                          f.support_radius) - f(0.0))
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -332,6 +358,10 @@ def test_constructor_guards():
         SymbolicDistribution1D.power_i0(-1.0, sign=2)
     with pytest.raises(ValueError):
         SymbolicDistribution1D.halfline(-1.0, side=0)
+    for negative in (SymbolicDistribution1D.monomial,
+                     SymbolicDistribution1D.heaviside):
+        with pytest.raises(ValueError):
+            negative(-1)
 
 
 # --------------------------------------------------------------------------
@@ -477,7 +507,7 @@ def test_pair_error_estimate():
     assert value == t.pair(f)
     assert 0.0 < err < 1e-11
     want = (2.0 * (oracle_pv(f) - 1j * math.pi * f(0.0)) + f(0.0)
-            + oracle_halfline(-0.5, 1, f.mirror()))
+            + oracle_halfline(-0.5, 1, mirrored(f)))
     assert abs(value - want) < 1e-8
 
 
@@ -608,12 +638,14 @@ def _mp_nodes(lo, hi, panels, h):
 
 
 def _mp_window(x, r0, R):
+    # the width R - r0 at 30 digits: rounded to a double, it can make u
+    # exceed 1 just above r0 and the window drop to 0 there
     ax = abs(x)
     if ax <= r0:
         return mpmath.mpf(1)
     if ax >= R:
         return mpmath.mpf(0)
-    u = (R - ax) / (R - r0)
+    u = (R - ax) / (R - mpmath.mpf(r0))
     a, b = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
     return a / (a + b)
 
@@ -686,7 +718,7 @@ def test_ms_circle_is_conjugate_closed():
 
 def _halfline_every_row(a, p, fs):
     """(<x_+^a log^p x, f_i>, error estimates) for the non-integer exponent
-    array a: _pair_halfline_plus's closed-form parts in its order, and one
+    array a: _pair_halfline's closed-form parts in its order, and one
     quad_complex run per panel over the rows of every exponent, conjugate
     or not."""
     core = fs.core.T
@@ -733,12 +765,13 @@ def test_circle_samples_match_every_row_run(side, a0, p, fs):
     """On a real batch, pair_family integrates one exponent of each
     conjugate pair on the circle and conjugates it into its mate; a batch
     with a complex-valued function integrates every exponent.  Values and
-    error estimates are those of one run over every row, bit for bit."""
+    error estimates are those of one run over every row, bit for bit.  On
+    side -1 that run takes the mirrored atoms, so f_i evaluated at -x
+    equals the mirrored f_i at x, bit for bit."""
     dists = [SymbolicDistribution1D.halfline(a0 + z, side, p) for z in CIRCLE]
     values, errors = pair_family(dists, fs)
-    batch = TestFunctionBatch(fs)
-    want, werr = _halfline_every_row(a0 + CIRCLE, p,
-                                     batch if side == 1 else batch.mirror())
+    batch = TestFunctionBatch(fs if side == 1 else map(mirrored, fs))
+    want, werr = _halfline_every_row(a0 + CIRCLE, p, batch)
     assert np.array_equal(values, want)
     assert np.array_equal(errors, werr)
 
@@ -769,6 +802,49 @@ def test_ms_values_against_mpmath(poly, r0, R):
     assert rep["pole_order"] == 1
     assert abs(want - rep["regular_value"]) <= rep["error"]
     assert abs(want - acceptance._ms_halfline_oracle(f)) <= 1e-14
+
+
+INTEGER_KINDS = [  # (t, k, weight of f(-x), residue sign s)
+    *((SymbolicDistribution1D.power_i0(-n, s), -n, (-1) ** n, s)
+      for n in (1, 2, 3) for s in (1, -1)),
+    (SymbolicDistribution1D.monomial(3), 3, -1, 0),
+    (SymbolicDistribution1D.heaviside(2), 2, 0, 0),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_symmetrized(k, minus, f, rule):
+    """Fp int_0^inf x^k (f(x) + minus f(-x)) dx for f of one atom: on the
+    plateau (0, r0) f is its polynomial p, and there the finite part is
+    sum_j g_j r0^(j+k+1) / (j+k+1), g_j = p_j (1 + minus (-1)^j), which
+    vanishes at j + k = -1 for the symmetric kinds; the annulus (r0, R) by
+    the rule.  (x + i0)^-n and (x - i0)^-n share it."""
+    (coeff, poly, r0, R), = f.atoms
+    p = [mpmath.mpc(coeff * c) for c in poly]
+    out = sum(c * (1 + minus * (-1) ** j) * mpmath.mpf(r0) ** (j + k + 1)
+              / (j + k + 1) for j, c in enumerate(p) if j + k != -1)
+    for x, w in _mp_nodes(r0, R, *rule):
+        out += w * x ** k * _mp_window(x, r0, R) * (
+            mpmath.polyval(p[::-1], x) + minus * mpmath.polyval(p[::-1], -x))
+    return out
+
+
+@pytest.mark.parametrize("f", [REAL_F, COMPLEX_F], ids=["real", "complex"])
+@pytest.mark.parametrize("t, k, minus, s", INTEGER_KINDS, ids=repr)
+def test_integer_powers_against_mpmath(t, k, minus, s, f):
+    """<t, f> = Fp int_0^inf x^k (f(x) + minus f(-x)) dx - s i pi f_(-k-1):
+    (x + s i0)^-n is the symmetric finite part of x^-n less s i pi times
+    the x^(n-1) coefficient, x^3 and heaviside^2 are plain integrals."""
+    (value,), (err,) = t.pair_batch([f])
+    (coeff, poly, _, _), = f.atoms
+
+    def truth(rule):
+        out = _mp_symmetrized(k, minus, f, rule)
+        if s:
+            out -= s * 1j * mpmath.pi * mpmath.mpc(coeff * poly[-k - 1])
+        return [out]
+    (want,) = _mp_truth(truth, HALFLINE_RULES)
+    assert abs(want - value) <= err + 1e-14 * abs(want)
 
 
 def test_wf_ladder_against_mpmath():

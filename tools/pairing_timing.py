@@ -10,14 +10,18 @@ extensions of (x+i0)^-2 (radii acceptance.W_RADII) and of the W extension
 against the minimal-subtraction one of the (x+i0)^(-2+z) family, both at
 max_order 1; egrenorm.scaling_degree_regression of (x+i0)^-2,
 (x-i0)^-1.5, x_+^-0.5 and delta^1; egrenorm.minimal_subtraction of the
-x_+^(z-1) family on AC09's two probes; and microlocal.wf_estimate_1d of
-perfbench/wavefront.py's six model distributions at the centres 0 and 0.8.
+x_+^(z-1) family on AC09's two probes; microlocal.wf_estimate_1d of
+perfbench/wavefront.py's six model distributions at the centres 0 and 0.8;
+and the batched pairing of x^2, heaviside^1 and (x-i0)^-3, each a
+combination of the two half-line pairings, on the `extend` command's three
+probe polynomials over radii (0.4, 1.7), so that both quadrature runs of
+each side take part.
 
 It prints one line per call: the best and the median milliseconds over the
 runs, a sha256 of the values (the rays, for the wave front estimates)
 and the values in short (fit coefficients and residual, the degree, the MS
-values, or the ray counts), so that two checkouts can be compared for speed
-and shown to compute alike.
+values, the pairings, or the ray counts), so that two checkouts can be
+compared for speed and shown to compute alike.
 """
 
 import hashlib
@@ -39,6 +43,8 @@ from perfbench.wavefront import WF1D_MODELS  # noqa: E402
 REGRESSIONS = ("(x+i0)^-2", "(x-i0)^-1.5", "x_+^-0.5", "delta^1")
 MS_PROBES = ((1.0, 0.4), (0.5, -0.3, 0.2))  # AC09's, on radii (1, 2)
 WF1D_CENTRES = (0.0, 0.8)
+PAIRINGS = ("x^2", "heaviside^1", "(x-i0)^-3")
+PAIR_PROBES = ((1.0,), (1.0, 1.0), (0.5, -0.3, 0.2))  # the `extend` probes
 
 
 def calls():
@@ -60,12 +66,20 @@ def calls():
     models = [formats.parse_distribution(expr) for expr, _ in WF1D_MODELS]
     out.append(("wf_estimate_1d models", lambda: [
         ml.wf_estimate_1d(t, WF1D_CENTRES).rays for t in models]))
+    fs = [TestFunction1D.from_poly(poly, 0.4, 1.7) for poly in PAIR_PROBES]
+    for expr in PAIRINGS:
+        d = formats.parse_distribution(expr)
+        out.append(("pair " + expr, lambda d=d: {
+            "pairings": [complex(v) for v in d.pair_batch(fs)[0]]}))
     return out
 
 
 def shown(value):
     """The value of a call as text: the degree, the fit coefficients and the
-    residual, the MS values, or the counts of rays and singular rays."""
+    residual, the MS values, the pairings, or the counts of rays and
+    singular rays."""
+    if isinstance(value, dict):
+        return "pairings = [%s]" % ", ".join(map(repr, value["pairings"]))
     if isinstance(value, tuple):
         coeffs, resid = value
         return "c = [%s] resid = %r" % (
