@@ -113,25 +113,17 @@ def w_project(f: TestFunction1D, w_alphas) -> TestFunction1D:
 
 
 class ExtendedDistribution:
-    """A distribution extended across the origin with a W-scheme projection
-    (or unmodified when the divergence degree is negative)."""
+    """A distribution extended across the origin, by a W-scheme projection
+    or by minimal subtraction, as its batch pairing: pair_batch(fs) gives
+    (values, error estimates) on the test functions fs, in one batch."""
 
-    __slots__ = ("base", "w_alphas", "div")
+    __slots__ = ("pair_batch",)
 
-    def __init__(self, base: SymbolicDistribution1D, w_alphas, div: float):
-        self.base = base
-        self.w_alphas = w_alphas
-        self.div = div
+    def __init__(self, pair_batch):
+        self.pair_batch = pair_batch
 
     def pair(self, f: TestFunction1D) -> complex:
         return complex(self.pair_batch([f])[0][0])
-
-    def pair_batch(self, fs):
-        """(values, error estimates) of the extension on the test functions
-        fs, all paired in one batch."""
-        if self.w_alphas is None:
-            return self.base.pair_batch(fs)
-        return self.base.pair_batch([w_project(f, self.w_alphas) for f in fs])
 
 
 def extend(t: SymbolicDistribution1D, w_alphas=None) -> ExtendedDistribution:
@@ -146,14 +138,16 @@ def extend(t: SymbolicDistribution1D, w_alphas=None) -> ExtendedDistribution:
         if w_alphas is not None:
             warnings.warn("negative divergence degree: unique extension, "
                           "projection ignored", NegativeDivergenceWarning)
-        return ExtendedDistribution(t, None, div)
+        return ExtendedDistribution(t.pair_batch)
     k = int(math.floor(div))
     if w_alphas is None:
         w_alphas = make_w_projection(k)
     if len(w_alphas) < k + 1:
         raise ExtensionError(
             f"need w_alpha up to order {k}, got {len(w_alphas)}")
-    return ExtendedDistribution(t, list(w_alphas), div)
+    w_alphas = list(w_alphas)
+    return ExtendedDistribution(
+        lambda fs: t.pair_batch([w_project(f, w_alphas) for f in fs]))
 
 
 def extension_ambiguity(e1: ExtendedDistribution, e2: ExtendedDistribution,
@@ -258,27 +252,20 @@ def _laurent_data(zetas, vals, errs, pole_cap: int) -> dict:
     }
 
 
-def minimal_subtraction(family, f: TestFunction1D,
-                        pole_cap: int = MS_POLE_CAP) -> complex:
+def minimal_subtraction(family, f: TestFunction1D, pole_cap: int) -> complex:
     """Regular value at zeta = 0 after removing the principal part."""
     return analytic_regularization(family, f, pole_cap)["regular_value"]
 
 
-def ms_extension(family):
-    """Minimal-subtraction extension as a pairing closure."""
-
-    class _MS:
-        def pair(self, f):
-            return minimal_subtraction(family, f)
-
-        def pair_batch(self, fs):
-            """(MS values, their error bounds) on the test functions fs,
-            from one pair_family run over the circle samples and all f."""
-            reps = _regularizations(family, fs, MS_POLE_CAP)
-            return (np.array([r["regular_value"] for r in reps]),
-                    np.array([r["error"] for r in reps]))
-
-    return _MS()
+def ms_extension(family) -> ExtendedDistribution:
+    """Minimal-subtraction extension: the MS values on the test functions
+    fs and their error bounds, from one pair_family run over the circle
+    samples and all f."""
+    def pair_batch(fs):
+        reps = _regularizations(family, fs, MS_POLE_CAP)
+        return (np.array([r["regular_value"] for r in reps]),
+                np.array([r["error"] for r in reps]))
+    return ExtendedDistribution(pair_batch)
 
 
 def feynman_square_demo() -> dict:

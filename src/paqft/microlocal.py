@@ -311,19 +311,15 @@ def wf_estimate_2d(field: SampledField2D, centers,
 # compatibility of covector sets
 
 
-def whitney_sum_witnesses(wf1: WFEstimate, wf2: WFEstimate):
-    """Pairs of singular rays at a common point (within POS_TOL) whose
-    directions cancel (to DIR_TOL), i.e. hits of the fibrewise sum on the
-    zero section."""
-    return [(r1, r2) for r1 in wf1.singular() for r2 in wf2.singular()
-            if np.linalg.norm(np.subtract(r1.center, r2.center)) <= POS_TOL
-            and np.linalg.norm(np.add(r1.direction, r2.direction)) < DIR_TOL]
-
-
 def product_compatible(wf1: WFEstimate, wf2: WFEstimate):
     """Hoermander criterion on the estimated sets: the product is admissible
-    when no opposite singular covectors sit over the same point."""
-    wit = whitney_sum_witnesses(wf1, wf2)
+    when no opposite singular covectors sit over the same point.  Returns
+    (admissible, witnesses): the pairs of singular rays at a common point
+    (within POS_TOL) whose directions cancel (to DIR_TOL), i.e. hits of the
+    fibrewise sum on the zero section."""
+    wit = [(r1, r2) for r1 in wf1.singular() for r2 in wf2.singular()
+           if np.linalg.norm(np.subtract(r1.center, r2.center)) <= POS_TOL
+           and np.linalg.norm(np.add(r1.direction, r2.direction)) < DIR_TOL]
     return len(wit) == 0, wit
 
 

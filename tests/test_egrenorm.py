@@ -184,8 +184,8 @@ def test_nonlocal_difference_is_rejected():
     t = SymbolicDistribution1D.halfline(-2, +1)
     w = eg.make_w_projection(1)
     e1 = eg.extend(t, w_alphas=w)
-    smeared = eg.ExtendedDistribution(
-        dist_sum(t, SymbolicDistribution1D.heaviside(0) * 0.3), w, 1.0)
+    smeared = eg.extend(
+        dist_sum(t, SymbolicDistribution1D.heaviside(0) * 0.3), w_alphas=w)
     with pytest.raises(eg.NonLocalDifference):
         eg.extension_ambiguity(e1, smeared, max_order=1)
 
@@ -268,7 +268,7 @@ def test_minimal_subtraction_against_oracle():
     for poly, r0, R in (((1.0, 0.4), 0.5, 1.0),
                         ((0.5, -0.3, 0.2), 0.5, 2.0)):
         f = probe(poly, r0, R)
-        got = eg.minimal_subtraction(family, f)
+        got = eg.minimal_subtraction(family, f, pole_cap=eg.MS_POLE_CAP)
         assert got == pytest.approx(ms_oracle_inverse_x(f), abs=1e-8)
         ext = eg.ms_extension(family)
         assert ext.pair(f) == pytest.approx(got, rel=1e-12)

@@ -1,12 +1,15 @@
-"""Pins of tools/ladder.py: the coefficients of the interacting product
-star_interacting(F, G) on two rungs of the ladder, by their sha256."""
+"""Pins of tools/timing.py's ladder case: the coefficients of the
+interacting product star_interacting(F, G) on two rungs, by their sha256;
+and the tool's entry point."""
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import ladder  # noqa: E402
+import timing  # noqa: E402
+from paqft.quantization import BogoliubovMap  # noqa: E402
 
 
 @pytest.mark.parametrize("rung, sha256", [
@@ -16,5 +19,17 @@ import ladder  # noqa: E402
      "828daa694010ea03501617db75f05adafe5414450a7e5e83ffe8214c7f19b2ae"),
 ], ids=["2,2,8", "3,3,4"])
 def test_ladder_rung_is_pinned(rung, sha256):
-    *_, P = ladder.rung(*rung)
-    assert ladder.coefficients_sha256(P) == sha256
+    xp, V, F, G = timing.rung(*rung)
+    P = BogoliubovMap(xp, V).star_interacting(F, G)
+    assert timing.coefficients_sha256(P) == sha256
+
+
+def test_timing_prints_one_digest_per_call(capsys):
+    timing.main(["-n", "1", "pairing"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(list(timing.pairing()))
+    assert all(re.match(r"pairing .* [0-9a-f]{64}  ", r) for r in rows)
+    with pytest.raises(SystemExit) as exit_:
+        timing.main(["no_such_case"])
+    assert exit_.value.code != 0
+    assert "ladder, flow, wf2d, pairing" in capsys.readouterr().err

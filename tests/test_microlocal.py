@@ -146,7 +146,7 @@ def test_whitney_sum_needs_matching_base_point():
     ray_dn_far = ml.WFRay((3.0,), (-1.0,), 0.0, 1.0, True)
     wf1 = ml.WFEstimate([ray_up], 2.0, {})
     wf2 = ml.WFEstimate([ray_dn_far], 2.0, {})
-    assert ml.whitney_sum_witnesses(wf1, wf2) == []
+    assert ml.product_compatible(wf1, wf2)[1] == []
 
 
 # --------------------------------------------------------------------------

@@ -190,11 +190,21 @@ def interaction(lat, sites=None):
     return interaction_vertex(lat, f, 4)
 
 
-def test_bogoliubov_roundtrip(xp_small, rand_functional):
-    V = interaction(xp_small.lat)
+@pytest.mark.parametrize("vertices, rows", [
+    (((3, 1), (4, 2)), None),
+    (((3, 1), (5, 1)), (6, 7)),
+], ids=["light-cone", "timelike"])
+def test_bogoliubov_roundtrip(xp_small, rand_functional, vertices, rows):
+    """R^-1 R F == F and R R^-1 F == F.  The vertices of the second case
+    are two rows apart, where the Dirac kernel between them is nonzero and
+    the Feynman and anti-Feynman kernels differ, with F in their future."""
+    lat = xp_small.lat
+    V = interaction(lat, [lat.site(*v) for v in vertices])
     bog = BogoliubovMap(xp_small, V)
+    sites = (None if rows is None else
+             [lat.site(t, x) for t in rows for x in range(lat.n_x)])
     for _ in range(3):
-        F = rand_functional()
+        F = rand_functional(sites=sites)
         assert bog.Rinv(bog.R(F)) == F
         assert bog.R(bog.Rinv(F)) == F
 

@@ -1,0 +1,220 @@
+"""Time the layers of the chain, with a sha256 of what each call computes.
+
+    python3 tools/timing.py                      # every case, 5 runs a call
+    python3 tools/timing.py -n 20 pairing wf2d   # the named cases, 20 runs
+    python3 tools/timing.py ladder 3,3,4 3,3,8   # rungs given as h,l,k
+
+Run from the root of a paqft checkout.  The cases:
+
+- ladder: BogoliubovMap(V) (init) and star_interacting(F, G) (star) on the
+  8x4 lattice (a_t = 1/2, a_x = 1, m = 1) at truncation orders (h, l) in
+  (hbar, lambda): V the quartic vertex with coefficient 1 on the first k
+  sites from t = 2 on, row by row, F phi^2 on (1, 0) and (1, 2), G phi^2
+  on (6, 1);
+- flow: bicharacteristic_flow as the benchmark's flow items run it, on the
+  flat metric and on the conformal one with a null covector;
+- wf2d: wf_estimate_2d on the field and centres of microlocal.ac11_grid;
+- pairing: AC09's extension_ambiguity of two W extensions of (x+i0)^-2 and
+  of W against MS, four scaling regressions, AC09's MS of x_+^(z-1),
+  wf_estimate_1d of the benchmark's six models at 0 and 0.8, and the
+  pairings of x^2, heaviside^1 and (x-i0)^-3 on the `extend` probes over
+  radii (0.4, 1.7), so that both quadrature runs of each side take part.
+
+Per call it prints the best and the median milliseconds over the runs, a
+sha256 of the result and the result in short, so that two checkouts can be
+compared for speed and shown to compute alike.  Ladder rows hash the
+coefficients in any order (an init row those of S(V), S(-V) and Sbar(-V)),
+flows x, k and sigma, wf2d each centre's singular flags, pairings the repr.
+"""
+
+import argparse
+import hashlib
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+from paqft import acceptance, cli, formats  # noqa: E402
+from paqft import egrenorm as eg  # noqa: E402
+from paqft import microlocal as ml  # noqa: E402
+from paqft.dist1d import SymbolicDistribution1D, TestFunction1D  # noqa: E402
+from paqft.functionals import interaction_vertex, local_power  # noqa: E402
+from paqft.lattice import ExactPropagators, Lattice1p1  # noqa: E402
+from paqft.quantization import BogoliubovMap  # noqa: E402
+from perfbench import wavefront  # noqa: E402
+
+RUNGS = [(2, 2, 8), (3, 3, 4), (3, 3, 8), (4, 4, 2), (4, 4, 4)]
+N_STEPS, DT = wavefront.SIZES["full"]["flows"], 0.01
+REGRESSIONS = ("(x+i0)^-2", "(x-i0)^-1.5", "x_+^-0.5", "delta^1")
+# AC09's MS probes on radii (1, 2): literals inside acceptance.crit_09
+MS_PROBES = ((1.0, 0.4), (0.5, -0.3, 0.2))
+WF1D_CENTRES = (0.0, 0.8)
+PAIRINGS = ("x^2", "heaviside^1", "(x-i0)^-3")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def coefficients_sha256(P):
+    lines = sorted("%s|%d|%d|%s|%s" % (key, h, l, c.re, c.im)
+                   for key, series in P.terms.items()
+                   for (h, l), c in series.coeff.items())
+    return sha256("\n".join(lines))
+
+
+def rung(th, tl, k):
+    """(xp, V, F, G) of the ladder rung (th, tl, k)."""
+    lat = Lattice1p1(8, 4, Fraction(1, 2), Fraction(1))
+    V = interaction_vertex(lat, {lat.site(2 + i // 4, i % 4): 1
+                                 for i in range(k)}, 4, th, tl)
+    F = local_power(lat, {lat.site(1, 0): 1, lat.site(1, 2): 1}, 2, th, tl)
+    G = local_power(lat, {lat.site(6, 1): 1}, 2, th, tl)
+    return ExactPropagators(lat), V, F, G
+
+
+def ladder(rungs):
+    for th, tl, k in rungs:
+        xp, V, F, G = rung(th, tl, k)
+        name = "%d,%d,%d" % (th, tl, k)
+        yield ("init " + name, partial(BogoliubovMap, xp, V),
+               lambda bog: sha256(" ".join(map(
+                   coefficients_sha256, bog._s_matrices(bog._sites)))),
+               lambda bog, _: "%d vertex sites" % len(bog._sites))
+        bog = BogoliubovMap(xp, V)
+        yield ("star " + name, partial(bog.star_interacting, F, G),
+               coefficients_sha256, lambda P, _: "%d terms" % len(P.terms))
+
+
+def trajectory_sha256(r):
+    return hashlib.sha256(b"".join(
+        np.ascontiguousarray(r[key], dtype=float).tobytes()
+        for key in ("x", "k", "sigma"))).hexdigest()
+
+
+def flow_shown(run, metric, r, _):
+    """Fixed-point iterations per step, and metric calls per step from one
+    more run; the flat default metric is internal and is not counted."""
+    text = "%.2f iterations/step" % (r["iterations"] / N_STEPS)
+    if metric is None:
+        return text
+    calls = []
+    run(lambda x: calls.append(x) or metric(x))
+    return text + ", %.2f metric calls/step" % (len(calls) / N_STEPS)
+
+
+def flow():
+    rng = random.Random(21)
+    x0 = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+    flat_k0 = (rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
+    a = rng.uniform(0.5, 2.0)
+    null_k0 = (a, rng.choice((-1.0, 1.0)) * a)
+    conformal = wavefront.conformal_metric
+    for kind, k0, metric in (("flat", flat_k0, None),
+                             ("conformal", null_k0, conformal)):
+        run = partial(ml.bicharacteristic_flow, x0, k0, DT, N_STEPS)
+        yield (kind, partial(run, metric), trajectory_sha256,
+               partial(flow_shown, run, metric))
+
+
+def flags_sha256(wf):
+    """sha256 of one line per centre: its coordinates and its rays'
+    singular flags in ray order."""
+    lines, n = [], ml.WF2D_RAYS
+    for i in range(0, len(wf.rays), n):
+        rays = wf.rays[i:i + n]
+        lines.append("%r|%r|%s" % (float(rays[0].center[0]),
+                                   float(rays[0].center[1]),
+                                   "".join("1" if r.singular else "0"
+                                           for r in rays)))
+    return sha256("\n".join(lines))
+
+
+def wf2d():
+    field, _, centres = ml.ac11_grid()
+    yield ("ac11 grid", partial(ml.wf_estimate_2d, field, centres),
+           flags_sha256, lambda wf, best_ms: (
+               "%d centres, %.1f us/centre, %d singular, %d near" % (
+                   len(centres), best_ms * 1e3 / len(centres),
+                   len(wf.singular()), len(wf.near_threshold()))))
+
+
+def pairing():
+    digest = lambda value: sha256(repr(value))
+    t = formats.parse_distribution("(x+i0)^-2")
+    w1, w2 = (eg.extend(t, eg.make_w_projection(1, r0, R))
+              for r0, R in acceptance.W_RADII)
+    ms = eg.ms_extension(lambda z: SymbolicDistribution1D.power_i0(-2.0 + z))
+    for name, e in (("W/W", w2), ("W/MS", ms)):
+        yield ("ambiguity " + name, partial(eg.extension_ambiguity, w1, e, 1),
+               digest, lambda v, _: "c = [%s] resid = %r" % (
+                   ", ".join(repr(complex(c)) for c in v[0]), v[1]))
+    for expr in REGRESSIONS:
+        d = formats.parse_distribution(expr)
+        yield ("regression " + expr, partial(eg.scaling_degree_regression, d),
+               digest, lambda v, _: "sd = %r" % v)
+    family = lambda z: SymbolicDistribution1D.halfline(z - 1.0, +1)
+    probes = [TestFunction1D.from_poly(poly, 1.0, 2.0) for poly in MS_PROBES]
+    yield ("MS x_+^(z-1)", lambda: [
+        eg.minimal_subtraction(family, f, pole_cap=eg.MS_POLE_CAP)
+        for f in probes], digest,
+        lambda v, _: "ms = [%s]" % ", ".join(map(repr, v)))
+    models = [formats.parse_distribution(e) for e, _ in wavefront.WF1D_MODELS]
+    yield ("wf_estimate_1d models", lambda: [
+        ml.wf_estimate_1d(m, WF1D_CENTRES).rays for m in models], digest,
+        lambda v, _: "%d rays, %d singular" % (
+            sum(map(len, v)), sum(r.singular for rs in v for r in rs)))
+    fs = [TestFunction1D.from_poly(poly, 0.4, 1.7) for _, poly in cli._PROBES]
+    for expr in PAIRINGS:
+        d = formats.parse_distribution(expr)
+        yield ("pair " + expr, lambda d=d: {
+            "pairings": [complex(v) for v in d.pair_batch(fs)[0]]}, digest,
+            lambda v, _: "pairings = [%s]" % ", ".join(
+                map(repr, v["pairings"])))
+
+
+CASES = {"ladder": ladder, "flow": flow, "wf2d": wf2d, "pairing": pairing}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        prog="timing.py", description=__doc__.split("\n")[0])
+    parser.add_argument("-n", type=int, default=5, metavar="RUNS",
+                        help="runs per call (default 5)")
+    parser.add_argument("cases", nargs="*", metavar="CASE | h,l,k",
+                        help="cases to run (default all of %s), and ladder "
+                             "rungs" % ", ".join(CASES))
+    args = parser.parse_args(argv)
+    names = [a for a in args.cases if "," not in a] or list(CASES)
+    rungs = [a.split(",") for a in args.cases if "," in a]
+    if (set(names) - set(CASES) or args.n < 1 or not all(
+            len(r) == 3 and all(map(str.isdigit, r)) for r in rungs)):
+        parser.error("the cases are %s, RUNS is at least 1, and a rung is "
+                     "three integers h,l,k" % ", ".join(CASES))
+    rungs = [tuple(map(int, r)) for r in rungs] or RUNGS
+    cases = dict(CASES, ladder=partial(ladder, rungs))
+    row = "%-7s %-22s %9s %10s  %-64s  %s"
+    print(row % ("case", "call", "best_ms", "median_ms", "sha256", "result"))
+    for name in names:
+        for call, run, digest, shown in cases[name]():
+            times = []
+            for _ in range(args.n):
+                t0 = time.perf_counter()
+                value = run()
+                times.append((time.perf_counter() - t0) * 1e3)
+            best = min(times)
+            print(row % (name, call, "%.2f" % best,
+                         "%.2f" % statistics.median(times), digest(value),
+                         shown(value, best)), flush=True)
+
+
+if __name__ == "__main__":
+    main()
