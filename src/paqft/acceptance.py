@@ -318,7 +318,8 @@ def crit_07():
 def crit_08():
     """Bogoliubov map round trip and interacting product associativity."""
     lat, xp = _ctx(8, 4)
-    S_I = interaction_vertex(lat, {lat.site(4, 1): Fraction(1)}, 4)
+    S_I = interaction_vertex(lat, {lat.site(3, 1): Fraction(1),
+                                   lat.site(5, 1): Fraction(1)}, 4)
     bog = qz.BogoliubovMap(xp, S_I)
     rng = random.Random(108)
     sites = [rng.randrange(lat.n_sites) for _ in range(4)]
@@ -428,18 +429,21 @@ def crit_11():
     n_rays = sum(len(wf.rays) for wf in wfs)
     frac = prop["fraction_on_cone"]
     ok = (d_dirs == [-1.0, 1.0] and p_dirs == [-1.0] and squarable
-          and not opposite and drift < FLOW_DRIFT_TOL and frac >= 0.9)
+          and not opposite and drift < FLOW_DRIFT_TOL
+          and frac >= ml.AC11_CONE_FRACTION)
     return ok, (
         "WF(delta) dirs %s, WF((x+i0)^-1) dirs %s (default threshold); "
         "(x+i0)^-1 times itself %s, times (x-i0)^-1 %s; "
         "%d of %d rays within %g of their threshold, %d within %gx of "
         "the rel_floor test; "
         "sigma drift %.1e per unit time (tol %s); %.1f%% of singular mass "
-        "within 15 deg of the lattice cone (need 90%%, margin %+.1f points)"
+        "within %g deg of the lattice cone (need %g%%, margin %+.1f points)"
         % (d_dirs, p_dirs, "admissible" if squarable else "REJECTED",
            "ADMITTED" if opposite else "rejected", near, n_rays,
            ml.NEAR_BAND, floor, ml.NEAR_FACTOR, drift,
-           tol_text(FLOW_DRIFT_TOL), 100 * frac, 100 * (frac - 0.9)))
+           tol_text(FLOW_DRIFT_TOL), 100 * frac, ml.AC11_CONE_TOL_DEG,
+           100 * ml.AC11_CONE_FRACTION,
+           100 * (frac - ml.AC11_CONE_FRACTION)))
 
 
 @criterion("GNS representations and direct-sum mixture")

@@ -209,11 +209,9 @@ def gns_construct(alg: FiniteStarAlgebra, state: AlgebraState) -> dict:
         "dim": r,
         "pi": pis,
         "Omega": Omega,
-        "Q": Q,
         "residual_homomorphism": hom,
         "residual_adjoint": adj,
         "residual_state": vec,
-        "cyclic_rank": cyc_rank,
         "cyclic": cyc_rank == r,
         "gram_eigenvalues": w,
     }
@@ -267,7 +265,6 @@ def direct_sum_state_example() -> dict:
         "dims": (g1["dim"], g2["dim"], gm["dim"]),
         "block_residual": block_res,
         "omega_weights": sorted(float(x) for x in omega_weights),
-        "rep": gm,
     }
 
 

@@ -1,10 +1,11 @@
 """Batch command line interface.
 
 Every subcommand reads an optional key=value config file, writes one CSV
-artifact into --out, and prints a short human-readable summary.  Artifacts
-are named {subcommand}_{label}.csv where the label defaults to a UTC
-timestamp; pass --label to get stable filenames.  Artifact content never
-depends on the clock: the same config and seed give byte-identical files.
+artifact into --out (and reads nothing there), and prints a short
+human-readable summary.  Artifacts are named {subcommand}_{label}.csv
+where the label defaults to a UTC timestamp; pass --label to get stable
+filenames.  Artifact content never depends on the clock: the same config
+and seed give byte-identical files.
 
 Each subcommand is one function (cfg, seed[, argument]) -> (rows, summary
 lines, failure message or None), registered with `command`, which owns
@@ -22,7 +23,6 @@ import os
 import random
 import sys
 import traceback
-import zipfile
 from fractions import Fraction
 
 import click
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, CheckFailed, InputError
 from .exact import ExactComplex
-from .lattice import Lattice1p1, ExactPropagators
+from .lattice import Lattice1p1, PropagatorSet, ExactPropagators
 from .functionals import smeared_field, interaction_vertex
 from . import quantization as qz
 from . import graphs as gr
@@ -92,9 +92,8 @@ def main():
     """Desk-scale perturbative algebraic QFT on a 1+1D lattice."""
 
 
-def command(keys, header, argument=None, comment=None, needs_out=False,
-            may_be_inf=()):
-    """Register fn(cfg, seed[, out][, argument]) -> (rows, summary lines,
+def command(keys, header, argument=None, comment=None, may_be_inf=()):
+    """Register fn(cfg, seed[, argument]) -> (rows, summary lines,
     failure message or None) as the subcommand named after it.
 
     `keys` maps each config key to (convert, default) (see _load_cfg).  The
@@ -103,14 +102,13 @@ def command(keys, header, argument=None, comment=None, needs_out=False,
     summary and the artifact path, and exits 3 with the failure message if
     there is one, else if a cell is not finite: an infinite one outside the
     columns `may_be_inf` overflowed, and a NaN lost its meaning.  `argument`
-    names a positional command line argument; `needs_out` passes the
-    artifact directory (the propagator cache lives there)."""
+    names a positional command line argument."""
     def register(fn):
         def run(config_path, out, seed, label, **arg):
             cfg = _load_cfg(config_path, keys)
-            extra = ((out,) if needs_out else ()) + tuple(arg.values())
             os.makedirs(out, exist_ok=True)
-            rows, lines, failure = _guarded(lambda: fn(cfg, seed, *extra))
+            rows, lines, failure = _guarded(lambda: fn(cfg, seed,
+                                                       *arg.values()))
             if label is None:
                 label = datetime.datetime.now(datetime.timezone.utc).strftime(
                     "%Y%m%dT%H%M%SZ")
@@ -257,46 +255,20 @@ def weyl(cfg, seed):
 
 # -------------------------------------------------------------- propagators
 
-@command(LATTICE, ("kind", "dt", "dx", "value"), needs_out=True,
+@command(LATTICE, ("kind", "dt", "dx", "value"),
          comment=lambda c: "# n_t=%d n_x=%d a_t=%s a_x=%s m=%s" % (
              c["n_t"], c["n_x"], c["a_t"], c["a_x"], c["mass"]))
-def propagators(cfg, seed, out):
-    """Propagator offset tables for a lattice, with a binary cache."""
-    lat, xp, _ = _exact(cfg, seed)
-    # the format tag: raise it whenever the stored arrays change, so that a
-    # file of an older format has another name and is never read
-    key = "prop_v2_%d_%d_%s_%s_%s" % (
-        lat.n_t, lat.n_x, lat.a_t, lat.a_x, lat.mass)
-    cache = os.path.join(out, key.replace("/", "-") + ".npz")
-    if os.path.exists(cache):
-        want = {"ret": (lat.n_t, lat.n_x), "wig": (2 * lat.n_t - 1, lat.n_x)}
-        # opened here, not by np.load: a plain .npy array has no close()
-        with open(cache, "rb") as fh:
-            try:
-                blob = np.load(fh)
-                got = {k: blob[k].shape for k in want
-                       if k in getattr(blob, "files", ())}
-                tables = [blob[k] for k in want] if got == want else None
-            except (ValueError, EOFError, zipfile.BadZipFile) as e:
-                raise formats.FormatError("propagator cache %s is unreadable: "
-                                          "%s" % (cache, e)) from None
-        if tables is None:
-            raise formats.FormatError(
-                "propagator cache %s does not fit this lattice: arrays %s, "
-                "expected %s" % (cache, got, want))
-        ret, wig = tables
-        lines = ["cache hit: %s" % cache]
-    else:
-        ret, wig = xp.ps.ret_table(), xp.ps.wightman_table()
-        np.savez(cache, ret=ret, wig=wig)
-        lines = ["cache write: %s" % cache]
+def propagators(cfg, seed):
+    """Propagator offset tables for a lattice."""
+    lat = Lattice1p1(*(cfg[k] for k in LATTICE))
+    ps = PropagatorSet(lat)
+    ret, wig = ps.ret_table(), ps.wightman_table()
     rows = [("retarded", n, dx, ret[n, dx])
             for n in range(lat.n_t) for dx in range(lat.n_x)]
     rows += [("wightman", n, dx, wig[n + lat.n_t - 1, dx])
              for n in range(-(lat.n_t - 1), lat.n_t) for dx in range(lat.n_x)]
-    lines.append("tables: retarded (%d x %d), wightman (pm%d x %d)"
-                 % (lat.n_t, lat.n_x, lat.n_t - 1, lat.n_x))
-    return rows, lines, None
+    return rows, ["tables: retarded (%d x %d), wightman (pm%d x %d)"
+                  % (lat.n_t, lat.n_x, lat.n_t - 1, lat.n_x)], None
 
 
 # --------------------------------------------------------------- products
@@ -445,7 +417,8 @@ def ms(cfg, seed, family_atom):
             ("divergence_degree", div)]
     worst_pole, margin, error = 0, math.inf, 0.0
     for name, poly in _PROBES:
-        r = eg.analytic_regularization(fam, _probe(poly), pole_cap=3)
+        r = eg.analytic_regularization(fam, _probe(poly),
+                                     pole_cap=eg.MS_POLE_CAP)
         worst_pole = max(worst_pole, r["pole_order"])
         margin = min(margin, r["pole_margin"])
         error = max(error, r["error"] * scale)

@@ -42,8 +42,10 @@ WF2D_AMP_FLOOR, WF2D_REL_FLOOR = 1e-7, 1e-4
 # threshold, or its floor ratio within a factor NEAR_FACTOR of 1
 NEAR_BAND, NEAR_FACTOR = 0.05, 2.0
 # AC11: centres on every STRIDE-th grid point of the annulus around the
-# source; singular mass within CONE_TOL_DEG of a null ray is on the cone
+# source; singular mass within CONE_TOL_DEG of a null ray is on the cone,
+# and the share on the cone must reach CONE_FRACTION
 AC11_ANNULUS, AC11_STRIDE, AC11_CONE_TOL_DEG = (5.0, 9.3), 6, 15.0
+AC11_CONE_FRACTION = 0.9
 FLOW_FIXPOINT_ITERS = 12  # fixed-point iterations per flow step, at most
 FLOW_PREDICTOR_POINTS = 6  # past midpoint derivatives a step starts from
 POS_TOL, DIR_TOL = 1e-9, 1e-6  # Whitney sums: same point, opposite directions

@@ -1,6 +1,6 @@
 """End-to-end command line checks through click's test runner."""
-import gc
 import hashlib
+import io
 import math
 import os
 import re
@@ -62,17 +62,71 @@ def test_weyl_report(tmp_path):
 
 def test_propagators_cache_and_header(tmp_path):
     cfg = small_cfg(tmp_path)
-    res1 = run(["propagators", "--config", cfg, "--out", str(tmp_path),
-                "--label", "a"])
-    assert "cache write" in res1.output
-    res2 = run(["propagators", "--config", cfg, "--out", str(tmp_path),
-                "--label", "b"])
-    assert "cache hit" in res2.output
+    for label in "ab":
+        run(["propagators", "--config", cfg, "--out", str(tmp_path),
+             "--label", label])
     a = (tmp_path / "propagators_a.csv").read_bytes()
     b = (tmp_path / "propagators_b.csv").read_bytes()
     assert a == b
     assert a.splitlines()[0].startswith(b"# n_t=8 n_x=4")
-    assert (tmp_path / "prop_v2_8_4_1-2_1_1.0.npz").exists()
+
+
+def test_propagators_write_one_file(tmp_path):
+    """Into an empty --out, the CSV is the one file written."""
+    run(["propagators", "--config", small_cfg(tmp_path), "--out",
+         str(tmp_path / "out"), "--label", "t"])
+    assert ([p.name for p in (tmp_path / "out").iterdir()]
+            == ["propagators_t.csv"])
+
+
+def _npz(**arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _npy(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+# files under the names of the former binary cache (prop_v2_*) and of its
+# untagged predecessor (prop_*): readable or not, fitting or not, each one
+# is left as it is and no table is taken from it
+STALE_CACHES = {
+    "older format": ("prop_8_4_1-2_1_1.0.npz", _npz(ret=np.zeros((8, 4)))),
+    "misshapen": ("prop_v2_8_4_1-2_1_1.0.npz",
+                  _npz(ret=np.zeros((4, 4)), wig=np.zeros((15, 4)))),
+    "one table": ("prop_v2_8_4_1-2_1_1.0.npz", _npz(ret=np.zeros((8, 4)))),
+    "fits, wrong values": ("prop_v2_8_4_1-2_1_1.0.npz",
+                           _npz(ret=np.zeros((8, 4)), wig=np.ones((15, 4)))),
+    "no archive": ("prop_v2_8_4_1-2_1_1.0.npz", _npy(np.zeros((8, 4)))),
+    "zip header": ("prop_v2_8_4_1-2_1_1.0.npz",
+                   b"PK\x03\x04" + bytes(range(256))),
+    "no zip": ("prop_v2_8_4_1-2_1_1.0.npz", bytes(range(256))),
+    "empty": ("prop_v2_8_4_1-2_1_1.0.npz", b""),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STALE_CACHES))
+def test_propagators_read_no_file_left_in_out(tmp_path, kind):
+    """A file left in --out where the binary cache used to be is neither
+    read (exit 0, the same CSV bytes as into an empty --out) nor changed."""
+    cfg = small_cfg(tmp_path)
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    run(["propagators", "--config", cfg, "--out", str(fresh),
+         "--label", "t"])
+    name, blob = STALE_CACHES[kind]
+    stale.mkdir()
+    (stale / name).write_bytes(blob)
+    run(["propagators", "--config", cfg, "--out", str(stale),
+         "--label", "t"])
+    assert (stale / name).read_bytes() == blob
+    assert sorted(p.name for p in stale.iterdir()) == sorted(
+        [name, "propagators_t.csv"])
+    assert ((stale / "propagators_t.csv").read_bytes()
+            == (fresh / "propagators_t.csv").read_bytes())
 
 
 def test_commutator_deterministic_across_runs(tmp_path):
@@ -772,60 +826,6 @@ def test_suite_runs_without_scipy(tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "13/13 criteria passed" in res.stdout
-
-
-def test_propagators_ignore_a_cache_of_an_older_format(tmp_path):
-    """A file under the name without a format tag, misshapen so that reading
-    it would fail, is left alone: the tables are computed and cached anew."""
-    old = tmp_path / "prop_8_4_1-2_1_1.0.npz"
-    np.savez(old, ret=np.zeros((8, 4)))
-    res = run(["propagators", "--config", small_cfg(tmp_path), "--out",
-               str(tmp_path), "--label", "t"])
-    assert "cache write" in res.output
-    assert (tmp_path / "prop_v2_8_4_1-2_1_1.0.npz").exists()
-    fresh = tmp_path / "fresh"
-    run(["propagators", "--config", small_cfg(tmp_path), "--out",
-         str(fresh), "--label", "t"])
-    assert ((tmp_path / "propagators_t.csv").read_bytes()
-            == (fresh / "propagators_t.csv").read_bytes())
-
-
-@pytest.mark.parametrize("arrays", [
-    {"ret": np.zeros((4, 4)), "wig": np.zeros((15, 4))},
-    {"ret": np.zeros((8, 4))},
-])
-def test_propagators_rejects_a_misshapen_cache(tmp_path, arrays):
-    name = "prop_v2_8_4_1-2_1_1.0.npz"
-    np.savez(tmp_path / name, **arrays)
-    res = run(["propagators", "--config", small_cfg(tmp_path), "--out",
-               str(tmp_path), "--label", "t"], expect=2)
-    assert name in res.output
-    assert not (tmp_path / "propagators_t.csv").exists()
-
-
-def test_propagators_rejects_a_cache_that_is_no_archive(tmp_path):
-    with open(tmp_path / "prop_v2_8_4_1-2_1_1.0.npz", "wb") as fh:
-        np.save(fh, np.zeros((8, 4)))
-    res = run(["propagators", "--config", small_cfg(tmp_path), "--out",
-               str(tmp_path), "--label", "t"], expect=2)
-    assert "arrays {}" in res.output
-
-
-def test_propagators_close_the_cache(tmp_path):
-    """A cache hit and a misshapen cache (exit 2) both leave the .npz
-    closed: no ResourceWarning once the garbage is collected."""
-    cfg = small_cfg(tmp_path)
-    bad = tmp_path / "bad"
-    bad.mkdir()
-    np.savez(bad / "prop_v2_8_4_1-2_1_1.0.npz", ret=np.zeros((8, 4)))
-    run(["propagators", "--config", cfg, "--out", str(tmp_path)])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        hit = run(["propagators", "--config", cfg, "--out", str(tmp_path)])
-        run(["propagators", "--config", cfg, "--out", str(bad)], expect=2)
-        gc.collect()
-    assert "cache hit" in hit.output
-    assert not [w for w in caught if w.category is ResourceWarning]
 
 
 def test_failed_criterion_maps_to_exit_3(tmp_path, monkeypatch):

@@ -23,14 +23,12 @@ takes small and negative values only, so that no case starts a large
 computation.
 
 EXPRESSION_EXAMPLES, ALGEBRA_EXAMPLES and KEY_EXAMPLES are explicit
-examples of the three, each with the exit code it must give; with
-CACHE_EXAMPLES, propagator caches that must be rejected,
+examples of the three, each with the exit code it must give;
 tools/system_lines.py runs them as user paths.
 """
 
 import cmath
 import functools
-import io
 import math
 import re
 import tempfile
@@ -39,7 +37,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -235,14 +232,6 @@ KEY_EXAMPLES = {
     ("suite", "only", "14"): 2,
     ("gns", "algebra_file", "no/such/file"): 2,
 }
-# a propagator cache that np.load cannot read (exit 4, or 2 by a bare
-# ValueError), and one whose arrays do not fit the lattice
-_MISSHAPEN = io.BytesIO()
-np.savez(_MISSHAPEN, ret=np.zeros((4, 4)))
-CACHE_EXAMPLES = {"zip header": b"PK\x03\x04" + bytes(range(256)),
-                  "no zip": bytes(range(256)), "empty": b"",
-                  "misshapen": _MISSHAPEN.getvalue()}
-CACHE_NAME = "prop_v2_12_8_1-2_1_1.0.npz"  # the default lattice's
 
 
 @functools.lru_cache(maxsize=None)
@@ -388,16 +377,3 @@ def test_algebra_files_keep_the_exit_code_contract(tmp_path_factory, text):
         for cell in csv[0].read_text().replace("\n", ",").split(","):
             v = _number(cell)
             assert v is None or cmath.isfinite(v), (text[:200], cell)
-
-
-@pytest.mark.parametrize("name", sorted(CACHE_EXAMPLES))
-def test_a_bad_propagator_cache_is_an_input_error(tmp_path, name):
-    cache = tmp_path / CACHE_NAME
-    cache.write_bytes(CACHE_EXAMPLES[name])
-    res = CliRunner().invoke(cli.main, ["propagators", "--out",
-                                        str(tmp_path), "--label", "t"])
-    assert res.exit_code == 2, res.output
-    assert "FormatError: propagator cache %s " % cache in res.output
-    assert ("does not fit this lattice" if name == "misshapen"
-            else "is unreadable") in res.output
-    assert not list(tmp_path.glob("*.csv"))

@@ -12,8 +12,7 @@ trace module, what a user of paqft runs:
 - the explicit examples of tests/test_cli_contract.py, inputs that the CLI
   must reject (exit 2) or fail (exit 3) among them: the expressions of
   EXPRESSION_EXAMPLES, the algebra files of ALGEBRA_EXAMPLES and the config
-  keys of KEY_EXAMPLES, each expected to give its exit code, and the
-  propagator caches of CACHE_EXAMPLES (exit 2);
+  keys of KEY_EXAMPLES, each expected to give its exit code;
 - one pass of each perfbench part at --size tiny, through the part's own
   setup and items (perfbench/run.py is not called: it writes under
   perfbench/out/).
@@ -143,13 +142,6 @@ def _invoke_cli(out):
         if code != want:
             raise SystemExit("paqft %s with %s = %s exited %d, not %d:\n%s"
                              % (command, key, value, code, want, output))
-    for name, data in contract.CACHE_EXAMPLES.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            Path(tmp, contract.CACHE_NAME).write_bytes(data)
-            result = runner.invoke(cli.main, ["propagators", "--out", tmp])
-        if result.exit_code != 2:
-            raise SystemExit("paqft propagators on the %s cache exited %d:\n%s"
-                             % (name, result.exit_code, result.output))
 
 
 def _perfbench_parts():
