@@ -329,13 +329,18 @@ class BogoliubovMap:
     and real rational weights, so Sbar(-V) = conj S(-conj V), which is
     conj S(-V) when V is real.
 
-    Both maps use V', the terms of V on a site in the closed past cone of
-    supp F: R_V F = R_V' F, as the interacting field depends only on the
-    interaction in its past.  For R^-1, V' is closed under taking pasts
-    (the past-cone relation is transitive) and G = R^-1_V' F has support in
-    supp F and supp V', so R_V G = R_V' G = F; R_V is injective, so
-    G = R^-1_V F.  The S-matrices of each V', keyed by its sites, are built
-    once, on first use; those of V with the map.
+    Both maps use V', the terms of V on W, the vertex sites in the closed
+    past cone of supp F: R_V F = R_V' F, as the interacting field depends
+    only on the interaction in its past; so does any W closed under taking
+    pasts (the past-cone relation is transitive) that holds them.  For
+    R^-1, G = R^-1_V' F has support in supp F and W, so R_V G = R_V' G = F;
+    R_V is injective, so G = R^-1_V F.  F *_V G = R^-1(R F * R G) takes W
+    the past of supp F and supp G: R F * R G has support in supp F, supp G
+    and W, whose past is W, and S_W(V) * Sbar_W(-V) = 1 absorbs R F, so
+    F *_V G = S_W(-V) x_T ((S_W(V) x_T F) * R G), five products instead
+    of seven; when no vertex is in the past of F, R F = F and
+    R^-1(F * R G) is faster.  The S-matrices of each V', keyed by its
+    sites, are built once, on first use; those of V with the map.
     """
 
     def __init__(self, xp: ExactPropagators, V: PolyFunctional):
@@ -365,23 +370,27 @@ class BogoliubovMap:
             self._S[sites] = (S, S_neg, S_W.conj())
         return self._S[sites]
 
-    def _past(self, F: PolyFunctional) -> tuple:
-        lat, supp = self.V.lat, F.support()
-        return self._s_matrices(frozenset(
-            s for s in self._sites
-            if any(lat.in_past_cone(s, y) for y in supp)))
+    def _cone(self, *args: PolyFunctional) -> frozenset:
+        """The vertex sites in the closed past cone of the args' supports."""
+        lat, supp = self.V.lat, set().union(*(F.support() for F in args))
+        return frozenset(s for s in self._sites
+                         if any(lat.in_past_cone(s, y) for y in supp))
 
     def R(self, F: PolyFunctional) -> PolyFunctional:
-        S, _, S_star_inv = self._past(F)
+        S, _, S_star_inv = self._s_matrices(self._cone(F))
         return self.sp.product(S_star_inv, self.tp.product(S, F))
 
     def Rinv(self, F: PolyFunctional) -> PolyFunctional:
-        S, S_neg, _ = self._past(F)
+        S, S_neg, _ = self._s_matrices(self._cone(F))
         return self.tp.product(S_neg, self.sp.product(S, F))
 
     def star_interacting(self, F: PolyFunctional,
                          G: PolyFunctional) -> PolyFunctional:
-        return self.Rinv(self.sp.product(self.R(F), self.R(G)))
+        if not self._cone(F):  # R F = F
+            return self.Rinv(self.sp.product(F, self.R(G)))
+        S, S_neg, _ = self._s_matrices(self._cone(F, G))
+        return self.tp.product(S_neg, self.sp.product(self.tp.product(S, F),
+                                                      self.R(G)))
 
 
 def causally_later(lat, F: PolyFunctional, G: PolyFunctional) -> bool:

@@ -33,3 +33,12 @@ def test_timing_prints_one_digest_per_call(capsys):
         timing.main(["no_such_case"])
     assert exit_.value.code != 0
     assert "ladder, flow, wf2d, pairing" in capsys.readouterr().err
+
+
+def test_ladder_times_both_argument_orders(capsys):
+    """A rung prints the map's construction and the product in both
+    argument orders, F before G and G before F."""
+    timing.main(["-n", "1", "ladder", "1,1,2"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [re.match(r"ladder +(.*?) +1,1,2 ", r).group(1)
+            for r in rows] == ["init", "star F,G", "star G,F"]

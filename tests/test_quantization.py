@@ -9,13 +9,14 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from paqft.exact import ExactComplex
 from paqft.series import FormalSeries
 from paqft.functionals import (PolyFunctional, smeared_field, local_power,
-                               interaction_vertex, pointwise_product)
+                               interaction_vertex, pointwise_product,
+                               free_action)
 from paqft.lattice import ExactPropagators, Lattice1p1, ZeroModeSingular
 from paqft import quantization as qz
 from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
@@ -326,6 +327,11 @@ NO_PAST = dict(v={9: 1, 22: -2}, f={1: Fraction(1, 2)}, g={3: 1},
 ALL_PAST = dict(v={4: 1, 15: Fraction(-1, 2), 27: 2}, f={28: 1, 30: -1},
                 g={29: Fraction(3, 4)}, degree=3, power=1, th=2, tl=2,
                 fh=2, fl=2)
+# ALL_PAST's vertices sit on (1, 0), (3, 3) and (6, 3): site 9 = (2, 1) has
+# the first in its past, site 31 = (7, 3) all three, site 1 = (0, 1) none
+EARLY_LATE = dict(ALL_PAST, f={9: 1}, g={31: Fraction(3, 4)})
+LATE_EARLY = dict(ALL_PAST, g={9: Fraction(3, 4)})
+EMPTY_PAST = dict(ALL_PAST, f={1: Fraction(1, 2)})
 
 
 @settings(max_examples=12, deadline=None)
@@ -333,6 +339,9 @@ ALL_PAST = dict(v={4: 1, 15: Fraction(-1, 2), 27: 2}, f={28: 1, 30: -1},
 @example(**ALL_PAST)
 @example(**dict(ALL_PAST, th=1, tl=1, fh=3, fl=3))  # F above V's orders
 @example(**dict(NO_PAST, th=1, tl=2, fh=3, fl=2))
+@example(**EARLY_LATE)
+@example(**LATE_EARLY)
+@example(**EMPTY_PAST)  # R F = F: the product keeps R^-1(F * R G)
 @given(v=st.dictionaries(st.integers(4, 27), COUPLINGS, min_size=1,
                          max_size=3),
        f=st.dictionaries(st.integers(0, 31), COUPLINGS, min_size=1,
@@ -384,6 +393,137 @@ def test_bogoliubov_map_builds_each_vertex_set_once(xp_small, monkeypatch):
         bog.Rinv(bog.R(F))
     bog.star_interacting(after_early, before_both)
     assert built == S_of(early, late) + S_of() + S_of(early)
+
+
+def past_of(lat, sites, vertex_sites):
+    """The vertex sites in the closed past cone of `sites`."""
+    return {s for s in vertex_sites
+            if any(lat.in_past_cone(s, y) for y in sites)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(v=st.dictionaries(st.integers(4, 27), COUPLINGS, min_size=2,
+                         max_size=4),
+       f=st.dictionaries(st.integers(0, 31), COUPLINGS, min_size=1,
+                         max_size=2),
+       pick=st.integers(0, 3), degree=st.integers(2, 4),
+       power=st.integers(1, 2), th=st.integers(1, 3), tl=st.integers(1, 3),
+       fh=st.integers(1, 3), fl=st.integers(1, 3))
+def test_s_matrix_absorbs_the_bogoliubov_map(xp_small, v, f, pick, degree,
+                                             power, th, tl, fh, fl):
+    """S_W * R F == S_W x_T F, S_W the S-matrix of the terms of V on W, for
+    W the past of supp F and of one vertex site outside it: past-closed and
+    strictly larger than the past of F.  The interacting product rests on
+    this identity."""
+    lat = xp_small.lat
+    F = local_power(lat, f, power, fh, fl)
+    past_F = past_of(lat, F.support(), v)
+    outside = sorted(set(v) - past_F)
+    assume(outside)
+    W = past_F | past_of(lat, [outside[pick % len(outside)]], v)
+    assert W > past_F
+    S_W = s_matrix(xp_small, interaction_vertex(
+        lat, {s: c for s, c in v.items() if s in W}, degree, th, tl))
+    bog = BogoliubovMap(xp_small, interaction_vertex(lat, v, degree, th, tl))
+    assert QuantProduct(xp_small, "star_H").product(S_W, bog.R(F)) \
+        == QuantProduct(xp_small, "timeordered_F").product(S_W, F)
+
+
+def free_picture_maps(xp, V):
+    """R and the interacting product built at H = 0, by the naive route:
+    V' = alpha_H^-1 V without its constant term, S0 the exponential in the
+    time-ordered product of the Dirac kernel, *0 the star product of
+    (i/2) Delta, and Sbar0(-V') = conj S0(-V') for a real V.  The maps of
+    V are alpha_H R0 alpha_H^-1 and alpha_H R0^-1(R0 F' *0 R0 G') with
+    F' = alpha_H^-1 F."""
+    t0, s0 = QuantProduct(xp, "timeordered_D"), QuantProduct(xp, "star")
+    Vp = alpha_H(xp, V, -1)
+    Vp = PolyFunctional.from_numerators(
+        V.lat, {hl: {k: c for k, c in bank.items() if k}
+                for hl, bank in Vp.slices.items()},
+        Vp.den, Vp.trunc_h, Vp.trunc_l)
+
+    def S0(W):
+        out = term = PolyFunctional.constant(W.lat, 1, W.trunc_h, W.trunc_l)
+        for n in range(1, W.trunc_l + 1):
+            term = t0.product(term, W) * Fraction(1, n)
+            out = out + term
+        return out
+
+    S, S_neg = S0(Vp), S0(Vp * (-1))
+    S_bar = S_neg.conj()
+
+    def R0(F):
+        return s0.product(S_bar, t0.product(S, F))
+
+    def R(F):
+        return alpha_H(xp, R0(alpha_H(xp, F, -1)), 1)
+
+    def star_interacting(F, G):
+        X = s0.product(R0(alpha_H(xp, F, -1)), R0(alpha_H(xp, G, -1)))
+        return alpha_H(xp, t0.product(S_neg, s0.product(S, X)), 1)
+
+    return R, star_interacting
+
+
+def ladder_inputs(lat):
+    """V, F and G of the ladder rung (2, 2, 4) of tools/timing.py: F has no
+    vertex in its past, G all four."""
+    V = interaction_vertex(lat, {lat.site(2, x): 1 for x in range(4)}, 4)
+    F = local_power(lat, {lat.site(1, 0): 1, lat.site(1, 2): 1}, 2)
+    G = local_power(lat, {lat.site(6, 1): 1}, 2)
+    return V, F, G
+
+
+def timelike_inputs(lat):
+    """Vertices two rows apart, where the Feynman and anti-Feynman kernels
+    differ, both in the past of F; G has none in its past."""
+    V = interaction(lat, [lat.site(3, 1), lat.site(5, 1)])
+    F = local_power(lat, {lat.site(6, 0): 1, lat.site(7, 1): 1}, 2)
+    G = local_power(lat, {lat.site(4, 3): 1}, 1)
+    return V, F, G
+
+
+@pytest.mark.parametrize("inputs, moved", [
+    (ladder_inputs, [True, False]),
+    (timelike_inputs, [False, False]),
+], ids=["ladder", "timelike"])
+def test_interacting_maps_match_the_free_picture(xp_small, inputs, moved):
+    """R F, R G and the interacting product in both orders are == the
+    maps built at H = 0 from alpha_H^-1 V.  moved says, per order (F, G)
+    and (G, F), whether the interacting product differs from the free
+    F *_H G, G *_H F; at (hbar, lambda) = (2, 2) the interaction reaches
+    the product only through a degree-two factor, so most do not move.
+    The R check sees V in either case: R moves one argument."""
+    V, F, G = inputs(xp_small.lat)
+    bog = BogoliubovMap(xp_small, V)
+    R, star_interacting = free_picture_maps(xp_small, V)
+    sH = QuantProduct(xp_small, "star_H")
+    assert (bog.R(F), bog.R(G)) != (F, G)
+    for (A, B), differs in zip(((F, G), (G, F)), moved):
+        assert bog.R(A) == R(A)
+        product = bog.star_interacting(A, B)
+        assert product == star_interacting(A, B)
+        assert (product != sH.product(A, B)) == differs
+
+
+def test_interacting_field_equation(xp_small):
+    """R_V(dS0/dphi(x) - i hbar dV/dphi(x)) == dS0/dphi(x) at a vertex site
+    x, S0 the free action truncated to V's orders: the interacting field
+    solves the interacting equation of motion.  The sign of the
+    interaction term matters: with + i hbar the equation fails."""
+    lat = xp_small.lat
+    V = interaction(lat, [lat.site(*s)
+                          for s in ((2, 0), (2, 1), (3, 2), (5, 1))])
+    x = lat.site(5, 1)
+    dS0 = free_action(lat).func_derivative(x)
+    dS0 = PolyFunctional.from_numerators(lat, dS0.slices, dS0.den,
+                                         V.trunc_h, V.trunc_l)
+    i_hbar_dV = V.func_derivative(x) * FormalSeries(
+        {(1, 0): ExactComplex(0, 1)}, V.trunc_h, V.trunc_l)
+    bog = BogoliubovMap(xp_small, V)
+    assert bog.R(dS0 - i_hbar_dV) == dS0
+    assert bog.R(dS0 + i_hbar_dV) != dS0
 
 
 def test_a_complex_interaction_builds_sbar_from_its_conjugate(xp_small,

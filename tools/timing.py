@@ -6,11 +6,11 @@
 
 Run from the root of a paqft checkout.  The cases:
 
-- ladder: BogoliubovMap(V) (init) and star_interacting(F, G) (star) on the
-  8x4 lattice (a_t = 1/2, a_x = 1, m = 1) at truncation orders (h, l) in
-  (hbar, lambda): V the quartic vertex with coefficient 1 on the first k
-  sites from t = 2 on, row by row, F phi^2 on (1, 0) and (1, 2), G phi^2
-  on (6, 1);
+- ladder: BogoliubovMap(V) (init), star_interacting(F, G) (star F,G) and
+  star_interacting(G, F) (star G,F) on the 8x4 lattice (a_t = 1/2,
+  a_x = 1, m = 1) at truncation orders (h, l) in (hbar, lambda): V the
+  quartic vertex with coefficient 1 on the first k sites from t = 2 on,
+  row by row, F phi^2 on (1, 0) and (1, 2), G phi^2 on (6, 1);
 - flow: bicharacteristic_flow as the benchmark's flow items run it, on the
   flat metric and on the conformal one with a null covector;
 - wf2d: wf_estimate_2d on the field and centres of microlocal.ac11_grid;
@@ -90,8 +90,10 @@ def ladder(rungs):
                    coefficients_sha256, bog._s_matrices(bog._sites)))),
                lambda bog, _: "%d vertex sites" % len(bog._sites))
         bog = BogoliubovMap(xp, V)
-        yield ("star " + name, partial(bog.star_interacting, F, G),
-               coefficients_sha256, lambda P, _: "%d terms" % len(P.terms))
+        for order, args in (("F,G", (F, G)), ("G,F", (G, F))):
+            yield ("star %s %s" % (order, name),
+                   partial(bog.star_interacting, *args), coefficients_sha256,
+                   lambda P, _: "%d terms" % len(P.terms))
 
 
 def trajectory_sha256(r):
