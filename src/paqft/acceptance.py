@@ -316,7 +316,11 @@ def crit_07():
 
 @criterion("Bogoliubov round trip and star_S associativity")
 def crit_08():
-    """Bogoliubov map round trip and interacting product associativity."""
+    """Bogoliubov map round trip, interacting product associativity, and
+    the interacting field equation R_V(dS0/dphi(x) - i hbar dV/dphi(x)) ==
+    dS0/dphi(x) at x = (5, 1).  The first two hold for any V; the third
+    ties R_V to the action, and has teeth only because x is a vertex:
+    built from -V or 2V the map fails it."""
     lat, xp = _ctx(8, 4)
     S_I = interaction_vertex(lat, {lat.site(3, 1): Fraction(1),
                                    lat.site(5, 1): Fraction(1)}, 4)
@@ -334,9 +338,14 @@ def crit_08():
         rhs = bog.star_interacting(bog.star_interacting(A, B), C)
         if lhs != rhs:
             ok_assoc = False
-    return ok_rt and ok_assoc, (
+    x = lat.site(5, 1)
+    dS0 = free_action(lat).func_derivative(x)
+    i_hbar = FormalSeries({(1, 0): ExactComplex(0, 1)})
+    ok_eom = bog.R(dS0 - S_I.func_derivative(x) * i_hbar) == dS0
+    return ok_rt and ok_assoc and ok_eom, (
         "Rinv(R(F)) = F and (A *_S B) *_S C = A *_S (B *_S C) exactly "
-        "(hbar<=2, lambda<=2)")
+        "(hbar<=2, lambda<=2); R_V(dS0/dphi - i hbar dV/dphi) = dS0/dphi "
+        "exactly at the vertex (5, 1)")
 
 
 @criterion("Epstein-Glaser extension of (x+i0)^-2")
@@ -459,7 +468,7 @@ def crit_12():
     u = np.kron(np.array([[1, 1j], [1j, 1]]) / np.sqrt(2),
                 [[0.6, -0.8], [0.8, 0.6]])  # a fixed unitary
     inter = alg.gns_uniqueness_check(tracial, dict(
-        tracial, pi=[u @ p @ u.conj().T for p in tracial["pi"]],
+        tracial, pi=u @ tracial["pi"] @ u.conj().T,
         Omega=u @ tracial["Omega"]))
     unique = max(inter["residual_unitary"], inter["residual_intertwine"],
                  inter["residual_vector"])

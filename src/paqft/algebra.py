@@ -1,9 +1,11 @@
 """Finite-dimensional *-algebras, states, GNS representations, Weyl operators.
 
 Everything is concrete linear algebra: an algebra is a structure-constant
-tensor with an involution matrix, a state is a functional on the basis, and
-the GNS construction quotients the Gram matrix's null space to produce an
-explicit matrix representation with a cyclic vector.
+tensor c with an involution matrix star, a state is a functional on the
+basis, and the GNS construction quotients the Gram matrix's null space to
+produce an explicit matrix representation with a cyclic vector.  The
+axioms, the representation pi(b_i) of every basis element and the GNS
+residuals are array expressions on c and star, with no loop over the basis.
 
 The floating-point tolerances are module constants: STAR_TOL for the
 algebra axioms, STATE_TOL for a state's normalization and positivity,
@@ -44,6 +46,12 @@ class ShiftOffGrid(InputError):
     """Weyl shift is not an integer number of grid cells."""
 
 
+def _off(a, b) -> float:
+    """Largest entrywise distance between two arrays; a is overwritten."""
+    a -= b  # at dim 32 a is 16 MB: no third such array
+    return float(np.max(np.abs(a)))
+
+
 class FiniteStarAlgebra:
     """Unital associative *-algebra on an explicit basis.
 
@@ -63,44 +71,24 @@ class FiniteStarAlgebra:
             raise AlgebraError("involution matrix must be dim^2")
         self._validate()
 
-    # x, y are coefficient vectors on the basis
-    def mul(self, x, y):
-        return np.einsum("i,j,ijk->k", np.asarray(x, dtype=complex),
-                         np.asarray(y, dtype=complex), self.c)
-
-    def adjoint(self, x):
-        return np.conj(np.asarray(x, dtype=complex)) @ self.star
-
-    def left_mult_matrix(self, i: int):
-        """Matrix of x -> b_i x."""
-        return self.c[i].T.copy()
-
     def _validate(self):
-        d = self.dim
-        eye = np.eye(d)
-        # unit laws
-        for i in range(d):
-            e = eye[i]
-            if np.max(np.abs(self.mul(self.unit, e) - e)) > STAR_TOL \
-                    or np.max(np.abs(self.mul(e, self.unit) - e)) > STAR_TOL:
-                raise AlgebraError("unit laws fail")
-        # associativity: (b_i b_j) b_k == b_i (b_j b_k)
-        lhs = np.einsum("ijm,mkl->ijkl", self.c, self.c)
-        rhs = np.einsum("jkm,iml->ijkl", self.c, self.c)
-        if np.max(np.abs(lhs - rhs)) > STAR_TOL:
+        c, star, eye = self.c, self.star, np.eye(self.dim)
+        # 1 b_j = b_j and b_i 1 = b_i
+        if max(_off(np.einsum("i,ijk->jk", self.unit, c), eye),
+               _off(np.einsum("j,ijk->ik", self.unit, c), eye)) > STAR_TOL:
+            raise AlgebraError("unit laws fail")
+        # (b_i b_j) b_k == b_i (b_j b_k)
+        lhs = np.einsum("ijm,mkl->ijkl", c, c)
+        rhs = np.einsum("jkm,iml->ijkl", c, c)
+        if _off(lhs, rhs) > STAR_TOL:
             raise AlgebraError("multiplication is not associative")
-        # involution: involutive and antimultiplicative
-        for i in range(d):
-            e = eye[i]
-            if np.max(np.abs(self.adjoint(self.adjoint(e)) - e)) > STAR_TOL:
-                raise AlgebraError("involution is not involutive")
-        for i in range(d):
-            for j in range(d):
-                ab = self.mul(eye[i], eye[j])
-                lhs = self.adjoint(ab)
-                rhs = self.mul(self.adjoint(eye[j]), self.adjoint(eye[i]))
-                if np.max(np.abs(lhs - rhs)) > STAR_TOL:
-                    raise AlgebraError("involution is not antimultiplicative")
+        # b_i^** = b_i, and (b_i b_j)^* = b_j^* b_i^*
+        if _off(star.conj() @ star, eye) > STAR_TOL:
+            raise AlgebraError("involution is not involutive")
+        if _off(np.einsum("ijm,mk->ijk", c.conj(), star),
+                np.einsum("ja,ib,abk->ijk", star, star, c,
+                          optimize=True)) > STAR_TOL:
+            raise AlgebraError("involution is not antimultiplicative")
 
     def __repr__(self):
         return f"FiniteStarAlgebra(dim={self.dim})"
@@ -108,9 +96,7 @@ class FiniteStarAlgebra:
 
 def functions_on_points(n: int) -> FiniteStarAlgebra:
     """Commutative algebra of functions on n points (pointwise product)."""
-    c = np.zeros((n, n, n))
-    for i in range(n):
-        c[i, i, i] = 1.0
+    c = np.eye(n)[:, None] * np.eye(n)  # c[i, j, k] = 1 iff i = j = k
     return FiniteStarAlgebra(c, np.eye(n), np.ones(n),
                              labels=[f"chi{i}" for i in range(n)])
 
@@ -118,25 +104,20 @@ def functions_on_points(n: int) -> FiniteStarAlgebra:
 def matrix_algebra(n: int) -> FiniteStarAlgebra:
     """Full matrix algebra M_n with the e_ij basis, row-major."""
     d = n * n
-    idx = lambda i, j: i * n + j
+    i, j, l = np.indices((n, n, n)).reshape(3, -1)
     c = np.zeros((d, d, d))
-    star = np.zeros((d, d))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        c[idx(i, j), idx(k, l), idx(i, l)] = 1.0
-            star[idx(i, j), idx(j, i)] = 1.0
-    unit = np.zeros(d)
-    for i in range(n):
-        unit[idx(i, i)] = 1.0
+    c[i * n + j, j * n + l, i * n + l] = 1.0  # e_ij e_jl = e_il
+    # e_ij^* = e_ji
+    star = np.eye(d).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(d, d)
     labels = [f"e{i}{j}" for i in range(n) for j in range(n)]
-    return FiniteStarAlgebra(c, star, unit, labels=labels)
+    return FiniteStarAlgebra(c, star, np.eye(n).ravel(), labels=labels)
 
 
 class AlgebraState:
-    """Normalized positive functional, given by its values on the basis."""
+    """Normalized positive functional, given by its values on the basis.
+
+    w, V are the eigenvalues and eigenvectors of the symmetrised Gram
+    matrix: they decide positivity here and give the GNS quotient."""
 
     def __init__(self, alg: FiniteStarAlgebra, omega):
         self.alg = alg
@@ -147,9 +128,9 @@ class AlgebraState:
         if abs(u - 1.0) > STATE_TOL:
             raise AlgebraError(f"state is not normalized: omega(1) = {u}")
         G = gram_matrix(alg, self.omega)
-        evs = np.linalg.eigvalsh((G + G.conj().T) / 2)
-        if evs.min() < -STATE_TOL * max(1.0, evs.max()):
-            raise StateNotPositive(f"Gram matrix has eigenvalue {evs.min()}")
+        self.w, self.V = np.linalg.eigh((G + G.conj().T) / 2)  # w ascending
+        if self.w[0] < -STATE_TOL * max(1.0, self.w[-1]):
+            raise StateNotPositive(f"Gram matrix has eigenvalue {self.w[0]}")
 
     def value(self, x) -> complex:
         return complex(np.asarray(x, dtype=complex) @ self.omega)
@@ -165,49 +146,31 @@ def gns_construct(alg: FiniteStarAlgebra, state: AlgebraState) -> dict:
     """GNS triple (H, pi, Omega) of a state, with certification residuals.
 
     The Hilbert space is the quotient by the Gram null space; pi acts by
-    left multiplication pushed through the quotient map.
+    left multiplication pushed through the quotient map, and pi[i] is the
+    matrix of pi(b_i).
     """
-    G = gram_matrix(alg, state.omega)
-    G = (G + G.conj().T) / 2
-    w, V = np.linalg.eigh(G)
-    scale = max(1.0, float(w.max()))
+    w, V = state.w, state.V
+    scale = max(1.0, float(w[-1]))
     keep = w > GNS_TOL * scale
-    if w.min() < -GNS_TOL * scale:
-        raise StateNotPositive(f"Gram matrix has eigenvalue {w.min()}")
     r = int(np.count_nonzero(keep))
     Vr = V[:, keep]
     dr = np.sqrt(w[keep])
     Q = (dr[:, None] * Vr.conj().T)          # quotient map, r x dim
     Qpinv = Vr / dr[None, :]                 # right inverse, dim x r
-
-    pis = []
-    for i in range(alg.dim):
-        L = alg.left_mult_matrix(i)
-        pis.append(Q @ L @ Qpinv)
+    # c[i].T is the matrix of x -> b_i x
+    pi = Q @ alg.c.transpose(0, 2, 1) @ Qpinv
     Omega = Q @ alg.unit
-
-    eye = np.eye(alg.dim)
-    hom = 0.0
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            prod_vec = alg.mul(eye[i], eye[j])
-            target = sum(prod_vec[k] * pis[k] for k in range(alg.dim))
-            hom = max(hom, float(np.max(np.abs(pis[i] @ pis[j] - target))))
-    adj = 0.0
-    for i in range(alg.dim):
-        star_vec = alg.adjoint(eye[i])
-        target = sum(star_vec[a] * pis[a] for a in range(alg.dim))
-        adj = max(adj, float(np.max(np.abs(pis[i].conj().T - target))))
-    vec = 0.0
-    for i in range(alg.dim):
-        got = np.vdot(Omega, pis[i] @ Omega)
-        vec = max(vec, abs(got - state.value(eye[i])))
-    cyc_mat = np.column_stack([p @ Omega for p in pis])
-    cyc_rank = int(np.linalg.matrix_rank(cyc_mat, tol=GNS_TOL * scale))
+    # pi(b_i) pi(b_j) = pi(b_i b_j) and pi(b_i)^dagger = pi(b_i^*)
+    hom = _off(pi[:, None] @ pi[None], np.tensordot(alg.c, pi, 1))
+    adj = _off(pi.conj().transpose(0, 2, 1), np.tensordot(alg.star, pi, 1))
+    cyc = pi @ Omega                         # row i: pi(b_i) Omega
+    vec = float(max(abs(np.vdot(Omega, v) - o)
+                    for v, o in zip(cyc, state.omega)))
+    cyc_rank = int(np.linalg.matrix_rank(cyc, tol=GNS_TOL * scale))
 
     return {
         "dim": r,
-        "pi": pis,
+        "pi": pi,
         "Omega": Omega,
         "residual_homomorphism": hom,
         "residual_adjoint": adj,
@@ -225,14 +188,11 @@ def gns_uniqueness_check(rep1: dict, rep2: dict) -> dict:
     """
     if rep1["dim"] != rep2["dim"]:
         raise NoIntertwiner("GNS dimensions differ")
-    M1 = np.column_stack([p @ rep1["Omega"] for p in rep1["pi"]])
-    M2 = np.column_stack([p @ rep2["Omega"] for p in rep2["pi"]])
-    U = M2 @ np.linalg.pinv(M1)
-    unit_res = float(np.max(np.abs(U.conj().T @ U - np.eye(rep1["dim"]))))
-    inter = 0.0
-    for p1, p2 in zip(rep1["pi"], rep2["pi"]):
-        inter = max(inter, float(np.max(np.abs(U @ p1 - p2 @ U))))
-    om = float(np.max(np.abs(U @ rep1["Omega"] - rep2["Omega"])))
+    pi1, pi2 = rep1["pi"], rep2["pi"]
+    U = (pi2 @ rep2["Omega"]).T @ np.linalg.pinv((pi1 @ rep1["Omega"]).T)
+    unit_res = _off(U.conj().T @ U, np.eye(rep1["dim"]))
+    inter = _off(U @ pi1, pi2 @ U)
+    om = _off(U @ rep1["Omega"], rep2["Omega"])
     if max(unit_res, inter, om) > INTERTWINER_TOL:
         raise NoIntertwiner(
             f"no unitary intertwiner (residuals {unit_res:.2e}, "

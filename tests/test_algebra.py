@@ -7,9 +7,9 @@ import pytest
 
 from paqft import InputError
 from paqft.algebra import (FiniteStarAlgebra, AlgebraState, AlgebraError,
-                           StateNotPositive, NoIntertwiner, ShiftOffGrid,
-                           functions_on_points, matrix_algebra, gram_matrix,
-                           gns_construct, gns_uniqueness_check,
+                           GNS_TOL, StateNotPositive, NoIntertwiner,
+                           ShiftOffGrid, functions_on_points, matrix_algebra,
+                           gram_matrix, gns_construct, gns_uniqueness_check,
                            direct_sum_state_example, weyl_phase, weyl_matrix,
                            weyl_rep_check)
 
@@ -21,40 +21,36 @@ def test_builtin_algebras_validate():
     assert functions_on_points(3).dim == 3
     m2 = matrix_algebra(2)
     assert m2.dim == 4
-    # e01 e10 = e00
-    e01 = np.eye(4)[1]
-    e10 = np.eye(4)[2]
-    assert np.allclose(m2.mul(e01, e10), np.eye(4)[0])
-    assert np.allclose(m2.adjoint(e01), e10)
+    e = np.eye(4)  # e00, e01, e10, e11
+    assert np.array_equal(m2.c[1, 2], e[0])  # e01 e10 = e00
+    assert np.array_equal(m2.c[2, 1], e[3])  # e10 e01 = e11
+    assert np.array_equal(m2.star[1], e[2])  # e01^* = e10
 
 
 def test_validation_rejects_broken_structures():
     good = functions_on_points(2)
-    # nonassociative tweak
-    c = good.c.copy()
-    c[1, 1, 0] = 0.5
-    with pytest.raises(AlgebraError):
-        FiniteStarAlgebra(c, good.star, good.unit, good.labels)
-    # wrong unit
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="unit laws fail"):
         FiniteStarAlgebra(good.c, good.star, [1.0, 0.0], good.labels)
-    # involution that is not involutive
-    with pytest.raises(AlgebraError):
+    # basis 1, x, y with x y = x and every other product of x, y zero:
+    # (x y) y = x but x (y y) = 0
+    c = np.zeros((3, 3, 3))
+    c[0] = c[:, 0] = np.eye(3)
+    c[1, 2, 1] = 1.0
+    with pytest.raises(AlgebraError, match="not associative"):
+        FiniteStarAlgebra(c, np.eye(3), [1.0, 0.0, 0.0], ["1", "x", "y"])
+    with pytest.raises(AlgebraError, match="not involutive"):
         FiniteStarAlgebra(good.c, [[0.0, 1.0], [1.0, 0.5]], good.unit,
                           good.labels)
+    # entrywise conjugation on M_2 is involutive, but
+    # (e01 e10)^* = e00 while e10^* e01^* = e10 e01 = e11
+    m2 = matrix_algebra(2)
+    with pytest.raises(AlgebraError,
+                       match="involution is not antimultiplicative"):
+        FiniteStarAlgebra(m2.c, np.eye(4), m2.unit, m2.labels)
     # shape guards
     with pytest.raises(AlgebraError):
         FiniteStarAlgebra(np.zeros((2, 2, 3)), good.star, good.unit,
                           good.labels)
-
-
-def test_left_mult_matrix_matches_mul():
-    alg = matrix_algebra(2)
-    x = np.array([0.3, -1.0, 2.0, 0.7], dtype=complex)
-    for i in range(alg.dim):
-        got = alg.left_mult_matrix(i) @ x
-        want = alg.mul(np.eye(4)[i], x)
-        assert np.allclose(got, want)
 
 
 # --------------------------------------------------------------------------
@@ -117,6 +113,66 @@ def test_gns_vector_reproduces_the_state():
         assert got == pytest.approx(st.value(eye[i]), abs=1e-10)
 
 
+def reference_gns(alg, state):
+    """The GNS triple by loops over the basis: pi(b_i) = Q L_i Q^+ with L_i
+    = c[i].T the matrix of x -> b_i x, pi(b_i) pi(b_j) against
+    sum_k c_ijk pi(b_k), pi(b_i)^dagger against sum_a star_ia pi(b_a), and
+    <Omega, pi(b_i) Omega> against omega(b_i) one i at a time."""
+    G = gram_matrix(alg, state.omega)
+    w, V = np.linalg.eigh((G + G.conj().T) / 2)
+    scale = max(1.0, float(w.max()))
+    keep = w > GNS_TOL * scale
+    r, Vr, dr = int(np.count_nonzero(keep)), V[:, keep], np.sqrt(w[keep])
+    Q, Qpinv = dr[:, None] * Vr.conj().T, Vr / dr[None, :]
+    d = alg.dim
+    pis = [Q @ alg.c[i].T @ Qpinv for i in range(d)]
+    Omega = Q @ alg.unit
+    hom = max(float(np.max(np.abs(pis[i] @ pis[j] - sum(
+        alg.c[i, j, k] * pis[k] for k in range(d)))))
+        for i in range(d) for j in range(d))
+    adj = max(float(np.max(np.abs(pis[i].conj().T - sum(
+        alg.star[i, a] * pis[a] for a in range(d))))) for i in range(d))
+    vec = max(abs(np.vdot(Omega, pis[i] @ Omega) - state.value(np.eye(d)[i]))
+              for i in range(d))
+    cyc = np.column_stack([p @ Omega for p in pis])
+    return {"dim": r, "pi": pis, "Omega": Omega,
+            "residual_homomorphism": hom, "residual_adjoint": adj,
+            "residual_state": vec,
+            "cyclic": np.linalg.matrix_rank(cyc, tol=GNS_TOL * scale) == r}
+
+
+def changed_basis(n, density, seed):
+    """M_n on the basis b_i = sum_a T[i, a] e_a for a random complex T, with
+    the state tr(density x); its structure constants are not 0/1."""
+    m = matrix_algebra(n)
+    rng = np.random.default_rng(seed)
+    d = n * n
+    T = np.eye(d) + 0.3 * (rng.standard_normal((d, d))
+                           + 1j * rng.standard_normal((d, d)))
+    Tinv = np.linalg.inv(T)
+    alg = FiniteStarAlgebra(np.einsum("ia,jb,abm,mk->ijk", T, T, m.c, Tinv),
+                            T.conj() @ m.star @ Tinv, m.unit @ Tinv,
+                            labels=[f"b{i}" for i in range(d)])
+    return alg, AlgebraState(alg, T @ np.asarray(density).T.ravel())
+
+
+@pytest.mark.parametrize("n, density, gns_dim", [
+    (2, np.diag([1.0, 0.0]), 2),
+    (3, np.diag([0.5, 0.3, 0.2]), 9),
+    (3, [[0.5, 0.2j, 0.0], [-0.2j, 0.5, 0.0], [0.0, 0.0, 0.0]], 6),
+], ids=["M2-vector", "M3-faithful", "M3-rank2"])
+def test_gns_matches_the_loop_reference(n, density, gns_dim):
+    alg, st = changed_basis(n, density, seed=n)
+    got, want = gns_construct(alg, st), reference_gns(alg, st)
+    assert got["dim"] == want["dim"] == gns_dim
+    assert got["cyclic"] and want["cyclic"]
+    assert np.max(np.abs(got["pi"] - np.array(want["pi"]))) < 1e-12
+    assert np.max(np.abs(got["Omega"] - want["Omega"])) < 1e-12
+    for key in ("residual_homomorphism", "residual_adjoint",
+                "residual_state"):
+        assert abs(got[key] - want[key]) < 1e-12, key
+
+
 def test_gns_uniqueness_intertwiner():
     # the second triple is the first conjugated by a fixed non-diagonal
     # unitary V, so the intertwiner found must be V
@@ -124,7 +180,7 @@ def test_gns_uniqueness_intertwiner():
     rep1 = gns_construct(alg, st)
     u = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
     V = np.kron(u, [[0.6, -0.8], [0.8, 0.6]])
-    rep2 = dict(rep1, pi=[V @ p @ V.conj().T for p in rep1["pi"]],
+    rep2 = dict(rep1, pi=V @ rep1["pi"] @ V.conj().T,
                 Omega=V @ rep1["Omega"])
     rep = gns_uniqueness_check(rep1, rep2)
     assert np.max(np.abs(rep["U"] - V)) < 1e-12

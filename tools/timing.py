@@ -18,13 +18,17 @@ Run from the root of a paqft checkout.  The cases:
   of W against MS, four scaling regressions, AC09's MS of x_+^(z-1),
   wf_estimate_1d of the benchmark's six models at 0 and 0.8, and the
   pairings of x^2, heaviside^1 and (x-i0)^-3 on the `extend` probes over
-  radii (0.4, 1.7), so that both quadrature runs of each side take part.
+  radii (0.4, 1.7), so that both quadrature runs of each side take part;
+- gns: AlgebraState and gns_construct, through acceptance.gns_check, of
+  AC12's three states and of the normalised trace on matrix_algebra(n)
+  for n = 3, 4, 5.
 
 Per call it prints the best and the median milliseconds over the runs, a
 sha256 of the result and the result in short, so that two checkouts can be
 compared for speed and shown to compute alike.  Ladder rows hash the
 coefficients in any order (an init row those of S(V), S(-V) and Sbar(-V)),
-flows x, k and sigma, wf2d each centre's singular flags, pairings the repr.
+flows x, k and sigma, wf2d each centre's singular flags, pairings the repr,
+gns rows each representation's dimension and residuals as float64 bytes.
 """
 
 import argparse
@@ -43,6 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import numpy as np  # noqa: E402
 
 from paqft import acceptance, cli, formats  # noqa: E402
+from paqft import algebra as al  # noqa: E402
 from paqft import egrenorm as eg  # noqa: E402
 from paqft import microlocal as ml  # noqa: E402
 from paqft.dist1d import SymbolicDistribution1D, TestFunction1D  # noqa: E402
@@ -183,7 +188,30 @@ def pairing():
                 map(repr, v["pairings"])))
 
 
-CASES = {"ladder": ladder, "flow": flow, "wf2d": wf2d, "pairing": pairing}
+def gns_sha256(checked):
+    return hashlib.sha256(b"".join(
+        np.array([r["dim"]] + [r[k] for k in acceptance.GNS_RESIDUALS],
+                 dtype=float).tobytes() for r in checked[0])).hexdigest()
+
+
+def gns_shown(checked, _):
+    reps, ok = checked
+    return "dims %s, worst residual %.1e, ok %s" % (
+        tuple(r["dim"] for r in reps),
+        max(r[k] for r in reps for k in acceptance.GNS_RESIDUALS), ok)
+
+
+def gns():
+    states = {"ac12 states": acceptance.gns_states()}
+    for n in (3, 4, 5):
+        a = al.matrix_algebra(n)
+        states["M%d trace" % n] = [("trace", a, a.unit / n)]
+    for call, st in states.items():
+        yield call, partial(acceptance.gns_check, st), gns_sha256, gns_shown
+
+
+CASES = {"ladder": ladder, "flow": flow, "wf2d": wf2d, "pairing": pairing,
+         "gns": gns}
 
 
 def main(argv=None):
