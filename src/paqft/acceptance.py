@@ -146,12 +146,12 @@ def flow_drift(x0, k0, dt, n_steps, metric_inv=None):
 
 
 def gns_states():
-    """The built-in states as (name, algebra, omega)."""
+    """The built-in states as (name, AlgebraState)."""
     c2 = alg.functions_on_points(2)
     m2 = alg.matrix_algebra(2)
-    return [("C2 point evaluation", c2, [1.0, 0.0]),
-            ("M2 vector state", m2, [1.0, 0.0, 0.0, 0.0]),
-            ("M2 tracial state", m2, [0.5, 0.0, 0.0, 0.5])]
+    return [("C2 point evaluation", alg.AlgebraState(c2, [1.0, 0.0])),
+            ("M2 vector state", alg.AlgebraState(m2, [1.0, 0.0, 0.0, 0.0])),
+            ("M2 tracial state", alg.AlgebraState(m2, [0.5, 0.0, 0.0, 0.5]))]
 
 
 GNS_RESIDUALS = ("residual_homomorphism", "residual_adjoint",
@@ -159,10 +159,9 @@ GNS_RESIDUALS = ("residual_homomorphism", "residual_adjoint",
 
 
 def gns_check(states):
-    """The GNS representation of each (name, algebra, omega), and whether
+    """The GNS representation of each (name, AlgebraState), and whether
     each is cyclic with every residual below GNS_RESIDUAL_TOL."""
-    reps = [alg.gns_construct(a, alg.AlgebraState(a, omega))
-            for _, a, omega in states]
+    reps = [alg.gns_construct(state.alg, state) for _, state in states]
     return reps, all(r["cyclic"]
                      and max(r[k] for k in GNS_RESIDUALS) < GNS_RESIDUAL_TOL
                      for r in reps)

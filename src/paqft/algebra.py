@@ -77,9 +77,10 @@ class FiniteStarAlgebra:
         if max(_off(np.einsum("i,ijk->jk", self.unit, c), eye),
                _off(np.einsum("j,ijk->ik", self.unit, c), eye)) > STAR_TOL:
             raise AlgebraError("unit laws fail")
-        # (b_i b_j) b_k == b_i (b_j b_k)
-        lhs = np.einsum("ijm,mkl->ijkl", c, c)
-        rhs = np.einsum("jkm,iml->ijkl", c, c)
+        # (b_i b_j) b_k == b_i (b_j b_k), both sides one BLAS product:
+        # c[i, j, m] c[m, k, l], and c[j, k, m] c[i, m, l] laid out as ijkl
+        lhs = np.tensordot(c, c, axes=(2, 0))
+        rhs = np.tensordot(c, c, axes=(2, 1)).transpose(2, 0, 1, 3)
         if _off(lhs, rhs) > STAR_TOL:
             raise AlgebraError("multiplication is not associative")
         # b_i^** = b_i, and (b_i b_j)^* = b_j^* b_i^*

@@ -223,12 +223,11 @@ def _exact(cfg, seed, *sizes):
          ("state", "dim") + acceptance.GNS_RESIDUALS + ("cyclic",))
 def gns(cfg, seed):
     """GNS construction for built-in or file-given states."""
-    states = acceptance.gns_states()
-    if cfg["algebra_file"] is not None:
-        states = [("file", *formats.load_algebra(cfg["algebra_file"]))]
+    states = (acceptance.gns_states() if cfg["algebra_file"] is None
+              else [("file", formats.load_algebra(cfg["algebra_file"]))])
     reps, ok = acceptance.gns_check(states)
     rows = [(name, rep["dim"]) + tuple(rep[k] for k in acceptance.GNS_RESIDUALS)
-            + (rep["cyclic"],) for (name, _, _), rep in zip(states, reps)]
+            + (rep["cyclic"],) for (name, _), rep in zip(states, reps)]
     lines = ["%-22s dim %d  worst residual %.2e  cyclic %s"
              % (name, dim, max(residuals), cyclic)
              for name, dim, *residuals, cyclic in rows]

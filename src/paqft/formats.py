@@ -180,16 +180,15 @@ def parse_algebra(text):
 
 
 def load_algebra(path):
-    """(algebra, omega) of an algebra file with an omega record; an algebra
-    or state that fails validation, or no omega, raises FormatError."""
+    """The AlgebraState of an algebra file's omega record; an algebra or
+    state that fails validation, or no omega, raises FormatError."""
     try:
         alg, omega = parse_algebra(_read(path))
         if omega is None:
             raise AlgebraError("no omega record")
-        AlgebraState(alg, omega)
+        return AlgebraState(alg, omega)
     except AlgebraError as e:
         raise FormatError("algebra file rejected: %s" % e) from None
-    return alg, omega
 
 
 # ------------------------------------------------ distribution expressions

@@ -200,11 +200,22 @@ class PropagatorSet:
 
 
 def dyadic(values) -> tuple[list[int], int]:
-    """(nums, e): the floats as exact integer numerators over 2**e, e >= 0
-    the least such, read off their integer ratios (no float is scaled)."""
-    ratios = [float(x).as_integer_ratio() for x in values]
-    e = max((q for _, q in ratios), default=1).bit_length() - 1
-    return [p << (e - q.bit_length() + 1) for p, q in ratios], e
+    """(nums, e): the finite floats as exact integer numerators over 2**e,
+    e >= 0 the least such.  Each float is its 53-bit mantissa as an int64
+    times a power of two (np.frexp); the mantissa's trailing zeros are
+    shifted out, e is minus the least remaining exponent (0 when none is
+    negative), and one shift of Python ints puts every numerator over
+    2**e."""
+    m, ex = np.frexp(np.asarray(values, dtype=float).ravel())
+    if not np.isfinite(m).all():
+        raise ValueError("dyadic takes finite floats")
+    mant = (m * 2.0 ** 53).astype(np.int64)
+    nonzero = mant != 0
+    zeros = np.frexp(mant & -mant)[1] - 1  # trailing zeros of the mantissa
+    mant >>= np.where(nonzero, zeros, 0)
+    ex = np.where(nonzero, ex - 53 + zeros, 0)
+    e = -int(ex.min(initial=0))
+    return (mant.astype(object) << (ex + e).astype(object)).tolist(), e
 
 
 # Each kernel kind as (re, im) over 2**(e + 1), an integer formula in the

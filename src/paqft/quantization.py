@@ -27,7 +27,9 @@ denominator (a power of two per lattice, ExactPropagators.numerators),
 its rows over the factors' supports read once per call; between lines
 the state is a list of tensor terms, one polynomial per factor, and a
 line reads every derivative of a polynomial off its gradient
-(functionals.gradient), built once.  The
+(functionals.gradient).  Each polynomial's gradient and each kernel row
+smeared against it are computed once per call, whichever slice tuples,
+schedules and tensor terms hold that polynomial.  The
 factors' denominators, the kernel denominator and the schedule weights
 (1/n!, 1/prod l_ij!) fold into one final denominator, and the result is
 reduced once, in ints, into the same form; no Fraction is built between
@@ -42,6 +44,7 @@ coefficients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -80,39 +83,122 @@ def _smeared(grad: dict, row: dict, out: dict) -> dict:
     return out
 
 
-def _line(terms: list, i: int, j: int, table: dict) -> list:
-    """Apply the line (i, j) to tensor terms, each a tuple of banks.
-    i != j: (T_i, T_j) -> d_y T_i (x) sum_z K(y, z) d_z T_j, one term per
-    site y of T_i with a kernel row.  i == j: T_i -> Gamma_K T_i =
-    sum_{y,z} K(y, z) d_z d_y T_i, one field y, then a different field z."""
-    out = []
-    for banks in terms:
-        gi = gradient(banks[i])
-        sites = gi.keys() & table.keys()
-        if i == j:
-            gamma: dict = {}
-            for y in sites:
-                _smeared(gradient(gi[y]), table[y], gamma)
-            if gamma:
-                out.append(banks[:i] + (gamma,) + banks[i + 1:])
-            continue
-        gj = gradient(banks[j])
-        for y in sites:
-            smeared = _smeared(gj, table[y], {})
-            if smeared:
-                new = list(banks)
-                new[i], new[j] = gi[y], smeared
-                out.append(tuple(new))
-    return out
+class _Lines:
+    """The lines of one contract call, over its kernel table {y: {z: K}}.
+
+    Each bank's gradient, each smeared row sum_z K(y, z) d_z T and each
+    Gamma_K T is computed once per bank object, so tensor terms and slice
+    tuples that share a bank share them.  The gradient cache holds every
+    bank it keys by id, so no id is reused while the caches live."""
+
+    def __init__(self, table: dict):
+        self.table = table
+        self.grads: dict[int, tuple] = {}  # id(T) -> (T, gradient(T))
+        self.rows: dict[tuple, dict] = {}  # (id(T), y) -> smeared row
+        self.gammas: dict[int, dict] = {}  # id(T) -> Gamma_K T
+
+    def grad(self, bank: dict) -> dict:
+        hit = self.grads.get(id(bank))
+        if hit is None:
+            hit = self.grads[id(bank)] = (bank, gradient(bank))
+        return hit[1]
+
+    def row(self, bank: dict, y: int) -> dict:
+        key = id(bank), y
+        if key not in self.rows:
+            self.rows[key] = _smeared(self.grad(bank), self.table[y], {})
+        return self.rows[key]
+
+    def gamma(self, bank: dict) -> dict:
+        """Gamma_K T = sum_{y,z} K(y, z) d_z d_y T: one field y, then a
+        different field z."""
+        if id(bank) not in self.gammas:
+            g = self.grad(bank)
+            out: dict = {}
+            for y in g.keys() & self.table.keys():
+                _smeared(self.grad(g[y]), self.table[y], out)
+            self.gammas[id(bank)] = out
+        return self.gammas[id(bank)]
+
+    def apply(self, terms: list, i: int, j: int) -> list:
+        """The line (i, j) on tensor terms, each a tuple of banks.
+        i != j: (T_i, T_j) -> d_y T_i (x) sum_z K(y, z) d_z T_j, one term
+        per site y of T_i with a kernel row.  i == j: T_i -> Gamma_K T_i."""
+        out = []
+        for banks in terms:
+            if i == j:
+                gamma = self.gamma(banks[i])
+                if gamma:
+                    out.append(banks[:i] + (gamma,) + banks[i + 1:])
+                continue
+            gi = self.grad(banks[i])
+            for y in gi.keys() & self.table.keys():
+                smeared = self.row(banks[j], y)
+                if smeared:
+                    new = list(banks)
+                    new[i], new[j] = gi[y], smeared
+                    out.append(tuple(new))
+        return out
 
 
-def _after(memo: dict, lines: tuple, table: dict) -> list:
+def _after(memo: dict, lines: tuple, lines_of: _Lines) -> list:
     """Tensor terms after `lines`; memo holds those after each prefix
     computed so far, so schedules that share a prefix share its lines."""
     if lines not in memo:
-        memo[lines] = _line(_after(memo, lines[:-1], table), *lines[-1],
-                            table)
+        memo[lines] = lines_of.apply(_after(memo, lines[:-1], lines_of),
+                                     *lines[-1])
     return memo[lines]
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(schedules: tuple, dk: int) -> tuple:
+    """(pairs, plan, scale_den) of a schedule set over the kernel
+    denominator dk: the bank pairs its lines join, and per schedule
+    (lines, n, scale), n = len(lines), with scale / scale_den = weight /
+    dk^n; scale_den is dk^N, N the most lines of any schedule, times the
+    lcm of the weights' denominators."""
+    n_max = max((len(lines) for lines, _ in schedules), default=0)
+    weights = [Fraction(w) for _, w in schedules]
+    q = math.lcm(*(w.denominator for w in weights))
+    plan = tuple((lines, len(lines), w.numerator * (q // w.denominator)
+                  * dk ** (n_max - len(lines)))
+                 for (lines, _), w in zip(schedules, weights))
+    return (frozenset(line for lines, _ in schedules for line in lines), plan,
+            dk ** n_max * q)
+
+
+def _slice_tuples(factors: list, th: int, tl: int) -> list:
+    """((h, l), banks) for each tuple of grade slices, one per factor,
+    whose orders sum to (h, l) within (th, tl), in itertools.product
+    order; a partial tuple already over the truncation is dropped with
+    all its completions."""
+    tuples = [((0, 0), ())]
+    for f in factors:
+        tuples = [((h + fh, l + fl), banks + (bank,))
+                  for (h, l), banks in tuples
+                  for (fh, fl), bank in f.slices.items()
+                  if h + fh <= th and l + fl <= tl]
+    return tuples
+
+
+def _add_product(acc: dict, banks: tuple, scale: int) -> None:
+    """acc += scale * the pointwise product of banks, by sorted monomial.
+    Bank keys are sorted, so a product key needs sorting only when both
+    of its parts are nonempty; with three banks or more, the product of
+    all but the last is sorted before the last joins it."""
+    *head, last = banks
+    prod = head[0].items() if head else [((), (1, 0))]
+    for bank in head[1:]:
+        prod = [(tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2,
+                 (a * c - b * e, a * e + b * c))
+                for k1, (a, b) in prod for k2, (c, e) in bank.items()]
+    last = last.items()
+    for k1, (a, b) in prod:
+        a, b = a * scale, b * scale
+        for k2, (c, e) in last:
+            key = tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
+            r0, i0 = acc.get(key, (0, 0))
+            acc[key] = (r0 + a * c - b * e, i0 + a * e + b * c)
 
 
 def contract(factors, kernel, schedules) -> PolyFunctional:
@@ -134,12 +220,15 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
 
     The grade slices (h, l) -> {monomial: (re, im)} of each factor are used
     as stored.  For each tuple of slices, one per bank, whose orders leave
-    room under the truncation, the lines act on whole banks (see _line),
-    on a state of tensor terms that schedules sharing a prefix share.  The
-    banks of each final term are multiplied pointwise and added at
+    room under the truncation (built pruned, see _slice_tuples), the lines
+    act on whole banks (see _Lines.apply), on a state of tensor terms that
+    schedules sharing a prefix share; gradients, smeared rows and Gamma_K
+    are computed once per bank object for the whole call.  The banks of
+    each final term are multiplied pointwise and added at
     (sum h + len(lines), sum l).  A schedule of n lines is scaled by
     den^(N - n), N the most lines of any schedule, and den^N joins the
-    product of the factors' denominators; the result is reduced once.
+    product of the factors' denominators (see _plan, built once per
+    schedule set and kernel denominator); the result is reduced once.
     """
     factors = list(factors)
     lat, rows, dk = kernel
@@ -150,42 +239,25 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
     th = min(f.trunc_h for f in factors)
     tl = min(f.trunc_l for f in factors)
     den = math.prod(f.den for f in factors)
-    slices = [list(f.slices.items()) for f in factors]
 
     supports = [f.support() for f in factors]
+    pairs, plan, scale_den = _plan(tuple(schedules), dk)
     table: dict[int, dict] = {}
-    for i, j in {line for lines, _ in schedules for line in lines}:
+    for i, j in pairs:
         for y, row in rows(supports[i], supports[j]).items():
             table.setdefault(y, {}).update(row)
-
-    n_max = max((len(lines) for lines, _ in schedules), default=0)
-    q = math.lcm(*(Fraction(w).denominator for _, w in schedules))
-    plan = [(lines, len(lines), Fraction(w).numerator
-             * (q // Fraction(w).denominator) * dk ** (n_max - len(lines)))
-            for lines, w in schedules]
-    den *= dk ** n_max * q
+    lines_of = _Lines(table)
 
     out: dict[tuple, dict] = {}
-    for combo in itertools.product(*slices):
-        h, l = map(sum, zip(*(hl for hl, _ in combo)))
-        if h > th or l > tl:
-            continue
-        memo = {(): [tuple(bank for _, bank in combo)]}
+    for (h, l), banks in _slice_tuples(factors, th, tl):
+        memo = {(): [banks]}
         for lines, n, scale in plan:
             if h + n > th or not scale:
                 continue
             acc = out.setdefault((h + n, l), {})
-            for banks in _after(memo, lines, table):
-                prod = list(banks[0].items())
-                for bank in banks[1:]:
-                    prod = [(k1 + k2, (a * c - b * e, a * e + b * c))
-                            for k1, (a, b) in prod
-                            for k2, (c, e) in bank.items()]
-                for key, (re, im) in prod:
-                    key = tuple(sorted(key))
-                    r0, i0 = acc.get(key, (0, 0))
-                    acc[key] = (r0 + re * scale, i0 + im * scale)
-    return PolyFunctional.from_numerators(lat, out, den, th, tl)
+            for term in _after(memo, lines, lines_of):
+                _add_product(acc, term, scale)
+    return PolyFunctional.from_numerators(lat, out, den * scale_den, th, tl)
 
 
 def peierls_bracket(F: PolyFunctional, G: PolyFunctional,
@@ -205,11 +277,12 @@ def peierls_bracket(F: PolyFunctional, G: PolyFunctional,
         out.den, min(F.trunc_h, G.trunc_h), min(F.trunc_l, G.trunc_l))
 
 
-def _exponential(line: tuple[int, int], n_max: int, c=1) -> list:
+@functools.cache
+def _exponential(line: tuple[int, int], n_max: int, c=1) -> tuple:
     """(line^n, c^n / n!) for n <= n_max: the schedules of
     e^{c * hbar * line}."""
-    return [((line,) * n, Fraction(c) ** n / math.factorial(n))
-            for n in range(n_max + 1)]
+    return tuple(((line,) * n, Fraction(c) ** n / math.factorial(n))
+                 for n in range(n_max + 1))
 
 
 def exp_gamma(F: PolyFunctional, kernel, prefactor: Fraction) -> PolyFunctional:
@@ -251,8 +324,8 @@ class QuantProduct:
         return contract(
             [F, G], self.kernel,
             _exponential((0, 1), n_max)[1:]
-            + [(lines, -w) for lines, w
-               in _exponential((1, 0), n_max)[1:]])
+            + tuple((lines, -w) for lines, w
+                    in _exponential((1, 0), n_max)[1:]))
 
 
 def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int) -> PolyFunctional:

@@ -721,9 +721,17 @@ def test_gns_algebra_file_paths(tmp_path, monkeypatch):
                     "unit 0 1\nunit 1 1\nomega 0 0.5\nomega 1 0.5\n")
     cfg = tmp_path / "g.cfg"
     cfg.write_text("algebra_file = %s\n" % good)
+    grams, gram_matrix = [], al.gram_matrix
+
+    def counted(*args):
+        grams.append(args)
+        return gram_matrix(*args)
+    monkeypatch.setattr(al, "gram_matrix", counted)
     res = run(["gns", "--config", str(cfg), "--out", str(tmp_path),
                "--label", "t"])
     assert "file" in res.output
+    assert len(grams) == 1  # the file's state is built once
+    monkeypatch.undo()
 
     broken = tmp_path / "broken.txt"
     broken.write_text("dim 2\nc 0 0 0 1\nc 1 1 0 1\ns 0 0 1\ns 1 1 1\n"

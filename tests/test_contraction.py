@@ -16,11 +16,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from paqft import quantization
 from paqft.exact import ExactComplex
-from paqft.functionals import PolyFunctional, pointwise_product
+from paqft.functionals import (PolyFunctional, interaction_vertex,
+                               pointwise_product)
 from paqft.graphs import graph_expand_Tn
 from paqft.quantization import (QuantProduct, alpha_H, contract,
-                                peierls_bracket)
+                                peierls_bracket, s_matrix)
 from paqft.series import FormalSeries
 
 from conftest import kernel_view
@@ -208,6 +210,72 @@ def test_engine_with_non_dyadic_kernel(lat_small, case, th, tl):
     got = contract([functional(lat_small, f, th, tl) for f in fs],
                    (lat_small, rows, 21), schedules)
     assert plain(got) == nonzero(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(terms(SITES), TRUNC_H, TRUNC_L,
+       st.sampled_from(["star", "star_H", "timeordered_D", "timeordered_F"]))
+def test_one_functional_in_both_banks_matches_reference(xp_small, f, th, tl,
+                                                        kind):
+    """F x F with one object in both banks: the banks share every
+    derivative and smeared row, which must not mix their fields."""
+    kernel = pair_kernel(kernel_view(xp_small, kind))
+    want = {}
+    for n in range(th + 1):
+        naive([f, f], kernel, [(0, 1)] * n, Fraction(1, math.factorial(n)),
+              th, tl, want)
+    F = functional(xp_small.lat, f, th, tl)
+    assert plain(QuantProduct(xp_small, kind).product(F, F)) == nonzero(want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(terms(SITES[:3]), terms(SITES[:3]), st.integers(1, 2), TRUNC_L)
+def test_graph_sum_with_a_repeated_factor_matches_reference(xp_small, f, g,
+                                                            th, tl):
+    """T_3(F, G, F) with one object in banks 0 and 2."""
+    kernel = pair_kernel(kernel_view(xp_small, "timeordered_F"))
+    pairs = list(itertools.combinations(range(3), 2))
+    want = {}
+    for n_lines in range(th + 1):
+        for lines in itertools.combinations_with_replacement(pairs, n_lines):
+            sym = math.prod(math.factorial(lines.count(p)) for p in set(lines))
+            naive([f, g, f], kernel, list(lines), Fraction(1, sym), th, tl,
+                  want)
+    lat = xp_small.lat
+    F, G = functional(lat, f, th, tl), functional(lat, g, th, tl)
+    assert plain(graph_expand_Tn([F, G, F], xp_small)) == nonzero(want)
+
+
+def test_contract_does_each_derivative_and_row_once(xp_small, monkeypatch):
+    """One contract call, S(V) x_T F at (hbar, lambda) = (2, 2), takes the
+    gradient of each bank once and smears each bank's gradient with each
+    kernel row once, however many slice tuples, schedules and tensor terms
+    share them."""
+    lat = xp_small.lat
+    V = interaction_vertex(lat, {lat.site(3, 1): 1, lat.site(4, 2): 1}, 4,
+                           2, 2)
+    S = s_matrix(xp_small, V)
+    F = PolyFunctional(lat, {(lat.site(1, 0),): Fraction(1, 3),
+                             (lat.site(2, 1), lat.site(6, 3)): 2}, 2, 2)
+    want = QuantProduct(xp_small, "timeordered_F").product(S, F)
+    grads, rows, keep = [], [], []
+
+    def gradient(bank):
+        keep.append(bank)  # no id is reused while the call runs
+        grads.append(id(bank))
+        return real_gradient(bank)
+
+    def smeared(grad, row, out):
+        keep.append((grad, row))
+        rows.append((id(grad), id(row)))
+        return real_smeared(grad, row, out)
+    real_gradient, real_smeared = quantization.gradient, quantization._smeared
+    monkeypatch.setattr(quantization, "gradient", gradient)
+    monkeypatch.setattr(quantization, "_smeared", smeared)
+    got = QuantProduct(xp_small, "timeordered_F").product(S, F)
+    assert got == want
+    assert grads and len(set(grads)) == len(grads)
+    assert rows and len(set(rows)) == len(rows)
 
 
 def peierls_loop(F, G, xp):

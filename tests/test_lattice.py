@@ -331,6 +331,40 @@ def test_dyadic_is_exact(x):
                                                     for v in values]
 
 
+def dyadic_by_ratios(values):
+    """The float-by-float route: each float's integer ratio p/q, e read off
+    the largest q and every p shifted up to 2**e."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    e = max((q for _, q in ratios), default=1).bit_length() - 1
+    return [p << (e - q.bit_length() + 1) for p, q in ratios], e
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.0], [0.0, -0.0], [5e-324, 0.0], [-5e-324, 2.5e-320, 1e-310],
+    [3.0, -7.0, 2.0 ** 60, -(2.0 ** 60 + 2.0 ** 8), 1.0],
+    [1.0, 0.5, -1.25, 1.0 / 3.0], [1e300, 1e-300, -0.75, 0.0],
+    [float(2 ** 52 + 1), -float(2 ** 53), 6.0]])
+def test_dyadic_matches_integer_ratios(values):
+    """Zeros, negative values, subnormals and integer-valued entries give
+    the (nums, e) of the integer-ratio route, ints for ints."""
+    got = dyadic(values)
+    assert got == dyadic_by_ratios(values)
+    assert all(type(v) is int for v in got[0])
+
+
+def test_dyadic_matches_integer_ratios_on_the_tables():
+    ps = PropagatorSet(Lattice1p1(24, 24, Fraction(1, 2), Fraction(1)))
+    values = (ps.ret_table().ravel().tolist()
+              + ps.wightman_table().real.ravel().tolist())
+    assert dyadic(values) == dyadic_by_ratios(values)
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_dyadic_refuses_non_finite_floats(x):
+    with pytest.raises(ValueError):
+        dyadic([1.0, x])
+
+
 def test_massless_lattice_has_the_kinds_free_of_h():
     lat = Lattice1p1(8, 4, Fraction(1, 4), Fraction(1), mass=0.0)
     xp = ExactPropagators(lat)
