@@ -407,13 +407,41 @@ class BogoliubovMap:
     only on the interaction in its past; so does any W closed under taking
     pasts (the past-cone relation is transitive) that holds them.  For
     R^-1, G = R^-1_V' F has support in supp F and W, so R_V G = R_V' G = F;
-    R_V is injective, so G = R^-1_V F.  F *_V G = R^-1(R F * R G) takes W
-    the past of supp F and supp G: R F * R G has support in supp F, supp G
-    and W, whose past is W, and S_W(V) * Sbar_W(-V) = 1 absorbs R F, so
-    F *_V G = S_W(-V) x_T ((S_W(V) x_T F) * R G), five products instead
-    of seven; when no vertex is in the past of F, R F = F and
-    R^-1(F * R G) is faster.  The S-matrices of each V', keyed by its
-    sites, are built once, on first use; those of V with the map.
+    R_V is injective, so G = R^-1_V F.  The S-matrices of each V', keyed
+    by its sites, are built once, on first use; those of V with the map.
+
+    The interacting product F *_V G = R^-1(R F * R G) uses only V_D, the
+    terms of V on D, the vertex sites in the closed future cone of supp F
+    and in the closed past cone of supp G.  Write A > B (A nowhere earlier
+    than B) when no site of supp A is in the closed past cone of a site of
+    supp B.  The Feynman kernel K_F(a, b) is the Wightman kernel K_W(a, b)
+    for a off the past cone of b, so for A > B:
+    (i) A x_T B = A * B, hence S(A + B) = S(A) * S(B);
+    (ii) A x_T (X * B) = (A x_T X) * B and B x_T (A * X) = A * (B x_T X):
+    each side contracts the same pairs of factors, and only the pair
+    (A, B) takes K_F on one side and K_W on the other.
+    R X = S(V)^-1 * (S(V) x_T X), and S(V) x_T F is the eps coefficient
+    of S(V + eps F), so F *_V G is the eps eta coefficient of
+        Phi_V = S(-V) x_T [S(V + eps F) * S(V)^-1 * S(V + eta G)].
+    Split V into V_a, its terms off the past cone of supp G, V_b, those in
+    it but off the future cone of supp F, and V_D.  The cone relation is
+    transitive, so V_a > V_D, V_b, G and V_D, F > V_b.  By (i)
+    S(V) = S(V_a) * S(V_D) * S(V_b), S(V + eps F) = S(V_a + V_D + eps F) *
+    S(V_b) and S(V + eta G) = S(V_a) * S(V_D + V_b + eta G), so the
+    bracket is S(V_a + V_D + eps F) * S(V_D)^-1 * S(V_D + V_b + eta G).
+    S(-V) = S(-V_a) x_T S(-V_b) x_T S(-V_D); by (ii) S(-V_a) acts on the
+    first factor alone and S(-V_b) on the last, where S(-A) x_T S(A + X)
+    = S(X).  So Phi_V = Phi_{V_D}, and
+        F *_V G = S_D(-V) x_T ((S_D(V) x_T F) * R_D G),
+    R_D G = Sbar_D(-V) * (S_D(V) x_T G): five products.  When D has no
+    site in the past of F, R_D F = F, S_D(V) x_T F = S_D(V) * F, and the
+    product is R_D^-1(F * R_D G).  When D is empty, Phi = S(eps F) *
+    S(eta G) and F *_V G = F * G, truncated to V's orders, in one product.
+    That is so whenever F > G (s in D would give y <= s <= z, y in supp F,
+    z in supp G): then S_V(F + G) = S_V(F) * S_V(G) for the relative
+    S-matrices S_V(F) = S(V)^-1 * S(V + F) (Bogoliubov causality,
+    Brunetti-Fredenhagen), whose eps eta coefficient is R_V(F x_T G) =
+    R F * R G, and F x_T G = F * G by (i).  G > F gives no such rule.
     """
 
     def __init__(self, xp: ExactPropagators, V: PolyFunctional):
@@ -457,13 +485,28 @@ class BogoliubovMap:
         S, S_neg, _ = self._s_matrices(self._cone(F))
         return self.tp.product(S_neg, self.sp.product(S, F))
 
+    def _diamond(self, F: PolyFunctional, G: PolyFunctional) -> frozenset:
+        """The vertex sites in the closed future cone of supp F and the
+        closed past cone of supp G."""
+        lat, supp = self.V.lat, F.support()
+        return frozenset(s for s in self._cone(G)
+                         if any(lat.in_past_cone(y, s) for y in supp))
+
     def star_interacting(self, F: PolyFunctional,
                          G: PolyFunctional) -> PolyFunctional:
-        if not self._cone(F):  # R F = F
-            return self.Rinv(self.sp.product(F, self.R(G)))
-        S, S_neg, _ = self._s_matrices(self._cone(F, G))
+        D = self._diamond(F, G)
+        if not D:  # F *_V G = F * G
+            V = self.V
+            return self.sp.product(PolyFunctional.from_numerators(
+                F.lat, F.slices, F.den, min(F.trunc_h, V.trunc_h),
+                min(F.trunc_l, V.trunc_l)), G)
+        S, S_neg, S_star_inv = self._s_matrices(D)
+        RG = self.sp.product(S_star_inv, self.tp.product(S, G))
+        if not D & self._cone(F):  # R_D F = F
+            return self.tp.product(S_neg, self.sp.product(
+                S, self.sp.product(F, RG)))
         return self.tp.product(S_neg, self.sp.product(self.tp.product(S, F),
-                                                      self.R(G)))
+                                                      RG))
 
 
 def causally_later(lat, F: PolyFunctional, G: PolyFunctional) -> bool:

@@ -1,5 +1,5 @@
 """Pins of tools/timing.py's ladder case: the coefficients of the
-interacting product star_interacting(F, G) on two rungs, by their sha256;
+interacting product in both argument orders on two rungs, by their sha256;
 and the tool's entry point."""
 import re
 import sys
@@ -24,6 +24,18 @@ def test_ladder_rung_is_pinned(rung, sha256):
     assert timing.coefficients_sha256(P) == sha256
 
 
+@pytest.mark.parametrize("rung", [(2, 2, 8), (3, 3, 4)],
+                         ids=["2,2,8", "3,3,4"])
+def test_ladder_rung_is_pinned_with_g_first(rung):
+    """star_interacting(G, F) uses no vertex site, as G is nowhere earlier
+    than F, and is G *_H F: one digest at every rung, the one the product
+    had when it was built from all the vertices in the past of F and G."""
+    xp, V, F, G = timing.rung(*rung)
+    P = BogoliubovMap(xp, V).star_interacting(G, F)
+    assert timing.coefficients_sha256(P) == (
+        "b463dcbb0cfed305a66e0c8c9c2891328ef5124cf3cf440cb7fe77a59ebaf398")
+
+
 def test_timing_prints_one_digest_per_call(capsys):
     timing.main(["-n", "1", "pairing"])
     rows = capsys.readouterr().out.splitlines()[1:]
@@ -37,8 +49,12 @@ def test_timing_prints_one_digest_per_call(capsys):
 
 def test_ladder_times_both_argument_orders(capsys):
     """A rung prints the map's construction and the product in both
-    argument orders, F before G and G before F."""
+    argument orders, F before G and G before F, each product with the
+    vertex sites it used: both vertices lie between F and G, none between
+    G and F."""
     timing.main(["-n", "1", "ladder", "1,1,2"])
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [re.match(r"ladder +(.*?) +1,1,2 ", r).group(1)
             for r in rows] == ["init", "star F,G", "star G,F"]
+    assert rows[1].endswith(", 2 vertex sites")
+    assert rows[2].endswith(", 0 vertex sites")

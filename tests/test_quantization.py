@@ -18,6 +18,7 @@ from paqft.functionals import (PolyFunctional, smeared_field, local_power,
                                interaction_vertex, pointwise_product,
                                free_action)
 from paqft.lattice import ExactPropagators, Lattice1p1, ZeroModeSingular
+from paqft import acceptance
 from paqft import quantization as qz
 from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 wick_theorem_demo, BogoliubovMap,
@@ -353,9 +354,13 @@ EMPTY_PAST = dict(ALL_PAST, f={1: Fraction(1, 2)})
        fh=st.integers(1, 3), fl=st.integers(1, 3))
 def test_bogoliubov_map_sees_only_the_past_cone(xp_small, v, f, g, degree,
                                                 power, th, tl, fh, fl):
-    """R, R^-1 and the interacting product, which use only the vertex
-    sites in the closed past cone of their argument, are == the maps built
-    from all of V, whatever the truncation orders of F against V's."""
+    """R and R^-1, which use only the vertex sites in the closed past cone
+    of their argument, and the interacting product, which uses only those
+    in the future of supp F and the past of supp G, are == the maps built
+    from all of V, whatever the truncation orders of F against V's.  With
+    no vertex between F and G (NO_PAST, ALL_PAST, LATE_EARLY) the product
+    is F *_H G, cut to V's orders, and the second NO_PAST example fails
+    without that cut."""
     lat = xp_small.lat
     V = interaction_vertex(lat, v, degree, th, tl)
     F = local_power(lat, f, power, fh, fl)
@@ -365,6 +370,108 @@ def test_bogoliubov_map_sees_only_the_past_cone(xp_small, v, f, g, degree,
     assert bog.R(F) == R(F)
     assert bog.Rinv(F) == Rinv(F)
     assert bog.star_interacting(F, G) == star_interacting(F, G)
+
+
+@st.composite
+def causal_pairs(draw):
+    """(case, F's sites, G's sites) as (row, column) on 8x4, forced into
+    one of four cases: F nowhere earlier than G, G nowhere earlier than F,
+    spacelike both ways (one row, distinct columns), and F on two sites
+    two rows or more apart, where every column is in the cone."""
+    case = draw(st.sampled_from(("F later", "G later", "spacelike",
+                                 "F timelike")))
+    col = st.integers(0, 3)
+    if case == "spacelike":
+        t, xs = draw(st.integers(0, 7)), draw(st.permutations(range(4)))
+        k = draw(st.integers(1, 3))
+        return case, [(t, x) for x in xs[:k]], [(t, x) for x in xs[k:]]
+    if case == "F timelike":
+        t = draw(st.integers(0, 5))
+        F = [(t, draw(col)), (draw(st.integers(t + 2, 7)), draw(col))]
+        return case, F, [(draw(st.integers(0, 7)), draw(col))]
+    r = draw(st.integers(0, 6))
+    late = [(draw(st.integers(r + 1, 7)), draw(col))
+            for _ in range(draw(st.integers(1, 2)))]
+    early = [(draw(st.integers(0, r)), draw(col))
+             for _ in range(draw(st.integers(1, 2)))]
+    return (case, late, early) if case == "F later" else (case, early, late)
+
+
+@settings(max_examples=24, deadline=None)
+@given(pair=causal_pairs(),
+       v=st.dictionaries(st.integers(4, 27), COUPLINGS, min_size=2,
+                         max_size=4),
+       imaginary=st.booleans(), degree=st.integers(2, 4),
+       power=st.integers(1, 2), th=st.integers(1, 2), tl=st.integers(1, 2),
+       v_below=st.booleans(), fh=st.integers(1, 3), fl=st.integers(1, 3))
+def test_interacting_product_uses_the_vertices_between_f_and_g(
+        xp_small, pair, v, imaginary, degree, power, th, tl, v_below, fh,
+        fl):
+    """F *_V G, built from the vertex sites in the future of supp F and the
+    past of supp G, is == the product built from all of V, for real and
+    imaginary V, with V's orders below F's in some draws; and when F is
+    nowhere earlier than G it is F *_H G, cut to V's orders."""
+    lat = xp_small.lat
+    case, f, g = pair
+    V = interaction_vertex(lat, v, degree, th, tl)
+    if imaginary:
+        V = V * FormalSeries({(0, 0): ExactComplex(0, 1)}, th, tl)
+    if v_below:
+        fh, fl = th + 1, tl + 1
+    F = local_power(lat, {lat.site(*s): Fraction(i + 1, 2)
+                          for i, s in enumerate(f)}, power, fh, fl)
+    G = local_power(lat, {lat.site(*s): Fraction(1, i + 1)
+                          for i, s in enumerate(g)}, 1, fh, fl)
+    later = {"F later": (F, G), "G later": (G, F), "spacelike": (F, G),
+             "F timelike": (F, F)}[case]
+    assert causally_later(lat, *later) == (case != "F timelike")
+    assert case != "spacelike" or causally_later(lat, G, F)
+    bog = BogoliubovMap(xp_small, V)
+    product = bog.star_interacting(F, G)
+    assert product == unrestricted_maps(xp_small, V)[2](F, G)
+    if causally_later(lat, F, G):
+        free = QuantProduct(xp_small, "star_H").product(F, G)
+        assert product == PolyFunctional.from_numerators(
+            lat, free.slices, free.den, min(free.trunc_h, th),
+            min(free.trunc_l, tl))
+
+
+def test_interacting_product_contracts_once_without_vertices_between(
+        xp_small, monkeypatch):
+    """One contract call when no vertex lies in the future of F and the
+    past of G, five otherwise (R F = F or not), once the S-matrices of
+    those vertices are built."""
+    lat = xp_small.lat
+    V = interaction(lat, [lat.site(3, 1), lat.site(5, 1)])
+    early = local_power(lat, {lat.site(1, 1): 1}, 2)
+    late = local_power(lat, {lat.site(7, 1): 1}, 2)
+    around = local_power(lat, {lat.site(2, 1): 1, lat.site(4, 1): 1}, 1)
+    bog = BogoliubovMap(xp_small, V)
+    calls = []
+    contract = qz.contract
+    monkeypatch.setattr(qz, "contract",
+                        lambda *args: calls.append(1) or contract(*args))
+    for F, G, n in ((late, early, 1), (early, late, 5), (around, late, 5)):
+        bog.star_interacting(F, G)
+        calls.clear()
+        bog.star_interacting(F, G)
+        assert len(calls) == n
+
+
+def test_ac08_multiplies_across_a_vertex(monkeypatch):
+    """AC08's associativity draws include products with a vertex between
+    the two arguments, so the criterion cannot pass on F *_H G alone."""
+    sizes = []
+    diamond = BogoliubovMap._diamond
+
+    def counted(self, F, G):
+        D = diamond(self, F, G)
+        sizes.append(len(D))
+        return D
+
+    monkeypatch.setattr(BogoliubovMap, "_diamond", counted)
+    assert acceptance.crit_08()[0]
+    assert len(sizes) == 8 and any(sizes)
 
 
 def test_bogoliubov_map_builds_each_vertex_set_once(xp_small, monkeypatch):
@@ -492,9 +599,12 @@ def test_interacting_maps_match_the_free_picture(xp_small, inputs, moved):
     """R F, R G and the interacting product in both orders are == the
     maps built at H = 0 from alpha_H^-1 V.  moved says, per order (F, G)
     and (G, F), whether the interacting product differs from the free
-    F *_H G, G *_H F; at (hbar, lambda) = (2, 2) the interaction reaches
-    the product only through a degree-two factor, so most do not move.
-    The R check sees V in either case: R moves one argument."""
+    F *_H G, G *_H F.  A product whose first argument is nowhere earlier
+    than its second is the free one (the ladder's (G, F)), and so is one
+    with no vertex in the future of the first and the past of the
+    second: in the timelike case no vertex is later than F, and of G on
+    (4, 3) the vertex (3, 1) is earlier and (5, 1) off the cone.  The R
+    check sees V in either case: R moves one argument."""
     V, F, G = inputs(xp_small.lat)
     bog = BogoliubovMap(xp_small, V)
     R, star_interacting = free_picture_maps(xp_small, V)

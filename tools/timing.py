@@ -29,6 +29,9 @@ compared for speed and shown to compute alike.  Ladder rows hash the
 coefficients in any order (an init row those of S(V), S(-V) and Sbar(-V)),
 flows x, k and sigma, wf2d each centre's singular flags, pairings the repr,
 gns rows each representation's dimension and residuals as float64 bytes.
+A star row shows, after the number of terms, the number of vertex sites
+the product used: those in the future of its first argument and the past
+of its second.  G,F uses none, as G is nowhere earlier than F.
 """
 
 import argparse
@@ -98,7 +101,8 @@ def ladder(rungs):
         for order, args in (("F,G", (F, G)), ("G,F", (G, F))):
             yield ("star %s %s" % (order, name),
                    partial(bog.star_interacting, *args), coefficients_sha256,
-                   lambda P, _: "%d terms" % len(P.terms))
+                   lambda P, _, D=bog._diamond(*args):
+                   "%d terms, %d vertex sites" % (len(P.terms), len(D)))
 
 
 def trajectory_sha256(r):
