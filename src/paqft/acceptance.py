@@ -347,6 +347,9 @@ def crit_08():
         "exactly at the vertex (5, 1)")
 
 
+MS_PROBES = ((1.0, 0.4), (0.5, -0.3, 0.2))  # polynomials on radii (1, 2)
+
+
 @criterion("Epstein-Glaser extension of (x+i0)^-2")
 def crit_09():
     """Extension of (x+i0)^-2 and minimal subtraction of x_+^(z-1)."""
@@ -361,7 +364,7 @@ def crit_09():
 
     fam = lambda z: dist1d.SymbolicDistribution1D.halfline(z - 1.0, +1)
     worst_ms, ms = 0.0, []
-    for poly in ((1.0, 0.4), (0.5, -0.3, 0.2)):
+    for poly in MS_PROBES:
         f = dist1d.TestFunction1D.from_poly(poly, 1.0, 2.0)
         ms.append(eg.analytic_regularization(fam, f, pole_cap=2))
         worst_ms = max(worst_ms, abs(ms[-1]["regular_value"]

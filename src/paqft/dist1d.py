@@ -118,11 +118,6 @@ class TestFunction1D:
         self._core = None
 
     @classmethod
-    def monomial(cls, degree: int, r0: float, R: float, coeff):
-        poly = (0.0,) * degree + (1.0,)
-        return cls([(coeff, poly, r0, R)])
-
-    @classmethod
     def from_poly(cls, poly, r0: float, R: float):
         return cls([(1.0, tuple(poly), r0, R)])
 
@@ -174,20 +169,6 @@ class TestFunction1D:
                     p = p * x + c
                 out += coeff * p * w
         return out
-
-    def __add__(self, other):
-        if not isinstance(other, TestFunction1D):
-            return NotImplemented
-        return TestFunction1D(list(self.atoms) + list(other.atoms))
-
-    def __mul__(self, scalar):
-        return TestFunction1D(
-            [(coeff * scalar, poly, r0, R) for coeff, poly, r0, R in self.atoms])
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + other * (-1)
 
     def stretched(self, c):
         """x -> f(c x) for c > 0."""
@@ -459,12 +440,6 @@ class SymbolicDistribution1D:
         if side not in (1, -1):
             raise ValueError("side must be +-1")
         return cls([(1.0, ("halfline", side, complex(a), log_power))])
-
-    def __mul__(self, scalar):
-        return SymbolicDistribution1D(
-            [(c * scalar, k) for c, k in self.terms])
-
-    __rmul__ = __mul__
 
     def scaling_degree(self) -> float:
         """Largest scaling degree among the terms (symbolic rule)."""

@@ -97,19 +97,22 @@ def make_w_projection(order: int, r0: float = 0.5, R: float = 1.0):
     w_alpha^(beta)(0) = delta_ab exactly on the plateau."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return [TestFunction1D.monomial(alpha, r0, R, coeff=1.0 / math.factorial(alpha))
+    return [TestFunction1D([(1.0 / math.factorial(alpha),
+                             (0.0,) * alpha + (1.0,), r0, R)])
             for alpha in range(order + 1)]
 
 
 def w_project(f: TestFunction1D, w_alphas) -> TestFunction1D:
-    """f minus its jet at the origin paired into the w family; the result
-    vanishes at 0 to the order of the family."""
-    out = f
+    """f minus its jet at the origin paired into the w family: f's atoms,
+    then each w_alpha's atoms scaled by -f^(alpha)(0); the result vanishes
+    at 0 to the order of the family."""
+    atoms = list(f.atoms)
     for alpha, w in enumerate(w_alphas):
         c = f.derivative_at_0(alpha)
         if c:
-            out = out - w * c
-    return out
+            atoms += [(coeff * c * -1, poly, r0, R)
+                      for coeff, poly, r0, R in w.atoms]
+    return TestFunction1D(atoms)
 
 
 class ExtendedDistribution:

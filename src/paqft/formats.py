@@ -285,7 +285,9 @@ def parse_distribution(expr):
                 tok = piece  # the '*' belongs to the atom (log powers)
         if not math.isfinite(coeff):
             raise FormatError("coefficient of %r is not finite" % piece)
-        for c, kind in (_parse_atom(tok) * (sign * coeff)).terms:
+        (c, kind), = _parse_atom(tok).terms
+        c = c * (sign * coeff)
+        if c:
             merged[kind] = merged[kind] + c if kind in merged else c
         sign = 1.0
     for kind, c in merged.items():

@@ -30,11 +30,7 @@ from .lattice import Lattice1p1
 from .series import DEFAULT_TRUNC_H, DEFAULT_TRUNC_L, FormalSeries
 
 
-class FunctionalError(Exception):
-    pass
-
-
-class DimensionMismatch(FunctionalError):
+class DimensionMismatch(Exception):
     pass
 
 

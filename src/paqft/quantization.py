@@ -58,15 +58,11 @@ from .series import FormalSeries
 PRODUCT_KINDS = ("star", "star_H", "timeordered_D", "timeordered_F")
 
 
-class QuantizationError(Exception):
-    pass
-
-
-class NoLambdaGrading(QuantizationError):
+class NoLambdaGrading(Exception):
     """Interaction term must carry at least one power of the coupling."""
 
 
-class NonLocalInteraction(QuantizationError):
+class NonLocalInteraction(Exception):
     """Interaction term off one site: Sbar(-V) is no star-inverse of S(V)."""
 
 

@@ -155,3 +155,9 @@ def dist_sum(*ts):
     """The sum of distributions: their terms in one list, as the parser
     builds a sum."""
     return SymbolicDistribution1D([term for t in ts for term in t.terms])
+
+
+def dist_scaled(t, c):
+    """The distribution t times the scalar c, term by term."""
+    return SymbolicDistribution1D([(coeff * c, kind)
+                                   for coeff, kind in t.terms])

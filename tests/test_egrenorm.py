@@ -17,7 +17,7 @@ from paqft.dist1d import (TestFunction1D, SymbolicDistribution1D,
 from paqft import dist1d
 from paqft import egrenorm as eg
 
-from conftest import dist_sum
+from conftest import dist_scaled, dist_sum
 
 RNG = random.Random(1311)
 
@@ -97,20 +97,21 @@ def test_regression_ignores_a_common_factor(c):
     # a common factor cannot change the degree: the subnormal coefficient
     # used to drop every sample under the floor, and 1e307 up to overflow
     # them (both "needs more nonzero samples")
-    t = SymbolicDistribution1D.power_i0(-2.0, +1) * c
+    t = dist_scaled(SymbolicDistribution1D.power_i0(-2.0, +1), c)
     assert eg.scaling_degree_regression(t) == pytest.approx(2.0, abs=0.05)
 
 
 def test_unit_scaled_divides_by_the_power_of_two_at_the_largest():
     delta = SymbolicDistribution1D.delta(0)
     x2 = SymbolicDistribution1D.monomial(2)
-    t = dist_sum(delta * 1.5, x2 * -0.25)
+    t = dist_sum(dist_scaled(delta, 1.5), dist_scaled(x2, -0.25))
     assert eg.unit_scaled(t)[0] == 1.0
     assert eg.unit_scaled(t)[1].terms == t.terms
-    s, t = eg.unit_scaled(dist_sum(delta * -3.0, x2 * 2j))
+    s, t = eg.unit_scaled(dist_sum(dist_scaled(delta, -3.0),
+                                   dist_scaled(x2, 2j)))
     assert (s, t.terms) == (2.0, ((-1.5, ("delta", 0)), (1j, ("monomial", 2))))
-    assert eg.unit_scaled(delta * 1e307)[0] == 2.0 ** 1019
-    assert eg.unit_scaled(delta * 5e-324)[0] == 5e-324
+    assert eg.unit_scaled(dist_scaled(delta, 1e307))[0] == 2.0 ** 1019
+    assert eg.unit_scaled(dist_scaled(delta, 5e-324))[0] == 5e-324
 
 
 def test_regression_raises_at_halfline_pole():
@@ -135,6 +136,31 @@ def test_w_projection_kills_the_jet():
     assert g.derivative_at_0(3) == f.derivative_at_0(3)
     with pytest.raises(ValueError):
         eg.make_w_projection(-1)
+
+
+@pytest.mark.parametrize("k, r0, R", [(0, 0.5, 1.0), (2, 0.3, 0.7),
+                                      (3, 0.5, 1.0)])
+def test_w_project_appends_the_scaled_w_atoms(k, r0, R):
+    """w_alpha is one atom x^alpha / alpha! on the window (r0, R); the
+    projection is f's atoms, then -f^(alpha)(0) w_alpha for each alpha
+    with a nonzero jet (here not alpha = 1), and its jets 0..k vanish."""
+    w = eg.make_w_projection(k, r0, R)
+    assert [wa.atoms for wa in w] == [
+        ((1.0 / math.factorial(a), (0.0,) * a + (1.0,), r0, R),)
+        for a in range(k + 1)]
+    f = probe((0.75, 0.0, -0.25, 0.125), 0.45, 1.2)
+    g = eg.w_project(f, w)
+    jets = [f.derivative_at_0(a) for a in range(k + 1)]
+    tail = [(a, c) for a, c in enumerate(jets) if c]
+    assert g.atoms[:len(f.atoms)] == f.atoms
+    assert len(g.atoms) == len(f.atoms) + len(tail)
+    for (a, c), (coeff, poly, *window) in zip(tail,
+                                             g.atoms[len(f.atoms):]):
+        assert (poly, window) == ((0.0,) * a + (1.0,), [r0, R])
+        assert coeff == pytest.approx(-c / math.factorial(a), rel=1e-15)
+    for a in range(k + 1):
+        assert g.derivative_at_0(a) == 0
+    assert g.derivative_at_0(k + 1) == f.derivative_at_0(k + 1)
 
 
 def test_extension_unique_below_zero_divergence():
@@ -185,7 +211,8 @@ def test_nonlocal_difference_is_rejected():
     w = eg.make_w_projection(1)
     e1 = eg.extend(t, w_alphas=w)
     smeared = eg.extend(
-        dist_sum(t, SymbolicDistribution1D.heaviside(0) * 0.3), w_alphas=w)
+        dist_sum(t, dist_scaled(SymbolicDistribution1D.heaviside(0), 0.3)),
+        w_alphas=w)
     with pytest.raises(eg.NonLocalDifference):
         eg.extension_ambiguity(e1, smeared, max_order=1)
 

@@ -15,7 +15,7 @@ from paqft.formats import (FormatError, MAX_DIM, parse_config, parse_algebra,
 from paqft.functionals import PolyFunctional, smeared_field
 from paqft.series import FormalSeries
 
-from conftest import dist_sum
+from conftest import dist_scaled, dist_sum
 
 
 # --------------------------------------------------------------------------
@@ -182,9 +182,9 @@ def test_distribution_atoms():
 def test_distribution_sums_signs_and_coefficients():
     f = TestFunction1D.from_poly((1.0, 0.5), 0.5, 1.0)
     t = parse_distribution("2*delta - 1/2*heaviside + 0.25*x^1")
-    want = dist_sum(SymbolicDistribution1D.delta(0) * 2.0,
-                    SymbolicDistribution1D.heaviside(0) * -0.5,
-                    SymbolicDistribution1D.monomial(1) * 0.25)
+    want = dist_sum(dist_scaled(SymbolicDistribution1D.delta(0), 2.0),
+                    dist_scaled(SymbolicDistribution1D.heaviside(0), -0.5),
+                    dist_scaled(SymbolicDistribution1D.monomial(1), 0.25))
     assert t.pair(f) == pytest.approx(want.pair(f), rel=1e-12)
 
 
@@ -196,6 +196,16 @@ def test_like_terms_merge_in_order_of_first_appearance():
     assert parse_distribution("1e308*delta - 1e308*delta").terms == ()
     assert parse_distribution("delta^0 + delta").terms == (
         (2.0, ("delta", 0)),)
+
+
+def test_a_zero_term_takes_no_place():
+    """A term whose coefficient is 0 is skipped before like terms merge,
+    so it leaves no entry to hold its kind's place; a sum that cancels
+    is the zero distribution."""
+    assert parse_distribution("0*delta + x^2 + delta").terms == (
+        (1.0, ("monomial", 2)), (1.0, ("delta", 0)))
+    assert parse_distribution("-0*x^1 - 0.0*delta").terms == ()
+    assert parse_distribution("delta - delta").terms == ()
 
 
 @pytest.mark.parametrize("expr", [

@@ -668,6 +668,62 @@ def test_a_complex_interaction_builds_sbar_from_its_conjugate(xp_small,
     assert len(built) == 3
 
 
+def one_site_field(lat, t, x, c2, c1, trunc):
+    """c2 phi^2 + c1 phi on the site (t, x), truncated at (trunc, trunc)."""
+    s = lat.site(t, x)
+    return (local_power(lat, {s: c2}, 2, trunc, trunc)
+            + local_power(lat, {s: c1}, 1, trunc, trunc))
+
+
+@pytest.mark.parametrize("trunc", [2, 3])
+@pytest.mark.parametrize("c, star_map", [
+    (1, False), (ExactComplex(0, 1), True), (ExactComplex(2, -3), False),
+], ids=["real", "imaginary", "complex"])
+def test_bogoliubov_map_conjugates_into_minus_conj_v(xp_small, c, star_map,
+                                                     trunc):
+    """R_V(F)* == R_{-conj V}(F*) for F = (1 + 2i) phi^2 + phi/3 on one
+    site, with both vertices in its past.  S(V) carries no i/hbar, so a
+    physical interaction V_ph enters as V = (i/hbar) V_ph, and the
+    identity reads R_{V_ph}(F)* == R_{conj V_ph}(F*): R_V is a *-map,
+    R_V(F)* == R_V(F*), exactly when V is imaginary (V_ph Hermitian)."""
+    lat = xp_small.lat
+    V = interaction_vertex(lat, {lat.site(3, 1): c, lat.site(5, 1): c}, 4,
+                           trunc, trunc)
+    F = one_site_field(lat, 6, 1, ExactComplex(1, 2), Fraction(1, 3), trunc)
+    bog = BogoliubovMap(xp_small, V)
+    RF = bog.R(F)
+    assert RF != F
+    assert RF.conj() == BogoliubovMap(xp_small, V.conj() * (-1)).R(F.conj())
+    assert (RF.conj() == bog.R(F.conj())) == star_map
+
+
+@pytest.mark.parametrize("trunc", [2, 3])
+@pytest.mark.parametrize("c", [1, ExactComplex(0, 1)],
+                         ids=["real", "imaginary"])
+@pytest.mark.parametrize("vertices, f, g, commute", [
+    ([(5, 1)], (7, 0), (7, 2), True),
+    ([(3, 1), (5, 1)], (6, 0), (6, 2), True),
+    ([(3, 1), (5, 1)], (6, 0), (4, 1), False),
+], ids=["one-vertex", "two-vertices", "timelike"])
+def test_interacting_fields_at_spacelike_separation_commute(
+        xp_small, c, trunc, vertices, f, g, commute):
+    """Einstein causality: [R F, R G]_{*_H} == 0 for F and G at spacelike
+    separation, and != 0 for the timelike pair.  R moves both F and G, so
+    this is not the free commutator: the vertices sit where the retarded
+    kernel reaches F's and G's sites (one step ahead it reaches only the
+    same x, so a vertex on (5, 1) leaves (6, 0) and (6, 2) alone)."""
+    lat = xp_small.lat
+    V = interaction_vertex(lat, {lat.site(*s): c for s in vertices}, 4,
+                           trunc, trunc)
+    F = one_site_field(lat, *f, ExactComplex(1, 2), Fraction(1, 3), trunc)
+    G = one_site_field(lat, *g, 1, ExactComplex(0, 1), trunc)
+    bog = BogoliubovMap(xp_small, V)
+    RF, RG = bog.R(F), bog.R(G)
+    assert RF != F and RG != G
+    commutator = QuantProduct(xp_small, "star_H").commutator(RF, RG)
+    assert commutator.is_zero() == commute
+
+
 @pytest.mark.parametrize("key", [(1, 21), (5, 5, 21)])
 def test_a_non_local_interaction_is_rejected(xp_small, key):
     """A term on two sites: Sbar(-V) is not the star-inverse of S(V), so

@@ -62,8 +62,6 @@ from perfbench import wavefront  # noqa: E402
 RUNGS = [(2, 2, 8), (3, 3, 4), (3, 3, 8), (4, 4, 2), (4, 4, 4)]
 N_STEPS, DT = wavefront.SIZES["full"]["flows"], 0.01
 REGRESSIONS = ("(x+i0)^-2", "(x-i0)^-1.5", "x_+^-0.5", "delta^1")
-# AC09's MS probes on radii (1, 2): literals inside acceptance.crit_09
-MS_PROBES = ((1.0, 0.4), (0.5, -0.3, 0.2))
 WF1D_CENTRES = (0.0, 0.8)
 PAIRINGS = ("x^2", "heaviside^1", "(x-i0)^-3")
 
@@ -173,7 +171,8 @@ def pairing():
         yield ("regression " + expr, partial(eg.scaling_degree_regression, d),
                digest, lambda v, _: "sd = %r" % v)
     family = lambda z: SymbolicDistribution1D.halfline(z - 1.0, +1)
-    probes = [TestFunction1D.from_poly(poly, 1.0, 2.0) for poly in MS_PROBES]
+    probes = [TestFunction1D.from_poly(poly, 1.0, 2.0)
+              for poly in acceptance.MS_PROBES]
     yield ("MS x_+^(z-1)", lambda: [
         eg.minimal_subtraction(family, f, pole_cap=eg.MS_POLE_CAP)
         for f in probes], digest,
