@@ -16,6 +16,8 @@ stays a parameter.
 from __future__ import annotations
 
 import math
+import struct
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
@@ -353,11 +355,20 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
     iterations; `fixpoint_capped` counts the steps that ran all
     FLOW_FIXPOINT_ITERS iterations without meeting the bound: their points
     are accepted, but not converged.
+
+    A metric passed in is called five times an iteration (G and the four
+    symbols of the difference) and once a point for sigma = k . G k.  The
+    default G is constant, so it is read once, and the derivative and its
+    noise floor, which then depend on k alone, are computed again only
+    when the midpoint k changes its bit pattern (signs of zero included);
+    each iteration still runs and is counted.  Its sigma is computed once
+    per distinct bit pattern of k, which the flow keeps, with the same
+    numpy product.
     """
     flat = metric_inv is None
     if flat:
         G0 = np.diag([1.0, -1.0])
-        metric_inv = lambda x: G0
+        G_flat = G0.tolist()
     x = np.asarray(x0, dtype=float).ravel().tolist()
     dim, h = len(x), 1e-6
     y = x + np.asarray(k0, dtype=float).ravel().tolist()
@@ -376,7 +387,7 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
         """The midpoint derivative (2 G k, -d sigma / dx) at y = (x, k) and
         the noise floor of the update."""
         x, k = y[:dim], y[dim:]
-        G = metric_inv(np.array(x)).tolist()
+        G = G_flat if flat else metric_inv(np.array(x)).tolist()
         f = [2.0 * sum(map(mul, row, k)) for row in G]
         f += [-0.0] * dim if flat else [
             -(symbol(x, k, a, h) - symbol(x, k, a, -h)) / (2 * h)
@@ -384,15 +395,28 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
         floor = noise * sum(map(mul, k, k)) * max(map(abs, chain(*G)))
         return f, max(floor, 1e-15)
 
+    if flat:
+        # G is constant, so the derivative and its floor depend on k alone
+        # and are computed again only when the midpoint k changes a bit
+        k_bits, last, k_grads = struct.Struct("%dd" % dim), [None], grads
+
+        def grads(y):
+            bits = k_bits.pack(*y[dim:])
+            if bits != last[0]:
+                last[:] = bits, k_grads(y)
+            return last[1]
+
     # weights (-1)^(i+1) C(q, i) of f_i, i = 1 .. q, f_1 the latest
     weights = [[(-1) ** (i + 1) * math.comb(q, i) for i in range(1, q + 1)]
                for q in range(FLOW_PREDICTOR_POINTS + 1)]
-    ys, fs = [y], []
+    # the last q midpoint derivatives, one column per component, f_1 first
+    cols = [deque(maxlen=FLOW_PREDICTOR_POINTS) for _ in y]
+    ys = [y]
     iterations = capped = 0
     for _ in range(n_steps):
-        w = weights[min(len(fs), FLOW_PREDICTOR_POINTS)]
-        p = [sum(map(mul, w, col)) for col in zip(*fs[:-len(w) - 1:-1])]
-        ym = [a + dt * b for a, b in zip(y, p)] if fs else y
+        w = weights[len(cols[0])]
+        ym = [a + dt * sum(map(mul, w, col))
+              for a, col in zip(y, cols)] if w else y
         for _ in range(FLOW_FIXPOINT_ITERS):
             iterations += 1
             f, floor = grads([(a + b) / 2 for a, b in zip(y, ym)])
@@ -405,11 +429,18 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
             capped += 1
         y = ym
         ys.append(y)
-        fs.append(f)
+        for col, b in zip(cols, f):
+            col.appendleft(b)
     ys = np.array(ys)
     xs, ks = ys[:, :dim].copy(), ys[:, dim:].copy()
-    sigmas = np.array([float(kk @ metric_inv(xx) @ kk)
-                       for xx, kk in zip(xs, ks)])
+    if flat:
+        # sigma once per distinct bit pattern of k, which the flow keeps
+        _, first, back = np.unique(ks.view("V%d" % (8 * dim)).ravel(),
+                                   return_index=True, return_inverse=True)
+        sigmas = np.array([float(ks[i] @ G0 @ ks[i]) for i in first])[back]
+    else:
+        sigmas = np.array([float(kk @ metric_inv(xx) @ kk)
+                           for xx, kk in zip(xs, ks)])
     return {
         "x": xs,
         "k": ks,

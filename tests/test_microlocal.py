@@ -2,8 +2,10 @@
 import math
 from functools import partial
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from paqft.dist1d import SymbolicDistribution1D, _window, quad_complex
 from paqft import microlocal as ml
@@ -250,6 +252,31 @@ def test_flat_flow_matches_the_reference_bit_for_bit(x0, k0, dt):
     for key in ("x", "k", "sigma"):
         assert np.array_equal(rep[key], ref[key]), key
     assert rep["fixpoint_capped"] == 0
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+def either_sign(lo, hi):
+    return st.floats(lo, hi) | st.floats(-hi, -lo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[SIGNED_ZERO | either_sign(0.0, 2.0)] * 2),
+       st.tuples(*[SIGNED_ZERO | either_sign(0.1, 3.0)] * 2)
+       | st.tuples(SIGNED_ZERO, SIGNED_ZERO),
+       either_sign(0.001, 0.05), st.integers(1, 60))
+def test_flat_flow_reuses_only_what_k_fixes(x0, k0, dt, n_steps):
+    """The flat flow reuses its derivative, noise floor and sigma while k
+    keeps its bit pattern; signed zeros in x0 and k0, k = 0 and dt < 0
+    (which turns a -0.0 in k into 0.0) still give the reference's flow
+    bit for bit, with one iteration a step after the first, which takes
+    two unless k = 0."""
+    rep = ml.bicharacteristic_flow(x0, k0, dt, n_steps)
+    ref = reference_flow(x0, k0, dt, n_steps)
+    for key in ("x", "k", "sigma"):
+        assert rep[key].tobytes() == ref[key].tobytes(), key
+    assert rep["iterations"] == n_steps + any(k0)
 
 
 CONFORMAL_RAYS = [

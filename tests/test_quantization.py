@@ -698,6 +698,72 @@ def test_bogoliubov_map_conjugates_into_minus_conj_v(xp_small, c, star_map,
 
 
 @pytest.mark.parametrize("trunc", [2, 3])
+def test_rinv_conjugates_into_minus_conj_v_only_below_hbar_cubed(xp_small,
+                                                                 trunc):
+    """The R^-1 form R_V^-1(F)* == R_{-conj V}^-1(F*), for the F and
+    vertices of the test above, holds at (2, 2) and fails at (3, 3), for
+    each coefficient, while the R form holds at both.  R_V^-1 F has
+    two-site terms on (3, 1)-(5, 1), (3, 1)-(6, 1) and (5, 1)-(6, 1), and
+    the conjugation identity is proved only for local arguments (ROADMAP
+    K): here the vertex (5, 1) lies between the sites of those terms."""
+    lat = xp_small.lat
+    F = one_site_field(lat, 6, 1, ExactComplex(1, 2), Fraction(1, 3), trunc)
+    for c in (1, ExactComplex(0, 1), ExactComplex(2, -3)):
+        V = interaction_vertex(lat, {lat.site(3, 1): c, lat.site(5, 1): c},
+                               4, trunc, trunc)
+        bog = BogoliubovMap(xp_small, V)
+        minus_conj = BogoliubovMap(xp_small, V.conj() * (-1))
+        RinvF = bog.Rinv(F)
+        assert {frozenset(map(lat.coords, key)) for key in RinvF.terms
+                if len(set(key)) == 2} == {
+            frozenset(pair) for pair in itertools.combinations(
+                [(3, 1), (5, 1), (6, 1)], 2)}
+        assert (RinvF.conj() == minus_conj.Rinv(F.conj())) == (trunc == 2)
+        assert bog.R(F).conj() == minus_conj.R(F.conj())
+
+
+K_COEFFICIENTS = [1, ExactComplex(0, 1), ExactComplex(2, -3), Fraction(-1, 2)]
+# xp_small's lattice, for the strategy to draw sites on
+LAT_8x4 = Lattice1p1(8, 4, Fraction(1, 2), Fraction(1))
+
+
+@st.composite
+def local_net_draws(draw):
+    """(F's site, the vertices {site: coefficient}, G's site) on 8x4: F on
+    rows 5-7, 1-3 vertices on earlier sites of F's past cone, each with a
+    coefficient of K_COEFFICIENTS, G on a site spacelike to F."""
+    lat = LAT_8x4
+    f = draw(st.sampled_from(range(lat.site(5, 0), lat.n_sites)))
+    past = [s for s in range(f - f % lat.n_x) if lat.in_past_cone(s, f)]
+    spacelike = [s for s in range(lat.n_sites) if not (
+        lat.in_past_cone(s, f) or lat.in_past_cone(f, s))]
+    sites = draw(st.lists(st.sampled_from(past), min_size=1, max_size=3,
+                          unique=True))
+    return f, {s: draw(st.sampled_from(K_COEFFICIENTS)) for s in sites}, \
+        draw(st.sampled_from(spacelike))
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=local_net_draws(), trunc=st.sampled_from([2, 3]))
+def test_k_identities_hold_on_drawn_vertices(xp_small, draw, trunc):
+    """K's two identities on drawn one-site quartic vertices in the past
+    of F = (1 + 2i) phi^2 + phi/3: R_V(F)* == R_{-conj V}(F*), and Einstein
+    causality [R F, R G]_{*_H} == 0 for G = phi^2 + i phi on a site
+    spacelike to F, at truncations (2, 2) and (3, 3)."""
+    lat = xp_small.lat
+    f, vertices, g = draw
+    V = interaction_vertex(lat, vertices, 4, trunc, trunc)
+    F = one_site_field(lat, *lat.coords(f), ExactComplex(1, 2),
+                       Fraction(1, 3), trunc)
+    G = one_site_field(lat, *lat.coords(g), 1, ExactComplex(0, 1), trunc)
+    bog = BogoliubovMap(xp_small, V)
+    RF = bog.R(F)
+    assert RF.conj() == BogoliubovMap(xp_small, V.conj() * (-1)).R(F.conj())
+    assert QuantProduct(xp_small, "star_H").commutator(
+        RF, bog.R(G)).is_zero()
+
+
+@pytest.mark.parametrize("trunc", [2, 3])
 @pytest.mark.parametrize("c", [1, ExactComplex(0, 1)],
                          ids=["real", "imaginary"])
 @pytest.mark.parametrize("vertices, f, g, commute", [

@@ -12,7 +12,9 @@ Run from the root of a paqft checkout.  The cases:
   quartic vertex with coefficient 1 on the first k sites from t = 2 on,
   row by row, F phi^2 on (1, 0) and (1, 2), G phi^2 on (6, 1);
 - flow: bicharacteristic_flow as the benchmark's flow items run it, on the
-  flat metric and on the conformal one with a null covector;
+  flat default metric, on the same metric passed in as a callable (same
+  sha256, with the calls a user metric costs) and on the conformal one
+  with a null covector;
 - wf2d: wf_estimate_2d on the field and centres of microlocal.ac11_grid;
 - pairing: AC09's extension_ambiguity of two W extensions of (x+i0)^-2 and
   of W against MS, four scaling regressions, AC09's MS of x_+^(z-1),
@@ -127,7 +129,9 @@ def flow():
     a = rng.uniform(0.5, 2.0)
     null_k0 = (a, rng.choice((-1.0, 1.0)) * a)
     conformal = wavefront.conformal_metric
+    flat = lambda x: np.diag([1.0, -1.0])
     for kind, k0, metric in (("flat", flat_k0, None),
+                             ("flat (callable)", flat_k0, flat),
                              ("conformal", null_k0, conformal)):
         run = partial(ml.bicharacteristic_flow, x0, k0, DT, N_STEPS)
         yield (kind, partial(run, metric), trajectory_sha256,
