@@ -128,10 +128,11 @@ def graph_expand_Tn(factors, xp: ExactPropagators) -> PolyFunctional:
     trunc_h = min(f.trunc_h for f in factors)
     schedules = []
     for g in enumerate_graphs(len(factors), trunc_h):
-        lines = tuple((i - 1, j - 1) for (i, j), m in sorted(g.lines.items())
+        lines = tuple((i - 1, j - 1, 0)
+                      for (i, j), m in sorted(g.lines.items())
                       for _ in range(m))
         schedules.append((lines, Fraction(1, symmetry_factor(g))))
-    return contract(factors, xp.numerators("timeordered_F"), schedules)
+    return contract(factors, [xp.numerators("timeordered_F")], schedules)
 
 
 def tadpole_demo(xp: ExactPropagators, f, g) -> dict:
@@ -143,12 +144,12 @@ def tadpole_demo(xp: ExactPropagators, f, g) -> dict:
     ((1 - D/2)G)] cancels all single-loop self-line terms at first order in
     hbar, leaving only the cross contractions between F and G.
     """
-    kernel = xp.numerators("timeordered_F")
+    kernels = [xp.numerators("timeordered_F")]
     F, G = local_power(xp.lat, f, 2), local_power(xp.lat, g, 2)
 
     def dress(X, weight):
         """(1 + weight * D) X."""
-        return contract([X], kernel, [((), 1), (((0, 0),), weight)])
+        return contract([X], kernels, [((), 1), (((0, 0, 0),), weight)])
 
     half = Fraction(1, 2)
     inner = pointwise_product(dress(F, -half), dress(G, -half))

@@ -16,7 +16,6 @@ stays a parameter.
 from __future__ import annotations
 
 import math
-import struct
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -359,11 +358,21 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
     A metric passed in is called five times an iteration (G and the four
     symbols of the difference) and once a point for sigma = k . G k.  The
     default G is constant, so it is read once, and the derivative and its
-    noise floor, which then depend on k alone, are computed again only
-    when the midpoint k changes its bit pattern (signs of zero included);
-    each iteration still runs and is counted.  Its sigma is computed once
-    per distinct bit pattern of k, which the flow keeps, with the same
-    numpy product.
+    noise floor are computed once, at the first midpoint, for the whole
+    flow; each iteration still runs and is counted.  That is exact, not an
+    approximation.  (a) They depend on the value of k alone, not on the
+    sign of a zero in it: the k part is the constant -0.0; the x part is
+    2 sum(row_a * k), a Python sum that starts from the int 0, so a zero
+    total is +0.0 whatever the signs of its zero products, and a nonzero
+    total does not see them (z + 0.0 == z + -0.0 == z for z != 0); the
+    floor reads k only through k_a * k_a, which is +0.0 for either zero.
+    (b) k keeps its value: every k update adds dt times a sum of -0.0
+    terms (the derivative, or the extrapolation of derivatives), which is
+    a zero, and the midpoint of k with itself is (k + k) / 2, the same
+    value at every step; only the sign of a zero in k can change (a -0.0
+    in k becomes 0.0 when dt < 0).  Its sigma is computed once per
+    distinct bit pattern of k, which the flow keeps, with the same numpy
+    product.
     """
     flat = metric_inv is None
     if flat:
@@ -396,15 +405,12 @@ def bicharacteristic_flow(x0, k0, dt: float, n_steps: int,
         return f, max(floor, 1e-15)
 
     if flat:
-        # G is constant, so the derivative and its floor depend on k alone
-        # and are computed again only when the midpoint k changes a bit
-        k_bits, last, k_grads = struct.Struct("%dd" % dim), [None], grads
+        # the derivative and its floor at the first midpoint hold for the
+        # whole flow: see the docstring, (a) and (b)
+        fixed = grads([(a + a) / 2 for a in y])
 
-        def grads(y):
-            bits = k_bits.pack(*y[dim:])
-            if bits != last[0]:
-                last[:] = bits, k_grads(y)
-            return last[1]
+        def grads(_):
+            return fixed
 
     # weights (-1)^(i+1) C(q, i) of f_i, i = 1 .. q, f_1 the latest
     weights = [[(-1) ** (i + 1) * math.comb(q, i) for i in range(1, q + 1)]

@@ -11,26 +11,33 @@ the time-ordering operator are the same formula with both ends of each line
 in one functional (exp_gamma, e^{(hbar/2) Gamma_K}), the Peierls bracket is
 one line of the causal kernel Delta between two functionals, and the graph
 expansion of graphs.py is the same formula with n functionals and lines
-between any two of them.
+between any two of them.  The commutator is computed as
+F x G - G x F = i hbar {F, G} + O(hbar^2): K^(x n) - (K^T)^(x n)
+telescopes into terms that each hold one factor K - K^T = i Delta, so
+every order starts with the Peierls bracket's causal line, followed by
+K-lines both ways.
 The formal S-matrix is the exponential of the vertex in a time-ordered
 product, and the Bogoliubov map R F = Sbar(-V) * (S(V) x_T F) takes the
 star-inverse of S(V) as Sbar(-V), the anti-time-ordered exponential of -V:
 the complex conjugate of S(-conj V).
 
 All of them are thin callers of `contract`, the single contraction engine.
-It follows the formula: a line contracts, through the kernel, functional
-derivatives of two whole factors (or two of one).  A factor comes in the
+It follows the formula: a line contracts, through its own kernel,
+functional derivatives of two whole factors (or two of one), so one
+schedule can mix kernels, as the commutator's causal line and K-lines do.
+A factor comes in the
 stored form of a PolyFunctional, grade slices of Gaussian-integer
 numerators over one denominator (one polynomial per (hbar, lambda) order),
-and is used as it is; the kernel comes as int pairs over one declared
+and is used as it is; a kernel comes as int pairs over one declared
 denominator (a power of two per lattice, ExactPropagators.numerators),
-its rows over the factors' supports read once per call; between lines
+its rows over a pair of factors' supports read once per call, when a line
+first finds fields to contract there; between lines
 the state is a list of tensor terms, one polynomial per factor, and a
 line reads every derivative of a polynomial off its gradient
 (functionals.gradient).  Each polynomial's gradient and each kernel row
 smeared against it are computed once per call, whichever slice tuples,
 schedules and tensor terms hold that polynomial.  The
-factors' denominators, the kernel denominator and the schedule weights
+factors' denominators, the kernel denominators and the schedule weights
 (1/n!, 1/prod l_ij!) fold into one final denominator, and the result is
 reduced once, in ints, into the same form; no Fraction is built between
 products.  The results are exactly those of rational arithmetic, and
@@ -56,6 +63,7 @@ from .lattice import ExactPropagators
 from .series import FormalSeries
 
 PRODUCT_KINDS = ("star", "star_H", "timeordered_D", "timeordered_F")
+_CAUSAL_KINDS = ("star", "star_H")  # K - K^T = i Delta; the others are 0
 
 
 class NoLambdaGrading(Exception):
@@ -80,18 +88,32 @@ def _smeared(grad: dict, row: dict, out: dict) -> dict:
 
 
 class _Lines:
-    """The lines of one contract call, over its kernel table {y: {z: K}}.
+    """The lines of one contract call over its kernels.
 
-    Each bank's gradient, each smeared row sum_z K(y, z) d_z T and each
-    Gamma_K T is computed once per bank object, so tensor terms and slice
-    tuples that share a bank share them.  The gradient cache holds every
-    bank it keys by id, so no id is reused while the caches live."""
+    A line (i, j, k) reads the table {y: {z: K}} of kernels[k] over
+    supp F_i x supp F_j on first use, and only when a term still has a
+    field to contract in both banks (two in bank i when i == j), so a line
+    that finds only constants reads no kernel at all.  Each bank's
+    gradient, and per kernel each smeared row sum_z K(y, z) d_z T and each
+    Gamma_K T, is computed once per bank object, so tensor terms and slice
+    tuples that share a bank share them.  The gradient and Gamma_K caches
+    hold every bank they key by id, so no id is reused while the caches
+    live."""
 
-    def __init__(self, table: dict):
-        self.table = table
+    def __init__(self, kernels: list, supports: list):
+        self.kernels = kernels
+        self.supports = supports
+        self.tables: dict[tuple, dict] = {}  # (k, i, j) -> {y: {z: K}}
         self.grads: dict[int, tuple] = {}  # id(T) -> (T, gradient(T))
-        self.rows: dict[tuple, dict] = {}  # (id(T), y) -> smeared row
-        self.gammas: dict[int, dict] = {}  # id(T) -> Gamma_K T
+        self.rows: dict[tuple, dict] = {}  # (k, id(T), y) -> smeared row
+        self.gammas: dict[tuple, tuple] = {}  # (k, id(T)) -> (T, Gamma_K T)
+
+    def table(self, i: int, j: int, k: int) -> dict:
+        key = k, i, j
+        if key not in self.tables:
+            self.tables[key] = self.kernels[k][1](self.supports[i],
+                                                  self.supports[j])
+        return self.tables[key]
 
     def grad(self, bank: dict) -> dict:
         hit = self.grads.get(id(bank))
@@ -99,37 +121,40 @@ class _Lines:
             hit = self.grads[id(bank)] = (bank, gradient(bank))
         return hit[1]
 
-    def row(self, bank: dict, y: int) -> dict:
-        key = id(bank), y
-        if key not in self.rows:
-            self.rows[key] = _smeared(self.grad(bank), self.table[y], {})
-        return self.rows[key]
-
-    def gamma(self, bank: dict) -> dict:
+    def gamma(self, bank: dict, i: int, k: int) -> dict:
         """Gamma_K T = sum_{y,z} K(y, z) d_z d_y T: one field y, then a
         different field z."""
-        if id(bank) not in self.gammas:
-            g = self.grad(bank)
+        hit = self.gammas.get((k, id(bank)))
+        if hit is None:
             out: dict = {}
-            for y in g.keys() & self.table.keys():
-                _smeared(self.grad(g[y]), self.table[y], out)
-            self.gammas[id(bank)] = out
-        return self.gammas[id(bank)]
+            if any(len(m) > 1 for m in bank):
+                g, table = self.grad(bank), self.table(i, i, k)
+                for y in g.keys() & table.keys():
+                    _smeared(self.grad(g[y]), table[y], out)
+            hit = self.gammas[k, id(bank)] = (bank, out)
+        return hit[1]
 
-    def apply(self, terms: list, i: int, j: int) -> list:
-        """The line (i, j) on tensor terms, each a tuple of banks.
+    def apply(self, terms: list, line: tuple) -> list:
+        """The line (i, j, k) on tensor terms, each a tuple of banks.
         i != j: (T_i, T_j) -> d_y T_i (x) sum_z K(y, z) d_z T_j, one term
         per site y of T_i with a kernel row.  i == j: T_i -> Gamma_K T_i."""
+        i, j, k = line
         out = []
         for banks in terms:
             if i == j:
-                gamma = self.gamma(banks[i])
+                gamma = self.gamma(banks[i], i, k)
                 if gamma:
                     out.append(banks[:i] + (gamma,) + banks[i + 1:])
                 continue
-            gi = self.grad(banks[i])
-            for y in gi.keys() & self.table.keys():
-                smeared = self.row(banks[j], y)
+            if not (any(banks[i]) and any(banks[j])):  # a bank of constants
+                continue
+            gi, gj = self.grad(banks[i]), self.grad(banks[j])
+            table = self.table(i, j, k)
+            for y in gi.keys() & table.keys():
+                key = k, id(banks[j]), y
+                smeared = self.rows.get(key)
+                if smeared is None:
+                    smeared = self.rows[key] = _smeared(gj, table[y], {})
                 if smeared:
                     new = list(banks)
                     new[i], new[j] = gi[y], smeared
@@ -142,25 +167,27 @@ def _after(memo: dict, lines: tuple, lines_of: _Lines) -> list:
     computed so far, so schedules that share a prefix share its lines."""
     if lines not in memo:
         memo[lines] = lines_of.apply(_after(memo, lines[:-1], lines_of),
-                                     *lines[-1])
+                                     lines[-1])
     return memo[lines]
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(schedules: tuple, dk: int) -> tuple:
-    """(pairs, plan, scale_den) of a schedule set over the kernel
-    denominator dk: the bank pairs its lines join, and per schedule
-    (lines, n, scale), n = len(lines), with scale / scale_den = weight /
-    dk^n; scale_den is dk^N, N the most lines of any schedule, times the
-    lcm of the weights' denominators."""
-    n_max = max((len(lines) for lines, _ in schedules), default=0)
+def _plan(schedules: tuple, dens: tuple) -> tuple:
+    """(plan, scale_den) of a schedule set over the kernel denominators
+    dens: per schedule (lines, n, scale), n = len(lines), with
+    scale / scale_den = weight / (the product of its lines' kernel
+    denominators); scale_den is the lcm of those products (den^N for one
+    kernel, N the most lines of any schedule) times the lcm of the
+    weights' denominators."""
     weights = [Fraction(w) for _, w in schedules]
     q = math.lcm(*(w.denominator for w in weights))
+    line_dens = [math.prod(dens[k] for _, _, k in lines)
+                 for lines, _ in schedules]
+    d = math.lcm(*line_dens)
     plan = tuple((lines, len(lines), w.numerator * (q // w.denominator)
-                  * dk ** (n_max - len(lines)))
-                 for (lines, _), w in zip(schedules, weights))
-    return (frozenset(line for lines, _ in schedules for line in lines), plan,
-            dk ** n_max * q)
+                  * (d // ld))
+                 for (lines, _), w, ld in zip(schedules, weights, line_dens))
+    return plan, d * q
 
 
 def _slice_tuples(factors: list, th: int, tl: int) -> list:
@@ -197,17 +224,18 @@ def _add_product(acc: dict, banks: tuple, scale: int) -> None:
             acc[key] = (r0 + a * c - b * e, i0 + a * e + b * c)
 
 
-def contract(factors, kernel, schedules) -> PolyFunctional:
-    """The contraction engine behind every product, Gamma_K and graph sum.
+def contract(factors, kernels, schedules) -> PolyFunctional:
+    """The contraction engine behind every product, Gamma_K, commutator and
+    graph sum.
 
-    factors are the functionals F_0..F_{k-1}, one bank each.  schedules is a
-    list of (lines, weight): lines is a tuple of bank pairs (i, j), applied
-    in order, each contracting one field of bank i with one field of bank j
-    (a different field of the same bank when i == j).  kernel is a triple
-    (lat, rows, den): the lattice every factor must live on, and
-    rows(ys, zs) -> {y: {z: (re, im)}}, the nonzero kernel entries at
-    (y, z) for y in ys and z in zs times the positive int den, as ints.
-    The result is
+    factors are the functionals F_0..F_{k-1}, one bank each.  kernels is a
+    list of triples (lat, rows, den): the lattice every factor must live
+    on, and rows(ys, zs) -> {y: {z: (re, im)}}, the nonzero kernel entries
+    at (y, z) for y in ys and z in zs times the positive int den, as ints.
+    schedules is a list of (lines, weight): lines is a tuple of lines
+    (i, j, k), applied in order, each contracting one field of bank i with
+    one field of bank j (a different field of the same bank when i == j)
+    through kernels[k], so each line carries its own kernel.  The result is
 
         sum over schedules of weight * hbar^len(lines) * (lines applied to
         F_0 ... F_{k-1}), the remaining fields of all banks multiplied,
@@ -219,31 +247,27 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
     room under the truncation (built pruned, see _slice_tuples), the lines
     act on whole banks (see _Lines.apply), on a state of tensor terms that
     schedules sharing a prefix share; gradients, smeared rows and Gamma_K
-    are computed once per bank object for the whole call.  The banks of
-    each final term are multiplied pointwise and added at
-    (sum h + len(lines), sum l).  A schedule of n lines is scaled by
-    den^(N - n), N the most lines of any schedule, and den^N joins the
-    product of the factors' denominators (see _plan, built once per
-    schedule set and kernel denominator); the result is reduced once.
+    are computed once per bank object (and kernel) for the whole call, and
+    the table of a kernel over a pair of banks is read on first use, only
+    by a line that has fields left to contract.  The banks of each final
+    term are multiplied pointwise and added at (sum h + len(lines), sum l).
+    A schedule is scaled by the lcm of every schedule's product of kernel
+    denominators over its own, and that lcm joins the product of the
+    factors' denominators (see _plan, built once per schedule set and
+    kernel denominators); the result is reduced once.
     """
-    factors = list(factors)
-    lat, rows, dk = kernel
-    for f in factors:
-        if f.lat is not lat:
-            raise DimensionMismatch(
-                "a factor and the kernel live on different lattices")
+    factors, kernels = list(factors), list(kernels)
+    lat = factors[0].lat
+    if any(f.lat is not k_lat for f in factors for k_lat, _, _ in kernels):
+        raise DimensionMismatch(
+            "a factor and a kernel live on different lattices")
     th = min(f.trunc_h for f in factors)
     tl = min(f.trunc_l for f in factors)
     den = math.prod(f.den for f in factors)
 
-    supports = [f.support() for f in factors]
-    pairs, plan, scale_den = _plan(tuple(schedules), dk)
-    table: dict[int, dict] = {}
-    for i, j in pairs:
-        for y, row in rows(supports[i], supports[j]).items():
-            table.setdefault(y, {}).update(row)
-    lines_of = _Lines(table)
-
+    plan, scale_den = _plan(tuple(schedules),
+                            tuple(dk for _, _, dk in kernels))
+    lines_of = _Lines(kernels, [f.support() for f in factors])
     out: dict[tuple, dict] = {}
     for (h, l), banks in _slice_tuples(factors, th, tl):
         memo = {(): [banks]}
@@ -256,36 +280,58 @@ def contract(factors, kernel, schedules) -> PolyFunctional:
     return PolyFunctional.from_numerators(lat, out, den * scale_den, th, tl)
 
 
+# The causal line F -> G: bank 0 to bank 1 through kernel 0, Delta.
+_CAUSAL = (0, 1, 0)
+
+
 def peierls_bracket(F: PolyFunctional, G: PolyFunctional,
                     xp: ExactPropagators) -> PolyFunctional:
     """{F, G} = <Delta F^(1), G^(1)> with volume weights; exact coefficients.
 
     In partial-derivative form the weights cancel: sum_{y,z} dF/dphi[y]
-    Delta(y,z) dG/dphi[z], one causal line F -> G.  contract counts the
-    line as an hbar order, so the factors enter one order deeper and the
-    bracket is read one order down."""
+    Delta(y,z) dG/dphi[z], one causal line F -> G, the line every
+    commutator starts with.  contract counts the line as an hbar order, so
+    the factors enter one order deeper and the bracket is read one order
+    down."""
     deeper = [PolyFunctional.from_numerators(f.lat, f.slices, f.den,
                                              f.trunc_h + 1, f.trunc_l)
               for f in (F, G)]
-    out = contract(deeper, xp.numerators("causal"), [(((0, 1),), 1)])
+    out = contract(deeper, [xp.numerators("causal")], [((_CAUSAL,), 1)])
     return PolyFunctional.from_numerators(
         F.lat, {(h - 1, l): bank for (h, l), bank in out.slices.items()},
         out.den, min(F.trunc_h, G.trunc_h), min(F.trunc_l, G.trunc_l))
 
 
 @functools.cache
-def _exponential(line: tuple[int, int], n_max: int, c=1) -> tuple:
+def _exponential(line: tuple[int, int, int], n_max: int, c=1) -> tuple:
     """(line^n, c^n / n!) for n <= n_max: the schedules of
     e^{c * hbar * line}."""
     return tuple(((line,) * n, Fraction(c) ** n / math.factorial(n))
                  for n in range(n_max + 1))
 
 
+@functools.cache
+def _telescoped(n_max: int) -> tuple:
+    """The schedules of sum_{1 <= n <= n_max} (hbar^n / n!) <F^(n),
+    (K^(x n) - (K^T)^(x n)) G^(n)> / i for K - K^T = i Delta, with Delta
+    kernel 0 and K kernel 1.  The telescoping sum
+        K^(x n) - (K^T)^(x n) = sum_{m<n} (K^T)^(x m) (x) (K - K^T) (x)
+                                K^(x (n-1-m))
+    sends its (K - K^T) slot to the front, as F^(n) and G^(n) are
+    symmetric: the causal line F -> G, then m K-lines G -> F (K^T on
+    F -> G) and n-1-m K-lines F -> G, each schedule with weight 1/n!.
+    All of them share the causal line, so contract runs it once."""
+    return tuple(((_CAUSAL,) + ((1, 0, 1),) * m + ((0, 1, 1),) * (n - 1 - m),
+                  Fraction(1, math.factorial(n)))
+                 for n in range(1, n_max + 1) for m in range(n))
+
+
 def exp_gamma(F: PolyFunctional, kernel, prefactor: Fraction) -> PolyFunctional:
     """e^{prefactor * hbar * Gamma_K} F, truncated in hbar, where
     Gamma_K F = sum_{y,z} K(y,z) d^2 F / dphi[y] dphi[z]; kernel is K as
-    contract takes it."""
-    return contract([F], kernel, _exponential((0, 0), F.trunc_h, prefactor))
+    contract takes each of its kernels."""
+    return contract([F], [kernel],
+                    _exponential((0, 0, 0), F.trunc_h, prefactor))
 
 
 class QuantProduct:
@@ -300,7 +346,7 @@ class QuantProduct:
 
     def product(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
         n_max = min(F.trunc_h, G.trunc_h)
-        return contract([F, G], self.kernel, _exponential((0, 1), n_max))
+        return contract([F, G], [self.kernel], _exponential((0, 1, 0), n_max))
 
     def multi(self, factors) -> PolyFunctional:
         """Iterated product; for the commutative time-ordered kinds this equals
@@ -314,14 +360,20 @@ class QuantProduct:
         return out
 
     def commutator(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
-        """F x G - G x F in one contraction pass: the uncontracted terms
-        cancel, so only lines F -> G (weight 1/n!) and G -> F (-1/n!) run."""
+        """[F, G] = F x G - G x F = i hbar {F, G} + O(hbar^2): for the star
+        kinds, whose K - K^T is i Delta, i times the schedules of
+        _telescoped over the kernels (Delta, K).  Between smeared fields
+        the causal line leaves constants, so no K-line finds a field and
+        no K table is read.  The time-ordered kernels are symmetric: no
+        schedule, and the result is 0."""
         n_max = min(F.trunc_h, G.trunc_h)
-        return contract(
-            [F, G], self.kernel,
-            _exponential((0, 1), n_max)[1:]
-            + tuple((lines, -w) for lines, w
-                    in _exponential((1, 0), n_max)[1:]))
+        out = contract([F, G], [self.xp.numerators("causal"), self.kernel],
+                       _telescoped(n_max) if self.kind in _CAUSAL_KINDS
+                       else ())
+        return PolyFunctional.from_numerators(  # times i
+            out.lat, {hl: {key: (-im, re) for key, (re, im) in bank.items()}
+                      for hl, bank in out.slices.items()},
+            out.den, out.trunc_h, out.trunc_l)
 
 
 def alpha_H(xp: ExactPropagators, F: PolyFunctional, sign: int) -> PolyFunctional:

@@ -91,12 +91,12 @@ def antifeynman_rows(xp):
 def antitimeordered_s_matrix(xp, V):
     """sum_n V^{x n} / n! in the anti-Feynman product, each product one
     contract over antifeynman_rows, to the coupling truncation of V."""
-    kernel = antifeynman_rows(xp)
-    schedules = [(((0, 1),) * n, Fraction(1, math.factorial(n)))
-             for n in range(V.trunc_h + 1)]
+    kernels = [antifeynman_rows(xp)]
+    schedules = [(((0, 1, 0),) * n, Fraction(1, math.factorial(n)))
+                 for n in range(V.trunc_h + 1)]
     out = term = PolyFunctional.constant(V.lat, 1, V.trunc_h, V.trunc_l)
     for n in range(1, V.trunc_l + 1):
-        term = contract([term, V], kernel, schedules) * Fraction(1, n)
+        term = contract([term, V], kernels, schedules) * Fraction(1, n)
         out = out + term
     return out
 

@@ -205,5 +205,6 @@ def test_functionals_of_two_lattices_do_not_mix(xp_small, xp24):
     with pytest.raises(DimensionMismatch, match="kernel"):
         QuantProduct(xp_small, "star_H").product(Fb, Fb)
     with pytest.raises(DimensionMismatch, match="kernel"):
-        contract([Fa, Fb], xp_small.numerators("star"), [(((0, 1),), 1)])
+        contract([Fa, Fb], [xp_small.numerators("star")],
+                 [(((0, 1, 0),), 1)])
     assert not QuantProduct(xp24, "star_H").product(Fb, Fb).is_zero()

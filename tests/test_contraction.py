@@ -34,15 +34,16 @@ def cmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def naive(factors, kernel, lines, weight, th, tl, out):
+def naive(factors, lines, weight, th, tl, out):
     """out += weight * hbar^len(lines) * (lines applied to the product of
     factors).  factors: per bank a dict sites -> {(h, l): (re, im)};
-    kernel(y, z) -> (re, im); out: sites -> {(h, l): (re, im)}."""
+    lines: (i, j, kernel), kernel(y, z) -> (re, im); out: sites ->
+    {(h, l): (re, im)}."""
     def walk(banks, k, value):
         if k == len(lines):
             yield tuple(sorted(itertools.chain(*banks))), value
             return
-        i, j = lines[k]
+        i, j, kernel = lines[k]
         for p, y in enumerate(banks[i]):
             rest = banks[i][:p] + banks[i][p + 1:]
             bj = rest if i == j else banks[j]
@@ -136,7 +137,7 @@ def test_product_matches_reference(xp_small, f, g, th, tl, kind):
     kernel = pair_kernel(kernel_view(xp_small, kind))
     want = {}
     for n in range(th + 1):
-        naive([f, g], kernel, [(0, 1)] * n, Fraction(1, math.factorial(n)),
+        naive([f, g], [(0, 1, kernel)] * n, Fraction(1, math.factorial(n)),
               th, tl, want)
     lat = xp_small.lat
     got = QuantProduct(xp_small, kind).product(functional(lat, f, th, tl),
@@ -150,7 +151,7 @@ def test_alpha_H_matches_reference(xp_small, f, th, tl, sign):
     had = pair_kernel(kernel_view(xp_small, "hadamard"))
     want = {}
     for n in range(th + 1):
-        naive([f], had, [(0, 0)] * n,
+        naive([f], [(0, 0, had)] * n,
               Fraction(sign, 2) ** n / math.factorial(n), th, tl, want)
     got = alpha_H(xp_small, functional(xp_small.lat, f, th, tl), sign)
     assert plain(got) == nonzero(want)
@@ -167,10 +168,20 @@ def test_graph_sum_matches_reference(xp_small, fs, th, tl):
     for n_lines in range(th + 1):
         for lines in itertools.combinations_with_replacement(pairs, n_lines):
             sym = math.prod(math.factorial(lines.count(p)) for p in set(lines))
-            naive(fs, kernel, list(lines), Fraction(1, sym), th, tl, want)
+            naive(fs, [(i, j, kernel) for i, j in lines], Fraction(1, sym),
+                  th, tl, want)
     lat = xp_small.lat
     got = graph_expand_Tn([functional(lat, f, th, tl) for f in fs], xp_small)
     assert plain(got) == nonzero(want)
+
+
+# Two non-dyadic kernels as (numerators(y, z), den): thirds and sevenths
+# over 21, and fifths and thirds over 15, so the lines of one schedule
+# carry different denominators.
+NON_DYADIC = [
+    (lambda y, z: (7 * (y - 2 * z + 1), 3 * (y * z % 5)), 21),
+    (lambda y, z: (5 * ((y + z) % 3 - 1), 3 * (y - z) % 4), 15),
+]
 
 
 @st.composite
@@ -178,11 +189,12 @@ def engine_cases(draw):
     """1-3 banks, each a functional with series orders up to 2 (so some
     tuples of grades exceed the truncation before any line runs), and up
     to four schedules of up to three lines between any two banks, a bank
-    with itself included."""
+    with itself included, each line through either kernel of NON_DYADIC."""
     fs = draw(st.lists(terms(SITES, order=2), min_size=1, max_size=3))
-    pairs = [(i, j) for i in range(len(fs)) for j in range(len(fs))]
-    lines = st.lists(st.sampled_from(pairs), max_size=3).map(tuple)
-    return fs, draw(st.lists(st.tuples(lines, RATIONALS), min_size=1,
+    lines = [(i, j, k) for i in range(len(fs)) for j in range(len(fs))
+             for k in range(len(NON_DYADIC))]
+    schedule = st.lists(st.sampled_from(lines), max_size=3).map(tuple)
+    return fs, draw(st.lists(st.tuples(schedule, RATIONALS), min_size=1,
                              max_size=4))
 
 
@@ -190,25 +202,26 @@ def engine_cases(draw):
 @given(engine_cases(), TRUNC_H, TRUNC_L)
 def test_engine_with_non_dyadic_kernel(lat_small, case, th, tl):
     """Arbitrary schedules (shared prefixes, same-bank and cross-bank lines,
-    zero weights) with a kernel whose entries are thirds and sevenths,
-    given as numerators over 21."""
+    zero weights, a kernel per line) over the two kernels of NON_DYADIC,
+    given as numerators over 21 and over 15."""
     fs, schedules = case
 
-    def numerators(y, z):
-        return 7 * (y - 2 * z + 1), 3 * (y * z % 5)
+    def rows_of(numerators):
+        return lambda ys, zs: {
+            y: {z: numerators(y, z) for z in zs if any(numerators(y, z))}
+            for y in ys}
 
-    def rows(ys, zs):
-        return {y: {z: numerators(y, z) for z in zs if any(numerators(y, z))}
-                for y in ys}
+    def entry(numerators, den):
+        return lambda y, z: tuple(Fraction(v, den) for v in numerators(y, z))
 
-    def kernel(y, z):
-        return tuple(Fraction(v, 21) for v in numerators(y, z))
-
+    fractions = [entry(*kernel) for kernel in NON_DYADIC]
     want = {}
     for lines, w in schedules:
-        naive(fs, kernel, list(lines), w, th, tl, want)
+        naive(fs, [(i, j, fractions[k]) for i, j, k in lines], w, th, tl,
+              want)
     got = contract([functional(lat_small, f, th, tl) for f in fs],
-                   (lat_small, rows, 21), schedules)
+                   [(lat_small, rows_of(n), den) for n, den in NON_DYADIC],
+                   schedules)
     assert plain(got) == nonzero(want)
 
 
@@ -222,7 +235,7 @@ def test_one_functional_in_both_banks_matches_reference(xp_small, f, th, tl,
     kernel = pair_kernel(kernel_view(xp_small, kind))
     want = {}
     for n in range(th + 1):
-        naive([f, f], kernel, [(0, 1)] * n, Fraction(1, math.factorial(n)),
+        naive([f, f], [(0, 1, kernel)] * n, Fraction(1, math.factorial(n)),
               th, tl, want)
     F = functional(xp_small.lat, f, th, tl)
     assert plain(QuantProduct(xp_small, kind).product(F, F)) == nonzero(want)
@@ -239,8 +252,8 @@ def test_graph_sum_with_a_repeated_factor_matches_reference(xp_small, f, g,
     for n_lines in range(th + 1):
         for lines in itertools.combinations_with_replacement(pairs, n_lines):
             sym = math.prod(math.factorial(lines.count(p)) for p in set(lines))
-            naive([f, g, f], kernel, list(lines), Fraction(1, sym), th, tl,
-                  want)
+            naive([f, g, f], [(i, j, kernel) for i, j in lines],
+                  Fraction(1, sym), th, tl, want)
     lat = xp_small.lat
     F, G = functional(lat, f, th, tl), functional(lat, g, th, tl)
     assert plain(graph_expand_Tn([F, G, F], xp_small)) == nonzero(want)

@@ -27,7 +27,8 @@ from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 NoLambdaGrading, NonLocalInteraction)
 
 from conftest import antitimeordered_s_matrix, make_functional
-from test_contraction import cmul, plain
+from paqft.graphs import h_slice
+from test_contraction import RATIONALS, SITES, cmul, functional, plain
 
 
 def sparse(rng, lat, n=3):
@@ -62,6 +63,70 @@ def test_star_commutator_of_fields_is_central(xp_small):
         want = PolyFunctional(lat, {
             (): FormalSeries({(1, 0): ExactComplex(0, val)})})
         assert star.commutator(F, G) == want
+
+
+def nonlinear(sites):
+    """Up to three monomials of degree 0-3 on `sites` (repeats allowed),
+    each with a short (hbar, lambda) series of complex rational
+    coefficients."""
+    key = st.lists(st.sampled_from(sites), max_size=3).map(
+        lambda k: tuple(sorted(k)))
+    series = st.dictionaries(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(RATIONALS, RATIONALS), min_size=1, max_size=2)
+    return st.dictionaries(key, series, min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonlinear(SITES), nonlinear(SITES), st.integers(1, 3),
+       st.integers(1, 2), st.sampled_from(qz.PRODUCT_KINDS))
+def test_telescoped_commutator_is_the_difference_of_products(
+        xp_small, f, g, th, tl, kind):
+    """[F, G] from one causal line and K-lines both ways == F x G - G x F,
+    for nonlinear F, G, every kind and hbar-truncation 1-3; its hbar^1
+    slice is i {F, G}, and the time-ordered kinds give 0."""
+    lat = xp_small.lat
+    F, G = functional(lat, f, th, tl), functional(lat, g, th, tl)
+    product = QuantProduct(xp_small, kind)
+    commutator = product.commutator(F, G)
+    assert commutator == product.product(F, G) - product.product(G, F)
+    if kind.startswith("timeordered"):
+        assert commutator == PolyFunctional.from_numerators(lat, {}, 1, th,
+                                                            tl)
+    else:
+        assert h_slice(commutator, 1) == h_slice(
+            qz.peierls_bracket(F, G, xp_small) * ExactComplex(0, 1), 0)
+
+
+def test_field_commutator_reads_one_causal_block(lat_small, monkeypatch):
+    """Between smeared fields the causal line leaves constants, so the
+    commutator reads the causal kernel over supp f x supp g once and no
+    star_H table; nonlinear arguments read the star_H tables both ways,
+    once each, after the causal one."""
+    xp = ExactPropagators(lat_small)
+    reads = []
+    numerators = xp.numerators
+
+    def counting(kind):
+        lat, rows, den = numerators(kind)
+        return lat, lambda ys, zs: reads.append(
+            (kind, sorted(ys), sorted(zs))) or rows(ys, zs), den
+    monkeypatch.setattr(xp, "numerators", counting)
+    f, g = sparse(random.Random(44), lat_small), sparse(
+        random.Random(45), lat_small)
+    F, G = smeared_field(lat_small, f), smeared_field(lat_small, g)
+    star_H = QuantProduct(xp, "star_H")
+    want = PolyFunctional(lat_small, {(): FormalSeries({(1, 0): ExactComplex(
+        0, pairing(xp, f, g))})})
+    assert want != PolyFunctional(lat_small, {})
+    assert star_H.commutator(F, G) == want
+    assert reads == [("causal", sorted(f), sorted(g))]
+    F2, G2 = (local_power(lat_small, h, 2) for h in (f, g))
+    reads.clear()
+    star_H.commutator(F2, G2)
+    assert reads[0] == ("causal", sorted(f), sorted(g))
+    assert sorted(reads[1:]) == [("star_H", sorted(f), sorted(g)),
+                                 ("star_H", sorted(g), sorted(f))]
 
 
 def test_massless_lattice_contracts_the_kinds_free_of_h():

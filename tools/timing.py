@@ -23,14 +23,20 @@ Run from the root of a paqft checkout.  The cases:
   radii (0.4, 1.7), so that both quadrature runs of each side take part;
 - gns: AlgebraState and gns_construct, through acceptance.gns_check, of
   AC12's three states and of the normalised trace on matrix_algebra(n)
-  for n = 3, 4, 5.
+  for n = 3, 4, 5;
+- commutator: QuantProduct(xp, "star_H").commutator of two smeared fields,
+  each on 12, 18 and 24 seeded sites with small rational weights
+  (acceptance.sparse_smear), on the 24x24 and 48x48 lattices of the
+  benchmark's free_wide items (a_t = 1/2, a_x = 1, m = 1), whose exact
+  kernels are lifted before the timing.
 
 Per call it prints the best and the median milliseconds over the runs, a
 sha256 of the result and the result in short, so that two checkouts can be
 compared for speed and shown to compute alike.  Ladder rows hash the
 coefficients in any order (an init row those of S(V), S(-V) and Sbar(-V)),
 flows x, k and sigma, wf2d each centre's singular flags, pairings the repr,
-gns rows each representation's dimension and residuals as float64 bytes.
+gns rows each representation's dimension and residuals as float64 bytes,
+and commutator rows the coefficients, as ladder rows do.
 A star row shows, after the number of terms, the number of vertex sites
 the product used: those in the future of its first argument and the past
 of its second.  G,F uses none, as G is nowhere earlier than F.
@@ -56,12 +62,14 @@ from paqft import algebra as al  # noqa: E402
 from paqft import egrenorm as eg  # noqa: E402
 from paqft import microlocal as ml  # noqa: E402
 from paqft.dist1d import SymbolicDistribution1D, TestFunction1D  # noqa: E402
-from paqft.functionals import interaction_vertex, local_power  # noqa: E402
+from paqft.functionals import (interaction_vertex, local_power,  # noqa: E402
+                               smeared_field)
 from paqft.lattice import ExactPropagators, Lattice1p1  # noqa: E402
-from paqft.quantization import BogoliubovMap  # noqa: E402
+from paqft.quantization import BogoliubovMap, QuantProduct  # noqa: E402
 from perfbench import wavefront  # noqa: E402
 
 RUNGS = [(2, 2, 8), (3, 3, 4), (3, 3, 8), (4, 4, 2), (4, 4, 4)]
+COMMUTATOR_LATTICES, COMMUTATOR_SITES = (24, 48), (12, 18, 24)
 N_STEPS, DT = wavefront.SIZES["full"]["flows"], 0.01
 REGRESSIONS = ("(x+i0)^-2", "(x-i0)^-1.5", "x_+^-0.5", "delta^1")
 WF1D_CENTRES = (0.0, 0.8)
@@ -225,8 +233,24 @@ def gns():
         yield call, partial(gns_check, st), gns_sha256, gns_shown
 
 
+def commutator():
+    rng = random.Random(44)
+    for n in COMMUTATOR_LATTICES:
+        lat = Lattice1p1(n, n)
+        xp = ExactPropagators(lat)
+        xp.causal_entry(0, 0)  # lifts the tables
+        product = QuantProduct(xp, "star_H")
+        for k in COMMUTATOR_SITES:
+            F, G = (smeared_field(lat, acceptance.sparse_smear(rng, lat, k))
+                    for _ in range(2))
+            yield ("%dx%d, %d sites" % (n, n, k),
+                   partial(product.commutator, F, G), coefficients_sha256,
+                   lambda P, _: "(hbar, lambda) orders %s, %d monomials" % (
+                       sorted(P.slices), len(P.terms)))
+
+
 CASES = {"ladder": ladder, "flow": flow, "wf2d": wf2d, "pairing": pairing,
-         "gns": gns}
+         "gns": gns, "commutator": commutator}
 
 
 def main(argv=None):
@@ -246,7 +270,7 @@ def main(argv=None):
                      "three integers h,l,k" % ", ".join(CASES))
     rungs = [tuple(map(int, r)) for r in rungs] or RUNGS
     cases = dict(CASES, ladder=partial(ladder, rungs))
-    row = "%-7s %-22s %9s %10s  %-64s  %s"
+    row = "%-10s %-22s %9s %10s  %-64s  %s"
     print(row % ("case", "call", "best_ms", "median_ms", "sha256", "result"))
     for name in names:
         for call, run, digest, shown in cases[name]():
