@@ -322,12 +322,14 @@ def crit_08():
     phi/3 on (6, 0) and G = phi^2 + i phi on (6, 2), spacelike to each
     other with the vertex (5, 1) in both their pasts, so R moves both and
     the commutator is the telescoped one of two nonlinear functionals.
+    The commutator runs again at truncation (3, 3), where K-lines first
+    run both ways between F and G, so it sees their direction.
     The first two hold for any V; the field equation ties R_V to the
     action, and has teeth only because x is a vertex: built from -V or 2V
     the map fails it."""
     lat, xp = _ctx(8, 4)
-    S_I = interaction_vertex(lat, {lat.site(3, 1): Fraction(1),
-                                   lat.site(5, 1): Fraction(1)}, 4)
+    vertices = {lat.site(3, 1): Fraction(1), lat.site(5, 1): Fraction(1)}
+    S_I = interaction_vertex(lat, vertices, 4)
     bog = qz.BogoliubovMap(xp, S_I)
     rng = random.Random(108)
     sites = [rng.randrange(lat.n_sites) for _ in range(4)]
@@ -346,20 +348,29 @@ def crit_08():
     dS0 = free_action(lat).func_derivative(x)
     i_hbar = FormalSeries({(1, 0): ExactComplex(0, 1)})
     ok_eom = bog.R(dS0 - S_I.func_derivative(x) * i_hbar) == dS0
-    F, G = (local_power(lat, {s: c2}, 2) + local_power(lat, {s: c1}, 1)
-            for s, c2, c1 in ((lat.site(6, 0), ExactComplex(1, 2),
-                               Fraction(1, 3)),
-                              (lat.site(6, 2), 1, ExactComplex(0, 1))))
+
+    def pair(t):  # F and G at truncation (t, t)
+        return [local_power(lat, {s: c2}, 2, t, t)
+                + local_power(lat, {s: c1}, 1, t, t)
+                for s, c2, c1 in ((lat.site(6, 0), ExactComplex(1, 2),
+                                   Fraction(1, 3)),
+                                  (lat.site(6, 2), 1, ExactComplex(0, 1)))]
+
+    F, G = pair(2)
     RF = bog.R(F)
     ok_star = RF.conj() == qz.BogoliubovMap(xp, S_I.conj() * (-1)).R(
         F.conj())
-    ok_local = qz.QuantProduct(xp, "star_H").commutator(RF,
-                                                         bog.R(G)).is_zero()
+    star_H = qz.QuantProduct(xp, "star_H")
+    bog3 = qz.BogoliubovMap(xp, interaction_vertex(lat, vertices, 4, 3, 3))
+    F3, G3 = pair(3)
+    ok_local = (star_H.commutator(RF, bog.R(G)).is_zero()
+                and star_H.commutator(bog3.R(F3), bog3.R(G3)).is_zero())
     return ok_rt and ok_assoc and ok_eom and ok_star and ok_local, (
         "Rinv(R(F)) = F and (A *_S B) *_S C = A *_S (B *_S C) exactly "
         "(hbar<=2, lambda<=2); R_V(dS0/dphi - i hbar dV/dphi) = dS0/dphi "
         "exactly at the vertex (5, 1); R_V(F)* = R_{-conj V}(F*) and "
-        "[R F, R G]_{*_H} = 0 exactly for F, G on (6, 0), (6, 2)")
+        "[R F, R G]_{*_H} = 0 exactly for F, G on (6, 0), (6, 2), at "
+        "truncation (2, 2) and (3, 3)")
 
 
 MS_PROBES = ((1.0, 0.4), (0.5, -0.3, 0.2))  # polynomials on radii (1, 2)

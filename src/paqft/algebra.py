@@ -59,12 +59,11 @@ class FiniteStarAlgebra:
     b_i^* = sum_a star[i, a] b_a; unit is the coefficient vector of 1.
     """
 
-    def __init__(self, mul_const, star, unit, labels):
+    def __init__(self, mul_const, star, unit):
         self.c = np.asarray(mul_const, dtype=complex)
         self.star = np.asarray(star, dtype=complex)
         self.unit = np.asarray(unit, dtype=complex)
         self.dim = self.c.shape[0]
-        self.labels = list(labels)
         if self.c.shape != (self.dim,) * 3:
             raise AlgebraError("structure constants must be dim^3")
         if self.star.shape != (self.dim, self.dim):
@@ -98,8 +97,7 @@ class FiniteStarAlgebra:
 def functions_on_points(n: int) -> FiniteStarAlgebra:
     """Commutative algebra of functions on n points (pointwise product)."""
     c = np.eye(n)[:, None] * np.eye(n)  # c[i, j, k] = 1 iff i = j = k
-    return FiniteStarAlgebra(c, np.eye(n), np.ones(n),
-                             labels=[f"chi{i}" for i in range(n)])
+    return FiniteStarAlgebra(c, np.eye(n), np.ones(n))
 
 
 def matrix_algebra(n: int) -> FiniteStarAlgebra:
@@ -110,8 +108,7 @@ def matrix_algebra(n: int) -> FiniteStarAlgebra:
     c[i * n + j, j * n + l, i * n + l] = 1.0  # e_ij e_jl = e_il
     # e_ij^* = e_ji
     star = np.eye(d).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(d, d)
-    labels = [f"e{i}{j}" for i in range(n) for j in range(n)]
-    return FiniteStarAlgebra(c, star, np.eye(n).ravel(), labels=labels)
+    return FiniteStarAlgebra(c, star, np.eye(n).ravel())
 
 
 class AlgebraState:

@@ -17,7 +17,7 @@ Algebra files
     s i j re [im]        # b_i^* = sum_j s[i,j] b_j
     unit i re [im]       # unit vector (optional, defaults to b_0)
     omega i re [im]      # state vector (optional)
-    label i name         # optional basis label
+    label i name         # optional basis label; checked, not used
 
 Distribution expressions
 ------------------------
@@ -152,7 +152,6 @@ def parse_algebra(text):
               "s": np.zeros((dim, dim), dtype=complex),
               "unit": np.zeros(dim, dtype=complex),
               "omega": np.zeros(dim, dtype=complex)}
-    names = ["b%d" % i for i in range(dim)]
     for line, tag, rest in records:
         want = _INDICES[tag]
         try:
@@ -167,15 +166,12 @@ def parse_algebra(text):
             raise FormatError("record %r: %s" % (line, e)) from None
         if not all(0 <= i < dim for i in idx):
             raise FormatError("record %r: index outside [0, %d)" % (line, dim))
-        if tag == "label":
-            names[idx[0]] = value
-        else:
+        if tag != "label":
             arrays[tag][idx] = value
     tags = {tag for _, tag, _ in records}
     if "unit" not in tags:
         arrays["unit"][0] = 1.0
-    alg = FiniteStarAlgebra(arrays["c"], arrays["s"], arrays["unit"],
-                            labels=names)
+    alg = FiniteStarAlgebra(arrays["c"], arrays["s"], arrays["unit"])
     return alg, arrays["omega"] if "omega" in tags else None
 
 

@@ -12,6 +12,9 @@ once, so == is dict equality.  FormalSeries (series.py) is only the view
 through which coefficients are built and read: the constructor takes
 FormalSeries or number values, and `terms` gives them back.
 
+add_product is the library's one pointwise multiplication m: `+`, `-`,
+pointwise_product and every term of quantization.contract go through it.
+
 Constructors bake the volume weight a_t*a_x into every site sum that stands
 for an integral; functional derivatives divide it back out, so contraction
 pairings (Peierls bracket, star products) reduce to plain partial-derivative
@@ -34,13 +37,24 @@ class DimensionMismatch(Exception):
     pass
 
 
-def add_to(acc: dict, key, re: int, im: int) -> None:
-    """acc[key] += (re, im)."""
-    if key in acc:
-        r0, i0 = acc[key]
-        acc[key] = (r0 + re, i0 + im)
-    else:
-        acc[key] = (re, im)
+def add_product(acc: dict, banks: tuple, scale: int) -> None:
+    """acc += scale * the pointwise product of banks, by sorted monomial.
+    Bank keys are sorted, so a product key needs sorting only when both
+    of its parts are nonempty; with three banks or more, the product of
+    all but the last is sorted before the last joins it."""
+    *head, last = banks
+    prod = head[0].items() if head else [((), (1, 0))]
+    for bank in head[1:]:
+        prod = [(tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2,
+                 (a * c - b * e, a * e + b * c))
+                for k1, (a, b) in prod for k2, (c, e) in bank.items()]
+    last = last.items()
+    for k1, (a, b) in prod:
+        a, b = a * scale, b * scale
+        for k2, (c, e) in last:
+            key = tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
+            r0, i0 = acc.get(key, (0, 0))
+            acc[key] = (r0 + a * c - b * e, i0 + a * e + b * c)
 
 
 def gradient(bank: dict) -> dict:
@@ -86,9 +100,10 @@ class PolyFunctional:
                          for x in (re, im)))
         slices: dict[tuple, dict] = {}
         for hl, key, re, im in parts:
-            add_to(slices.setdefault(hl, {}), key,
-                   re.numerator * (den // re.denominator),
-                   im.numerator * (den // im.denominator))
+            bank = slices.setdefault(hl, {})
+            r0, i0 = bank.get(key, (0, 0))
+            bank[key] = (r0 + re.numerator * (den // re.denominator),
+                         i0 + im.numerator * (den // im.denominator))
         self._set(lat, slices, den, trunc_h, trunc_l)
 
     @classmethod
@@ -167,9 +182,7 @@ class PolyFunctional:
         out = {hl: {k: (re * a, im * a) for k, (re, im) in bank.items()}
                for hl, bank in self.slices.items()}
         for hl, bank in other.slices.items():
-            acc = out.setdefault(hl, {})
-            for k, (re, im) in bank.items():
-                add_to(acc, k, re * b, im * b)
+            add_product(out.setdefault(hl, {}), (bank,), b)
         return PolyFunctional.from_numerators(
             self.lat, out, den, min(self.trunc_h, other.trunc_h),
             min(self.trunc_l, other.trunc_l))
@@ -262,13 +275,9 @@ def pointwise_product(F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
     out: dict[tuple, dict] = {}
     for (h1, l1), b1 in F.slices.items():
         for (h2, l2), b2 in G.slices.items():
-            if h1 + h2 > th or l1 + l2 > tl:
-                continue
-            acc = out.setdefault((h1 + h2, l1 + l2), {})
-            for k1, (a, b) in b1.items():
-                for k2, (c, e) in b2.items():
-                    add_to(acc, tuple(sorted(k1 + k2)) if k1 and k2
-                           else k1 or k2, a * c - b * e, a * e + b * c)
+            if h1 + h2 <= th and l1 + l2 <= tl:
+                add_product(out.setdefault((h1 + h2, l1 + l2), {}),
+                            (b1, b2), 1)
     return PolyFunctional.from_numerators(F.lat, out, F.den * G.den, th, tl)
 
 

@@ -38,11 +38,12 @@ line reads every derivative of a polynomial off its gradient
 smeared against it are computed once per call, whichever slice tuples,
 schedules and tensor terms hold that polynomial.  The
 factors' denominators, the kernel denominators and the schedule weights
-(1/n!, 1/prod l_ij!) fold into one final denominator, and the result is
-reduced once, in ints, into the same form; no Fraction is built between
-products.  The results are exactly those of rational arithmetic, and
-identities (commutation relations, equivalences, factorisation) are
-checked with ==.
+(1/n!, 1/prod l_ij!) fold into one final denominator, each final term is
+closed by the pointwise multiplication m (functionals.add_product), and
+the result is reduced once, in ints, into the same form; no Fraction is
+built between products.  The results are exactly those of rational
+arithmetic, and identities (commutation relations, equivalences,
+factorisation) are checked with ==.
 
 The checks take no knobs: the Wick demo runs at the default series
 truncation, and the injectivity check reads the exact rank of the products'
@@ -57,8 +58,8 @@ import math
 from fractions import Fraction
 
 from .exact import ExactComplex
-from .functionals import (DimensionMismatch, PolyFunctional, gradient,
-                          local_power, pointwise_product)
+from .functionals import (DimensionMismatch, PolyFunctional, add_product,
+                          gradient, local_power, pointwise_product)
 from .lattice import ExactPropagators
 from .series import FormalSeries
 
@@ -204,26 +205,6 @@ def _slice_tuples(factors: list, th: int, tl: int) -> list:
     return tuples
 
 
-def _add_product(acc: dict, banks: tuple, scale: int) -> None:
-    """acc += scale * the pointwise product of banks, by sorted monomial.
-    Bank keys are sorted, so a product key needs sorting only when both
-    of its parts are nonempty; with three banks or more, the product of
-    all but the last is sorted before the last joins it."""
-    *head, last = banks
-    prod = head[0].items() if head else [((), (1, 0))]
-    for bank in head[1:]:
-        prod = [(tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2,
-                 (a * c - b * e, a * e + b * c))
-                for k1, (a, b) in prod for k2, (c, e) in bank.items()]
-    last = last.items()
-    for k1, (a, b) in prod:
-        a, b = a * scale, b * scale
-        for k2, (c, e) in last:
-            key = tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
-            r0, i0 = acc.get(key, (0, 0))
-            acc[key] = (r0 + a * c - b * e, i0 + a * e + b * c)
-
-
 def contract(factors, kernels, schedules) -> PolyFunctional:
     """The contraction engine behind every product, Gamma_K, commutator and
     graph sum.
@@ -272,11 +253,11 @@ def contract(factors, kernels, schedules) -> PolyFunctional:
     for (h, l), banks in _slice_tuples(factors, th, tl):
         memo = {(): [banks]}
         for lines, n, scale in plan:
-            if h + n > th or not scale:
+            if h + n > th:
                 continue
             acc = out.setdefault((h + n, l), {})
             for term in _after(memo, lines, lines_of):
-                _add_product(acc, term, scale)
+                add_product(acc, term, scale)
     return PolyFunctional.from_numerators(lat, out, den * scale_den, th, tl)
 
 

@@ -30,27 +30,25 @@ def test_builtin_algebras_validate():
 def test_validation_rejects_broken_structures():
     good = functions_on_points(2)
     with pytest.raises(AlgebraError, match="unit laws fail"):
-        FiniteStarAlgebra(good.c, good.star, [1.0, 0.0], good.labels)
+        FiniteStarAlgebra(good.c, good.star, [1.0, 0.0])
     # basis 1, x, y with x y = x and every other product of x, y zero:
     # (x y) y = x but x (y y) = 0
     c = np.zeros((3, 3, 3))
     c[0] = c[:, 0] = np.eye(3)
     c[1, 2, 1] = 1.0
     with pytest.raises(AlgebraError, match="not associative"):
-        FiniteStarAlgebra(c, np.eye(3), [1.0, 0.0, 0.0], ["1", "x", "y"])
+        FiniteStarAlgebra(c, np.eye(3), [1.0, 0.0, 0.0])
     with pytest.raises(AlgebraError, match="not involutive"):
-        FiniteStarAlgebra(good.c, [[0.0, 1.0], [1.0, 0.5]], good.unit,
-                          good.labels)
+        FiniteStarAlgebra(good.c, [[0.0, 1.0], [1.0, 0.5]], good.unit)
     # entrywise conjugation on M_2 is involutive, but
     # (e01 e10)^* = e00 while e10^* e01^* = e10 e01 = e11
     m2 = matrix_algebra(2)
     with pytest.raises(AlgebraError,
                        match="involution is not antimultiplicative"):
-        FiniteStarAlgebra(m2.c, np.eye(4), m2.unit, m2.labels)
+        FiniteStarAlgebra(m2.c, np.eye(4), m2.unit)
     # shape guards
     with pytest.raises(AlgebraError):
-        FiniteStarAlgebra(np.zeros((2, 2, 3)), good.star, good.unit,
-                          good.labels)
+        FiniteStarAlgebra(np.zeros((2, 2, 3)), good.star, good.unit)
 
 
 # --------------------------------------------------------------------------
@@ -151,8 +149,7 @@ def changed_basis(n, density, seed):
                            + 1j * rng.standard_normal((d, d)))
     Tinv = np.linalg.inv(T)
     alg = FiniteStarAlgebra(np.einsum("ia,jb,abm,mk->ijk", T, T, m.c, Tinv),
-                            T.conj() @ m.star @ Tinv, m.unit @ Tinv,
-                            labels=[f"b{i}" for i in range(d)])
+                            T.conj() @ m.star @ Tinv, m.unit @ Tinv)
     return alg, AlgebraState(alg, T @ np.asarray(density).T.ravel())
 
 

@@ -30,6 +30,10 @@ every library call overrides serves only the tests, so the parameter is
 required.  A definition in KEEP is no exception: no library call reaches it,
 so nothing shows that a default of its is ever needed, and its parameters
 are required or constants.
+
+And every attribute that the `__init__` of a library class assigns on
+`self` is read, as an attribute load of that name, somewhere in src/ or in
+a non-test file of perfbench/: state that only the tests read is deleted.
 """
 
 import ast
@@ -268,6 +272,28 @@ def uncalled():
         dead = now
 
 
+def unread_attributes():
+    """Qualified `self` attributes that a library `__init__` assigns and
+    that no library or perfbench code loads."""
+    sources, callers = _files()
+    loaded = {node.attr for path in callers
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    inits = [(path.stem, cls.name, fn) for path in sources
+             for cls in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(cls, ast.ClassDef)
+             for fn in cls.body
+             if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+    return sorted({f"{mod}.{cls}.{node.attr}" for mod, cls, fn in inits
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "self"
+                   and node.attr not in loaded})
+
+
 def test_every_library_definition_has_a_caller():
     missing = [q for q in uncalled() if not _kept(q)]
     assert not missing, ("only tests call these; delete them or add them "
@@ -301,3 +327,9 @@ def test_every_default_is_relied_on_by_a_library_call():
     always = knobs()[2]
     assert always == [], ("every call outside the tests passes these; "
                           "make them required: " + ", ".join(always))
+
+
+def test_every_attribute_set_in_init_is_read():
+    unread = unread_attributes()
+    assert unread == [], ("only tests read these attributes; delete them: "
+                          + ", ".join(unread))

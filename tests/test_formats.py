@@ -93,14 +93,12 @@ def test_algebra_roundtrip():
     assert np.array_equal(alg.c, want.c)
     assert np.array_equal(alg.star, want.star)
     assert np.array_equal(alg.unit, want.unit)
-    assert alg.labels == want.labels
     assert np.array_equal(omega, [0.5, 0.5])
 
 
 def test_algebra_default_unit_and_missing_dim():
     alg, omega = parse_algebra("dim 1\nc 0 0 0 1\ns 0 0 1")
     assert np.allclose(alg.unit, [1.0])
-    assert alg.labels == ["b0"]
     assert omega is None
     with pytest.raises(FormatError):
         parse_algebra("c 0 0 0 1")
