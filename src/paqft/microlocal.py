@@ -19,7 +19,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -110,24 +110,29 @@ class WFEstimate:
 def _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor, meta):
     """Rays (c, d), c in cs, d in dirs, from one row of ladder amplitudes
     each: one least-squares slope of -log|A| vs log r per row, with noise
-    floors.  Rows that never rise above amp_floor, or whose top-of-ladder
-    value has fallen below rel_floor of the peak, count as regular (infinite
-    exponent): the fit would only measure the quadrature/window floor.
-    meta gains per-ray arrays exponent_margin (exponent - threshold) and
-    floor_ratio (last/peak amplitude over rel_floor; nan if all zero)."""
-    amps = np.asarray(amps, dtype=float).reshape(-1, len(rs))
-    peak, last = amps.max(axis=1), amps[:, -1]
+    floors.  amps is a (len(cs), m, len(rs)) array, m dividing len(dirs):
+    its rows are the first m directions, each fitted once, and direction
+    j + m takes the fit of direction j.  Rows that never rise above
+    amp_floor, or whose top-of-ladder value has fallen below rel_floor of
+    the peak, count as regular (infinite exponent): the fit would only
+    measure the quadrature/window floor.  meta gains per-ray arrays
+    exponent_margin (exponent - threshold) and floor_ratio (last/peak
+    amplitude over rel_floor; nan if all zero)."""
+    peak, last = amps.max(axis=2), amps[:, :, -1]
     fit = (peak >= amp_floor) & (last > rel_floor * peak)
     floor = np.maximum(amp_floor, peak[fit] * 1e-14)
     ys = np.log(np.maximum(amps[fit], floor[:, None]))
     xs = np.log(rs) - np.mean(np.log(rs))
-    expo = np.full(len(amps), math.inf)
+    expo = np.full(peak.shape, math.inf)
     expo[fit] = -(ys @ xs) / (xs @ xs)
     ratio = np.divide(last, rel_floor * peak, out=np.full_like(peak, np.nan),
                       where=peak > 0)
+    expo, peak, ratio = (np.tile(a, len(dirs) // a.shape[1]).ravel()
+                         for a in (expo, peak, ratio))
     rays = map(partial(tuple.__new__, WFRay),
-               zip((c for c in cs for _ in dirs), dirs * len(cs),
-                   expo.tolist(), peak.tolist(), (expo < threshold).tolist()))
+               zip(chain.from_iterable(map(repeat, cs, repeat(len(dirs)))),
+                   dirs * len(cs), expo.tolist(), peak.tolist(),
+                   (expo < threshold).tolist()))
     meta.update(exponent_margin=expo - threshold, floor_ratio=ratio)
     return WFEstimate(rays, threshold, meta)
 
@@ -212,8 +217,9 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
     for i, c in enumerate(cs):
         vals[i], errs[i] = _pair_wave_1d(t, c[0], np.array(rs))
     meta = {"abserr": errs.real.reshape(-1, len(rs)).max(axis=1)}
-    return _estimate(cs, dirs, rs, np.abs(vals), WF1D_THRESHOLD,
-                     WF1D_AMP_FLOOR, WF1D_REL_FLOOR, meta)
+    amps = np.abs(vals).reshape(len(cs), 2, len(rs))
+    return _estimate(cs, dirs, rs, amps, WF1D_THRESHOLD, WF1D_AMP_FLOOR,
+                     WF1D_REL_FLOOR, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +272,26 @@ def wf_estimate_2d(field: SampledField2D, centers,
     pairs against e^{i r d.(p - anchor)}, anchor its nearest grid point; on
     the box of offsets around it that is E_t[di, q] E_x[dj, q], q =
     (direction, frequency), two read-only tables built once per grid
-    spacing and cached.  The Gaussian is separable, so the window on the
-    box is the outer product of its factors over the float offsets dT =
-    ts[i] - t0 and dX = xs[j] - x0, and the box is zeroed where dT*dT +
-    dX*dX >= R*R, the test made on the full grid: points exactly at the
-    cut fall the same way.  Each centre pairs on its
+    spacing and cached.  The Gaussian is separable, so the window is the
+    outer product of one row of exponentials per axis over the anchor's
+    offsets (di a_t + s_t, dj a_x + s_x), s = (it a_t - t0, ix a_x - x0)
+    the centre's sub-grid shift from its anchor (it, ix).  A window
+    depends on nothing but s, so it is built once per run of consecutive
+    centres with equal shifts and held, one at a time, until the shift
+    changes: all grid-aligned centres (s = (0, 0)) share one.
+    meta["windows"] counts the windows built.  The cut stays per centre,
+    on the float coordinates: the box is zeroed where (ts[i] - t0)**2 +
+    (xs[j] - x0)**2 >= R*R, the test made on the full grid, so points
+    exactly at the cut fall the same way.  Each centre pairs on its
     own box: one real matrix product of the box's transpose with E_t,
     stored with each q's real and imaginary parts side by side, reads as a
     complex (space offset, q) array, and one sum against E_x over the space
     offsets gives the amplitudes; the cell area scales them all at the end.
     Real samples make the pairing at -d the complex conjugate of the one at
     d, and direction j + WF2D_RAYS/2 is -direction j, so the tables cover
-    the first half of the directions and the second half repeats their
-    amplitudes.  Centres with no grid point in reach are listed in
+    the first half of the directions, each of whose rows is fitted once,
+    and direction j + WF2D_RAYS/2 takes the exponent, peak and floor ratio
+    of direction j.  Centres with no grid point in reach are listed in
     meta["skipped_centers"]."""
     kmax = WF2D_K_BASE * 2 ** WF2D_OCTAVES
     nyq = math.pi / max(field.a_t, field.a_x)
@@ -286,28 +299,38 @@ def wf_estimate_2d(field: SampledField2D, centers,
         raise MicrolocalError(
             f"ladder top {kmax:.3g} exceeds grid Nyquist {nyq:.3g}")
     R, g = WF2D_SIGMA * WF2D_CUT_SIGMAS, -0.5 / (WF2D_SIGMA * WF2D_SIGMA)
-    rs, dirs, ht, hx, E_t, E_x = _phase_tables(field.a_t, field.a_x)
+    a_t, a_x = field.a_t, field.a_x
+    rs, dirs, ht, hx, E_t, E_x = _phase_tables(a_t, a_x)
+    off_t, off_x = np.arange(-ht, ht + 1) * a_t, np.arange(-hx, hx + 1) * a_x
     nt, nx = field.values.shape
     cs, amps, skipped = [], [], []
+    shift, windows = None, 0
     for t0, x0 in centers:
-        it, ix = round(t0 / field.a_t), round(x0 / field.a_x)
+        it, ix = round(t0 / a_t), round(x0 / a_x)
         i0, i1 = max(it - ht, 0), min(it + ht + 1, nt)
         j0, j1 = max(ix - hx, 0), min(ix + hx + 1, nx)
-        dT2, dX2 = (field.ts[i0:i1] - t0) ** 2, (field.xs[j0:j1] - x0) ** 2
-        outside = dT2[:, None] + dX2 >= R * R
+        outside = ((field.ts[i0:i1] - t0) ** 2)[:, None] \
+            + (field.xs[j0:j1] - x0) ** 2 >= R * R
         if outside.all():
             skipped.append((t0, x0))
             continue
-        box = np.exp(g * dT2)[:, None] * np.exp(g * dX2)
-        box *= field.values[i0:i1, j0:j1]
+        s = (it * a_t - t0, ix * a_x - x0)
+        if s != shift:
+            shift, windows = s, windows + 1
+            window = np.exp(g * (off_t + s[0]) ** 2)[:, None] \
+                * np.exp(g * (off_x + s[1]) ** 2)
+        bt = slice(i0 - it + ht, i1 - it + ht)
+        bx = slice(j0 - ix + hx, j1 - ix + hx)
+        box = window[bt, bx] * field.values[i0:i1, j0:j1]
         box[outside] = 0.0
-        A = (box.T @ E_t[i0 - it + ht:i1 - it + ht]).view(complex)
-        amps.append((A * E_x[j0 - ix + hx:j1 - ix + hx]).sum(0))
+        A = (box.T @ E_t[bt]).view(complex)
+        amps.append((A * E_x[bx]).sum(0))
         cs.append((t0, x0))
-    amps = np.abs(amps) * (field.a_t * field.a_x)
-    return _estimate(cs, dirs, rs, np.tile(amps, 2), threshold,
+    amps = np.abs(amps).reshape(len(cs), WF2D_RAYS // 2, len(rs))
+    amps *= a_t * a_x
+    return _estimate(cs, dirs, rs, amps, threshold,
                      WF2D_AMP_FLOOR, WF2D_REL_FLOOR,
-                     {"skipped_centers": skipped})
+                     {"skipped_centers": skipped, "windows": windows})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Wave front estimation, covector causality, and bicharacteristic flow."""
 import math
+import sys
 from functools import partial
+from itertools import groupby
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,6 +12,9 @@ from hypothesis import given, settings
 
 from paqft.dist1d import SymbolicDistribution1D, _window, quad_complex
 from paqft import microlocal as ml
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import timing  # noqa: E402
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +118,8 @@ def test_1d_estimate_matches_the_every_row_route(terms):
     for i, c in enumerate(centres):
         vals[i], errs[i] = _pair_wave_every_row(t, c, ks)
     ref = ml._estimate(
-        [(c,) for c in centres], ((1.0,), (-1.0,)), rs, np.abs(vals),
+        [(c,) for c in centres], ((1.0,), (-1.0,)), rs,
+        np.abs(vals).reshape(len(centres), 2, len(rs)),
         ml.WF1D_THRESHOLD, ml.WF1D_AMP_FLOOR, ml.WF1D_REL_FLOOR,
         {"abserr": errs.real.reshape(-1, len(rs)).max(axis=1)})
     assert wf.rays == ref.rays
@@ -611,9 +618,39 @@ def test_2d_estimate_pairs_each_centre_on_its_own():
             p for one in ones for p in one.meta["skipped_centers"]]
 
 
+def test_window_is_built_once_per_run_of_equal_shifts():
+    """meta["windows"] counts the Gaussian windows a call builds: one per
+    run of consecutive paired centres that share the sub-grid shift
+    (it*a_t - t0, ix*a_x - x0) from their anchor; skipped centres build
+    none."""
+    fields, centers, skipped = two_d_cases()
+    h = fields[0].a_t
+    shifts = [(round(t0 / h) * h - t0, round(x0 / h) * h - x0)
+              for t0, x0 in centers if (t0, x0) not in skipped]
+    runs = len(list(groupby(shifts)))
+    assert 1 < runs < len(shifts)
+    for field in fields:
+        assert ml.wf_estimate_2d(field, centers).meta["windows"] == runs
+    assert ml.wf_estimate_2d(fields[0], skipped).meta["windows"] == 0
+
+
+def test_each_shift_around_one_anchor_gets_its_own_window():
+    """Consecutive centres with the same anchor (nearest grid point) but
+    different sub-grid shifts are each paired with their own window."""
+    fields, _, _ = two_d_cases()
+    c = 4.8
+    centres = [(c, c), (c + 0.03, c - 0.02), (c - 0.04, c + 0.045),
+               (c + 0.049, c + 0.049)]
+    assert len({(round(t / 0.1), round(x / 0.1)) for t, x in centres}) == 1
+    for field in fields:
+        wf = ml.wf_estimate_2d(field, centres)
+        assert wf.meta["windows"] == 4
+        assert_matches_reference(wf, reference_wf2d(field, centres))
+
+
 def test_opposite_directions_are_half_the_rays_apart():
-    """wf_estimate_2d pairs the first half of the directions and gives
-    direction j + WF2D_RAYS/2 the amplitudes of direction j: that rests on
+    """wf_estimate_2d pairs and fits the first half of the directions and
+    gives direction j + WF2D_RAYS/2 the fit of direction j: that rests on
     the second half being the negated first half."""
     assert ml.WF2D_RAYS % 2 == 0
     field, n, h = grid_field()
@@ -636,6 +673,20 @@ def test_commutator_front_rides_the_light_cone(full_grid_check):
     rep = full_grid_check
     assert rep["fraction_on_cone"] >= 0.9
     assert rep["n_singular_centers"] > 0
+
+
+def test_propagation_decisions_are_pinned(full_grid_check):
+    """AC11's singular flags (by tools/timing.py's sha256 of each centre's
+    flags), its near-decision counts and its singular centres: a speed-up
+    of the estimator moves none of them.  All of its centres are on the
+    grid, so one window serves them all."""
+    wf = full_grid_check["wf"]
+    assert timing.flags_sha256(wf) == (
+        "14dafaae7b8c6f0e63c1538c9b259f2e4362109e0ef02ae87e5cfee4ba2cb152")
+    assert len(wf.near_threshold()) == 108
+    assert len(wf.near_floor()) == 1508
+    assert full_grid_check["n_singular_centers"] == 412
+    assert wf.meta["windows"] == 1
 
 
 def test_propagation_flags_match_reference(full_grid_check):

@@ -15,7 +15,8 @@ Run from the root of a paqft checkout.  The cases:
   flat default metric, on the same metric passed in as a callable (same
   sha256, with the calls a user metric costs) and on the conformal one
   with a null covector;
-- wf2d: wf_estimate_2d on the field and centres of microlocal.ac11_grid;
+- wf2d: wf_estimate_2d on the field and centres of microlocal.ac11_grid,
+  with the number of Gaussian windows the call built;
 - pairing: AC09's extension_ambiguity of two W extensions of (x+i0)^-2 and
   of W against MS, four scaling regressions, AC09's MS of x_+^(z-1),
   wf_estimate_1d of the benchmark's six models at 0 and 0.8, and the
@@ -163,9 +164,11 @@ def wf2d():
     field, _, centres = ml.ac11_grid()
     yield ("ac11 grid", partial(ml.wf_estimate_2d, field, centres),
            flags_sha256, lambda wf, best_ms: (
-               "%d centres, %.1f us/centre, %d singular, %d near" % (
+               "%d centres, %.1f us/centre, %d singular, %d near, "
+               "%d windows" % (
                    len(centres), best_ms * 1e3 / len(centres),
-                   len(wf.singular()), len(wf.near_threshold()))))
+                   len(wf.singular()), len(wf.near_threshold()),
+                   wf.meta["windows"])))
 
 
 def pairing():
