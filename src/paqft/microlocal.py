@@ -64,6 +64,10 @@ class NoWavePairing(InputError):
     """The wave pairing takes no term of this kind."""
 
 
+class NonFiniteSamples(InputError):
+    """A sampled field holds a nan or infinite sample."""
+
+
 class WFRay(NamedTuple):
     center: tuple
     direction: tuple
@@ -228,13 +232,20 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
 
 class SampledField2D:
     """Real samples on a rectangular (t, x) grid with spacings (a_t, a_x);
-    coordinates are physical.  Complex samples raise TypeError."""
+    coordinates are physical.  Complex samples raise TypeError, nan or
+    infinite ones NonFiniteSamples."""
 
     def __init__(self, values: np.ndarray, a_t: float, a_x: float):
         self.values = np.asarray(values)
         if np.iscomplexobj(self.values):
             raise TypeError("SampledField2D takes real samples, not "
                             f"{self.values.dtype}")
+        if not np.isfinite(self.values).all():
+            bad = np.argwhere(~np.isfinite(self.values))
+            raise NonFiniteSamples(
+                "SampledField2D takes finite samples, not nan or infinite "
+                f"ones: {len(bad)} found, the first at "
+                f"{tuple(bad[0].tolist())}")
         self.a_t = float(a_t)
         self.a_x = float(a_x)
         nt, nx = self.values.shape
@@ -277,22 +288,35 @@ def wf_estimate_2d(field: SampledField2D, centers,
     offsets (di a_t + s_t, dj a_x + s_x), s = (it a_t - t0, ix a_x - x0)
     the centre's sub-grid shift from its anchor (it, ix).  A window
     depends on nothing but s, so it is built once per run of consecutive
-    centres with equal shifts and held, one at a time, until the shift
-    changes: all grid-aligned centres (s = (0, 0)) share one.
-    meta["windows"] counts the windows built.  The cut stays per centre,
-    on the float coordinates: the box is zeroed where (ts[i] - t0)**2 +
-    (xs[j] - x0)**2 >= R*R, the test made on the full grid, so points
-    exactly at the cut fall the same way.  Each centre pairs on its
-    own box: one real matrix product of the box's transpose with E_t,
-    stored with each q's real and imaginary parts side by side, reads as a
-    complex (space offset, q) array, and one sum against E_x over the space
-    offsets gives the amplitudes; the cell area scales them all at the end.
-    Real samples make the pairing at -d the complex conjugate of the one at
-    d, and direction j + WF2D_RAYS/2 is -direction j, so the tables cover
-    the first half of the directions, each of whose rows is fitted once,
-    and direction j + WF2D_RAYS/2 takes the exponent, peak and floor ratio
-    of direction j.  Centres with no grid point in reach are listed in
-    meta["skipped_centers"]."""
+    paired centres with equal shifts: all grid-aligned centres (s = (0,
+    0)) share one.  meta["windows"] counts the windows built.
+
+    The cut keeps the points where (ts[i] - t0)**2 + (xs[j] - x0)**2 < R*R,
+    the float test made on the full grid, so points exactly at the cut
+    fall the same way.  It is made once per window on the squared offsets
+    d2 = (di a_t + s_t)**2 + (dj a_x + s_x)**2: points with d2 > R*R + tau
+    are zeroed, and only the band |d2 - R*R| <= tau takes the float test,
+    in one array expression per run.  tau = 64 u (R*R + 2 R C), u = 2**-53
+    and C = max(nt a_t, nx a_x) + 2R, bounds the gap of the two tests: in a
+    box holding a grid point, |t0|, |it a_t| and |ts[i]| are at most C and
+    offsets at most R + a < 2R (a <= pi/kmax < R/2, the Nyquist guard);
+    ts[i] - t0 rounds twice and di a_t + s_t four times, by at most uC
+    each, so the two differ by 6uC and their squares by 24uRC an axis, and
+    squaring and summing add 16uR^2 a test: 48uRC + 32uR^2 in all, well
+    below tau.  A centre is skipped (meta["skipped_centers"]) when no point
+    of its box passes the float test.  A whole box holds its anchor, which
+    passes; the test grows with |ts[i] - t0| and |xs[j] - x0|, so a
+    clipped box is tested at its nearest row and column.
+
+    Each centre pairs on its own box: one real matrix product of the box's
+    transpose with E_t, stored with each q's real and imaginary parts side
+    by side, reads as a complex (space offset, q) array, and one sum
+    against E_x over the space offsets gives the amplitudes; the cell area
+    scales them all at the end.  Real samples make the pairing at -d the
+    complex conjugate of the one at d, and direction j + WF2D_RAYS/2 is
+    -direction j, so the tables cover the first half of the directions,
+    each of whose rows is fitted once, and direction j + WF2D_RAYS/2 takes
+    the exponent, peak and floor ratio of direction j."""
     kmax = WF2D_K_BASE * 2 ** WF2D_OCTAVES
     nyq = math.pi / max(field.a_t, field.a_x)
     if kmax > nyq:
@@ -300,37 +324,59 @@ def wf_estimate_2d(field: SampledField2D, centers,
             f"ladder top {kmax:.3g} exceeds grid Nyquist {nyq:.3g}")
     R, g = WF2D_SIGMA * WF2D_CUT_SIGMAS, -0.5 / (WF2D_SIGMA * WF2D_SIGMA)
     a_t, a_x = field.a_t, field.a_x
+    ts, xs = field.ts, field.xs
     rs, dirs, ht, hx, E_t, E_x = _phase_tables(a_t, a_x)
     off_t, off_x = np.arange(-ht, ht + 1) * a_t, np.arange(-hx, hx + 1) * a_x
     nt, nx = field.values.shape
-    cs, amps, skipped = [], [], []
-    shift, windows = None, 0
-    for t0, x0 in centers:
-        it, ix = round(t0 / a_t), round(x0 / a_x)
-        i0, i1 = max(it - ht, 0), min(it + ht + 1, nt)
-        j0, j1 = max(ix - hx, 0), min(ix + hx + 1, nx)
-        outside = ((field.ts[i0:i1] - t0) ** 2)[:, None] \
-            + (field.xs[j0:j1] - x0) ** 2 >= R * R
-        if outside.all():
-            skipped.append((t0, x0))
-            continue
-        s = (it * a_t - t0, ix * a_x - x0)
-        if s != shift:
-            shift, windows = s, windows + 1
-            window = np.exp(g * (off_t + s[0]) ** 2)[:, None] \
-                * np.exp(g * (off_x + s[1]) ** 2)
-        bt = slice(i0 - it + ht, i1 - it + ht)
-        bx = slice(j0 - ix + hx, j1 - ix + hx)
-        box = window[bt, bx] * field.values[i0:i1, j0:j1]
-        box[outside] = 0.0
-        A = (box.T @ E_t[bt]).view(complex)
-        amps.append((A * E_x[bx]).sum(0))
-        cs.append((t0, x0))
+    C = max(nt * a_t, nx * a_x) + 2 * R  # bounds the coordinates in reach
+    tau = 64 * 2.0 ** -53 * (R * R + 2 * R * C)
+    pts = [(t0, x0) for t0, x0 in centers]
+    c = np.array(pts, dtype=float).reshape(-1, 2)
+    steps = c / (a_t, a_x)
+    if not (np.abs(steps) < 2.0 ** 52).all():  # no nan, no int64 wrap
+        raise InputError("wf_estimate_2d takes centres within 2**52 steps")
+    anchor = np.rint(steps).astype(int)
+    shift = anchor * (a_t, a_x) - c
+    lo = np.maximum(anchor - (ht, hx), 0)
+    hi = np.minimum(anchor + (ht + 1, hx + 1), (nt, nx))
+    paired = (hi - lo == (2 * ht + 1, 2 * hx + 1)).all(1)
+    for k in np.flatnonzero(~paired):  # clipped boxes
+        (i0, j0), (i1, j1), (t0, x0) = lo[k], hi[k], c[k]
+        paired[k] = i0 < i1 and j0 < j1 and ((ts[i0:i1] - t0) ** 2).min() \
+            + ((xs[j0:j1] - x0) ** 2).min() < R * R
+    skipped = [pts[k] for k in np.flatnonzero(~paired)]
+    p = np.flatnonzero(paired)
+    runs = np.split(p, np.flatnonzero(
+        (shift[p[1:]] != shift[p[:-1]]).any(1)) + 1) if p.size else []
+    anchors, los, his = anchor.tolist(), lo.tolist(), hi.tolist()
+    cs, amps = [], []
+    for run in runs:
+        s_t, s_x = shift[run[0]]
+        dt2, dx2 = (off_t + s_t) ** 2, (off_x + s_x) ** 2
+        window = np.exp(g * dt2)[:, None] * np.exp(g * dx2)
+        d2 = dt2[:, None] + dx2
+        window[d2 > R * R + tau] = 0.0
+        band = np.flatnonzero((d2 >= R * R - tau) & (d2 <= R * R + tau))
+        I = anchor[run, :1] + band // (2 * hx + 1) - ht  # band rows, columns
+        J = anchor[run, 1:] + band % (2 * hx + 1) - hx
+        out = ((ts.take(I, mode="clip") - c[run, :1]) ** 2
+               + (xs.take(J, mode="clip") - c[run, 1:]) ** 2 >= R * R) \
+            & (I >= 0) & (I < nt) & (J >= 0) & (J < nx)
+        flat = (I - lo[run, :1]) * (hi - lo)[run, 1:] + J - lo[run, 1:]
+        for k, z, o in zip(run.tolist(), flat, out):
+            (it, ix), (i0, j0), (i1, j1) = anchors[k], los[k], his[k]
+            bt = slice(i0 - it + ht, i1 - it + ht)
+            bx = slice(j0 - ix + hx, j1 - ix + hx)
+            box = window[bt, bx] * field.values[i0:i1, j0:j1]
+            box.reshape(-1)[z[o]] = 0.0  # the band points outside the cut
+            A = (box.T @ E_t[bt]).view(complex)
+            amps.append((A * E_x[bx]).sum(0))
+            cs.append(pts[k])
     amps = np.abs(amps).reshape(len(cs), WF2D_RAYS // 2, len(rs))
     amps *= a_t * a_x
     return _estimate(cs, dirs, rs, amps, threshold,
                      WF2D_AMP_FLOOR, WF2D_REL_FLOOR,
-                     {"skipped_centers": skipped, "windows": windows})
+                     {"skipped_centers": skipped, "windows": len(runs)})
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from paqft.dist1d import SymbolicDistribution1D, _window, quad_complex
+from paqft import InputError
 from paqft import microlocal as ml
+from paqft.dist1d import SymbolicDistribution1D, _window, quad_complex
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import timing  # noqa: E402
@@ -394,6 +395,32 @@ def test_sampled_field_takes_real_samples():
         ml.SampledField2D(np.zeros((4, 4), dtype=complex), 0.1, 0.1)
 
 
+def test_sampled_field_takes_finite_samples():
+    """A nan or infinite sample raises NonFiniteSamples, an InputError
+    naming how many there are and where the first is: the estimator zeroes
+    the points outside its cut in the window, and 0 * nan is nan."""
+    assert issubclass(ml.NonFiniteSamples, InputError)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((4, 5))
+        values[2, 3] = values[3, 0] = bad
+        with pytest.raises(ml.NonFiniteSamples,
+                           match=r"2 found, the first at \(2, 3\)"):
+            ml.SampledField2D(values, 0.1, 0.1)
+
+
+def test_centres_must_be_finite_and_within_integer_reach():
+    """A nan or infinite centre, or one whose nearest grid point an int64
+    cannot hold exactly, raises InputError; a far centre within that reach
+    is skipped."""
+    field, n, h = grid_field()
+    for bad in ((np.nan, 4.8), (4.8, np.inf), (-np.inf, 4.8), (4.8, 1e300),
+                (2.0 ** 52 * h, 4.8)):
+        with pytest.raises(InputError, match=r"within 2\*\*52 steps"):
+            ml.wf_estimate_2d(field, [(4.8, 4.8), bad])
+    far = (2.0 ** 51 * h, -4.8)
+    assert ml.wf_estimate_2d(field, [far]).meta["skipped_centers"] == [far]
+
+
 def test_point_source_singular_at_its_site_only():
     field, n, h = grid_field()
     field.values[n // 2, n // 2] = 1.0
@@ -469,6 +496,61 @@ def assert_matches_reference(wf, ref):
         assert abs(r.amplitude - want_amp) <= 1e-12 * peak
         assert r.singular == (want_expo < wf.threshold)
         assert r.exponent == pytest.approx(want_expo, abs=1e-8)
+
+
+def masked_loop_wf2d(field, centers):
+    """wf_estimate_2d's pairing with the cut made per centre through a float
+    mask of its whole box, as the estimator once made it: the box is
+    skipped where (ts[i] - t0)**2 + (xs[j] - x0)**2 >= R*R holds all over
+    it, and else zeroed there after its product with the window.
+    (paired centres, their (centre, WF2D_RAYS/2, frequency) amplitudes,
+    skipped centres)."""
+    R = ml.WF2D_SIGMA * ml.WF2D_CUT_SIGMAS
+    g = -0.5 / (ml.WF2D_SIGMA * ml.WF2D_SIGMA)
+    a_t, a_x = field.a_t, field.a_x
+    rs, _, ht, hx, E_t, E_x = ml._phase_tables(a_t, a_x)
+    off_t, off_x = np.arange(-ht, ht + 1) * a_t, np.arange(-hx, hx + 1) * a_x
+    nt, nx = field.values.shape
+    cs, amps, skipped = [], [], []
+    for t0, x0 in centers:
+        it, ix = round(t0 / a_t), round(x0 / a_x)
+        i0, i1 = max(it - ht, 0), min(it + ht + 1, nt)
+        j0, j1 = max(ix - hx, 0), min(ix + hx + 1, nx)
+        outside = ((field.ts[i0:i1] - t0) ** 2)[:, None] \
+            + (field.xs[j0:j1] - x0) ** 2 >= R * R
+        if outside.all():
+            skipped.append((t0, x0))
+            continue
+        s_t, s_x = it * a_t - t0, ix * a_x - x0
+        window = np.exp(g * (off_t + s_t) ** 2)[:, None] \
+            * np.exp(g * (off_x + s_x) ** 2)
+        bt = slice(i0 - it + ht, i1 - it + ht)
+        bx = slice(j0 - ix + hx, j1 - ix + hx)
+        box = window[bt, bx] * field.values[i0:i1, j0:j1]
+        box[outside] = 0.0
+        A = (box.T @ E_t[bt]).view(complex)
+        amps.append((A * E_x[bx]).sum(0))
+        cs.append((t0, x0))
+    amps = np.abs(amps).reshape(len(cs), ml.WF2D_RAYS // 2, len(rs))
+    return cs, amps * (a_t * a_x), skipped
+
+
+def assert_cut_as_the_masked_loop(monkeypatch, field, centers):
+    """wf_estimate_2d pairs, skips and cuts bit for bit as masked_loop_wf2d:
+    the amplitudes it hands to the fit are equal arrays."""
+    got = {}
+    estimate = ml._estimate
+
+    def capture(cs, dirs, rs, amps, *rest):
+        got.update(cs=list(cs), amps=amps.copy())
+        return estimate(cs, dirs, rs, amps, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(ml, "_estimate", capture)
+        wf = ml.wf_estimate_2d(field, centers)
+    cs, amps, skipped = masked_loop_wf2d(field, centers)
+    assert got["cs"] == cs and wf.meta["skipped_centers"] == skipped
+    assert np.array_equal(got["amps"], amps)
 
 
 def two_d_cases():
@@ -552,6 +634,58 @@ def test_points_on_the_cut_fall_as_in_the_reference():
     assert {kept[it, dt, dx] for it in (60, 77) for dt, dx in on_cut} \
         == {False, True}
     assert all(kept[it, dt, dx] for it in (60, 77) for dt, dx in inside)
+
+
+def test_cut_window_pairs_bit_for_bit_as_the_masked_loop(monkeypatch):
+    """The cut made once per window, with only the band of grid points
+    within rounding of the cut tested per centre, gives the amplitudes,
+    the paired and the skipped centres of the per-centre masked cut, bit
+    for bit: over AC11's full grid, seeded off-grid centres on its field,
+    some near or past its edge, the centres of two_d_cases (clipped and
+    skipped ones among them), and a grid 205 long in t, where the band's
+    width tau grows with the coordinates."""
+    field, _, centres = ml.ac11_grid()
+    rng = np.random.default_rng(47)
+    near = [(t + rng.uniform(-0.05, 0.05), x + rng.uniform(-0.1, 0.1))
+            for t, x in centres[::7]]
+    edge = [tuple(rng.uniform(-3.0, 28.6, 2)) for _ in range(150)]
+    for cs in (centres, near, edge):
+        assert_cut_as_the_masked_loop(monkeypatch, field, cs)
+    fields, centers, _ = two_d_cases()
+    for field in fields:
+        assert_cut_as_the_masked_loop(monkeypatch, field, centers)
+    field = ml.SampledField2D(rng.standard_normal((4100, 40)), 0.05, 0.1)
+    aligned = [(field.ts[i], field.xs[j])
+               for i in range(3950, 4100, 9) for j in range(0, 40, 4)]
+    near = [(t + rng.uniform(-0.025, 0.025), x + rng.uniform(-0.05, 0.05))
+            for t, x in aligned]
+    assert_cut_as_the_masked_loop(monkeypatch, field, aligned + near)
+
+
+def test_band_widens_with_the_coordinates(monkeypatch):
+    """Far from the origin the float test and the window's cached squared
+    distance d2 round apart by more than a band of width 64 u R*R (u =
+    2**-53) would hold.  Off-grid centres near t = 200, each found by a
+    search to have a single sample with d2 outside that narrow band and
+    the float test on its other side: one kept, one dropped.  The band's
+    width tau grows with the coordinates, so the estimator still keeps and
+    drops them as the masked loop does."""
+    R = ml.WF2D_SIGMA * ml.WF2D_CUT_SIGMAS
+    narrow = 64 * 2.0 ** -53 * R * R
+    for (t0, x0), (i, j), kept in (
+            ((199.01596116615397, 2.9572468252618167), (3932, 36), True),
+            ((196.62119832290767, 2.7284602014791264), (3886, 18), False)):
+        field = ml.SampledField2D(np.zeros((4100, 60)), 0.05, 0.1)
+        field.values[i, j] = 1.0
+        it, ix = round(t0 / 0.05), round(x0 / 0.1)
+        d2 = ((i - it) * 0.05 + (it * 0.05 - t0)) ** 2 \
+            + ((j - ix) * 0.1 + (ix * 0.1 - x0)) ** 2
+        assert abs(d2 - R * R) > narrow
+        assert ((field.ts[i] - t0) ** 2 + (field.xs[j] - x0) ** 2 < R * R) \
+            == kept == (d2 > R * R)
+        wf = ml.wf_estimate_2d(field, [(t0, x0)])
+        assert (max(r.amplitude for r in wf.rays) > 0.0) == kept
+        assert_cut_as_the_masked_loop(monkeypatch, field, [(t0, x0)])
 
 
 def test_box_reaches_every_point_inside_the_cut():

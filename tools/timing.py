@@ -16,7 +16,9 @@ Run from the root of a paqft checkout.  The cases:
   sha256, with the calls a user metric costs) and on the conformal one
   with a null covector;
 - wf2d: wf_estimate_2d on the field and centres of microlocal.ac11_grid,
-  with the number of Gaussian windows the call built;
+  with the number of Gaussian windows built, in one call and in calls of
+  27 centres as the benchmark's wf2d items make them (same sha256), where
+  the set-up each call repeats (window, cut band, run arrays) shows;
 - pairing: AC09's extension_ambiguity of two W extensions of (x+i0)^-2 and
   of W against MS, four scaling regressions, AC09's MS of x_+^(z-1),
   wf_estimate_1d of the benchmark's six models at 0 and 0.8, and the
@@ -70,6 +72,7 @@ from paqft.quantization import BogoliubovMap, QuantProduct  # noqa: E402
 from perfbench import wavefront  # noqa: E402
 
 RUNGS = [(2, 2, 8), (3, 3, 4), (3, 3, 8), (4, 4, 2), (4, 4, 4)]
+WF2D_BATCH = wavefront.SIZES["full"]["batch"]
 COMMUTATOR_LATTICES, COMMUTATOR_SITES = (24, 48), (12, 18, 24)
 N_STEPS, DT = wavefront.SIZES["full"]["flows"], 0.01
 REGRESSIONS = ("(x+i0)^-2", "(x-i0)^-1.5", "x_+^-0.5", "delta^1")
@@ -169,6 +172,16 @@ def wf2d():
                    len(centres), best_ms * 1e3 / len(centres),
                    len(wf.singular()), len(wf.near_threshold()),
                    wf.meta["windows"])))
+    batches = [centres[i:i + WF2D_BATCH]
+               for i in range(0, len(centres), WF2D_BATCH)]
+    yield ("ac11 %d-centre calls" % WF2D_BATCH,
+           lambda: [ml.wf_estimate_2d(field, b) for b in batches],
+           lambda wfs: flags_sha256(ml.WFEstimate(
+               [r for wf in wfs for r in wf.rays], wfs[0].threshold, {})),
+           lambda wfs, best_ms: "%d calls, %.0f us/call, %.1f us/centre, "
+           "%d windows" % (len(wfs), best_ms * 1e3 / len(wfs),
+                           best_ms * 1e3 / len(centres),
+                           sum(wf.meta["windows"] for wf in wfs)))
 
 
 def pairing():
