@@ -115,9 +115,12 @@ def leapfrog(lat: Lattice1p1, phi0, phi1) -> np.ndarray:
     phi = np.zeros((lat.n_t, lat.n_x))
     phi[0] = phi0
     phi[1] = phi1
+    row = np.empty(lat.n_x + 2)  # phi[n] between its periodic neighbours
     for n in range(1, lat.n_t - 1):
-        dxx = np.roll(phi[n], -1) - 2.0 * phi[n] + np.roll(phi[n], 1)
-        phi[n + 1] = 2.0 * phi[n] - phi[n - 1] + c2 * dxx - m2at2 * phi[n]
+        p, two = phi[n], 2.0 * phi[n]
+        row[1:-1], row[0], row[-1] = p, p[-1], p[0]
+        dxx = row[2:] - two + row[:-2]
+        phi[n + 1] = two - phi[n - 1] + c2 * dxx - m2at2 * p
     return phi
 
 

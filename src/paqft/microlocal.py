@@ -19,8 +19,8 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, repeat
-from operator import mul, sub
+from itertools import chain, compress, repeat
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -85,7 +85,7 @@ class WFEstimate:
         self.meta = meta
 
     def singular(self):
-        return [r for r in self.rays if r.singular]
+        return list(compress(self.rays, map(itemgetter(4), self.rays)))
 
     def singular_at(self, center):
         c = np.asarray(center, dtype=float)
@@ -131,7 +131,8 @@ def _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor, meta):
     expo[fit] = -(ys @ xs) / (xs @ xs)
     ratio = np.divide(last, rel_floor * peak, out=np.full_like(peak, np.nan),
                       where=peak > 0)
-    expo, peak, ratio = (np.tile(a, len(dirs) // a.shape[1]).ravel()
+    expo, peak, ratio = (np.concatenate([a] * (len(dirs) // a.shape[1]),
+                                        axis=1).ravel()
                          for a in (expo, peak, ratio))
     rays = map(partial(tuple.__new__, WFRay),
                zip(chain.from_iterable(map(repeat, cs, repeat(len(dirs)))),
@@ -271,6 +272,21 @@ def _phase_tables(a_t: float, a_x: float):
     return rs, dirs, ht, hx, E_t.view(float), E_x
 
 
+@lru_cache(maxsize=8)
+def _cut_window(a_t, a_x, ht, hx, s_t, s_x, tau):
+    """wf_estimate_2d's window at sub-grid shift s, zeroed where d2 > R*R +
+    tau, and the flat indices of its band |d2 - R*R| <= tau, read-only."""
+    R, g = WF2D_SIGMA * WF2D_CUT_SIGMAS, -0.5 / (WF2D_SIGMA * WF2D_SIGMA)
+    dt2 = (np.arange(-ht, ht + 1) * a_t + s_t) ** 2
+    dx2 = (np.arange(-hx, hx + 1) * a_x + s_x) ** 2
+    window = np.exp(g * dt2)[:, None] * np.exp(g * dx2)
+    d2 = dt2[:, None] + dx2
+    window[d2 > R * R + tau] = 0.0
+    band = np.flatnonzero((d2 >= R * R - tau) & (d2 <= R * R + tau))
+    window.flags.writeable = band.flags.writeable = False
+    return window, band
+
+
 def wf_estimate_2d(field: SampledField2D, centers,
                    threshold: float = 2.5) -> WFEstimate:
     """Windowed-pairing wave front estimate for gridded data.
@@ -287,9 +303,10 @@ def wf_estimate_2d(field: SampledField2D, centers,
     outer product of one row of exponentials per axis over the anchor's
     offsets (di a_t + s_t, dj a_x + s_x), s = (it a_t - t0, ix a_x - x0)
     the centre's sub-grid shift from its anchor (it, ix).  A window
-    depends on nothing but s, so it is built once per run of consecutive
-    paired centres with equal shifts: all grid-aligned centres (s = (0,
-    0)) share one.  meta["windows"] counts the windows built.
+    depends on nothing but s, so each run of consecutive paired centres
+    with equal shifts takes one from a cache of the last 8 built (keyed on
+    s, the spacing and tau): all grid-aligned centres share one, across
+    calls too.  meta["windows"] counts the windows used.
 
     The cut keeps the points where (ts[i] - t0)**2 + (xs[j] - x0)**2 < R*R,
     the float test made on the full grid, so points exactly at the cut
@@ -308,7 +325,8 @@ def wf_estimate_2d(field: SampledField2D, centers,
     passes; the test grows with |ts[i] - t0| and |xs[j] - x0|, so a
     clipped box is tested at its nearest row and column.
 
-    Each centre pairs on its own box: one real matrix product of the box's
+    Each centre pairs on its own box (a box clipped by the grid's edge with
+    slices of the window and tables): one real matrix product of the box's
     transpose with E_t, stored with each q's real and imaginary parts side
     by side, reads as a complex (space offset, q) array, and one sum
     against E_x over the space offsets gives the amplitudes; the cell area
@@ -322,11 +340,10 @@ def wf_estimate_2d(field: SampledField2D, centers,
     if kmax > nyq:
         raise MicrolocalError(
             f"ladder top {kmax:.3g} exceeds grid Nyquist {nyq:.3g}")
-    R, g = WF2D_SIGMA * WF2D_CUT_SIGMAS, -0.5 / (WF2D_SIGMA * WF2D_SIGMA)
+    R = WF2D_SIGMA * WF2D_CUT_SIGMAS
     a_t, a_x = field.a_t, field.a_x
     ts, xs = field.ts, field.xs
     rs, dirs, ht, hx, E_t, E_x = _phase_tables(a_t, a_x)
-    off_t, off_x = np.arange(-ht, ht + 1) * a_t, np.arange(-hx, hx + 1) * a_x
     nt, nx = field.values.shape
     C = max(nt * a_t, nx * a_x) + 2 * R  # bounds the coordinates in reach
     tau = 64 * 2.0 ** -53 * (R * R + 2 * R * C)
@@ -346,17 +363,13 @@ def wf_estimate_2d(field: SampledField2D, centers,
             + ((xs[j0:j1] - x0) ** 2).min() < R * R
     skipped = [pts[k] for k in np.flatnonzero(~paired)]
     p = np.flatnonzero(paired)
-    runs = np.split(p, np.flatnonzero(
-        (shift[p[1:]] != shift[p[:-1]]).any(1)) + 1) if p.size else []
+    new = np.flatnonzero((shift[p[1:]] != shift[p[:-1]]).any(1)) + 1
+    runs = np.split(p, new) if new.size else [p] * (p.size > 0)
     anchors, los, his = anchor.tolist(), lo.tolist(), hi.tolist()
     cs, amps = [], []
     for run in runs:
-        s_t, s_x = shift[run[0]]
-        dt2, dx2 = (off_t + s_t) ** 2, (off_x + s_x) ** 2
-        window = np.exp(g * dt2)[:, None] * np.exp(g * dx2)
-        d2 = dt2[:, None] + dx2
-        window[d2 > R * R + tau] = 0.0
-        band = np.flatnonzero((d2 >= R * R - tau) & (d2 <= R * R + tau))
+        window, band = _cut_window(a_t, a_x, ht, hx, *shift[run[0]].tolist(),
+                                   tau)
         I = anchor[run, :1] + band // (2 * hx + 1) - ht  # band rows, columns
         J = anchor[run, 1:] + band % (2 * hx + 1) - hx
         out = ((ts.take(I, mode="clip") - c[run, :1]) ** 2
@@ -365,12 +378,14 @@ def wf_estimate_2d(field: SampledField2D, centers,
         flat = (I - lo[run, :1]) * (hi - lo)[run, 1:] + J - lo[run, 1:]
         for k, z, o in zip(run.tolist(), flat, out):
             (it, ix), (i0, j0), (i1, j1) = anchors[k], los[k], his[k]
-            bt = slice(i0 - it + ht, i1 - it + ht)
-            bx = slice(j0 - ix + hx, j1 - ix + hx)
-            box = window[bt, bx] * field.values[i0:i1, j0:j1]
+            w, et, ex = window, E_t, E_x
+            if (i1 - i0, j1 - j0) != window.shape:  # clipped
+                bt = slice(i0 - it + ht, i1 - it + ht)
+                bx = slice(j0 - ix + hx, j1 - ix + hx)
+                w, et, ex = window[bt, bx], E_t[bt], E_x[bx]
+            box = w * field.values[i0:i1, j0:j1]
             box.reshape(-1)[z[o]] = 0.0  # the band points outside the cut
-            A = (box.T @ E_t[bt]).view(complex)
-            amps.append((A * E_x[bx]).sum(0))
+            amps.append(((box.T @ et).view(complex) * ex).sum(0))
             cs.append(pts[k])
     amps = np.abs(amps).reshape(len(cs), WF2D_RAYS // 2, len(rs))
     amps *= a_t * a_x

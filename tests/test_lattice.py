@@ -13,7 +13,8 @@ from paqft import acceptance
 from paqft.exact import ExactComplex
 from paqft.functionals import smeared_field
 from paqft.lattice import (ExactPropagators, Lattice1p1, PropagatorSet,
-                           dyadic, UnstableStep, ZeroModeSingular)
+                           dyadic, leapfrog, UnstableStep,
+                           ZeroModeSingular)
 from paqft.quantization import QuantProduct
 
 from conftest import (antifeynman_rows, el_matrix, interior_sites,
@@ -40,20 +41,46 @@ def test_zero_mode_needs_mass():
     assert ps.ret_table().shape == (8, 4)
 
 
-def reference_ret_table(lat):
-    """The retarded table by a recursion of its own, apart from the
-    library's leapfrog march, in the same float operation order."""
+def roll_leapfrog(lat, phi0, phi1):
+    """The leapfrog march with each row's neighbours from np.roll, apart
+    from the library's padded row, in the same float operation order."""
     at = float(lat.a_t)
     ax = float(lat.a_x)
     c2 = at * at / (ax * ax)
     m2at2 = lat.mass ** 2 * at * at
-    g = np.zeros((lat.n_t, lat.n_x))
-    if lat.n_t > 1:
-        g[1, 0] = -at / ax  # kick from the source row of E g = delta
+    phi = np.zeros((lat.n_t, lat.n_x))
+    phi[0] = phi0
+    phi[1] = phi1
     for n in range(1, lat.n_t - 1):
-        dxx = np.roll(g[n], -1) - 2.0 * g[n] + np.roll(g[n], 1)
-        g[n + 1] = 2.0 * g[n] - g[n - 1] + c2 * dxx - m2at2 * g[n]
-    return g
+        dxx = np.roll(phi[n], -1) - 2.0 * phi[n] + np.roll(phi[n], 1)
+        phi[n + 1] = 2.0 * phi[n] - phi[n - 1] + c2 * dxx - m2at2 * phi[n]
+    return phi
+
+
+def reference_ret_table(lat):
+    """The retarded table by the np.roll march, from the kick of the
+    source row of E g = delta."""
+    kick = np.zeros(lat.n_x)
+    kick[0] = -float(lat.a_t) / float(lat.a_x)
+    return roll_leapfrog(lat, 0.0, kick)
+
+
+@pytest.mark.parametrize("lat", [
+    Lattice1p1(8, 4, Fraction(1, 2), Fraction(1)),
+    Lattice1p1(24, 24),
+    Lattice1p1(48, 48),
+    Lattice1p1(512, 256, Fraction(1, 20), Fraction(1, 10), 1.0),
+    Lattice1p1(8, 4, Fraction(1, 4), Fraction(1), mass=0.0),
+], ids=repr)
+def test_leapfrog_matches_the_roll_march(lat):
+    """From two random time rows holding zeros of both signs, the march
+    gives the np.roll march's bits, down to the sign of every zero."""
+    rng = np.random.default_rng(lat.n_t * lat.n_x)
+    phi0, phi1 = rng.standard_normal((2, lat.n_x))
+    phi0[::3], phi1[1::3] = -0.0, 0.0
+    got, want = leapfrog(lat, phi0, phi1), roll_leapfrog(lat, phi0, phi1)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("lat", [

@@ -535,9 +535,9 @@ def masked_loop_wf2d(field, centers):
     return cs, amps * (a_t * a_x), skipped
 
 
-def assert_cut_as_the_masked_loop(monkeypatch, field, centers):
-    """wf_estimate_2d pairs, skips and cuts bit for bit as masked_loop_wf2d:
-    the amplitudes it hands to the fit are equal arrays."""
+def captured_wf2d(monkeypatch, field, centers):
+    """wf_estimate_2d's paired centres and the amplitudes it hands to the
+    fit, and its estimate."""
     got = {}
     estimate = ml._estimate
 
@@ -548,9 +548,16 @@ def assert_cut_as_the_masked_loop(monkeypatch, field, centers):
     with monkeypatch.context() as m:
         m.setattr(ml, "_estimate", capture)
         wf = ml.wf_estimate_2d(field, centers)
+    return got["cs"], got["amps"], wf
+
+
+def assert_cut_as_the_masked_loop(monkeypatch, field, centers):
+    """wf_estimate_2d pairs, skips and cuts bit for bit as masked_loop_wf2d:
+    the amplitudes it hands to the fit are equal arrays."""
+    got_cs, got_amps, wf = captured_wf2d(monkeypatch, field, centers)
     cs, amps, skipped = masked_loop_wf2d(field, centers)
-    assert got["cs"] == cs and wf.meta["skipped_centers"] == skipped
-    assert np.array_equal(got["amps"], amps)
+    assert got_cs == cs and wf.meta["skipped_centers"] == skipped
+    assert np.array_equal(got_amps, amps)
 
 
 def two_d_cases():
@@ -608,6 +615,71 @@ def test_phase_tables_are_cached_per_spacing():
     for table in (E_t, E_x):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
+
+
+def test_cold_and_warm_cut_windows_pair_alike(monkeypatch):
+    """A call on an empty cut-window cache and the same call again, on
+    the windows the first one left there, hand equal amplitudes to the
+    fit and give equal rays."""
+    fields, centers, _ = two_d_cases()
+    field, centers = fields[2], centers[:8]  # fewer windows than the cache
+    ml._cut_window.cache_clear()
+    _, cold, wf_cold = captured_wf2d(monkeypatch, field, centers)
+    built = ml._cut_window.cache_info().misses
+    assert built == wf_cold.meta["windows"] > 1
+    _, warm, wf_warm = captured_wf2d(monkeypatch, field, centers)
+    assert ml._cut_window.cache_info()[:2] == (built, built)  # hits, misses
+    assert np.array_equal(cold, warm) and wf_cold.rays == wf_warm.rays
+    assert wf_cold.meta["windows"] == wf_warm.meta["windows"]
+
+
+def test_cached_cut_windows_are_read_only(monkeypatch):
+    """Every window and band the estimator takes from the cache refuses
+    writes, so no call can change those of a later one."""
+    fields, centers, _ = two_d_cases()
+    taken = []
+    cut_window = ml._cut_window
+
+    def spy(*key):
+        taken.append(cut_window(*key))
+        return taken[-1]
+
+    monkeypatch.setattr(ml, "_cut_window", spy)
+    ml.wf_estimate_2d(fields[0], centers)
+    assert len(taken) > 1
+    for window, band in taken:
+        with pytest.raises(ValueError, match="read-only"):
+            window[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            band[0] = 0
+
+
+def test_cut_windows_of_other_extents_are_apart(monkeypatch):
+    """Two fields with one spacing but different extents have different
+    band widths tau, so their windows are separate cache entries; each
+    still pairs as the masked loop."""
+    rng = np.random.default_rng(48)
+    short = ml.SampledField2D(rng.standard_normal((96, 96)), 0.1, 0.1)
+    long = ml.SampledField2D(rng.standard_normal((400, 96)), 0.1, 0.1)
+    centre = [(4.8, 4.8)]
+    ml._cut_window.cache_clear()
+    for field in (short, long, short):
+        assert ml.wf_estimate_2d(field, centre).meta["windows"] == 1
+        assert_cut_as_the_masked_loop(monkeypatch, field, centre)
+    info = ml._cut_window.cache_info()
+    assert info.currsize == 2
+    assert info.misses == 2
+
+
+def test_skipped_centres_build_no_window():
+    """A call whose centres are all skipped takes no window from the
+    cache and builds none."""
+    fields, _, skipped = two_d_cases()
+    ml._cut_window.cache_clear()
+    wf = ml.wf_estimate_2d(fields[0], skipped)
+    assert wf.rays == [] and wf.meta["windows"] == 0
+    info = ml._cut_window.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
 
 def test_points_on_the_cut_fall_as_in_the_reference():
