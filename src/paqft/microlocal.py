@@ -232,9 +232,9 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
 
 
 class SampledField2D:
-    """Real samples on a rectangular (t, x) grid with spacings (a_t, a_x);
-    coordinates are physical.  Complex samples raise TypeError, nan or
-    infinite ones NonFiniteSamples."""
+    """Real samples on a rectangular (t, x) grid with spacings (a_t, a_x):
+    sample (i, j) sits at (i a_t, j a_x).  Complex samples raise TypeError,
+    nan or infinite ones NonFiniteSamples."""
 
     def __init__(self, values: np.ndarray, a_t: float, a_x: float):
         self.values = np.asarray(values)
@@ -249,9 +249,6 @@ class SampledField2D:
                 f"{tuple(bad[0].tolist())}")
         self.a_t = float(a_t)
         self.a_x = float(a_x)
-        nt, nx = self.values.shape
-        self.ts = np.arange(nt) * self.a_t
-        self.xs = np.arange(nx) * self.a_x
 
 
 @lru_cache
@@ -273,18 +270,16 @@ def _phase_tables(a_t: float, a_x: float):
 
 
 @lru_cache(maxsize=8)
-def _cut_window(a_t, a_x, ht, hx, s_t, s_x, tau):
-    """wf_estimate_2d's window at sub-grid shift s, zeroed where d2 > R*R +
-    tau, and the flat indices of its band |d2 - R*R| <= tau, read-only."""
+def _cut_window(a_t, a_x, ht, hx, s_t, s_x):
+    """wf_estimate_2d's window at sub-grid shift s, zeroed outside the cut
+    d2 < R*R (1 - 2**-30), read-only."""
     R, g = WF2D_SIGMA * WF2D_CUT_SIGMAS, -0.5 / (WF2D_SIGMA * WF2D_SIGMA)
     dt2 = (np.arange(-ht, ht + 1) * a_t + s_t) ** 2
     dx2 = (np.arange(-hx, hx + 1) * a_x + s_x) ** 2
     window = np.exp(g * dt2)[:, None] * np.exp(g * dx2)
-    d2 = dt2[:, None] + dx2
-    window[d2 > R * R + tau] = 0.0
-    band = np.flatnonzero((d2 >= R * R - tau) & (d2 <= R * R + tau))
-    window.flags.writeable = band.flags.writeable = False
-    return window, band
+    window[dt2[:, None] + dx2 >= R * R * (1 - 2.0 ** -30)] = 0.0
+    window.flags.writeable = False
+    return window
 
 
 def wf_estimate_2d(field: SampledField2D, centers,
@@ -302,28 +297,21 @@ def wf_estimate_2d(field: SampledField2D, centers,
     spacing and cached.  The Gaussian is separable, so the window is the
     outer product of one row of exponentials per axis over the anchor's
     offsets (di a_t + s_t, dj a_x + s_x), s = (it a_t - t0, ix a_x - x0)
-    the centre's sub-grid shift from its anchor (it, ix).  A window
-    depends on nothing but s, so each run of consecutive paired centres
-    with equal shifts takes one from a cache of the last 8 built (keyed on
-    s, the spacing and tau): all grid-aligned centres share one, across
-    calls too.  meta["windows"] counts the windows used.
+    the centre's sub-grid shift from its anchor (it, ix).
 
-    The cut keeps the points where (ts[i] - t0)**2 + (xs[j] - x0)**2 < R*R,
-    the float test made on the full grid, so points exactly at the cut
-    fall the same way.  It is made once per window on the squared offsets
-    d2 = (di a_t + s_t)**2 + (dj a_x + s_x)**2: points with d2 > R*R + tau
-    are zeroed, and only the band |d2 - R*R| <= tau takes the float test,
-    in one array expression per run.  tau = 64 u (R*R + 2 R C), u = 2**-53
-    and C = max(nt a_t, nx a_x) + 2R, bounds the gap of the two tests: in a
-    box holding a grid point, |t0|, |it a_t| and |ts[i]| are at most C and
-    offsets at most R + a < 2R (a <= pi/kmax < R/2, the Nyquist guard);
-    ts[i] - t0 rounds twice and di a_t + s_t four times, by at most uC
-    each, so the two differ by 6uC and their squares by 24uRC an axis, and
-    squaring and summing add 16uR^2 a test: 48uRC + 32uR^2 in all, well
-    below tau.  A centre is skipped (meta["skipped_centers"]) when no point
-    of its box passes the float test.  A whole box holds its anchor, which
-    passes; the test grows with |ts[i] - t0| and |xs[j] - x0|, so a
-    clipped box is tested at its nearest row and column.
+    The cut is decided on the same offsets: a point is kept when d2 =
+    (di a_t + s_t)**2 + (dj a_x + s_x)**2 < R*R (1 - 2**-30).  Rounding puts
+    the d2 of grid points exactly at R (on AC11's grid, 30 time and 20
+    space steps out) a few ulps either side of R*R; the margin, far above
+    rounding, drops them all wherever the centre sits.  So the window, cut
+    included, depends on nothing but s: grid-aligned centres see one cut
+    wherever they sit.  Each run of consecutive centres with equal shifts
+    and a grid point in their boxes takes one window from a cache of the
+    last 8 built (keyed on s and the spacing), shared across calls too;
+    meta["windows"] counts the windows used.  A centre is skipped
+    (meta["skipped_centers"]) when its box holds no kept point: a whole
+    box holds its anchor, which is kept; a clipped one is tested on its
+    slice of the window.
 
     Each centre pairs on its own box (a box clipped by the grid's edge with
     slices of the window and tables): one real matrix product of the box's
@@ -340,13 +328,9 @@ def wf_estimate_2d(field: SampledField2D, centers,
     if kmax > nyq:
         raise MicrolocalError(
             f"ladder top {kmax:.3g} exceeds grid Nyquist {nyq:.3g}")
-    R = WF2D_SIGMA * WF2D_CUT_SIGMAS
     a_t, a_x = field.a_t, field.a_x
-    ts, xs = field.ts, field.xs
     rs, dirs, ht, hx, E_t, E_x = _phase_tables(a_t, a_x)
     nt, nx = field.values.shape
-    C = max(nt * a_t, nx * a_x) + 2 * R  # bounds the coordinates in reach
-    tau = 64 * 2.0 ** -53 * (R * R + 2 * R * C)
     pts = [(t0, x0) for t0, x0 in centers]
     c = np.array(pts, dtype=float).reshape(-1, 2)
     steps = c / (a_t, a_x)
@@ -356,39 +340,30 @@ def wf_estimate_2d(field: SampledField2D, centers,
     shift = anchor * (a_t, a_x) - c
     lo = np.maximum(anchor - (ht, hx), 0)
     hi = np.minimum(anchor + (ht + 1, hx + 1), (nt, nx))
-    paired = (hi - lo == (2 * ht + 1, 2 * hx + 1)).all(1)
-    for k in np.flatnonzero(~paired):  # clipped boxes
-        (i0, j0), (i1, j1), (t0, x0) = lo[k], hi[k], c[k]
-        paired[k] = i0 < i1 and j0 < j1 and ((ts[i0:i1] - t0) ** 2).min() \
-            + ((xs[j0:j1] - x0) ** 2).min() < R * R
-    skipped = [pts[k] for k in np.flatnonzero(~paired)]
+    paired = (lo < hi).all(1)  # boxes holding a grid point
     p = np.flatnonzero(paired)
     new = np.flatnonzero((shift[p[1:]] != shift[p[:-1]]).any(1)) + 1
     runs = np.split(p, new) if new.size else [p] * (p.size > 0)
     anchors, los, his = anchor.tolist(), lo.tolist(), hi.tolist()
     cs, amps = [], []
     for run in runs:
-        window, band = _cut_window(a_t, a_x, ht, hx, *shift[run[0]].tolist(),
-                                   tau)
-        I = anchor[run, :1] + band // (2 * hx + 1) - ht  # band rows, columns
-        J = anchor[run, 1:] + band % (2 * hx + 1) - hx
-        out = ((ts.take(I, mode="clip") - c[run, :1]) ** 2
-               + (xs.take(J, mode="clip") - c[run, 1:]) ** 2 >= R * R) \
-            & (I >= 0) & (I < nt) & (J >= 0) & (J < nx)
-        flat = (I - lo[run, :1]) * (hi - lo)[run, 1:] + J - lo[run, 1:]
-        for k, z, o in zip(run.tolist(), flat, out):
+        window = _cut_window(a_t, a_x, ht, hx, *shift[run[0]].tolist())
+        for k in run.tolist():
             (it, ix), (i0, j0), (i1, j1) = anchors[k], los[k], his[k]
             w, et, ex = window, E_t, E_x
             if (i1 - i0, j1 - j0) != window.shape:  # clipped
                 bt = slice(i0 - it + ht, i1 - it + ht)
                 bx = slice(j0 - ix + hx, j1 - ix + hx)
                 w, et, ex = window[bt, bx], E_t[bt], E_x[bx]
+                if not w.any():
+                    paired[k] = False
+                    continue
             box = w * field.values[i0:i1, j0:j1]
-            box.reshape(-1)[z[o]] = 0.0  # the band points outside the cut
             amps.append(((box.T @ et).view(complex) * ex).sum(0))
             cs.append(pts[k])
     amps = np.abs(amps).reshape(len(cs), WF2D_RAYS // 2, len(rs))
     amps *= a_t * a_x
+    skipped = [pts[k] for k in np.flatnonzero(~paired)]
     return _estimate(cs, dirs, rs, amps, threshold,
                      WF2D_AMP_FLOOR, WF2D_REL_FLOOR,
                      {"skipped_centers": skipped, "windows": len(runs)})

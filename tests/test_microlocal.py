@@ -452,23 +452,32 @@ def test_nyquist_guard():
 
 def reference_wf2d(field, centers, n_rays=16, k_base=1.25, n_octaves=3,
                    sigma=0.5, R=2.5, amp_floor=1e-7, rel_floor=1e-4):
-    """Per-centre pairing over the grid points within R, for each of the
-    n_rays directions on its own, and a least-squares line per ray:
-    {(centre, j): (peak, exponent)}.  The grid is first cut to the rows and
-    columns within R of the centre; a point inside the cut lies in both, so
-    the masked points are those of the full grid.  The phases e^{i r d.p}
-    of all directions at the lowest frequency come from one exponential per
-    (direction, point); each octave doubles r, so squaring them gives the
-    next rung.  The fits of all rays are one polyfit."""
+    """Per-centre pairing over the grid points inside the cut, for each of
+    the n_rays directions on its own, and a least-squares line per ray:
+    {(centre, j): (peak, exponent)}.  A point (i, j) is offset from the
+    centre by ((i - it) a_t + (it a_t - t0), (j - ix) a_x + (ix a_x - x0)),
+    (it, ix) the centre's nearest grid point, and is inside the cut when
+    its squared offset is below R*R (1 - 2**-30).  The grid is first cut
+    to the rows and columns inside it; a point inside the cut lies in
+    both, so the masked points are those of the full grid.  The phases
+    e^{i r d.p}, p the offset, of all directions at the lowest frequency
+    come from one exponential per (direction, point); each octave doubles
+    r, so squaring them gives the next rung.  The fits of all rays are one
+    polyfit."""
     rs = [k_base * 2 ** j for j in range(n_octaves + 1)]
     a = 2 * math.pi * np.arange(n_rays) / n_rays
     dirs = np.stack([np.cos(a), np.sin(a)], axis=1)
+    cut = R * R * (1 - 2.0 ** -30)
+    nt, nx = field.values.shape
     out = {}
     for (t0, x0) in centers:
-        rows, cols = (field.ts - t0) ** 2 < R * R, (field.xs - x0) ** 2 < R * R
-        T, X = np.meshgrid(field.ts[rows], field.xs[cols], indexing="ij")
-        dist2 = (T - t0) ** 2 + (X - x0) ** 2
-        mask = dist2 < R * R
+        it, ix = round(t0 / field.a_t), round(x0 / field.a_x)
+        dt = (np.arange(nt) - it) * field.a_t + (it * field.a_t - t0)
+        dx = (np.arange(nx) - ix) * field.a_x + (ix * field.a_x - x0)
+        rows, cols = dt ** 2 < cut, dx ** 2 < cut
+        T, X = np.meshgrid(dt[rows], dx[cols], indexing="ij")
+        dist2 = T ** 2 + X ** 2
+        mask = dist2 < cut
         if not mask.any():
             continue
         v = field.values[np.ix_(rows, cols)][mask] \
@@ -499,12 +508,12 @@ def assert_matches_reference(wf, ref):
 
 
 def masked_loop_wf2d(field, centers):
-    """wf_estimate_2d's pairing with the cut made per centre through a float
-    mask of its whole box, as the estimator once made it: the box is
-    skipped where (ts[i] - t0)**2 + (xs[j] - x0)**2 >= R*R holds all over
-    it, and else zeroed there after its product with the window.
-    (paired centres, their (centre, WF2D_RAYS/2, frequency) amplitudes,
-    skipped centres)."""
+    """wf_estimate_2d's pairing with the cut made per centre through a mask
+    of its whole box: the box is skipped where the squared offset from the
+    centre, (i - it) a_t + s_t and (j - ix) a_x + s_x on each axis, is at
+    least R*R (1 - 2**-30) all over it, and else zeroed there after its
+    product with the window.  (paired centres, their (centre, WF2D_RAYS/2,
+    frequency) amplitudes, skipped centres)."""
     R = ml.WF2D_SIGMA * ml.WF2D_CUT_SIGMAS
     g = -0.5 / (ml.WF2D_SIGMA * ml.WF2D_SIGMA)
     a_t, a_x = field.a_t, field.a_x
@@ -516,12 +525,13 @@ def masked_loop_wf2d(field, centers):
         it, ix = round(t0 / a_t), round(x0 / a_x)
         i0, i1 = max(it - ht, 0), min(it + ht + 1, nt)
         j0, j1 = max(ix - hx, 0), min(ix + hx + 1, nx)
-        outside = ((field.ts[i0:i1] - t0) ** 2)[:, None] \
-            + (field.xs[j0:j1] - x0) ** 2 >= R * R
+        s_t, s_x = it * a_t - t0, ix * a_x - x0
+        dt = np.arange(i0 - it, i1 - it) * a_t + s_t
+        dx = np.arange(j0 - ix, j1 - ix) * a_x + s_x
+        outside = (dt * dt)[:, None] + dx * dx >= R * R * (1 - 2.0 ** -30)
         if outside.all():
             skipped.append((t0, x0))
             continue
-        s_t, s_x = it * a_t - t0, ix * a_x - x0
         window = np.exp(g * (off_t + s_t) ** 2)[:, None] \
             * np.exp(g * (off_x + s_x) ** 2)
         bt = slice(i0 - it + ht, i1 - it + ht)
@@ -634,8 +644,8 @@ def test_cold_and_warm_cut_windows_pair_alike(monkeypatch):
 
 
 def test_cached_cut_windows_are_read_only(monkeypatch):
-    """Every window and band the estimator takes from the cache refuses
-    writes, so no call can change those of a later one."""
+    """Every window the estimator takes from the cache refuses writes, so
+    no call can change those of a later one."""
     fields, centers, _ = two_d_cases()
     taken = []
     cut_window = ml._cut_window
@@ -647,17 +657,15 @@ def test_cached_cut_windows_are_read_only(monkeypatch):
     monkeypatch.setattr(ml, "_cut_window", spy)
     ml.wf_estimate_2d(fields[0], centers)
     assert len(taken) > 1
-    for window, band in taken:
+    for window in taken:
         with pytest.raises(ValueError, match="read-only"):
             window[0, 0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            band[0] = 0
 
 
-def test_cut_windows_of_other_extents_are_apart(monkeypatch):
-    """Two fields with one spacing but different extents have different
-    band widths tau, so their windows are separate cache entries; each
-    still pairs as the masked loop."""
+def test_cut_windows_are_shared_across_extents(monkeypatch):
+    """Two fields with one spacing but different extents share one cache
+    entry: the cut depends on the centre's offsets, not on the grid's
+    extent.  Each still pairs as the masked loop."""
     rng = np.random.default_rng(48)
     short = ml.SampledField2D(rng.standard_normal((96, 96)), 0.1, 0.1)
     long = ml.SampledField2D(rng.standard_normal((400, 96)), 0.1, 0.1)
@@ -667,8 +675,8 @@ def test_cut_windows_of_other_extents_are_apart(monkeypatch):
         assert ml.wf_estimate_2d(field, centre).meta["windows"] == 1
         assert_cut_as_the_masked_loop(monkeypatch, field, centre)
     info = ml._cut_window.cache_info()
-    assert info.currsize == 2
-    assert info.misses == 2
+    assert info.currsize == 1
+    assert info.misses == 1
 
 
 def test_skipped_centres_build_no_window():
@@ -682,82 +690,112 @@ def test_skipped_centres_build_no_window():
     assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
 
+# grid offsets (time steps, space steps) exactly R = 2.5 from the centre on
+# AC11's spacings (0.05, 0.1) and on (0.02, 0.02)
+ON_CUT = {(0.05, 0.1): [(50, 0), (-50, 0), (0, 25), (0, -25), (30, 20),
+                        (-30, -20), (30, -20), (14, 24), (-14, 24), (48, 7),
+                        (48, -7), (-48, 7), (40, 15), (-40, -15)],
+          (0.02, 0.02): [(117, 44), (-117, 44), (117, -44), (-117, -44),
+                         (44, 117), (-44, 117), (44, -117), (-44, -117)]}
+
+
+def one_step_inside(offsets):
+    """Each offset moved one step toward the centre on each axis it leaves
+    the centre's row or column on."""
+    return ([(dt - np.sign(dt), dx) for dt, dx in offsets if dt]
+            + [(dt, dx - np.sign(dx)) for dt, dx in offsets if dx])
+
+
+def cut_fates(a_t, a_x, offsets, shape, positions=40):
+    """{offset: set of fates}: at each of the positions (t and x steps
+    both moving), a field with a single sample there and grid-aligned
+    centres at each offset from it; a fate is True when the centre's
+    estimate sees the sample (a nonzero amplitude)."""
+    fates = {o: set() for o in offsets}
+    for k in range(positions):
+        pt, px = shape[0] // 2 + k, shape[1] // 2 + k % 7
+        values = np.zeros(shape)
+        values[pt, px] = 1.0
+        field = ml.SampledField2D(values, a_t, a_x)
+        centres = [((pt - dt) * a_t, (px - dx) * a_x) for dt, dx in offsets]
+        amps = [r.amplitude for r in ml.wf_estimate_2d(field, centres).rays]
+        seen = np.reshape(amps, (len(offsets), -1)).max(1) > 0.0
+        for o, kept in zip(offsets, seen.tolist()):
+            fates[o].add(kept)
+    return fates
+
+
 def test_points_on_the_cut_fall_as_in_the_reference():
-    """On AC11's spacings, single samples at grid offsets (time steps,
-    space steps) exactly R = 2.5 from a grid-aligned centre, and one step
-    inside.  The float test dT*dT + dX*dX < R*R keeps some of the points on
-    the cut and drops others; the estimator keeps and drops the same ones as
-    the reference, with zero amplitude where both drop the point."""
-    a_t, a_x, shape = 0.05, 0.1, (200, 100)
-    on_cut = [(50, 0), (-50, 0), (0, 25), (0, -25), (30, 20), (-30, -20),
-              (30, -20), (14, 24), (-14, 24), (48, 7), (48, -7), (-48, 7),
-              (40, 15), (-40, -15)]
-    inside = [(49, 0), (29, 20), (-14, 23)]
-    kept = {}
-    for it, ix in ((60, 30), (77, 33)):
-        for dt, dx in on_cut + inside:
-            values = np.zeros(shape)
-            values[it + dt, ix + dx] = 1.0
-            field = ml.SampledField2D(values, a_t, a_x)
-            centre = (field.ts[it], field.xs[ix])
-            wf = ml.wf_estimate_2d(field, [centre])
-            assert_matches_reference(wf, reference_wf2d(field, [centre]))
-            kept[it, dt, dx] = max(r.amplitude for r in wf.rays) > 0.0
-    assert {kept[it, dt, dx] for it in (60, 77) for dt, dx in on_cut} \
-        == {False, True}
-    assert all(kept[it, dt, dx] for it in (60, 77) for dt, dx in inside)
+    """A single sample exactly R from a grid-aligned centre is dropped at
+    every position, and one a step inside is kept, on AC11's spacings and
+    on (0.02, 0.02).  On the latter the squared offsets of (117, 44) and
+    (44, 117) round below R*R, so only the cut's margin drops them.  At one
+    position the estimate matches the reference."""
+    R = ml.WF2D_SIGMA * ml.WF2D_CUT_SIGMAS
+    assert (117 * 0.02) ** 2 + (44 * 0.02) ** 2 < R * R
+    for (a_t, a_x), shape in (((0.05, 0.1), (240, 100)),
+                              ((0.02, 0.02), (320, 320))):
+        on_cut = ON_CUT[a_t, a_x]
+        inside = one_step_inside(on_cut)
+        fates = cut_fates(a_t, a_x, on_cut + inside, shape)
+        assert all(fates[o] == {False} for o in on_cut)
+        assert all(fates[o] == {True} for o in inside)
+        values = np.zeros(shape)
+        values[shape[0] // 2, shape[1] // 2] = 1.0
+        field = ml.SampledField2D(values, a_t, a_x)
+        centres = [((shape[0] // 2 - dt) * a_t, (shape[1] // 2 - dx) * a_x)
+                   for dt, dx in on_cut + inside]
+        assert_matches_reference(ml.wf_estimate_2d(field, centres),
+                                 reference_wf2d(field, centres))
+
+
+def test_estimate_is_invariant_under_whole_step_translations(monkeypatch):
+    """A random field and the same field displaced by whole grid steps, in
+    t, in x and in both: grid-aligned centres at matching positions, their
+    boxes away from the edges, hand equal amplitudes to the fit, bit for
+    bit.  A single sample at each of AC11's on-cut offsets from a
+    grid-aligned centre has one fate at every position."""
+    a_t, a_x = 0.05, 0.1
+    values = np.random.default_rng(49).standard_normal((160, 80))
+    centres = [(i, j) for i in range(50, 110, 7) for j in range(25, 55, 6)]
+    got = []
+    for st, sx in ((0, 0), (37, 0), (0, 11), (123, 29)):
+        moved = np.zeros((160 + st, 80 + sx))
+        moved[st:, sx:] = values
+        field = ml.SampledField2D(moved, a_t, a_x)
+        at = [((i + st) * a_t, (j + sx) * a_x) for i, j in centres]
+        got.append(captured_wf2d(monkeypatch, field, at)[1])
+    assert all(np.array_equal(got[0], amps) for amps in got[1:])
+    on_cut = ON_CUT[a_t, a_x]
+    fates = cut_fates(a_t, a_x, on_cut, (240, 100))
+    assert all(len(fates[o]) == 1 for o in on_cut)
 
 
 def test_cut_window_pairs_bit_for_bit_as_the_masked_loop(monkeypatch):
-    """The cut made once per window, with only the band of grid points
-    within rounding of the cut tested per centre, gives the amplitudes,
-    the paired and the skipped centres of the per-centre masked cut, bit
-    for bit: over AC11's full grid, seeded off-grid centres on its field,
-    some near or past its edge, the centres of two_d_cases (clipped and
-    skipped ones among them), and a grid 205 long in t, where the band's
-    width tau grows with the coordinates."""
+    """The cut made once per window gives the amplitudes, the paired and
+    the skipped centres of the per-centre masked cut, bit for bit: over
+    AC11's full grid, seeded off-grid centres on its field, some near or
+    past its edge, centres past its corners whose clipped boxes hold grid
+    points but none inside the cut, the centres of two_d_cases (clipped
+    and skipped ones among them), and a grid 205 long in t."""
     field, _, centres = ml.ac11_grid()
     rng = np.random.default_rng(47)
     near = [(t + rng.uniform(-0.05, 0.05), x + rng.uniform(-0.1, 0.1))
             for t, x in centres[::7]]
     edge = [tuple(rng.uniform(-3.0, 28.6, 2)) for _ in range(150)]
-    for cs in (centres, near, edge):
+    corner = [(-2.48, -2.48), (-2.3, 27.2), (27.3, -2.2), (27.7, 27.1)]
+    assert ml.wf_estimate_2d(field, corner).meta["skipped_centers"] == corner
+    for cs in (centres, near, edge, corner):
         assert_cut_as_the_masked_loop(monkeypatch, field, cs)
     fields, centers, _ = two_d_cases()
     for field in fields:
         assert_cut_as_the_masked_loop(monkeypatch, field, centers)
     field = ml.SampledField2D(rng.standard_normal((4100, 40)), 0.05, 0.1)
-    aligned = [(field.ts[i], field.xs[j])
+    aligned = [(i * 0.05, j * 0.1)
                for i in range(3950, 4100, 9) for j in range(0, 40, 4)]
     near = [(t + rng.uniform(-0.025, 0.025), x + rng.uniform(-0.05, 0.05))
             for t, x in aligned]
     assert_cut_as_the_masked_loop(monkeypatch, field, aligned + near)
-
-
-def test_band_widens_with_the_coordinates(monkeypatch):
-    """Far from the origin the float test and the window's cached squared
-    distance d2 round apart by more than a band of width 64 u R*R (u =
-    2**-53) would hold.  Off-grid centres near t = 200, each found by a
-    search to have a single sample with d2 outside that narrow band and
-    the float test on its other side: one kept, one dropped.  The band's
-    width tau grows with the coordinates, so the estimator still keeps and
-    drops them as the masked loop does."""
-    R = ml.WF2D_SIGMA * ml.WF2D_CUT_SIGMAS
-    narrow = 64 * 2.0 ** -53 * R * R
-    for (t0, x0), (i, j), kept in (
-            ((199.01596116615397, 2.9572468252618167), (3932, 36), True),
-            ((196.62119832290767, 2.7284602014791264), (3886, 18), False)):
-        field = ml.SampledField2D(np.zeros((4100, 60)), 0.05, 0.1)
-        field.values[i, j] = 1.0
-        it, ix = round(t0 / 0.05), round(x0 / 0.1)
-        d2 = ((i - it) * 0.05 + (it * 0.05 - t0)) ** 2 \
-            + ((j - ix) * 0.1 + (ix * 0.1 - x0)) ** 2
-        assert abs(d2 - R * R) > narrow
-        assert ((field.ts[i] - t0) ** 2 + (field.xs[j] - x0) ** 2 < R * R) \
-            == kept == (d2 > R * R)
-        wf = ml.wf_estimate_2d(field, [(t0, x0)])
-        assert (max(r.amplitude for r in wf.rays) > 0.0) == kept
-        assert_cut_as_the_masked_loop(monkeypatch, field, [(t0, x0)])
 
 
 def test_box_reaches_every_point_inside_the_cut():
@@ -774,13 +812,14 @@ def test_box_reaches_every_point_inside_the_cut():
     ht, hx = (math.floor(R / a + 0.5) for a in (a_t, a_x))
     field = ml.SampledField2D(
         np.random.default_rng(5).standard_normal((200, 100)), a_t, a_x)
-    centres = [(field.ts[it] + st * a_t / 2, field.xs[ix] + sx * a_x / 2)
+    ts, xs = np.arange(200) * a_t, np.arange(100) * a_x
+    centres = [(ts[it] + st * a_t / 2, xs[ix] + sx * a_x / 2)
                for it, ix in ((100, 50), (101, 51))  # round() ties go even
                for st in (-1, 0, 1) for sx in (-1, 0, 1)]
     reach_t, reach_x = set(), set()
     for t0, x0 in centres:
-        inside = np.argwhere((field.ts[:, None] - t0) ** 2
-                             + (field.xs - x0) ** 2 < R * R)
+        inside = np.argwhere((ts[:, None] - t0) ** 2 + (xs - x0) ** 2
+                             < R * R)
         dt = inside[:, 0] - round(t0 / a_t)
         dx = inside[:, 1] - round(x0 / a_x)
         assert np.abs(dt).max() <= ht and np.abs(dx).max() <= hx
@@ -888,9 +927,9 @@ def test_propagation_decisions_are_pinned(full_grid_check):
     grid, so one window serves them all."""
     wf = full_grid_check["wf"]
     assert timing.flags_sha256(wf) == (
-        "14dafaae7b8c6f0e63c1538c9b259f2e4362109e0ef02ae87e5cfee4ba2cb152")
+        "5e97da32a667a5cab77bf6f9a4b58726a65a270e2a787fd5b88a13a4b70da6ff")
     assert len(wf.near_threshold()) == 108
-    assert len(wf.near_floor()) == 1508
+    assert len(wf.near_floor()) == 1490
     assert full_grid_check["n_singular_centers"] == 412
     assert wf.meta["windows"] == 1
 

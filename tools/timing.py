@@ -18,7 +18,7 @@ Run from the root of a paqft checkout.  The cases:
 - wf2d: wf_estimate_2d on the field and centres of microlocal.ac11_grid,
   with the number of Gaussian windows used, in one call and in calls of
   27 centres as the benchmark's wf2d items make them (same sha256), where
-  the set-up each call repeats (run arrays, band tests) shows; that row
+  the set-up each call repeats (anchors, runs, the fit) shows; that row
   gives the first call, on a cold cut-window cache, apart from the rest;
 - pairing: AC09's extension_ambiguity of two W extensions of (x+i0)^-2 and
   of W against MS, four scaling regressions, AC09's MS of x_+^(z-1),
