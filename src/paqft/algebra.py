@@ -28,6 +28,7 @@ STATE_TOL = 1e-10  # omega(1) = 1, and Gram eigenvalues >= -STATE_TOL * max
 GNS_TOL = 1e-10  # Gram eigenvalues below GNS_TOL * max span the null space
 INTERTWINER_TOL = 1e-8  # unitarity, intertwining and U Omega1 = Omega2
 WEYL_TOL = 1e-8  # composition and adjoint residuals on interior columns
+WEYL_MAX_N = 1024  # grid points, at most: n x n complex matrices, 16 MB each
 
 
 class AlgebraError(Exception):
@@ -265,7 +266,8 @@ def weyl_rep_check(n: int, dx: float, hbar: float) -> dict:
 
     Zero padding breaks the relations only in the edge columns a shift can
     reach, so they are asserted on the interior columns exactly; a grid
-    without one (n at most twice the reach) raises InputError naming n.  A
+    without one (n at most twice the reach), or of more than WEYL_MAX_N
+    points, raises InputError naming n before any matrix is built.  A
     phase e^{i beta x_j} is off by up to |beta x_j| eps, so a grid whose
     largest |beta x_j| puts that past WEYL_TOL raises InputError naming dx
     and n: there the relations cannot be checked, not found to fail.
@@ -274,6 +276,9 @@ def weyl_rep_check(n: int, dx: float, hbar: float) -> dict:
     reach = max(cells(a1) + cells(a2) for (a1, _), (a2, _) in WEYL_PAIRS)
     if n <= 2 * reach:
         raise InputError(f"n = {n}: no interior column, need n > {2 * reach}")
+    if n > WEYL_MAX_N:
+        raise InputError(f"n = {n}: more grid points than WEYL_MAX_N = "
+                         f"{WEYL_MAX_N}, each operator an n x n matrix")
     theta = max(abs(b1) + abs(b2) for (_, b1), (_, b2) in WEYL_PAIRS) * max(
         abs(WEYL_X0), abs(WEYL_X0 + (n - 1) * dx))
     if theta * np.finfo(float).eps > WEYL_TOL:

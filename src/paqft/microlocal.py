@@ -38,6 +38,7 @@ WF1D_THRESHOLD, WF1D_AMP_FLOOR, WF1D_REL_FLOOR = 4.0, 1e-9, 1e-6
 # CUT_SIGMAS widths, and noise floors
 WF2D_RAYS, WF2D_K_BASE, WF2D_OCTAVES = 16, 1.25, 3
 WF2D_SIGMA, WF2D_CUT_SIGMAS = 0.5, 5.0
+WF2D_MAX_HALF_WIDTH = 1000  # box half-width in grid steps, at most
 WF2D_AMP_FLOOR, WF2D_REL_FLOOR = 1e-7, 1e-4
 # a ray is near a decision when its exponent is within NEAR_BAND of the
 # threshold, or its floor ratio within a factor NEAR_FACTOR of 1
@@ -233,22 +234,48 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
 
 class SampledField2D:
     """Real samples on a rectangular (t, x) grid with spacings (a_t, a_x):
-    sample (i, j) sits at (i a_t, j a_x).  Complex samples raise TypeError,
-    nan or infinite ones NonFiniteSamples."""
+    sample (i, j) sits at (i a_t, j a_x).  `padded` holds them zero-padded
+    by two of wf_estimate_2d's box half-widths on every side, so it holds
+    every box that reaches the grid whole; `values` is its interior.
+    Complex samples raise TypeError, nan or infinite ones NonFiniteSamples;
+    samples not 2-D and nonempty, or a spacing not positive and finite or
+    whose box half-width passes WF2D_MAX_HALF_WIDTH, InputError."""
 
     def __init__(self, values: np.ndarray, a_t: float, a_x: float):
-        self.values = np.asarray(values)
-        if np.iscomplexobj(self.values):
+        values = np.asarray(values)
+        if np.iscomplexobj(values):
             raise TypeError("SampledField2D takes real samples, not "
-                            f"{self.values.dtype}")
-        if not np.isfinite(self.values).all():
-            bad = np.argwhere(~np.isfinite(self.values))
+                            f"{values.dtype}")
+        if values.ndim != 2 or not values.size:
+            raise InputError(f"shape {values.shape}: want a 2-D, nonempty one")
+        if not np.isfinite(values).all():
+            bad = np.argwhere(~np.isfinite(values))
             raise NonFiniteSamples(
                 "SampledField2D takes finite samples, not nan or infinite "
                 f"ones: {len(bad)} found, the first at "
                 f"{tuple(bad[0].tolist())}")
         self.a_t = float(a_t)
         self.a_x = float(a_x)
+        for name, a in (("a_t", self.a_t), ("a_x", self.a_x)):
+            # floor(R/a + 1/2) <= WF2D_MAX_HALF_WIDTH; a tiny a gives R/a inf
+            if not (0 < a < math.inf and WF2D_SIGMA * WF2D_CUT_SIGMAS / a
+                    < WF2D_MAX_HALF_WIDTH + 0.5):
+                raise InputError(f"{name} = {a!r}: want a positive spacing "
+                                 "with box half-width <= WF2D_MAX_HALF_WIDTH")
+        (ht, hx), (nt, nx) = _half_widths(self.a_t, self.a_x), values.shape
+        self.padded = np.pad(values, ((2 * ht, 2 * ht), (2 * hx, 2 * hx)))
+        self._values = self.padded[2 * ht:2 * ht + nt, 2 * hx:2 * hx + nx]
+
+    @property
+    def values(self):
+        """The samples: a view of `padded`, written through, never rebound."""
+        return self._values
+
+
+def _half_widths(a_t: float, a_x: float):
+    """wf_estimate_2d's box half-widths (ht, hx): floor(R/a + 1/2) steps."""
+    return [math.floor(WF2D_SIGMA * WF2D_CUT_SIGMAS / a + 0.5)
+            for a in (a_t, a_x)]
 
 
 @lru_cache
@@ -261,8 +288,7 @@ def _phase_tables(a_t: float, a_x: float):
                  for j in range(WF2D_RAYS))
     k = np.array([[r * d[0], r * d[1]]
                   for d in dirs[:WF2D_RAYS // 2] for r in rs])
-    R = WF2D_SIGMA * WF2D_CUT_SIGMAS
-    ht, hx = (math.floor(R / a + 0.5) for a in (a_t, a_x))
+    ht, hx = _half_widths(a_t, a_x)
     E_t = np.exp(1j * np.outer(np.arange(-ht, ht + 1) * a_t, k[:, 0]))
     E_x = np.exp(1j * np.outer(np.arange(-hx, hx + 1) * a_x, k[:, 1]))
     E_t.flags.writeable = E_x.flags.writeable = False
@@ -305,16 +331,18 @@ def wf_estimate_2d(field: SampledField2D, centers,
     space steps out) a few ulps either side of R*R; the margin, far above
     rounding, drops them all wherever the centre sits.  So the window, cut
     included, depends on nothing but s: grid-aligned centres see one cut
-    wherever they sit.  Each run of consecutive centres with equal shifts
-    and a grid point in their boxes takes one window from a cache of the
-    last 8 built (keyed on s and the spacing), shared across calls too;
-    meta["windows"] counts the windows used.  A centre is skipped
-    (meta["skipped_centers"]) when its box holds no kept point: a whole
-    box holds its anchor, which is kept; a clipped one is tested on its
-    slice of the window.
+    wherever they sit.  A centre whose box reaches the grid pairs on that
+    whole box of the zero-padded samples (SampledField2D.padded) with the
+    whole window, taken from a cache of the last 8 built (keyed on s and
+    the spacing, shared across calls too) whenever its shift differs from
+    the previous such centre's; meta["windows"] counts the windows taken.
+    It is skipped (meta["skipped_centers"]) when the window is zero at the
+    box's grid point nearest it, which is when no point of the box is
+    kept: per axis the rounded offsets di a + s rise with di and change
+    sign between di = -1 and 1, so their squares over the grid are least
+    at di = -1, 0 or 1 clipped to it, and the rounded d2 where both are.
 
-    Each centre pairs on its own box (a box clipped by the grid's edge with
-    slices of the window and tables): one real matrix product of the box's
+    Each centre pairs on its own box: one real matrix product of the box's
     transpose with E_t, stored with each q's real and imaginary parts side
     by side, reads as a complex (space offset, q) array, and one sum
     against E_x over the space offsets gives the amplitudes; the cell area
@@ -330,7 +358,6 @@ def wf_estimate_2d(field: SampledField2D, centers,
             f"ladder top {kmax:.3g} exceeds grid Nyquist {nyq:.3g}")
     a_t, a_x = field.a_t, field.a_x
     rs, dirs, ht, hx, E_t, E_x = _phase_tables(a_t, a_x)
-    nt, nx = field.values.shape
     pts = [(t0, x0) for t0, x0 in centers]
     c = np.array(pts, dtype=float).reshape(-1, 2)
     steps = c / (a_t, a_x)
@@ -338,35 +365,33 @@ def wf_estimate_2d(field: SampledField2D, centers,
         raise InputError("wf_estimate_2d takes centres within 2**52 steps")
     anchor = np.rint(steps).astype(int)
     shift = anchor * (a_t, a_x) - c
-    lo = np.maximum(anchor - (ht, hx), 0)
-    hi = np.minimum(anchor + (ht + 1, hx + 1), (nt, nx))
-    paired = (lo < hi).all(1)  # boxes holding a grid point
-    p = np.flatnonzero(paired)
-    new = np.flatnonzero((shift[p[1:]] != shift[p[:-1]]).any(1)) + 1
-    runs = np.split(p, new) if new.size else [p] * (p.size > 0)
-    anchors, los, his = anchor.tolist(), lo.tolist(), hi.tolist()
-    cs, amps = [], []
-    for run in runs:
-        window = _cut_window(a_t, a_x, ht, hx, *shift[run[0]].tolist())
-        for k in run.tolist():
-            (it, ix), (i0, j0), (i1, j1) = anchors[k], los[k], his[k]
-            w, et, ex = window, E_t, E_x
-            if (i1 - i0, j1 - j0) != window.shape:  # clipped
-                bt = slice(i0 - it + ht, i1 - it + ht)
-                bx = slice(j0 - ix + hx, j1 - ix + hx)
-                w, et, ex = window[bt, bx], E_t[bt], E_x[bx]
-                if not w.any():
-                    paired[k] = False
-                    continue
-            box = w * field.values[i0:i1, j0:j1]
-            amps.append(((box.T @ et).view(complex) * ex).sum(0))
-            cs.append(pts[k])
-    amps = np.abs(amps).reshape(len(cs), WF2D_RAYS // 2, len(rs))
+    # per axis, the window's index of the box's grid point nearest the
+    # centre: the anchor's, or its neighbour's toward the centre if nearer
+    toward = -np.sign(shift).astype(int)
+    nearer = (shift + toward * (a_t, a_x)) ** 2 < shift ** 2
+    near = np.clip(anchor + nearer * toward, 0,
+                   np.subtract(field.values.shape, 1)) - anchor + (ht, hx)
+    reach = ((near >= 0) & (near <= (2 * ht, 2 * hx))).all(1)
+    shifts, near = shift.tolist(), near.tolist()
+    starts = (anchor + (ht, hx)).tolist()
+    m, n = 2 * ht + 1, 2 * hx + 1
+    kept, amps, last, windows = [], [], None, 0
+    for k in np.flatnonzero(reach).tolist():
+        if shifts[k] != last:
+            last, windows = shifts[k], windows + 1
+            window = _cut_window(a_t, a_x, ht, hx, *last)
+        (i, j), (i0, j0) = near[k], starts[k]
+        if not window[i, j]:
+            continue
+        box = window * field.padded[i0:i0 + m, j0:j0 + n]
+        amps.append(((box.T @ E_t).view(complex) * E_x).sum(0))
+        kept.append(k)
+    amps = np.abs(amps).reshape(len(kept), WF2D_RAYS // 2, len(rs))
     amps *= a_t * a_x
-    skipped = [pts[k] for k in np.flatnonzero(~paired)]
-    return _estimate(cs, dirs, rs, amps, threshold,
+    skipped = [pts[k] for k in sorted(set(range(len(pts))).difference(kept))]
+    return _estimate([pts[k] for k in kept], dirs, rs, amps, threshold,
                      WF2D_AMP_FLOOR, WF2D_REL_FLOOR,
-                     {"skipped_centers": skipped, "windows": len(runs)})
+                     {"skipped_centers": skipped, "windows": windows})
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,9 @@ KEY_EXAMPLES = {
     ("flow", "metric", "conformal"): 0,
     ("suite", "only", "14"): 2,
     ("gns", "algebra_file", "no/such/file"): 2,
+    ("weyl", "n", "100000"): 2,  # 160 GB a matrix: refused before any work
+    ("graphs", "n", "10"): 2,  # C(49, 4) multigraphs: over MAX_GRAPHS
+    ("graphs", "lines", "100000"): 2,
 }
 
 

@@ -1,6 +1,7 @@
 """Wave front estimation, covector causality, and bicharacteristic flow."""
 import math
 import sys
+import tracemalloc
 from functools import partial
 from itertools import groupby
 from pathlib import Path
@@ -408,6 +409,61 @@ def test_sampled_field_takes_finite_samples():
             ml.SampledField2D(values, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("values, a_t, a_x, named", [
+    (np.zeros(5), 0.1, 0.1, r"shape \(5,\)"),
+    (np.zeros((4, 4)), 0, 0.1, "a_t = 0.0"),
+    (np.zeros((4, 4)), 0.1, math.nan, "a_x = nan"),
+    (np.zeros((4, 4)), -0.05, 0.1, "a_t = -0.05"),
+    (np.zeros((4, 4)), 0.05, math.inf, "a_x = inf")])
+def test_sampled_field_rejects_bad_input(values, a_t, a_x, named):
+    """Samples that are not 2-D, and a spacing that is zero, nan, negative
+    or infinite, raise an InputError naming them, not a bare ValueError, a
+    ZeroDivisionError, an estimate with every centre skipped or a failed
+    check."""
+    with pytest.raises(InputError, match=named):
+        ml.SampledField2D(values, a_t, a_x)
+
+
+def test_box_half_width_is_bounded_before_any_allocation():
+    """A spacing whose box half-width floor(R/a + 1/2) passes
+    WF2D_MAX_HALF_WIDTH is refused, naming it, before the field pads its
+    samples or a window is built (at a = 1e-4 the window alone would be
+    50,001 x 50,001); the smallest spacing within the bound is taken."""
+    R = ml.WF2D_SIGMA * ml.WF2D_CUT_SIGMAS
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError,
+                           match=r"a_t = 0\.0001: .*WF2D_MAX_HALF_WIDTH"):
+            ml.SampledField2D(np.zeros((4, 4)), 1e-4, 1e-4)
+        with pytest.raises(InputError, match="a_x = 5e-324"):
+            ml.SampledField2D(np.zeros((4, 4)), 0.1, 5e-324)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    a = R / (ml.WF2D_MAX_HALF_WIDTH + 0.5)
+    with pytest.raises(InputError):
+        ml.SampledField2D(np.zeros((1, 1)), a, 0.1)
+    field = ml.SampledField2D(np.ones((1, 1)), np.nextafter(a, 1), 0.1)
+    assert ml._half_widths(field.a_t, 0.1) == [ml.WF2D_MAX_HALF_WIDTH, 25]
+    assert field.padded.shape == (4001, 101) and field.padded.sum() == 1.0
+
+
+def test_samples_are_kept_once_padded_by_two_box_half_widths():
+    """`values` is a view of the interior of `padded`, whose border of two
+    box half-widths (100 rows and 50 columns on AC11's spacings) is zero,
+    so AC11's 512x256 field is kept as 712x356.  Writes to `values` reach
+    the estimate; rebinding it, which would leave `padded` stale, fails."""
+    values = np.random.default_rng(50).standard_normal((512, 256))
+    field = ml.SampledField2D(values, 0.05, 0.1)
+    assert field.padded.shape == (712, 356)
+    assert np.shares_memory(field.values, field.padded)
+    assert np.array_equal(field.values, values)
+    assert np.abs(field.padded).sum() == np.abs(values).sum()
+    with pytest.raises(AttributeError):
+        field.values = values
+
+
 def test_centres_must_be_finite_and_within_integer_reach():
     """A nan or infinite centre, or one whose nearest grid point an int64
     cannot hold exactly, raises InputError; a far centre within that reach
@@ -796,6 +852,28 @@ def test_cut_window_pairs_bit_for_bit_as_the_masked_loop(monkeypatch):
     near = [(t + rng.uniform(-0.025, 0.025), x + rng.uniform(-0.05, 0.05))
             for t, x in aligned]
     assert_cut_as_the_masked_loop(monkeypatch, field, aligned + near)
+
+
+def test_skip_rule_takes_the_nearest_point_after_rounding(monkeypatch):
+    """A centre half a time step from its anchor, 648 steps out, whose
+    offset from the anchor's row rounds to more than half a step, so the
+    next row is nearer; in x it lies just past the cut from the grid's
+    first column along the anchor's row, and inside it along the next
+    row.  Its box holds one kept point, and it is paired as in the masked
+    loop, not skipped on the anchor's row."""
+    a_t, a_x = 0.05, 0.1
+    t0, x0 = 32.425000000000004, -2.4998749957106323
+    it, ix = round(t0 / a_t), round(x0 / a_x)
+    s_t, s_x = it * a_t - t0, ix * a_x - x0
+    off_t = (np.array([0, 1, -1]) * a_t + s_t) ** 2
+    assert abs(s_t) > a_t / 2 and off_t[1] < off_t[0] < off_t[2]
+    d2_x = (-ix * a_x + s_x) ** 2
+    cut = 6.25 * (1 - 2.0 ** -30)
+    assert d2_x + off_t[1] < cut <= d2_x + off_t[0]
+    field = ml.SampledField2D(
+        np.random.default_rng(51).standard_normal((it + 3, 8)), a_t, a_x)
+    assert masked_loop_wf2d(field, [(t0, x0)])[2] == []
+    assert_cut_as_the_masked_loop(monkeypatch, field, [(t0, x0)])
 
 
 def test_box_reaches_every_point_inside_the_cut():

@@ -16,10 +16,13 @@ Run from the root of a paqft checkout.  The cases:
   sha256, with the calls a user metric costs) and on the conformal one
   with a null covector;
 - wf2d: wf_estimate_2d on the field and centres of microlocal.ac11_grid,
-  with the number of Gaussian windows used, in one call and in calls of
+  with the number of Gaussian windows taken, in one call and in calls of
   27 centres as the benchmark's wf2d items make them (same sha256), where
-  the set-up each call repeats (anchors, runs, the fit) shows; that row
-  gives the first call, on a cold cut-window cache, apart from the rest;
+  the set-up each call repeats (anchors, nearest grid points, the fit)
+  shows; that row gives the first call, on a cold cut-window cache, apart
+  from the rest; and on the same field, centres near its edges and
+  corners, whose boxes reach past the grid's edge, with those skipped (no
+  kept grid point in the box, or none in reach) counted;
 - pairing: AC09's extension_ambiguity of two W extensions of (x+i0)^-2 and
   of W against MS, four scaling regressions, AC09's MS of x_+^(z-1),
   wf_estimate_1d of the benchmark's six models at 0 and 0.8, and the
@@ -189,6 +192,24 @@ def wf2d():
                len(wfs), min(firsts) * 1e3, min(rests) * 1e3 / (len(wfs) - 1),
                best_ms * 1e3 / len(centres),
                sum(wf.meta["windows"] for wf in wfs)))
+    edge = edge_centres()
+    yield ("ac11 edge centres", partial(ml.wf_estimate_2d, field, edge),
+           flags_sha256, lambda wf, best_ms: (
+               "%d centres, %d skipped, %.1f us/centre, %d singular, "
+               "%d windows" % (
+                   len(edge), len(wf.meta["skipped_centers"]),
+                   best_ms * 1e3 / len(edge), len(wf.singular()),
+                   wf.meta["windows"])))
+
+
+def edge_centres():
+    """Centres near the edges and corners of AC11's 25.6 x 25.6 field, most
+    of them off the grid points, each box reaching past the grid's edge;
+    some boxes hold no kept grid point, and some none at all."""
+    ts = (-2.6, -2.3, -1.17, 0.0, 0.9, 12.83, 24.62, 25.6, 26.5, 27.9)
+    xs = (-2.45, -1.33, 0.07, 1.1, 12.8, 24.4, 25.77, 27.5)
+    return [(t, x) for t in ts for x in xs
+            if min(t, x) < 2.5 or max(t, x) > 23.1]
 
 
 def batched_calls(field, batches, firsts, rests):
