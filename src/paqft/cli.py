@@ -337,23 +337,11 @@ def bogoliubov(cfg, seed):
 
 # ----------------------------------------------------------------- graphs
 
-MAX_GRAPHS = 10 ** 5  # multigraphs `graphs` lists, at most
-
-
 @command({"n": (_count, 2), "lines": (_at_least(0), 4), "d": (_int, 4)},
          ("n_vertices", "total_lines", "graph", "Sym", "div"))
 def graphs(cfg, seed):
     """List multigraphs with symmetry factors and divergence degrees."""
     n, d = cfg["n"], cfg["d"]
-    # C(p + lines, lines) graphs on p = n(n-1)/2 pairs; the partial
-    # product C(hi + i, i) >= C(2i, i) passes the bound by i = 10
-    lo, hi = sorted((n * (n - 1) // 2, cfg["lines"]))
-    count = 1
-    for i in range(1, lo + 1):
-        count = count * (hi + i) // i
-        if count > MAX_GRAPHS:
-            raise InputError("n = %d, lines = %d: more than MAX_GRAPHS = %d "
-                             "multigraphs" % (n, cfg["lines"], MAX_GRAPHS))
     rows = [(n, g.total_lines, str(g), gr.symmetry_factor(g),
              gr.divergence_degree(g, d))
             for g in gr.enumerate_graphs(n, cfg["lines"])]

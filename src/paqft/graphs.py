@@ -15,9 +15,13 @@ import itertools
 import math
 from fractions import Fraction
 
+from . import InputError
 from .functionals import PolyFunctional, local_power, pointwise_product
 from .lattice import ExactPropagators
 from .quantization import QuantProduct, contract
+
+
+MAX_GRAPHS = 10 ** 5  # multigraphs, and vertex pairs, enumerate_graphs takes
 
 
 class GraphError(Exception):
@@ -67,23 +71,27 @@ class Multigraph:
 
 def enumerate_graphs(n_vertices: int, max_total_lines: int) -> list[Multigraph]:
     """All multigraphs on n labelled vertices with at most the given number of
-    lines, in a deterministic lexicographic order (the empty graph first)."""
+    lines, in a deterministic lexicographic order (the empty graph first):
+    each a multiset of at most that many of the p = n(n-1)/2 vertex pairs.
+    More than MAX_GRAPHS of them, C(p + lines, lines), or of the pairs
+    raise InputError naming both arguments before any graph is built."""
     if n_vertices < 1:
         raise GraphError("need at least one vertex")
+    p = n_vertices * (n_vertices - 1) // 2
+    # C(p + lines, lines) = C(hi + lo, lo) as partial products C(hi + i, i),
+    # which pass the bound by i = 10 since C(hi + i, i) >= C(2i, i)
+    lo, hi = sorted((p, max_total_lines))
+    count = 1
+    for i in range(1, min(lo, 10) + 1):
+        count = count * (hi + i) // i
+    if max(count, p) > MAX_GRAPHS:
+        raise InputError(f"n = {n_vertices} vertices, lines = "
+                         f"{max_total_lines}: more than MAX_GRAPHS = "
+                         f"{MAX_GRAPHS} multigraphs or vertex pairs")
     pairs = list(itertools.combinations(range(1, n_vertices + 1), 2))
-    out = []
-
-    def rec(idx: int, remaining: int, acc: dict):
-        if idx == len(pairs):
-            out.append(Multigraph(n_vertices, dict(acc)))
-            return
-        for m in range(remaining + 1):
-            if m:
-                acc[pairs[idx]] = m
-            rec(idx + 1, remaining - m, acc)
-            acc.pop(pairs[idx], None)
-
-    rec(0, max_total_lines, {})
+    out = [Multigraph(n_vertices, {pair: c.count(pair) for pair in c})
+           for k in range(max_total_lines + 1)
+           for c in itertools.combinations_with_replacement(pairs, k)]
     out.sort(key=Multigraph.sort_key)
     return out
 

@@ -234,12 +234,14 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
 
 class SampledField2D:
     """Real samples on a rectangular (t, x) grid with spacings (a_t, a_x):
-    sample (i, j) sits at (i a_t, j a_x).  `padded` holds them zero-padded
-    by two of wf_estimate_2d's box half-widths on every side, so it holds
-    every box that reaches the grid whole; `values` is its interior.
-    Complex samples raise TypeError, nan or infinite ones NonFiniteSamples;
-    samples not 2-D and nonempty, or a spacing not positive and finite or
-    whose box half-width passes WF2D_MAX_HALF_WIDTH, InputError."""
+    sample (i, j) sits at (i a_t, j a_x).  They are copied when the field
+    is built, so later writes to the caller's array are not seen, into
+    `padded`, zero-padded by two of wf_estimate_2d's box half-widths on
+    every side so that it holds every box reaching the grid whole; `values`
+    views its interior.  Complex samples raise TypeError, nan or infinite
+    ones NonFiniteSamples; samples not 2-D and nonempty, or a spacing not
+    positive and finite or whose box half-width passes WF2D_MAX_HALF_WIDTH,
+    InputError."""
 
     def __init__(self, values: np.ndarray, a_t: float, a_x: float):
         values = np.asarray(values)
@@ -264,12 +266,7 @@ class SampledField2D:
                                  "with box half-width <= WF2D_MAX_HALF_WIDTH")
         (ht, hx), (nt, nx) = _half_widths(self.a_t, self.a_x), values.shape
         self.padded = np.pad(values, ((2 * ht, 2 * ht), (2 * hx, 2 * hx)))
-        self._values = self.padded[2 * ht:2 * ht + nt, 2 * hx:2 * hx + nx]
-
-    @property
-    def values(self):
-        """The samples: a view of `padded`, written through, never rebound."""
-        return self._values
+        self.values = self.padded[2 * ht:2 * ht + nt, 2 * hx:2 * hx + nx]
 
 
 def _half_widths(a_t: float, a_x: float):
@@ -332,15 +329,12 @@ def wf_estimate_2d(field: SampledField2D, centers,
     rounding, drops them all wherever the centre sits.  So the window, cut
     included, depends on nothing but s: grid-aligned centres see one cut
     wherever they sit.  A centre whose box reaches the grid pairs on that
-    whole box of the zero-padded samples (SampledField2D.padded) with the
-    whole window, taken from a cache of the last 8 built (keyed on s and
-    the spacing, shared across calls too) whenever its shift differs from
-    the previous such centre's; meta["windows"] counts the windows taken.
-    It is skipped (meta["skipped_centers"]) when the window is zero at the
-    box's grid point nearest it, which is when no point of the box is
-    kept: per axis the rounded offsets di a + s rise with di and change
-    sign between di = -1 and 1, so their squares over the grid are least
-    at di = -1, 0 or 1 clipped to it, and the rounded d2 where both are.
+    whole box of SampledField2D.padded with the whole window, taken from a
+    cache of the last 8 (keyed on s and the spacing, shared across calls)
+    when its shift differs from the previous such centre's; meta["windows"]
+    counts them.  It is skipped (meta["skipped_centers"]) when the window
+    is zero at the box's grid point nearest it, so when no point of the
+    box is kept: per axis the rounded (di a + s)**2 fall, then rise, in di.
 
     Each centre pairs on its own box: one real matrix product of the box's
     transpose with E_t, stored with each q's real and imaginary parts side
@@ -365,15 +359,14 @@ def wf_estimate_2d(field: SampledField2D, centers,
         raise InputError("wf_estimate_2d takes centres within 2**52 steps")
     anchor = np.rint(steps).astype(int)
     shift = anchor * (a_t, a_x) - c
-    # per axis, the window's index of the box's grid point nearest the
-    # centre: the anchor's, or its neighbour's toward the centre if nearer
+    # per axis, the box's grid point nearest the centre: the anchor, or
+    # its neighbour toward the centre where rounding puts that one nearer
     toward = -np.sign(shift).astype(int)
-    nearer = (shift + toward * (a_t, a_x)) ** 2 < shift ** 2
-    near = np.clip(anchor + nearer * toward, 0,
-                   np.subtract(field.values.shape, 1)) - anchor + (ht, hx)
-    reach = ((near >= 0) & (near <= (2 * ht, 2 * hx))).all(1)
-    shifts, near = shift.tolist(), near.tolist()
-    starts = (anchor + (ht, hx)).tolist()
+    near = anchor + toward * ((shift + toward * (a_t, a_x)) ** 2 < shift ** 2)
+    near = np.clip(near, 0, np.subtract(field.values.shape, 1)) - anchor
+    reach = (np.abs(near) <= (ht, hx)).all(1)
+    shifts, starts = shift.tolist(), (anchor + (ht, hx)).tolist()
+    near = (near + (ht, hx)).tolist()  # as the window's indices
     m, n = 2 * ht + 1, 2 * hx + 1
     kept, amps, last, windows = [], [], None, 0
     for k in np.flatnonzero(reach).tolist():

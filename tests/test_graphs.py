@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from paqft.graphs import (Multigraph, GraphError, SelfLineForbidden,
-                          enumerate_graphs, symmetry_factor,
+from paqft import InputError
+from paqft.graphs import (MAX_GRAPHS, Multigraph, GraphError,
+                          SelfLineForbidden, enumerate_graphs, symmetry_factor,
                           symmetry_factor_multinomial,
                           divergence_degree, graph_expand_Tn, tadpole_demo)
 from paqft.quantization import QuantProduct
@@ -54,6 +55,23 @@ def test_enumeration_counts():
             assert graphs[0].total_lines == 0  # empty graph first
     with pytest.raises(GraphError):
         enumerate_graphs(0, 2)
+
+
+def test_enumeration_is_bounded_before_any_graph_is_built():
+    """More than MAX_GRAPHS multigraphs, C(n(n-1)/2 + lines, lines), or
+    vertex pairs raise InputError naming both arguments, at once even for
+    counts far past what could be listed; up to the bound, many pairs and
+    few lines are listed (no recursion per vertex pair)."""
+    for n, lines in ((10, 4), (10, 10), (3, 10 ** 100), (10 ** 9, 0),
+                     (448, 1)):
+        with pytest.raises(InputError, match=f"n = {n} vertices, lines = "
+                                             f"{lines}: .*MAX_GRAPHS"):
+            enumerate_graphs(n, lines)
+    assert 447 * 446 // 2 <= MAX_GRAPHS
+    assert len(enumerate_graphs(447, 0)) == 1
+    graphs = enumerate_graphs(46, 1)
+    assert len(graphs) == 1 + 46 * 45 // 2
+    assert {g.total_lines for g in graphs[1:]} == {1}
 
 
 def test_symmetry_factors_known_graphs():

@@ -452,16 +452,18 @@ def test_box_half_width_is_bounded_before_any_allocation():
 def test_samples_are_kept_once_padded_by_two_box_half_widths():
     """`values` is a view of the interior of `padded`, whose border of two
     box half-widths (100 rows and 50 columns on AC11's spacings) is zero,
-    so AC11's 512x256 field is kept as 712x356.  Writes to `values` reach
-    the estimate; rebinding it, which would leave `padded` stale, fails."""
+    so AC11's 512x256 field is kept as 712x356.  The samples are copied:
+    later writes to the caller's array do not reach the field."""
     values = np.random.default_rng(50).standard_normal((512, 256))
     field = ml.SampledField2D(values, 0.05, 0.1)
     assert field.padded.shape == (712, 356)
     assert np.shares_memory(field.values, field.padded)
     assert np.array_equal(field.values, values)
     assert np.abs(field.padded).sum() == np.abs(values).sum()
-    with pytest.raises(AttributeError):
-        field.values = values
+    before = values[0, 0]
+    values[0, 0] += 1.0
+    assert not np.shares_memory(field.values, values)
+    assert field.values[0, 0] == before != values[0, 0]
 
 
 def test_centres_must_be_finite_and_within_integer_reach():
