@@ -444,7 +444,8 @@ def crit_10():
 @criterion("microlocal estimates and propagation")
 def crit_11():
     """Wavefront content of model distributions and the lattice propagator;
-    (x+i0)^-1 can be squared, but not multiplied by (x-i0)^-1."""
+    (x+i0)^-1 squares, not times (x-i0)^-1; the propagation estimate's
+    decisions must be AC11_DECISIONS bit for bit: a pin of BLAS rounding."""
     wf_d = ml.wf_estimate_1d(dist1d.SymbolicDistribution1D.delta(0))
     d_dirs = sorted(r.direction[0] for r in wf_d.singular_at(0.0))
     wf_p = ml.wf_estimate_1d(
@@ -465,7 +466,8 @@ def crit_11():
     frac = prop["fraction_on_cone"]
     ok = (d_dirs == [-1.0, 1.0] and p_dirs == [-1.0] and squarable
           and not opposite and drift < FLOW_DRIFT_TOL
-          and frac >= ml.AC11_CONE_FRACTION)
+          and frac >= ml.AC11_CONE_FRACTION
+          and prop["decisions"] == ml.AC11_DECISIONS)
     return ok, (
         "WF(delta) dirs %s, WF((x+i0)^-1) dirs %s (default threshold); "
         "(x+i0)^-1 times itself %s, times (x-i0)^-1 %s; "
@@ -477,8 +479,7 @@ def crit_11():
            "ADMITTED" if opposite else "rejected", near, n_rays,
            ml.NEAR_BAND, floor, ml.NEAR_FACTOR, drift,
            tol_text(FLOW_DRIFT_TOL), 100 * frac, ml.AC11_CONE_TOL_DEG,
-           100 * ml.AC11_CONE_FRACTION,
-           100 * (frac - ml.AC11_CONE_FRACTION)))
+           100 * ml.AC11_CONE_FRACTION, 100 * (frac - ml.AC11_CONE_FRACTION)))
 
 
 @criterion("GNS representations and direct-sum mixture")

@@ -10,14 +10,13 @@ residuals are array expressions on c and star, with no loop over the basis.
 The floating-point tolerances are module constants: STAR_TOL for the
 algebra axioms, STATE_TOL for a state's normalization and positivity,
 GNS_TOL for the Gram null space and INTERTWINER_TOL for the residuals of a
-GNS intertwiner.  The Weyl relations are checked on the
-shift pairs WEYL_PAIRS over a grid that starts at WEYL_X0, and hold when
-their residuals stay within WEYL_TOL.
+GNS intertwiner.  The Weyl relations need none: each Weyl operator on the
+grid is a triple of rationals, and the relations are decided with ==.
 """
 
 from __future__ import annotations
 
-import cmath
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,8 +26,6 @@ STAR_TOL = 1e-12  # algebra axioms, entrywise
 STATE_TOL = 1e-10  # omega(1) = 1, and Gram eigenvalues >= -STATE_TOL * max
 GNS_TOL = 1e-10  # Gram eigenvalues below GNS_TOL * max span the null space
 INTERTWINER_TOL = 1e-8  # unitarity, intertwining and U Omega1 = Omega2
-WEYL_TOL = 1e-8  # composition and adjoint residuals on interior columns
-WEYL_MAX_N = 1024  # grid points, at most: n x n complex matrices, 16 MB each
 
 
 class AlgebraError(Exception):
@@ -230,73 +227,58 @@ def direct_sum_state_example() -> dict:
 # ---------------------------------------------------------------------------
 # Weyl operators on a discrete line
 
-
-def weyl_phase(a1: float, b1: float, a2: float, b2: float,
-               hbar: float) -> complex:
-    """Composition phase: W(a1,b1) W(a2,b2) = phase * W(a1+a2, b1+b2)."""
-    return cmath.exp(0.5j * hbar * (a1 * b2 - a2 * b1))
+WEYL_PAIRS = (((1, 0), (0, 1)), ((2, Fraction(1, 2)), (-1, Fraction(3, 2))),
+              ((0, 2), (3, 0)))
 
 
-def weyl_matrix(alpha: float, beta: float, n: int, dx: float,
-                hbar: float, x0: float) -> np.ndarray:
-    """W(alpha, beta) on samples over x_j = x0 + j dx:
-    (W phi)(x) = e^{i hbar alpha beta / 2} e^{i beta x} phi(x + hbar alpha),
-    with zero padding off the grid; the shift must align with the grid."""
-    shift = hbar * alpha / dx
-    s = round(shift)
-    if abs(shift - s) > 1e-9:
-        raise ShiftOffGrid(f"shift hbar * alpha = {hbar * alpha} is not a "
-                           f"multiple of dx = {dx}")
-    xs = x0 + dx * np.arange(n)
-    W = np.zeros((n, n), dtype=complex)
-    ph = cmath.exp(0.5j * hbar * alpha * beta)
-    for j in range(n):
-        k = j + s
-        if 0 <= k < n:
-            W[j, k] = ph * cmath.exp(1j * beta * xs[j])
-    return W
+def weyl_triple(alpha, beta, dx: Fraction, hbar: Fraction) -> tuple:
+    """W(alpha, beta) on samples over x_j = x0 + j dx, zero padded off the
+    grid, is (W phi)_j = e^{i(theta + beta x_j)} phi_{j+s}: held over Q as
+    (s, beta, theta), s = hbar alpha / dx and theta = hbar alpha beta / 2,
+    whatever x0 and n.  ShiftOffGrid unless s is a whole number of cells."""
+    s = hbar * alpha / dx
+    if s.denominator != 1:
+        raise ShiftOffGrid(f"W({alpha}, {beta}): shift hbar alpha / dx = "
+                           f"{s} cells is not a whole number")
+    return int(s), beta, hbar * alpha * beta / 2
 
 
-WEYL_PAIRS = (((1, 0), (0, 1)), ((2, 0.5), (-1, 1.5)), ((0, 2), (3, 0)))
-WEYL_X0 = -8.0  # the grid's first point
+def weyl_product(w1: tuple, w2: tuple, dx: Fraction) -> tuple:
+    """The triple of W1 W2: W2's phase is read at x_{j+s1} = x_j + s1 dx."""
+    (s1, b1, t1), (s2, b2, t2) = w1, w2
+    return s1 + s2, b1 + b2, t1 + t2 + b2 * s1 * dx
 
 
-def weyl_rep_check(n: int, dx: float, hbar: float) -> dict:
-    """Composition and adjoint relations for grid Weyl operators.
+def weyl_adjoint(w: tuple, dx: Fraction) -> tuple:
+    """The triple of W^*."""
+    s, b, t = w
+    return -s, -b, -t + b * s * dx
 
-    Zero padding breaks the relations only in the edge columns a shift can
-    reach, so they are asserted on the interior columns exactly; a grid
-    without one (n at most twice the reach), or of more than WEYL_MAX_N
-    points, raises InputError naming n before any matrix is built.  A
-    phase e^{i beta x_j} is off by up to |beta x_j| eps, so a grid whose
-    largest |beta x_j| puts that past WEYL_TOL raises InputError naming dx
-    and n: there the relations cannot be checked, not found to fail.
-    """
-    cells = lambda a: round(abs(hbar * a / dx))  # the columns a shift moves
-    reach = max(cells(a1) + cells(a2) for (a1, _), (a2, _) in WEYL_PAIRS)
+
+def weyl_rep_check(n: int, dx, hbar) -> dict:
+    """The Weyl relation W1 W2 = e^{i hbar (a1 b2 - a2 b1) / 2} W(a1 + a2,
+    b1 + b2) and the adjoint relation W1^* = W(-a1, -b1) on WEYL_PAIRS,
+    decided with == on the triples, dx and hbar read as the decimals or
+    ratios they spell (0.1 is 1/10).  The sides' shifts and betas agree by
+    construction, so a residual is the gap |theta - theta'| over Q.  Zero
+    padding breaks the relations only in the edge columns a shift reaches,
+    so they hold on the interior columns; a grid without one (n at most
+    twice the reach) raises InputError naming n, and past that n changes
+    nothing checked.  phase_example is e^{i/2}, of W(1, 0) W(0, 1) =
+    e^{i/2} W(1, 1) at hbar = 1; the items are in the weyl CSV's order."""
+    dx, hbar = Fraction(str(dx)), Fraction(str(hbar))
+    W = lambda a, b: weyl_triple(a, b, dx, hbar)
+    reach = max(abs(W(a1, b1)[0]) + abs(W(a2, b2)[0])  # columns shifts move
+                for (a1, b1), (a2, b2) in WEYL_PAIRS)
     if n <= 2 * reach:
         raise InputError(f"n = {n}: no interior column, need n > {2 * reach}")
-    if n > WEYL_MAX_N:
-        raise InputError(f"n = {n}: more grid points than WEYL_MAX_N = "
-                         f"{WEYL_MAX_N}, each operator an n x n matrix")
-    theta = max(abs(b1) + abs(b2) for (_, b1), (_, b2) in WEYL_PAIRS) * max(
-        abs(WEYL_X0), abs(WEYL_X0 + (n - 1) * dx))
-    if theta * np.finfo(float).eps > WEYL_TOL:
-        raise InputError(f"dx = {dx}, n = {n}: phase arguments |beta x_j| "
-                         f"up to {theta:.3g} carry rounding above WEYL_TOL "
-                         f"= {WEYL_TOL:g}; keep (n - 1) dx smaller")
-    comp_res = adj_res = 0.0
+    comp_res = adj_res = 0
     for (a1, b1), (a2, b2) in WEYL_PAIRS:
-        W1 = weyl_matrix(a1, b1, n, dx, hbar, WEYL_X0)
-        W2 = weyl_matrix(a2, b2, n, dx, hbar, WEYL_X0)
-        W12 = weyl_matrix(a1 + a2, b1 + b2, n, dx, hbar, WEYL_X0)
-        phase = weyl_phase(a1, b1, a2, b2, hbar)
-        lo, hi = cells(a1) + cells(a2), n - cells(a1) - cells(a2)
-        comp_res = max(comp_res, float(np.max(np.abs(
-            (W1 @ W2 - phase * W12)[:, lo:hi]))))
-        Wm = weyl_matrix(-a1, -b1, n, dx, hbar, WEYL_X0)
-        adj_res = max(adj_res, float(np.max(np.abs(
-            (W1.conj().T - Wm)[:, cells(a1):n - cells(a1)]))))
-    return {"composition_residual": comp_res, "adjoint_residual": adj_res,
-            "interior_margin_cells": reach, "n": n, "dx": dx,
-            "phase_example": weyl_phase(1.0, 0.0, 0.0, 1.0, 1.0)}
+        theta = W(a1 + a2, b1 + b2)[2] + hbar * (a1 * b2 - a2 * b1) / 2
+        comp_res = max(comp_res, abs(
+            weyl_product(W(a1, b1), W(a2, b2), dx)[2] - theta))
+        adj_res = max(adj_res, abs(
+            weyl_adjoint(W(a1, b1), dx)[2] - W(-a1, -b1)[2]))
+    return {"n": n, "dx": float(dx), "composition_residual": comp_res,
+            "adjoint_residual": adj_res, "interior_margin_cells": reach,
+            "phase_example": complex(np.exp(0.5j))}

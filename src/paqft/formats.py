@@ -33,7 +33,6 @@ k, m above MAX_ORDER.
 Example:  "(x+i0)^-2 + 3/2*delta^1 - 0.5*x_+^-1.5"
 """
 
-import cmath
 import csv
 import math
 import re
@@ -160,7 +159,7 @@ def parse_algebra(text):
             idx = tuple(int(t) for t in rest[:want])
             value = (rest[want] if tag == "label"
                      else complex(*(float(t) for t in rest[want:])))
-            if not (tag == "label" or cmath.isfinite(value)):
+            if not (tag == "label" or np.isfinite(value)):
                 raise ValueError("value is not finite")
         except ValueError as e:
             raise FormatError("record %r: %s" % (line, e)) from None
@@ -287,7 +286,7 @@ def parse_distribution(expr):
             merged[kind] = merged[kind] + c if kind in merged else c
         sign = 1.0
     for kind, c in merged.items():
-        if not cmath.isfinite(c):
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise FormatError("the %s terms of %r add up to a coefficient "
                               "that is not finite" % (kind[0], expr))
     return dist1d.SymbolicDistribution1D(

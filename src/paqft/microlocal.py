@@ -15,6 +15,7 @@ stays a parameter.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import deque
 from fractions import Fraction
@@ -45,9 +46,13 @@ WF2D_AMP_FLOOR, WF2D_REL_FLOOR = 1e-7, 1e-4
 NEAR_BAND, NEAR_FACTOR = 0.05, 2.0
 # AC11: centres on every STRIDE-th grid point of the annulus around the
 # source; singular mass within CONE_TOL_DEG of a null ray is on the cone,
-# and the share on the cone must reach CONE_FRACTION
+# and the share on the cone must reach CONE_FRACTION; the estimate's
+# decisions (see propagation_check) must be DECISIONS
 AC11_ANNULUS, AC11_STRIDE, AC11_CONE_TOL_DEG = (5.0, 9.3), 6, 15.0
 AC11_CONE_FRACTION = 0.9
+AC11_DECISIONS = (
+    "5e97da32a667a5cab77bf6f9a4b58726a65a270e2a787fd5b88a13a4b70da6ff",
+    108, 1490)
 FLOW_FIXPOINT_ITERS = 12  # fixed-point iterations per flow step, at most
 FLOW_PREDICTOR_POINTS = 6  # past midpoint derivatives a step starts from
 POS_TOL, DIR_TOL = 1e-9, 1e-6  # Whitney sums: same point, opposite directions
@@ -560,10 +565,21 @@ def ac11_grid():
     return field, origin, centers
 
 
+def flags_sha256(wf: WFEstimate) -> str:
+    """sha256 of a 2D estimate's lines "t|x|flags", one per centre."""
+    lines = ["%r|%r|%s" % (float(rays[0].center[0]), float(rays[0].center[1]),
+                           "".join("1" if r.singular else "0" for r in rays))
+             for rays in (wf.rays[i:i + WF2D_RAYS]
+                          for i in range(0, len(wf.rays), WF2D_RAYS))]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def propagation_check() -> dict:
     """AC11: estimate the wave front at the centres of ac11_grid and measure
     how much of the singular amplitude sits near the light cone through y0
-    (position angles within AC11_CONE_TOL_DEG of the +-45 degree rays)."""
+    (position angles within AC11_CONE_TOL_DEG of the +-45 degree rays); the
+    estimate's decisions are (flags_sha256, near-threshold count, near-floor
+    count), for AC11_DECISIONS."""
     field, origin, centers = ac11_grid()
     wf = wf_estimate_2d(field, centers)
 
@@ -583,4 +599,5 @@ def propagation_check() -> dict:
                 mass_on += m
     return {"fraction_on_cone": mass_on / mass_total if mass_total else 0.0,
             "n_centers": len(centers), "n_singular_centers": len(per_center),
-            "wf": wf}
+            "wf": wf, "decisions": (flags_sha256(wf), len(wf.near_threshold()),
+                                    len(wf.near_floor()))}

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -161,3 +162,44 @@ def dist_scaled(t, c):
     """The distribution t times the scalar c, term by term."""
     return SymbolicDistribution1D([(coeff * c, kind)
                                    for coeff, kind in t.terms])
+
+
+# -- dense Weyl operators --------------------------------------------------
+# The library holds each grid Weyl operator as its triple (s, beta, theta);
+# these spell W(alpha, beta) and a triple out as n x n complex matrices on
+# samples over x_j = x0 + j dx, for the checks that compare against them.
+
+WEYL_X0 = -8.0  # the grid's first point
+
+
+def weyl_phase(a1, b1, a2, b2, hbar):
+    """Composition phase: W(a1,b1) W(a2,b2) = phase * W(a1+a2, b1+b2)."""
+    return cmath.exp(0.5j * hbar * (a1 * b2 - a2 * b1))
+
+
+def weyl_matrix(alpha, beta, n, dx, hbar, x0):
+    """W(alpha, beta): (W phi)(x) = e^{i hbar alpha beta / 2} e^{i beta x}
+    phi(x + hbar alpha), with zero padding off the grid; the shift must be
+    a whole number of cells."""
+    shift = hbar * alpha / dx
+    s = round(shift)
+    assert abs(shift - s) <= 1e-9, "shift off the grid"
+    xs = x0 + dx * np.arange(n)
+    W = np.zeros((n, n), dtype=complex)
+    ph = cmath.exp(0.5j * hbar * alpha * beta)
+    for j in range(n):
+        k = j + s
+        if 0 <= k < n:
+            W[j, k] = ph * cmath.exp(1j * beta * xs[j])
+    return W
+
+
+def triple_matrix(w, n, dx, x0):
+    """The matrix of the triple (s, beta, theta):
+    (W phi)_j = e^{i(theta + beta x_j)} phi_{j+s}, zero padded."""
+    s, beta, theta = w
+    W = np.zeros((n, n), dtype=complex)
+    j = np.arange(max(0, -s), min(n, n - s))
+    W[j, j + s] = np.exp(1j * (float(theta) + float(beta) * (
+        x0 + float(dx) * j)))
+    return W

@@ -1,17 +1,21 @@
 """Finite star-algebras, GNS representations, and grid Weyl operators."""
 import cmath
-import re
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from paqft import InputError
 from paqft.algebra import (FiniteStarAlgebra, AlgebraState, AlgebraError,
                            GNS_TOL, StateNotPositive, NoIntertwiner,
                            ShiftOffGrid, functions_on_points, matrix_algebra,
                            gram_matrix, gns_construct, gns_uniqueness_check,
-                           direct_sum_state_example, weyl_phase, weyl_matrix,
-                           weyl_rep_check)
+                           direct_sum_state_example, WEYL_PAIRS, weyl_triple,
+                           weyl_product, weyl_adjoint, weyl_rep_check)
+
+from conftest import WEYL_X0, triple_matrix, weyl_matrix, weyl_phase
 
 
 # --------------------------------------------------------------------------
@@ -224,24 +228,83 @@ def test_weyl_matrix_is_a_shift_with_phase():
 
 def test_weyl_shift_must_align_with_grid():
     with pytest.raises(ShiftOffGrid):
-        weyl_matrix(0.3, 0.0, 8, 0.25, 1.0, 0.0)
+        weyl_triple(Fraction(3, 10), 0, Fraction(1, 4), Fraction(1))
 
 
 def test_weyl_relations_hold_on_interior():
     rep = weyl_rep_check(64, 0.25, 1.0)
-    assert rep["composition_residual"] < 1e-8
-    assert rep["adjoint_residual"] < 1e-8
+    assert rep["composition_residual"] == rep["adjoint_residual"] == 0
     assert rep["phase_example"] == pytest.approx(cmath.exp(0.5j))
+    assert (rep["n"], rep["dx"], rep["interior_margin_cells"]) == (64, 0.25,
+                                                                   12)
 
 
-def test_weyl_grid_past_the_phase_resolution_is_rejected():
-    # 2 (n - 1) dx eps passes WEYL_TOL = 1e-8 between dx = 3e5 and 4e5 at
-    # n = 64, and n = 1000 takes dx = 3e5 past it
-    assert weyl_rep_check(64, 3e5, 3e5)["composition_residual"] < 1e-8
-    for n, dx in ((64, 4e5), (64, 1e300), (1000, 3e5)):
-        with pytest.raises(InputError,
-                           match=re.escape(f"dx = {dx}, n = {n}:")):
-            weyl_rep_check(n, dx, dx)
+def test_weyl_grid_needs_an_interior_column():
+    with pytest.raises(InputError,
+                       match=r"^n = 24: no interior column, need n > 24$"):
+        weyl_rep_check(24, 0.25, 1.0)
+
+
+def test_weyl_grids_past_the_float_phase_resolution_are_exact():
+    # 2 (n - 1) dx eps of the dense matrices' phases passed 1e-8 at
+    # dx = hbar = 4e5 (n = 64) and at 3e5 (n = 1000); the triples carry no
+    # x_j, so there, at 1e300 and on a million points the relations are ==
+    for n, dx in ((64, 4e5), (1000, 3e5), (64, 1e300), (10 ** 6, 0.25)):
+        rep = weyl_rep_check(n, dx, dx)
+        assert rep["composition_residual"] == rep["adjoint_residual"] == 0
+
+
+def test_weyl_decimals_are_read_as_they_are_spelled():
+    # 0.1 is 1/10, so hbar alpha / dx = 10 alpha; 1e-300 is no shift of 0
+    rep = weyl_rep_check(64, 0.1, 1.0)
+    assert rep["interior_margin_cells"] == 30
+    assert rep["composition_residual"] == 0
+    with pytest.raises(ShiftOffGrid):
+        weyl_rep_check(64, 0.25, 1e-300)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_weyl_triples_act_as_the_dense_operators(n):
+    """Each triple's matrix is weyl_matrix, the product's is W1 W2 and the
+    adjoint's W1^* on the interior columns, within 1e-8 (the tolerance of
+    the dense relations)."""
+    dx, hbar = Fraction(1, 4), Fraction(1)
+    cells = lambda w: abs(w[0])
+    for (a1, b1), (a2, b2) in WEYL_PAIRS:
+        w1, w2 = (weyl_triple(a, b, dx, hbar) for a, b in ((a1, b1), (a2, b2)))
+        W1, W2 = (weyl_matrix(float(a), float(b), n, 0.25, 1.0, WEYL_X0)
+                  for a, b in ((a1, b1), (a2, b2)))
+        dense = lambda w: triple_matrix(w, n, dx, WEYL_X0)
+        assert np.max(np.abs(dense(w1) - W1)) < 1e-8
+        lo = cells(w1) + cells(w2)
+        diff = dense(weyl_product(w1, w2, dx)) - W1 @ W2
+        assert np.max(np.abs(diff[:, lo:n - lo])) < 1e-8
+        diff = dense(weyl_adjoint(w1, dx)) - W1.conj().T
+        assert np.max(np.abs(diff[:, cells(w1):n - cells(w1)])) < 1e-8
+
+
+small = st.fractions(-3, 3, max_denominator=3)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.fractions(Fraction(1, 4), 3, max_denominator=4),
+       st.fractions(Fraction(1, 4), 3, max_denominator=4),
+       st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3), small),
+                min_size=2, max_size=2))
+def test_weyl_relations_are_exact_on_the_grid(dx, hbar, ops):
+    """W(alpha, beta) with alpha = (k / q) dx / hbar: == for both relations
+    when q divides k for both operators, ShiftOffGrid otherwise."""
+    (a1, b1), (a2, b2) = [(Fraction(k, q) * dx / hbar, b) for k, q, b in ops]
+    if any(k % q for k, q, _ in ops):
+        with pytest.raises(ShiftOffGrid):
+            for a, b in ((a1, b1), (a2, b2)):
+                weyl_triple(a, b, dx, hbar)
+        return
+    w1, w2 = weyl_triple(a1, b1, dx, hbar), weyl_triple(a2, b2, dx, hbar)
+    s, b, theta = weyl_triple(a1 + a2, b1 + b2, dx, hbar)
+    assert weyl_product(w1, w2, dx) == (
+        s, b, theta + hbar * (a1 * b2 - a2 * b1) / 2)
+    assert weyl_adjoint(w1, dx) == weyl_triple(-a1, -b1, dx, hbar)
 
 
 def test_weyl_pure_multiplier_commutes_globally():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,14 @@ def test_weyl_report(tmp_path):
     lines = csv_lines(tmp_path / "weyl_t.csv")
     assert lines[0] == "quantity,value"
     assert any(l.startswith("composition_residual,") for l in lines)
+
+
+def test_weyl_fails_only_when_a_relation_is_not_equal(tmp_path, monkeypatch):
+    report = al.weyl_rep_check(64, 0.25, 1.0)
+    monkeypatch.setattr(cli.al, "weyl_rep_check", lambda **kw: dict(
+        report, adjoint_residual=Fraction(1, 4)))
+    res = run(["weyl", "--out", str(tmp_path)], expect=3)
+    assert "a Weyl relation is off by 1/4 in its phase argument" in res.output
 
 
 def test_propagators_cache_and_header(tmp_path):
@@ -202,6 +211,11 @@ def test_bogoliubov_roundtrip(tmp_path):
 # ambiguity_delta_0 -1.421097540807104 -> -1.4210975408071043 and
 # ambiguity_delta_1 -3.2016185557179397e-16 -> -2.7603372461690616e-16 (old
 # sha256 479bb9c8...); the fit residual and the three pairings did not move.
+# `weyl` was taken again when the Weyl relations came to be decided on exact
+# (shift, beta, theta) triples instead of dense float matrices:
+# composition_residual moved 3.1401849173675503e-16 -> 0 and
+# adjoint_residual 1.6653345369377348e-16 -> 0 (old sha256 2c1acc20...); the
+# n, dx, interior_margin_cells and phase_example cells did not move.
 # `suite` is hashed without its `seconds` column, which is a wall-clock time.
 PINNED = {
     "commutator":
@@ -217,7 +231,7 @@ PINNED = {
     "gns":
         "6092a52a3ecee58f57dc88e74adf5098de275594bfbb10ef0801f4d600fd7208",
     "weyl":
-        "2c1acc20ebc7928a5e808c9ad3523290c17f7f9eee9ad9bedc81254c67d6029c",
+        "332f8c1b6f82245cfb46a3b9096d2868deb38683de4d986f2f582706615b7036",
     "flow":
         "be1f9404440ef48bcd864a485b6c2dcc7f81b304e4732e8c66b1e678d80ce38d",
     "propagators":

@@ -219,7 +219,7 @@ KEY_EXAMPLES = {
     ("commutator", "mass", "1e-300"): 2,
     ("commutator", "n_sites", "97"): 2,  # more sites than 12 x 8: a hang
     ("wf", "centers", "0.3"): 2,  # the window's annulus holds the origin
-    ("weyl", "dx", "1e300"): 2,  # x0 + j dx loses the phases' digits
+    ("weyl", "dx", "1e300"): 2,  # ShiftOffGrid: hbar / dx = 1e-300 cells
     ("graphs", "linez", "9"): 2,
     ("graphs", "n", "2.5"): 2,
     ("graphs", "n", "0"): 2,
@@ -231,7 +231,10 @@ KEY_EXAMPLES = {
     ("flow", "metric", "conformal"): 0,
     ("suite", "only", "14"): 2,
     ("gns", "algebra_file", "no/such/file"): 2,
-    ("weyl", "n", "100000"): 2,  # 160 GB a matrix: refused before any work
+    ("weyl", "n", "100000"): 0,  # the triples hold no n x n matrix
+    ("weyl", "dx", "0.1"): 0,  # the decimal it spells: 10 cells
+    ("weyl", "dx", "1/3"): 0,
+    ("weyl", "hbar", "1e-300"): 2,  # once rounded to a shift of 0 cells
     ("graphs", "n", "10"): 2,  # C(49, 4) multigraphs: over MAX_GRAPHS
     ("graphs", "lines", "100000"): 2,
 }

@@ -1,10 +1,8 @@
 """Wave front estimation, covector causality, and bicharacteristic flow."""
 import math
-import sys
 import tracemalloc
 from functools import partial
 from itertools import groupby
-from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -14,10 +12,6 @@ from hypothesis import given, settings
 from paqft import InputError
 from paqft import microlocal as ml
 from paqft.dist1d import SymbolicDistribution1D, _window, quad_complex
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import timing  # noqa: E402
-
 
 # --------------------------------------------------------------------------
 # 1d estimator
@@ -1001,15 +995,18 @@ def test_commutator_front_rides_the_light_cone(full_grid_check):
 
 
 def test_propagation_decisions_are_pinned(full_grid_check):
-    """AC11's singular flags (by tools/timing.py's sha256 of each centre's
-    flags), its near-decision counts and its singular centres: a speed-up
-    of the estimator moves none of them.  All of its centres are on the
-    grid, so one window serves them all."""
+    """AC11's singular flags (by the sha256 of each centre's flags), its
+    near-decision counts and its singular centres: a speed-up of the
+    estimator moves none of them, and AC11 fails unless its estimate makes
+    these decisions.  All of its centres are on the grid, so one window
+    serves them all."""
     wf = full_grid_check["wf"]
-    assert timing.flags_sha256(wf) == (
+    assert ml.flags_sha256(wf) == (
         "5e97da32a667a5cab77bf6f9a4b58726a65a270e2a787fd5b88a13a4b70da6ff")
     assert len(wf.near_threshold()) == 108
     assert len(wf.near_floor()) == 1490
+    assert full_grid_check["decisions"] == ml.AC11_DECISIONS == (
+        ml.flags_sha256(wf), 108, 1490)
     assert full_grid_check["n_singular_centers"] == 412
     assert wf.meta["windows"] == 1
 

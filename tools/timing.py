@@ -36,6 +36,8 @@ Run from the root of a paqft checkout.  The cases:
   (acceptance.sparse_smear), on the 24x24 and 48x48 lattices of the
   benchmark's free_wide items (a_t = 1/2, a_x = 1, m = 1), whose exact
   kernels are lifted before the timing;
+- weyl: algebra.weyl_rep_check at the weyl command's defaults (dx = 0.25,
+  hbar = 1) on grids of 64 and 1024 points;
 - tables: PropagatorSet.ret_table, the leapfrog march of the retarded
   table, on AC11's 512x256 lattice (a_t = 1/20, a_x = 1/10, m = 1).
 
@@ -45,8 +47,8 @@ compared for speed and shown to compute alike.  Ladder rows hash the
 coefficients in any order (an init row those of S(V), S(-V) and Sbar(-V)),
 flows x, k and sigma, wf2d each centre's singular flags, pairings the
 repr, gns rows each representation's dimension and residuals as float64
-bytes, commutator rows the coefficients, as ladder rows do, and tables
-the float64 bytes.
+bytes, commutator rows the coefficients, as ladder rows do, weyl rows the
+repr of the report's items in key order, and tables the float64 bytes.
 A star row shows, after the number of terms, the number of vertex sites
 the product used: those in the future of its first argument and the past
 of its second.  G,F uses none, as G is nowhere earlier than F.
@@ -86,6 +88,7 @@ N_STEPS, DT = wavefront.SIZES["full"]["flows"], 0.01
 REGRESSIONS = ("(x+i0)^-2", "(x-i0)^-1.5", "x_+^-0.5", "delta^1")
 WF1D_CENTRES = (0.0, 0.8)
 PAIRINGS = ("x^2", "heaviside^1", "(x-i0)^-3")
+WEYL_GRIDS = (64, 1024)
 
 
 def sha256(text):
@@ -158,23 +161,10 @@ def flow():
                partial(flow_shown, run, metric))
 
 
-def flags_sha256(wf):
-    """sha256 of one line per centre: its coordinates and its rays'
-    singular flags in ray order."""
-    lines, n = [], ml.WF2D_RAYS
-    for i in range(0, len(wf.rays), n):
-        rays = wf.rays[i:i + n]
-        lines.append("%r|%r|%s" % (float(rays[0].center[0]),
-                                   float(rays[0].center[1]),
-                                   "".join("1" if r.singular else "0"
-                                           for r in rays)))
-    return sha256("\n".join(lines))
-
-
 def wf2d():
     field, _, centres = ml.ac11_grid()
     yield ("ac11 grid", partial(ml.wf_estimate_2d, field, centres),
-           flags_sha256, lambda wf, best_ms: (
+           ml.flags_sha256, lambda wf, best_ms: (
                "%d centres, %.1f us/centre, %d singular, %d near, "
                "%d windows" % (
                    len(centres), best_ms * 1e3 / len(centres),
@@ -185,7 +175,7 @@ def wf2d():
     firsts, rests = [], []
     yield ("ac11 %d-centre calls" % WF2D_BATCH,
            partial(batched_calls, field, batches, firsts, rests),
-           lambda wfs: flags_sha256(ml.WFEstimate(
+           lambda wfs: ml.flags_sha256(ml.WFEstimate(
                [r for wf in wfs for r in wf.rays], wfs[0].threshold, {})),
            lambda wfs, best_ms: "%d calls, first %.0f us, then %.0f us/call, "
            "%.1f us/centre, %d windows" % (
@@ -194,7 +184,7 @@ def wf2d():
                sum(wf.meta["windows"] for wf in wfs)))
     edge = edge_centres()
     yield ("ac11 edge centres", partial(ml.wf_estimate_2d, field, edge),
-           flags_sha256, lambda wf, best_ms: (
+           ml.flags_sha256, lambda wf, best_ms: (
                "%d centres, %d skipped, %.1f us/centre, %d singular, "
                "%d windows" % (
                    len(edge), len(wf.meta["skipped_centers"]),
@@ -306,6 +296,15 @@ def commutator():
                        sorted(P.slices), len(P.terms)))
 
 
+def weyl():
+    for n in WEYL_GRIDS:
+        yield ("n = %d" % n, partial(al.weyl_rep_check, n, 0.25, 1.0),
+               lambda r: sha256(repr(sorted(r.items()))),
+               lambda r, _: "residuals %s and %s, %d margin cells" % (
+                   r["composition_residual"], r["adjoint_residual"],
+                   r["interior_margin_cells"]))
+
+
 def tables():
     lat = Lattice1p1(512, 256, Fraction(1, 20), Fraction(1, 10), 1.0)
     yield ("ret_table 512x256", lambda: PropagatorSet(lat).ret_table(),
@@ -314,7 +313,8 @@ def tables():
 
 
 CASES = {"ladder": ladder, "flow": flow, "wf2d": wf2d, "pairing": pairing,
-         "gns": gns, "commutator": commutator, "tables": tables}
+         "gns": gns, "commutator": commutator, "weyl": weyl,
+         "tables": tables}
 
 
 def main(argv=None):
