@@ -255,23 +255,20 @@ def weyl_adjoint(w: tuple, dx: Fraction) -> tuple:
     return -s, -b, -t + b * s * dx
 
 
-def weyl_rep_check(n: int, dx, hbar) -> dict:
+def weyl_rep_check(dx, hbar) -> dict:
     """The Weyl relation W1 W2 = e^{i hbar (a1 b2 - a2 b1) / 2} W(a1 + a2,
     b1 + b2) and the adjoint relation W1^* = W(-a1, -b1) on WEYL_PAIRS,
     decided with == on the triples, dx and hbar read as the decimals or
     ratios they spell (0.1 is 1/10).  The sides' shifts and betas agree by
-    construction, so a residual is the gap |theta - theta'| over Q.  Zero
-    padding breaks the relations only in the edge columns a shift reaches,
-    so they hold on the interior columns; a grid without one (n at most
-    twice the reach) raises InputError naming n, and past that n changes
-    nothing checked.  phase_example is e^{i/2}, of W(1, 0) W(0, 1) =
-    e^{i/2} W(1, 1) at hbar = 1; the items are in the weyl CSV's order."""
+    construction, so a residual is the gap |theta - theta'| over Q, on any
+    grid.  Zero padding breaks the relations only in the edge columns a
+    shift reaches, interior_margin_cells of them at each edge.
+    phase_example is e^{i hbar/2}, of W(1, 0) W(0, 1) = e^{i hbar/2}
+    W(1, 1); the items are in the weyl CSV's order."""
     dx, hbar = Fraction(str(dx)), Fraction(str(hbar))
     W = lambda a, b: weyl_triple(a, b, dx, hbar)
     reach = max(abs(W(a1, b1)[0]) + abs(W(a2, b2)[0])  # columns shifts move
                 for (a1, b1), (a2, b2) in WEYL_PAIRS)
-    if n <= 2 * reach:
-        raise InputError(f"n = {n}: no interior column, need n > {2 * reach}")
     comp_res = adj_res = 0
     for (a1, b1), (a2, b2) in WEYL_PAIRS:
         theta = W(a1 + a2, b1 + b2)[2] + hbar * (a1 * b2 - a2 * b1) / 2
@@ -279,6 +276,6 @@ def weyl_rep_check(n: int, dx, hbar) -> dict:
             weyl_product(W(a1, b1), W(a2, b2), dx)[2] - theta))
         adj_res = max(adj_res, abs(
             weyl_adjoint(W(a1, b1), dx)[2] - W(-a1, -b1)[2]))
-    return {"n": n, "dx": float(dx), "composition_residual": comp_res,
+    return {"dx": float(dx), "composition_residual": comp_res,
             "adjoint_residual": adj_res, "interior_margin_cells": reach,
-            "phase_example": complex(np.exp(0.5j))}
+            "phase_example": complex(np.exp(0.5j * float(hbar)))}

@@ -239,8 +239,7 @@ def gns(cfg, seed):
         acceptance.tol_text(acceptance.GNS_RESIDUAL_TOL))
 
 
-@command({"n": (_int, 64), "dx": (_rational, 0.25),
-          "hbar": (_rational, 1.0)}, QUANTITY)
+@command({"dx": (_rational, 0.25), "hbar": (_rational, 1.0)}, QUANTITY)
 def weyl(cfg, seed):
     """Exponentiated commutation relations on a discrete line."""
     r = al.weyl_rep_check(**cfg)

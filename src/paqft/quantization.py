@@ -5,49 +5,41 @@ Every product here is one exponential-contraction formula,
     F x_K G = sum_n (hbar^n / n!) <F^(n), K^(x n) G^(n)>,
 
 differing only in the contraction kernel K: (i/2)Delta for the star product,
-the positive-frequency kernel for the Wick-ordered star product, i*DiracD and
-Feynman for the two time-ordered products.  The Wick transform alpha_H and
-the time-ordering operator are the same formula with both ends of each line
-in one functional (exp_gamma, e^{(hbar/2) Gamma_K}), the Peierls bracket is
-one line of the causal kernel Delta between two functionals, and the graph
-expansion of graphs.py is the same formula with n functionals and lines
-between any two of them.  The commutator is computed as
-F x G - G x F = i hbar {F, G} + O(hbar^2): K^(x n) - (K^T)^(x n)
-telescopes into terms that each hold one factor K - K^T = i Delta, so
-every order starts with the Peierls bracket's causal line, followed by
-K-lines both ways.
-The formal S-matrix is the exponential of the vertex in a time-ordered
-product, and the Bogoliubov map R F = Sbar(-V) * (S(V) x_T F) takes the
-star-inverse of S(V) as Sbar(-V), the anti-time-ordered exponential of -V:
-the complex conjugate of S(-conj V).
+the positive-frequency kernel for the Wick-ordered star product, i*DiracD
+and Feynman for the two time-ordered products.  The Wick transform alpha_H
+and the time-ordering operator are the same formula with both ends of each
+line in one functional (exp_gamma, e^{(hbar/2) Gamma_K}), the Peierls
+bracket is one line of the causal kernel Delta between two functionals, and
+the graph expansion of graphs.py is the same formula with n functionals and
+lines between any two of them.  The commutator is computed as
+F x G - G x F = i hbar {F, G} + O(hbar^2): K^(x n) - (K^T)^(x n) telescopes
+into terms that each hold one factor K - K^T = i Delta, so every order
+starts with the Peierls bracket's causal line, followed by K-lines both
+ways.  The formal S-matrix is the exponential of the vertex in a
+time-ordered product; BogoliubovMap builds R without it, from *_H
+commutators with the vertices, row by row.
 
 All of them are thin callers of `contract`, the single contraction engine.
-It follows the formula: a line contracts, through its own kernel,
-functional derivatives of two whole factors (or two of one), so one
-schedule can mix kernels, as the commutator's causal line and K-lines do.
-A factor comes in the
-stored form of a PolyFunctional, grade slices of Gaussian-integer
+It follows the formula: a line contracts, through its own kernel, functional
+derivatives of two whole factors (or two of one), so one schedule can mix
+kernels, as the commutator's causal line and K-lines do.  A factor comes in
+the stored form of a PolyFunctional, grade slices of Gaussian-integer
 numerators over one denominator (one polynomial per (hbar, lambda) order),
 and is used as it is; a kernel comes as int pairs over one declared
-denominator (a power of two per lattice, ExactPropagators.numerators),
-its rows over a pair of factors' supports read once per call, when a line
-first finds fields to contract there; between lines
-the state is a list of tensor terms, one polynomial per factor, and a
-line reads every derivative of a polynomial off its gradient
-(functionals.gradient).  Each polynomial's gradient and each kernel row
-smeared against it are computed once per call, whichever slice tuples,
-schedules and tensor terms hold that polynomial.  The
-factors' denominators, the kernel denominators and the schedule weights
+denominator (a power of two per lattice, ExactPropagators.numerators), its
+rows over a pair of factors' supports read once per call, when a line first
+finds fields to contract there; between lines the state is a list of tensor
+terms, one polynomial per factor, and a line reads every derivative of a
+polynomial off its gradient (functionals.gradient).  Each polynomial's
+gradient and each kernel row smeared against it are computed once per call,
+whichever slice tuples, schedules and tensor terms hold that polynomial.
+The factors' denominators, the kernel denominators and the schedule weights
 (1/n!, 1/prod l_ij!) fold into one final denominator, each final term is
-closed by the pointwise multiplication m (functionals.add_product), and
-the result is reduced once, in ints, into the same form; no Fraction is
-built between products.  The results are exactly those of rational
-arithmetic, and identities (commutation relations, equivalences,
-factorisation) are checked with ==.
-
-The checks take no knobs: the Wick demo runs at the default series
-truncation, and the injectivity check reads the exact rank of the products'
-coefficients.
+closed by the pointwise multiplication m (functionals.add_product), and the
+result is reduced once, in ints, into the same form; no Fraction is built
+between products.  The results are exactly those of rational arithmetic, and
+identities (commutation relations, equivalences, factorisation) are checked
+with ==.
 """
 
 from __future__ import annotations
@@ -72,7 +64,8 @@ class NoLambdaGrading(Exception):
 
 
 class NonLocalInteraction(Exception):
-    """Interaction term off one site: Sbar(-V) is no star-inverse of S(V)."""
+    """Interaction term off one site: R places each term in one past cone
+    and on one time row."""
 
 
 def _smeared(grad: dict, row: dict, out: dict) -> dict:
@@ -414,128 +407,133 @@ def wick_theorem_demo(xp: ExactPropagators, f1, f2) -> dict:
 
 
 class BogoliubovMap:
-    """R_V and its inverse, built from the formal S-matrix S(V).
+    """R_V, its inverse and F *_V G in the interaction picture (Dyson;
+    Brunetti-Fredenhagen): R F = S(V)^-1 * (S(V) x_T F) with no S-matrix
+    built.  R is linear; R m is built once per map for each monomial m and
+    the vertex sites it needs, those in its closed past cone (the others
+    are nowhere earlier than those and m, so their S-matrix factor
+    cancels).  Delta vanishes on a time row, so there the Feynman kernel is
+    the *_H one, and S(V) = S(V_last) * ... * S(V_first) with S(V_t) =
+    exp_*(V_t), V_t the terms of V on row t.  For m on one row,
+    S(V) x_T m = m * S(V), so R m = S^-1 * m * S is the kick
+    e^{-ad V_first} ... e^{-ad V_last} m, the latest row first, each series
+    cut at the lambda truncation.  Any other m is A B, A its fields on its
+    latest row; A is nowhere earlier than B, so R(A x_T B) = R A * R B
+    (Bogoliubov causality) and R m = R A * R B - R(A x_T B - A B), the
+    bracket of lower degree.  R - 1 raises the lambda order, so R^-1 X is
+    solved grade by grade: Y_l = X_l - [(R - 1) Y_<l]_l.
 
-    R F = Sbar(-V) * (S(V) x_T F)
-    R^-1 F = S(-V) x_T (S(V) * F)
-
-    S(-V) is the x_T-inverse of S(V), and Sbar(-V), the S-matrix of -V
-    with the anti-Feynman kernel, is its star-inverse: off equal times the
-    Feynman kernel is the Wightman kernel of the later site against the
-    earlier one and the anti-Feynman kernel the reverse, so the
-    largest-time argument gives S(V) * Sbar(-V) = 1 order by order.  That
-    argument needs every term of V to sit on one site (NonLocalInteraction
-    otherwise), and the interaction must carry the formal coupling, which
-    makes every series finite per order.  The anti-Feynman kernel is the
-    conjugate of the Feynman one, and contract uses only ring operations
-    and real rational weights, so Sbar(-V) = conj S(-conj V), which is
-    conj S(-V) when V is real.
-
-    Both maps use V', the terms of V on W, the vertex sites in the closed
-    past cone of supp F: R_V F = R_V' F, as the interacting field depends
-    only on the interaction in its past; so does any W closed under taking
-    pasts (the past-cone relation is transitive) that holds them.  For
-    R^-1, G = R^-1_V' F has support in supp F and W, so R_V G = R_V' G = F;
-    R_V is injective, so G = R^-1_V F.  The S-matrices of each V', keyed
-    by its sites, are built once, on first use; those of V with the map.
-
-    The interacting product F *_V G = R^-1(R F * R G) uses only V_D, the
-    terms of V on D, the vertex sites in the closed future cone of supp F
-    and in the closed past cone of supp G.  Write A > B (A nowhere earlier
-    than B) when no site of supp A is in the closed past cone of a site of
-    supp B.  The Feynman kernel K_F(a, b) is the Wightman kernel K_W(a, b)
-    for a off the past cone of b, so for A > B:
-    (i) A x_T B = A * B, hence S(A + B) = S(A) * S(B);
-    (ii) A x_T (X * B) = (A x_T X) * B and B x_T (A * X) = A * (B x_T X):
-    each side contracts the same pairs of factors, and only the pair
-    (A, B) takes K_F on one side and K_W on the other.
-    R X = S(V)^-1 * (S(V) x_T X), and S(V) x_T F is the eps coefficient
-    of S(V + eps F), so F *_V G is the eps eta coefficient of
-        Phi_V = S(-V) x_T [S(V + eps F) * S(V)^-1 * S(V + eta G)].
-    Split V into V_a, its terms off the past cone of supp G, V_b, those in
-    it but off the future cone of supp F, and V_D.  The cone relation is
-    transitive, so V_a > V_D, V_b, G and V_D, F > V_b.  By (i)
-    S(V) = S(V_a) * S(V_D) * S(V_b), S(V + eps F) = S(V_a + V_D + eps F) *
-    S(V_b) and S(V + eta G) = S(V_a) * S(V_D + V_b + eta G), so the
-    bracket is S(V_a + V_D + eps F) * S(V_D)^-1 * S(V_D + V_b + eta G).
-    S(-V) = S(-V_a) x_T S(-V_b) x_T S(-V_D); by (ii) S(-V_a) acts on the
-    first factor alone and S(-V_b) on the last, where S(-A) x_T S(A + X)
-    = S(X).  So Phi_V = Phi_{V_D}, and
-        F *_V G = S_D(-V) x_T ((S_D(V) x_T F) * R_D G),
-    R_D G = Sbar_D(-V) * (S_D(V) x_T G): five products.  When D has no
-    site in the past of F, R_D F = F, S_D(V) x_T F = S_D(V) * F, and the
-    product is R_D^-1(F * R_D G).  When D is empty, Phi = S(eps F) *
-    S(eta G) and F *_V G = F * G, truncated to V's orders, in one product.
-    That is so whenever F > G (s in D would give y <= s <= z, y in supp F,
-    z in supp G): then S_V(F + G) = S_V(F) * S_V(G) for the relative
-    S-matrices S_V(F) = S(V)^-1 * S(V + F) (Bogoliubov causality,
-    Brunetti-Fredenhagen), whose eps eta coefficient is R_V(F x_T G) =
-    R F * R G, and F x_T G = F * G by (i).  G > F gives no such rule.
+    F *_V G = R_D^-1(R_D F * R_D G) needs only the terms of V on D, the
+    vertex sites in the closed future cone of supp F and the closed past
+    cone of supp G: one off the past of G is nowhere earlier than D and G,
+    one in it but off the future of F nowhere later than D and F, and both
+    cancel; an empty D leaves F * G, cut to V's orders, one product.  V
+    must carry the coupling, which makes every series finite per order, and
+    each of its terms must sit on one site, its place in cones and rows.
     """
 
     def __init__(self, xp: ExactPropagators, V: PolyFunctional):
-        for bank in V.slices.values():
-            for key in bank:
-                if len(set(key)) != 1:
-                    raise NonLocalInteraction(
-                        f"interaction term on sites {key} is not on one site")
-        self.xp = xp
-        self.V = V
-        self.tp = QuantProduct(xp, "timeordered_F")
-        self.sp = QuantProduct(xp, "star_H")
-        self._S: dict[frozenset, tuple] = {}
+        if any(l == 0 for (_, l) in V.slices):
+            raise NoLambdaGrading("the interaction must carry the coupling")
+        for key in (key for bank in V.slices.values() for key in bank):
+            if len(set(key)) != 1:
+                raise NonLocalInteraction(
+                    f"interaction term on sites {key} is not on one site")
+        self.V, self.sp = V, QuantProduct(xp, "star_H")
+        self._feynman = xp.numerators("timeordered_F")
         self._sites = frozenset(V.support())
-        self._s_matrices(self._sites)
+        self._R: dict[tuple, PolyFunctional] = {}  # (sites, monomial) -> R
 
-    def _s_matrices(self, sites: frozenset) -> tuple:
-        """(S(V'), S(-V'), Sbar(-V')) for V' the terms of V on `sites`."""
-        if sites not in self._S:
-            V = self.V
-            V = PolyFunctional.from_numerators(V.lat, {
-                hl: {k: c for k, c in bank.items() if k[0] in sites}
-                for hl, bank in V.slices.items()}, V.den, V.trunc_h, V.trunc_l)
-            S, S_neg = s_matrix(self.xp, V), s_matrix(self.xp, V * (-1))
-            W = V.conj()  # Sbar(-V') = conj S(-W)
-            S_W = S_neg if W == V else s_matrix(self.xp, W * (-1))
-            self._S[sites] = (S, S_neg, S_W.conj())
-        return self._S[sites]
+    def _past(self, sites: frozenset, of) -> frozenset:
+        """The vertex sites of `sites` in the closed past cone of `of`."""
+        lat = self.V.lat
+        return frozenset(s for s in sites
+                         if any(lat.in_past_cone(s, y) for y in of))
 
-    def _cone(self, *args: PolyFunctional) -> frozenset:
-        """The vertex sites in the closed past cone of the args' supports."""
-        lat, supp = self.V.lat, set().union(*(F.support() for F in args))
-        return frozenset(s for s in self._sites
-                         if any(lat.in_past_cone(s, y) for y in supp))
+    def _monomial(self, m: tuple) -> PolyFunctional:
+        V = self.V
+        return PolyFunctional.from_numerators(V.lat, {(0, 0): {m: (1, 0)}},
+                                              1, V.trunc_h, V.trunc_l)
+
+    def _kick(self, sites: frozenset, X: PolyFunctional) -> PolyFunctional:
+        """e^{-ad V_t} X under *_H, V_t the terms of V on `sites`."""
+        V = self.V
+        out = term = X
+        V_t = PolyFunctional.from_numerators(V.lat, {
+            hl: {k: c for k, c in bank.items() if k[0] in sites}
+            for hl, bank in V.slices.items()}, V.den, V.trunc_h, V.trunc_l)
+        for n in range(1, V.trunc_l + 1):
+            term = self.sp.commutator(V_t, term) * Fraction(-1, n)
+            out = out + term
+        return out
+
+    def _R_monomial(self, sites: frozenset, m: tuple) -> PolyFunctional:
+        """R of the monomial m (a sorted site tuple) for the terms of V on
+        those of `sites` in the closed past cone of m, at V's orders."""
+        sites = self._past(sites, m)
+        if (sites, m) not in self._R:
+            n_x = self.V.lat.n_x
+            top = [y // n_x for y in m].index(m[-1] // n_x) if m else 0
+            if top == 0 or not sites:  # one row: kicks, latest row first
+                X = self._monomial(m)
+                for t in sorted({s // n_x for s in sites}, reverse=True):
+                    X = self._kick({s for s in sites if s // n_x == t}, X)
+            else:  # m = A B, A on the latest row
+                A, B = m[top:], m[:top]
+                bracket = contract(  # A x_T B - A B
+                    [self._monomial(A), self._monomial(B)], [self._feynman],
+                    _exponential((0, 1, 0), self.V.trunc_h)[1:])
+                X = self.sp.product(self._R_monomial(sites, A),
+                                    self._R_monomial(sites, B)) \
+                    - self._apply(sites, bracket)
+            self._R[sites, m] = X
+        return self._R[sites, m]
+
+    def _apply(self, sites: frozenset, F: PolyFunctional) -> PolyFunctional:
+        """R F for the terms of V on `sites`: each monomial's R, times its
+        coefficient and orders, summed over one denominator."""
+        V = self.V
+        th, tl = min(F.trunc_h, V.trunc_h), min(F.trunc_l, V.trunc_l)
+        parts = [(h, l, c, self._R_monomial(sites, m))
+                 for (h, l), bank in F.slices.items() for m, c in bank.items()]
+        den = math.lcm(*(P.den for *_, P in parts))
+        out: dict[tuple, dict] = {}
+        for h, l, c, P in parts:
+            for (h2, l2), bank in P.slices.items():
+                if h + h2 <= th and l + l2 <= tl:
+                    add_product(out.setdefault((h + h2, l + l2), {}),
+                                ({(): c}, bank), den // P.den)
+        return PolyFunctional.from_numerators(V.lat, out, F.den * den, th, tl)
+
+    def _inverse(self, sites: frozenset, X: PolyFunctional) -> PolyFunctional:
+        """R^-1 X for the terms of V on `sites`: Y <- Y - (R - 1) Y_l for
+        l = 0, 1, ... solves grade l of Y, as (R - 1) Y_l lies above it."""
+        Y = X
+        for l in range(min(X.trunc_l, self.V.trunc_l) + 1):
+            Y_l = PolyFunctional.from_numerators(Y.lat, {
+                hl: bank for hl, bank in Y.slices.items() if hl[1] == l},
+                Y.den, Y.trunc_h, Y.trunc_l)
+            Y = Y + Y_l - self._apply(sites, Y_l)
+        return Y
 
     def R(self, F: PolyFunctional) -> PolyFunctional:
-        S, _, S_star_inv = self._s_matrices(self._cone(F))
-        return self.sp.product(S_star_inv, self.tp.product(S, F))
+        return self._apply(self._sites, F)
 
     def Rinv(self, F: PolyFunctional) -> PolyFunctional:
-        S, S_neg, _ = self._s_matrices(self._cone(F))
-        return self.tp.product(S_neg, self.sp.product(S, F))
+        return self._inverse(self._sites, F)
 
     def _diamond(self, F: PolyFunctional, G: PolyFunctional) -> frozenset:
         """The vertex sites in the closed future cone of supp F and the
         closed past cone of supp G."""
         lat, supp = self.V.lat, F.support()
-        return frozenset(s for s in self._cone(G)
+        return frozenset(s for s in self._past(self._sites, G.support())
                          if any(lat.in_past_cone(y, s) for y in supp))
 
     def star_interacting(self, F: PolyFunctional,
                          G: PolyFunctional) -> PolyFunctional:
         D = self._diamond(F, G)
-        if not D:  # F *_V G = F * G
-            V = self.V
-            return self.sp.product(PolyFunctional.from_numerators(
-                F.lat, F.slices, F.den, min(F.trunc_h, V.trunc_h),
-                min(F.trunc_l, V.trunc_l)), G)
-        S, S_neg, S_star_inv = self._s_matrices(D)
-        RG = self.sp.product(S_star_inv, self.tp.product(S, G))
-        if not D & self._cone(F):  # R_D F = F
-            return self.tp.product(S_neg, self.sp.product(
-                S, self.sp.product(F, RG)))
-        return self.tp.product(S_neg, self.sp.product(self.tp.product(S, F),
-                                                      RG))
+        return self._inverse(D, self.sp.product(self._apply(D, F),
+                                                self._apply(D, G)))
 
 
 def causally_later(lat, F: PolyFunctional, G: PolyFunctional) -> bool:

@@ -75,8 +75,9 @@ def rows_view(kernel):
 
 
 # -- the anti-time-ordered exponential ---------------------------------------
-# The library builds Sbar(-V) as the conjugate of S(-conj V); these build it
-# the direct way, from anti-Feynman rows, for the checks that compare the two.
+# Sbar(-V), the star-inverse of S(V) in the oracle maps of the Bogoliubov
+# map, built the direct way, from anti-Feynman rows; the tests compare it
+# with the conjugate of S(-conj V).
 
 def antifeynman_rows(xp):
     """The anti-Feynman kernel H - i*DiracD as contract takes it: the rows

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from paqft import InputError
 from paqft.algebra import (FiniteStarAlgebra, AlgebraState, AlgebraError,
                            GNS_TOL, StateNotPositive, NoIntertwiner,
                            ShiftOffGrid, functions_on_points, matrix_algebra,
@@ -232,35 +231,37 @@ def test_weyl_shift_must_align_with_grid():
 
 
 def test_weyl_relations_hold_on_interior():
-    rep = weyl_rep_check(64, 0.25, 1.0)
+    rep = weyl_rep_check(0.25, 1.0)
     assert rep["composition_residual"] == rep["adjoint_residual"] == 0
     assert rep["phase_example"] == pytest.approx(cmath.exp(0.5j))
-    assert (rep["n"], rep["dx"], rep["interior_margin_cells"]) == (64, 0.25,
-                                                                   12)
+    assert (rep["dx"], rep["interior_margin_cells"]) == (0.25, 12)
 
 
-def test_weyl_grid_needs_an_interior_column():
-    with pytest.raises(InputError,
-                       match=r"^n = 24: no interior column, need n > 24$"):
-        weyl_rep_check(24, 0.25, 1.0)
+def test_weyl_phase_example_is_at_the_given_hbar():
+    """e^{i hbar/2}: at hbar = 1/2 it is e^{i/4}, and the float the CSV
+    prints at hbar = 1 is that of e^{0.5i}."""
+    assert weyl_rep_check(0.25, 0.5)["phase_example"] \
+        == pytest.approx(cmath.exp(0.25j))
+    assert weyl_rep_check(0.25, 1.0)["phase_example"] \
+        == complex(np.exp(0.5j))
 
 
 def test_weyl_grids_past_the_float_phase_resolution_are_exact():
     # 2 (n - 1) dx eps of the dense matrices' phases passed 1e-8 at
     # dx = hbar = 4e5 (n = 64) and at 3e5 (n = 1000); the triples carry no
-    # x_j, so there, at 1e300 and on a million points the relations are ==
-    for n, dx in ((64, 4e5), (1000, 3e5), (64, 1e300), (10 ** 6, 0.25)):
-        rep = weyl_rep_check(n, dx, dx)
+    # x_j and no n, so there and at 1e300 the relations are ==
+    for dx in (4e5, 3e5, 1e300):
+        rep = weyl_rep_check(dx, dx)
         assert rep["composition_residual"] == rep["adjoint_residual"] == 0
 
 
 def test_weyl_decimals_are_read_as_they_are_spelled():
     # 0.1 is 1/10, so hbar alpha / dx = 10 alpha; 1e-300 is no shift of 0
-    rep = weyl_rep_check(64, 0.1, 1.0)
+    rep = weyl_rep_check(0.1, 1.0)
     assert rep["interior_margin_cells"] == 30
     assert rep["composition_residual"] == 0
     with pytest.raises(ShiftOffGrid):
-        weyl_rep_check(64, 0.25, 1e-300)
+        weyl_rep_check(0.25, 1e-300)
 
 
 @pytest.mark.parametrize("n", [64, 1024])

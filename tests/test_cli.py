@@ -62,7 +62,7 @@ def test_weyl_report(tmp_path):
 
 
 def test_weyl_fails_only_when_a_relation_is_not_equal(tmp_path, monkeypatch):
-    report = al.weyl_rep_check(64, 0.25, 1.0)
+    report = al.weyl_rep_check(0.25, 1.0)
     monkeypatch.setattr(cli.al, "weyl_rep_check", lambda **kw: dict(
         report, adjoint_residual=Fraction(1, 4)))
     res = run(["weyl", "--out", str(tmp_path)], expect=3)
@@ -215,7 +215,9 @@ def test_bogoliubov_roundtrip(tmp_path):
 # (shift, beta, theta) triples instead of dense float matrices:
 # composition_residual moved 3.1401849173675503e-16 -> 0 and
 # adjoint_residual 1.6653345369377348e-16 -> 0 (old sha256 2c1acc20...); the
-# n, dx, interior_margin_cells and phase_example cells did not move.
+# n, dx, interior_margin_cells and phase_example cells did not move.  It was
+# taken a third time when the `n` key went, as the triples do not read it:
+# the row `n,64` went, and no other cell moved (old sha256 332f8c1b...).
 # `suite` is hashed without its `seconds` column, which is a wall-clock time.
 PINNED = {
     "commutator":
@@ -231,7 +233,7 @@ PINNED = {
     "gns":
         "6092a52a3ecee58f57dc88e74adf5098de275594bfbb10ef0801f4d600fd7208",
     "weyl":
-        "332f8c1b6f82245cfb46a3b9096d2868deb38683de4d986f2f582706615b7036",
+        "fede6982ce34595b725e45bf9e92488e8de605ceecdad9b9d760dfa396aed1f9",
     "flow":
         "be1f9404440ef48bcd864a485b6c2dcc7f81b304e4732e8c66b1e678d80ce38d",
     "propagators":
@@ -428,6 +430,7 @@ def test_missing_config_is_a_config_error(tmp_path):
 @pytest.mark.parametrize("command, text", [
     ("graphs", "n = 2\nlinez = 9\n"),
     ("commutator", "n_t = 8\nn_x = 4\nmas = 2\n"),
+    ("weyl", "n = 64\n"),  # the grid size the triples never read
 ])
 def test_unknown_config_key_is_a_config_error(tmp_path, command, text):
     cfg = tmp_path / "typo.cfg"
@@ -445,9 +448,6 @@ def test_unknown_config_key_is_a_config_error(tmp_path, command, text):
     ("suite", "only = five\n"),
     ("suite", "only = yes\n"),
     ("suite", "only = 2.5\n"),
-    ("weyl", "n = 2.5\n"),
-    ("weyl", "n = 24\n"),
-    ("weyl", "n = 4\n"),
     ("weyl", "dx = 0\n"),
     ("weyl", "dx = -0.25\n"),
     ("weyl", "hbar = nan\n"),
@@ -479,11 +479,7 @@ def test_bad_config_value_is_a_config_error(tmp_path, command, text):
     res = run([*command.split(), "--config", str(cfg), "--out",
                str(tmp_path)], expect=2)
     key = text.split(" =")[0]
-    # a value that converts but that the library rejects, naming the key
-    want = {"weyl-n = 24\n": "InputError: n = 24: no interior column",
-            "weyl-n = 4\n": "InputError: n = 4: no interior column"}
-    assert want.get("%s-%s" % (command, text),
-                    "bad config %s: key %s = " % (cfg, key)) in res.output
+    assert "bad config %s: key %s = " % (cfg, key) in res.output
     if key == "only":
         assert "criteria are numbered 1-13" in res.output
     assert "AC" not in res.output  # rejected before any work

@@ -231,7 +231,7 @@ KEY_EXAMPLES = {
     ("flow", "metric", "conformal"): 0,
     ("suite", "only", "14"): 2,
     ("gns", "algebra_file", "no/such/file"): 2,
-    ("weyl", "n", "100000"): 0,  # the triples hold no n x n matrix
+    ("weyl", "n", "100000"): 2,  # no grid size: an unknown key
     ("weyl", "dx", "0.1"): 0,  # the decimal it spells: 10 cells
     ("weyl", "dx", "1/3"): 0,
     ("weyl", "hbar", "1e-300"): 2,  # once rounded to a shift of 0 cells

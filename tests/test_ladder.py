@@ -48,13 +48,13 @@ def test_timing_prints_one_digest_per_call(capsys):
 
 
 def test_ladder_times_both_argument_orders(capsys):
-    """A rung prints the map's construction and the product in both
-    argument orders, F before G and G before F, each product with the
-    vertex sites it used: both vertices lie between F and G, none between
-    G and F."""
+    """A rung prints R G and the product in both argument orders, F before
+    G and G before F, each with the vertex sites it used: both vertices lie
+    in the past of G and between F and G, none between G and F."""
     timing.main(["-n", "1", "ladder", "1,1,2"])
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [re.match(r"ladder +(.*?) +1,1,2 ", r).group(1)
-            for r in rows] == ["init", "star F,G", "star G,F"]
+            for r in rows] == ["R G", "star F,G", "star G,F"]
+    assert rows[0].endswith(", 2 vertex sites")
     assert rows[1].endswith(", 2 vertex sites")
     assert rows[2].endswith(", 0 vertex sites")

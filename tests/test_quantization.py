@@ -501,26 +501,88 @@ def test_interacting_product_uses_the_vertices_between_f_and_g(
             min(free.trunc_l, tl))
 
 
+LAT_16x8 = Lattice1p1(16, 8, Fraction(1, 2), Fraction(1))
+COMPLEX = st.builds(ExactComplex, st.sampled_from(
+    [1, -2, Fraction(1, 2), Fraction(-3, 4)]), st.sampled_from(
+    [0, 1, Fraction(-1, 3)]))
+
+
+@pytest.fixture(scope="module")
+def xp_of():
+    """The exact kernels of the lattices interaction_draws draws on."""
+    return {lat: ExactPropagators(lat) for lat in (LAT_8x4, LAT_16x8)}
+
+
+@st.composite
+def interaction_draws(draw):
+    """(lattice, V, F, G) on 8x4 or 16x8: V one-site terms of degree 3 or
+    4 on 2-4 sites of the interior rows, two rows at least, each with a
+    complex coupling; F and G multilocal, one or two monomials of degree
+    1-3 on one or more sites, with complex coefficients; V, F and G each
+    at truncation orders from 1 to 3."""
+    lat = draw(st.sampled_from([LAT_8x4, LAT_16x8]))
+    interior = lat.n_t - 2
+    t0 = draw(st.integers(1, interior))
+    ts = [t0, 1 + (t0 + draw(st.integers(0, interior - 2))) % interior]
+    ts += draw(st.lists(st.integers(1, interior), max_size=2))
+    sites = {lat.site(t, draw(st.integers(0, lat.n_x - 1))) for t in ts}
+    th, tl = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    V = PolyFunctional(lat, {
+        (s,) * draw(st.integers(3, 4)): FormalSeries(
+            {(0, 1): draw(COMPLEX)}, th, tl) for s in sites}, th, tl)
+    any_site = st.integers(0, lat.n_sites - 1)
+
+    def functional():
+        monomials = draw(st.lists(st.lists(any_site, min_size=1, max_size=3),
+                                  min_size=1, max_size=2))
+        fh, fl = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return PolyFunctional(lat, {tuple(m): draw(COMPLEX)
+                                    for m in monomials}, fh, fl)
+    return lat, V, functional(), functional()
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=interaction_draws())
+def test_bogoliubov_map_matches_the_s_matrix_oracle(xp_of, draw):
+    """R, R^-1 and the interacting product in both argument orders are ==
+    the maps built from the S-matrices of the whole V (unrestricted_maps),
+    on drawn multi-row vertices with complex couplings and multilocal
+    arguments, on 8x4 and 16x8."""
+    lat, V, F, G = draw
+    xp = xp_of[lat]
+    bog = BogoliubovMap(xp, V)
+    R, Rinv, star_interacting = unrestricted_maps(xp, V)
+    assert bog.R(F) == R(F)
+    assert bog.Rinv(F) == Rinv(F)
+    assert bog.star_interacting(F, G) == star_interacting(F, G)
+    assert bog.star_interacting(G, F) == star_interacting(G, F)
+
+
 def test_interacting_product_contracts_once_without_vertices_between(
         xp_small, monkeypatch):
-    """One contract call when no vertex lies in the future of F and the
-    past of G, five otherwise (R F = F or not), once the S-matrices of
-    those vertices are built."""
+    """One contract call, the *_H product, when no vertex lies in the
+    future of F and the past of G, cold or warm; with vertices between
+    them the map builds R of each monomial on the first call, and a warm
+    repeat makes the *_H product alone.  No call builds an S-matrix."""
     lat = xp_small.lat
     V = interaction(lat, [lat.site(3, 1), lat.site(5, 1)])
     early = local_power(lat, {lat.site(1, 1): 1}, 2)
     late = local_power(lat, {lat.site(7, 1): 1}, 2)
     around = local_power(lat, {lat.site(2, 1): 1, lat.site(4, 1): 1}, 1)
     bog = BogoliubovMap(xp_small, V)
-    calls = []
+    calls, built = [], []
     contract = qz.contract
     monkeypatch.setattr(qz, "contract",
                         lambda *args: calls.append(1) or contract(*args))
-    for F, G, n in ((late, early, 1), (early, late, 5), (around, late, 5)):
-        bog.star_interacting(F, G)
+    monkeypatch.setattr(qz, "s_matrix", lambda *args: built.append(1))
+    for F, G in ((late, early), (early, late), (around, late)):
+        bog.star_interacting(F, G)  # cold: R of each monomial is built
+        assert (len(calls) == 1) == (F is late)
         calls.clear()
         bog.star_interacting(F, G)
-        assert len(calls) == n
+        assert len(calls) == 1
+        calls.clear()
+    assert built == []
 
 
 def test_ac08_multiplies_across_a_vertex(monkeypatch):
@@ -539,32 +601,28 @@ def test_ac08_multiplies_across_a_vertex(monkeypatch):
     assert len(sizes) == 8 and any(sizes)
 
 
-def test_bogoliubov_map_builds_each_vertex_set_once(xp_small, monkeypatch):
-    """The S-matrices of V are built with the map, those of a part of V on
-    the first argument whose past holds just that part, and none twice."""
+def test_bogoliubov_map_builds_each_monomial_once(xp_small, monkeypatch):
+    """R and R^-1 are == the oracle maps on arguments with none, one and
+    both vertices in their past; the map builds no S-matrix, and R of each
+    (vertex sites, monomial) once, so a warm repeat contracts nothing."""
     lat = xp_small.lat
-    early, late = lat.site(2, 0), lat.site(5, 2)
-    V = interaction(lat, [early, late])
-    built = []
-
-    def counted(xp, W):
-        built.append(tuple(sorted(W.support())))
-        return s_matrix(xp, W)
-
-    monkeypatch.setattr(qz, "s_matrix", counted)
-
-    def S_of(*sites):  # S(V') and S(-V'); V' is real, so Sbar is conj S(-V')
-        return [sites, sites]
-
+    V = interaction(lat, [lat.site(2, 0), lat.site(5, 2)])
+    R, Rinv, _ = unrestricted_maps(xp_small, V)
+    args = [smeared_field(lat, {lat.site(t, x): 1})
+            for t, x in ((1, 0), (3, 0), (7, 2))]
+    want = [(R(F), Rinv(F)) for F in args]
+    calls, built = [], []
+    contract = qz.contract
+    monkeypatch.setattr(qz, "contract",
+                        lambda *args: calls.append(1) or contract(*args))
+    monkeypatch.setattr(qz, "s_matrix", lambda *args: built.append(1))
     bog = BogoliubovMap(xp_small, V)
-    assert built == S_of(early, late)
-    before_both = smeared_field(lat, {lat.site(1, 0): 1})
-    after_early = smeared_field(lat, {lat.site(3, 0): 1})
-    after_both = smeared_field(lat, {lat.site(7, 2): 1})
-    for F in (before_both, after_early, after_both) * 2:
+    assert [(bog.R(F), bog.Rinv(F)) for F in args] == want
+    assert calls and not built
+    calls.clear()
+    for F in args:
         bog.Rinv(bog.R(F))
-    bog.star_interacting(after_early, before_both)
-    assert built == S_of(early, late) + S_of() + S_of(early)
+    assert calls == []
 
 
 def past_of(lat, sites, vertex_sites):
@@ -682,6 +740,35 @@ def test_interacting_maps_match_the_free_picture(xp_small, inputs, moved):
         assert (product != sH.product(A, B)) == differs
 
 
+@pytest.mark.parametrize("trunc", [2, 3])
+def test_r_is_multiplicative_on_a_time_row(xp_small, trunc):
+    """On one row the Feynman kernel is the *_H one, so R is a *_H
+    homomorphism there: R(phi(x) phi(y)) == R phi(x) * R phi(y) -
+    (phi(x) * phi(y) - phi(x) phi(y)) for x, y on one row, and
+    R(phi(x)^3) == (R phi(x))^{*3} - 3c R phi(x), c = phi(x) * phi(x) -
+    phi(x)^2, at the vertex site (5, 1).  The cube without its 3c term is
+    not ==."""
+    lat = xp_small.lat
+    V = interaction_vertex(lat, {lat.site(*s): 1 for s in (
+        (2, 0), (2, 1), (3, 2), (5, 1))}, 4, trunc, trunc)
+    bog = BogoliubovMap(xp_small, V)
+    star = QuantProduct(xp_small, "star_H").product
+
+    def phi(t, x):
+        return local_power(lat, {lat.site(t, x): 1}, 1, trunc, trunc)
+
+    for x, y in (((6, 0), (6, 2)), ((5, 1), (5, 3)), ((4, 1), (4, 2))):
+        A, B = phi(*x), phi(*y)
+        assert bog.R(pointwise_product(A, B)) == star(bog.R(A), bog.R(B)) \
+            - (star(A, B) - pointwise_product(A, B))
+    A = phi(5, 1)
+    RA, c = bog.R(A), star(A, A) - pointwise_product(A, A)
+    cube = star(star(RA, RA), RA)
+    R_cube = bog.R(pointwise_product(A, pointwise_product(A, A)))
+    assert R_cube == cube - pointwise_product(c, RA) * 3
+    assert R_cube != cube
+
+
 def test_interacting_field_equation(xp_small):
     """R_V(dS0/dphi(x) - i hbar dV/dphi(x)) == dS0/dphi(x) at a vertex site
     x, S0 the free action truncated to V's orders: the interacting field
@@ -701,36 +788,29 @@ def test_interacting_field_equation(xp_small):
     assert bog.R(dS0 + i_hbar_dV) != dS0
 
 
-def test_a_complex_interaction_builds_sbar_from_its_conjugate(xp_small,
-                                                             monkeypatch):
+def test_a_complex_interaction_maps_as_the_oracle(xp_small, monkeypatch):
     """V with Gaussian-rational coefficients at lambda^1 on two sites is
-    not real, so Sbar(-V) = conj S(-conj V) takes a third S-matrix, of
-    -conj V; R and R^-1 are == the oracle maps, and R^-1 R is the
-    identity."""
+    not real; R and R^-1 are == the oracle maps, whose Sbar(-V) is the
+    anti-time-ordered exponential, R^-1 R is the identity, and the map
+    builds no S-matrix for it."""
     lat = xp_small.lat
     a, b = lat.site(2, 1), lat.site(4, 3)
     V = PolyFunctional(lat, {
         (a,) * 4: FormalSeries({(0, 1): ExactComplex(Fraction(1, 2), 1)}),
         (b, b): FormalSeries({(0, 1): ExactComplex(-1, Fraction(1, 3))})},
         2, 2)
-    built = []
-
-    def counted(xp, W):
-        built.append(W)
-        return s_matrix(xp, W)
-
-    monkeypatch.setattr(qz, "s_matrix", counted)
-    bog = BogoliubovMap(xp_small, V)
-    assert built == [V, V * (-1), V.conj() * (-1)]
     # both vertices lie in the past of F, so the map uses all of V
     F = local_power(lat, {lat.site(6, 0): 1, lat.site(5, 2): Fraction(1, 2)},
                     2, 2, 2)
     R, Rinv, _ = unrestricted_maps(xp_small, V)
+    want = R(F), Rinv(F)
+    built = []
+    monkeypatch.setattr(qz, "s_matrix", lambda *args: built.append(1))
+    bog = BogoliubovMap(xp_small, V)
     RF = bog.R(F)
-    assert RF == R(F)
-    assert bog.Rinv(F) == Rinv(F)
+    assert (RF, bog.Rinv(F)) == want
     assert bog.Rinv(RF) == F
-    assert len(built) == 3
+    assert built == []
 
 
 def one_site_field(lat, t, x, c2, c1, trunc):
@@ -857,8 +937,9 @@ def test_interacting_fields_at_spacelike_separation_commute(
 
 @pytest.mark.parametrize("key", [(1, 21), (5, 5, 21)])
 def test_a_non_local_interaction_is_rejected(xp_small, key):
-    """A term on two sites: Sbar(-V) is not the star-inverse of S(V), so
-    R^-1 R would not be the identity."""
+    """A term on two sites has no one place in the cones and rows the map
+    works on, and is rejected; for such a V, Sbar(-V) is not the
+    star-inverse of S(V) either, so the oracle maps fail too."""
     lat = xp_small.lat
     V = PolyFunctional(lat, {key: FormalSeries({(0, 1): 1})}, 2, 2)
     star = QuantProduct(xp_small, "star_H")

@@ -6,11 +6,12 @@
 
 Run from the root of a paqft checkout.  The cases:
 
-- ladder: BogoliubovMap(V) (init), star_interacting(F, G) (star F,G) and
-  star_interacting(G, F) (star G,F) on the 8x4 lattice (a_t = 1/2,
-  a_x = 1, m = 1) at truncation orders (h, l) in (hbar, lambda): V the
-  quartic vertex with coefficient 1 on the first k sites from t = 2 on,
-  row by row, F phi^2 on (1, 0) and (1, 2), G phi^2 on (6, 1);
+- ladder: R(G) (R G), star_interacting(F, G) (star F,G) and
+  star_interacting(G, F) (star G,F) of BogoliubovMap(V) on the 8x4 lattice
+  (a_t = 1/2, a_x = 1, m = 1) at truncation orders (h, l) in
+  (hbar, lambda): V the quartic vertex with coefficient 1 on the first k
+  sites from t = 2 on, row by row, F phi^2 on (1, 0) and (1, 2), G phi^2
+  on (6, 1); each call builds its own map (on_new_map);
 - flow: bicharacteristic_flow as the benchmark's flow items run it, on the
   flat default metric, on the same metric passed in as a callable (same
   sha256, with the calls a user metric costs) and on the conformal one
@@ -37,16 +38,15 @@ Run from the root of a paqft checkout.  The cases:
   benchmark's free_wide items (a_t = 1/2, a_x = 1, m = 1), whose exact
   kernels are lifted before the timing;
 - weyl: algebra.weyl_rep_check at the weyl command's defaults (dx = 0.25,
-  hbar = 1) on grids of 64 and 1024 points;
+  hbar = 1);
 - tables: PropagatorSet.ret_table, the leapfrog march of the retarded
   table, on AC11's 512x256 lattice (a_t = 1/20, a_x = 1/10, m = 1).
 
 Per call it prints the best and the median milliseconds over the runs, a
 sha256 of the result and the result in short, so that two checkouts can be
 compared for speed and shown to compute alike.  Ladder rows hash the
-coefficients in any order (an init row those of S(V), S(-V) and Sbar(-V)),
-flows x, k and sigma, wf2d each centre's singular flags, pairings the
-repr, gns rows each representation's dimension and residuals as float64
+coefficients in any order, flows x, k and sigma, wf2d each centre's
+singular flags, pairings the repr, gns rows each representation's dimension and residuals as float64
 bytes, commutator rows the coefficients, as ladder rows do, weyl rows the
 repr of the report's items in key order, and tables the float64 bytes.
 A star row shows, after the number of terms, the number of vertex sites
@@ -88,7 +88,6 @@ N_STEPS, DT = wavefront.SIZES["full"]["flows"], 0.01
 REGRESSIONS = ("(x+i0)^-2", "(x-i0)^-1.5", "x_+^-0.5", "delta^1")
 WF1D_CENTRES = (0.0, 0.8)
 PAIRINGS = ("x^2", "heaviside^1", "(x-i0)^-3")
-WEYL_GRIDS = (64, 1024)
 
 
 def sha256(text):
@@ -112,19 +111,24 @@ def rung(th, tl, k):
     return ExactPropagators(lat), V, F, G
 
 
+def on_new_map(xp, V, method, *args):
+    """method(*args) of a BogoliubovMap(xp, V) built for the call, as a map
+    keeps R of every monomial it meets."""
+    return getattr(BogoliubovMap(xp, V), method)(*args)
+
+
 def ladder(rungs):
     for th, tl, k in rungs:
         xp, V, F, G = rung(th, tl, k)
-        name = "%d,%d,%d" % (th, tl, k)
-        yield ("init " + name, partial(BogoliubovMap, xp, V),
-               lambda bog: sha256(" ".join(map(
-                   coefficients_sha256, bog._s_matrices(bog._sites)))),
-               lambda bog, _: "%d vertex sites" % len(bog._sites))
-        bog = BogoliubovMap(xp, V)
+        name, bog = "%d,%d,%d" % (th, tl, k), BogoliubovMap(xp, V)
+        yield ("R G " + name, partial(on_new_map, xp, V, "R", G),
+               coefficients_sha256, lambda P, _, W=bog._past(
+                   bog._sites, G.support()):
+               "%d terms, %d vertex sites" % (len(P.terms), len(W)))
         for order, args in (("F,G", (F, G)), ("G,F", (G, F))):
             yield ("star %s %s" % (order, name),
-                   partial(bog.star_interacting, *args), coefficients_sha256,
-                   lambda P, _, D=bog._diamond(*args):
+                   partial(on_new_map, xp, V, "star_interacting", *args),
+                   coefficients_sha256, lambda P, _, D=bog._diamond(*args):
                    "%d terms, %d vertex sites" % (len(P.terms), len(D)))
 
 
@@ -297,12 +301,11 @@ def commutator():
 
 
 def weyl():
-    for n in WEYL_GRIDS:
-        yield ("n = %d" % n, partial(al.weyl_rep_check, n, 0.25, 1.0),
-               lambda r: sha256(repr(sorted(r.items()))),
-               lambda r, _: "residuals %s and %s, %d margin cells" % (
-                   r["composition_residual"], r["adjoint_residual"],
-                   r["interior_margin_cells"]))
+    yield ("defaults", partial(al.weyl_rep_check, 0.25, 1.0),
+           lambda r: sha256(repr(sorted(r.items()))),
+           lambda r, _: "residuals %s and %s, %d margin cells" % (
+               r["composition_residual"], r["adjoint_residual"],
+               r["interior_margin_cells"]))
 
 
 def tables():
