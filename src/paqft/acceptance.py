@@ -65,6 +65,12 @@ def _ctx(n_t, n_x):
     return lat, ExactPropagators(lat)
 
 
+def small_weight(rng):
+    """A small random nonzero rational: numerator in [-9, 9], denominator
+    in [1, 4]."""
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+
+
 def sparse_smear(rng, lat, n_sites):
     """n_sites random sites with small random rational weights; more sites
     than the lattice has raise InputError."""
@@ -74,7 +80,7 @@ def sparse_smear(rng, lat, n_sites):
     out = {}
     while len(out) < n_sites:
         s = rng.randrange(lat.n_sites)
-        out[s] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+        out[s] = small_weight(rng)
     return out
 
 

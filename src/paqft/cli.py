@@ -322,10 +322,31 @@ def smatrix(cfg, seed):
         None if ok else "S-matrix lambda^0 term is not the unit")
 
 
+def _causal_pair(rng, lat, xp):
+    """Vertex sites a, b, a on an earlier row, with Delta(a, b) != 0, and
+    two field sites y on later rows with Delta(b, y) != 0 (so in the future
+    of a too), each with a small random weight.  R phi(y) then carries
+    [[V_a, V_b], phi(y)] at lambda^2 hbar^2, which kicks applied out of time
+    order get wrong.  b is drawn from rows 1 to n_t - 3, where the site
+    below it, the one above it and the two beside that one two rows up
+    always qualify."""
+    n_x = lat.n_x
+    b = rng.randrange(n_x, lat.n_sites - 2 * n_x)
+    row = b - b % n_x
+    a = rng.choice([s for s in range(row) if xp.causal_entry(s, b)])
+    ys = rng.sample([y for y in range(row + n_x, lat.n_sites)
+                     if xp.causal_entry(b, y)], 2)
+    return ({s: acceptance.small_weight(rng) for s in (a, b)},
+            {y: acceptance.small_weight(rng) for y in ys})
+
+
 @command(LATTICE, FUNCTIONAL)
 def bogoliubov(cfg, seed):
-    """Interacting observable R(F) and the round-trip check."""
-    lat, xp, (g, f) = _exact(cfg, seed, 1, 2)
+    """Interacting observable R(F) and the round-trip check, V on two sites
+    with a nonzero Dirac kernel between them and F in the future of both."""
+    lat = Lattice1p1(*(cfg[k] for k in LATTICE))
+    xp = ExactPropagators(lat)
+    g, f = _causal_pair(random.Random(seed), lat, xp)
     bog = qz.BogoliubovMap(xp, interaction_vertex(lat, g, 4))
     RF, ok = acceptance.round_trip(bog, smeared_field(lat, f))
     return formats.functional_rows(RF), [

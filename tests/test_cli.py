@@ -218,6 +218,17 @@ def test_bogoliubov_roundtrip(tmp_path):
 # n, dx, interior_margin_cells and phase_example cells did not move.  It was
 # taken a third time when the `n` key went, as the triples do not read it:
 # the row `n,64` went, and no other cell moved (old sha256 332f8c1b...).
+# `wf` was taken again when each wave ladder's quadrature came to start on
+# one panel per period of the ladder's top frequency: two exponent cells
+# moved, 1.4463182413434783 -> 1.4463182413433386 and
+# -0.0012842423981034253 -> -0.0012842423981034475 (old sha256 e64f5837...);
+# amplitudes and flags did not.  `bogoliubov` was taken again when its
+# vertex moved from one drawn site to two with a nonzero Dirac kernel
+# between them, F on two later sites in the future of both, so that the
+# kicks' time order shows at lambda^2 hbar^2 (old sha256 e33eeb64...): every
+# row moved, as the draw changed (V on (4,0) and (5,0), F on (7,0) and
+# (10,6); was V on (9,7), F on (7,3) and (11,0)), and R(F) went from 3
+# terms to 5, one of them the lambda^2 hbar^2 term on both vertex sites.
 # `suite` is hashed without its `seconds` column, which is a wall-clock time.
 PINNED = {
     "commutator":
@@ -229,7 +240,7 @@ PINNED = {
     "smatrix":
         "ad3caaaf1f6a3aef7e57273c9d1584d9451ccc96aba10592fdaaea347de7d2f4",
     "bogoliubov":
-        "e33eeb644fe92fc1c6f5a6c8e42e1ee3d9dfd48999e979ca94ef20625476c132",
+        "2f80d9576233a9cc8c7e03e4a76aa0ac48c7abb0739ab8a1164cdca3eb8a2e3f",
     "gns":
         "6092a52a3ecee58f57dc88e74adf5098de275594bfbb10ef0801f4d600fd7208",
     "weyl":
@@ -245,7 +256,7 @@ PINNED = {
     "ms":
         "bcf5b26ab3b50ac56bc5731c9ce1874d83566edc7841e5d454f55a6231072005",
     "wf":
-        "e64f58370af46a4c1f3a9de0d665c303ba777a0b808acc8005351fb5a927e7bd",
+        "aeea68a61f211227a708d5547f27fdb08ddcde410b77377c8de71871e85725aa",
     "suite":
         "4f6a7a48e11ef24e96615ad68b5d79a8342864a36c25b4c599bc6782c8ce69f7",
 }

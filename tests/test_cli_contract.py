@@ -225,6 +225,7 @@ KEY_EXAMPLES = {
     ("graphs", "n", "0"): 2,
     ("commutator", "mass", "yes"): 2,
     ("wf", "centers", "inf"): 2,
+    ("wf", "centers", "1e300"): 2,  # x0 +- R one float: once regular rays
     ("weyl", "dx", "0"): 2,
     ("flow", "x0", "1"): 2,
     ("flow", "metric", "curly"): 2,

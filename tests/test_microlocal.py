@@ -1,15 +1,17 @@
 """Wave front estimation, covector causality, and bicharacteristic flow."""
+import importlib.util
 import math
 import tracemalloc
 from functools import partial
 from itertools import groupby
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from paqft import InputError
+from paqft import InputError, formats
 from paqft import microlocal as ml
 from paqft.dist1d import SymbolicDistribution1D, _window, quad_complex
 
@@ -59,17 +61,20 @@ def test_singularity_is_localized():
 
 def _pair_wave_every_row(t, x0, ks):
     """wf_estimate_1d's wave pairings with every frequency of ks, both
-    signs, integrated: no row is the conjugate of another."""
+    signs, integrated on the same panels, one per period of the ladder's
+    top frequency: no row is the conjugate of another."""
     r0, R = ml.WF1D_WINDOW
     lo, hi = x0 - R, x0 + R
     g0 = 1.0 if abs(x0) <= r0 else 0.0
+    panels = np.linspace(lo, hi, math.ceil(np.max(ks) * 2 * R / (2 * math.pi))
+                         + 1)
 
     def wave(x):
         return _window(x - x0, r0, R) * np.exp(1j * np.multiply.outer(ks, x))
 
     def quad(f, points=()):
-        return quad_complex(f, lo, hi, points, epsabs=1e-12, epsrel=1e-10,
-                            limit=1000)
+        return quad_complex(f, lo, hi, (*panels, *points), epsabs=1e-12,
+                            epsrel=1e-10, limit=1000)
     out, err = 0j, 0.0
     for coeff, (tag, m, *_) in t.terms:
         e = 0.0
@@ -122,6 +127,76 @@ def test_1d_estimate_matches_the_every_row_route(terms):
     assert wf.meta.keys() == ref.meta.keys()
     for key in ref.meta:
         assert np.array_equal(wf.meta[key], ref.meta[key], equal_nan=True)
+
+
+def _wf1d_models():
+    """The expressions of perfbench/wavefront.py's WF1D_MODELS."""
+    spec = importlib.util.spec_from_file_location(
+        "wavefront", Path(__file__).parents[1] / "perfbench" / "wavefront.py")
+    wavefront = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wavefront)
+    return [expr for expr, _ in wavefront.WF1D_MODELS]
+
+
+def test_1d_ladders_meet_their_tolerance_on_the_starting_panels(monkeypatch):
+    """Each quadrature run of wf_estimate_1d starts on one panel per period
+    of the ladder's top frequency and meets its tolerance there: it calls
+    its integrand once, on the benchmark's six models at 0, +-0.7 and +-0.9
+    and on AC11's three estimates.  The rays are those of the run started
+    on one panel (and the origin where a kernel breaks), which bisected for
+    6-7 rounds: flags exactly, exponents to 1e-12, amplitudes to 1e-12
+    relative."""
+    n_edges = math.ceil(ml.WF1D_K_BASE * 2 ** ml.WF1D_OCTAVES
+                        * ml.WF1D_WINDOW[1] / math.pi) + 1
+    calls = []
+
+    def counted(f, a, b, points, **kw):
+        calls.append(0)
+
+        def f_counted(x):
+            calls[-1] += 1
+            return f(x)
+        return quad_complex(f_counted, a, b, points, **kw)
+
+    def one_panel(f, a, b, points, **kw):
+        # the estimator passes its panel edges, then its breakpoints
+        assert np.array_equal(points[:n_edges], np.linspace(a, b, n_edges))
+        return quad_complex(f, a, b, points[n_edges:], **kw)
+
+    def estimates(quad):
+        monkeypatch.setattr(ml, "quad_complex", quad)
+        return [ml.wf_estimate_1d(formats.parse_distribution(expr),
+                                  (0.0, 0.7, -0.7, 0.9, -0.9))
+                for expr in _wf1d_models()] + [
+            ml.wf_estimate_1d(SymbolicDistribution1D.delta(0)),
+            ml.wf_estimate_1d(SymbolicDistribution1D.power_i0(-1.0, +1)),
+            ml.wf_estimate_1d(SymbolicDistribution1D.power_i0(-1.0, -1))]
+    got = estimates(counted)
+    assert len(calls) == 22 and set(calls) == {1}
+    for wf, ref in zip(got, estimates(one_panel), strict=True):
+        for r, w in zip(wf.rays, ref.rays, strict=True):
+            assert (r.center, r.direction, r.singular) == (
+                w.center, w.direction, w.singular)
+            if math.isfinite(w.exponent):
+                assert abs(r.exponent - w.exponent) <= 1e-12
+            else:
+                assert r.exponent == w.exponent
+            assert abs(r.amplitude - w.amplitude) <= 1e-12 * w.amplitude
+
+
+def test_1d_centre_that_is_not_finite_is_rejected():
+    for centre in (math.nan, math.inf):
+        with pytest.raises(InputError, match="centre %r" % centre):
+            ml.wf_estimate_1d(SymbolicDistribution1D.delta(0),
+                              centers=(0.0, centre))
+
+
+def test_1d_centre_too_large_for_its_window_is_rejected():
+    """At 1e300, x0 - R and x0 + R round to one float: the window is empty
+    and the estimate once came out regular with amplitude 0."""
+    with pytest.raises(InputError, match=r"centre 1e\+300"):
+        ml.wf_estimate_1d(SymbolicDistribution1D.monomial(1),
+                          centers=(1e300,))
 
 
 def test_window_annulus_over_origin_rejected():

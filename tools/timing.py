@@ -25,10 +25,12 @@ Run from the root of a paqft checkout.  The cases:
   corners, whose boxes reach past the grid's edge, with those skipped (no
   kept grid point in the box, or none in reach) counted;
 - pairing: AC09's extension_ambiguity of two W extensions of (x+i0)^-2 and
-  of W against MS, four scaling regressions, AC09's MS of x_+^(z-1),
-  wf_estimate_1d of the benchmark's six models at 0 and 0.8, and the
-  pairings of x^2, heaviside^1 and (x-i0)^-3 on the `extend` probes over
+  of W against MS, four scaling regressions, AC09's MS of x_+^(z-1), and
+  the pairings of x^2, heaviside^1 and (x-i0)^-3 on the `extend` probes over
   radii (0.4, 1.7), so that both quadrature runs of each side take part;
+- wf1d: wf_estimate_1d of the benchmark's six models at centres 0, +-0.7
+  and +-0.9, and of AC11's three 1D estimates (delta and (x +- i0)^-1 at
+  0);
 - gns: AlgebraState and gns_construct, through acceptance.gns_check, of
   AC12's three states and of the normalised trace on matrix_algebra(n)
   for n = 3, 4, 5;
@@ -46,9 +48,10 @@ Per call it prints the best and the median milliseconds over the runs, a
 sha256 of the result and the result in short, so that two checkouts can be
 compared for speed and shown to compute alike.  Ladder rows hash the
 coefficients in any order, flows x, k and sigma, wf2d each centre's
-singular flags, pairings the repr, gns rows each representation's dimension and residuals as float64
-bytes, commutator rows the coefficients, as ladder rows do, weyl rows the
-repr of the report's items in key order, and tables the float64 bytes.
+singular flags, wf1d rows the repr of the rays, pairings the repr, gns
+rows each representation's dimension and residuals as float64 bytes,
+commutator rows the coefficients, as ladder rows do, weyl rows the repr of
+the report's items in key order, and tables the float64 bytes.
 A star row shows, after the number of terms, the number of vertex sites
 the product used: those in the future of its first argument and the past
 of its second.  G,F uses none, as G is nowhere earlier than F.
@@ -86,7 +89,7 @@ WF2D_BATCH = wavefront.SIZES["full"]["batch"]
 COMMUTATOR_LATTICES, COMMUTATOR_SITES = (24, 48), (12, 18, 24)
 N_STEPS, DT = wavefront.SIZES["full"]["flows"], 0.01
 REGRESSIONS = ("(x+i0)^-2", "(x-i0)^-1.5", "x_+^-0.5", "delta^1")
-WF1D_CENTRES = (0.0, 0.8)
+WF1D_CENTRES = (0.0, 0.7, -0.7, 0.9, -0.9)
 PAIRINGS = ("x^2", "heaviside^1", "(x-i0)^-3")
 
 
@@ -240,11 +243,6 @@ def pairing():
         eg.minimal_subtraction(family, f, pole_cap=eg.MS_POLE_CAP)
         for f in probes], digest,
         lambda v, _: "ms = [%s]" % ", ".join(map(repr, v)))
-    models = [formats.parse_distribution(e) for e, _ in wavefront.WF1D_MODELS]
-    yield ("wf_estimate_1d models", lambda: [
-        ml.wf_estimate_1d(m, WF1D_CENTRES).rays for m in models], digest,
-        lambda v, _: "%d rays, %d singular" % (
-            sum(map(len, v)), sum(r.singular for rs in v for r in rs)))
     fs = [TestFunction1D.from_poly(poly, 0.4, 1.7) for _, poly in cli._PROBES]
     for expr in PAIRINGS:
         d = formats.parse_distribution(expr)
@@ -252,6 +250,19 @@ def pairing():
             "pairings": [complex(v) for v in d.pair_batch(fs)[0]]}, digest,
             lambda v, _: "pairings = [%s]" % ", ".join(
                 map(repr, v["pairings"])))
+
+
+def wf1d():
+    models = [formats.parse_distribution(e) for e, _ in wavefront.WF1D_MODELS]
+    ac11 = [SymbolicDistribution1D.delta(0),
+            SymbolicDistribution1D.power_i0(-1.0, +1),
+            SymbolicDistribution1D.power_i0(-1.0, -1)]
+    for call, ts, centres in (("models", models, WF1D_CENTRES),
+                              ("ac11", ac11, (0.0,))):
+        yield (call, lambda ts=ts, centres=centres: [
+            ml.wf_estimate_1d(t, centres).rays for t in ts],
+            lambda v: sha256(repr(v)), lambda v, _: "%d rays, %d singular" % (
+                sum(map(len, v)), sum(r.singular for rs in v for r in rs)))
 
 
 def gns_sha256(checked):
@@ -316,7 +327,7 @@ def tables():
 
 
 CASES = {"ladder": ladder, "flow": flow, "wf2d": wf2d, "pairing": pairing,
-         "gns": gns, "commutator": commutator, "weyl": weyl,
+         "wf1d": wf1d, "gns": gns, "commutator": commutator, "weyl": weyl,
          "tables": tables}
 
 
