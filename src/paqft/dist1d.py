@@ -19,13 +19,20 @@ A tolerance missed at the interval limit or roundoff floor warns
 Every pairing is a batch: pair_family pairs distributions of one term layout
 (the circle samples of a minimal subtraction) with a batch of test functions
 (the probes of an extension fit, the scales of a regression), one
-quadrature run per panel for all of them.  The panel edges are the union of
-the functions' window radii, the half-line split sits at the smallest
-plateau radius in the batch (each function is its core polynomial inside
-its own plateau, so this is exact), and every atom of every function is
-evaluated in one array pass (TestFunctionBatch).  A single pairing, pair,
-is the batch of one; error estimates sum over terms (exact terms
-contribute 0).
+quadrature run per panel for all of them.  The half-line split sits at the
+smallest plateau radius in the batch (each function is its core polynomial
+inside its own plateau, so this is exact), and every atom of every function
+is evaluated in one array pass (TestFunctionBatch).  A run starts on the
+union of the functions' window radii, each panel inside a transition cut
+into parts no wider than 1/TRANSITION_PANELS of the narrowest transition
+covering it (TestFunctionBatch.breakpoints): the window is one shape,
+rescaled, and GK21 meets epsrel 1e-12 on x W across a transition on 8
+equal panels, not on 7.  So most runs end after their first round.  On
+(delta, 1) the integrand carries the Taylor remainder f - T_N f, formed as
+the tail of the core polynomial plus the atoms times W - 1 (0 on the
+plateau, -1 beyond R), so that nothing cancels where x^a is large.  A
+single pairing, pair, is the batch of one; error estimates sum over terms
+(exact terms contribute 0).
 
 delta^(k) pairs exactly; every other kind is a fixed combination of the
 half-line pairings x_+^a log^p x and x_-^a log^p|x|, the one quadrature
@@ -64,6 +71,7 @@ class NotHomogeneousClass(DistError):
 
 
 PROBE_ATOMS = 2  # atoms of a random probe
+TRANSITION_PANELS = 8  # GK21 panels across a window transition: 7 miss 1e-12
 INT_TOL = 1e-12  # an exponent this close to an integer is that integer
 
 
@@ -83,17 +91,31 @@ def _window_scalar(x: float, r0: float, R: float) -> float:
     return a / (a + b)
 
 
-def _window(x, r0, R):
-    """The window at an array of points; r0 and R may be arrays that
-    broadcast against x (a column each: one row per atom)."""
+def _transition(x, r0, R):
+    """(|x|, mask, a, b): the mask of the points in the transition
+    r0 < |x| < R, and a = e^(-1/u), b = e^(-1/(1-u)) at them, u =
+    (R - |x|)/(R - r0), where the window is a/(a+b).  r0 and R may be
+    arrays that broadcast against x (a column each: one row per atom)."""
     ax = np.abs(np.asarray(x, dtype=float))
-    out = np.array(ax <= r0, dtype=float)
     mid = (ax > r0) & (ax < R)
-    if mid.any():
-        u = ((R - ax) / (R - r0))[mid]
-        a = np.exp(-1.0 / u)
-        b = np.exp(-1.0 / (1.0 - u))
-        out[mid] = a / (a + b)
+    u = ((R - ax) / (R - r0))[mid] if mid.any() else np.empty(0)
+    return ax, mid, np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+
+
+def _window(x, r0, R):
+    """The window at an array of points (see _transition)."""
+    ax, mid, a, b = _transition(x, r0, R)
+    out = np.array(ax <= r0, dtype=float)
+    out[mid] = a / (a + b)
+    return out
+
+
+def _window_less_one(x, r0, R):
+    """The window minus 1, with nothing cancelled: 0 on the plateau,
+    -b/(a+b) on the transition and -1 beyond R (see _transition)."""
+    ax, mid, a, b = _transition(x, r0, R)
+    out = np.where(ax >= R, -1.0, 0.0)
+    out[mid] = -b / (a + b)
     return out
 
 
@@ -186,10 +208,15 @@ class TestFunction1D:
 class TestFunctionBatch:
     """Test functions f_0 .. f_(m-1) as one flat table of their atoms.  An
     evaluation at n points takes every atom of every function in one array
-    pass and gives an (m, n) array, row i the values of f_i."""
+    pass and gives an (m, n) array, row i the values of f_i; so does the
+    Taylor remainder, the tail of each core polynomial plus the atoms times
+    W - 1, with nothing cancelled.  breakpoints(a, b) gives a quadrature run
+    on (a, b) its starting panels: the window radii, and the panels inside
+    a transition cut to 1/TRANSITION_PANELS of its width, one set of panels
+    for every atom."""
 
     __slots__ = ("functions", "coeff", "poly", "r0", "R", "rounds", "core",
-                 "plateau_radius", "support_radius", "points", "real")
+                 "plateau_radius", "support_radius", "real")
 
     def __init__(self, functions):
         self.functions = tuple(functions)
@@ -217,8 +244,6 @@ class TestFunctionBatch:
         self.real = not (self.coeff.imag.any() or self.poly.imag.any())
         self.plateau_radius = min((a[2] for a in atoms), default=0.0)
         self.support_radius = max((a[3] for a in atoms), default=0.0)
-        self.points = {s * v for _, _, r0, R in atoms
-                       for v in (r0, R) for s in (1, -1)}
         cores = [f.core_poly for f in self.functions]
         self.core = np.zeros((len(cores), max(map(len, cores), default=0)),
                              dtype=complex)
@@ -231,13 +256,18 @@ class TestFunctionBatch:
     def __call__(self, x):
         """(m, n) values at the n points of a 1D array x."""
         x = np.asarray(x, dtype=float)
+        return self._add_atoms(np.zeros((len(self), len(x)), dtype=complex),
+                               x, _window(x, self.r0, self.R))
+
+    def _add_atoms(self, out, x, window):
+        """out, (m, n), with each atom c p(x) times its row of window (one
+        row per atom) added into the row of its function."""
         terms = np.zeros((len(self.coeff), len(x)), dtype=complex)
         for c in self.poly[::-1]:  # Horner, in place
             terms *= x
             terms += c
         np.multiply(self.coeff, terms, out=terms)
-        terms *= _window(x, self.r0, self.R)
-        out = np.zeros((len(self), len(x)), dtype=complex)
+        terms *= window
         for start, stop, owners in self.rounds:
             out[owners] += terms[start:stop]
         return out
@@ -250,11 +280,36 @@ class TestFunctionBatch:
 
     def taylor_remainder(self, x, order: int):
         """f_i(x) - sum_{j<order} f_ij x^j, f_ij the exact core
-        coefficients, at the points of a 1D array x."""
-        val = self(x)
-        for j in range(min(order, self.core.shape[1])):
-            val -= self.core[:, j, None] * np.asarray(x, dtype=float) ** j
-        return val
+        coefficients, at the points of a 1D array x, formed with nothing
+        cancelled: the tail sum_{j>=order} f_ij x^j (Horner over every j,
+        the terms j < order left out) plus the atoms c p(x) (W(x) - 1).  On
+        f_i's plateau W - 1 is 0 and the remainder is its tail, bit for
+        bit."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros((len(self), len(x)), dtype=complex)
+        for j in reversed(range(self.core.shape[1])):
+            out *= x
+            if j >= order:
+                out += self.core[:, j, None]
+        return self._add_atoms(out, x, _window_less_one(x, self.r0, self.R))
+
+    def breakpoints(self, a: float, b: float):
+        """The breakpoints a quadrature run on (a, b), 0 <= a < b, starts
+        on: the window radii inside (a, b), and each panel between them
+        that lies in some atom's transition (r0, R) cut into equal parts no
+        wider than (R - r0) / TRANSITION_PANELS of the narrowest transition
+        covering it.  The union of panels is cut, not each atom's, so a
+        batch gets no more panels than its narrowest transitions need."""
+        edges = np.unique(np.clip(np.concatenate(([a, b], self.r0[:, 0],
+                                                  self.R[:, 0])), a, b))
+        lo, hi = edges[:-1], edges[1:]
+        cover = (self.r0 <= lo) & (hi <= self.R)  # atom x panel
+        width = np.min(np.where(cover, self.R - self.r0, np.inf), axis=0,
+                       initial=np.inf)
+        n = np.maximum(1, np.ceil(TRANSITION_PANELS * (hi - lo) / width)
+                       ).astype(int)
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        return np.repeat(lo, n) + np.repeat((hi - lo) / n, n) * k
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +349,18 @@ _GK_WG[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
 
 
+def _gk_nodes(lo, hi):
+    """(half-widths, nodes): the 21 Kronrod nodes of [lo_i, hi_i] in row i."""
+    h = 0.5 * (hi - lo)
+    return h, (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_X
+
+
 def _gk21(func, lo, hi):
     """Kronrod values, QUADPACK error estimates and roundoff floors of func
     on the intervals [lo_i, hi_i] (axis 0, rows on axis 1), in one call.
     The values func returns are scratch space here, overwritten in place:
     a batch of rows holds one complex array of them and one real one."""
-    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = c[:, None] + h[:, None] * _GK_X
+    h, x = _gk_nodes(lo, hi)
     fx = np.asarray(func(x.ravel()), dtype=complex)
     fx = fx.reshape(fx.shape[:-1] + x.shape)
     resk = fx @ _GK_WK
@@ -527,13 +587,17 @@ def _pair_halfline(a, p: int, fs: TestFunctionBatch, sides):
     exponent, all weighted by exp(a_k log x) at shared nodes, with the
     largest N any row needs.
 
-    The exponents, their flips and the closed-form parts are set up once;
-    each side has its own two quadrature runs, evaluates f_i(s x) directly
-    and takes core coefficient j times s^j.  On a real batch the value at
-    conj(a) is the conjugate of the one at a, bit for bit, so the runs
-    integrate the exponents with Im a < 0 conjugated, each distinct one
-    once, and conjugate their rows back; a complex batch flips none and
-    integrates each distinct a."""
+    The exponents, their flips, the closed-form parts and the two runs'
+    starting breakpoints (TestFunctionBatch.breakpoints: the window radii,
+    the panels inside a transition cut to 1/TRANSITION_PANELS of its width,
+    on which most runs meet their tolerance in one round) are set up once;
+    each side has its own two quadrature runs, evaluates f_i(s x) directly,
+    or its Taylor remainder as the core polynomial's tail plus the atoms
+    times W - 1, and takes core coefficient j times s^j.  On a real batch
+    the value at conj(a) is the conjugate of the one at a, bit for bit, so
+    the runs integrate the exponents with Im a < 0 conjugated, each
+    distinct one once, and conjugate their rows back; a complex batch flips
+    none and integrates each distinct a."""
     core = fs.core.T  # row j: the x^j core coefficient of every f_i
     lead = np.shape(a) + (len(fs),)
     pole = (-int(np.round(a.real)) - 1
@@ -557,9 +621,9 @@ def _pair_halfline(a, p: int, fs: TestFunctionBatch, sides):
                      np.shape(a))
     rows = np.array(list(index))
 
-    def quad(func, lo, hi):  # rows spread back to the shape of a
+    def quad(func, lo, hi, points):  # rows spread back to the shape of a
         v, e = quad_complex(lambda x: func(x).reshape(-1, len(x)), lo, hi,
-                            fs.points)
+                            points)
         v, e = (u.reshape(rows.shape + (len(fs),)) for u in (v, e))
         return np.where(flip[..., None], v[inv].conj(), v[inv]), e[inv]
 
@@ -569,6 +633,8 @@ def _pair_halfline(a, p: int, fs: TestFunctionBatch, sides):
         return w * log_x ** p if p else w
 
     R = fs.support_radius
+    near = fs.breakpoints(delta, 1.0) if delta < 1.0 else None
+    far = fs.breakpoints(1.0, R) if R > 1.0 else None
     out = []
     for s in sides:
         cs = core * (float(s) ** np.arange(len(core)))[:, None]
@@ -577,12 +643,12 @@ def _pair_halfline(a, p: int, fs: TestFunctionBatch, sides):
             value += np.multiply.outer(c, cs[j])
         if delta < 1.0:  # numeric part on (delta, 1), explicitly subtracted
             v, err = quad(lambda x: weight(x) * fs.taylor_remainder(s * x, N),
-                          delta, 1.0)
+                          delta, 1.0, near)
             value += v
         for j, c in moments:
             value += np.multiply.outer(c, cs[j])
         if R > 1.0:  # far part (1, R)
-            v, e = quad(lambda x: weight(x) * fs(s * x), 1.0, R)
+            v, e = quad(lambda x: weight(x) * fs(s * x), 1.0, R, far)
             value, err = value + v, err + e
         out.append((value, err))
     return out

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import CheckFailed, InputError
-from .dist1d import SymbolicDistribution1D, _window, quad_complex
+from .dist1d import SymbolicDistribution1D, _gk_nodes, _window, quad_complex
 from .lattice import Lattice1p1, PropagatorSet
 
 
@@ -152,6 +152,15 @@ def _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor, meta):
 # one-dimensional estimator
 
 
+def _wave_panels(x0: float):
+    """The edges of the panels a wave ladder's run starts on at centre x0:
+    one equal panel per period of the ladder's top frequency across the
+    window [x0 - R, x0 + R]."""
+    R = WF1D_WINDOW[1]
+    k_top = WF1D_K_BASE * 2 ** WF1D_OCTAVES
+    return np.linspace(x0 - R, x0 + R, math.ceil(k_top * R / math.pi) + 1)
+
+
 def _pair_wave_1d(t: SymbolicDistribution1D, x0: float, ks):
     """(<t, W(x - x0) e^{ikx}>, error estimate) for each frequency k of
     (ks, -ks), ks an array of positive frequencies, W the plateau window of
@@ -167,8 +176,7 @@ def _pair_wave_1d(t: SymbolicDistribution1D, x0: float, ks):
     r0, R = WF1D_WINDOW
     lo, hi = x0 - R, x0 + R
     g0 = 1.0 if abs(x0) <= r0 else 0.0
-    k_top = WF1D_K_BASE * 2 ** WF1D_OCTAVES
-    panels = np.linspace(lo, hi, math.ceil(k_top * R / math.pi) + 1)
+    panels = _wave_panels(x0)
 
     def wave(x):
         return _window(x - x0, r0, R) * np.exp(1j * np.multiply.outer(ks, x))
@@ -210,8 +218,9 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
     error estimate over its ladder.  Anything but a SymbolicDistribution1D
     raises TypeError.  Before any quadrature, a term other than delta^m,
     x^m, heaviside^m and (x +- i0)^-1 raises NoWavePairing; a centre that
-    is not finite, or so large that its window [x0 - R, x0 + R] is not 2R
-    wide in floats (to math.isclose's default), InputError; and a centre in
+    is not finite, or so large that the 21 Gauss-Kronrod nodes of some
+    starting panel are not distinct increasing floats (the float grid
+    there coarser than the nodes), InputError; and a centre in
     the window's transition annulus WindowTooWide when a delta^m or
     (x +- i0)^-1 term pairs through the window's value at the origin."""
     if not isinstance(t, SymbolicDistribution1D):
@@ -226,11 +235,13 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
                 f"x^m, heaviside^m and (x+-i0)^-1")
     cs = [float(x0) for x0 in centers]
     for c in cs:
-        if not (math.isfinite(c) and math.isclose((c + R) - (c - R), 2 * R)):
+        edges = _wave_panels(c) if math.isfinite(c) else None
+        if edges is None or not np.all(
+                np.diff(_gk_nodes(edges[:-1], edges[1:])[1]) > 0):
             raise InputError(
-                f"centre {c!r} is not finite, or too large for its window "
-                f"[centre - {R:g}, centre + {R:g}] to be {2 * R:g} wide in "
-                f"floats")
+                f"centre {c!r} is not finite, or too large for the 21 "
+                f"Gauss-Kronrod nodes of each of its window's starting "
+                f"panels to be distinct increasing floats")
     bad = [c for c in cs if r0 < abs(c) < R]
     if bad and any(kind[0] in ("delta", "power_i0") for _, kind in t.terms):
         raise WindowTooWide(

@@ -1,7 +1,9 @@
 import cmath
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,15 @@ def lat_small():
 @pytest.fixture(scope="session")
 def xp_small(lat_small):
     return ExactPropagators(lat_small)
+
+
+def perfbench_module(name):
+    """The module perfbench/<name>.py of this checkout, read by file path."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parents[1] / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_functional(rng, lat, max_degree=3, n_terms=2, sites=None):

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from paqft import cli
 from paqft import algebra as al
 from paqft import acceptance
+from paqft.dist1d import QuadratureWarning
 
 
 RUNNER = CliRunner()
@@ -229,6 +230,20 @@ def test_bogoliubov_roundtrip(tmp_path):
 # row moved, as the draw changed (V on (4,0) and (5,0), F on (7,0) and
 # (10,6); was V on (9,7), F on (7,3) and (11,0)), and R(F) went from 3
 # terms to 5, one of them the lambda^2 hbar^2 term on both vertex sites.
+# `extend` was taken a fourth time and `ms` a fourth time when each half-line
+# run came to start on panels cut to 1/8 of its window transitions, and the
+# Taylor remainder came to be formed as the tail polynomial plus the atoms
+# times W - 1.  `extend` (old sha256 0528f79a...): scaling_degree
+# 2.000000000000001 -> 2.0000000000000004, ambiguity_residual
+# 3.552713678800501e-15 -> 1.7763568394002505e-15, ambiguity_delta_0
+# -1.4210975408071043 -> -1.4210975408071047, ambiguity_delta_1
+# -2.7603372461690616e-16 -> -2.656965437347211e-16, pairing_poly_1_x
+# 0.6748565957413009 -> 0.6748565957413007 and pairing_poly_quad
+# 0.6374282978706505 -> 0.6374282978706504 (error estimates 3.3e-14 and
+# 2.2e-14).  `ms` (old sha256 bcf5b26a...): pole_poly_quad_order_1
+# 0.4999999999999998+2.168404344971009e-19i ->
+# 0.4999999999999998-2.168404344971009e-19i (MS error bound 5.6e-14); no
+# MS value and no pole order moved.
 # `suite` is hashed without its `seconds` column, which is a wall-clock time.
 PINNED = {
     "commutator":
@@ -252,9 +267,9 @@ PINNED = {
     "graphs":
         "069b10b7b2220d1e335947db3971ea5165f0e6e7a32b8d604f70de1dc3ca28d8",
     "extend":
-        "0528f79a0512c2fe59c89541161f141caa80584c74761a89ad3a51f77f8fed49",
+        "8ea37940edee2af8f91b26af5d3deb1544ed943ecf15ec12d8bffcf9a76fc4a8",
     "ms":
-        "bcf5b26ab3b50ac56bc5731c9ce1874d83566edc7841e5d454f55a6231072005",
+        "5c543e06ab8b944e44954d86c6b7a5dbdfa7d4809a10482cc16fc1fbe681cdbe",
     "wf":
         "aeea68a61f211227a708d5547f27fdb08ddcde410b77377c8de71871e85725aa",
     "suite":
@@ -309,6 +324,19 @@ def test_extend_pole_expression(tmp_path):
     assert "extension order 1" in res.output
     lines = csv_lines(tmp_path / "extend_t.csv")
     assert any(l.startswith("ambiguity_delta_1,") for l in lines)
+
+
+@pytest.mark.parametrize("expr", ["(x+i0)^-3", "(x-i0)^-3"])
+def test_extend_of_a_cubic_pole_meets_its_tolerances(tmp_path, expr):
+    """The regression's smallest scale (plateau 2^-9) once stopped at the
+    400-interval limit, twice per command: its Taylor remainder, formed as
+    f less its Taylor polynomial, carried rounding of about eps |f| / x^3
+    into the run's integrand."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(["extend", expr, "--out", str(tmp_path)])
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, QuadratureWarning)] == []
 
 
 def test_extend_takes_delta_orders_above_two(tmp_path):

@@ -226,6 +226,7 @@ KEY_EXAMPLES = {
     ("commutator", "mass", "yes"): 2,
     ("wf", "centers", "inf"): 2,
     ("wf", "centers", "1e300"): 2,  # x0 +- R one float: once regular rays
+    ("wf", "centers", "1e14"): 2,  # nodes collapse: once a singular constant
     ("weyl", "dx", "0"): 2,
     ("flow", "x0", "1"): 2,
     ("flow", "metric", "curly"): 2,

@@ -6,10 +6,12 @@ polynomial extrapolation, half-line powers via explicit subtraction) and
 never call into the pairing rules they are checking.
 """
 import cmath
+import contextlib
 import functools
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -21,12 +23,12 @@ from paqft.dist1d import (TestFunction1D, TestFunctionBatch,
                           DivergentPairing, NotHomogeneousClass,
                           QuadratureWarning, _power_log_integral,
                           pair_family, pointwise_power_product,
-                          quad_complex)
-from paqft import acceptance
+                          quad_complex, _gk21, _window)
+from paqft import acceptance, dist1d
 from paqft import egrenorm as eg
 from paqft import microlocal as ml
 
-from conftest import dist_scaled, dist_sum
+from conftest import dist_scaled, dist_sum, perfbench_module
 
 RNG = random.Random(404)
 
@@ -161,6 +163,24 @@ def test_test_function_algebra_and_jets():
         TestFunction1D.from_poly((1.0,), 1.0, 0.5)
     with pytest.raises(ValueError):
         f.stretched(0.0)
+
+
+def test_taylor_remainder_is_the_tail_polynomial_on_the_plateau():
+    """f_i - sum_(j<N) f_ij x^j is formed as the tail sum_(j>=N) f_ij x^j
+    plus the atoms times W - 1, which is 0 on f_i's plateau: there the
+    remainder is the tail polynomial, bit for bit, with none of the rounding
+    that subtracting the Taylor polynomial from f_i leaves."""
+    fs = [REAL_F, COMPLEX_F,
+          TestFunction1D([(2.0, (1.0, 0.2, -0.7), 0.3, 0.8),
+                          (-0.5, (0.3, 1.1), 0.5, 1.2)]),
+          TestFunction1D.from_poly((1.0, 0.5, -0.25), 0.5, 1.0).stretched(256)]
+    batch = TestFunctionBatch(fs)
+    for order in range(5):
+        for i, (f, core) in enumerate(zip(fs, batch.core)):
+            x = np.linspace(-f.plateau_radius, f.plateau_radius, 40)
+            tail = np.where(np.arange(len(core)) < order, 0.0, core)
+            assert np.array_equal(batch.taylor_remainder(x, order)[i],
+                                  np.polyval(tail[::-1], x))
 
 
 # --------------------------------------------------------------------------
@@ -595,6 +615,70 @@ def test_pair_family_needs_one_layout():
 
 
 # --------------------------------------------------------------------------
+# the panels a half-line run starts on
+
+@pytest.mark.parametrize("r0, R", [(0.5, 1.0), (0.25, 0.6), (0.4, 1.7),
+                                   (1.0, 2.0), (2.0 ** -9, 2.0 ** -8)])
+def test_a_transition_takes_transition_panels_equal_panels(r0, R):
+    """On n equal panels across a window transition (r0, R), GK21's error
+    estimate of int x W meets quad_complex's default epsrel of 1e-12 at
+    n = TRANSITION_PANELS = 8 and misses it at 7 (about 4.8e-13 and 1.3e-11
+    relative on (0.5, 1))."""
+    def relative_error(n):
+        edges = np.linspace(r0, R, n + 1)
+        value, err, _ = _gk21(lambda x: (x * _window(x, r0, R))[None],
+                              edges[:-1], edges[1:])
+        return err.sum() / abs(value.sum())
+    n = dist1d.TRANSITION_PANELS
+    assert n == 8
+    assert relative_error(n - 1) > 1e-12 >= relative_error(n)
+
+
+def test_breakpoints_cut_the_union_of_panels():
+    """The window radii inside (a, b), and each panel in a transition cut
+    to at most 1/8 of the narrowest transition covering it: atoms that
+    share their radii share their panels."""
+    f = TestFunction1D.from_poly((1.0,), 0.5, 1.0)
+    one = TestFunctionBatch([f]).breakpoints(0.5, 1.0)
+    assert np.array_equal(one, np.linspace(0.5, 1.0, 9)[:-1])
+    assert np.array_equal(TestFunctionBatch([f] * 10).breakpoints(0.5, 1.0),
+                          one)
+    # (0.5, 0.75) lies in both transitions, the rest in the wide one only
+    g = TestFunction1D([(1.0, (1.0,), 0.5, 0.75), (1.0, (1.0,), 0.25, 1.0)])
+    got = TestFunctionBatch([g]).breakpoints(0.4, 1.0)
+    assert np.allclose(np.diff(np.append(got, 1.0)),
+                       [0.05] * 2 + [0.03125] * 8 + [0.25 / 3] * 3, rtol=0,
+                       atol=1e-15)
+
+
+def test_halfline_runs_meet_their_tolerance_in_one_round(monkeypatch):
+    """Every quad_complex run of AC09 and of the renorm items of
+    perfbench/renorm.py (seeds 1-5, the first pass) takes at most two
+    rounds (_gk21 calls), and at least 90% take one.  Started on the window
+    radii alone, they took 1-5 rounds, most of them 2 or 4."""
+    rounds, gk21, quad = [], dist1d._gk21, dist1d.quad_complex
+
+    def counted_quad(*args, **kw):
+        rounds.append(0)
+        return quad(*args, **kw)
+
+    def counted_gk21(*args):
+        rounds[-1] += 1
+        return gk21(*args)
+    monkeypatch.setattr(dist1d, "quad_complex", counted_quad)
+    monkeypatch.setattr(dist1d, "_gk21", counted_gk21)
+    assert acceptance.crit_09()[0]
+    renorm = perfbench_module("renorm")
+    untraced = SimpleNamespace(span=lambda name: contextlib.nullcontext())
+    for seed in range(1, 6):
+        for name, item in renorm.items(renorm.setup(seed, "full", untraced),
+                                       seed, 0, "full"):
+            assert item(untraced, None), (seed, name)
+    assert len(rounds) > 200 and max(rounds) <= 2
+    assert rounds.count(1) >= 0.9 * len(rounds), rounds
+
+
+# --------------------------------------------------------------------------
 # high-precision oracle: mpmath at 30 digits
 #
 # Each truth is an integral over the window's transition annulus [r0, R] by
@@ -732,7 +816,7 @@ def _halfline_every_row(a, p, fs):
             log_x = np.log(x)
             w = (np.exp(np.multiply.outer(a, log_x)) * log_x ** p)[:, None]
             return (w * g(x)).reshape(-1, len(x))
-        v, e = quad_complex(rows, lo, hi, fs.points)
+        v, e = quad_complex(rows, lo, hi, fs.breakpoints(lo, hi))
         return v.reshape(lead), e.reshape(lead)
     out, err = np.zeros(lead, dtype=complex), np.zeros(lead)
     for j in range(N, len(core)):

@@ -1,10 +1,8 @@
 """Wave front estimation, covector causality, and bicharacteristic flow."""
-import importlib.util
 import math
 import tracemalloc
 from functools import partial
 from itertools import groupby
-from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -14,6 +12,8 @@ from hypothesis import given, settings
 from paqft import InputError, formats
 from paqft import microlocal as ml
 from paqft.dist1d import SymbolicDistribution1D, _window, quad_complex
+
+from conftest import perfbench_module
 
 # --------------------------------------------------------------------------
 # 1d estimator
@@ -131,11 +131,7 @@ def test_1d_estimate_matches_the_every_row_route(terms):
 
 def _wf1d_models():
     """The expressions of perfbench/wavefront.py's WF1D_MODELS."""
-    spec = importlib.util.spec_from_file_location(
-        "wavefront", Path(__file__).parents[1] / "perfbench" / "wavefront.py")
-    wavefront = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(wavefront)
-    return [expr for expr, _ in wavefront.WF1D_MODELS]
+    return [expr for expr, _ in perfbench_module("wavefront").WF1D_MODELS]
 
 
 def test_1d_ladders_meet_their_tolerance_on_the_starting_panels(monkeypatch):
@@ -189,6 +185,25 @@ def test_1d_centre_that_is_not_finite_is_rejected():
         with pytest.raises(InputError, match="centre %r" % centre):
             ml.wf_estimate_1d(SymbolicDistribution1D.delta(0),
                               centers=(0.0, centre))
+
+
+@pytest.mark.parametrize("centre", [1e14, 1e15])
+def test_1d_centre_whose_nodes_collapse_is_rejected(centre):
+    """There the float grid (ulp 1/64 and 1/8) is coarser than the
+    Gauss-Kronrod nodes of a starting panel 1/82 wide: the nodes collapse,
+    and a constant once came out singular (exponents 1.453 and -0.116)
+    with no warning."""
+    with pytest.raises(InputError, match="centre %r" % centre):
+        ml.wf_estimate_1d(SymbolicDistribution1D.monomial(0),
+                          centers=(centre,))
+
+
+def test_1d_centres_whose_nodes_resolve_are_accepted():
+    """0.9, 1e3, and the ends of the benchmark's centres +-[0.6, 1.0]: a
+    constant is regular at each."""
+    wf = ml.wf_estimate_1d(SymbolicDistribution1D.monomial(0),
+                           centers=(0.9, 1e3, 0.6, 1.0, -0.6, -1.0))
+    assert len(wf.rays) == 12 and wf.singular() == []
 
 
 def test_1d_centre_too_large_for_its_window_is_rejected():

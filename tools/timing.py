@@ -28,6 +28,8 @@ Run from the root of a paqft checkout.  The cases:
   of W against MS, four scaling regressions, AC09's MS of x_+^(z-1), and
   the pairings of x^2, heaviside^1 and (x-i0)^-3 on the `extend` probes over
   radii (0.4, 1.7), so that both quadrature runs of each side take part;
+  each row also counts the quad_complex runs of one more call and their
+  integrand calls, one per round, as flow rows count iterations;
 - wf1d: wf_estimate_1d of the benchmark's six models at centres 0, +-0.7
   and +-0.9, and of AC11's three 1D estimates (delta and (x +- i0)^-1 at
   0);
@@ -72,7 +74,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from paqft import acceptance, cli, formats  # noqa: E402
+from paqft import acceptance, cli, dist1d, formats  # noqa: E402
 from paqft import algebra as al  # noqa: E402
 from paqft import egrenorm as eg  # noqa: E402
 from paqft import microlocal as ml  # noqa: E402
@@ -222,7 +224,33 @@ def batched_calls(field, batches, firsts, rests):
     return wfs
 
 
+def quadrature_shown(run, shown, value, best_ms):
+    """shown's text, then the quad_complex runs and their integrand calls
+    (one per round) of one more call of run."""
+    counts, quad = [0, 0], dist1d.quad_complex
+
+    def counted(func, *args, **kw):
+        counts[0] += 1
+
+        def f(x):
+            counts[1] += 1
+            return func(x)
+        return quad(f, *args, **kw)
+    dist1d.quad_complex = counted
+    try:
+        run()
+    finally:
+        dist1d.quad_complex = quad
+    return shown(value, best_ms) + ", %d runs, %d integrand calls" % tuple(
+        counts)
+
+
 def pairing():
+    for call, run, digest, shown in pairing_rows():
+        yield call, run, digest, partial(quadrature_shown, run, shown)
+
+
+def pairing_rows():
     digest = lambda value: sha256(repr(value))
     t = formats.parse_distribution("(x+i0)^-2")
     w1, w2 = (eg.extend(t, eg.make_w_projection(1, r0, R))
