@@ -146,9 +146,10 @@ def w_extensions(t):
 
 def flow_drift(x0, k0, dt, n_steps, metric_inv=None):
     """The null bicharacteristic from (x0, k0) over n_steps of dt and its
-    symbol drift per unit time."""
+    symbol drift per unit of the flow's duration |dt| * n_steps; a flow of
+    no duration has no rate, and raises ZeroDivisionError."""
     r = ml.bicharacteristic_flow(x0, k0, dt, n_steps, metric_inv=metric_inv)
-    return r, r["sigma_drift"] / max(n_steps * dt, 1e-12)
+    return r, r["sigma_drift"] / abs(r["time"])
 
 
 def gns_states():

@@ -85,20 +85,23 @@ def _window_scalar(x: float, r0: float, R: float) -> float:
         return 1.0
     if ax >= R:
         return 0.0
-    u = (R - ax) / (R - r0)
+    u = (R - ax) / (R - r0)  # may round to 1 just past r0, where b is 0
     a = math.exp(-1.0 / u)
-    b = math.exp(-1.0 / (1.0 - u))
+    b = math.exp(-1.0 / (1.0 - u)) if u < 1.0 else 0.0
     return a / (a + b)
 
 
 def _transition(x, r0, R):
     """(|x|, mask, a, b): the mask of the points in the transition
     r0 < |x| < R, and a = e^(-1/u), b = e^(-1/(1-u)) at them, u =
-    (R - |x|)/(R - r0), where the window is a/(a+b).  r0 and R may be
-    arrays that broadcast against x (a column each: one row per atom)."""
+    (R - |x|)/(R - r0), where the window is a/(a+b).  u rounds to 1 just
+    past r0; it is clamped to the largest float below 1 there, where b
+    is 0 as at u = 1.  r0 and R may be arrays that broadcast against x (a
+    column each: one row per atom)."""
     ax = np.abs(np.asarray(x, dtype=float))
     mid = (ax > r0) & (ax < R)
     u = ((R - ax) / (R - r0))[mid] if mid.any() else np.empty(0)
+    np.minimum(u, 1.0 - 2.0 ** -53, out=u)
     return ax, mid, np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
 
 

@@ -8,9 +8,10 @@ of that sit the Whitney-sum compatibility test for products and the
 Hamiltonian flow transporting covectors along bicharacteristics.
 
 Ladders, windows, thresholds, noise floors, the near-decision bands that
-the reports count, the AC11 grid, the flow's iteration cap and the
-Whitney-sum tolerances are the fixed constants below; only the 2D threshold
-stays a parameter.
+the reports count, the AC11 grid and the flow's iteration cap are the fixed
+constants below; only the 2D threshold stays a parameter.  Centres and
+directions are compared with ==: an estimate keeps each centre as given,
+and each direction j + WF2D_RAYS/2 as the exact negation of direction j.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ AC11_DECISIONS = (
     108, 1490)
 FLOW_FIXPOINT_ITERS = 12  # fixed-point iterations per flow step, at most
 FLOW_PREDICTOR_POINTS = 6  # past midpoint derivatives a step starts from
-POS_TOL, DIR_TOL = 1e-9, 1e-6  # Whitney sums: same point, opposite directions
 
 
 class MicrolocalError(CheckFailed):
@@ -94,9 +94,8 @@ class WFEstimate:
         return list(compress(self.rays, map(itemgetter(4), self.rays)))
 
     def singular_at(self, center):
-        c = np.asarray(center, dtype=float)
-        return [r for r in self.singular()
-                if np.linalg.norm(np.asarray(r.center) - c) <= POS_TOL]
+        c = tuple(np.ravel(center).tolist())
+        return [r for r in self.singular() if r.center == c]
 
     def near_threshold(self):
         """Rays whose decay exponent lies within NEAR_BAND of the threshold:
@@ -309,13 +308,15 @@ def _half_widths(a_t: float, a_x: float):
 @lru_cache
 def _phase_tables(a_t: float, a_x: float):
     """wf_estimate_2d's ladder, directions, box half-widths and read-only
-    phase tables E_t (as float pairs) and E_x on the spacing (a_t, a_x)."""
+    phase tables E_t (as float pairs) and E_x on the spacing (a_t, a_x).
+    The tables cover the first half of the directions; the second half is
+    its exact negation."""
     rs = tuple(WF2D_K_BASE * 2 ** j for j in range(WF2D_OCTAVES + 1))
-    dirs = tuple((math.cos(2 * math.pi * j / WF2D_RAYS),
+    half = tuple((math.cos(2 * math.pi * j / WF2D_RAYS),
                   math.sin(2 * math.pi * j / WF2D_RAYS))
-                 for j in range(WF2D_RAYS))
-    k = np.array([[r * d[0], r * d[1]]
-                  for d in dirs[:WF2D_RAYS // 2] for r in rs])
+                 for j in range(WF2D_RAYS // 2))
+    dirs = half + tuple((-c, -s) for c, s in half)
+    k = np.array([[r * d[0], r * d[1]] for d in half for r in rs])
     ht, hx = _half_widths(a_t, a_x)
     E_t = np.exp(1j * np.outer(np.arange(-ht, ht + 1) * a_t, k[:, 0]))
     E_x = np.exp(1j * np.outer(np.arange(-hx, hx + 1) * a_x, k[:, 1]))
@@ -425,12 +426,13 @@ def wf_estimate_2d(field: SampledField2D, centers,
 def product_compatible(wf1: WFEstimate, wf2: WFEstimate):
     """Hoermander criterion on the estimated sets: the product is admissible
     when no opposite singular covectors sit over the same point.  Returns
-    (admissible, witnesses): the pairs of singular rays at a common point
-    (within POS_TOL) whose directions cancel (to DIR_TOL), i.e. hits of the
-    fibrewise sum on the zero section."""
+    (admissible, witnesses): the pairs of singular rays at the same centre
+    whose directions are exact negatives, i.e. hits of the fibrewise sum
+    on the zero section.  Both are decided with ==: the estimators keep
+    each centre as given and emit each direction's negation exactly."""
     wit = [(r1, r2) for r1 in wf1.singular() for r2 in wf2.singular()
-           if np.linalg.norm(np.subtract(r1.center, r2.center)) <= POS_TOL
-           and np.linalg.norm(np.add(r1.direction, r2.direction)) < DIR_TOL]
+           if r1.center == r2.center
+           and r1.direction == tuple(-d for d in r2.direction)]
     return len(wit) == 0, wit
 
 

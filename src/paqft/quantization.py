@@ -31,8 +31,10 @@ rows over a pair of factors' supports read once per call, when a line first
 finds fields to contract there; between lines the state is a list of tensor
 terms, one polynomial per factor, and a line reads every derivative of a
 polynomial off its gradient (functionals.gradient).  Each polynomial's
-gradient and each kernel row smeared against it are computed once per call,
-whichever slice tuples, schedules and tensor terms hold that polynomial.
+gradient is computed once per call, whichever slice tuples, schedules and
+tensor terms hold that polynomial, and so is each kernel's table over a
+pair of factors; the kernel rows smeared against a gradient are summed
+where a line needs them.
 The factors' denominators, the kernel denominators and the schedule weights
 (1/n!, 1/prod l_ij!) fold into one final denominator, each final term is
 closed by the pointwise multiplication m (functionals.add_product), and the
@@ -88,19 +90,16 @@ class _Lines:
     supp F_i x supp F_j on first use, and only when a term still has a
     field to contract in both banks (two in bank i when i == j), so a line
     that finds only constants reads no kernel at all.  Each bank's
-    gradient, and per kernel each smeared row sum_z K(y, z) d_z T and each
-    Gamma_K T, is computed once per bank object, so tensor terms and slice
-    tuples that share a bank share them.  The gradient and Gamma_K caches
-    hold every bank they key by id, so no id is reused while the caches
-    live."""
+    gradient is computed once per bank object, so tensor terms and slice
+    tuples that share a bank share it; the smeared rows and Gamma_K are
+    computed where a line needs them.  The gradient cache holds every bank
+    it keys by id, so no id is reused while the cache lives."""
 
     def __init__(self, kernels: list, supports: list):
         self.kernels = kernels
         self.supports = supports
         self.tables: dict[tuple, dict] = {}  # (k, i, j) -> {y: {z: K}}
         self.grads: dict[int, tuple] = {}  # id(T) -> (T, gradient(T))
-        self.rows: dict[tuple, dict] = {}  # (k, id(T), y) -> smeared row
-        self.gammas: dict[tuple, tuple] = {}  # (k, id(T)) -> (T, Gamma_K T)
 
     def table(self, i: int, j: int, k: int) -> dict:
         key = k, i, j
@@ -115,28 +114,20 @@ class _Lines:
             hit = self.grads[id(bank)] = (bank, gradient(bank))
         return hit[1]
 
-    def gamma(self, bank: dict, i: int, k: int) -> dict:
-        """Gamma_K T = sum_{y,z} K(y, z) d_z d_y T: one field y, then a
-        different field z."""
-        hit = self.gammas.get((k, id(bank)))
-        if hit is None:
-            out: dict = {}
-            if any(len(m) > 1 for m in bank):
-                g, table = self.grad(bank), self.table(i, i, k)
-                for y in g.keys() & table.keys():
-                    _smeared(self.grad(g[y]), table[y], out)
-            hit = self.gammas[k, id(bank)] = (bank, out)
-        return hit[1]
-
     def apply(self, terms: list, line: tuple) -> list:
         """The line (i, j, k) on tensor terms, each a tuple of banks.
         i != j: (T_i, T_j) -> d_y T_i (x) sum_z K(y, z) d_z T_j, one term
-        per site y of T_i with a kernel row.  i == j: T_i -> Gamma_K T_i."""
+        per site y of T_i with a kernel row.  i == j: T_i -> Gamma_K T_i =
+        sum_{y,z} K(y, z) d_z d_y T_i, one field y, then a different z."""
         i, j, k = line
         out = []
         for banks in terms:
             if i == j:
-                gamma = self.gamma(banks[i], i, k)
+                gamma: dict = {}
+                if any(len(m) > 1 for m in banks[i]):
+                    g, table = self.grad(banks[i]), self.table(i, i, k)
+                    for y in g.keys() & table.keys():
+                        _smeared(self.grad(g[y]), table[y], gamma)
                 if gamma:
                     out.append(banks[:i] + (gamma,) + banks[i + 1:])
                 continue
@@ -145,10 +136,7 @@ class _Lines:
             gi, gj = self.grad(banks[i]), self.grad(banks[j])
             table = self.table(i, j, k)
             for y in gi.keys() & table.keys():
-                key = k, id(banks[j]), y
-                smeared = self.rows.get(key)
-                if smeared is None:
-                    smeared = self.rows[key] = _smeared(gj, table[y], {})
+                smeared = _smeared(gj, table[y], {})
                 if smeared:
                     new = list(banks)
                     new[i], new[j] = gi[y], smeared
@@ -220,11 +208,11 @@ def contract(factors, kernels, schedules) -> PolyFunctional:
     as stored.  For each tuple of slices, one per bank, whose orders leave
     room under the truncation (built pruned, see _slice_tuples), the lines
     act on whole banks (see _Lines.apply), on a state of tensor terms that
-    schedules sharing a prefix share; gradients, smeared rows and Gamma_K
-    are computed once per bank object (and kernel) for the whole call, and
-    the table of a kernel over a pair of banks is read on first use, only
-    by a line that has fields left to contract.  The banks of each final
-    term are multiplied pointwise and added at (sum h + len(lines), sum l).
+    schedules sharing a prefix share; gradients are computed once per bank
+    object for the whole call, and the table of a kernel over a pair of
+    banks is read once, on first use, only by a line that has fields left
+    to contract.  The banks of each final term are multiplied pointwise
+    and added at (sum h + len(lines), sum l).
     A schedule is scaled by the lcm of every schedule's product of kernel
     denominators over its own, and that lcm joins the product of the
     factors' denominators (see _plan, built once per schedule set and

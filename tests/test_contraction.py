@@ -231,7 +231,7 @@ def test_engine_with_non_dyadic_kernel(lat_small, case, th, tl):
 def test_one_functional_in_both_banks_matches_reference(xp_small, f, th, tl,
                                                         kind):
     """F x F with one object in both banks: the banks share every
-    derivative and smeared row, which must not mix their fields."""
+    derivative, which must not mix their fields."""
     kernel = pair_kernel(kernel_view(xp_small, kind))
     want = {}
     for n in range(th + 1):
@@ -259,11 +259,10 @@ def test_graph_sum_with_a_repeated_factor_matches_reference(xp_small, f, g,
     assert plain(graph_expand_Tn([F, G, F], xp_small)) == nonzero(want)
 
 
-def test_contract_does_each_derivative_and_row_once(xp_small, monkeypatch):
+def test_contract_does_each_derivative_once(xp_small, monkeypatch):
     """One contract call, S(V) x_T F at (hbar, lambda) = (2, 2), takes the
-    gradient of each bank once and smears each bank's gradient with each
-    kernel row once, however many slice tuples, schedules and tensor terms
-    share them."""
+    gradient of each bank once, however many slice tuples, schedules and
+    tensor terms share it."""
     lat = xp_small.lat
     V = interaction_vertex(lat, {lat.site(3, 1): 1, lat.site(4, 2): 1}, 4,
                            2, 2)
@@ -271,24 +270,17 @@ def test_contract_does_each_derivative_and_row_once(xp_small, monkeypatch):
     F = PolyFunctional(lat, {(lat.site(1, 0),): Fraction(1, 3),
                              (lat.site(2, 1), lat.site(6, 3)): 2}, 2, 2)
     want = QuantProduct(xp_small, "timeordered_F").product(S, F)
-    grads, rows, keep = [], [], []
+    grads, keep = [], []
 
     def gradient(bank):
         keep.append(bank)  # no id is reused while the call runs
         grads.append(id(bank))
         return real_gradient(bank)
-
-    def smeared(grad, row, out):
-        keep.append((grad, row))
-        rows.append((id(grad), id(row)))
-        return real_smeared(grad, row, out)
-    real_gradient, real_smeared = quantization.gradient, quantization._smeared
+    real_gradient = quantization.gradient
     monkeypatch.setattr(quantization, "gradient", gradient)
-    monkeypatch.setattr(quantization, "_smeared", smeared)
     got = QuantProduct(xp_small, "timeordered_F").product(S, F)
     assert got == want
     assert grads and len(set(grads)) == len(grads)
-    assert rows and len(set(rows)) == len(rows)
 
 
 def peierls_loop(F, G, xp):

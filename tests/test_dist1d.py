@@ -23,7 +23,8 @@ from paqft.dist1d import (TestFunction1D, TestFunctionBatch,
                           DivergentPairing, NotHomogeneousClass,
                           QuadratureWarning, _power_log_integral,
                           pair_family, pointwise_power_product,
-                          quad_complex, _gk21, _window)
+                          quad_complex, _gk21, _window,
+                          _window_less_one)
 from paqft import acceptance, dist1d
 from paqft import egrenorm as eg
 from paqft import microlocal as ml
@@ -141,6 +142,24 @@ def test_plateau_window_shape():
     assert 0.0 < abs(mid) < 1.0
     assert f.core_poly == (1.0 + 0j,)
     assert f.support_radius == 1.0 and f.plateau_radius == 0.5
+
+
+@pytest.mark.parametrize("r0, R", [(0.3, 1.0), (0.1, 0.7), (0.25, 1.0),
+                                   (0.5, 1.0)])
+def test_window_one_ulp_past_the_plateau(r0, R):
+    """At the float just past r0, u = (R - |x|)/(R - r0) rounds to 1 for
+    the first three windows: both paths give W = 1 and W - 1 = -0.0, with
+    no division by zero and no warning (the suite turns warnings into
+    errors)."""
+    f = TestFunction1D.from_poly((1.0,), r0, R)
+    x = np.nextafter(r0, np.inf)
+    xs = np.array([x, -x])
+    assert f(x) == f(-x) == 1.0
+    batch = TestFunctionBatch([f])
+    assert np.array_equal(batch(xs), np.ones((1, 2)))
+    assert not batch.taylor_remainder(xs, 1).any()
+    less_one = _window_less_one(xs, r0, R)
+    assert not less_one.any() and np.signbit(less_one).all()
 
 
 def test_test_function_algebra_and_jets():

@@ -45,15 +45,21 @@ def test_timing_prints_one_digest_per_call(capsys):
         timing.main(["no_such_case"])
     assert exit_.value.code != 0
     assert "ladder, flow, wf2d, pairing" in capsys.readouterr().err
+    for bad in ("1,1,2@8x5", "1,1,2@8x", "1,1,25@8x4"):
+        with pytest.raises(SystemExit):
+            timing.main(["ladder", bad])
 
 
-def test_ladder_times_both_argument_orders(capsys):
+@pytest.mark.parametrize("rung, lattice", [("1,1,2", "8x4"),
+                                           ("1,1,2@12x6", "12x6")])
+def test_ladder_times_both_argument_orders(capsys, rung, lattice):
     """A rung prints R G and the product in both argument orders, F before
     G and G before F, each with the vertex sites it used: both vertices lie
-    in the past of G and between F and G, none between G and F."""
-    timing.main(["-n", "1", "ladder", "1,1,2"])
+    in the past of G and between F and G, none between G and F.  A rung
+    runs on 8x4 unless it names its lattice."""
+    timing.main(["-n", "1", "ladder", rung])
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert [re.match(r"ladder +(.*?) +1,1,2 ", r).group(1)
+    assert [re.match(r"ladder +(.*?) +1,1,2 %s " % lattice, r).group(1)
             for r in rows] == ["R G", "star F,G", "star G,F"]
     assert rows[0].endswith(", 2 vertex sites")
     assert rows[1].endswith(", 2 vertex sites")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from paqft import InputError, formats
+from paqft import InputError, acceptance, formats
 from paqft import microlocal as ml
 from paqft.dist1d import SymbolicDistribution1D, _window, quad_complex
 
@@ -282,6 +282,16 @@ def test_midpoint_flow_is_reversible():
                                     n_steps=150, metric_inv=conformal)
     assert np.max(np.abs(back["x"][-1] - (0.1, 0.4))) < 1e-9
     assert np.max(np.abs(back["k"][-1] - (0.9, 0.5))) < 1e-9
+
+
+def test_flow_drift_is_per_unit_of_the_flows_own_time():
+    """At dt = +-1e-16 the flow runs for 1e-15; the drift rate divides by
+    that duration, with no floor under it."""
+    for dt in (1e-16, -1e-16):
+        r, drift = acceptance.flow_drift((0.0, 0.0), (1.0, 0.3), dt, 10,
+                                         conformal)
+        assert r["time"] == dt * 10 and r["sigma_drift"] > 0.0
+        assert drift == r["sigma_drift"] / abs(r["time"]) > 0.1
 
 
 def reference_grads(metric_inv, x, k):
@@ -1067,7 +1077,7 @@ def test_opposite_directions_are_half_the_rays_apart():
     half = ml.WF2D_RAYS // 2
     assert len(dirs) == ml.WF2D_RAYS
     for d, e in zip(dirs[:half], dirs[half:]):
-        assert np.abs(np.add(d, e)).max() <= 1e-15
+        assert e == (-d[0], -d[1])
 
 
 @pytest.fixture(scope="module")

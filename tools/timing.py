@@ -2,16 +2,18 @@
 
     python3 tools/timing.py                      # every case, 5 runs a call
     python3 tools/timing.py -n 20 pairing wf2d   # the named cases, 20 runs
-    python3 tools/timing.py ladder 3,3,4 3,3,8   # rungs given as h,l,k
+    python3 tools/timing.py ladder 3,3,4 3,3,8@16x8  # rungs h,l,k[@NTxNX]
 
 Run from the root of a paqft checkout.  The cases:
 
 - ladder: R(G) (R G), star_interacting(F, G) (star F,G) and
-  star_interacting(G, F) (star G,F) of BogoliubovMap(V) on the 8x4 lattice
-  (a_t = 1/2, a_x = 1, m = 1) at truncation orders (h, l) in
-  (hbar, lambda): V the quartic vertex with coefficient 1 on the first k
-  sites from t = 2 on, row by row, F phi^2 on (1, 0) and (1, 2), G phi^2
-  on (6, 1); each call builds its own map (on_new_map);
+  star_interacting(G, F) (star G,F) of BogoliubovMap(V) at truncation
+  orders (h, l) in (hbar, lambda) on the NT x NX lattice of the rung (a_t =
+  1/2, a_x = 1, m = 1; 8x4 unless given): V the quartic vertex with
+  coefficient 1 on the first k sites from t = 2 on, row by row, F phi^2 on
+  (1, 0) and (1, 2), G phi^2 on (NT - 2, 1); each call builds its own map
+  (on_new_map).  The default rungs are five on 8x4, two on 16x8 at (3, 3)
+  with 8 and 16 vertices, and one on 24x24 at (3, 3) with 48 vertices;
 - flow: bicharacteristic_flow as the benchmark's flow items run it, on the
   flat default metric, on the same metric passed in as a callable (same
   sha256, with the calls a user metric costs) and on the conformal one
@@ -86,7 +88,9 @@ from paqft.lattice import (ExactPropagators, Lattice1p1,  # noqa: E402
 from paqft.quantization import BogoliubovMap, QuantProduct  # noqa: E402
 from perfbench import wavefront  # noqa: E402
 
-RUNGS = [(2, 2, 8), (3, 3, 4), (3, 3, 8), (4, 4, 2), (4, 4, 4)]
+RUNGS = [(2, 2, 8, 8, 4), (3, 3, 4, 8, 4), (3, 3, 8, 8, 4), (4, 4, 2, 8, 4),
+         (4, 4, 4, 8, 4), (3, 3, 8, 16, 8), (3, 3, 16, 16, 8),
+         (3, 3, 48, 24, 24)]  # (h, l, k, NT, NX)
 WF2D_BATCH = wavefront.SIZES["full"]["batch"]
 COMMUTATOR_LATTICES, COMMUTATOR_SITES = (24, 48), (12, 18, 24)
 N_STEPS, DT = wavefront.SIZES["full"]["flows"], 0.01
@@ -106,14 +110,32 @@ def coefficients_sha256(P):
     return sha256("\n".join(lines))
 
 
-def rung(th, tl, k):
-    """(xp, V, F, G) of the ladder rung (th, tl, k)."""
-    lat = Lattice1p1(8, 4, Fraction(1, 2), Fraction(1))
-    V = interaction_vertex(lat, {lat.site(2 + i // 4, i % 4): 1
+def rung(th, tl, k, n_t=8, n_x=4):
+    """(xp, V, F, G) of the ladder rung (th, tl, k) on the n_t x n_x
+    lattice."""
+    lat = Lattice1p1(n_t, n_x, Fraction(1, 2), Fraction(1))
+    V = interaction_vertex(lat, {lat.site(2 + i // n_x, i % n_x): 1
                                  for i in range(k)}, 4, th, tl)
     F = local_power(lat, {lat.site(1, 0): 1, lat.site(1, 2): 1}, 2, th, tl)
-    G = local_power(lat, {lat.site(6, 1): 1}, 2, th, tl)
+    G = local_power(lat, {lat.site(n_t - 2, 1): 1}, 2, th, tl)
     return ExactPropagators(lat), V, F, G
+
+
+def parse_rung(text):
+    """(h, l, k, NT, NX) of a rung given as h,l,k (on 8x4) or h,l,k@NTxNX;
+    ValueError unless the lattice is one Lattice1p1 takes and rows 2 to
+    NT - 1 hold the k vertex sites."""
+    orders, at, shape = text.partition("@")
+    fields = orders.split(",") + (shape.split("x") if at else ["8", "4"])
+    if len(fields) != 5 or not all(map(str.isdigit, fields)):
+        raise ValueError("a rung is h,l,k or h,l,k@NTxNX, in integers, "
+                         "not %r" % text)
+    th, tl, k, n_t, n_x = map(int, fields)
+    Lattice1p1(n_t, n_x)  # raises LatticeError, a ValueError, if refused
+    if k > (n_t - 2) * n_x:
+        raise ValueError("rung %r: %d vertex sites do not fit on rows 2 to "
+                         "%d" % (text, k, n_t - 1))
+    return th, tl, k, n_t, n_x
 
 
 def on_new_map(xp, V, method, *args):
@@ -123,9 +145,10 @@ def on_new_map(xp, V, method, *args):
 
 
 def ladder(rungs):
-    for th, tl, k in rungs:
-        xp, V, F, G = rung(th, tl, k)
-        name, bog = "%d,%d,%d" % (th, tl, k), BogoliubovMap(xp, V)
+    for th, tl, k, n_t, n_x in rungs:
+        xp, V, F, G = rung(th, tl, k, n_t, n_x)
+        name = "%d,%d,%d %dx%d" % (th, tl, k, n_t, n_x)
+        bog = BogoliubovMap(xp, V)
         yield ("R G " + name, partial(on_new_map, xp, V, "R", G),
                coefficients_sha256, lambda P, _, W=bog._past(
                    bog._sites, G.support()):
@@ -364,17 +387,19 @@ def main(argv=None):
         prog="timing.py", description=__doc__.split("\n")[0])
     parser.add_argument("-n", type=int, default=5, metavar="RUNS",
                         help="runs per call (default 5)")
-    parser.add_argument("cases", nargs="*", metavar="CASE | h,l,k",
+    parser.add_argument("cases", nargs="*", metavar="CASE | h,l,k[@NTxNX]",
                         help="cases to run (default all of %s), and ladder "
-                             "rungs" % ", ".join(CASES))
+                             "rungs, on 8x4 unless NTxNX is given"
+                             % ", ".join(CASES))
     args = parser.parse_args(argv)
     names = [a for a in args.cases if "," not in a] or list(CASES)
-    rungs = [a.split(",") for a in args.cases if "," in a]
-    if (set(names) - set(CASES) or args.n < 1 or not all(
-            len(r) == 3 and all(map(str.isdigit, r)) for r in rungs)):
-        parser.error("the cases are %s, RUNS is at least 1, and a rung is "
-                     "three integers h,l,k" % ", ".join(CASES))
-    rungs = [tuple(map(int, r)) for r in rungs] or RUNGS
+    if set(names) - set(CASES) or args.n < 1:
+        parser.error("the cases are %s, and RUNS is at least 1"
+                     % ", ".join(CASES))
+    try:
+        rungs = [parse_rung(a) for a in args.cases if "," in a] or RUNGS
+    except ValueError as e:
+        parser.error(str(e))
     cases = dict(CASES, ladder=partial(ladder, rungs))
     row = "%-10s %-22s %9s %10s  %-64s  %s"
     print(row % ("case", "call", "best_ms", "median_ms", "sha256", "result"))
