@@ -183,9 +183,9 @@ def _positive(v):
     return x
 
 
-def _rational(v):  # not rounded to a float, so 1/3 stays exact
+def _rational(v):  # as spelled: 1/3 stays exact, and 0.1 is 1/10
     _positive(v)
-    return v
+    return Fraction(str(v))
 
 
 def _floats(v):
@@ -206,8 +206,8 @@ def _criteria(v):
 
 
 LATTICE = {"n_t": (_int, 12), "n_x": (_int, 8),
-           "a_t": (Fraction, Fraction(1, 2)),
-           "a_x": (Fraction, Fraction(1)), "mass": (float, 1.0)}
+           "a_t": (_rational, Fraction(1, 2)),
+           "a_x": (_rational, Fraction(1)), "mass": (float, 1.0)}
 FUNCTIONAL = ("degree", "hbar_order", "lambda_order", "sites", "coefficient")
 QUANTITY = ("quantity", "value")
 

@@ -352,18 +352,13 @@ _GK_WG[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
 
 
-def _gk_nodes(lo, hi):
-    """(half-widths, nodes): the 21 Kronrod nodes of [lo_i, hi_i] in row i."""
-    h = 0.5 * (hi - lo)
-    return h, (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_X
-
-
 def _gk21(func, lo, hi):
     """Kronrod values, QUADPACK error estimates and roundoff floors of func
     on the intervals [lo_i, hi_i] (axis 0, rows on axis 1), in one call.
     The values func returns are scratch space here, overwritten in place:
     a batch of rows holds one complex array of them and one real one."""
-    h, x = _gk_nodes(lo, hi)
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_X  # row i: [lo_i, hi_i]
     fx = np.asarray(func(x.ravel()), dtype=complex)
     fx = fx.reshape(fx.shape[:-1] + x.shape)
     resk = fx @ _GK_WK
@@ -605,9 +600,10 @@ def _pair_halfline(a, p: int, fs: TestFunctionBatch, sides):
     lead = np.shape(a) + (len(fs),)
     pole = (-int(np.round(a.real)) - 1
             if np.any(_is_int(a) & (a.real < -0.5)) else None)
+    # N = floor(x), x = -min Re a, puts every Re a + N above -1: for x >= 1,
+    # x/2 <= N <= x makes N - x exact (Sterbenz) and in (-1, 0], and float
+    # addition is monotone, so no other exponent falls lower; for x < 1, N = 0
     N = max(0, int(math.floor(-np.min(np.real(a)))))
-    while np.any(np.real(a) + N <= -1):
-        N += 1
     delta = min(fs.plateau_radius, 1.0)
     # closed-form factors of core coefficient j: int_0^delta x^(a+j) log^p x
     # where f_i is its core polynomial (j >= N), and the boundary moments

@@ -230,7 +230,6 @@ _KINDS = {
     "hadamard": lambda r, a, h, k: (2 * h[k], 0),
     "star": lambda r, a, h, k: (0, r[k] - a[k]),
     "star_H": lambda r, a, h, k: (2 * h[k], r[k] - a[k]),
-    "timeordered_D": lambda r, a, h, k: (0, r[k] + a[k]),
     "timeordered_F": lambda r, a, h, k: (2 * h[k], r[k] + a[k]),
 }
 _READS_H = {"hadamard", "star_H", "timeordered_F"}

@@ -28,14 +28,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import CheckFailed, InputError
-from .dist1d import SymbolicDistribution1D, _gk_nodes, _window, quad_complex
+from .dist1d import SymbolicDistribution1D, _window, quad_complex
 from .lattice import Lattice1p1, PropagatorSet
 
 
 # 1D estimator: ladder K_BASE * 2^j for j <= OCTAVES, plateau window radii,
-# decay threshold and noise floors
+# decay threshold, noise floors and a centre's quadrature run's epsrel
 WF1D_K_BASE, WF1D_OCTAVES, WF1D_WINDOW = 4.0, 7, (0.25, 0.5)
 WF1D_THRESHOLD, WF1D_AMP_FLOOR, WF1D_REL_FLOOR = 4.0, 1e-9, 1e-6
+WF1D_EPSREL = 1e-10
 # 2D estimator: directions, ladder, a Gaussian window of width SIGMA cut at
 # CUT_SIGMAS widths, and noise floors
 WF2D_RAYS, WF2D_K_BASE, WF2D_OCTAVES = 16, 1.25, 3
@@ -151,15 +152,6 @@ def _estimate(cs, dirs, rs, amps, threshold, amp_floor, rel_floor, meta):
 # one-dimensional estimator
 
 
-def _wave_panels(x0: float):
-    """The edges of the panels a wave ladder's run starts on at centre x0:
-    one equal panel per period of the ladder's top frequency across the
-    window [x0 - R, x0 + R]."""
-    R = WF1D_WINDOW[1]
-    k_top = WF1D_K_BASE * 2 ** WF1D_OCTAVES
-    return np.linspace(x0 - R, x0 + R, math.ceil(k_top * R / math.pi) + 1)
-
-
 def _pair_wave_1d(t: SymbolicDistribution1D, x0: float, ks):
     """(<t, W(x - x0) e^{ikx}>, error estimate) for each frequency k of
     (ks, -ks), ks an array of positive frequencies, W the plateau window of
@@ -168,21 +160,23 @@ def _pair_wave_1d(t: SymbolicDistribution1D, x0: float, ks):
     keeps the origin out of the transition annulus between them, so
     derivatives at 0 are exact.  Every integrated kernel is real, so the
     run takes the k > 0 half and the row at -k is the conjugate of the one
-    at k, bit for bit, with the same error estimate.  The run starts on one
-    equal panel per period of the ladder's top frequency across the window
-    (82 of them), plus the origin where a kernel breaks there; bisection
-    from one panel reached about as many after 6-7 rounds."""
+    at k, bit for bit, with the same error estimate.  The run, to epsabs
+    1e-12 and epsrel WF1D_EPSREL, starts on one equal panel per period of
+    the ladder's top frequency across the window (82 of them), plus the
+    origin where a kernel breaks there; bisection from one panel reached
+    about as many after 6-7 rounds."""
     r0, R = WF1D_WINDOW
     lo, hi = x0 - R, x0 + R
     g0 = 1.0 if abs(x0) <= r0 else 0.0
-    panels = _wave_panels(x0)
+    k_top = WF1D_K_BASE * 2 ** WF1D_OCTAVES
+    panels = np.linspace(lo, hi, math.ceil(k_top * R / math.pi) + 1)
 
     def wave(x):
         return _window(x - x0, r0, R) * np.exp(1j * np.multiply.outer(ks, x))
 
     def quad(f, points=()):
         v, e = quad_complex(f, lo, hi, (*panels, *points), epsabs=1e-12,
-                            epsrel=1e-10, limit=1000)
+                            epsrel=WF1D_EPSREL, limit=1000)
         return np.concatenate([v, v.conj()]), np.concatenate([e, e])
     out, err = 0j, 0.0
     for coeff, kind in t.terms:
@@ -211,17 +205,27 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
     """Wave front estimate of a distribution on the line.
 
     Directions are the two signs, the ladder WF1D_K_BASE * 2^j (one
-    quadrature run of its k > 0 half per centre, started on one panel per
-    period of the ladder's top frequency, where bisection from one panel
-    used to arrive after 6-7 rounds); meta["abserr"] is each ray's worst
-    error estimate over its ladder.  Anything but a SymbolicDistribution1D
-    raises TypeError.  Before any quadrature, a term other than delta^m,
-    x^m, heaviside^m and (x +- i0)^-1 raises NoWavePairing; a centre that
-    is not finite, or so large that the 21 Gauss-Kronrod nodes of some
-    starting panel are not distinct increasing floats (the float grid
-    there coarser than the nodes), InputError; and a centre in
-    the window's transition annulus WindowTooWide when a delta^m or
-    (x +- i0)^-1 term pairs through the window's value at the origin."""
+    quadrature run of its k > 0 half per centre, as _pair_wave_1d starts
+    it); meta["abserr"] is each ray's worst error estimate over its
+    ladder.  Anything but a SymbolicDistribution1D raises TypeError.
+    Before any quadrature, a term other than delta^m, x^m, heaviside^m and
+    (x +- i0)^-1 raises NoWavePairing; a centre whose top wave has a phase
+    error over the bound below, InputError; and a centre in the window's
+    transition annulus WindowTooWide when a delta^m or (x +- i0)^-1 term
+    pairs through the window's value at the origin.
+
+    One comparison admits a centre x0: the top wave's phase error there,
+    phi = k_top ulp(|x0| + R), must be at most WF1D_EPSREL.  The nodes are
+    floats within a few ulp(|x0| + R) of their places and k x is exact at
+    a node (k is a power of two), so the run's sums are good only to about
+    phi times the integral of the integrand's modulus: a relative error phi
+    where a kernel does not oscillate its integral away, which a run asking
+    for WF1D_EPSREL cannot meet once phi exceeds it.  The decision floors
+    are looser (WF1D_REL_FLOOR = 1e-6), so the tolerance is the bound.  It
+    admits exactly |x0| + R < 1024, where ulp(|x0| + R) < 2e-13, while a
+    starting panel's (half-width R/82) Kronrod nodes lie at least 1.3e-4
+    apart, so they are distinct increasing floats, and x0 - R < x0 + R; a
+    nan or infinite centre has phi nan or inf and fails the comparison."""
     if not isinstance(t, SymbolicDistribution1D):
         raise TypeError("wf_estimate_1d takes a SymbolicDistribution1D, "
                         f"not {type(t).__name__}")
@@ -232,22 +236,21 @@ def wf_estimate_1d(t: SymbolicDistribution1D, centers=(0.0,)) -> WFEstimate:
             raise NoWavePairing(
                 f"no wave pairing for the term {kind}: it takes delta^m, "
                 f"x^m, heaviside^m and (x+-i0)^-1")
+    rs = [WF1D_K_BASE * 2 ** j for j in range(WF1D_OCTAVES + 1)]
     cs = [float(x0) for x0 in centers]
     for c in cs:
-        edges = _wave_panels(c) if math.isfinite(c) else None
-        if edges is None or not np.all(
-                np.diff(_gk_nodes(edges[:-1], edges[1:])[1]) > 0):
+        phase = rs[-1] * math.ulp(abs(c) + R)
+        if not phase <= WF1D_EPSREL:
             raise InputError(
-                f"centre {c!r} is not finite, or too large for the 21 "
-                f"Gauss-Kronrod nodes of each of its window's starting "
-                f"panels to be distinct increasing floats")
+                f"centre {c!r}: the top wave k = {rs[-1]:g} has phase error "
+                f"{phase:.3g} there, k ulp(|x0| + {R:g}), over the bound "
+                f"{WF1D_EPSREL:g}")
     bad = [c for c in cs if r0 < abs(c) < R]
     if bad and any(kind[0] in ("delta", "power_i0") for _, kind in t.terms):
         raise WindowTooWide(
             f"centre {bad[0]:g} lies in the window's transition annulus "
             f"{r0:g} < |x| < {R:g}, where a delta^m or (x+-i0)^-1 term has "
             f"no wave pairing; use |x| <= {r0:g} or |x| >= {R:g}")
-    rs = [WF1D_K_BASE * 2 ** j for j in range(WF1D_OCTAVES + 1)]
     cs, dirs = [(c,) for c in cs], ((1.0,), (-1.0,))
     vals, errs = np.zeros((2, len(cs), 2 * len(rs)), dtype=complex)
     for i, c in enumerate(cs):

@@ -5,8 +5,8 @@ Every product here is one exponential-contraction formula,
     F x_K G = sum_n (hbar^n / n!) <F^(n), K^(x n) G^(n)>,
 
 differing only in the contraction kernel K: (i/2)Delta for the star product,
-the positive-frequency kernel for the Wick-ordered star product, i*DiracD
-and Feynman for the two time-ordered products.  The Wick transform alpha_H
+the positive-frequency kernel for the Wick-ordered star product, and the
+Feynman kernel for the time-ordered product.  The Wick transform alpha_H
 and the time-ordering operator are the same formula with both ends of each
 line in one functional (exp_gamma, e^{(hbar/2) Gamma_K}), the Peierls
 bracket is one line of the causal kernel Delta between two functionals, and
@@ -57,8 +57,8 @@ from .functionals import (DimensionMismatch, PolyFunctional, add_product,
 from .lattice import ExactPropagators
 from .series import FormalSeries
 
-PRODUCT_KINDS = ("star", "star_H", "timeordered_D", "timeordered_F")
-_CAUSAL_KINDS = ("star", "star_H")  # K - K^T = i Delta; the others are 0
+PRODUCT_KINDS = ("star", "star_H", "timeordered_F")
+_CAUSAL_KINDS = ("star", "star_H")  # K - K^T = i Delta; Feynman's is 0
 
 
 class NoLambdaGrading(Exception):
@@ -311,7 +311,7 @@ class QuantProduct:
         return contract([F, G], [self.kernel], _exponential((0, 1, 0), n_max))
 
     def multi(self, factors) -> PolyFunctional:
-        """Iterated product; for the commutative time-ordered kinds this equals
+        """Iterated product; for the commutative time-ordered kind this equals
         the n-fold product with all cross contractions."""
         factors = list(factors)
         if not factors:
@@ -326,7 +326,7 @@ class QuantProduct:
         kinds, whose K - K^T is i Delta, i times the schedules of
         _telescoped over the kernels (Delta, K).  Between smeared fields
         the causal line leaves constants, so no K-line finds a field and
-        no K table is read.  The time-ordered kernels are symmetric: no
+        no K table is read.  The time-ordered kernel is symmetric: no
         schedule, and the result is 0."""
         n_max = min(F.trunc_h, G.trunc_h)
         out = contract([F, G], [self.xp.numerators("causal"), self.kernel],

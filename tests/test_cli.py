@@ -81,6 +81,21 @@ def test_propagators_cache_and_header(tmp_path):
     assert a.splitlines()[0].startswith(b"# n_t=8 n_x=4")
 
 
+def test_spacings_are_read_as_written(tmp_path):
+    """a_t = 0.1 and a_x = 0.8 build the lattice of 1/10 and 4/5, not of
+    the floats nearest them, and the comment line says so; the table rows
+    are those of a_t = 1/10, a_x = 4/5, since float(1/10) == 0.1."""
+    out = {}
+    for label, a_t, a_x in (("dec", "0.1", "0.8"), ("frac", "1/10", "4/5")):
+        cfg = tmp_path / (label + ".cfg")
+        cfg.write_text("n_t = 8\nn_x = 4\na_t = %s\na_x = %s\n" % (a_t, a_x))
+        run(["propagators", "--config", str(cfg), "--out", str(tmp_path),
+             "--label", label])
+        out[label] = csv_lines(tmp_path / ("propagators_%s.csv" % label))
+    assert out["dec"][0] == "# n_t=8 n_x=4 a_t=1/10 a_x=4/5 m=1.0"
+    assert out["dec"] == out["frac"]
+
+
 def test_propagators_write_one_file(tmp_path):
     """Into an empty --out, the CSV is the one file written."""
     run(["propagators", "--config", small_cfg(tmp_path), "--out",
@@ -584,6 +599,19 @@ def test_wf_rejects_a_centre_in_the_window_annulus(tmp_path, monkeypatch,
                "--out", str(tmp_path)], expect=2)
     assert ("WindowTooWide: centre 0.3 lies in the window's transition "
             "annulus") in res.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_wf_rejects_a_centre_whose_top_wave_phase_is_off(tmp_path,
+                                                       monkeypatch):
+    """At 1e10 the top wave's phase is good only to 1e-3: once a constant
+    came out singular there; now the centre is refused before any pairing."""
+    monkeypatch.setattr(cli.ml, "_pair_wave_1d",
+                        lambda *a, **kw: pytest.fail("pairing ran"))
+    res = run(["wf", "x^0", "--config", _centres_cfg(tmp_path, "1e10"),
+               "--out", str(tmp_path)], expect=2)
+    assert ("InputError: centre 10000000000.0: the top wave k = 512 has "
+            "phase error 0.000977 there") in res.output
     assert not list(tmp_path.glob("*.csv"))
 
 

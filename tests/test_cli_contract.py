@@ -226,7 +226,8 @@ KEY_EXAMPLES = {
     ("commutator", "mass", "yes"): 2,
     ("wf", "centers", "inf"): 2,
     ("wf", "centers", "1e300"): 2,  # x0 +- R one float: once regular rays
-    ("wf", "centers", "1e14"): 2,  # nodes collapse: once a singular constant
+    ("wf", "centers", "1e14"): 2,  # phase error 8: once a singular constant
+    ("wf", "centers", "1e10"): 2,  # phase error 1e-3: once a singular constant
     ("weyl", "dx", "0"): 2,
     ("flow", "x0", "1"): 2,
     ("flow", "metric", "curly"): 2,
@@ -235,6 +236,7 @@ KEY_EXAMPLES = {
     ("gns", "algebra_file", "no/such/file"): 2,
     ("weyl", "n", "100000"): 2,  # no grid size: an unknown key
     ("weyl", "dx", "0.1"): 0,  # the decimal it spells: 10 cells
+    ("propagators", "a_t", "0.1"): 0,  # the decimal it spells: 1/10
     ("weyl", "dx", "1/3"): 0,
     ("weyl", "hbar", "1e-300"): 2,  # once rounded to a shift of 0 cells
     ("graphs", "n", "10"): 2,  # C(49, 4) multigraphs: over MAX_GRAPHS

@@ -25,7 +25,7 @@ from paqft.quantization import (QuantProduct, alpha_H, contract,
                                 peierls_bracket, s_matrix)
 from paqft.series import FormalSeries
 
-from conftest import kernel_view
+from conftest import kernel_view, quant_product
 
 
 # ------------------------------------------------------------- reference
@@ -140,8 +140,8 @@ def test_product_matches_reference(xp_small, f, g, th, tl, kind):
         naive([f, g], [(0, 1, kernel)] * n, Fraction(1, math.factorial(n)),
               th, tl, want)
     lat = xp_small.lat
-    got = QuantProduct(xp_small, kind).product(functional(lat, f, th, tl),
-                                               functional(lat, g, th, tl))
+    got = quant_product(xp_small, kind).product(functional(lat, f, th, tl),
+                                                functional(lat, g, th, tl))
     assert plain(got) == nonzero(want)
 
 
@@ -238,7 +238,7 @@ def test_one_functional_in_both_banks_matches_reference(xp_small, f, th, tl,
         naive([f, f], [(0, 1, kernel)] * n, Fraction(1, math.factorial(n)),
               th, tl, want)
     F = functional(xp_small.lat, f, th, tl)
-    assert plain(QuantProduct(xp_small, kind).product(F, F)) == nonzero(want)
+    assert plain(quant_product(xp_small, kind).product(F, F)) == nonzero(want)
 
 
 @settings(max_examples=20, deadline=None)

@@ -64,3 +64,24 @@ def test_ladder_times_both_argument_orders(capsys, rung, lattice):
     assert rows[0].endswith(", 2 vertex sites")
     assert rows[1].endswith(", 2 vertex sites")
     assert rows[2].endswith(", 0 vertex sites")
+
+
+def test_spread_rung_places_its_vertices_over_its_rows(capsys):
+    """A rung ending in /A-B puts k / (B - A + 1) vertices on each of the
+    rows A to B at x = 1 + j NX / (that many); one that cannot spread k
+    evenly over rows within 2 to NT - 1 exits.  A cheap one runs."""
+    assert timing.parse_rung("3,3,24@16x8/2-13") == (3, 3, 24, 16, 8, (2, 13))
+    assert timing.parse_rung("2,2,8") == (2, 2, 8, 8, 4, None)
+    for rows, want in (((2, 5), [(2, 1), (3, 1), (4, 1), (5, 1)]),
+                       ((2, 3), [(2, 1), (2, 3), (3, 1), (3, 3)])):
+        xp, V, _, _ = timing.rung(1, 1, 4, 8, 4, rows)
+        assert sorted(map(xp.lat.coords, V.support())) == want
+    timing.main(["-n", "1", "ladder", "1,1,4@8x4/2-5"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [re.match(r"ladder +(.*?) +1,1,4 8x4/2-5 ", r).group(1)
+            for r in rows] == ["R G", "star F,G", "star G,F"]
+    assert rows[1].endswith(", 4 vertex sites")
+    for bad in ("1,1,3@8x4/2-5", "1,1,4@8x4/1-4", "1,1,4@8x4/5-8",
+                "1,1,10@8x4/2-3", "1,1,4@8x4/2", "1,1,4/2-5-6"):
+        with pytest.raises(SystemExit):
+            timing.main(["ladder", bad])

@@ -18,7 +18,7 @@ from paqft.lattice import (ExactPropagators, Lattice1p1, PropagatorSet,
 from paqft.quantization import QuantProduct
 
 from conftest import (antifeynman_rows, el_matrix, interior_sites,
-                      kernel_view, retarded_matrix, rows_view)
+                      kernel_view, numerators, retarded_matrix, rows_view)
 
 
 def _pairs(lat):
@@ -286,7 +286,7 @@ def test_rows_hold_exactly_the_nonzero_entries(xp_small):
                 want[kind].setdefault(i, {})[j] = v
     sites = range(lat.n_sites)
     for kind in KINDS:
-        _, rows, den = xp_small.numerators(kind)
+        _, rows, den = numerators(xp_small, kind)
         got = rows(sites, sites)
         assert got == {i: {j: (v.re * den, v.im * den) for j, v in row.items()}
                        for i, row in want[kind].items()}, kind
@@ -310,7 +310,7 @@ def _entries_by_offset(xp, kind):
     offset}, an absent entry read as (0, 0)."""
     lat = xp.lat
     sites = range(lat.n_sites)
-    rows = xp.numerators(kind)[1](sites, sites)
+    rows = numerators(xp, kind)[1](sites, sites)
     out = {}
     for i in sites:
         (ti, xi), row = lat.coords(i), rows.get(i, {})
@@ -442,8 +442,9 @@ def test_kernel_dispatch(xp_small):
     assert k_h(3, 7) == ExactComplex(had, causal / 2)
     assert k_f(3, 7) == ExactComplex(
         had, kernel_view(xp_small, "timeordered_D")(3, 7).im)
-    with pytest.raises(ValueError, match="unknown kernel kind"):
-        xp_small.numerators("nonsense")
+    for kind in ("nonsense", "timeordered_D"):
+        with pytest.raises(ValueError, match="unknown kernel kind"):
+            xp_small.numerators(kind)
 
 
 def test_causal_column_agrees_with_entries(xp_small):

@@ -1,5 +1,6 @@
 """Wave front estimation, covector causality, and bicharacteristic flow."""
 import math
+import re
 import tracemalloc
 from functools import partial
 from itertools import groupby
@@ -181,29 +182,46 @@ def test_1d_ladders_meet_their_tolerance_on_the_starting_panels(monkeypatch):
 
 
 def test_1d_centre_that_is_not_finite_is_rejected():
-    for centre in (math.nan, math.inf):
+    for centre in (math.nan, math.inf, -math.inf):
         with pytest.raises(InputError, match="centre %r" % centre):
             ml.wf_estimate_1d(SymbolicDistribution1D.delta(0),
                               centers=(0.0, centre))
 
 
-@pytest.mark.parametrize("centre", [1e14, 1e15])
-def test_1d_centre_whose_nodes_collapse_is_rejected(centre):
-    """There the float grid (ulp 1/64 and 1/8) is coarser than the
-    Gauss-Kronrod nodes of a starting panel 1/82 wide: the nodes collapse,
-    and a constant once came out singular (exponents 1.453 and -0.116)
-    with no warning."""
-    with pytest.raises(InputError, match="centre %r" % centre):
+def top_wave_phase_error(centre):
+    """k_top ulp(|x0| + R): the phase error of the ladder's top wave."""
+    k_top = ml.WF1D_K_BASE * 2 ** ml.WF1D_OCTAVES
+    return k_top * math.ulp(abs(centre) + ml.WF1D_WINDOW[1])
+
+
+@pytest.mark.parametrize("centre", [1023.5, 1e4, 1e5, 1e10, -1e10, 1e12,
+                                    1e14, 1e15])
+def test_1d_centre_whose_top_wave_phase_is_off_is_rejected(centre):
+    """Past |x0| + R = 1024 the top wave's phase error exceeds the run's
+    relative tolerance.  A constant once warned from 1e5 on, came out
+    singular at 1e10 and 1e12 (exponents 2.87 and 2.25), and at 1e14 and
+    1e15 (exponents 1.453 and -0.116) with no warning, the float grid there
+    being coarser than a starting panel's nodes."""
+    phase = top_wave_phase_error(centre)
+    assert phase > ml.WF1D_EPSREL
+    with pytest.raises(InputError, match=re.escape(
+            "centre %r: the top wave k = 512 has phase error %.3g there, "
+            "k ulp(|x0| + 0.5), over the bound 1e-10" % (centre, phase))):
         ml.wf_estimate_1d(SymbolicDistribution1D.monomial(0),
-                          centers=(centre,))
+                          centers=(0.0, centre))
 
 
-def test_1d_centres_whose_nodes_resolve_are_accepted():
-    """0.9, 1e3, and the ends of the benchmark's centres +-[0.6, 1.0]: a
-    constant is regular at each."""
+def test_1d_centres_within_the_phase_bound_are_accepted():
+    """The benchmark's centres 0 and +-[0.6, 1.0], 0.9, 1e3 and the last
+    float centre before |x0| + R reaches 1024, each with its margin under
+    the bound: a constant is regular at each, with no QuadratureWarning."""
+    centres = (0.0, 0.6, 1.0, -0.6, -1.0, 0.9, 1e3,
+               np.nextafter(1023.5, 0.0))
+    margins = [ml.WF1D_EPSREL / top_wave_phase_error(c) for c in centres]
+    assert min(margins[:6]) > 800 and 1.7 < margins[6] == margins[7] < 1.8
     wf = ml.wf_estimate_1d(SymbolicDistribution1D.monomial(0),
-                           centers=(0.9, 1e3, 0.6, 1.0, -0.6, -1.0))
-    assert len(wf.rays) == 12 and wf.singular() == []
+                           centers=centres)
+    assert len(wf.rays) == 16 and wf.singular() == []
 
 
 def test_1d_centre_too_large_for_its_window_is_rejected():

@@ -3,6 +3,7 @@
 Everything here is exact rational-complex arithmetic, so equalities are
 asserted with == on functionals, not with tolerances.
 """
+import functools
 import itertools
 import random
 import re
@@ -26,7 +27,8 @@ from paqft.quantization import (QuantProduct, alpha_H, star_H_equivalence_check,
                                 causally_later, multilocal_injectivity_check,
                                 NoLambdaGrading, NonLocalInteraction)
 
-from conftest import antitimeordered_s_matrix, make_functional
+from conftest import (DiracProduct, antitimeordered_s_matrix,
+                      make_functional, quant_product)
 from paqft.graphs import h_slice
 from test_contraction import RATIONALS, SITES, cmul, functional, plain
 
@@ -79,7 +81,8 @@ def nonlinear(sites):
 
 @settings(max_examples=60, deadline=None)
 @given(nonlinear(SITES), nonlinear(SITES), st.integers(1, 3),
-       st.integers(1, 2), st.sampled_from(qz.PRODUCT_KINDS))
+       st.integers(1, 2),
+       st.sampled_from(qz.PRODUCT_KINDS + ("timeordered_D",)))
 def test_telescoped_commutator_is_the_difference_of_products(
         xp_small, f, g, th, tl, kind):
     """[F, G] from one causal line and K-lines both ways == F x G - G x F,
@@ -87,7 +90,7 @@ def test_telescoped_commutator_is_the_difference_of_products(
     slice is i {F, G}, and the time-ordered kinds give 0."""
     lat = xp_small.lat
     F, G = functional(lat, f, th, tl), functional(lat, g, th, tl)
-    product = QuantProduct(xp_small, kind)
+    product = quant_product(xp_small, kind)
     commutator = product.commutator(F, G)
     assert commutator == product.product(F, G) - product.product(G, F)
     if kind.startswith("timeordered"):
@@ -158,7 +161,7 @@ def test_massless_lattice_contracts_the_kinds_free_of_h():
             **{key: FormalSeries({(1, 0): c}) for key, c in one.items()},
             (): FormalSeries({(2, 0): two})})
         assert want.slices[(1, 0)] and want.slices[(2, 0)]
-        assert QuantProduct(xp, kind).product(F, G) == want, kind
+        assert quant_product(xp, kind).product(F, G) == want, kind
     bracket = sum(base * (r(y, z) - r(z, y)) for y, z, base in pairs)
     assert bracket and qz.peierls_bracket(
         smeared_field(lat, f), smeared_field(lat, g), xp) == PolyFunctional(
@@ -217,7 +220,7 @@ def test_time_ordered_product_conjugates_pointwise(xp_small, rand_functional,
                                                    kind):
     """F x_T G = T(T^-1 F . T^-1 G) with T = e^{(hbar/2) Gamma_K}; holds
     because both time-ordered kernels are symmetric."""
-    tp = QuantProduct(xp_small, kind)
+    tp = quant_product(xp_small, kind)
     T = lambda F, sign: qz.exp_gamma(F, tp.kernel, Fraction(sign, 2))
     for _ in range(4):
         F = rand_functional(max_degree=4)
@@ -248,8 +251,9 @@ def test_tadpole_first_order_cancellation(xp_small):
 
 
 def test_unknown_product_kind_rejected(xp_small):
-    with pytest.raises(ValueError):
-        QuantProduct(xp_small, "normal")
+    for kind in ("normal", "timeordered_D"):
+        with pytest.raises(ValueError):
+            QuantProduct(xp_small, kind)
 
 
 def interaction(lat, sites=None):
@@ -666,7 +670,7 @@ def free_picture_maps(xp, V):
     (i/2) Delta, and Sbar0(-V') = conj S0(-V') for a real V.  The maps of
     V are alpha_H R0 alpha_H^-1 and alpha_H R0^-1(R0 F' *0 R0 G') with
     F' = alpha_H^-1 F."""
-    t0, s0 = QuantProduct(xp, "timeordered_D"), QuantProduct(xp, "star")
+    t0, s0 = DiracProduct(xp), QuantProduct(xp, "star")
     Vp = alpha_H(xp, V, -1)
     Vp = PolyFunctional.from_numerators(
         V.lat, {hl: {k: c for k, c in bank.items() if k}
@@ -933,6 +937,87 @@ def test_interacting_fields_at_spacelike_separation_commute(
     assert RF != F and RG != G
     commutator = QuantProduct(xp_small, "star_H").commutator(RF, RG)
     assert commutator.is_zero() == commute
+
+
+def compose(H, sub):
+    """H with each field phi(y) replaced by the functional sub(y): each
+    monomial the pointwise product of its substitutes, times its
+    coefficient series."""
+    out = PolyFunctional.constant(H.lat, 0, H.trunc_h, H.trunc_l)
+    for key, series in H.terms.items():
+        term = PolyFunctional.constant(H.lat, series, H.trunc_h, H.trunc_l)
+        for y in key:
+            term = pointwise_product(term, sub(y))
+        out = out + term
+    return out
+
+
+def interacting_peierls_bracket(xp, bog, F, G):
+    """{F, G}_V = {F o Phi, G o Phi} o Phi^-1 for classical F and G (only
+    order (0, 0)), each grade l at (hbar, lambda) order (l, l): Phi(y) the
+    tree part (hbar order = lambda order) of R phi(y), and Phi^-1 = Psi
+    solved by the fixed point Psi <- phi - (Phi - phi) o Psi, one lambda
+    order a round, on the sites the bracket and Phi - phi reach."""
+    lat, th, tl = F.lat, F.trunc_h, F.trunc_l
+    field = lambda y: PolyFunctional(lat, {(y,): 1}, th, tl)
+
+    @functools.cache
+    def shift(y):  # Phi(y) - phi(y)
+        R = bog.R(field(y))
+        return PolyFunctional.from_numerators(lat, {
+            hl: bank for hl, bank in R.slices.items() if hl[0] == hl[1]},
+            R.den, th, tl) - field(y)
+    Phi = lambda y: field(y) + shift(y)
+    free = qz.peierls_bracket(compose(F, Phi), compose(G, Phi), xp)
+    sites, todo = set(), set(free.support())
+    while todo:
+        sites |= todo
+        todo = {z for y in todo for z in shift(y).support()} - sites
+    Psi = {y: field(y) for y in sites}
+    for _ in range(tl + 1):
+        Psi = {y: field(y) - compose(shift(y), Psi.__getitem__)
+               for y in sites}
+    return compose(free, Psi.__getitem__)
+
+
+FOUR_ROWS = [(2, 0), (3, 1), (4, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("vertices, trunc, f, g, n_tree", [
+    ([(3, 1), (5, 1)], (3, 2), [(1, 0), (1, 2)], [(6, 1)], 6),
+    (FOUR_ROWS, (3, 2), [(1, 0), (1, 2)], [(6, 1)], 10),
+    (FOUR_ROWS, (4, 3), [(1, 0), (1, 2)], [(6, 1)], 10),
+    (FOUR_ROWS, (4, 3), [(2, 1)], [(4, 0), (6, 1)], 4),
+], ids=["two-vertices", "four-rows-3,2", "four-rows-4,3", "F-between"])
+def test_tree_slices_of_the_interacting_commutator_are_the_peierls_bracket(
+        xp_small, vertices, trunc, f, g, n_tree):
+    """The classical limit of *_V (Duetsch-Fredenhagen): for F, G at hbar
+    order 0, the slices h = l + 1 of [F, G]_{*_V} are i hbar {F, G}_V, the
+    interacting Peierls bracket, with Phi taken from the library's R.  The
+    check runs no R^-1 and no *_V; n_tree of its monomials carry lambda.
+    On the two-vertex case the mutants 2V and -V of the product fail it."""
+    lat = xp_small.lat
+    th, tl = trunc
+    V = interaction_vertex(lat, {lat.site(*s): 1 for s in vertices}, 4,
+                           th, tl)
+    F, G = (local_power(lat, {lat.site(*s): 1 for s in sites}, 2, th, tl)
+            for sites in (f, g))
+    want = interacting_peierls_bracket(xp_small, BogoliubovMap(xp_small, V),
+                                       F, G) * ExactComplex(0, 1)
+
+    def tree_slices(W):
+        bog = BogoliubovMap(xp_small, W)
+        C = bog.star_interacting(F, G) - bog.star_interacting(G, F)
+        return PolyFunctional.from_numerators(lat, {
+            (h - 1, l): bank for (h, l), bank in C.slices.items()
+            if h == l + 1}, C.den, th, tl)
+    got = tree_slices(V)
+    assert got == want
+    assert sum(len(bank) for (_, l), bank in got.slices.items() if l) \
+        == n_tree
+    if len(vertices) == 2:
+        for mutant in (V * 2, V * (-1)):
+            assert tree_slices(mutant) != want
 
 
 @pytest.mark.parametrize("key", [(1, 21), (5, 5, 21)])

@@ -2,7 +2,8 @@
 
     python3 tools/timing.py                      # every case, 5 runs a call
     python3 tools/timing.py -n 20 pairing wf2d   # the named cases, 20 runs
-    python3 tools/timing.py ladder 3,3,4 3,3,8@16x8  # rungs h,l,k[@NTxNX]
+    python3 tools/timing.py ladder 3,3,4 3,3,8@16x8 3,3,24@16x8/2-13
+                                     # rungs h,l,k[@NTxNX][/A-B]
 
 Run from the root of a paqft checkout.  The cases:
 
@@ -10,10 +11,13 @@ Run from the root of a paqft checkout.  The cases:
   star_interacting(G, F) (star G,F) of BogoliubovMap(V) at truncation
   orders (h, l) in (hbar, lambda) on the NT x NX lattice of the rung (a_t =
   1/2, a_x = 1, m = 1; 8x4 unless given): V the quartic vertex with
-  coefficient 1 on the first k sites from t = 2 on, row by row, F phi^2 on
-  (1, 0) and (1, 2), G phi^2 on (NT - 2, 1); each call builds its own map
-  (on_new_map).  The default rungs are five on 8x4, two on 16x8 at (3, 3)
-  with 8 and 16 vertices, and one on 24x24 at (3, 3) with 48 vertices;
+  coefficient 1 on the first k sites from t = 2 on, row by row, or, for a
+  rung ending in /A-B, spread over the rows A to B, k / (B - A + 1) sites a
+  row at x = 1 + j NX / (that many); F phi^2 on (1, 0) and (1, 2), G phi^2
+  on (NT - 2, 1); each call builds its own map (on_new_map).  The default
+  rungs are five on 8x4, two on 16x8 at (3, 3) with 8 and 16 vertices, one
+  on 24x24 at (3, 3) with 48 vertices, and two that probe depth on 16x8
+  with vertices on rows 2-13: 24 at (3, 3) and 48 at (2, 2);
 - flow: bicharacteristic_flow as the benchmark's flow items run it, on the
   flat default metric, on the same metric passed in as a callable (same
   sha256, with the calls a user metric costs) and on the conformal one
@@ -88,9 +92,11 @@ from paqft.lattice import (ExactPropagators, Lattice1p1,  # noqa: E402
 from paqft.quantization import BogoliubovMap, QuantProduct  # noqa: E402
 from perfbench import wavefront  # noqa: E402
 
-RUNGS = [(2, 2, 8, 8, 4), (3, 3, 4, 8, 4), (3, 3, 8, 8, 4), (4, 4, 2, 8, 4),
-         (4, 4, 4, 8, 4), (3, 3, 8, 16, 8), (3, 3, 16, 16, 8),
-         (3, 3, 48, 24, 24)]  # (h, l, k, NT, NX)
+RUNGS = [(2, 2, 8, 8, 4, None), (3, 3, 4, 8, 4, None), (3, 3, 8, 8, 4, None),
+         (4, 4, 2, 8, 4, None), (4, 4, 4, 8, 4, None), (3, 3, 8, 16, 8, None),
+         (3, 3, 16, 16, 8, None), (3, 3, 48, 24, 24, None),
+         (3, 3, 24, 16, 8, (2, 13)),
+         (2, 2, 48, 16, 8, (2, 13))]  # (h, l, k, NT, NX, vertex rows A-B)
 WF2D_BATCH = wavefront.SIZES["full"]["batch"]
 COMMUTATOR_LATTICES, COMMUTATOR_SITES = (24, 48), (12, 18, 24)
 N_STEPS, DT = wavefront.SIZES["full"]["flows"], 0.01
@@ -110,32 +116,52 @@ def coefficients_sha256(P):
     return sha256("\n".join(lines))
 
 
-def rung(th, tl, k, n_t=8, n_x=4):
+def rung(th, tl, k, n_t=8, n_x=4, rows=None):
     """(xp, V, F, G) of the ladder rung (th, tl, k) on the n_t x n_x
-    lattice."""
+    lattice, its vertices on the first k sites from t = 2 on, or spread
+    over the rows (A, B)."""
     lat = Lattice1p1(n_t, n_x, Fraction(1, 2), Fraction(1))
-    V = interaction_vertex(lat, {lat.site(2 + i // n_x, i % n_x): 1
-                                 for i in range(k)}, 4, th, tl)
+    if rows is None:
+        sites = [lat.site(2 + i // n_x, i % n_x) for i in range(k)]
+    else:
+        per = k // (rows[1] - rows[0] + 1)
+        sites = [lat.site(t, 1 + j * n_x // per)
+                 for t in range(rows[0], rows[1] + 1) for j in range(per)]
+    V = interaction_vertex(lat, dict.fromkeys(sites, 1), 4, th, tl)
     F = local_power(lat, {lat.site(1, 0): 1, lat.site(1, 2): 1}, 2, th, tl)
     G = local_power(lat, {lat.site(n_t - 2, 1): 1}, 2, th, tl)
     return ExactPropagators(lat), V, F, G
 
 
 def parse_rung(text):
-    """(h, l, k, NT, NX) of a rung given as h,l,k (on 8x4) or h,l,k@NTxNX;
-    ValueError unless the lattice is one Lattice1p1 takes and rows 2 to
-    NT - 1 hold the k vertex sites."""
-    orders, at, shape = text.partition("@")
+    """(h, l, k, NT, NX, rows) of a rung given as h,l,k (on 8x4) or
+    h,l,k@NTxNX, then optionally /A-B, rows (A, B) or None; ValueError
+    unless the lattice is one Lattice1p1 takes and rows 2 to NT - 1 hold
+    the k vertex sites, or rows A to B, 2 <= A <= B <= NT - 1, hold them
+    with the same number, at most NX, on each."""
+    body, slash, span = text.partition("/")
+    orders, at, shape = body.partition("@")
     fields = orders.split(",") + (shape.split("x") if at else ["8", "4"])
-    if len(fields) != 5 or not all(map(str.isdigit, fields)):
-        raise ValueError("a rung is h,l,k or h,l,k@NTxNX, in integers, "
-                         "not %r" % text)
+    rows = span.split("-") if slash else []
+    if (len(fields) != 5 or len(rows) not in (0, 2)
+            or not all(map(str.isdigit, fields + rows))):
+        raise ValueError("a rung is h,l,k or h,l,k@NTxNX, then optionally "
+                         "/A-B, in integers, not %r" % text)
     th, tl, k, n_t, n_x = map(int, fields)
     Lattice1p1(n_t, n_x)  # raises LatticeError, a ValueError, if refused
-    if k > (n_t - 2) * n_x:
-        raise ValueError("rung %r: %d vertex sites do not fit on rows 2 to "
-                         "%d" % (text, k, n_t - 1))
-    return th, tl, k, n_t, n_x
+    if not rows:
+        if k > (n_t - 2) * n_x:
+            raise ValueError("rung %r: %d vertex sites do not fit on rows 2 "
+                             "to %d" % (text, k, n_t - 1))
+        return th, tl, k, n_t, n_x, None
+    first, last = map(int, rows)
+    n_rows = last - first + 1
+    if not (2 <= first <= last < n_t and k % n_rows == 0
+            and 0 < k <= n_rows * n_x):
+        raise ValueError("rung %r: %d vertex sites do not spread evenly, at "
+                         "most %d a row, over rows %d to %d within 2 to %d"
+                         % (text, k, n_x, first, last, n_t - 1))
+    return th, tl, k, n_t, n_x, (first, last)
 
 
 def on_new_map(xp, V, method, *args):
@@ -145,9 +171,10 @@ def on_new_map(xp, V, method, *args):
 
 
 def ladder(rungs):
-    for th, tl, k, n_t, n_x in rungs:
-        xp, V, F, G = rung(th, tl, k, n_t, n_x)
-        name = "%d,%d,%d %dx%d" % (th, tl, k, n_t, n_x)
+    for th, tl, k, n_t, n_x, rows in rungs:
+        xp, V, F, G = rung(th, tl, k, n_t, n_x, rows)
+        name = "%d,%d,%d %dx%d" % (th, tl, k, n_t, n_x) + (
+            "/%d-%d" % rows if rows else "")
         bog = BogoliubovMap(xp, V)
         yield ("R G " + name, partial(on_new_map, xp, V, "R", G),
                coefficients_sha256, lambda P, _, W=bog._past(
@@ -387,10 +414,12 @@ def main(argv=None):
         prog="timing.py", description=__doc__.split("\n")[0])
     parser.add_argument("-n", type=int, default=5, metavar="RUNS",
                         help="runs per call (default 5)")
-    parser.add_argument("cases", nargs="*", metavar="CASE | h,l,k[@NTxNX]",
+    parser.add_argument("cases", nargs="*",
+                        metavar="CASE | h,l,k[@NTxNX][/A-B]",
                         help="cases to run (default all of %s), and ladder "
-                             "rungs, on 8x4 unless NTxNX is given"
-                             % ", ".join(CASES))
+                             "rungs, on 8x4 unless NTxNX is given, vertices "
+                             "row by row from t = 2 unless spread over rows "
+                             "A to B" % ", ".join(CASES))
     args = parser.parse_args(argv)
     names = [a for a in args.cases if "," not in a] or list(CASES)
     if set(names) - set(CASES) or args.n < 1:
