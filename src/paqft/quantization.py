@@ -397,19 +397,19 @@ def wick_theorem_demo(xp: ExactPropagators, f1, f2) -> dict:
 class BogoliubovMap:
     """R_V, its inverse and F *_V G in the interaction picture (Dyson;
     Brunetti-Fredenhagen): R F = S(V)^-1 * (S(V) x_T F) with no S-matrix
-    built.  R is linear; R m is built once per map for each monomial m and
-    the vertex sites it needs, those in its closed past cone (the others
-    are nowhere earlier than those and m, so their S-matrix factor
-    cancels).  Delta vanishes on a time row, so there the Feynman kernel is
-    the *_H one, and S(V) = S(V_last) * ... * S(V_first) with S(V_t) =
-    exp_*(V_t), V_t the terms of V on row t.  For m on one row,
-    S(V) x_T m = m * S(V), so R m = S^-1 * m * S is the kick
-    e^{-ad V_first} ... e^{-ad V_last} m, the latest row first, each series
-    cut at the lambda truncation.  Any other m is A B, A its fields on its
-    latest row; A is nowhere earlier than B, so R(A x_T B) = R A * R B
-    (Bogoliubov causality) and R m = R A * R B - R(A x_T B - A B), the
-    bracket of lower degree.  R - 1 raises the lambda order, so R^-1 X is
-    solved grade by grade: Y_l = X_l - [(R - 1) Y_<l]_l.
+    built.  R is linear; R m is built once per map for each monomial m, the
+    vertex sites it needs, those in its closed past cone (the others are
+    nowhere earlier than those and m, so their S-matrix factor cancels),
+    and the orders its caller keeps.  Delta vanishes on a time row, so
+    there the Feynman kernel is the *_H one, and S(V) = S(V_last) * ... *
+    S(V_first) with S(V_t) = exp_*(V_t), V_t the terms of V on row t.  For
+    m on one row, S(V) x_T m = m * S(V), so R m = S^-1 * m * S is the kick
+    e^{-ad V_first} ... e^{-ad V_last} m, the latest row first (each ad V
+    raises both orders: R m = m at hbar or lambda order 0).  Any other m is
+    A B, A its fields on its latest row; A is nowhere earlier than B, so
+    R(A x_T B) = R A * R B (Bogoliubov causality) and R m = R A * R B -
+    R(A x_T B - A B), the bracket of lower degree.  R - 1 raises the lambda
+    order, so R^-1 X is solved grade by grade: Y_l = X_l - [(R - 1) Y_<l]_l.
 
     F *_V G = R_D^-1(R_D F * R_D G) needs only the terms of V on D, the
     vertex sites in the closed future cone of supp F and the closed past
@@ -430,7 +430,7 @@ class BogoliubovMap:
         self.V, self.sp = V, QuantProduct(xp, "star_H")
         self._feynman = xp.numerators("timeordered_F")
         self._sites = frozenset(V.support())
-        self._R: dict[tuple, PolyFunctional] = {}  # (sites, monomial) -> R
+        self._R: dict[tuple, PolyFunctional] = {}  # (sites, m, order) -> R
 
     def _past(self, sites: frozenset, of) -> frozenset:
         """The vertex sites of `sites` in the closed past cone of `of`."""
@@ -438,59 +438,58 @@ class BogoliubovMap:
         return frozenset(s for s in sites
                          if any(lat.in_past_cone(s, y) for y in of))
 
-    def _monomial(self, m: tuple) -> PolyFunctional:
-        V = self.V
-        return PolyFunctional.from_numerators(V.lat, {(0, 0): {m: (1, 0)}},
-                                              1, V.trunc_h, V.trunc_l)
+    def _monomial(self, m: tuple, order) -> PolyFunctional:
+        return PolyFunctional.from_numerators(
+            self.V.lat, {(0, 0): {m: (1, 0)}}, 1, *order)
 
     def _kick(self, sites: frozenset, X: PolyFunctional) -> PolyFunctional:
-        """e^{-ad V_t} X under *_H, V_t the terms of V on `sites`."""
+        """e^{-ad V_t} X under *_H to X's orders, V_t V's terms on `sites`."""
         V = self.V
         out = term = X
         V_t = PolyFunctional.from_numerators(V.lat, {
             hl: {k: c for k, c in bank.items() if k[0] in sites}
             for hl, bank in V.slices.items()}, V.den, V.trunc_h, V.trunc_l)
-        for n in range(1, V.trunc_l + 1):
+        for n in range(1, min(X.trunc_h, X.trunc_l) + 1):
             term = self.sp.commutator(V_t, term) * Fraction(-1, n)
             out = out + term
         return out
 
-    def _R_monomial(self, sites: frozenset, m: tuple) -> PolyFunctional:
-        """R of the monomial m (a sorted site tuple) for the terms of V on
-        those of `sites` in the closed past cone of m, at V's orders."""
+    def _R_monomial(self, sites: frozenset, m: tuple, order) -> PolyFunctional:
+        """R of the monomial m (a sorted site tuple) to the orders `order`, for
+        the terms of V on those of `sites` in the closed past cone of m."""
         sites = self._past(sites, m)
-        if (sites, m) not in self._R:
+        if (sites, m, order) not in self._R:
             n_x = self.V.lat.n_x
             top = [y // n_x for y in m].index(m[-1] // n_x) if m else 0
-            if top == 0 or not sites:  # one row: kicks, latest row first
-                X = self._monomial(m)
+            if top == 0 or not sites or not min(order):  # kicks, latest first
+                X = self._monomial(m, order)
                 for t in sorted({s // n_x for s in sites}, reverse=True):
                     X = self._kick({s for s in sites if s // n_x == t}, X)
             else:  # m = A B, A on the latest row
                 A, B = m[top:], m[:top]
                 bracket = contract(  # A x_T B - A B
-                    [self._monomial(A), self._monomial(B)], [self._feynman],
-                    _exponential((0, 1, 0), self.V.trunc_h)[1:])
-                X = self.sp.product(self._R_monomial(sites, A),
-                                    self._R_monomial(sites, B)) \
+                    [self._monomial(A, order), self._monomial(B, order)],
+                    [self._feynman], _exponential((0, 1, 0), order[0])[1:])
+                X = self.sp.product(self._R_monomial(sites, A, order),
+                                    self._R_monomial(sites, B, order)) \
                     - self._apply(sites, bracket)
-            self._R[sites, m] = X
-        return self._R[sites, m]
+            self._R[sites, m, order] = X
+        return self._R[sites, m, order]
 
     def _apply(self, sites: frozenset, F: PolyFunctional) -> PolyFunctional:
-        """R F for the terms of V on `sites`: each monomial's R, times its
-        coefficient and orders, summed over one denominator."""
+        """R F for the terms of V on `sites`: the sum of each monomial's R,
+        built to the orders (th - h, tl - l) left by its slice (h, l)."""
         V = self.V
         th, tl = min(F.trunc_h, V.trunc_h), min(F.trunc_l, V.trunc_l)
-        parts = [(h, l, c, self._R_monomial(sites, m))
-                 for (h, l), bank in F.slices.items() for m, c in bank.items()]
+        parts = [(h, l, c, self._R_monomial(sites, m, (th - h, tl - l)))
+                 for (h, l), bank in F.slices.items() if h <= th and l <= tl
+                 for m, c in bank.items()]
         den = math.lcm(*(P.den for *_, P in parts))
         out: dict[tuple, dict] = {}
         for h, l, c, P in parts:
             for (h2, l2), bank in P.slices.items():
-                if h + h2 <= th and l + l2 <= tl:
-                    add_product(out.setdefault((h + h2, l + l2), {}),
-                                ({(): c}, bank), den // P.den)
+                add_product(out.setdefault((h + h2, l + l2), {}),
+                            ({(): c}, bank), den // P.den)
         return PolyFunctional.from_numerators(V.lat, out, F.den * den, th, tl)
 
     def _inverse(self, sites: frozenset, X: PolyFunctional) -> PolyFunctional:

@@ -1,6 +1,7 @@
 """Pins of tools/timing.py's ladder case: the coefficients of the
-interacting product in both argument orders on two rungs, by their sha256;
-and the tool's entry point."""
+interacting product in both argument orders on two 8x4 rungs, by their
+sha256, and of F,G on the two 16x8 depth rungs; and the tool's entry
+point."""
 import re
 import sys
 from pathlib import Path
@@ -17,7 +18,11 @@ from paqft.quantization import BogoliubovMap  # noqa: E402
      "4b8a2ee20bf980c170d7d6d034a08c8135e02c50d922311d8672e6a5cabedb58"),
     ((3, 3, 4),
      "828daa694010ea03501617db75f05adafe5414450a7e5e83ffe8214c7f19b2ae"),
-], ids=["2,2,8", "3,3,4"])
+    ((2, 2, 48, 16, 8, (2, 13)),
+     "cd721f8a58c5d061bc4b5c91b832d4870b0453c8ff5d0486168b26c307e5ac35"),
+    ((3, 3, 24, 16, 8, (2, 13)),
+     "754864580313fcbcd25a7d9d30f013dc23ba72256f75e688f23c5fc2610f0231"),
+], ids=["2,2,8", "3,3,4", "2,2,48@16x8/2-13", "3,3,24@16x8/2-13"])
 def test_ladder_rung_is_pinned(rung, sha256):
     xp, V, F, G = timing.rung(*rung)
     P = BogoliubovMap(xp, V).star_interacting(F, G)

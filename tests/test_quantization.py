@@ -608,7 +608,8 @@ def test_ac08_multiplies_across_a_vertex(monkeypatch):
 def test_bogoliubov_map_builds_each_monomial_once(xp_small, monkeypatch):
     """R and R^-1 are == the oracle maps on arguments with none, one and
     both vertices in their past; the map builds no S-matrix, and R of each
-    (vertex sites, monomial) once, so a warm repeat contracts nothing."""
+    (vertex sites, monomial, orders) once, so a warm repeat contracts
+    nothing."""
     lat = xp_small.lat
     V = interaction(lat, [lat.site(2, 0), lat.site(5, 2)])
     R, Rinv, _ = unrestricted_maps(xp_small, V)
@@ -627,6 +628,61 @@ def test_bogoliubov_map_builds_each_monomial_once(xp_small, monkeypatch):
     for F in args:
         bog.Rinv(bog.R(F))
     assert calls == []
+
+
+def test_bogoliubov_map_builds_each_r_to_the_orders_its_caller_keeps(
+        xp_small, monkeypatch):
+    """Every R of a monomial that R F asks for, at the slice (h, l) of F,
+    is built to (th - h, tl - l), (th, tl) the orders R F keeps: the
+    smaller of F's and V's truncations.  A slice above them asks for
+    none.  The record spans R, R^-1 and *_V (and the R F that each R of a
+    multi-row monomial applies to its bracket) on vertices over four rows
+    with F at (3, 3) and V at (2, 2); every result is == the oracle maps.
+    An R built one order too high leaves every result ==, so only this
+    record can tell it."""
+    lat = xp_small.lat
+    V = interaction_vertex(lat, {lat.site(*s): 1 for s in FOUR_ROWS}, 4,
+                           2, 2)
+    F = PolyFunctional(lat, {
+        (lat.site(1, 0), lat.site(1, 2)): FormalSeries(
+            {(0, 0): 1, (1, 2): ExactComplex(0, 1), (3, 3): 2}, 3, 3),
+        (lat.site(6, 1),) * 2: FormalSeries({(0, 1): -1, (2, 0): 3}, 3, 3),
+        (lat.site(3, 0), lat.site(5, 2), lat.site(7, 1)): FormalSeries(
+            {(0, 0): Fraction(1, 2), (1, 1): 1, (2, 3): 5}, 3, 3)}, 3, 3)
+    G = local_power(lat, {lat.site(6, 0): 1, lat.site(7, 3): 2}, 2, 3, 3)
+    asked, stack = [], []
+    apply, r_monomial = BogoliubovMap._apply, BogoliubovMap._R_monomial
+
+    def spy_apply(self, sites, X):
+        stack.append([])
+        try:
+            return apply(self, sites, X)
+        finally:
+            asked.append((X, self.V, stack.pop()))
+
+    def spy_r(self, sites, m, order):
+        if stack[-1] is not None:  # asked for by _apply itself
+            stack[-1].append((m, order))
+        stack.append(None)
+        try:
+            return r_monomial(self, sites, m, order)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(BogoliubovMap, "_apply", spy_apply)
+    monkeypatch.setattr(BogoliubovMap, "_R_monomial", spy_r)
+    bog = BogoliubovMap(xp_small, V)
+    R, Rinv, star_interacting = unrestricted_maps(xp_small, V)
+    assert bog.R(F) == R(F)
+    assert bog.Rinv(F) == Rinv(F)
+    assert bog.star_interacting(F, G) == star_interacting(F, G)
+    for X, W, requests in asked:
+        th, tl = min(X.trunc_h, W.trunc_h), min(X.trunc_l, W.trunc_l)
+        assert sorted(requests) == sorted(
+            (m, (th - h, tl - l)) for (h, l), bank in X.slices.items()
+            if h <= th and l <= tl for m in bank)
+    assert any(h > 2 or l > 2 for X, _, _ in asked for h, l in X.slices)
+    assert any(X.trunc_h < 2 for X, _, _ in asked)  # a bracket's R
 
 
 def past_of(lat, sites, vertex_sites):
@@ -981,32 +1037,37 @@ def interacting_peierls_bracket(xp, bog, F, G):
 
 
 FOUR_ROWS = [(2, 0), (3, 1), (4, 2), (5, 1)]
+EIGHT_ROWS = [(t, x) for t in range(2, 10) for x in (1, 5)]  # on 16x8
 
 
-@pytest.mark.parametrize("vertices, trunc, f, g, n_tree", [
-    ([(3, 1), (5, 1)], (3, 2), [(1, 0), (1, 2)], [(6, 1)], 6),
-    (FOUR_ROWS, (3, 2), [(1, 0), (1, 2)], [(6, 1)], 10),
-    (FOUR_ROWS, (4, 3), [(1, 0), (1, 2)], [(6, 1)], 10),
-    (FOUR_ROWS, (4, 3), [(2, 1)], [(4, 0), (6, 1)], 4),
-], ids=["two-vertices", "four-rows-3,2", "four-rows-4,3", "F-between"])
+@pytest.mark.parametrize("lat, vertices, trunc, f, g, n_tree", [
+    (LAT_8x4, [(3, 1), (5, 1)], (3, 2), [(1, 0), (1, 2)], [(6, 1)], 6),
+    (LAT_8x4, FOUR_ROWS, (3, 2), [(1, 0), (1, 2)], [(6, 1)], 10),
+    (LAT_8x4, FOUR_ROWS, (4, 3), [(1, 0), (1, 2)], [(6, 1)], 10),
+    (LAT_8x4, FOUR_ROWS, (4, 3), [(2, 1)], [(4, 0), (6, 1)], 4),
+    (LAT_16x8, EIGHT_ROWS, (3, 2), [(1, 0), (1, 2)], [(14, 1)], 92),
+], ids=["two-vertices", "four-rows-3,2", "four-rows-4,3", "F-between",
+        "16x8-eight-rows-3,2"])
 def test_tree_slices_of_the_interacting_commutator_are_the_peierls_bracket(
-        xp_small, vertices, trunc, f, g, n_tree):
+        xp_of, lat, vertices, trunc, f, g, n_tree):
     """The classical limit of *_V (Duetsch-Fredenhagen): for F, G at hbar
     order 0, the slices h = l + 1 of [F, G]_{*_V} are i hbar {F, G}_V, the
     interacting Peierls bracket, with Phi taken from the library's R.  The
     check runs no R^-1 and no *_V; n_tree of its monomials carry lambda.
-    On the two-vertex case the mutants 2V and -V of the product fail it."""
-    lat = xp_small.lat
+    On the two-vertex case the mutants 2V and -V of the product fail it.
+    The 16x8 case has depth: 16 vertices, two a row on rows 2-9 (the
+    spread of tools/timing.py's ladder rungs), between F and G."""
+    xp = xp_of[lat]
     th, tl = trunc
     V = interaction_vertex(lat, {lat.site(*s): 1 for s in vertices}, 4,
                            th, tl)
     F, G = (local_power(lat, {lat.site(*s): 1 for s in sites}, 2, th, tl)
             for sites in (f, g))
-    want = interacting_peierls_bracket(xp_small, BogoliubovMap(xp_small, V),
+    want = interacting_peierls_bracket(xp, BogoliubovMap(xp, V),
                                        F, G) * ExactComplex(0, 1)
 
     def tree_slices(W):
-        bog = BogoliubovMap(xp_small, W)
+        bog = BogoliubovMap(xp, W)
         C = bog.star_interacting(F, G) - bog.star_interacting(G, F)
         return PolyFunctional.from_numerators(lat, {
             (h - 1, l): bank for (h, l), bank in C.slices.items()

@@ -60,9 +60,12 @@ singular flags, wf1d rows the repr of the rays, pairings the repr, gns
 rows each representation's dimension and residuals as float64 bytes,
 commutator rows the coefficients, as ladder rows do, weyl rows the repr of
 the report's items in key order, and tables the float64 bytes.
-A star row shows, after the number of terms, the number of vertex sites
-the product used: those in the future of its first argument and the past
-of its second.  G,F uses none, as G is nowhere earlier than F.
+A ladder row shows, after the number of terms, the number of R entries
+its map built (R of a monomial, for the vertex sites in its past, to the
+orders its caller keeps) and the number of vertex sites the call used: for
+R G those in the past of G, for a star row those in the future of its
+first argument and the past of its second.  G,F uses none, as G is
+nowhere earlier than F.
 """
 
 import argparse
@@ -165,26 +168,32 @@ def parse_rung(text):
 
 
 def on_new_map(xp, V, method, *args):
-    """method(*args) of a BogoliubovMap(xp, V) built for the call, as a map
-    keeps R of every monomial it meets."""
-    return getattr(BogoliubovMap(xp, V), method)(*args)
+    """(method(*args), the map) of a BogoliubovMap(xp, V) built for the
+    call, as a map keeps R of every monomial it meets."""
+    bog = BogoliubovMap(xp, V)
+    return getattr(bog, method)(*args), bog
+
+
+def ladder_shown(W):
+    """A ladder row's result: its terms, the R entries its map built and
+    the vertex sites W it used."""
+    return lambda value, _: "%d terms, %d R entries, %d vertex sites" % (
+        len(value[0].terms), len(value[1]._R), len(W))
 
 
 def ladder(rungs):
+    digest = lambda value: coefficients_sha256(value[0])
     for th, tl, k, n_t, n_x, rows in rungs:
         xp, V, F, G = rung(th, tl, k, n_t, n_x, rows)
         name = "%d,%d,%d %dx%d" % (th, tl, k, n_t, n_x) + (
             "/%d-%d" % rows if rows else "")
         bog = BogoliubovMap(xp, V)
-        yield ("R G " + name, partial(on_new_map, xp, V, "R", G),
-               coefficients_sha256, lambda P, _, W=bog._past(
-                   bog._sites, G.support()):
-               "%d terms, %d vertex sites" % (len(P.terms), len(W)))
+        yield ("R G " + name, partial(on_new_map, xp, V, "R", G), digest,
+               ladder_shown(bog._past(bog._sites, G.support())))
         for order, args in (("F,G", (F, G)), ("G,F", (G, F))):
             yield ("star %s %s" % (order, name),
                    partial(on_new_map, xp, V, "star_interacting", *args),
-                   coefficients_sha256, lambda P, _, D=bog._diamond(*args):
-                   "%d terms, %d vertex sites" % (len(P.terms), len(D)))
+                   digest, ladder_shown(bog._diamond(*args)))
 
 
 def trajectory_sha256(r):
